@@ -11,16 +11,18 @@ Hom enumeration is finitized by an explicit GradeSet L: points of the
 frame-induced system are the maps carrier -> L passing the homomorphism
 axioms, so every S-side statement is relative to L. The adjunction units
 only need L to contain the grades that actually occur, so the triangle
-identities are exact.
+identities are exact. The maps are found by a depth-first search over grade
+ranks that checks each axiom instance as soon as its coordinates are fixed,
+so its cost follows the partial homomorphisms that survive, not |L|^(n-2).
 """
 
 from __future__ import annotations
 
-import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Hashable, Iterable
 
-from .checks import LawReport, mask_elements, subset_masks
+from .checks import LawReport, subset_masks
 from .errors import GradeSetTooSmall, NoPoints, NotContinuous, SchemaError
 from .frames import FrameHom, GradedFrame, compose_frame_hom, frame_from_space
 from .fuzzy_sets import FuzzySet, PointMap, Universe, compose_point_maps, preimage
@@ -145,56 +147,104 @@ def enumerate_point_homs(frame: GradedFrame, values: GradeSet) -> list[PointHom]
     """All maps carrier -> values satisfying the homomorphism axioms into
     the grade chain, in canonical (value-lexicographic) order.
 
-    The top must land on 1 and the empty join on 0, so those coordinates are
-    pinned and only the rest are enumerated. Join preservation is checked on
-    the same subset regime the frame checkers use.
+    The axioms are the ones a test of every map would check: meet and
+    relation preservation at every pair, and join preservation at every mask
+    of the subset regime the frame checkers use. The top must land on 1 and
+    the empty join on 0, so those two coordinates are pinned; the others get
+    grade ranks in a depth-first search, in order of how many elements lie
+    crisply below them (on a valid frame, a linear extension of its order).
+
+    Each axiom instance becomes rank constraints, and each constraint is
+    checked at the first depth where every coordinate it mentions is
+    assigned, so one failure discards every map extending the partial one.
+    A meet or join equality splits into upper bounds, kept with the
+    relation's pairwise constraints, and an attained half:
+    rank(a meet b) >= min(rank a, rank b) and max(rank over S) >= rank(join S).
+    The latter is needed only for masks that do not contain their join and
+    have no such sub-mask with the same join. The result is exactly that of
+    the test of every map, valid frame or not, and the cost tracks the
+    partial maps that survive instead of |values|^(n-2).
     """
     items = frame.carrier
     n = len(items)
     idx = {a: i for i, a in enumerate(items)}
-    meet_idx = [[idx[frame.meet_table[(a, b)]] for b in items] for a in items]
-    rel = [[frame.relation[(a, b)] for b in items] for a in items]
-    masks = subset_masks(n)
-    joins = {mask: idx[frame.join_fn(frozenset(mask_elements(mask, items)))]
-             for mask in masks}
+    grades = values.grades
     top, bottom = idx[frame.top], idx[frame.bottom]
     if top == bottom:  # the top would need value 1 and the empty join value 0
         return []
-    free = [i for i in range(n) if i != top and i != bottom]
+    rel = [[frame.relation[(a, b)] for b in items] for a in items]
+    crisp_below = [column.count(ONE) for column in zip(*rel)]
+    order = [top, bottom] + sorted((i for i in range(n) if i != top and i != bottom),
+                                   key=crisp_below.__getitem__)
+    depth = [0] * n
+    for d, i in enumerate(order[2:], 1):
+        depth[i] = d
+
+    # bound[(i, j)] = b is violated when rank[i] > rank[j] < b. Relation
+    # preservation fails exactly when v_i > v_j and rel(i, j) > v_j, and
+    # rel(i, j) > grades[r] exactly when r < bisect_left(grades, rel(i, j));
+    # b = len(grades) makes it rank[i] <= rank[j].
+    bound = {(i, j): bisect_left(grades, rel[i][j]) for i in range(n) for j in range(n) if i != j}
+
+    def at_most(i: int, j: int) -> None:
+        if i != j:
+            bound[(i, j)] = len(grades)
+
+    attained = set()
+    for i in range(n):
+        for j in range(n):
+            m = idx[frame.meet_table[(items[i], items[j])]]
+            at_most(m, i)
+            at_most(m, j)
+            if m != i and m != j:
+                attained.add((m, min(i, j), max(i, j)))
+    meets, joins = [[] for _ in order[1:]], [[] for _ in order[1:]]
+    for m, i, j in attained:
+        meets[max(depth[i], depth[j], depth[m])].append((m, i, j))
+    minimal: dict[int, list[int]] = {}
+    # smaller masks first, so every sub-mask is seen before its supersets
+    for mask in sorted(subset_masks(n), key=int.bit_count):
+        members = [i for i in range(n) if mask >> i & 1]
+        j = idx[frame.join_fn(frozenset([items[i] for i in members]))]
+        for k in members:
+            at_most(k, j)
+        kept = minimal.setdefault(j, [])
+        if not mask >> j & 1 and all(sub & mask != sub for sub in kept):
+            kept.append(mask)
+            joins[max([depth[j]] + [depth[i] for i in members])].append((j, members))
+    rels = [[] for _ in order[1:]]
+    for (i, j), b in bound.items():
+        if b:
+            rels[max(depth[i], depth[j])].append((i, j, b))
+
+    rank = [0] * n
+    rank[top] = len(grades) - 1
     found = []
-    for combo in itertools.product(values.grades, repeat=len(free)):
-        v: list[Grade] = [ZERO] * n
-        v[top], v[bottom] = ONE, ZERO
-        for i, g in zip(free, combo):
-            v[i] = g
-        ok = True
-        for i in range(n):
-            vi = v[i]
-            for j in range(n):
-                vj = v[j]
-                if v[meet_idx[i][j]] != (vi if vi <= vj else vj):
-                    ok = False
-                    break
-                if vi > vj and rel[i][j] > vj:  # arrow(vi, vj) = vj here
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            for mask, jm in joins.items():
-                best = ZERO
-                rest = mask
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    g = v[low.bit_length() - 1]
-                    if g > best:
-                        best = g
-                if v[jm] != best:
-                    ok = False
-                    break
-        if ok:
-            found.append(PointHom(items, tuple(v)))
+
+    def holds(d: int) -> bool:
+        for i, j, b in rels[d]:
+            if rank[i] > rank[j] < b:
+                return False
+        for m, i, j in meets[d]:
+            if rank[m] < min(rank[i], rank[j]):
+                return False
+        for j, members in joins[d]:
+            if max(map(rank.__getitem__, members), default=0) < rank[j]:
+                return False
+        return True
+
+    def search(d: int) -> None:
+        if d == len(rels):
+            found.append(PointHom(items, tuple(grades[r] for r in rank)))
+            return
+        c = order[d + 1]
+        for r in range(len(grades)):
+            rank[c] = r
+            if holds(d):
+                search(d + 1)
+
+    if holds(0):
+        search(1)
     found.sort(key=lambda p: p.values)
     return found
 

@@ -13,14 +13,16 @@
 "T", "F", "E" and "V" double as ordinary identifiers when the lookahead
 says so ("T(...)" is a predicate named T, "V[" opens a big disjunction).
 Whitespace is insignificant. When a signature is supplied, predicate and
-function arities are enforced and unknown symbols are rejected.
+function arities are enforced and unknown symbols are rejected. Nesting
+deeper than the interpreter's recursion limit is a FormulaSyntaxError, like
+any other text that does not parse.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Any, Callable, Mapping
 
 from ..errors import ArityMismatch, FormulaSyntaxError, UndeclaredSymbol
 from .syntax import (
@@ -221,17 +223,24 @@ class _Parser:
         return None
 
 
+def _parse_whole(parser: _Parser, production: Callable[[], Any], name: str):
+    try:
+        result = production()
+    except RecursionError:
+        # the parser recurses once per nesting level; report a nesting deeper
+        # than the interpreter allows as bad input rather than a crash
+        raise FormulaSyntaxError(parser.peek().position,
+                                 f"the {name} is nested too deeply") from None
+    if parser.peek().kind != "end":
+        parser.fail(f"trailing input after the {name}")
+    return result
+
+
 def parse_term(text: str, signature: Signature | None = None) -> Term:
     parser = _Parser(text, signature)
-    term = parser.term()
-    if parser.peek().kind != "end":
-        parser.fail("trailing input after the term")
-    return term
+    return _parse_whole(parser, parser.term, "term")
 
 
 def parse_formula(text: str, signature: Signature | None = None) -> Formula:
     parser = _Parser(text, signature)
-    formula = parser.formula()
-    if parser.peek().kind != "end":
-        parser.fail("trailing input after the formula")
-    return formula
+    return _parse_whole(parser, parser.formula, "formula")

@@ -12,8 +12,10 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
+from graded_topos.checks import mask_elements, subset_masks
+from graded_topos.functors import PointHom
 from graded_topos.fuzzy_sets import FuzzySet, Universe, intersection, union
-from graded_topos.grades import ONE, ZERO, godel_arrow
+from graded_topos.grades import Grade, ONE, ZERO, godel_arrow
 
 
 def small_grades(max_denominator: int = 4):
@@ -140,3 +142,56 @@ def brute_frame_hom_ok(hom) -> bool:
             if f[src.join_fn(frozenset(combo))] != tgt.join_fn(frozenset(f[a] for a in combo)):
                 return False
     return True
+
+
+def brute_point_homs(frame, values) -> list[PointHom]:
+    """Every map carrier -> values, tested one by one against the hom axioms
+    (the product over the free coordinates), in canonical order."""
+    items = frame.carrier
+    n = len(items)
+    idx = {a: i for i, a in enumerate(items)}
+    meet_idx = [[idx[frame.meet_table[(a, b)]] for b in items] for a in items]
+    rel = [[frame.relation[(a, b)] for b in items] for a in items]
+    masks = subset_masks(n)
+    joins = {mask: idx[frame.join_fn(frozenset(mask_elements(mask, items)))]
+             for mask in masks}
+    top, bottom = idx[frame.top], idx[frame.bottom]
+    if top == bottom:  # the top would need value 1 and the empty join value 0
+        return []
+    free = [i for i in range(n) if i != top and i != bottom]
+    found = []
+    for combo in itertools.product(values.grades, repeat=len(free)):
+        v: list[Grade] = [ZERO] * n
+        v[top], v[bottom] = ONE, ZERO
+        for i, g in zip(free, combo):
+            v[i] = g
+        ok = True
+        for i in range(n):
+            vi = v[i]
+            for j in range(n):
+                vj = v[j]
+                if v[meet_idx[i][j]] != (vi if vi <= vj else vj):
+                    ok = False
+                    break
+                if vi > vj and rel[i][j] > vj:  # arrow(vi, vj) = vj here
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            for mask, jm in joins.items():
+                best = ZERO
+                rest = mask
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    g = v[low.bit_length() - 1]
+                    if g > best:
+                        best = g
+                if v[jm] != best:
+                    ok = False
+                    break
+        if ok:
+            found.append(PointHom(items, tuple(v)))
+    found.sort(key=lambda p: p.values)
+    return found

@@ -1,5 +1,9 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 from graded_topos.cli import main
 
@@ -100,6 +104,19 @@ def test_consequence_golden_values(capsys):
     assert capsys.readouterr().out.strip() == "0/1"
     assert main(["consequence", "--interp", interp, "--lhs", "q(x1)", "--rhs", "p(x1)"]) == 0
     assert capsys.readouterr().out.strip() == "1/2"
+
+
+@pytest.mark.parametrize("verb", ["eval", "consequence"])
+def test_deeply_nested_formula_is_an_input_error(verb):
+    deep = "(" * 3000 + "T" + ")" * 3000
+    formula_args = ["--formula", deep] if verb == "eval" else ["--lhs", "T", "--rhs", deep]
+    done = subprocess.run(
+        [sys.executable, "-m", "graded_topos.cli", verb,
+         "--interp", str(FIXTURES / "interp_basic.json"), *formula_args],
+        capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    assert done.stderr.count("\n") == 1 and "nested too deeply" in done.stderr
 
 
 def test_theorem2_runs_a_pool_file(capsys):

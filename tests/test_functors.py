@@ -1,9 +1,10 @@
 import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
 
-from conftest import brute_frame_hom_ok
+from conftest import brute_frame_hom_ok, brute_point_homs
 from graded_topos.errors import GradeSetTooSmall, NoPoints, NotContinuous, SchemaError
 from graded_topos.frames import FrameHom, GradedFrame, chain_frame, check_frame_hom, frame_from_space
 from graded_topos.functors import (
@@ -189,6 +190,164 @@ def test_enumerated_homs_pass_the_public_checker():
         as_hom = hom.as_frame_hom(frame, chain)
         assert check_frame_hom(as_hom) is None
         assert brute_frame_hom_ok(as_hom)
+
+
+# --- hom enumeration against the brute-force oracle ------------------------------
+
+QUARTERS = GradeSet.closure([F(1, 4), HALF, F(3, 4)])
+
+
+def _tabled(frame, order=None, grade_map=lambda g: g):
+    """The frame rebuilt by `from_tables` over labels e<index>, with its
+    carrier listed in `order` and its relation grades passed through
+    `grade_map`."""
+    order = frame.carrier if order is None else order
+    name = {a: f"e{i}" for i, a in enumerate(frame.carrier)}
+    subsets = [s for k in range(len(order) + 1) for s in itertools.combinations(order, k)]
+    return GradedFrame.from_tables(
+        [name[a] for a in order], name[frame.top],
+        {(name[a], name[b]): name[frame.meet_table[(a, b)]] for a in order for b in order},
+        {frozenset(name[a] for a in s): name[frame.join_fn(frozenset(s))] for s in subsets},
+        {(name[a], name[b]): grade_map(frame.relation[(a, b)]) for a in order for b in order})
+
+
+def _generated_frames(max_opens):
+    for seed in range(6):
+        for pool in (GradeSet.closure([HALF]), GradeSet.closure([F(1, 3), F(2, 3)])):
+            cfg = GeneratorConfig(seed=seed, grade_pool=pool, max_generators=4)
+            for index in range(6):
+                yield cfg, frame_from_space(generate_random_space(cfg, index, max_opens=max_opens))
+
+
+def _mutated_table_frames(count, seed):
+    """Table frames on two to five labels: generated frames with one to three
+    entries overwritten at random, and (one time in four) random tables
+    throughout. Most of them are invalid."""
+    rng = random.Random(seed)
+    bases = [_tabled(frame) for _, frame in _generated_frames(max_opens=5)]
+    for _ in range(count):
+        if rng.random() < 0.25:
+            carrier = tuple(f"e{i}" for i in range(rng.randint(2, 5)))
+            subsets = [s for k in range(len(carrier) + 1) for s in itertools.combinations(carrier, k)]
+            yield GradedFrame.from_tables(
+                carrier, rng.choice(carrier),
+                {(a, b): rng.choice(carrier) for a in carrier for b in carrier},
+                {frozenset(s): rng.choice(carrier) for s in subsets},
+                {(a, b): rng.choice(QUARTERS.grades) for a in carrier for b in carrier})
+            continue
+        base = rng.choice(bases)
+        meets, joins, relation = dict(base.meet_table), dict(base.join_table), dict(base.relation)
+        for _ in range(rng.randint(1, 3)):
+            table = rng.choice((meets, joins, relation))
+            key = rng.choice(sorted(table, key=str))
+            table[key] = rng.choice(QUARTERS.grades if table is relation else base.carrier)
+        yield GradedFrame.from_tables(base.carrier, base.top, meets, joins, relation)
+
+
+def test_enumeration_matches_the_brute_force_oracle_on_generated_frames():
+    cases = 0
+    for cfg, frame in _generated_frames(max_opens=7):
+        for values in (GradeSet.for_frame(frame), GradeSet.closure([]), cfg.grade_pool):
+            assert ([p.values for p in enumerate_point_homs(frame, values)]
+                    == [p.values for p in brute_point_homs(frame, values)])
+            cases += 1
+    assert cases == 216
+
+
+def test_enumeration_matches_the_brute_force_oracle_on_invalid_tables():
+    empty = 0
+    for frame in _mutated_table_frames(300, seed=5):
+        for values in (GradeSet.for_frame(frame), QUARTERS):
+            homs = [p.values for p in enumerate_point_homs(frame, values)]
+            assert homs == [p.values for p in brute_point_homs(frame, values)]
+            empty += not homs
+    assert 0 < empty < 600
+
+
+def _lattice_frame(leq, incomparable):
+    """The lattice on 0, a, b, c, 1 ordered by `leq`, as a table frame whose
+    relation is 1 on comparable pairs and `incomparable` elsewhere."""
+    carrier = ("0", "a", "b", "c", "1")
+
+    def extreme(xs, below):
+        bounds = [z for z in carrier if all(leq(z, x) if below else leq(x, z) for x in xs)]
+        return next(z for z in bounds if all(leq(w, z) if below else leq(z, w) for w in bounds))
+
+    subsets = [s for k in range(6) for s in itertools.combinations(carrier, k)]
+    return GradedFrame.from_tables(
+        carrier, "1",
+        {(x, y): extreme((x, y), below=True) for x in carrier for y in carrier},
+        {frozenset(s): extreme(s, below=False) for s in subsets},
+        {(x, y): ONE if leq(x, y) else incomparable for x in carrier for y in carrier})
+
+
+def test_enumeration_matches_the_brute_force_oracle_on_non_distributive_lattices():
+    # the diamond M3 and the pentagon N5 are lattices but not frames: there
+    # {a, b} and {a, c} have the same join 1 and neither contains the other,
+    # so neither join constraint may stand in for the other
+    diamond = lambda x, y: x == y or x == "0" or y == "1"
+    pentagon = lambda x, y: diamond(x, y) or (x, y) == ("a", "b")
+    for leq in (diamond, pentagon):
+        for incomparable in (ZERO, HALF):
+            frame = _lattice_frame(leq, incomparable)
+            for values in (GradeSet.closure([]), GradeSet.closure([HALF]), QUARTERS):
+                assert ([p.values for p in enumerate_point_homs(frame, values)]
+                        == [p.values for p in brute_point_homs(frame, values)])
+
+
+def test_enumeration_is_invariant_under_carrier_permutation():
+    rng = random.Random(7)
+    for _, frame in _generated_frames(max_opens=6):
+        values = GradeSet.for_frame(frame)
+        base = _tabled(frame)
+        shuffled = rng.sample(frame.carrier, len(frame.carrier))
+        if shuffled == list(frame.carrier):
+            shuffled.reverse()
+        permuted = _tabled(frame, order=shuffled)
+        as_maps = [{frozenset(zip(p.carrier, p.values)) for p in enumerate_point_homs(f, values)}
+                   for f in (base, permuted)]
+        assert as_maps[0] == as_maps[1]
+
+
+def test_enumeration_commutes_with_monotone_grade_relabelling():
+    rng = random.Random(11)
+    for _, frame in _generated_frames(max_opens=6):
+        values = GradeSet.closure(set(frame.relation.values()) | {F(1, 4)})
+        inner = values.grades[1:-1]
+        # a strictly monotone map fixing 0 and 1, onto random hundredths
+        image = sorted(F(k, 100) for k in rng.sample(range(1, 100), len(inner)))
+        relabel = {ZERO: ZERO, ONE: ONE, **dict(zip(inner, image))}
+        homs = enumerate_point_homs(_tabled(frame), values)
+        moved = enumerate_point_homs(_tabled(frame, grade_map=relabel.__getitem__),
+                                     GradeSet(tuple(relabel[g] for g in values.grades)))
+        assert [tuple(relabel[g] for g in p.values) for p in homs] == [p.values for p in moved]
+
+
+def _space_with_opens(count):
+    """The first three-point space over grades {0, 1/2, 1}, generated by two
+    or three fuzzy sets in lexicographic order, with exactly `count` opens."""
+    u = Universe.of("x1", "x2", "x3")
+    grades = (ZERO, HALF, ONE)
+    sets = [FuzzySet(u, (a, b, c)) for a in grades for b in grades for c in grades]
+    for size in (2, 3):
+        for generators in itertools.combinations(sets, size):
+            space = generate_topology(u, list(generators))
+            if len(space) == count:
+                return space
+    raise AssertionError(f"no space with {count} opens")
+
+
+def test_enumeration_at_eleven_opens():
+    frame = frame_from_space(_space_with_opens(11))
+    three = GradeSet((ZERO, HALF, ONE))
+    coarse = [p.values for p in enumerate_point_homs(frame, three)]
+    assert coarse and coarse == [p.values for p in brute_point_homs(frame, three)]
+    homs = enumerate_point_homs(frame, QUARTERS)
+    assert len(homs) > len(coarse)
+    chain = chain_frame(QUARTERS.grades)
+    for p in homs:
+        assert check_frame_hom(p.as_frame_hom(frame, chain)) is None
+    assert check_system(s_object(frame, QUARTERS)) is None
 
 
 def test_hom_system_satisfaction_is_application():
