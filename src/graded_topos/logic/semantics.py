@@ -1,10 +1,23 @@
 """Finite interpretations and the graded-satisfiability evaluator.
 
-`sat_grade` and `sequent_grade` are the reference recursive evaluators.
-The sequent property suite caches satisfaction vectors over the finitely
-many relevant assignments and combines them pointwise, which is an order of
-magnitude faster; it cross-checks itself against the reference evaluators
-on the first instance of every clause.
+`sat_grade` and `sequent_grade` are the reference evaluators: they recurse
+over the formula at each assignment. The sequent property suite
+(`theorem2_suite`) compiles each formula once into a vector over every
+assignment to the pool's free variables and one fresh variable, and builds
+the clauses from pointwise combinators on those vectors.
+
+Vector entries are integer ranks: a grade's rank is its index in the sorted
+set of the interpretation's predicate grades together with 0 and 1. Ranks
+are ordered as the grades they code, and every clause only compares grades
+(min, max, the Gödel arrow, inf, sup), so the coding is exact. Reports
+carry verdicts and indices, not grades; a grade read off a vector is mapped
+back through the rank table.
+
+The suite cross-checks itself against the reference evaluators in two
+places: the grade of the sequent from the first pool formula to the last
+against `sequent_grade`, and the first renamed vector of clause 8 against
+the compiled vector of the substituted formula. Clause 6 is evaluated by
+`sequent_grade` itself.
 """
 
 from __future__ import annotations
@@ -20,7 +33,7 @@ from ..errors import (
     UnboundVariable,
     UndeclaredSymbol,
 )
-from ..grades import Grade, ONE, ZERO, godel_arrow, inf, sup
+from ..grades import Grade, ONE, ZERO, sup
 from .parser import CONST_PATTERN, IDENT_PATTERN, Signature, VAR_PATTERN
 from .syntax import (
     And,
@@ -136,7 +149,18 @@ def eval_term(interp: Interpretation, assignment: Assignment, t: Term) -> str:
 def sat_grade(interp: Interpretation, assignment: Assignment, phi: Formula) -> Grade:
     """Grade of satisfaction: predicates by table lookup, top 1, bottom 0,
     crisp equality, min for conjunction, sup for disjunction and the
-    existential quantifier."""
+    existential quantifier.
+
+    The evaluator recurses once per nesting level; a formula nested deeper
+    than the interpreter allows is a SchemaError, not a crash.
+    """
+    try:
+        return _sat_grade(interp, assignment, phi)
+    except RecursionError:
+        raise SchemaError("formula", "the formula is nested too deeply") from None
+
+
+def _sat_grade(interp: Interpretation, assignment: Assignment, phi: Formula) -> Grade:
     if isinstance(phi, Top):
         return ONE
     if isinstance(phi, Bottom):
@@ -152,13 +176,13 @@ def sat_grade(interp: Interpretation, assignment: Assignment, phi: Formula) -> G
         rhs = eval_term(interp, assignment, phi.rhs)
         return ONE if lhs == rhs else ZERO
     if isinstance(phi, And):
-        a = sat_grade(interp, assignment, phi.lhs)
-        b = sat_grade(interp, assignment, phi.rhs)
+        a = _sat_grade(interp, assignment, phi.lhs)
+        b = _sat_grade(interp, assignment, phi.rhs)
         return a if a <= b else b
     if isinstance(phi, Or):
-        return sup(sat_grade(interp, assignment, f) for f in phi.items)
+        return sup(_sat_grade(interp, assignment, f) for f in phi.items)
     if isinstance(phi, Exists):
-        return sup(sat_grade(interp, assignment.updated(phi.variable, d), phi.body)
+        return sup(_sat_grade(interp, assignment.updated(phi.variable, d), phi.body)
                    for d in interp.domain)
     raise TypeError(f"not a formula: {phi!r}")
 
@@ -194,47 +218,156 @@ def sequent_grade(interp: Interpretation, lhs: Formula, rhs: Formula) -> Grade:
 # the sequent property suite
 
 class _Vectors:
-    """Satisfaction grades of formulas tabulated over every assignment to a
-    fixed variable list, with pointwise combinators mirroring the semantic
-    clauses."""
+    """Satisfaction grades of formulas over every assignment to a fixed
+    variable list, coded as integer ranks, with pointwise combinators
+    mirroring the semantic clauses.
 
-    def __init__(self, interp: Interpretation, variables: Sequence[int]):
+    Assignments are listed in `itertools.product` order over the sorted
+    variables, so the last variable varies fastest. A grade's rank is its
+    index in `grades`, the sorted grades of the predicate tables together
+    with 0 and 1. Ranks are ordered as the grades they code, and every
+    clause only compares grades (min, max, the Gödel arrow, inf, sup), so a
+    rank vector codes its grade vector exactly.
+    """
+
+    def __init__(self, interp: Interpretation, variables: Sequence[int],
+                 grades: Sequence[Grade] | None = None):
         self.interp = interp
         self.variables = sorted(variables)
         self.position = {v: i for i, v in enumerate(self.variables)}
-        self.tuples = list(itertools.product(interp.domain, repeat=len(self.variables)))
-        self.index = {t: i for i, t in enumerate(self.tuples)}
+        if grades is None:
+            grades = sorted({ZERO, ONE}.union(*(t.values() for t in interp.predicates.values())))
+        self.grades = grades
+        self.top = len(grades) - 1
+        rank = {g: r for r, g in enumerate(grades)}
+        self.ranked = {name: {key: rank[g] for key, g in table.items()}
+                       for name, table in interp.predicates.items()}
+        tuples = list(itertools.product(interp.domain, repeat=len(self.variables)))
+        self.size = len(tuples)
+        self.columns = list(zip(*tuples))
+        self._fibres: dict[int, tuple[list[range], list[int]]] = {}
+        self._renames: dict[tuple[int, int], list[int]] = {}
+        self._widened: dict[int, _Vectors] = {}
 
-    def of(self, phi: Formula) -> list[Grade]:
-        return [sat_grade(self.interp, Assignment(dict(zip(self.variables, t))), phi)
-                for t in self.tuples]
+    def _stride(self, variable: int) -> int:
+        return len(self.interp.domain) ** (len(self.variables) - 1 - self.position[variable])
 
-    def conj(self, u: list[Grade], v: list[Grade]) -> list[Grade]:
-        return [a if a <= b else b for a, b in zip(u, v)]
+    def _fibres_of(self, variable: int) -> tuple[list[range], list[int]]:
+        """The fibres of `variable` (assignments differing only there), in
+        product order of the other variables, and each assignment's fibre."""
+        if variable not in self._fibres:
+            stride = self._stride(variable)
+            block = stride * len(self.interp.domain)
+            fibres = [range(base, base + block, stride)
+                      for start in range(0, self.size, block)
+                      for base in range(start, start + stride)]
+            owner = [i // block * stride + i % stride for i in range(self.size)]
+            self._fibres[variable] = fibres, owner
+        return self._fibres[variable]
 
-    def disj(self, vectors: Sequence[list[Grade]]) -> list[Grade]:
-        return [sup(v[i] for v in vectors) for i in range(len(self.tuples))]
+    def _sup_over(self, u: list[int], variable: int) -> list[int]:
+        """sup of u over each fibre of `variable`: the vector of the
+        quantified formula over the list without `variable`."""
+        return [max([u[j] for j in fibre]) for fibre in self._fibres_of(variable)[0]]
 
-    def exists(self, u: list[Grade], variable: int) -> list[Grade]:
-        p = self.position[variable]
-        out = []
-        for t in self.tuples:
-            out.append(sup(u[self.index[t[:p] + (d,) + t[p + 1:]]] for d in self.interp.domain))
-        return out
+    def _widen(self, variable: int) -> "_Vectors":
+        if variable not in self._widened:
+            self._widened[variable] = _Vectors(self.interp, self.variables + [variable],
+                                               self.grades)
+        return self._widened[variable]
 
-    def rename(self, u: list[Grade], variable: int, replacement: int) -> list[Grade]:
+    def of(self, phi: Formula) -> list[int]:
+        """Rank vector of a formula, compiled bottom-up with an explicit
+        stack, so nesting depth costs no interpreter stack. Terms compile to
+        columns of domain elements. A quantifier whose variable is not in
+        the list evaluates its body over the list widened by that variable
+        and sups it out."""
+        done: list = []
+        todo: list = [(phi, self, False)]
+        while todo:
+            node, space, ready = todo.pop()
+            parts = _parts(node)
+            if ready or not parts:
+                args = done[len(done) - len(parts):]
+                del done[len(done) - len(parts):]
+                done.append(space._combine(node, args))
+                continue
+            inner = space
+            if isinstance(node, Exists) and node.variable not in space.position:
+                inner = space._widen(node.variable)
+            todo.append((node, space, True))
+            todo.extend((part, inner, False) for part in reversed(parts))
+        return done.pop()
+
+    def _combine(self, node, args: list) -> list:
+        """The vector of a formula, or the column of a term, from those of
+        its parts."""
+        if isinstance(node, Top):
+            return [self.top] * self.size
+        if isinstance(node, Bottom):
+            return [0] * self.size
+        if isinstance(node, Var):
+            if node.index not in self.position:
+                raise UnboundVariable(node.index)
+            return self.columns[self.position[node.index]]
+        if isinstance(node, Const):
+            if node.index not in self.interp.constants:
+                raise UndeclaredSymbol(f"c{node.index}")
+            return [self.interp.constants[node.index]] * self.size
+        if isinstance(node, (Predicate, Func)):
+            tables = self.ranked if isinstance(node, Predicate) else self.interp.functions
+            if node.symbol not in tables:
+                raise UndeclaredSymbol(node.symbol)
+            table = tables[node.symbol]
+            return [table[key] for key in (zip(*args) if args else [()] * self.size)]
+        if isinstance(node, Equality):
+            return [self.top if a == b else 0 for a, b in zip(*args)]
+        if isinstance(node, And):
+            return self.conj(*args)
+        if isinstance(node, Or):
+            return self.disj(args)
+        if isinstance(node, Exists):
+            if node.variable in self.position:
+                return self.exists(args[0], node.variable)
+            return self._widen(node.variable)._sup_over(args[0], node.variable)
+        raise TypeError(f"not a formula: {node!r}")
+
+    def conj(self, u: list[int], v: list[int]) -> list[int]:
+        return list(map(min, u, v))
+
+    def disj(self, vectors: Sequence[list[int]]) -> list[int]:
+        return list(map(max, zip(*vectors)))
+
+    def exists(self, u: list[int], variable: int) -> list[int]:
+        sups = self._sup_over(u, variable)
+        return [sups[f] for f in self._fibres_of(variable)[1]]
+
+    def rename(self, u: list[int], variable: int, replacement: int) -> list[int]:
         """Vector of the formula with `replacement` substituted for the free
         variable `variable` (the substitution lemma as index surgery)."""
-        p = self.position[variable]
-        q = self.position[replacement]
-        return [u[self.index[t[:p] + (t[q],) + t[p + 1:]]] for t in self.tuples]
+        key = (variable, replacement)
+        if key not in self._renames:
+            n = len(self.interp.domain)
+            p, q = self._stride(variable), self._stride(replacement)
+            self._renames[key] = [i + (i // q % n - i // p % n) * p for i in range(self.size)]
+        return [u[j] for j in self._renames[key]]
 
-    def equality(self, a: int, b: int) -> list[Grade]:
-        pa, pb = self.position[a], self.position[b]
-        return [ONE if t[pa] == t[pb] else ZERO for t in self.tuples]
+    def sequent(self, u: list[int], v: list[int]) -> int:
+        """inf of the Gödel arrow: the least b where a > b, else the top."""
+        return min([b for a, b in zip(u, v) if a > b], default=self.top)
 
-    def sequent(self, u: list[Grade], v: list[Grade]) -> Grade:
-        return inf(godel_arrow(a, b) for a, b in zip(u, v))
+
+def _parts(node) -> tuple:
+    """The sub-formulas and sub-terms a node's value is built from."""
+    if isinstance(node, (Predicate, Func)):
+        return node.args
+    if isinstance(node, (Equality, And)):
+        return node.lhs, node.rhs
+    if isinstance(node, Or):
+        return node.items
+    if isinstance(node, Exists):
+        return (node.body,)
+    return ()
 
 
 def theorem2_suite(
@@ -260,7 +393,7 @@ def theorem2_suite(
            for i in range(len(pool)) for j in range(len(pool))}
     # the vector path must agree with the reference evaluator
     probe = sequent_grade(interp, pool[0], pool[-1])
-    if probe != seq[(0, len(pool) - 1)]:
+    if probe != vs.grades[seq[(0, len(pool) - 1)]]:
         raise AssertionError("vectorized sequent disagrees with the evaluator")
 
     reports = []
@@ -270,7 +403,7 @@ def theorem2_suite(
 
     fails: list[str] = []
     for i, f in enumerate(pool):
-        if seq[(i, i)] != ONE:
+        if seq[(i, i)] != vs.top:
             fails.append(format_formula(f))
     clause("Thm2.1 identity", fails)
 
@@ -285,14 +418,14 @@ def theorem2_suite(
     fails = []
     top_vec = vs.of(TOP)
     for i, f in enumerate(pool):
-        if vs.sequent(vector[i], top_vec) != ONE:
+        if vs.sequent(vector[i], top_vec) != vs.top:
             fails.append(f"3(i) {format_formula(f)}")
     for i in range(len(pool)):
         for j in range(len(pool)):
             both = vs.conj(vector[i], vector[j])
-            if vs.sequent(both, vector[i]) != ONE:
+            if vs.sequent(both, vector[i]) != vs.top:
                 fails.append(f"3(ii) ({i},{j})")
-            if vs.sequent(both, vector[j]) != ONE:
+            if vs.sequent(both, vector[j]) != vs.top:
                 fails.append(f"3(iii) ({i},{j})")
             for k in range(len(pool)):
                 lhs = min(seq[(i, j)], seq[(i, k)])
@@ -308,10 +441,10 @@ def theorem2_suite(
     for combo in subsets:
         joined = vs.disj([vector[i] for i in combo])
         for i in combo:
-            if vs.sequent(vector[i], joined) != ONE:
+            if vs.sequent(vector[i], joined) != vs.top:
                 fails.append(f"4(i) {combo} member {i}")
         for j in range(len(pool)):
-            if inf(seq[(i, j)] for i in combo) > vs.sequent(joined, vector[j]):
+            if min(seq[(i, j)] for i in combo) > vs.sequent(joined, vector[j]):
                 fails.append(f"4(ii) {combo} to {j}")
     clause("Thm2.4 disjunction", fails)
 
@@ -320,7 +453,7 @@ def theorem2_suite(
         for combo in subsets:
             lhs = vs.conj(vector[i], vs.disj([vector[j] for j in combo]))
             rhs = vs.disj([vs.conj(vector[i], vector[j]) for j in combo])
-            if vs.sequent(lhs, rhs) != ONE:
+            if vs.sequent(lhs, rhs) != vs.top:
                 fails.append(f"5 ({i}, {combo})")
     clause("Thm2.5 frame distributivity", fails)
 
@@ -345,10 +478,10 @@ def theorem2_suite(
                 continue
             eq = None
             for x, y in zip(xs, ys):
-                pair = vs.equality(x, y)
+                pair = vs.of(Equality(Var(x), Var(y)))
                 eq = pair if eq is None else vs.conj(eq, pair)
             antecedent = vs.conj(eq, vector[i])
-            if vs.sequent(antecedent, vs.of(replaced)) != ONE:
+            if vs.sequent(antecedent, vs.of(replaced)) != vs.top:
                 fails.append(f"7 ({i} with {ys})")
     clause("Thm2.7 substitution of equals", fails)
 
@@ -389,7 +522,7 @@ def theorem2_suite(
             for y in candidates:
                 lhs = vs.conj(vector[i], vs.exists(vector[j], y))
                 rhs = vs.exists(vs.conj(vector[i], vector[j]), y)
-                if vs.sequent(lhs, rhs) != ONE:
+                if vs.sequent(lhs, rhs) != vs.top:
                     fails.append(f"9 ({i},{j},x{y})")
     clause("Thm2.9 quantifier distributivity", fails)
 

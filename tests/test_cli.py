@@ -119,6 +119,25 @@ def test_deeply_nested_formula_is_an_input_error(verb):
     assert done.stderr.count("\n") == 1 and "nested too deeply" in done.stderr
 
 
+@pytest.mark.parametrize("verb", ["eval", "consequence", "theorem2"])
+def test_deeply_nested_binders_are_an_input_error(verb, tmp_path):
+    # parses (two parser frames per binder), but the reference evaluator
+    # needs three per binder
+    deep = "E x1. " * 450 + "T"
+    pool = tmp_path / "pool.json"
+    pool.write_text(json.dumps({"formulas": [deep]}))
+    formula_args = {"eval": ["--formula", deep],
+                    "consequence": ["--lhs", "T", "--rhs", deep],
+                    "theorem2": ["--pool", str(pool)]}[verb]
+    done = subprocess.run(
+        [sys.executable, "-m", "graded_topos.cli", verb,
+         "--interp", str(FIXTURES / "interp_basic.json"), *formula_args],
+        capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    assert done.stderr.count("\n") == 1 and "nested too deeply" in done.stderr
+
+
 def test_theorem2_runs_a_pool_file(capsys):
     assert main(["theorem2", "--interp", str(FIXTURES / "interp_basic.json"),
                  "--pool", str(FIXTURES / "pool_basic.json")]) == 0

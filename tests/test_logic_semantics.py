@@ -6,11 +6,18 @@ variables, which must not change anything.
 """
 
 import itertools
+import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
-from graded_topos.errors import SchemaError, UnboundVariable, UndeclaredSymbol
+from graded_topos.errors import (
+    CaptureViolation,
+    SchemaError,
+    UnboundVariable,
+    UndeclaredSymbol,
+)
 from graded_topos.generators import (
     GeneratorConfig,
     generate_formula_pool,
@@ -25,18 +32,24 @@ from graded_topos.logic.semantics import (
     assignments_over,
     eval_term,
     sat_grade,
+    _Vectors,
     sequent_grade,
     theorem2_suite,
 )
 from graded_topos.logic.syntax import (
     And,
     Exists,
+    Or,
     Predicate,
     TOP,
     Var,
+    format_formula,
     free_variables,
     substitute,
 )
+from graded_topos.serialization import load_formulas, load_interpretation
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 INTERP = Interpretation(
     ("d1", "d2"),
@@ -218,3 +231,149 @@ def test_interpretation_validation():
         Interpretation(("d1", "d2"), {}, {}, {"p": {("d1",): F(1, 2)}})
     with pytest.raises(SchemaError):
         Interpretation(("d1",), {}, {"x1": {("d1",): "d1"}}, {})
+
+
+# --- the rank-coded vectors of the suite against the reference evaluator ------
+
+RICH = Interpretation(
+    ("d1", "d2", "d3"),
+    {1: "d1", 2: "d3"},
+    {"f": {("d1",): "d2", ("d2",): "d3", ("d3",): "d3"},
+     "g": {(a, b): max(a, b) for a in ("d1", "d2", "d3") for b in ("d1", "d2", "d3")}},
+    {"p": {("d1",): F(1, 4), ("d2",): ONE, ("d3",): F(1, 4)},
+     "r": {(a, b): F(int(a[1]) * int(b[1]) % 5, 4) for a in ("d1", "d2", "d3")
+           for b in ("d1", "d2", "d3")}},
+)
+
+
+def reference_vector(vs, phi):
+    """rank(sat_grade) at every assignment, in the vectors' product order."""
+    rank = {g: r for r, g in enumerate(vs.grades)}
+    return [rank[sat_grade(vs.interp, Assignment(dict(zip(vs.variables, combo))), phi)]
+            for combo in itertools.product(vs.interp.domain, repeat=len(vs.variables))]
+
+
+def check_vectors(interp, variables, formulas):
+    vs = _Vectors(interp, variables)
+    assert list(vs.grades) == sorted(set(vs.grades))
+    vectors = [vs.of(f) for f in formulas]
+    for f, vector in zip(formulas, vectors):
+        assert vector == reference_vector(vs, f), format_formula(f)
+        for y in vs.variables:
+            assert vs.exists(vector, y) == reference_vector(vs, Exists(y, f))
+            for x in vs.variables:
+                try:
+                    replaced = substitute(f, [(y, Var(x))])
+                except CaptureViolation:
+                    continue
+                assert vs.rename(vector, y, x) == reference_vector(vs, replaced)
+    for (f, u), (g, v) in itertools.product(zip(formulas, vectors), repeat=2):
+        assert vs.conj(u, v) == reference_vector(vs, And(f, g))
+        assert vs.disj([u, v, u]) == reference_vector(vs, Or((f, g, f)))
+        assert vs.grades[vs.sequent(u, v)] == sequent_grade(interp, f, g)
+
+
+@pytest.mark.parametrize("variables, texts", [
+    # bound variables outside the list: widened, then projected out
+    ([1], ["E x5. p(x5)", "(p(x1) & E x7. E x8. r(x7, x8))",
+           "E x3. (r(x1, x3) & E x3. p(x3))", "E x4. V[r(x4, x1), E x1. p(x1), F]"]),
+    ([], ["E x1. p(x1)", "p(c1)", "(c1 = c2)", "E x2. (x2 = f(x2))", "T", "F"]),
+    # binders inside the list; constants, nested function terms, equality
+    ([1, 2], ["E x1. E x1. p(x1)", "r(c1, f(x2))", "(g(x1, c2) = f(f(x2)))",
+              "(x1 = x2)", "(c1 = c1)", "F", "T", "p(g(f(x1), x2))"]),
+    # nested and many-way disjunctions
+    ([1, 2, 3], ["V[p(x1), r(x1, x2), F, (x1 = c2), E x9. p(x9)]",
+                 "((p(x1) | F) | V[V[p(x2), T], r(x2, x3)])",
+                 "V[V[V[p(x3)]], (r(x3, x1) & p(x2))]"]),
+])
+def test_vectors_match_the_reference_evaluator_on_hand_made_formulas(variables, texts):
+    check_vectors(RICH, variables, [parse_formula(t, RICH.signature()) for t in texts])
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_vectors_match_the_reference_evaluator_on_generated_pools(seed):
+    cfg = GeneratorConfig(seed=seed)
+    for index in range(4):
+        interp = generate_random_interpretation(cfg, index)
+        pool = generate_formula_pool(cfg, index, interp, size=4, depth=4)
+        pool_vars = sorted(set().union(*(free_variables(f) for f in pool)))
+        # the suite's own list, and one that misses the pool's bound variables
+        check_vectors(interp, pool_vars + [max(pool_vars, default=0) + 1], pool)
+        check_vectors(interp, [7] + pool_vars, pool)
+
+
+def test_vectors_reject_what_the_evaluator_rejects():
+    vs = _Vectors(RICH, [1])
+    with pytest.raises(UnboundVariable):
+        vs.of(parse_formula("p(x2)", RICH.signature()))
+    with pytest.raises(UndeclaredSymbol):
+        vs.of(Predicate("z", (Var(1),)))
+    with pytest.raises(UndeclaredSymbol):
+        vs.of(parse_formula("(c9 = x1)"))
+
+
+def test_vectors_compile_nesting_the_reference_evaluator_cannot_reach():
+    deep = TOP
+    for _ in range(5000):
+        deep = Exists(2, And(deep, Predicate("p", (Var(1),))))
+    with pytest.raises(SchemaError, match="nested too deeply"):
+        sat_grade(RICH, Assignment({1: "d1"}), deep)
+    vs = _Vectors(RICH, [1])
+    assert vs.of(deep) == vs.of(parse_formula("p(x1)", RICH.signature()))
+
+
+def test_suite_reports_match_the_recorded_pool_basic_run():
+    interp = load_interpretation(FIXTURES / "interp_basic.json")
+    pool = load_formulas(FIXTURES / "pool_basic.json", interp.signature())
+    assert [(r.name, r.ok, r.detail) for r in theorem2_suite(interp, pool)] == [
+        ("Thm2.1 identity", True, ""),
+        ("Thm2.2 transitivity", True, ""),
+        ("Thm2.3 conjunction", True, ""),
+        ("Thm2.4 disjunction", True, ""),
+        ("Thm2.5 frame distributivity", True, ""),
+        ("Thm2.6 reflexivity of equality", True, ""),
+        ("Thm2.7 substitution of equals", True, ""),
+        ("Thm2.8 existential bounds", True, ""),
+        ("Thm2.9 quantifier distributivity", True, ""),
+    ]
+
+
+# --- metamorphic: the suite sees only the order of grades and the domain's shape
+
+def relabelled(interp, rng):
+    """A strictly monotone relabelling of the predicate grades fixing 0 and 1."""
+    inner = sorted({g for t in interp.predicates.values() for g in t.values()} - {ZERO, ONE})
+    image = sorted(F(k, 1000) for k in rng.sample(range(1, 1000), len(inner)))
+    move = {ZERO: ZERO, ONE: ONE, **dict(zip(inner, image))}
+    tables = {name: {k: move[g] for k, g in t.items()} for name, t in interp.predicates.items()}
+    return move, Interpretation(interp.domain, interp.constants, interp.functions, tables)
+
+
+def permuted(interp, rng):
+    """The same structure with its elements renamed by a random bijection."""
+    image = dict(zip(interp.domain, rng.sample(interp.domain, len(interp.domain))))
+    return Interpretation(
+        interp.domain,
+        {i: image[d] for i, d in interp.constants.items()},
+        {name: {tuple(image[a] for a in k): image[v] for k, v in t.items()}
+         for name, t in interp.functions.items()},
+        {name: {tuple(image[a] for a in k): g for k, g in t.items()}
+         for name, t in interp.predicates.items()})
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_suite_is_invariant_under_grade_relabelling_and_domain_permutation(seed):
+    rng = random.Random(seed)
+    cfg = GeneratorConfig(seed=seed)
+    for index in range(3):
+        interp = generate_random_interpretation(cfg, index)
+        pool = generate_formula_pool(cfg, index, interp)
+        reports = theorem2_suite(interp, pool)
+        move, moved = relabelled(interp, rng)
+        assert theorem2_suite(moved, pool) == reports
+        assert theorem2_suite(permuted(interp, rng), pool) == reports
+        variables = sorted(set().union(*(free_variables(f) for f in pool))) + [9]
+        assert ([_Vectors(moved, variables).of(f) for f in pool]
+                == [_Vectors(interp, variables).of(f) for f in pool])
+        for lhs, rhs in itertools.product(pool, repeat=2):
+            assert sequent_grade(moved, lhs, rhs) == move[sequent_grade(interp, lhs, rhs)]
