@@ -1,7 +1,7 @@
 """Exact-arithmetic graded frames, fuzzy topological spaces and systems,
 the functors connecting them, and a fuzzy geometric logic evaluator."""
 
-from .checks import LawReport, Violation, subset_cap, subset_regime
+from .checks import LawReport, Violation
 from .errors import (
     ArityMismatch,
     CaptureViolation,

@@ -1,17 +1,14 @@
 """Shared machinery for the axiom checkers: violation reports and the
-exhaustive-vs-sampled subset regime."""
+subset recurrences.
+
+Every subset-indexed check is exact. It runs over the masks on which a frame
+gives its join (`GradedFrame.join_masks`), and the frame module's docstring
+says why those masks cover every subset.
+"""
 
 from __future__ import annotations
 
-import os
-import random
 from dataclasses import dataclass
-
-DEFAULT_SUBSET_CAP = 12
-DEFAULT_SUBSET_SAMPLES = 512
-
-EXHAUSTIVE = "exhaustive"
-SAMPLED = "sampled"
 
 
 @dataclass(frozen=True)
@@ -36,41 +33,20 @@ class LawReport:
     detail: str = ""
 
 
-def subset_cap() -> int:
-    """Carrier size up to which subset-indexed axioms are checked on all
-    2^n subsets; GRADED_TOPOS_SUBSET_CAP overrides the default."""
-    raw = os.environ.get("GRADED_TOPOS_SUBSET_CAP")
-    if raw is None:
-        return DEFAULT_SUBSET_CAP
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return DEFAULT_SUBSET_CAP
-
-
-def subset_regime(n: int, cap: int | None = None) -> str:
-    return EXHAUSTIVE if n <= (subset_cap() if cap is None else cap) else SAMPLED
-
-
-def subset_masks(n: int, cap: int | None = None, samples: int = DEFAULT_SUBSET_SAMPLES) -> list[int]:
-    """Bitmask subsets of range(n) to check.
-
-    Exhaustive (all 2^n masks) when n is within the cap; otherwise the empty
-    set, all singletons, all pairs, the full set, and `samples` uniformly
-    drawn masks from a deterministic generator.
-    """
-    if subset_regime(n, cap) == EXHAUSTIVE:
-        return list(range(1 << n))
-    masks = {0, (1 << n) - 1}
-    for i in range(n):
-        masks.add(1 << i)
-        for j in range(i + 1, n):
-            masks.add((1 << i) | (1 << j))
-    rng = random.Random(n * 0x9E3779B9 + 1)
-    for _ in range(samples):
-        masks.add(rng.randrange(1 << n))
-    return sorted(masks)
+def subset_regime(n: int) -> str:
+    """The regime of the subset-indexed checks on a carrier of n elements:
+    always "exhaustive", since every check is exact at every size."""
+    return "exhaustive"
 
 
 def mask_elements(mask: int, items: tuple) -> list:
     return [items[i] for i in range(len(items)) if mask >> i & 1]
+
+
+def mask_steps(masks: list[int]) -> list[tuple[int, int]]:
+    """For each non-empty mask of an ascending list that also holds every
+    mask minus its lowest member (so masks[0] is the empty mask): the
+    position of that smaller mask and the index of the member. A subset
+    aggregate then builds up one member at a time, indexed by position."""
+    position = {mask: p for p, mask in enumerate(masks)}
+    return [(position[mask & (mask - 1)], (mask & -mask).bit_length() - 1) for mask in masks[1:]]

@@ -2,8 +2,8 @@
 
 Verbs: check space|frame|system, functor ext|j|fm|s, adjunction-test
 j-ext|fm-s, spatiality, eval, consequence, theorem2, suite. Exit codes:
-0 pass, 1 violation found, 2 input error. GRADED_TOPOS_SUBSET_CAP moves the
-exhaustive-subset boundary.
+0 pass, 1 violation found, 2 input error. Every check is exact at every
+size, so each report names the regime "exhaustive".
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .checks import Violation, subset_regime
+from .checks import Violation
 from .errors import GradedToposError
 from .frames import check_frame
 from .functors import (
@@ -111,19 +111,14 @@ def _cmd_check(args) -> int:
         space = load_space(args.file)
         result = check_space(space.universe, list(space.opens))
         violation = result if isinstance(result, Violation) else None
-        regime = "exhaustive"
     elif args.kind == "frame":
-        frame = load_frame(args.file)
-        violation = check_frame(frame)
-        regime = subset_regime(len(frame.carrier))
+        violation = check_frame(load_frame(args.file))
     else:
         system = load_system(args.file)
         # the system clauses presuppose a valid frame
         violation = check_frame(system.frame) or check_system(system)
-        regime = subset_regime(len(system.frame.carrier))
     report = Report(subject=f"check/{args.kind}",
                     status=PASS if violation is None else FAIL,
-                    regime=regime,
                     witnesses=() if violation is None
                     else ((violation.clause, "holds", violation.witness),))
     return emit_reports([report])

@@ -2,9 +2,13 @@
 
 A graded frame carries a finite set of elements, a top, a binary meet, a
 join defined on every subset, and a grade-valued relation satisfying nine
-axioms. Axioms over pairs and triples are always checked exhaustively;
-subset-indexed axioms follow the exhaustive/sampled regime of `checks`
-(all 2^n subsets within the cap, a disclosed sample beyond it).
+axioms. Axioms over pairs and triples are checked on every pair and triple.
+The subset-indexed ones (axioms 7-9, and join preservation by homs) are
+checked on the masks `GradedFrame.join_masks` names, which is exact at every
+size: a frame read from a join table is checked on every subset, and any
+other frame's join is a fold of its binary join (union of opens, max of
+grades), so its empty, singleton and pair instances decide every subset
+(the induction is in `check_frame`).
 
 Carrier elements are opaque hashables: strings when frames come from files,
 opens (fuzzy sets) for frames built from a space, grades for the chain frame
@@ -17,17 +21,10 @@ from dataclasses import dataclass, field
 from functools import reduce
 from typing import Any, Callable, Hashable, Iterable, Mapping
 
-from .checks import (
-    DEFAULT_SUBSET_SAMPLES,
-    Violation,
-    mask_elements,
-    subset_cap,
-    subset_masks,
-    subset_regime,
-)
+from .checks import Violation, mask_elements, mask_steps
 from .errors import MixedCarrier, SchemaError
 from .fuzzy_sets import FuzzySet, full_set, graded_inclusion, intersection, union
-from .grades import Grade, ONE, ZERO, godel_arrow, inf
+from .grades import Grade, ONE, ZERO, godel_arrow
 from .spaces import GradedSpace
 
 
@@ -41,7 +38,11 @@ def _show(element: Any) -> str:
 class GradedFrame:
     """Carrier, top, binary meet table, subset-join evaluator, and the
     grade-valued relation. Compared by identity; use the check functions for
-    semantic questions."""
+    semantic questions.
+
+    A frame without a `join_table` must compute its subset join as a fold of
+    a binary join, join_fn(S | {a}) == join_fn({join_fn(S), a}); the frames
+    `frame_from_space` and `chain_frame` build do so by construction."""
 
     carrier: tuple[Hashable, ...]
     top: Hashable
@@ -94,6 +95,16 @@ class GradedFrame:
     def join_of(self, elements: Iterable[Hashable]) -> Hashable:
         return self.join_fn(frozenset(elements))
 
+    def join_masks(self) -> list[int]:
+        """The subsets, as ascending bitmasks over the carrier, on which the
+        join is given and checked: every subset for a frame read from a join
+        table; otherwise the empty set, the singletons and the pairs, which
+        decide every subset of a folded join."""
+        n = len(self.carrier)
+        if self.join_table is not None:
+            return list(range(1 << n))
+        return sorted({0} | {1 << i | 1 << j for i in range(n) for j in range(i, n)})
+
     def rel(self, a: Hashable, b: Hashable) -> Grade:
         return self.relation[(a, b)]
 
@@ -106,7 +117,8 @@ class GradedFrame:
         join_table: Mapping[frozenset, Hashable],
         relation: Mapping[tuple[Hashable, Hashable], Grade],
     ) -> "GradedFrame":
-        """Frame whose join is given by an explicit total table over subsets."""
+        """Frame whose join is given by an explicit total table over subsets;
+        the checkers read it on every subset."""
         items = tuple(carrier)
         if len(join_table) != 1 << len(items):
             raise SchemaError("join", f"join table must cover all {1 << len(items)} subsets")
@@ -125,26 +137,12 @@ def frame_from_space(space: GradedSpace) -> GradedFrame:
     is graded inclusion, top is the constant-1 open. Requires a valid space
     (closure makes every table entry land back in the opens)."""
     opens = space.opens
-    n = len(opens)
     meet_table = {}
     relation = {}
     for a in opens:
         for b in opens:
             meet_table[(a, b)] = intersection(a, b)
             relation[(a, b)] = graded_inclusion(a, b)
-    if n <= subset_cap():
-        # materialize the join table mask by mask, each union incrementally
-        table: dict[frozenset, FuzzySet] = {}
-        joined: list[FuzzySet] = [FuzzySet(space.universe, (ZERO,) * len(space.universe))] * (1 << n)
-        for mask in range(1, 1 << n):
-            low = mask & -mask
-            prev = joined[mask ^ low]
-            t = opens[low.bit_length() - 1]
-            joined[mask] = union([prev, t])
-        for mask in range(1 << n):
-            table[frozenset(mask_elements(mask, opens))] = joined[mask]
-        return GradedFrame(opens, full_set(space.universe), meet_table, relation,
-                           table.__getitem__, table)
     cache: dict[frozenset, FuzzySet] = {}
 
     def join_fn(subset: frozenset) -> FuzzySet:
@@ -172,14 +170,34 @@ def finite_meet(frame: GradedFrame, subset: Iterable[Hashable]) -> Hashable:
     return reduce(frame.meet, sorted(subset, key=frame.index), frame.top)
 
 
-def check_frame(frame: GradedFrame, samples: int = DEFAULT_SUBSET_SAMPLES) -> Violation | None:
+def check_frame(frame: GradedFrame) -> Violation | None:
     """Verify the meet-semilattice laws and then the nine frame axioms;
     returns the first violation found, or None.
 
-    Pairs and triples are exhaustive. Axioms 7-9 run over `subset_masks`,
-    which is every subset within the cap and a disclosed sample beyond it;
-    in the exhaustive regime the per-subset aggregations are computed by
-    sharing each mask's result with its sub-masks.
+    Pairs and triples are checked exhaustively. Axioms 7-9 run over
+    `frame.join_masks()`, each per-subset aggregate built from the one of
+    the mask minus its lowest member. For a frame read from a join table
+    that is every subset. For any other frame it is the empty set, the
+    singletons and the pairs, and that decides every subset, because such a
+    join is a fold of its binary join: join(S + c) = join{join S, c}. Write
+    a <= b for R(a, b) = 1, a preorder by axioms 1 and 3. Once axioms 1-6
+    and these instances pass, induction on |S| gives, for S + c:
+
+    - join closure: join(S + c) is the join of {join S, c}, a pair (or a
+      singleton) of carrier elements;
+    - axiom 7: a <= join S <= join{join S, c} for a in S, and
+      c <= join{join S, c}, by the pair instance and axiom 3;
+    - axiom 8: R(join(S + c), b) = min(R(join S, b), R(c, b)) by the pair
+      instance, and R(join S, b) is the inf over S by induction;
+    - axiom 9: the binary join is monotone, since x <= y gives
+      R(join{x, z}, join{y, z}) = min(R(x, join{y, z}), R(z, join{y, z})) = 1
+      by pair axioms 8 and 7 and axiom 3. So
+      a meet join(S + c) <= join{a meet join S, a meet c} (pair instance)
+      <= join{join(a meet S), a meet c} (induction, monotonicity)
+      = join(a meet (S + c)).
+
+    So a violation on any subset shows up on a pair, under the same clause;
+    only its witness mask may differ.
     """
     items = frame.carrier
     n = len(items)
@@ -225,18 +243,17 @@ def check_frame(frame: GradedFrame, samples: int = DEFAULT_SUBSET_SAMPLES) -> Vi
                     return Violation("frame", "axiom 6",
                                      f"meet distribution fails at ({_show(items[i])}, {_show(items[j])}, {_show(items[k])})")
 
-    masks = subset_masks(n, samples=samples)
-    exhaustive = subset_regime(n) == "exhaustive"
-    joins: dict[int, int] = {}
+    masks = frame.join_masks()
+    joins = []
     for mask in masks:
         j = frame.join_fn(frozenset(mask_elements(mask, items)))
         if j not in idx:
             return Violation("frame", "join closure",
                              f"join of mask {mask:b} is outside the carrier")
-        joins[mask] = idx[j]
+        joins.append(idx[j])
+    steps = mask_steps(masks)
 
-    for mask in masks:
-        jm = joins[mask]
+    for mask, jm in zip(masks, joins):
         rest = mask
         while rest:
             low = rest & -rest
@@ -245,42 +262,27 @@ def check_frame(frame: GradedFrame, samples: int = DEFAULT_SUBSET_SAMPLES) -> Vi
                 return Violation("frame", "axiom 7",
                                  f"{_show(items[low.bit_length() - 1])} is not below the join of its subset")
 
-    if exhaustive:
-        for b in range(n):
-            if rel[joins[0]][b] != ONE:
+    for b in range(n):
+        if rel[joins[0]][b] != ONE:
+            return Violation("frame", "axiom 8",
+                             f"target {_show(items[b])}, empty subset (bottom not below it)")
+        col = [r[b] for r in rel]
+        lower = [ONE] * len(masks)
+        for p, (q, i) in enumerate(steps, 1):
+            lower[p] = min(lower[q], col[i])
+            if lower[p] != rel[joins[p]][b]:
                 return Violation("frame", "axiom 8",
-                                 f"at target {_show(items[b])}, empty subset (bottom not below it)")
-            col = [r[b] for r in rel]
-            lower = [ONE] * (1 << n)
-            for mask in range(1, 1 << n):
-                low = mask & -mask
-                lower[mask] = min(lower[mask ^ low], col[low.bit_length() - 1])
-                if lower[mask] != rel[joins[mask]][b]:
-                    return Violation("frame", "axiom 8",
-                                     f"at target {_show(items[b])}, subset mask {mask:b}")
-        for a in range(n):
-            row = meet_idx[a]
-            img = [0] * (1 << n)
-            for mask in range(1, 1 << n):
-                low = mask & -mask
-                img[mask] = img[mask ^ low] | (1 << row[low.bit_length() - 1])
-            for mask in range(1 << n):
-                if rel[meet_idx[a][joins[mask]]][joins[img[mask]]] != ONE:
-                    return Violation("frame", "axiom 9",
-                                     f"at {_show(items[a])}, subset mask {mask:b}")
-    else:
-        for mask in masks:
-            members = [i for i in range(n) if mask >> i & 1]
-            for b in range(n):
-                if inf(rel[a][b] for a in members) != rel[joins[mask]][b]:
-                    return Violation("frame", "axiom 8",
-                                     f"at target {_show(items[b])}, subset mask {mask:b}")
-            for a in range(n):
-                image = frozenset(items[meet_idx[a][i]] for i in members)
-                j = frame.join_fn(image)
-                if j not in idx or rel[meet_idx[a][joins[mask]]][idx[j]] != ONE:
-                    return Violation("frame", "axiom 9",
-                                     f"at {_show(items[a])}, subset mask {mask:b}")
+                                 f"target {_show(items[b])}, subset mask {masks[p]:b}")
+    position = {mask: p for p, mask in enumerate(masks)}
+    for a in range(n):
+        row = meet_idx[a]
+        img = [0] * len(masks)
+        for p, (q, i) in enumerate(steps, 1):
+            img[p] = img[q] | (1 << row[i])
+        for p, jm in enumerate(joins):
+            if rel[row[jm]][joins[position[img[p]]]] != ONE:
+                return Violation("frame", "axiom 9",
+                                 f"{_show(items[a])}, subset mask {masks[p]:b}")
     return None
 
 
@@ -318,20 +320,31 @@ class FrameHom:
 
 
 def same_frame(a: GradedFrame, b: GradedFrame) -> bool:
-    """Identity, or table-for-table equality for frames loaded from files."""
+    """Identity, or equal carriers, tops, meet and relation tables, and
+    joins on the masks where either frame gives its join."""
     if a is b:
         return True
-    return (a.carrier == b.carrier and a.top == b.top
+    if not (a.carrier == b.carrier and a.top == b.top
             and dict(a.meet_table) == dict(b.meet_table)
-            and dict(a.relation) == dict(b.relation)
-            and a.join_table is not None and b.join_table is not None
-            and dict(a.join_table) == dict(b.join_table))
+            and dict(a.relation) == dict(b.relation)):
+        return False
+    masks = max(a.join_masks(), b.join_masks(), key=len)
+    return all(a.join_of(subset) == b.join_of(subset)
+               for subset in (mask_elements(mask, a.carrier) for mask in masks))
 
 
-def check_frame_hom(h: FrameHom, samples: int = DEFAULT_SUBSET_SAMPLES) -> Violation | None:
+def check_frame_hom(h: FrameHom) -> Violation | None:
     """Check meet preservation, subset-join preservation, relation
     non-expansion, and top preservation (required so satisfaction at the top
-    can reach 1 in every system the hom induces)."""
+    can reach 1 in every system the hom induces).
+
+    Join preservation runs over `h.source.join_masks()`. On a source without
+    a join table the pairs decide every subset:
+    f(join(S + c)) = f(join{join S, c}) = join'{f(join S), f(c)}
+    = join'{join' f(S), f(c)} = join' f(S + c). The last step holds when the
+    target's join folds its binary join too: by construction for a target
+    without a table, and by axioms 1, 2 and 8 for a table target that
+    passes `check_frame`."""
     src, tgt, f = h.source, h.target, h.map
     if f[src.top] != tgt.top:
         return Violation("frame-hom", "top preservation",
@@ -344,7 +357,7 @@ def check_frame_hom(h: FrameHom, samples: int = DEFAULT_SUBSET_SAMPLES) -> Viola
             if src.relation[(a, b)] > tgt.relation[(f[a], f[b])]:
                 return Violation("frame-hom", "clause (iii)",
                                  f"relation shrinks at ({_show(a)}, {_show(b)})")
-    for mask in subset_masks(len(src.carrier), samples=samples):
+    for mask in src.join_masks():
         subset = mask_elements(mask, src.carrier)
         lhs = f[src.join_fn(frozenset(subset))]
         rhs = tgt.join_fn(frozenset(f[a] for a in subset))

@@ -22,7 +22,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Hashable, Iterable
 
-from .checks import LawReport, subset_masks
+from .checks import LawReport
 from .errors import GradeSetTooSmall, NoPoints, NotContinuous, SchemaError
 from .frames import FrameHom, GradedFrame, compose_frame_hom, frame_from_space
 from .fuzzy_sets import FuzzySet, PointMap, Universe, compose_point_maps, preimage
@@ -149,7 +149,8 @@ def enumerate_point_homs(frame: GradedFrame, values: GradeSet) -> list[PointHom]
 
     The axioms are the ones a test of every map would check: meet and
     relation preservation at every pair, and join preservation at every mask
-    of the subset regime the frame checkers use. The top must land on 1 and
+    of `frame.join_masks()`, which decides every subset as in
+    `check_frame_hom` (the chain's join is max). The top must land on 1 and
     the empty join on 0, so those two coordinates are pinned; the others get
     grade ranks in a depth-first search, in order of how many elements lie
     crisply below them (on a valid frame, a linear extension of its order).
@@ -162,8 +163,8 @@ def enumerate_point_homs(frame: GradedFrame, values: GradeSet) -> list[PointHom]
     rank(a meet b) >= min(rank a, rank b) and max(rank over S) >= rank(join S).
     The latter is needed only for masks that do not contain their join and
     have no such sub-mask with the same join. The result is exactly that of
-    the test of every map, valid frame or not, and the cost tracks the
-    partial maps that survive instead of |values|^(n-2).
+    testing every map on every subset, valid frame or not, and the cost
+    tracks the partial maps that survive instead of |values|^(n-2).
     """
     items = frame.carrier
     n = len(items)
@@ -203,7 +204,7 @@ def enumerate_point_homs(frame: GradedFrame, values: GradeSet) -> list[PointHom]
         meets[max(depth[i], depth[j], depth[m])].append((m, i, j))
     minimal: dict[int, list[int]] = {}
     # smaller masks first, so every sub-mask is seen before its supersets
-    for mask in sorted(subset_masks(n), key=int.bit_count):
+    for mask in sorted(frame.join_masks(), key=int.bit_count):
         members = [i for i in range(n) if mask >> i & 1]
         j = idx[frame.join_fn(frozenset([items[i] for i in members]))]
         for k in members:

@@ -22,6 +22,7 @@ the compiled vector of the substituted formula. Clause 6 is evaluated by
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
@@ -485,6 +486,14 @@ def theorem2_suite(
                 fails.append(f"7 ({i} with {ys})")
     clause("Thm2.7 substitution of equals", fails)
 
+    @functools.cache
+    def renamed(k: int, y: int, x: int) -> Formula | None:
+        """pool[k] with x for y, or None when the capture check rejects it."""
+        try:
+            return substitute(pool[k], [(y, Var(x))])
+        except CaptureViolation:
+            return None
+
     fails = []
     spot_checked = False
     for i in range(len(pool)):
@@ -492,9 +501,8 @@ def theorem2_suite(
             ys = sorted(free_variables(pool[j])) or [fresh]
             for y in ys:
                 for x in pool_vars[:2] or [fresh]:
-                    try:
-                        replaced = substitute(pool[j], [(y, Var(x))])
-                    except CaptureViolation:
+                    replaced = renamed(j, y, x)
+                    if replaced is None:
                         continue
                     replaced_vec = vs.rename(vector[j], y, x)
                     if not spot_checked:
@@ -505,9 +513,7 @@ def theorem2_suite(
                     if vs.sequent(vector[i], replaced_vec) > vs.sequent(vector[i], exists_vec):
                         fails.append(f"8(i) ({i},{j},x{y}:=x{x})")
                     # second half: from an existential premise to the instance
-                    try:
-                        substitute(pool[i], [(y, Var(x))])
-                    except CaptureViolation:
+                    if renamed(i, y, x) is None:
                         continue
                     lhs = vs.sequent(vs.exists(vector[i], y), vector[j])
                     rhs = vs.sequent(vs.rename(vector[i], y, x), vector[j])

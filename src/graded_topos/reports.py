@@ -16,11 +16,11 @@ SKIPPED = "skipped"
 @dataclass(frozen=True)
 class Report:
     """One check's outcome: the clause it instantiates, pass/fail/skipped,
-    the regime it ran under, and witnesses for failures."""
+    and witnesses for failures. Every check is exact, so the JSON form names
+    the regime "exhaustive"."""
 
     subject: str
     status: str
-    regime: str = "exhaustive"
     witnesses: tuple[tuple[str, str, str], ...] = ()
     elapsed_ms: int = 0
 
@@ -34,7 +34,7 @@ class Report:
         return {
             "subject": self.subject,
             "status": self.status,
-            "regime": self.regime,
+            "regime": "exhaustive",
             "witnesses": [list(w) for w in self.witnesses],
             "elapsed_ms": self.elapsed_ms,
         }
@@ -46,14 +46,10 @@ class ReportCollector:
 
     def __init__(self) -> None:
         self.failures: dict[str, list[tuple[str, str, str]]] = {}
-        self.regimes: dict[str, str] = {}
         self.seen: dict[str, int] = {}
 
-    def record(self, subject: str, ok: bool, witness: tuple[str, str, str] | None = None,
-               regime: str = "exhaustive") -> None:
+    def record(self, subject: str, ok: bool, witness: tuple[str, str, str] | None = None) -> None:
         self.seen[subject] = self.seen.get(subject, 0) + 1
-        previous = self.regimes.get(subject)
-        self.regimes[subject] = regime if previous in (None, "exhaustive") else previous
         if not ok:
             self.failures.setdefault(subject, []).append(
                 witness or ("unknown", "pass", "fail"))
@@ -65,7 +61,6 @@ class ReportCollector:
             out.append(Report(
                 subject=subject,
                 status=FAIL if bad else PASS,
-                regime=self.regimes.get(subject, "exhaustive"),
                 witnesses=bad,
                 elapsed_ms=elapsed_ms,
             ))
@@ -84,9 +79,9 @@ def emit_reports(reports: list[Report], stream=None, summary_stream=None) -> int
             failed += 1
             witness = report.witnesses[0] if report.witnesses else ("", "", "")
             summary_stream.write(
-                f"FAIL {report.subject} [{report.regime}] at {witness[0]}: "
+                f"FAIL {report.subject} [exhaustive] at {witness[0]}: "
                 f"expected {witness[1]}, got {witness[2]}\n")
         else:
-            summary_stream.write(f"{report.status.upper()} {report.subject} [{report.regime}]\n")
+            summary_stream.write(f"{report.status.upper()} {report.subject} [exhaustive]\n")
     summary_stream.write(f"{len(reports) - failed}/{len(reports)} subjects passed\n")
     return 0 if failed == 0 else 1

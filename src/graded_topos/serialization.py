@@ -17,6 +17,7 @@ import json
 from pathlib import Path
 from typing import Any, Sequence
 
+from .checks import mask_elements, mask_steps
 from .errors import GradeRangeError, ParseError, SchemaError
 from .frames import GradedFrame
 from .fuzzy_sets import FuzzySet, PointMap, Universe
@@ -166,19 +167,21 @@ def space_from_json(obj: Any) -> GradedSpace:
 # --- frames -----------------------------------------------------------------
 
 def frame_to_json(frame: GradedFrame) -> dict:
+    """The frame with its full join table. A frame without one has a folded
+    join, so its table is built one binary join per subset: the join of the
+    subset minus its lowest member, joined with that member."""
     names = _names_for(frame.carrier)
-    table = frame.join_table
-    if table is None:
-        if len(frame.carrier) > 16:
+    items = frame.carrier
+    if frame.join_table is not None:
+        table = frame.join_table.items()
+    else:
+        if len(items) > 16:
             raise SchemaError("join", "carrier too large to materialize the join table")
-        table = {}
-        for mask in range(1 << len(frame.carrier)):
-            subset = frozenset(a for i, a in enumerate(frame.carrier) if mask >> i & 1)
-            table[subset] = frame.join_fn(subset)
-    join = {}
-    for subset, value in table.items():
-        key = ",".join(sorted(names[a] for a in subset))
-        join[key] = names[value]
+        joined = [frame.bottom]
+        for q, i in mask_steps(list(range(1 << len(items)))):
+            joined.append(frame.join_fn(frozenset((joined[q], items[i]))))
+        table = ((mask_elements(mask, items), value) for mask, value in enumerate(joined))
+    join = {",".join(sorted(names[a] for a in subset)): names[value] for subset, value in table}
     return {
         "carrier": [names[a] for a in frame.carrier],
         "top": names[frame.top],

@@ -2,15 +2,13 @@
 
 Each suite loops deterministically seeded instances through the relevant
 checkers and aggregates one Report per law, naming the clause the check
-instantiates. Subset-indexed laws disclose whether they ran exhaustively or
-sampled.
+instantiates.
 """
 
 from __future__ import annotations
 
 import time
 
-from .checks import subset_regime
 from .frames import (
     FrameHom,
     chain_frame,
@@ -83,7 +81,6 @@ DEFAULT_INSTANCES = {
 }
 
 _GT_BY_AXIOM = {f"axiom {k}": f"gt{k}" for k in range(1, 10)}
-_SUITE_SAMPLES = 64  # sampled-regime subset budget inside suites
 
 
 def run_suite(name: str, cfg: GeneratorConfig, instances: int | None = None) -> list[Report]:
@@ -113,19 +110,17 @@ def _run_props(cfg: GeneratorConfig, count: int, rc: ReportCollector) -> None:
     for i in range(count):
         space = generate_random_space(cfg, i, max_opens=16)
         frame = frame_from_space(space)
-        regime = subset_regime(len(frame.carrier))
-        bad = check_frame(frame, samples=_SUITE_SAMPLES)
+        bad = check_frame(frame)
         for k in range(1, 10):
             subject = f"props/{_GT_BY_AXIOM[f'axiom {k}']}"
             if bad is not None and bad.clause == f"axiom {k}":
                 rc.record(subject, False,
-                          _witness(f"space #{i}: {bad.witness}", "law holds", "violated"),
-                          regime=regime)
+                          _witness(f"space #{i}: {bad.witness}", "law holds", "violated"))
             else:
-                rc.record(subject, True, regime=regime)
+                rc.record(subject, True)
         if bad is not None and bad.clause not in _GT_BY_AXIOM:
             rc.record("props/space-frame structure", False,
-                      _witness(f"space #{i}", "semilattice", bad.clause), regime=regime)
+                      _witness(f"space #{i}", "semilattice", bad.clause))
         ok10 = True
         for a in space.opens:
             for b in space.opens:
@@ -160,15 +155,12 @@ def _run_frame_laws(cfg: GeneratorConfig, count: int, rc: ReportCollector) -> No
     for i in range(count):
         space = generate_random_space(cfg, i, max_opens=12)
         frame = frame_from_space(space)
-        regime = subset_regime(len(frame.carrier))
         bad = check_frame(frame)
         rc.record("frame-laws/Lemma 3.13g (opens form a graded frame)", bad is None,
-                  None if bad is None else _witness(f"space #{i}", "all nine axioms", str(bad)),
-                  regime=regime)
+                  None if bad is None else _witness(f"space #{i}", "all nine axioms", str(bad)))
         bad = check_frame_hom(FrameHom.identity(frame))
         rc.record("frame-laws/Def. Grfrm identity", bad is None,
-                  None if bad is None else _witness(f"space #{i}", "identity is a hom", str(bad)),
-                  regime=regime)
+                  None if bad is None else _witness(f"space #{i}", "identity is a hom", str(bad)))
         ok = (finite_meet(frame, []) == frame.top
               and all(finite_meet(frame, [a]) == a for a in frame.carrier)
               and all(finite_meet(frame, [a, b]) == frame.meet(a, b)
@@ -195,11 +187,9 @@ def _run_system_laws(cfg: GeneratorConfig, count: int, rc: ReportCollector) -> N
     for i in range(count):
         space = generate_random_space(cfg, i, max_opens=12)
         system = j_object(space)
-        regime = subset_regime(len(system.frame.carrier))
         bad = check_system(system)
         rc.record("system-laws/Lemma 3.13g (membership system)", bad is None,
-                  None if bad is None else _witness(f"space #{i}", "all three clauses", str(bad)),
-                  regime=regime)
+                  None if bad is None else _witness(f"space #{i}", "all three clauses", str(bad)))
         extent = ext_object(system)
         result = check_space(extent.universe, list(extent.opens))
         ok = isinstance(result, GradedSpace)

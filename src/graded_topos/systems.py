@@ -1,10 +1,14 @@
 """Graded fuzzy topological systems and their morphisms.
 
 A system pairs a point set with a graded frame through a grade-valued
-satisfaction table. The three compatibility clauses are checked with the
-same exhaustive/sampled subset regime the frames use; clause 2 only needs
-the empty set, singletons and pairs once the meet is a verified
-semilattice, because larger finite meets are folds of binary ones.
+satisfaction table. The three compatibility clauses are checked exactly at
+every size. Clause 2 only needs the empty set, singletons and pairs once the
+meet is a verified semilattice, because larger finite meets are folds of
+binary ones. Clause 3 runs over the masks on which the frame gives its join
+(`GradedFrame.join_masks`): every subset for a table frame, and the empty
+set, singletons and pairs for a frame whose join folds a binary join, since
+then sat(x, join(S + c)) = sat(x, join{join S, c})
+= max(sat(x, join S), sat(x, c)).
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Mapping
 
-from .checks import DEFAULT_SUBSET_SAMPLES, Violation, mask_elements, subset_masks, subset_regime
+from .checks import Violation, mask_elements, mask_steps
 from .errors import EmptyPoints, MixedStructure, SchemaError
 from .frames import FrameHom, GradedFrame, _show, check_frame_hom, compose_frame_hom, same_frame
 from .fuzzy_sets import PointMap, Universe, compose_point_maps
@@ -39,7 +43,7 @@ class GradedSystem:
         return self.sat[(x, a)]
 
 
-def check_system(system: GradedSystem, samples: int = DEFAULT_SUBSET_SAMPLES) -> Violation | None:
+def check_system(system: GradedSystem) -> Violation | None:
     """Verify the three system clauses against the (already structural)
     satisfaction table; returns the first violation, or None."""
     frame = system.frame
@@ -66,35 +70,25 @@ def check_system(system: GradedSystem, samples: int = DEFAULT_SUBSET_SAMPLES) ->
                     return Violation("system", "clause 2",
                                      f"({_show(x)}, {_show(items[i])}, {_show(items[j])})")
 
-    masks = subset_masks(n, samples=samples)
-    joins: dict[int, int] = {}
+    masks = frame.join_masks()
+    joins = []
     for mask in masks:
         j = frame.join_fn(frozenset(mask_elements(mask, items)))
         if j not in idx:
             return Violation("system", "clause 3",
                              f"join of mask {mask:b} is outside the carrier")
-        joins[mask] = idx[j]
-    if subset_regime(n) == "exhaustive":
-        for xi, x in enumerate(xs):
-            row = sat[xi]
-            upper = [ZERO] * (1 << n)
-            if row[joins[0]] != ZERO:
-                return Violation("system", "clause 3", f"({_show(x)}, empty subset)")
-            for mask in range(1, 1 << n):
-                low = mask & -mask
-                upper[mask] = max(upper[mask ^ low], row[low.bit_length() - 1])
-                if upper[mask] != row[joins[mask]]:
-                    return Violation("system", "clause 3",
-                                     f"({_show(x)}, subset mask {mask:b})")
-    else:
-        for xi, x in enumerate(xs):
-            row = sat[xi]
-            for mask in masks:
-                members = [i for i in range(n) if mask >> i & 1]
-                expected = max((row[i] for i in members), default=ZERO)
-                if expected != row[joins[mask]]:
-                    return Violation("system", "clause 3",
-                                     f"({_show(x)}, subset mask {mask:b})")
+        joins.append(idx[j])
+    steps = mask_steps(masks)
+    for xi, x in enumerate(xs):
+        row = sat[xi]
+        if row[joins[0]] != ZERO:
+            return Violation("system", "clause 3", f"({_show(x)}, empty subset)")
+        upper = [ZERO] * len(masks)
+        for p, (q, i) in enumerate(steps, 1):
+            upper[p] = max(upper[q], row[i])
+            if upper[p] != row[joins[p]]:
+                return Violation("system", "clause 3",
+                                 f"({_show(x)}, subset mask {masks[p]:b})")
     return None
 
 
@@ -132,10 +126,10 @@ class SystemMorphism:
                    FrameHom.identity(system.frame))
 
 
-def check_system_morphism(m: SystemMorphism, samples: int = DEFAULT_SUBSET_SAMPLES) -> Violation | None:
+def check_system_morphism(m: SystemMorphism) -> Violation | None:
     """The frame component must be a graded frame homomorphism and the two
     satisfaction readings must agree at every (point, target element)."""
-    bad = check_frame_hom(m.frame_hom, samples=samples)
+    bad = check_frame_hom(m.frame_hom)
     if bad is not None:
         return bad
     for x in m.source.points.elements:
@@ -162,12 +156,12 @@ def compose_system_morphisms(f: SystemMorphism, g: SystemMorphism) -> SystemMorp
     )
 
 
-def system_iso_check(m: SystemMorphism, samples: int = DEFAULT_SUBSET_SAMPLES) -> bool:
+def system_iso_check(m: SystemMorphism) -> bool:
     """Componentwise isomorphism: both components bijective and the inverse
     pair is again a valid morphism."""
-    if check_system_morphism(m, samples=samples) is not None:
+    if check_system_morphism(m) is not None:
         return False
     if not m.point_map.is_bijective() or not m.frame_hom.is_bijective():
         return False
     inverse = SystemMorphism(m.target, m.source, m.point_map.inverse(), m.frame_hom.inverse())
-    return check_system_morphism(inverse, samples=samples) is None
+    return check_system_morphism(inverse) is None

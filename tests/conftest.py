@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from graded_topos.checks import mask_elements, subset_masks
+from graded_topos.checks import mask_elements
 from graded_topos.functors import PointHom
 from graded_topos.fuzzy_sets import FuzzySet, Universe, intersection, union
 from graded_topos.grades import Grade, ONE, ZERO, godel_arrow
@@ -152,9 +152,8 @@ def brute_point_homs(frame, values) -> list[PointHom]:
     idx = {a: i for i, a in enumerate(items)}
     meet_idx = [[idx[frame.meet_table[(a, b)]] for b in items] for a in items]
     rel = [[frame.relation[(a, b)] for b in items] for a in items]
-    masks = subset_masks(n)
     joins = {mask: idx[frame.join_fn(frozenset(mask_elements(mask, items)))]
-             for mask in masks}
+             for mask in range(1 << n)}
     top, bottom = idx[frame.top], idx[frame.bottom]
     if top == bottom:  # the top would need value 1 and the empty join value 0
         return []

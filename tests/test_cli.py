@@ -1,3 +1,4 @@
+import itertools
 import json
 import subprocess
 import sys
@@ -6,6 +7,9 @@ from pathlib import Path
 import pytest
 
 from graded_topos.cli import main
+from graded_topos.frames import GradedFrame, check_frame
+from graded_topos.grades import ONE, ZERO
+from graded_topos.serialization import save_frame
 
 FIXTURES = Path(__file__).parent / "fixtures"
 INVALID = FIXTURES / "invalid"
@@ -152,8 +156,23 @@ def test_suite_command(capsys):
     assert all(json.loads(line)["status"] == "pass" for line in out.splitlines())
 
 
-def test_subset_cap_env_override(monkeypatch, capsys):
-    monkeypatch.setenv("GRADED_TOPOS_SUBSET_CAP", "1")
-    assert main(["check", "frame", str(FIXTURES / "frame_two_chain.json")]) == 0
+def test_planted_join_violation_above_twelve_elements(tmp_path, capsys):
+    # the 13-element chain c00 < ... < c12 as a table frame, with the join of
+    # {c00, c01, c02} set to the top: one wrong entry among 8192 subsets
+    carrier = tuple(f"c{i:02d}" for i in range(13))
+    subsets = [s for k in range(14) for s in itertools.combinations(range(13), k)]
+    joins = {frozenset(carrier[i] for i in s): carrier[max(s, default=0)] for s in subsets}
+    joins[frozenset(carrier[:3])] = carrier[-1]
+    frame = GradedFrame.from_tables(
+        carrier, carrier[-1],
+        {(a, b): min(a, b) for a in carrier for b in carrier},
+        joins,
+        {(a, b): ONE if a <= b else ZERO for a in carrier for b in carrier})
+    bad = check_frame(frame)
+    assert bad is not None and bad.clause == "axiom 8"
+    assert bad.witness == "target 'c02', subset mask 111"
+    path = tmp_path / "chain13.json"
+    save_frame(frame, path)
+    assert main(["check", "frame", str(path)]) == 1
     line = json.loads(capsys.readouterr().out)
-    assert line["regime"] == "sampled"
+    assert line["witnesses"][0][0] == "axiom 8"

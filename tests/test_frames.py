@@ -77,6 +77,7 @@ def test_empty_join_must_be_the_bottom():
     bad = check_frame(frame)
     assert isinstance(bad, Violation)
     assert bad.clause == "axiom 8"
+    assert str(bad) == "frame: axiom 8 violated at target '0', empty subset (bottom not below it)"
 
 
 def test_structural_validation_of_tables():
@@ -170,6 +171,13 @@ def test_compose_requires_matching_endpoints():
     chain3 = chain_frame([ZERO, F(1, 2), ONE])
     with pytest.raises(MixedCarrier):
         compose_frame_hom(FrameHom.identity(chain2), FrameHom.identity(chain3))
+    # equal tables match; a single differing join entry does not
+    compose_frame_hom(FrameHom.identity(chain2), FrameHom.identity(two_chain()))
+    other = GradedFrame.from_tables(chain2.carrier, chain2.top, chain2.meet_table,
+                                    {**chain2.join_table, frozenset(("0", "1")): "0"},
+                                    chain2.relation)
+    with pytest.raises(MixedCarrier):
+        compose_frame_hom(FrameHom.identity(chain2), FrameHom.identity(other))
 
 
 def test_relation_shrinking_is_detected():

@@ -1,12 +1,19 @@
+import collections
 import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from conftest import brute_frame_hom_ok, brute_point_homs
+from conftest import (
+    brute_frame_hom_ok,
+    brute_frame_violation,
+    brute_point_homs,
+    brute_system_violation,
+)
+from graded_topos.cli import main
 from graded_topos.errors import GradeSetTooSmall, NoPoints, NotContinuous, SchemaError
-from graded_topos.frames import FrameHom, GradedFrame, chain_frame, check_frame_hom, frame_from_space
+from graded_topos.frames import FrameHom, GradedFrame, chain_frame, check_frame, check_frame_hom, frame_from_space
 from graded_topos.functors import (
     GradeSet,
     PointHom,
@@ -38,8 +45,10 @@ from graded_topos.generators import (
     generate_random_space,
 )
 from graded_topos.grades import ONE, ZERO, godel_arrow
+from graded_topos.serialization import save_space
 from graded_topos.spaces import GradedSpace, check_continuous, check_space, generate_topology, space_iso_check
 from graded_topos.systems import (
+    GradedSystem,
     SystemMorphism,
     check_system,
     check_system_morphism,
@@ -264,6 +273,64 @@ def test_enumeration_matches_the_brute_force_oracle_on_invalid_tables():
     assert 0 < empty < 600
 
 
+def _mutated_memory_frames(count, seed):
+    """In-memory frames of generated spaces with one to three meet or
+    relation entries overwritten at random. Their joins stay unions, so the
+    checkers read them on the empty set, singletons and pairs only. Most of
+    them are invalid."""
+    rng = random.Random(seed)
+    bases = [frame for _, frame in _generated_frames(max_opens=6)]
+    for _ in range(count):
+        base = rng.choice(bases)
+        meets, relation = dict(base.meet_table), dict(base.relation)
+        for _ in range(rng.randint(1, 3)):
+            table = rng.choice((meets, relation))
+            key = rng.choice(list(table))
+            table[key] = rng.choice(QUARTERS.grades if table is relation else base.carrier)
+        yield GradedFrame(base.carrier, base.top, meets, relation, base.join_fn)
+
+
+def test_checkers_match_the_brute_force_oracles_on_invalid_frames():
+    # each frame is checked, and so are one-point systems over it and maps
+    # into the grade chain (enumerated homs, one of them with an entry
+    # changed, and a random row) and into itself. check_system reads clause 2
+    # on pairs, which needs a semilattice meet; the oracle folds each subset
+    # in one order only, so it misses a meet that is not commutative
+    rng = random.Random(17)
+    chain = chain_frame(QUARTERS.grades)
+    verdicts = collections.Counter()
+    for kind, frames in (("memory", _mutated_memory_frames(200, seed=3)),
+                         ("table", _mutated_table_frames(200, seed=5))):
+        for frame in frames:
+            bad = check_frame(frame)
+            assert (bad is None) == (brute_frame_violation(frame) is None)
+            verdicts[kind, "frame", bad and bad.clause] += 1
+            semilattice = bad is None or bad.clause != "meet-semilattice"
+            rows = [list(p.values) for p in enumerate_point_homs(frame, QUARTERS)[:3]]
+            if rows:
+                rows.append(list(rows[0]))
+                rows[-1][rng.randrange(len(frame.carrier))] = rng.choice(QUARTERS.grades)
+            rows.append([rng.choice(QUARTERS.grades) for _ in frame.carrier])
+            for row in rows:
+                system = GradedSystem(Universe.of("p"), frame,
+                                      {("p", a): g for a, g in zip(frame.carrier, row)})
+                if semilattice:
+                    bad = check_system(system)
+                    assert (bad is None) == (brute_system_violation(system) is None)
+                    verdicts[kind, "system", bad and bad.clause] += 1
+                hom = FrameHom(frame, chain, dict(zip(frame.carrier, row)))
+                bad = check_frame_hom(hom)
+                assert (bad is None) == brute_frame_hom_ok(hom)
+                verdicts[kind, "hom", bad and bad.clause] += 1
+            endo = FrameHom(frame, frame, {a: rng.choice(frame.carrier) for a in frame.carrier})
+            bad = check_frame_hom(endo)
+            assert (bad is None) == brute_frame_hom_ok(endo)
+            verdicts[kind, "hom", bad and bad.clause] += 1
+    for kind in ("memory", "table"):
+        assert all(verdicts[kind, check, None] for check in ("frame", "system", "hom"))
+        assert verdicts[kind, "system", "clause 3"] and verdicts[kind, "hom", "clause (ii)"]
+
+
 def _lattice_frame(leq, incomparable):
     """The lattice on 0, a, b, c, 1 ordered by `leq`, as a table frame whose
     relation is 1 on comparable pairs and `incomparable` elsewhere."""
@@ -465,6 +532,16 @@ def test_triangle_identities_composite(seed):
     space = small_space(seed, max_opens=5)
     values = GradeSet.for_system(j_object(space))
     assert all(law.ok for law in check_triangle_identities("composite", space, values))
+
+
+def test_triangle_identities_j_ext_above_twelve_opens(tmp_path, capsys):
+    space = _space_with_opens(13)
+    laws = check_triangle_identities("j-ext", space)
+    assert len(laws) == 2 and all(law.ok for law in laws)
+    path = tmp_path / "space13.json"
+    save_space(space, path)
+    assert main(["adjunction-test", "j-ext", "--in", str(path)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2
 
 
 def test_triangle_identities_on_nonspatial_systems():

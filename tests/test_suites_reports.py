@@ -21,11 +21,11 @@ def test_fail_reports_need_witnesses():
 def test_collector_aggregates_per_subject():
     rc = ReportCollector()
     rc.record("a", True)
-    rc.record("a", False, ("spot", "want", "got"), regime="sampled")
-    rc.record("b", True, regime="sampled")
+    rc.record("a", False, ("spot", "want", "got"))
+    rc.record("b", True)
     reports = {r.subject: r for r in rc.reports(elapsed_ms=5)}
     assert reports["a"].status == FAIL
-    assert reports["a"].regime == "sampled"
+    assert reports["a"].to_json()["regime"] == "exhaustive"
     assert reports["a"].witnesses == (("spot", "want", "got"),)
     assert reports["b"].status == PASS
     assert all(r.elapsed_ms == 5 for r in reports.values())
