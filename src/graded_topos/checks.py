@@ -2,7 +2,7 @@
 subset recurrences.
 
 Every subset-indexed check is exact. It runs over the masks on which a frame
-gives its join (`GradedFrame.join_masks`), and the frame module's docstring
+gives its join (`FrameView.masks`), and the frame module's docstring
 says why those masks cover every subset.
 """
 

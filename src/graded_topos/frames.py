@@ -4,11 +4,12 @@ A graded frame carries a finite set of elements, a top, a binary meet, a
 join defined on every subset, and a grade-valued relation satisfying nine
 axioms. Axioms over pairs and triples are checked on every pair and triple.
 The subset-indexed ones (axioms 7-9, and join preservation by homs) are
-checked on the masks `GradedFrame.join_masks` names, which is exact at every
-size: a frame read from a join table is checked on every subset, and any
-other frame's join is a fold of its binary join (union of opens, max of
-grades), so its empty, singleton and pair instances decide every subset
-(the induction is in `check_frame`).
+checked on the masks of the frame's view, which is exact at every size: a
+frame read from a join table is checked on every subset, and any other
+frame's join is a fold of its binary join (union of opens, max of grades),
+so its empty, singleton and pair instances decide every subset (the
+induction is in `check_frame`). Every checker reads the frame through
+`GradedFrame.view`, its integer coding (`FrameView`), built once per frame.
 
 Carrier elements are opaque hashables: strings when frames come from files,
 opens (fuzzy sets) for frames built from a space, grades for the chain frame
@@ -17,8 +18,9 @@ the hom-enumeration targets.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Any, Callable, Hashable, Iterable, Mapping
 
 from .checks import Violation, mask_elements, mask_steps
@@ -32,6 +34,28 @@ def _show(element: Any) -> str:
     if isinstance(element, FuzzySet):
         return str({k: str(v) for k, v in element.as_map().items()})
     return repr(element)
+
+
+@dataclass(frozen=True)
+class FrameView:
+    """A frame coded as integers, the one form every checker reads. Elements
+    are carrier positions; grades are ranks in `grades`, the sorted relation
+    grades with 0 and 1, so the top rank is 1. The axioms and clauses take
+    only min, max, inf, <= and equality with 1 of grades, which ranks keep,
+    so verdicts on ranks are exact. `joins[p]` is the join of `masks[p]`, or
+    None outside the carrier. `folds`: join(S + d) = join{join S, d} for all
+    S and d; true by construction without a join table, checked with one."""
+
+    index: Mapping[Hashable, int]
+    meet: list[list[int]]
+    grades: tuple[Grade, ...]
+    rel: list[list[int]]
+    top: int
+    bottom: int
+    masks: list[int]
+    joins: list[int | None]
+    steps: list[tuple[int, int]]
+    folds: bool
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,9 +102,6 @@ class GradedFrame:
     def __len__(self) -> int:
         return len(self.carrier)
 
-    def index(self, a: Hashable) -> int:
-        return self._index[a]  # type: ignore[attr-defined]
-
     def __contains__(self, a: Hashable) -> bool:
         return a in self._index  # type: ignore[attr-defined]
 
@@ -92,21 +113,21 @@ class GradedFrame:
     def meet(self, a: Hashable, b: Hashable) -> Hashable:
         return self.meet_table[(a, b)]
 
-    def join_of(self, elements: Iterable[Hashable]) -> Hashable:
-        return self.join_fn(frozenset(elements))
-
-    def join_masks(self) -> list[int]:
-        """The subsets, as ascending bitmasks over the carrier, on which the
-        join is given and checked: every subset for a frame read from a join
-        table; otherwise the empty set, the singletons and the pairs, which
-        decide every subset of a folded join."""
-        n = len(self.carrier)
-        if self.join_table is not None:
-            return list(range(1 << n))
-        return sorted({0} | {1 << i | 1 << j for i in range(n) for j in range(i, n)})
-
-    def rel(self, a: Hashable, b: Hashable) -> Grade:
-        return self.relation[(a, b)]
+    @cached_property
+    def view(self) -> FrameView:
+        """The frame coded as integers, built on first use."""
+        items, index, n = self.carrier, self._index, len(self.carrier)  # type: ignore[attr-defined]
+        grades = tuple(sorted(set(self.relation.values()) | {ZERO, ONE}))
+        rank = {g: r for r, g in enumerate(grades)}
+        masks = (list(range(1 << n)) if self.join_table is not None
+                 else sorted({0} | {1 << i | 1 << j for i in range(n) for j in range(i, n)}))
+        joins = [index.get(self.join_fn(frozenset(mask_elements(mask, items)))) for mask in masks]
+        folds = self.join_table is None or all(
+            [joins[m | 1 << d] for m in masks] == [joins[1 << j | 1 << d] for j in joins]
+            for d in range(n))
+        return FrameView(index, [[index[self.meet_table[(a, b)]] for b in items] for a in items],
+                         grades, [[rank[self.relation[(a, b)]] for b in items] for a in items],
+                         index[self.top], joins[0], masks, joins, mask_steps(masks), folds)
 
     @classmethod
     def from_tables(
@@ -167,7 +188,7 @@ def chain_frame(values: Iterable[Grade]) -> GradedFrame:
 
 def finite_meet(frame: GradedFrame, subset: Iterable[Hashable]) -> Hashable:
     """Fold of the binary meet; the empty meet is the top."""
-    return reduce(frame.meet, sorted(subset, key=frame.index), frame.top)
+    return reduce(frame.meet, sorted(subset, key=frame.view.index.__getitem__), frame.top)
 
 
 def check_frame(frame: GradedFrame) -> Violation | None:
@@ -175,7 +196,7 @@ def check_frame(frame: GradedFrame) -> Violation | None:
     returns the first violation found, or None.
 
     Pairs and triples are checked exhaustively. Axioms 7-9 run over
-    `frame.join_masks()`, each per-subset aggregate built from the one of
+    `frame.view.masks`, each per-subset aggregate built from the one of
     the mask minus its lowest member. For a frame read from a join table
     that is every subset. For any other frame it is the empty set, the
     singletons and the pairs, and that decides every subset, because such a
@@ -199,11 +220,9 @@ def check_frame(frame: GradedFrame) -> Violation | None:
     So a violation on any subset shows up on a pair, under the same clause;
     only its witness mask may differ.
     """
-    items = frame.carrier
-    n = len(items)
-    idx = {a: i for i, a in enumerate(items)}
-    meet_idx = [[idx[frame.meet_table[(a, b)]] for b in items] for a in items]
-    rel = [[frame.relation[(a, b)] for b in items] for a in items]
+    items, v = frame.carrier, frame.view
+    n, one = len(items), len(v.grades) - 1
+    meet_idx, rel = v.meet, v.rel
 
     # structural pre-check: the meet must actually be a semilattice operation
     for i in range(n):
@@ -220,19 +239,18 @@ def check_frame(frame: GradedFrame) -> Violation | None:
                         "frame", "meet-semilattice",
                         f"meet not associative at ({_show(items[i])}, {_show(items[j])}, {_show(items[k])})")
 
-    top = idx[frame.top]
     for i in range(n):
-        if rel[i][i] != ONE:
+        if rel[i][i] != one:
             return Violation("frame", "axiom 1", f"relation({_show(items[i])}, same) != 1")
-        if rel[i][top] != ONE:
+        if rel[i][v.top] != one:
             return Violation("frame", "axiom 5", f"relation({_show(items[i])}, top) != 1")
     for i in range(n):
         for j in range(n):
-            if i != j and rel[i][j] == ONE and rel[j][i] == ONE:
+            if i != j and rel[i][j] == one and rel[j][i] == one:
                 return Violation("frame", "axiom 2",
                                  f"{_show(items[i])} and {_show(items[j])} are distinct but related by 1 both ways")
             m = meet_idx[i][j]
-            if rel[m][i] != ONE or rel[m][j] != ONE:
+            if rel[m][i] != one or rel[m][j] != one:
                 return Violation("frame", "axiom 4",
                                  f"meet of ({_show(items[i])}, {_show(items[j])}) is not below both")
             for k in range(n):
@@ -243,32 +261,27 @@ def check_frame(frame: GradedFrame) -> Violation | None:
                     return Violation("frame", "axiom 6",
                                      f"meet distribution fails at ({_show(items[i])}, {_show(items[j])}, {_show(items[k])})")
 
-    masks = frame.join_masks()
-    joins = []
-    for mask in masks:
-        j = frame.join_fn(frozenset(mask_elements(mask, items)))
-        if j not in idx:
-            return Violation("frame", "join closure",
-                             f"join of mask {mask:b} is outside the carrier")
-        joins.append(idx[j])
-    steps = mask_steps(masks)
+    masks, joins = v.masks, v.joins
+    if None in joins:
+        return Violation("frame", "join closure",
+                         f"join of mask {masks[joins.index(None)]:b} is outside the carrier")
 
     for mask, jm in zip(masks, joins):
         rest = mask
         while rest:
             low = rest & -rest
             rest ^= low
-            if rel[low.bit_length() - 1][jm] != ONE:
+            if rel[low.bit_length() - 1][jm] != one:
                 return Violation("frame", "axiom 7",
                                  f"{_show(items[low.bit_length() - 1])} is not below the join of its subset")
 
     for b in range(n):
-        if rel[joins[0]][b] != ONE:
+        if rel[joins[0]][b] != one:
             return Violation("frame", "axiom 8",
                              f"target {_show(items[b])}, empty subset (bottom not below it)")
         col = [r[b] for r in rel]
-        lower = [ONE] * len(masks)
-        for p, (q, i) in enumerate(steps, 1):
+        lower = [one] * len(masks)
+        for p, (q, i) in enumerate(v.steps, 1):
             lower[p] = min(lower[q], col[i])
             if lower[p] != rel[joins[p]][b]:
                 return Violation("frame", "axiom 8",
@@ -277,10 +290,10 @@ def check_frame(frame: GradedFrame) -> Violation | None:
     for a in range(n):
         row = meet_idx[a]
         img = [0] * len(masks)
-        for p, (q, i) in enumerate(steps, 1):
+        for p, (q, i) in enumerate(v.steps, 1):
             img[p] = img[q] | (1 << row[i])
         for p, jm in enumerate(joins):
-            if rel[row[jm]][joins[position[img[p]]]] != ONE:
+            if rel[row[jm]][joins[position[img[p]]]] != one:
                 return Violation("frame", "axiom 9",
                                  f"{_show(items[a])}, subset mask {masks[p]:b}")
     return None
@@ -324,13 +337,12 @@ def same_frame(a: GradedFrame, b: GradedFrame) -> bool:
     joins on the masks where either frame gives its join."""
     if a is b:
         return True
-    if not (a.carrier == b.carrier and a.top == b.top
-            and dict(a.meet_table) == dict(b.meet_table)
-            and dict(a.relation) == dict(b.relation)):
+    if not (a.carrier == b.carrier and a.top == b.top and a.view.meet == b.view.meet
+            and a.view.grades == b.view.grades and a.view.rel == b.view.rel):
         return False
-    masks = max(a.join_masks(), b.join_masks(), key=len)
-    return all(a.join_of(subset) == b.join_of(subset)
-               for subset in (mask_elements(mask, a.carrier) for mask in masks))
+    masks = max(a.view.masks, b.view.masks, key=len)
+    return all(a.join_fn(subset) == b.join_fn(subset)
+               for subset in (frozenset(mask_elements(mask, a.carrier)) for mask in masks))
 
 
 def check_frame_hom(h: FrameHom) -> Violation | None:
@@ -338,26 +350,29 @@ def check_frame_hom(h: FrameHom) -> Violation | None:
     non-expansion, and top preservation (required so satisfaction at the top
     can reach 1 in every system the hom induces).
 
-    Join preservation runs over `h.source.join_masks()`. On a source without
-    a join table the pairs decide every subset:
+    Join preservation runs over the source's masks when the target's join
+    folds, and over every subset of the source otherwise. On a source
+    without a join table the pairs then decide every subset:
     f(join(S + c)) = f(join{join S, c}) = join'{f(join S), f(c)}
-    = join'{join' f(S), f(c)} = join' f(S + c). The last step holds when the
-    target's join folds its binary join too: by construction for a target
-    without a table, and by axioms 1, 2 and 8 for a table target that
-    passes `check_frame`."""
+    = join'{join' f(S), f(c)} = join' f(S + c), the last step by the
+    target's fold, which its view checks (`FrameView.folds`)."""
     src, tgt, f = h.source, h.target, h.map
     if f[src.top] != tgt.top:
         return Violation("frame-hom", "top preservation",
                          f"top maps to {_show(f[src.top])}")
-    for a in src.carrier:
-        for b in src.carrier:
-            if f[src.meet_table[(a, b)]] != tgt.meet_table[(f[a], f[b])]:
+    sv, tv = src.view, tgt.view
+    image = [tv.index[f[a]] for a in src.carrier]
+    # a source rank r exceeds a target rank s exactly when s < above[r]
+    above = [bisect_left(tv.grades, g) for g in sv.grades]
+    for i, a in enumerate(src.carrier):
+        for j, b in enumerate(src.carrier):
+            if image[sv.meet[i][j]] != tv.meet[image[i]][image[j]]:
                 return Violation("frame-hom", "clause (i)",
                                  f"meet of ({_show(a)}, {_show(b)}) is not preserved")
-            if src.relation[(a, b)] > tgt.relation[(f[a], f[b])]:
+            if tv.rel[image[i]][image[j]] < above[sv.rel[i][j]]:
                 return Violation("frame-hom", "clause (iii)",
                                  f"relation shrinks at ({_show(a)}, {_show(b)})")
-    for mask in src.join_masks():
+    for mask in sv.masks if tv.folds else range(1 << len(src)):
         subset = mask_elements(mask, src.carrier)
         lhs = f[src.join_fn(frozenset(subset))]
         rhs = tgt.join_fn(frozenset(f[a] for a in subset))

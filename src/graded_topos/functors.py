@@ -12,8 +12,9 @@ frame-induced system are the maps carrier -> L passing the homomorphism
 axioms, so every S-side statement is relative to L. The adjunction units
 only need L to contain the grades that actually occur, so the triangle
 identities are exact. The maps are found by a depth-first search over grade
-ranks that checks each axiom instance as soon as its coordinates are fixed,
-so its cost follows the partial homomorphisms that survive, not |L|^(n-2).
+ranks, on the frame's integer view, that checks each axiom instance as soon
+as its coordinates are fixed, so its cost follows the partial homomorphisms
+that survive, not |L|^(n-2).
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ class GradeSet:
 
     @classmethod
     def for_frame(cls, frame: GradedFrame) -> "GradeSet":
-        return cls.closure(frame.relation.values())
+        return cls(frame.view.grades)
 
     @classmethod
     def for_system(cls, system: GradedSystem) -> "GradeSet":
@@ -149,11 +150,12 @@ def enumerate_point_homs(frame: GradedFrame, values: GradeSet) -> list[PointHom]
 
     The axioms are the ones a test of every map would check: meet and
     relation preservation at every pair, and join preservation at every mask
-    of `frame.join_masks()`, which decides every subset as in
-    `check_frame_hom` (the chain's join is max). The top must land on 1 and
-    the empty join on 0, so those two coordinates are pinned; the others get
-    grade ranks in a depth-first search, in order of how many elements lie
-    crisply below them (on a valid frame, a linear extension of its order).
+    of `frame.view.masks`, which decides every subset as in
+    `check_frame_hom` (the chain's join is max, which folds). The top must
+    land on 1 and the empty join on 0, so those two coordinates are pinned;
+    the others get grade ranks in a depth-first search, in order of how many
+    elements lie crisply below them (on a valid frame, a linear extension of
+    its order).
 
     Each axiom instance becomes rank constraints, and each constraint is
     checked at the first depth where every coordinate it mentions is
@@ -166,15 +168,13 @@ def enumerate_point_homs(frame: GradedFrame, values: GradeSet) -> list[PointHom]
     testing every map on every subset, valid frame or not, and the cost
     tracks the partial maps that survive instead of |values|^(n-2).
     """
-    items = frame.carrier
+    items, view = frame.carrier, frame.view
     n = len(items)
-    idx = {a: i for i, a in enumerate(items)}
     grades = values.grades
-    top, bottom = idx[frame.top], idx[frame.bottom]
+    top, bottom = view.top, view.bottom
     if top == bottom:  # the top would need value 1 and the empty join value 0
         return []
-    rel = [[frame.relation[(a, b)] for b in items] for a in items]
-    crisp_below = [column.count(ONE) for column in zip(*rel)]
+    crisp_below = [column.count(len(view.grades) - 1) for column in zip(*view.rel)]
     order = [top, bottom] + sorted((i for i in range(n) if i != top and i != bottom),
                                    key=crisp_below.__getitem__)
     depth = [0] * n
@@ -183,9 +183,10 @@ def enumerate_point_homs(frame: GradedFrame, values: GradeSet) -> list[PointHom]
 
     # bound[(i, j)] = b is violated when rank[i] > rank[j] < b. Relation
     # preservation fails exactly when v_i > v_j and rel(i, j) > v_j, and
-    # rel(i, j) > grades[r] exactly when r < bisect_left(grades, rel(i, j));
-    # b = len(grades) makes it rank[i] <= rank[j].
-    bound = {(i, j): bisect_left(grades, rel[i][j]) for i in range(n) for j in range(n) if i != j}
+    # rel(i, j) > grades[r] exactly when r < bisect_left(grades, rel(i, j)),
+    # taken once per frame rank; b = len(grades) makes it rank[i] <= rank[j].
+    above = [bisect_left(grades, g) for g in view.grades]
+    bound = {(i, j): above[view.rel[i][j]] for i in range(n) for j in range(n) if i != j}
 
     def at_most(i: int, j: int) -> None:
         if i != j:
@@ -194,7 +195,7 @@ def enumerate_point_homs(frame: GradedFrame, values: GradeSet) -> list[PointHom]
     attained = set()
     for i in range(n):
         for j in range(n):
-            m = idx[frame.meet_table[(items[i], items[j])]]
+            m = view.meet[i][j]
             at_most(m, i)
             at_most(m, j)
             if m != i and m != j:
@@ -204,9 +205,8 @@ def enumerate_point_homs(frame: GradedFrame, values: GradeSet) -> list[PointHom]
         meets[max(depth[i], depth[j], depth[m])].append((m, i, j))
     minimal: dict[int, list[int]] = {}
     # smaller masks first, so every sub-mask is seen before its supersets
-    for mask in sorted(frame.join_masks(), key=int.bit_count):
+    for mask, j in sorted(zip(view.masks, view.joins), key=lambda pair: pair[0].bit_count()):
         members = [i for i in range(n) if mask >> i & 1]
-        j = idx[frame.join_fn(frozenset([items[i] for i in members]))]
         for k in members:
             at_most(k, j)
         kept = minimal.setdefault(j, [])

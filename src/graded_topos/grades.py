@@ -19,12 +19,16 @@ ONE = Fraction(1)
 
 GradeLike = Union[Grade, int, str]
 
+# The longest grade literal read, in characters, and the largest exponent.
+# A grade whose "p/q" form is longer is refused too, so it can be written back.
+MAX_LITERAL = 1000
+
 
 def grade(value: GradeLike, denominator: int | None = None) -> Grade:
     """Build a Grade from a Fraction, an int, "p/q" text, or decimal text.
 
     Decimal strings are read exactly ("0.3" is 3/10, never a float). Values
-    outside [0, 1] raise GradeRangeError.
+    outside [0, 1], and literals beyond `MAX_LITERAL`, raise GradeRangeError.
     """
     if denominator is not None:
         g = Fraction(value, denominator)  # type: ignore[arg-type]
@@ -33,14 +37,19 @@ def grade(value: GradeLike, denominator: int | None = None) -> Grade:
     elif isinstance(value, int):
         g = Fraction(value)
     elif isinstance(value, str):
+        text = value.strip()
         try:
-            g = Fraction(value.strip())
+            if len(text) > MAX_LITERAL or abs(int(text.lower().partition("e")[2] or 0)) > MAX_LITERAL:
+                raise GradeRangeError(f"grade literal beyond {MAX_LITERAL} characters or exponent")
+            g = Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise GradeRangeError(f"not a rational: {value!r}") from exc
     else:
         raise GradeRangeError(f"cannot make a grade from {type(value).__name__}")
     if g < ZERO or g > ONE:
         raise GradeRangeError(f"{g} is outside [0, 1]")
+    if isinstance(value, str) and len(format_grade(g)) > MAX_LITERAL:
+        raise GradeRangeError(f"grade {value!r} is longer than {MAX_LITERAL} characters as p/q")
     return g
 
 

@@ -5,10 +5,12 @@ satisfaction table. The three compatibility clauses are checked exactly at
 every size. Clause 2 only needs the empty set, singletons and pairs once the
 meet is a verified semilattice, because larger finite meets are folds of
 binary ones. Clause 3 runs over the masks on which the frame gives its join
-(`GradedFrame.join_masks`): every subset for a table frame, and the empty
-set, singletons and pairs for a frame whose join folds a binary join, since
-then sat(x, join(S + c)) = sat(x, join{join S, c})
+(`FrameView.masks`): every subset for a table frame, and the empty set,
+singletons and pairs for a frame whose join folds a binary join, since then
+sat(x, join(S + c)) = sat(x, join{join S, c})
 = max(sat(x, join S), sat(x, c)).
+The clauses read the frame's integer view, with satisfaction grades ranked
+in one table with the relation grades.
 """
 
 from __future__ import annotations
@@ -16,11 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Mapping
 
-from .checks import Violation, mask_elements, mask_steps
+from .checks import Violation
 from .errors import EmptyPoints, MixedStructure, SchemaError
 from .frames import FrameHom, GradedFrame, _show, check_frame_hom, compose_frame_hom, same_frame
 from .fuzzy_sets import PointMap, Universe, compose_point_maps
-from .grades import Grade, ONE, ZERO
+from .grades import Grade
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,21 +48,21 @@ class GradedSystem:
 def check_system(system: GradedSystem) -> Violation | None:
     """Verify the three system clauses against the (already structural)
     satisfaction table; returns the first violation, or None."""
-    frame = system.frame
-    items = frame.carrier
+    items, v = system.frame.carrier, system.frame.view
     n = len(items)
     xs = system.points.elements
-    sat = [[system.sat[(x, a)] for a in items] for x in xs]
-    idx = {a: i for i, a in enumerate(items)}
-    rel = [[frame.relation[(a, b)] for b in items] for a in items]
-    meet_idx = [[idx[frame.meet_table[(a, b)]] for b in items] for a in items]
-    top = idx[frame.top]
+    grades = sorted(set(v.grades) | set(system.sat.values()))
+    rank = {g: r for r, g in enumerate(grades)}
+    lift = [rank[g] for g in v.grades]
+    rel = [[lift[r] for r in row] for row in v.rel]
+    sat = [[rank[system.sat[(x, a)]] for a in items] for x in xs]
+    meet_idx, top, one = v.meet, v.top, len(grades) - 1
 
     for xi, x in enumerate(xs):
         row = sat[xi]
-        if row[top] != ONE:
+        if row[top] != one:
             return Violation("system", "clause 2",
-                             f"satisfaction of the top at {_show(x)} is {row[top]}, not 1 (empty meet)")
+                             f"satisfaction of the top at {_show(x)} is {grades[row[top]]}, not 1 (empty meet)")
         for i in range(n):
             for j in range(n):
                 if min(row[i], rel[i][j]) > row[j]:
@@ -70,21 +72,16 @@ def check_system(system: GradedSystem) -> Violation | None:
                     return Violation("system", "clause 2",
                                      f"({_show(x)}, {_show(items[i])}, {_show(items[j])})")
 
-    masks = frame.join_masks()
-    joins = []
-    for mask in masks:
-        j = frame.join_fn(frozenset(mask_elements(mask, items)))
-        if j not in idx:
-            return Violation("system", "clause 3",
-                             f"join of mask {mask:b} is outside the carrier")
-        joins.append(idx[j])
-    steps = mask_steps(masks)
+    masks, joins = v.masks, v.joins
+    if None in joins:
+        return Violation("system", "clause 3",
+                         f"join of mask {masks[joins.index(None)]:b} is outside the carrier")
     for xi, x in enumerate(xs):
         row = sat[xi]
-        if row[joins[0]] != ZERO:
+        if row[joins[0]] != 0:
             return Violation("system", "clause 3", f"({_show(x)}, empty subset)")
-        upper = [ZERO] * len(masks)
-        for p, (q, i) in enumerate(steps, 1):
+        upper = [0] * len(masks)
+        for p, (q, i) in enumerate(v.steps, 1):
             upper[p] = max(upper[q], row[i])
             if upper[p] != row[joins[p]]:
                 return Violation("system", "clause 3",

@@ -111,6 +111,8 @@ def brute_system_violation(system) -> str | None:
             for b in items:
                 if min(system.sat[(x, a)], frame.relation[(a, b)]) > system.sat[(x, b)]:
                     return "clause 1"
+                if system.sat[(x, frame.meet_table[(a, b)])] != min(system.sat[(x, a)], system.sat[(x, b)]):
+                    return "clause 2"
         for k in range(len(items) + 1):
             for combo in itertools.combinations(items, k):
                 folded = frame.top

@@ -110,6 +110,27 @@ def test_consequence_golden_values(capsys):
     assert capsys.readouterr().out.strip() == "1/2"
 
 
+@pytest.mark.parametrize("literal", ["1e999999", "1e-5000", "1e-99999999"])
+def test_huge_grade_literals_are_input_errors(literal, tmp_path):
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps({"universe": ["x1"], "opens": [{"x1": "0"}, {"x1": literal}, {"x1": "1"}]}))
+    for argv in (["check", "space", str(space)],
+                 ["functor", "j", "--in", str(space), "--out", str(tmp_path / "system.json")]):
+        done = subprocess.run([sys.executable, "-m", "graded_topos.cli", *argv],
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr and "exponent" in done.stderr
+
+
+def test_a_grade_at_the_literal_bound_is_written_and_read_back(tmp_path, capsys):
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps({"universe": ["x1"], "opens": [{"x1": "0"}, {"x1": "1e-997"}, {"x1": "1"}]}))
+    system = tmp_path / "system.json"
+    assert main(["functor", "j", "--in", str(space), "--out", str(system)]) == 0
+    assert main(["check", "system", str(system)]) == 0
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("verb", ["eval", "consequence"])
 def test_deeply_nested_formula_is_an_input_error(verb):
     deep = "(" * 3000 + "T" + ")" * 3000

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -22,7 +23,7 @@ from graded_topos.generators import (
     generate_continuous_chain,
     generate_random_space,
 )
-from graded_topos.grades import ONE, ZERO
+from graded_topos.grades import ONE, ZERO, godel_arrow
 from graded_topos.spaces import generate_topology
 
 
@@ -190,3 +191,25 @@ def test_relation_shrinking_is_detected():
     bad_down = check_frame_hom(down)
     assert isinstance(bad_down, Violation) and bad_down.clause == "clause (iii)"
     assert check_frame_hom(up) is None and brute_frame_hom_ok(up)
+
+
+def test_join_preservation_into_a_table_target_that_does_not_fold():
+    # the chain 0 < 1/3 < 2/3 < 1 in memory, mapped label by label onto the
+    # same chain as a table whose join of {g1, g2, g3} is g1: every pair join
+    # is preserved, so the source's pair masks alone would pass the map
+    grades = (ZERO, F(1, 3), F(2, 3), ONE)
+    source = chain_frame(grades)
+    label = {g: f"g{i}" for i, g in enumerate(grades)}
+    subsets = [s for k in range(5) for s in itertools.combinations(grades, k)]
+    joins = {frozenset(label[g] for g in s): label[max(s, default=ZERO)] for s in subsets}
+    joins[frozenset(("g1", "g2", "g3"))] = "g1"
+    target = GradedFrame.from_tables(
+        label.values(), "g3",
+        {(label[a], label[b]): label[min(a, b)] for a in grades for b in grades},
+        joins,
+        {(label[a], label[b]): godel_arrow(a, b) for a in grades for b in grades})
+    assert source.view.folds and not target.view.folds
+    hom = FrameHom(source, target, label)
+    bad = check_frame_hom(hom)
+    assert not brute_frame_hom_ok(hom)
+    assert str(bad) == "frame-hom: clause (ii) violated at join of subset mask 1110 is not preserved"

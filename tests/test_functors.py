@@ -11,6 +11,7 @@ from conftest import (
     brute_point_homs,
     brute_system_violation,
 )
+from graded_topos.checks import Violation
 from graded_topos.cli import main
 from graded_topos.errors import GradeSetTooSmall, NoPoints, NotContinuous, SchemaError
 from graded_topos.frames import FrameHom, GradedFrame, chain_frame, check_frame, check_frame_hom, frame_from_space
@@ -248,7 +249,7 @@ def _mutated_table_frames(count, seed):
         meets, joins, relation = dict(base.meet_table), dict(base.join_table), dict(base.relation)
         for _ in range(rng.randint(1, 3)):
             table = rng.choice((meets, joins, relation))
-            key = rng.choice(sorted(table, key=str))
+            key = rng.choice(list(table))
             table[key] = rng.choice(QUARTERS.grades if table is relation else base.carrier)
         yield GradedFrame.from_tables(base.carrier, base.top, meets, joins, relation)
 
@@ -293,9 +294,7 @@ def _mutated_memory_frames(count, seed):
 def test_checkers_match_the_brute_force_oracles_on_invalid_frames():
     # each frame is checked, and so are one-point systems over it and maps
     # into the grade chain (enumerated homs, one of them with an entry
-    # changed, and a random row) and into itself. check_system reads clause 2
-    # on pairs, which needs a semilattice meet; the oracle folds each subset
-    # in one order only, so it misses a meet that is not commutative
+    # changed, and a random row) and into itself
     rng = random.Random(17)
     chain = chain_frame(QUARTERS.grades)
     verdicts = collections.Counter()
@@ -305,7 +304,6 @@ def test_checkers_match_the_brute_force_oracles_on_invalid_frames():
             bad = check_frame(frame)
             assert (bad is None) == (brute_frame_violation(frame) is None)
             verdicts[kind, "frame", bad and bad.clause] += 1
-            semilattice = bad is None or bad.clause != "meet-semilattice"
             rows = [list(p.values) for p in enumerate_point_homs(frame, QUARTERS)[:3]]
             if rows:
                 rows.append(list(rows[0]))
@@ -314,10 +312,9 @@ def test_checkers_match_the_brute_force_oracles_on_invalid_frames():
             for row in rows:
                 system = GradedSystem(Universe.of("p"), frame,
                                       {("p", a): g for a, g in zip(frame.carrier, row)})
-                if semilattice:
-                    bad = check_system(system)
-                    assert (bad is None) == (brute_system_violation(system) is None)
-                    verdicts[kind, "system", bad and bad.clause] += 1
+                bad = check_system(system)
+                assert (bad is None) == (brute_system_violation(system) is None)
+                verdicts[kind, "system", bad and bad.clause] += 1
                 hom = FrameHom(frame, chain, dict(zip(frame.carrier, row)))
                 bad = check_frame_hom(hom)
                 assert (bad is None) == brute_frame_hom_ok(hom)
@@ -388,6 +385,51 @@ def test_enumeration_commutes_with_monotone_grade_relabelling():
         moved = enumerate_point_homs(_tabled(frame, grade_map=relabel.__getitem__),
                                      GradeSet(tuple(relabel[g] for g in values.grades)))
         assert [tuple(relabel[g] for g in p.values) for p in homs] == [p.values for p in moved]
+
+
+def _checker_verdicts(frame, rows, endo, grade_map=lambda g: g):
+    """check_frame; check_system on a one-point system per row (a map from
+    labels to grades); check_frame_hom of each row into the quarter chain
+    as a table frame, and of `endo`. Every grade passes through `grade_map`;
+    the one witness that prints a grade, the top's satisfaction, shows a
+    placeholder instead."""
+    chain = _tabled(chain_frame(QUARTERS.grades), grade_map=grade_map)
+    label = dict(zip(QUARTERS.grades, chain.carrier))
+    verdicts = [check_frame(frame)]
+    for row in rows:
+        system = GradedSystem(Universe.of("p"), frame, {("p", a): grade_map(g) for a, g in row.items()})
+        bad = check_system(system)
+        verdicts.append(bad and Violation(bad.check, bad.clause, bad.witness.replace(
+            f" is {grade_map(row[frame.top])}, ", " is <grade>, ")))
+        verdicts.append(check_frame_hom(FrameHom(frame, chain, {a: label[g] for a, g in row.items()})))
+    verdicts.append(check_frame_hom(FrameHom(frame, frame, endo)))
+    return verdicts
+
+
+def test_checkers_are_invariant_under_grade_relabelling_and_carrier_permutation():
+    # a strictly monotone relabelling of grades that fixes 0 and 1 keeps
+    # every clause and witness; a permutation of the carrier keeps every
+    # verdict (a witness names a subset mask, which the order changes)
+    rng = random.Random(23)
+    generated = [_tabled(frame) for _, frame in _generated_frames(max_opens=5)]
+    clauses = collections.Counter()
+    for frame in generated + list(_mutated_table_frames(150, seed=9)):
+        homs = enumerate_point_homs(frame, QUARTERS)[:2]
+        rows = [dict(zip(frame.carrier, p.values)) for p in homs]
+        rows += [{a: rng.choice(QUARTERS.grades) for a in frame.carrier} for _ in range(2)]
+        rows[-1][frame.top] = ONE
+        endo = {a: rng.choice(frame.carrier) for a in frame.carrier}
+        inner = sorted((set(frame.relation.values()) | set(QUARTERS.grades)) - {ZERO, ONE})
+        image = sorted(F(k, 100) for k in rng.sample(range(1, 100), len(inner)))
+        relabel = {ZERO: ZERO, ONE: ONE, **dict(zip(inner, image))}
+        base = _checker_verdicts(frame, rows, endo)
+        moved = _tabled(frame, grade_map=relabel.__getitem__)
+        assert _checker_verdicts(moved, rows, endo, relabel.__getitem__) == base
+        permuted = _tabled(frame, order=rng.sample(frame.carrier, len(frame.carrier)))
+        assert [v is None for v in _checker_verdicts(permuted, rows, endo)] == [v is None for v in base]
+        clauses.update(v and v.clause for v in base)
+    assert all(clauses[c] for c in (None, "axiom 8", "clause 1", "clause 2", "clause 3",
+                                    "clause (ii)", "clause (iii)"))
 
 
 def _space_with_opens(count):

@@ -6,6 +6,7 @@ from hypothesis import given
 from conftest import small_grades
 from graded_topos.errors import GradeRangeError
 from graded_topos.grades import (
+    MAX_LITERAL,
     ONE,
     ZERO,
     format_grade,
@@ -69,6 +70,23 @@ def test_parse_rejects_out_of_range_and_garbage():
         grade("abc")
     with pytest.raises(GradeRangeError):
         grade([])  # type: ignore[arg-type]
+
+
+@pytest.mark.parametrize("literal", ["1e999999", "1e-5000", "1e-99999999"])
+def test_huge_literals_are_refused_before_parsing(literal):
+    with pytest.raises(GradeRangeError, match="exponent"):
+        grade(literal)
+
+
+def test_every_accepted_literal_round_trips_at_the_bound():
+    # "1e-997" is 1/10^997, whose p/q form is exactly MAX_LITERAL characters
+    for literal in ("1e-997", "1/" + "9" * (MAX_LITERAL - 2)):
+        g = grade(literal)
+        assert len(format_grade(g)) == MAX_LITERAL
+        assert grade(format_grade(g)) == g
+    for literal in ("1e-998", "1/" + "9" * (MAX_LITERAL - 1), " " + "0" * MAX_LITERAL + "1 "):
+        with pytest.raises(GradeRangeError):
+            grade(literal)
 
 
 def test_format_is_lowest_terms():
