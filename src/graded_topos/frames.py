@@ -43,8 +43,8 @@ class FrameView:
     grades with 0 and 1, so the top rank is 1. The axioms and clauses take
     only min, max, inf, <= and equality with 1 of grades, which ranks keep,
     so verdicts on ranks are exact. `joins[p]` is the join of `masks[p]`, or
-    None outside the carrier. `folds`: join(S + d) = join{join S, d} for all
-    S and d; true by construction without a join table, checked with one."""
+    None outside the carrier. `table`: the join is read from a table, so
+    `masks` is every subset."""
 
     index: Mapping[Hashable, int]
     meet: list[list[int]]
@@ -55,7 +55,16 @@ class FrameView:
     masks: list[int]
     joins: list[int | None]
     steps: list[tuple[int, int]]
-    folds: bool
+    table: bool
+
+    @cached_property
+    def folds(self) -> bool:
+        """join(S + d) = join{join S, d} for all S and d: true without a join
+        table, checked with one by an n * 2^n pass on first read."""
+        joins = self.joins
+        return not self.table or all(
+            [joins[m | 1 << d] for m in self.masks] == [joins[1 << j | 1 << d] for j in joins]
+            for d in range(len(self.index)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,12 +131,10 @@ class GradedFrame:
         masks = (list(range(1 << n)) if self.join_table is not None
                  else sorted({0} | {1 << i | 1 << j for i in range(n) for j in range(i, n)}))
         joins = [index.get(self.join_fn(frozenset(mask_elements(mask, items)))) for mask in masks]
-        folds = self.join_table is None or all(
-            [joins[m | 1 << d] for m in masks] == [joins[1 << j | 1 << d] for j in joins]
-            for d in range(n))
         return FrameView(index, [[index[self.meet_table[(a, b)]] for b in items] for a in items],
                          grades, [[rank[self.relation[(a, b)]] for b in items] for a in items],
-                         index[self.top], joins[0], masks, joins, mask_steps(masks), folds)
+                         index[self.top], joins[0], masks, joins, mask_steps(masks),
+                         self.join_table is not None)
 
     @classmethod
     def from_tables(

@@ -15,6 +15,10 @@ identities are exact. The maps are found by a depth-first search over grade
 ranks, on the frame's integer view, that checks each axiom instance as soon
 as its coordinates are fixed, so its cost follows the partial homomorphisms
 that survive, not |L|^(n-2).
+
+Morphism builders take the objects they map between, so a law check builds
+each hom-system once and hands it on; every unit, counit and lifted
+morphism still comes from its own builder, so no law holds by construction.
 """
 
 from __future__ import annotations
@@ -49,9 +53,6 @@ class GradeSet:
             raise SchemaError("grades", "must be sorted and duplicate-free")
         if not self.grades or self.grades[0] != ZERO or self.grades[-1] != ONE:
             raise SchemaError("grades", "must contain 0 and 1")
-
-    def __contains__(self, g: Grade) -> bool:
-        return g in set(self.grades)
 
     def __len__(self) -> int:
         return len(self.grades)
@@ -264,20 +265,20 @@ def s_object(frame: GradedFrame, values: GradeSet) -> GradedSystem:
     return GradedSystem(universe, frame, sat)
 
 
-def s_morphism(h: FrameHom, values: GradeSet) -> SystemMorphism:
-    """Precomposition with a frame homomorphism, from the hom-system of its
-    target to the hom-system of its source."""
-    source_sys = s_object(h.target, values)
-    target_sys = s_object(h.source, values)
+def s_morphism(h: FrameHom, source: GradedSystem, target: GradedSystem) -> SystemMorphism:
+    """Precomposition with a frame homomorphism, from `source`, the hom-system
+    of its target, to `target`, that of its source (over one grade set)."""
+    if source.frame.carrier != h.target.carrier or target.frame.carrier != h.source.carrier:
+        raise SchemaError("hom systems", "must be over the hom's target and source frames")
     images = []
-    for v in source_sys.points.elements:
+    for v in source.points.elements:
         composed = PointHom(h.source.carrier,
                             tuple(v(h.map[b]) for b in h.source.carrier))
-        if composed not in target_sys.points:
+        if composed not in target.points:
             raise NoPoints("precomposition left the enumerated hom set")
         images.append(composed)
-    pm = PointMap(source_sys.points, target_sys.points, tuple(images))
-    return SystemMorphism(source_sys, target_sys, pm, h)
+    pm = PointMap(source.points, target.points, tuple(images))
+    return SystemMorphism(source, target, pm, h)
 
 
 def counit(system: GradedSystem) -> SystemMorphism:
@@ -301,26 +302,26 @@ def point_evaluation(system: GradedSystem, x: Hashable) -> PointHom:
                     tuple(system.sat[(x, a)] for a in system.frame.carrier))
 
 
-def unit_system(system: GradedSystem, values: GradeSet) -> SystemMorphism:
-    """From a system to the hom-system of its frame: each point goes to its
-    satisfaction row, the frame component is the identity.
+def unit_system(system: GradedSystem, hom_system: GradedSystem) -> SystemMorphism:
+    """From a system to `hom_system`, the hom-system of its frame: each point
+    goes to its satisfaction row, the frame component is the identity.
 
-    Raises GradeSetTooSmall when a satisfaction grade is outside the grade
-    set (the row would not be an enumerated point).
-    """
-    pool = set(values.grades)
+    Raises GradeSetTooSmall when a satisfaction grade is taken by no hom of
+    `hom_system`, as any grade outside its grade set is."""
+    if hom_system.frame.carrier != system.frame.carrier:
+        raise SchemaError("hom system", "must be over the system's frame")
+    pool = set(hom_system.sat.values())
     for g in system.sat.values():
         if g not in pool:
             raise GradeSetTooSmall(f"satisfaction grade {g} is not in the grade set")
-    target = s_object(system.frame, values)
     images = []
     for x in system.points.elements:
         p = point_evaluation(system, x)
-        if p not in target.points:
+        if p not in hom_system.points:
             raise NoPoints("a satisfaction row is not an enumerated hom")
         images.append(p)
-    pm = PointMap(system.points, target.points, tuple(images))
-    return SystemMorphism(system, target, pm, FrameHom.identity(system.frame))
+    pm = PointMap(system.points, hom_system.points, tuple(images))
+    return SystemMorphism(system, hom_system, pm, FrameHom.identity(system.frame))
 
 
 # ---------------------------------------------------------------------------
@@ -370,28 +371,31 @@ def check_triangle_identities(
         return (_j_ext_triangle_on_space(space), _j_ext_triangle_on_system(system))
     if adjunction == "fm-s":
         if isinstance(instance, GradedFrame):
-            frame = instance
-            values = values or GradeSet.for_frame(frame)
-            system = s_object(frame, values)
+            values = values or GradeSet.for_frame(instance)
+            system = hom_system = s_object(instance, values)
         elif isinstance(instance, GradedSystem):
-            system = instance
-            frame = fm_object(system)
-            values = values or GradeSet.for_system(system)
+            system, values = instance, values or GradeSet.for_system(instance)
+            hom_system = s_object(fm_object(system), values)
         else:
             raise SchemaError("instance", "fm-s triangles need a frame or a system")
-        return (_fm_s_triangle_on_system(system, values), _fm_s_triangle_on_frame(frame, values))
+        return _fm_s_triangles(system, hom_system)
     if adjunction == "composite":
         if isinstance(instance, GradedSpace):
-            space = instance
-            frame = frame_from_space(space)
+            system = j_object(instance)
+            frame, values = system.frame, values or GradeSet.for_system(system)
         elif isinstance(instance, GradedFrame):
-            frame = instance
-            values = values or GradeSet.for_frame(frame)
-            space = ext_object(s_object(frame, values))
+            frame, values = instance, values or GradeSet.for_frame(instance)
         else:
             raise SchemaError("instance", "composite triangles need a space or a frame")
-        values = values or GradeSet.for_system(j_object(space))
-        return (_composite_triangle_on_space(space, values), _composite_triangle_on_frame(frame, values))
+        hom_system = s_object(frame, values)
+        frame_counit = counit(hom_system)
+        extent_homs = s_object(frame_counit.source.frame, values)
+        extent_unit = unit_system(frame_counit.source, extent_homs)
+        if isinstance(instance, GradedSpace):
+            return _composite_triangles(instance, unit_system(system, hom_system), frame_counit,
+                                        extent_unit, frame_counit)
+        return _composite_triangles(ext_object(hom_system), extent_unit, counit(extent_homs),
+                                    extent_unit, frame_counit)
     raise SchemaError("adjunction", f"unknown adjunction {adjunction!r}")
 
 
@@ -412,56 +416,39 @@ def _j_ext_triangle_on_system(system: GradedSystem) -> LawReport:
                      is_identity_point_map(composite) and same_space)
 
 
-def _fm_s_triangle_on_system(system: GradedSystem, values: GradeSet) -> LawReport:
-    unit = unit_system(system, values)
-    composite = compose_frame_hom(FrameHom.identity(fm_object(system)), fm_morphism(unit))
-    return LawReport("fm-s triangle at the system (projected unit after counit)",
-                     is_identity_frame_hom(composite))
+def _fm_s_triangles(system: GradedSystem, hom_system: GradedSystem) -> tuple[LawReport, ...]:
+    """The fm-s triangles at a system and at its frame, whose hom-system is
+    `hom_system`; the counit at a frame is its identity."""
+    unit = unit_system(system, hom_system)
+    at_system = compose_frame_hom(FrameHom.identity(fm_object(system)), fm_morphism(unit))
+    lifted_counit = s_morphism(FrameHom.identity(hom_system.frame), hom_system, hom_system)
+    at_frame = compose_system_morphisms(unit_system(hom_system, hom_system), lifted_counit)
+    return (LawReport("fm-s triangle at the system (projected unit after counit)",
+                      is_identity_frame_hom(at_system)),
+            LawReport("fm-s triangle at the frame (lifted counit after unit)",
+                      is_identity_system_morphism(at_frame)))
 
 
-def _fm_s_triangle_on_frame(frame: GradedFrame, values: GradeSet) -> LawReport:
-    hom_system = s_object(frame, values)
-    unit = unit_system(hom_system, values)
-    lifted_counit = s_morphism(FrameHom.identity(frame), values)
-    composite = compose_system_morphisms(unit, lifted_counit)
-    return LawReport("fm-s triangle at the frame (lifted counit after unit)",
-                     is_identity_system_morphism(composite))
+def _composite_triangles(space: GradedSpace, space_unit: SystemMorphism, space_counit: SystemMorphism,
+                         extent_unit: SystemMorphism, frame_counit: SystemMorphism) -> tuple[LawReport, ...]:
+    """The composite triangles at a space X and a frame F, from the fm-s unit
+    at j(X), the j-ext counit at S(O X), the j-ext counit at S(F) and the
+    fm-s unit at that counit's source, j of F's extent space."""
+    unit = compose_point_maps(unit_space(space), ext_morphism(space_unit))
+    lifted_unit = j_morphism(unit, space, ext_object(space_counit.target))
+    at_space = compose_frame_hom(space_counit.frame_hom, lifted_unit.frame_hom)
+    extent_unit_pm = compose_point_maps(unit_space(ext_object(frame_counit.target)),
+                                        ext_morphism(extent_unit))
+    lifted_counit = s_morphism(frame_counit.frame_hom, extent_unit.target, frame_counit.target)
+    at_frame = compose_point_maps(extent_unit_pm, ext_morphism(lifted_counit))
+    return (LawReport("composite triangle at the space", is_identity_frame_hom(at_space)),
+            LawReport("composite triangle at the frame", is_identity_point_map(at_frame)))
 
 
-def composite_unit(space: GradedSpace, values: GradeSet) -> PointMap:
-    """Unit of the composite adjunction at a space: each point goes to its
-    satisfaction row over the frame of opens."""
-    system = j_object(space)
-    inner = unit_system(system, values)
-    return compose_point_maps(unit_space(space), ext_morphism(inner))
-
-
-def composite_counit_hom(frame: GradedFrame, values: GradeSet) -> FrameHom:
-    """Counit of the composite adjunction at a frame, as the underlying
-    frame homomorphism (extent into the opens of the hom-system's space)."""
-    return counit(s_object(frame, values)).frame_hom
-
-
-def _composite_triangle_on_space(space: GradedSpace, values: GradeSet) -> LawReport:
-    system = j_object(space)
-    frame = system.frame
-    hom_system = s_object(frame, values)
-    unit_pm = composite_unit(space, values)
-    extent = ext_object(hom_system)
-    lifted = j_morphism(unit_pm, space, extent)
-    composite = compose_frame_hom(composite_counit_hom(frame, values), lifted.frame_hom)
-    return LawReport("composite triangle at the space",
-                     is_identity_frame_hom(composite))
-
-
-def _composite_triangle_on_frame(frame: GradedFrame, values: GradeSet) -> LawReport:
-    hom_system = s_object(frame, values)
-    extent = ext_object(hom_system)
-    unit_pm = composite_unit(extent, values)
-    lifted_counit = s_morphism(composite_counit_hom(frame, values), values)
-    composite = compose_point_maps(unit_pm, ext_morphism(lifted_counit))
-    return LawReport("composite triangle at the frame",
-                     is_identity_point_map(composite))
+def _hom_systems(h: FrameHom, values: GradeSet) -> tuple[GradedSystem, GradedSystem]:
+    """S(target) and S(source) of a frame hom, built once if they are one frame."""
+    source = s_object(h.target, values)
+    return source, source if h.source is h.target else s_object(h.source, values)
 
 
 def check_naturality(
@@ -488,17 +475,18 @@ def check_naturality(
         raise SchemaError("morphism", "j-ext naturality needs a space map or a system morphism")
     if adjunction == "fm-s":
         if isinstance(morphism, SystemMorphism):
-            values = values or GradeSet.closure(
-                set(morphism.source.sat.values()) | set(morphism.target.sat.values()))
-            lhs = compose_system_morphisms(morphism, unit_system(morphism.target, values))
+            source, target = morphism.source, morphism.target
+            values = values or GradeSet.closure(set(source.sat.values()) | set(target.sat.values()))
+            source_homs, target_homs = _hom_systems(fm_morphism(morphism), values)
+            lhs = compose_system_morphisms(morphism, unit_system(target, target_homs))
             rhs = compose_system_morphisms(
-                unit_system(morphism.source, values),
-                s_morphism(fm_morphism(morphism), values))
+                unit_system(source, source_homs),
+                s_morphism(fm_morphism(morphism), source_homs, target_homs))
             return (LawReport("fm-s unit square", system_morphisms_equal(lhs, rhs)),)
         if isinstance(morphism, FrameHom):
             values = values or GradeSet.closure(
                 set(morphism.source.relation.values()) | set(morphism.target.relation.values()))
-            roundtrip = fm_morphism(s_morphism(morphism, values))
+            roundtrip = fm_morphism(s_morphism(morphism, *_hom_systems(morphism, values)))
             return (LawReport("fm-s counit square", frame_homs_equal(roundtrip, morphism)),)
         raise SchemaError("morphism", "fm-s naturality needs a system morphism or a frame hom")
     raise SchemaError("adjunction", f"unknown adjunction {adjunction!r}")

@@ -10,7 +10,7 @@ lexicographic-by-membership sort order canonical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Hashable, Iterable, Mapping, Sequence
+from typing import Any, Hashable, Iterable, Sequence
 
 from . import grades
 from .errors import MixedUniverse, SchemaError
@@ -69,16 +69,6 @@ class FuzzySet:
     def __call__(self, element: Hashable) -> Grade:
         return self.grades[self.universe.index(element)]
 
-    @classmethod
-    def from_map(cls, universe: Universe, membership: Mapping[Any, Grade]) -> "FuzzySet":
-        missing = [e for e in universe.elements if e not in membership]
-        if missing:
-            raise SchemaError("membership", f"missing grade for {missing[0]!r}")
-        if len(membership) != len(universe):
-            extra = [e for e in membership if e not in universe]
-            raise SchemaError("membership", f"unknown element {extra[0]!r}")
-        return cls(universe, tuple(membership[e] for e in universe.elements))
-
     def as_map(self) -> dict[Any, Grade]:
         return dict(zip(self.universe.elements, self.grades))
 
@@ -100,13 +90,6 @@ class PointMap:
 
     def __call__(self, element: Hashable) -> Hashable:
         return self.images[self.source.index(element)]
-
-    @classmethod
-    def from_map(cls, source: Universe, target: Universe, mapping: Mapping[Any, Any]) -> "PointMap":
-        missing = [e for e in source.elements if e not in mapping]
-        if missing:
-            raise SchemaError("map", f"missing image for {missing[0]!r}")
-        return cls(source, target, tuple(mapping[e] for e in source.elements))
 
     @classmethod
     def identity(cls, universe: Universe) -> "PointMap":

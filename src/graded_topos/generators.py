@@ -91,11 +91,6 @@ def generate_random_space(
     return generate_topology(universe, [])
 
 
-def generate_random_point_map(cfg: GeneratorConfig, index: int, source: Universe, target: Universe) -> PointMap:
-    rng = derived_rng(cfg, 2, index)
-    return PointMap(source, target, tuple(rng.choice(target.elements) for _ in source.elements))
-
-
 def generate_random_continuous_map(
     cfg: GeneratorConfig,
     index: int = 0,

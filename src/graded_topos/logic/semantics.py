@@ -147,15 +147,36 @@ def eval_term(interp: Interpretation, assignment: Assignment, t: Term) -> str:
     raise TypeError(f"not a term: {t!r}")
 
 
+# The most steps the reference evaluators take on, or refuse before evaluating:
+# formula nodes, terms included, a binder's body once per domain element, all
+# once per assignment to a sequent's free variables (|domain|^depth in binders).
+MAX_STEPS = 10 ** 6
+
+
+def evaluation_steps(interp: Interpretation, phi: Formula | Term) -> int:
+    """The nodes `sat_grade` visits at one assignment."""
+    width = len(interp.domain) if isinstance(phi, Exists) else 1
+    return 1 + width * sum(evaluation_steps(interp, part) for part in _parts(phi))
+
+
+def _within_budget(interp: Interpretation, formulas: list[Formula], free: frozenset[int]) -> None:
+    """Refuse `formulas` at every assignment to the `free` variables above `MAX_STEPS`."""
+    if len(interp.domain) ** len(free) * sum(
+            evaluation_steps(interp, phi) for phi in formulas) > MAX_STEPS:
+        raise SchemaError("formula", f"evaluation needs more than {MAX_STEPS} steps")
+
+
 def sat_grade(interp: Interpretation, assignment: Assignment, phi: Formula) -> Grade:
     """Grade of satisfaction: predicates by table lookup, top 1, bottom 0,
     crisp equality, min for conjunction, sup for disjunction and the
     existential quantifier.
 
     The evaluator recurses once per nesting level; a formula nested deeper
-    than the interpreter allows is a SchemaError, not a crash.
+    than the interpreter allows, or one needing more than `MAX_STEPS`
+    steps, is a SchemaError, not a crash or an endless run.
     """
     try:
+        _within_budget(interp, [phi], frozenset())
         return _sat_grade(interp, assignment, phi)
     except RecursionError:
         raise SchemaError("formula", "the formula is nested too deeply") from None
@@ -201,18 +222,22 @@ def sequent_grade(interp: Interpretation, lhs: Formula, rhs: Formula) -> Grade:
 
     Restricting to free variables is exact: satisfaction does not depend on
     the other coordinates, so the inf over all infinite sequences collapses
-    to this finite one.
+    to this finite one. Refused, as in `sat_grade`, above `MAX_STEPS`.
     """
     relevant = free_variables(lhs) | free_variables(rhs)
-    result = ONE
-    for s in assignments_over(interp, sorted(relevant)):
-        a = sat_grade(interp, s, lhs)
-        b = sat_grade(interp, s, rhs)
-        if a > b and b < result:
-            result = b
-            if result == ZERO:
-                break
-    return result
+    try:
+        _within_budget(interp, [lhs, rhs], relevant)
+        result = ONE
+        for s in assignments_over(interp, sorted(relevant)):
+            a = _sat_grade(interp, s, lhs)
+            b = _sat_grade(interp, s, rhs)
+            if a > b and b < result:
+                result = b
+                if result == ZERO:
+                    break
+        return result
+    except RecursionError:
+        raise SchemaError("formula", "the formula is nested too deeply") from None
 
 
 # ---------------------------------------------------------------------------

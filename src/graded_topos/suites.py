@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import time
 
+from .errors import SchemaError
 from .frames import (
     FrameHom,
     chain_frame,
@@ -86,7 +87,9 @@ _GT_BY_AXIOM = {f"axiom {k}": f"gt{k}" for k in range(1, 10)}
 def run_suite(name: str, cfg: GeneratorConfig, instances: int | None = None) -> list[Report]:
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
-    count = instances or DEFAULT_INSTANCES[name]
+    if instances is not None and instances < 1:
+        raise SchemaError("instances", "must be at least 1")
+    count = DEFAULT_INSTANCES[name] if instances is None else instances
     runner = {
         "props": _run_props,
         "frame-laws": _run_frame_laws,
@@ -271,9 +274,9 @@ def _run_functor_laws(cfg: GeneratorConfig, count: int, rc: ReportCollector) -> 
         rc.record("functor-laws/Def. 3.12g identity", ok,
                   None if ok else _witness(f"space #{i}", "lift of identity", "differs"))
         values = GradeSet.for_system(sys_small)
-        lifted = s_morphism(FrameHom.identity(sys_small.frame), values)
-        ok = system_morphisms_equal(lifted, SystemMorphism.identity(
-            s_object(sys_small.frame, values)))
+        hom_system = s_object(sys_small.frame, values)
+        lifted = s_morphism(FrameHom.identity(sys_small.frame), hom_system, hom_system)
+        ok = system_morphisms_equal(lifted, SystemMorphism.identity(hom_system))
         rc.record("functor-laws/Def. 3.19g identity", ok,
                   None if ok else _witness(f"space #{i}", "hom-system identity", "differs"))
 
@@ -329,7 +332,8 @@ def _run_adjunction(cfg: GeneratorConfig, count: int, rc: ReportCollector) -> No
         f2, src2, tgt2 = generate_random_continuous_map(cfg, i + 1300, max_opens=min(5, cfg.max_carrier))
         m2 = j_morphism(f2, src2, tgt2)
         values2 = GradeSet.closure(set(m2.source.sat.values()) | set(m2.target.sat.values()))
-        lifted = s_morphism(fm_morphism(m2), values2)
+        lifted = s_morphism(fm_morphism(m2), s_object(m2.source.frame, values2),
+                            s_object(m2.target.frame, values2))
         bad = check_system_morphism(lifted)
         rc.record("adjunction/Lemma 3.18g (precomposition)", bad is None,
                   None if bad is None else _witness(f"map #{i}", "morphism clauses", str(bad)))

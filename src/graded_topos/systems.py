@@ -41,9 +41,6 @@ class GradedSystem:
                 if (x, a) not in self.sat:
                     raise SchemaError("sat", f"missing entry for ({_show(x)}, {_show(a)})")
 
-    def grade_of(self, x: Hashable, a: Hashable) -> Grade:
-        return self.sat[(x, a)]
-
 
 def check_system(system: GradedSystem) -> Violation | None:
     """Verify the three system clauses against the (already structural)

@@ -195,7 +195,9 @@ def test_criterion_08_fm_s_adjunction():
             f, source, target = generate_random_continuous_map(CFG, i + 6200, max_opens=5)
             m = j_morphism(f, source, target)
             pooled = GradeSet.closure(set(m.source.sat.values()) | set(m.target.sat.values()))
-            assert check_system_morphism(s_morphism(fm_morphism(m), pooled)) is None
+            lifted = s_morphism(fm_morphism(m), s_object(m.source.frame, pooled),
+                                s_object(m.target.frame, pooled))
+            assert check_system_morphism(lifted) is None
             for law in check_triangle_identities("fm-s", frame, values):
                 assert law.ok, f"frame #{i}: {law.name}"
 

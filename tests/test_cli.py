@@ -2,6 +2,7 @@ import itertools
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -144,23 +145,39 @@ def test_deeply_nested_formula_is_an_input_error(verb):
     assert done.stderr.count("\n") == 1 and "nested too deeply" in done.stderr
 
 
-@pytest.mark.parametrize("verb", ["eval", "consequence", "theorem2"])
-def test_deeply_nested_binders_are_an_input_error(verb, tmp_path):
-    # parses (two parser frames per binder), but the reference evaluator
-    # needs three per binder
-    deep = "E x1. " * 450 + "T"
+def _run_on_binders(verb, deep, interp, tmp_path):
     pool = tmp_path / "pool.json"
     pool.write_text(json.dumps({"formulas": [deep]}))
     formula_args = {"eval": ["--formula", deep],
                     "consequence": ["--lhs", "T", "--rhs", deep],
                     "theorem2": ["--pool", str(pool)]}[verb]
-    done = subprocess.run(
-        [sys.executable, "-m", "graded_topos.cli", verb,
-         "--interp", str(FIXTURES / "interp_basic.json"), *formula_args],
+    return subprocess.run(
+        [sys.executable, "-m", "graded_topos.cli", verb, "--interp", str(interp), *formula_args],
         capture_output=True, text=True, timeout=60)
+
+
+@pytest.mark.parametrize("verb", ["eval", "consequence", "theorem2"])
+def test_deeply_nested_binders_are_an_input_error(verb, tmp_path):
+    # parses (two parser frames per binder), but the reference evaluator
+    # needs three per binder; over one element the step budget allows it
+    interp = tmp_path / "interp.json"
+    interp.write_text(json.dumps({"constants": {}, "domain": ["d1"], "functions": {},
+                                  "predicates": {"p": {"d1": "1/2"}}}))
+    done = _run_on_binders(verb, "E x1. " * 450 + "T", interp, tmp_path)
     assert done.returncode == 2
     assert "Traceback" not in done.stderr
     assert done.stderr.count("\n") == 1 and "nested too deeply" in done.stderr
+
+
+@pytest.mark.parametrize("verb", ["eval", "consequence", "theorem2"])
+def test_binders_beyond_the_step_budget_are_an_input_error(verb, tmp_path):
+    # 2^300 steps over the two-element domain: refused before evaluation
+    start = time.perf_counter()
+    done = _run_on_binders(verb, "E x1. " * 300 + "T", FIXTURES / "interp_basic.json", tmp_path)
+    assert time.perf_counter() - start < 1
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    assert done.stderr.count("\n") == 1 and "steps" in done.stderr
 
 
 def test_theorem2_runs_a_pool_file(capsys):
@@ -175,6 +192,13 @@ def test_suite_command(capsys):
     assert main(["suite", "frame-laws", "--seed", "4", "--instances", "4"]) == 0
     out = capsys.readouterr().out
     assert all(json.loads(line)["status"] == "pass" for line in out.splitlines())
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_suite_instances_must_be_positive(count, capsys):
+    assert main(["suite", "props", "--instances", count]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1 and "instances" in captured.err
 
 
 def test_planted_join_violation_above_twelve_elements(tmp_path, capsys):

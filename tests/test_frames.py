@@ -208,6 +208,8 @@ def test_join_preservation_into_a_table_target_that_does_not_fold():
         {(label[a], label[b]): label[min(a, b)] for a in grades for b in grades},
         joins,
         {(label[a], label[b]): godel_arrow(a, b) for a in grades for b in grades})
+    check_frame(target)
+    assert "folds" not in vars(target.view)  # the fold pass waits for its first reader
     assert source.view.folds and not target.view.folds
     hom = FrameHom(source, target, label)
     bad = check_frame_hom(hom)

@@ -491,7 +491,8 @@ def test_precomposition_morphisms_are_valid():
                                                        max_opens=5)
     m = j_morphism(f, source, target)
     values = GradeSet.closure(set(m.source.sat.values()) | set(m.target.sat.values()))
-    lifted = s_morphism(fm_morphism(m), values)
+    lifted = s_morphism(fm_morphism(m), s_object(m.source.frame, values),
+                        s_object(m.target.frame, values))
     assert check_system_morphism(lifted) is None
 
 
@@ -532,23 +533,23 @@ def test_unit_system_rows_and_grade_set_guard():
     space = small_space(11, max_opens=5)
     system = j_object(space)
     values = GradeSet.for_system(system)
-    unit = unit_system(system, values)
+    unit = unit_system(system, s_object(system.frame, values))
     assert check_system_morphism(unit) is None
     grades_used = set(system.sat.values())
     if grades_used - {ZERO, ONE}:
         with pytest.raises(GradeSetTooSmall):
-            unit_system(system, GradeSet.closure([]))
+            unit_system(system, s_object(system.frame, GradeSet.closure([])))
 
 
 def test_unit_system_injectivity_depends_on_separation():
     u = Universe.of("x1", "x2")
     # indiscrete: both points have the same satisfaction row
     plain = j_object(generate_topology(u, []))
-    unit = unit_system(plain, GradeSet.for_system(plain))
+    unit = unit_system(plain, s_object(plain.frame, GradeSet.for_system(plain)))
     assert len(set(unit.point_map.images)) == 1
     # a separating open gives distinct rows
     separated = j_object(generate_topology(u, [FuzzySet(u, (ONE, ZERO))]))
-    unit = unit_system(separated, GradeSet.for_system(separated))
+    unit = unit_system(separated, s_object(separated.frame, GradeSet.for_system(separated)))
     assert len(set(unit.point_map.images)) == 2
 
 
@@ -610,14 +611,16 @@ def test_functoriality_of_hom_systems_on_composites():
     up = FrameHom(chain3, chain2, {ZERO: ZERO, HALF: ONE, ONE: ONE})
     embed = FrameHom(chain2, chain3, {ZERO: ZERO, ONE: ONE})
     values = GradeSet.closure([HALF])
-    lifted_id = s_morphism(FrameHom.identity(chain3), values)
+    homs3, homs2 = s_object(chain3, values), s_object(chain2, values)
+    lifted_id = s_morphism(FrameHom.identity(chain3), homs3, homs3)
     assert is_identity_system_morphism(lifted_id)
     # contravariance: lifting a composed hom composes the lifts backwards
     from graded_topos.frames import compose_frame_hom
     from graded_topos.systems import compose_system_morphisms
     composite = compose_frame_hom(up, embed)  # chain3 -> chain3 through chain2
-    direct = s_morphism(composite, values)
-    stacked = compose_system_morphisms(s_morphism(embed, values), s_morphism(up, values))
+    direct = s_morphism(composite, homs3, homs3)
+    stacked = compose_system_morphisms(s_morphism(embed, homs3, homs2),
+                                       s_morphism(up, homs2, homs3))
     assert check_system_morphism(direct) is None
     assert system_morphisms_equal(direct, stacked)
 
@@ -629,6 +632,56 @@ def test_fm_s_triangles_on_the_two_chain():
     laws = check_triangle_identities("fm-s", frame, values)
     assert all(law.ok for law in laws)
     assert len(s_object(frame, values).points) == 1
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_law_checks_enumerate_each_hom_system_once(seed, monkeypatch):
+    import graded_topos.functors as functors
+    calls = []
+    enumerate_homs = functors.enumerate_point_homs
+
+    def counted(frame, values):
+        calls.append(frame)
+        return enumerate_homs(frame, values)
+
+    monkeypatch.setattr(functors, "enumerate_point_homs", counted)
+    space = small_space(seed, max_opens=5)
+    system = j_object(space)
+    frame, values = system.frame, GradeSet.for_system(system)
+    for run, expected in (
+        (lambda: check_triangle_identities("fm-s", frame, values), 1),
+        (lambda: check_triangle_identities("fm-s", system, values), 1),
+        (lambda: check_triangle_identities("composite", space, values), 2),
+        (lambda: check_triangle_identities("composite", frame, values), 2),
+        (lambda: check_naturality("fm-s", FrameHom.identity(frame), values), 1),
+    ):
+        calls.clear()
+        assert all(law.ok for law in run())
+        assert len(calls) == expected
+
+
+def test_a_wrong_unit_row_fails_the_fm_s_and_composite_triangles(monkeypatch):
+    """Shared structures must not make a triangle hold by construction: the
+    discrete two-point space has exactly two homs into {0, 1}, and a unit
+    that swaps them is a valid morphism but not the unit."""
+    import graded_topos.functors as functors
+    u = Universe.of("x1", "x2")
+    space = generate_topology(u, [FuzzySet(u, (ONE, ZERO)), FuzzySet(u, (ZERO, ONE))])
+    frame, values = frame_from_space(space), GradeSet.closure([])
+    instances = (("fm-s", frame), ("composite", space), ("composite", frame))
+    for adjunction, instance in instances:
+        assert all(law.ok for law in check_triangle_identities(adjunction, instance, values))
+    evaluate = functors.point_evaluation
+
+    def swapped(system, x):
+        points = system.points.elements
+        return evaluate(system, points[(points.index(x) + 1) % len(points)])
+
+    monkeypatch.setattr(functors, "point_evaluation", swapped)
+    for adjunction, instance in instances:
+        laws = check_triangle_identities(adjunction, instance, values)
+        assert [law.ok for law in laws] == ([True, False] if adjunction == "fm-s"
+                                            else [False, False])
 
 
 def test_projection_functors_preserve_identity_and_composition():
