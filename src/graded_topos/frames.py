@@ -11,6 +11,13 @@ so its empty, singleton and pair instances decide every subset (the
 induction is in `check_frame`). Every checker reads the frame through
 `GradedFrame.view`, its integer coding (`FrameView`), built once per frame.
 
+`frame_from_space` works on the space's opens as tuples of grade ranks
+(`ranks`): the meet table, the relation and the pair joins are pointwise
+min, graded inclusion and pointwise max on those tuples, and the frame's
+view is filled from the same tables. That is exact: the three operations
+only compare grades, and ranking is an order-isomorphism fixing 0 and 1.
+The frame's tables hold the opens and `Fraction` grades, as before.
+
 Carrier elements are opaque hashables: strings when frames come from files,
 opens (fuzzy sets) for frames built from a space, grades for the chain frame
 the hom-enumeration targets.
@@ -25,8 +32,9 @@ from typing import Any, Callable, Hashable, Iterable, Mapping
 
 from .checks import Violation, mask_elements, mask_steps
 from .errors import MixedCarrier, SchemaError
-from .fuzzy_sets import FuzzySet, full_set, graded_inclusion, intersection, union
+from .fuzzy_sets import FuzzySet
 from .grades import Grade, ONE, ZERO, godel_arrow
+from .ranks import Ranks, Vector, join, meet
 from .spaces import GradedSpace
 
 
@@ -65,6 +73,11 @@ class FrameView:
         return not self.table or all(
             [joins[m | 1 << d] for m in self.masks] == [joins[1 << j | 1 << d] for j in joins]
             for d in range(len(self.index)))
+
+
+def _pair_masks(n: int) -> list[int]:
+    """The empty mask, the singletons and the pairs of n elements, ascending."""
+    return sorted({0} | {1 << i | 1 << j for i in range(n) for j in range(i, n)})
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,13 +139,11 @@ class GradedFrame:
     def view(self) -> FrameView:
         """The frame coded as integers, built on first use."""
         items, index, n = self.carrier, self._index, len(self.carrier)  # type: ignore[attr-defined]
-        grades = tuple(sorted(set(self.relation.values()) | {ZERO, ONE}))
-        rank = {g: r for r, g in enumerate(grades)}
-        masks = (list(range(1 << n)) if self.join_table is not None
-                 else sorted({0} | {1 << i | 1 << j for i in range(n) for j in range(i, n)}))
+        ranks = Ranks(self.relation.values())
+        masks = list(range(1 << n)) if self.join_table is not None else _pair_masks(n)
         joins = [index.get(self.join_fn(frozenset(mask_elements(mask, items)))) for mask in masks]
         return FrameView(index, [[index[self.meet_table[(a, b)]] for b in items] for a in items],
-                         grades, [[rank[self.relation[(a, b)]] for b in items] for a in items],
+                         ranks.grades, [[ranks.rank[self.relation[(a, b)]] for b in items] for a in items],
                          index[self.top], joins[0], masks, joins, mask_steps(masks),
                          self.join_table is not None)
 
@@ -163,22 +174,42 @@ class GradedFrame:
 def frame_from_space(space: GradedSpace) -> GradedFrame:
     """The frame of opens: meet is intersection, join is union, the relation
     is graded inclusion, top is the constant-1 open. Requires a valid space
-    (closure makes every table entry land back in the opens)."""
-    opens = space.opens
-    meet_table = {}
-    relation = {}
-    for a in opens:
-        for b in opens:
-            meet_table[(a, b)] = intersection(a, b)
-            relation[(a, b)] = graded_inclusion(a, b)
-    cache: dict[frozenset, FuzzySet] = {}
+    (closure makes every table entry land back in the opens; an entry
+    outside them is decoded into its fuzzy set, which the frame rejects).
+    Everything is computed on `GradedSpace.ranked`, as the module
+    docstring says; `join_fn` takes subsets of the opens."""
+    opens, universe, n = space.opens, space.universe, len(space.opens)
+    ranks, rows = space.ranked
+    position = {row: i for i, row in enumerate(rows)}
+    index = dict(zip(opens, range(n)))
+
+    def member(row: Vector) -> FuzzySet:
+        i = position.get(row)
+        return opens[i] if i is not None else FuzzySet(universe, ranks.decode(row))
 
     def join_fn(subset: frozenset) -> FuzzySet:
-        if subset not in cache:
-            cache[subset] = union(sorted(subset, key=lambda t: t.grades), space.universe)
-        return cache[subset]
+        return member(join(*[rows[index[t]] for t in subset]) if subset else bottom)
 
-    return GradedFrame(opens, full_set(space.universe), meet_table, relation, join_fn)
+    bottom = (0,) * len(universe)
+    meet_rows = [[meet(a, b) for b in rows] for a in rows]
+    rel = [[ranks.inclusion(a, b) for b in rows] for a in rows]
+    frame = GradedFrame(
+        opens, member((ranks.top,) * len(universe)),
+        {(a, b): member(m) for a, row in zip(opens, meet_rows) for b, m in zip(opens, row)},
+        {(a, b): ranks.grades[r] for a, row in zip(opens, rel) for b, r in zip(opens, row)},
+        join_fn)
+    # the view from the same tables: relation ranks re-ranked to the
+    # relation's own grades, as `GradedFrame.view` ranks them
+    used = sorted({0, ranks.top}.union(*rel))
+    rerank = {r: k for k, r in enumerate(used)}
+    masks = _pair_masks(n)
+    joins = [position.get(join(rows[(m & -m).bit_length() - 1], rows[m.bit_length() - 1])
+                          if m else bottom) for m in masks]
+    vars(frame)["view"] = FrameView(
+        index, [[position[m] for m in row] for row in meet_rows],
+        tuple(ranks.grades[r] for r in used), [[rerank[r] for r in row] for row in rel],
+        index[frame.top], joins[0], masks, joins, mask_steps(masks), False)
+    return frame
 
 
 def chain_frame(values: Iterable[Grade]) -> GradedFrame:
@@ -362,7 +393,9 @@ def check_frame_hom(h: FrameHom) -> Violation | None:
     without a join table the pairs then decide every subset:
     f(join(S + c)) = f(join{join S, c}) = join'{f(join S), f(c)}
     = join'{join' f(S), f(c)} = join' f(S + c), the last step by the
-    target's fold, which its view checks (`FrameView.folds`)."""
+    target's fold, which its view checks (`FrameView.folds`). A source
+    join outside the source carrier has no image, and is reported as a
+    join closure violation."""
     src, tgt, f = h.source, h.target, h.map
     if f[src.top] != tgt.top:
         return Violation("frame-hom", "top preservation",
@@ -381,9 +414,12 @@ def check_frame_hom(h: FrameHom) -> Violation | None:
                                  f"relation shrinks at ({_show(a)}, {_show(b)})")
     for mask in sv.masks if tv.folds else range(1 << len(src)):
         subset = mask_elements(mask, src.carrier)
-        lhs = f[src.join_fn(frozenset(subset))]
+        joined = src.join_fn(frozenset(subset))
+        if joined not in src:
+            return Violation("frame-hom", "join closure",
+                             f"join of subset mask {mask:b} is outside the source carrier")
         rhs = tgt.join_fn(frozenset(f[a] for a in subset))
-        if lhs != rhs:
+        if f[joined] != rhs:
             return Violation("frame-hom", "clause (ii)",
                              f"join of subset mask {mask:b} is not preserved")
     return None

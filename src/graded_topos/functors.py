@@ -123,12 +123,13 @@ def j_object(space: GradedSpace) -> GradedSystem:
 
 
 def j_morphism(f: PointMap, source: GradedSpace, target: GradedSpace) -> SystemMorphism:
-    """Pair a continuous map with its preimage homomorphism."""
+    """Pair a continuous map with its preimage homomorphism. A map from a
+    space to itself gets the one system of that space at both ends."""
     bad = check_continuous(f, source, target)
     if bad is not None:
         raise NotContinuous(str(bad))
     source_sys = j_object(source)
-    target_sys = j_object(target)
+    target_sys = source_sys if target is source else j_object(target)
     hom = FrameHom(target_sys.frame, source_sys.frame,
                    {t: preimage(f, t) for t in target.opens})
     return SystemMorphism(source_sys, target_sys, f, hom)

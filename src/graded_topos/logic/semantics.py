@@ -4,12 +4,15 @@
 over the formula at each assignment. The sequent property suite
 (`theorem2_suite`) compiles each formula once into a vector over every
 assignment to the pool's free variables and one fresh variable, and builds
-the clauses from pointwise combinators on those vectors.
+the clauses from pointwise operations on those vectors.
 
 Vector entries are integer ranks: a grade's rank is its index in the sorted
-set of the interpretation's predicate grades together with 0 and 1. Ranks
-are ordered as the grades they code, and every clause only compares grades
-(min, max, the Gödel arrow, inf, sup), so the coding is exact. Reports
+set of the interpretation's predicate grades together with 0 and 1
+(`ranks.Ranks`). Ranks are ordered as the grades they code, and every
+clause only compares grades (min, max, the Gödel arrow, inf, sup), so the
+coding is exact. Conjunction, disjunction and the sequent grade are the
+rank kernel's `meet`, `join` and `Ranks.inclusion`, the same operations the
+space-to-frame path runs on the opens. Reports
 carry verdicts and indices, not grades; a grade read off a vector is mapped
 back through the rank table.
 
@@ -35,6 +38,7 @@ from ..errors import (
     UndeclaredSymbol,
 )
 from ..grades import Grade, ONE, ZERO, sup
+from ..ranks import Ranks, Vector, join, meet
 from .parser import CONST_PATTERN, IDENT_PATTERN, Signature, VAR_PATTERN
 from .syntax import (
     And,
@@ -249,24 +253,21 @@ class _Vectors:
     mirroring the semantic clauses.
 
     Assignments are listed in `itertools.product` order over the sorted
-    variables, so the last variable varies fastest. A grade's rank is its
-    index in `grades`, the sorted grades of the predicate tables together
-    with 0 and 1. Ranks are ordered as the grades they code, and every
-    clause only compares grades (min, max, the Gödel arrow, inf, sup), so a
-    rank vector codes its grade vector exactly.
+    variables, so the last variable varies fastest. Vectors are tuples of
+    ranks in `ranks`, the rank table of the predicate tables' grades; the
+    conjunction, disjunction and sequent clauses are the rank kernel's
+    `meet`, `join` and `Ranks.inclusion`, as for fuzzy sets.
     """
 
     def __init__(self, interp: Interpretation, variables: Sequence[int],
-                 grades: Sequence[Grade] | None = None):
+                 ranks: Ranks | None = None):
         self.interp = interp
         self.variables = sorted(variables)
         self.position = {v: i for i, v in enumerate(self.variables)}
-        if grades is None:
-            grades = sorted({ZERO, ONE}.union(*(t.values() for t in interp.predicates.values())))
-        self.grades = grades
-        self.top = len(grades) - 1
-        rank = {g: r for r, g in enumerate(grades)}
-        self.ranked = {name: {key: rank[g] for key, g in table.items()}
+        if ranks is None:
+            ranks = Ranks(g for table in interp.predicates.values() for g in table.values())
+        self.ranks = ranks
+        self.ranked = {name: {key: ranks.rank[g] for key, g in table.items()}
                        for name, table in interp.predicates.items()}
         tuples = list(itertools.product(interp.domain, repeat=len(self.variables)))
         self.size = len(tuples)
@@ -291,18 +292,18 @@ class _Vectors:
             self._fibres[variable] = fibres, owner
         return self._fibres[variable]
 
-    def _sup_over(self, u: list[int], variable: int) -> list[int]:
+    def _sup_over(self, u: Vector, variable: int) -> Vector:
         """sup of u over each fibre of `variable`: the vector of the
         quantified formula over the list without `variable`."""
-        return [max([u[j] for j in fibre]) for fibre in self._fibres_of(variable)[0]]
+        return tuple([max([u[j] for j in fibre]) for fibre in self._fibres_of(variable)[0]])
 
     def _widen(self, variable: int) -> "_Vectors":
         if variable not in self._widened:
             self._widened[variable] = _Vectors(self.interp, self.variables + [variable],
-                                               self.grades)
+                                               self.ranks)
         return self._widened[variable]
 
-    def of(self, phi: Formula) -> list[int]:
+    def of(self, phi: Formula) -> Vector:
         """Rank vector of a formula, compiled bottom-up with an explicit
         stack, so nesting depth costs no interpreter stack. Terms compile to
         columns of domain elements. A quantifier whose variable is not in
@@ -325,13 +326,13 @@ class _Vectors:
             todo.extend((part, inner, False) for part in reversed(parts))
         return done.pop()
 
-    def _combine(self, node, args: list) -> list:
+    def _combine(self, node, args: list) -> Vector:
         """The vector of a formula, or the column of a term, from those of
         its parts."""
         if isinstance(node, Top):
-            return [self.top] * self.size
+            return (self.ranks.top,) * self.size
         if isinstance(node, Bottom):
-            return [0] * self.size
+            return (0,) * self.size
         if isinstance(node, Var):
             if node.index not in self.position:
                 raise UnboundVariable(node.index)
@@ -339,36 +340,30 @@ class _Vectors:
         if isinstance(node, Const):
             if node.index not in self.interp.constants:
                 raise UndeclaredSymbol(f"c{node.index}")
-            return [self.interp.constants[node.index]] * self.size
+            return (self.interp.constants[node.index],) * self.size
         if isinstance(node, (Predicate, Func)):
             tables = self.ranked if isinstance(node, Predicate) else self.interp.functions
             if node.symbol not in tables:
                 raise UndeclaredSymbol(node.symbol)
             table = tables[node.symbol]
-            return [table[key] for key in (zip(*args) if args else [()] * self.size)]
+            return tuple([table[key] for key in (zip(*args) if args else [()] * self.size)])
         if isinstance(node, Equality):
-            return [self.top if a == b else 0 for a, b in zip(*args)]
+            return tuple([self.ranks.top if a == b else 0 for a, b in zip(*args)])
         if isinstance(node, And):
-            return self.conj(*args)
+            return meet(*args)
         if isinstance(node, Or):
-            return self.disj(args)
+            return join(*args)
         if isinstance(node, Exists):
             if node.variable in self.position:
                 return self.exists(args[0], node.variable)
             return self._widen(node.variable)._sup_over(args[0], node.variable)
         raise TypeError(f"not a formula: {node!r}")
 
-    def conj(self, u: list[int], v: list[int]) -> list[int]:
-        return list(map(min, u, v))
-
-    def disj(self, vectors: Sequence[list[int]]) -> list[int]:
-        return list(map(max, zip(*vectors)))
-
-    def exists(self, u: list[int], variable: int) -> list[int]:
+    def exists(self, u: Vector, variable: int) -> Vector:
         sups = self._sup_over(u, variable)
-        return [sups[f] for f in self._fibres_of(variable)[1]]
+        return tuple([sups[f] for f in self._fibres_of(variable)[1]])
 
-    def rename(self, u: list[int], variable: int, replacement: int) -> list[int]:
+    def rename(self, u: Vector, variable: int, replacement: int) -> Vector:
         """Vector of the formula with `replacement` substituted for the free
         variable `variable` (the substitution lemma as index surgery)."""
         key = (variable, replacement)
@@ -376,11 +371,7 @@ class _Vectors:
             n = len(self.interp.domain)
             p, q = self._stride(variable), self._stride(replacement)
             self._renames[key] = [i + (i // q % n - i // p % n) * p for i in range(self.size)]
-        return [u[j] for j in self._renames[key]]
-
-    def sequent(self, u: list[int], v: list[int]) -> int:
-        """inf of the Gödel arrow: the least b where a > b, else the top."""
-        return min([b for a, b in zip(u, v) if a > b], default=self.top)
+        return tuple([u[j] for j in self._renames[key]])
 
 
 def _parts(node) -> tuple:
@@ -414,12 +405,13 @@ def theorem2_suite(
     pool_vars = sorted(set().union(frozenset(), *(free_variables(f) for f in pool)))
     fresh = (max(pool_vars, default=0)) + 1
     vs = _Vectors(interp, pool_vars + [fresh])
+    top, sequent = vs.ranks.top, vs.ranks.inclusion
     vector = {i: vs.of(f) for i, f in enumerate(pool)}
-    seq = {(i, j): vs.sequent(vector[i], vector[j])
+    seq = {(i, j): sequent(vector[i], vector[j])
            for i in range(len(pool)) for j in range(len(pool))}
     # the vector path must agree with the reference evaluator
     probe = sequent_grade(interp, pool[0], pool[-1])
-    if probe != vs.grades[seq[(0, len(pool) - 1)]]:
+    if probe != vs.ranks.grades[seq[(0, len(pool) - 1)]]:
         raise AssertionError("vectorized sequent disagrees with the evaluator")
 
     reports = []
@@ -429,7 +421,7 @@ def theorem2_suite(
 
     fails: list[str] = []
     for i, f in enumerate(pool):
-        if seq[(i, i)] != vs.top:
+        if seq[(i, i)] != top:
             fails.append(format_formula(f))
     clause("Thm2.1 identity", fails)
 
@@ -444,18 +436,18 @@ def theorem2_suite(
     fails = []
     top_vec = vs.of(TOP)
     for i, f in enumerate(pool):
-        if vs.sequent(vector[i], top_vec) != vs.top:
+        if sequent(vector[i], top_vec) != top:
             fails.append(f"3(i) {format_formula(f)}")
     for i in range(len(pool)):
         for j in range(len(pool)):
-            both = vs.conj(vector[i], vector[j])
-            if vs.sequent(both, vector[i]) != vs.top:
+            both = meet(vector[i], vector[j])
+            if sequent(both, vector[i]) != top:
                 fails.append(f"3(ii) ({i},{j})")
-            if vs.sequent(both, vector[j]) != vs.top:
+            if sequent(both, vector[j]) != top:
                 fails.append(f"3(iii) ({i},{j})")
             for k in range(len(pool)):
                 lhs = min(seq[(i, j)], seq[(i, k)])
-                rhs = vs.sequent(vector[i], vs.conj(vector[j], vector[k]))
+                rhs = sequent(vector[i], meet(vector[j], vector[k]))
                 if lhs != rhs:
                     fails.append(f"3(iv) ({i},{j},{k})")
     clause("Thm2.3 conjunction", fails)
@@ -465,21 +457,21 @@ def theorem2_suite(
                for combo in itertools.combinations(range(len(pool)), size)]
     fails = []
     for combo in subsets:
-        joined = vs.disj([vector[i] for i in combo])
+        joined = join(*(vector[i] for i in combo))
         for i in combo:
-            if vs.sequent(vector[i], joined) != vs.top:
+            if sequent(vector[i], joined) != top:
                 fails.append(f"4(i) {combo} member {i}")
         for j in range(len(pool)):
-            if min(seq[(i, j)] for i in combo) > vs.sequent(joined, vector[j]):
+            if min(seq[(i, j)] for i in combo) > sequent(joined, vector[j]):
                 fails.append(f"4(ii) {combo} to {j}")
     clause("Thm2.4 disjunction", fails)
 
     fails = []
     for i in range(len(pool)):
         for combo in subsets:
-            lhs = vs.conj(vector[i], vs.disj([vector[j] for j in combo]))
-            rhs = vs.disj([vs.conj(vector[i], vector[j]) for j in combo])
-            if vs.sequent(lhs, rhs) != vs.top:
+            lhs = meet(vector[i], join(*(vector[j] for j in combo)))
+            rhs = join(*(meet(vector[i], vector[j]) for j in combo))
+            if sequent(lhs, rhs) != top:
                 fails.append(f"5 ({i}, {combo})")
     clause("Thm2.5 frame distributivity", fails)
 
@@ -505,9 +497,9 @@ def theorem2_suite(
             eq = None
             for x, y in zip(xs, ys):
                 pair = vs.of(Equality(Var(x), Var(y)))
-                eq = pair if eq is None else vs.conj(eq, pair)
-            antecedent = vs.conj(eq, vector[i])
-            if vs.sequent(antecedent, vs.of(replaced)) != vs.top:
+                eq = pair if eq is None else meet(eq, pair)
+            antecedent = meet(eq, vector[i])
+            if sequent(antecedent, vs.of(replaced)) != top:
                 fails.append(f"7 ({i} with {ys})")
     clause("Thm2.7 substitution of equals", fails)
 
@@ -535,13 +527,13 @@ def theorem2_suite(
                             raise AssertionError("rename disagrees with substitution")
                         spot_checked = True
                     exists_vec = vs.exists(vector[j], y)
-                    if vs.sequent(vector[i], replaced_vec) > vs.sequent(vector[i], exists_vec):
+                    if sequent(vector[i], replaced_vec) > sequent(vector[i], exists_vec):
                         fails.append(f"8(i) ({i},{j},x{y}:=x{x})")
                     # second half: from an existential premise to the instance
                     if renamed(i, y, x) is None:
                         continue
-                    lhs = vs.sequent(vs.exists(vector[i], y), vector[j])
-                    rhs = vs.sequent(vs.rename(vector[i], y, x), vector[j])
+                    lhs = sequent(vs.exists(vector[i], y), vector[j])
+                    rhs = sequent(vs.rename(vector[i], y, x), vector[j])
                     if lhs > rhs:
                         fails.append(f"8(ii) ({i},{j},x{y}:=x{x})")
     clause("Thm2.8 existential bounds", fails)
@@ -551,9 +543,9 @@ def theorem2_suite(
         for j in range(len(pool)):
             candidates = sorted((free_variables(pool[j]) | {fresh}) - free_variables(pool[i]))
             for y in candidates:
-                lhs = vs.conj(vector[i], vs.exists(vector[j], y))
-                rhs = vs.exists(vs.conj(vector[i], vector[j]), y)
-                if vs.sequent(lhs, rhs) != vs.top:
+                lhs = meet(vector[i], vs.exists(vector[j], y))
+                rhs = vs.exists(meet(vector[i], vector[j]), y)
+                if sequent(lhs, rhs) != top:
                     fails.append(f"9 ({i},{j},x{y})")
     clause("Thm2.9 quantifier distributivity", fails)
 

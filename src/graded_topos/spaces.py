@@ -6,11 +6,19 @@ intersections. Pairwise closure is all that needs checking: union is
 associative, commutative and idempotent, so every nonempty sublist union is
 reachable from pairs, and the empty union is the constant-0 set required
 anyway.
+
+`generate_topology` saturates on rank vectors: each grade is coded by its
+position in the sorted grade set of the generators with 0 and 1
+(`ranks.Ranks`). Union and intersection are pointwise max and min, which
+only compare grades, and ranking is an order-isomorphism fixing 0 and 1,
+so the closure of the rank vectors codes the closure of the fuzzy sets
+exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .checks import Violation
@@ -26,6 +34,7 @@ from .fuzzy_sets import (
     preimage,
     union,
 )
+from .ranks import Ranks, Vector, join, meet
 
 DEFAULT_CLOSURE_CAP = 4096
 
@@ -49,6 +58,13 @@ class GradedSpace:
 
     def __len__(self) -> int:
         return len(self.opens)
+
+    @cached_property
+    def ranked(self) -> tuple[Ranks, list[Vector]]:
+        """The rank table of the opens' grades and each open as a rank
+        vector, in the order of `opens`; built on first use."""
+        ranks = Ranks(g for t in self.opens for g in t.grades)
+        return ranks, [ranks.code(t.grades) for t in self.opens]
 
 
 def canonical_opens(opens: Iterable[FuzzySet]) -> tuple[FuzzySet, ...]:
@@ -94,13 +110,16 @@ def generate_topology(
     """Smallest topology containing the generators: saturate under pairwise
     unions and intersections starting from {0-set, 1-set} ∪ generators.
 
-    Raises Overflow once the closure exceeds max_opens.
+    The closure runs on rank vectors (module docstring), which sort as the
+    grade tuples they code; the space keeps them as `ranked`. Raises
+    Overflow once the closure exceeds max_opens.
     """
     for t in generators:
         if t.universe != universe:
             raise MixedUniverse("generator over a different universe")
-    opens = {empty_set(universe), full_set(universe)}
-    opens.update(generators)
+    ranks = Ranks(g for t in generators for g in t.grades)
+    opens = {(0,) * len(universe), (ranks.top,) * len(universe)}
+    opens.update(ranks.code(t.grades) for t in generators)
     frontier = list(opens)
     while frontier:
         if len(opens) > max_opens:
@@ -109,14 +128,18 @@ def generate_topology(
         current = list(opens)
         for a in frontier:
             for b in current:
-                for c in (union([a, b]), intersection(a, b)):
+                for c in (join(a, b), meet(a, b)):
                     if c not in opens:
                         opens.add(c)
                         fresh.append(c)
         frontier = fresh
     if len(opens) > max_opens:
         raise Overflow(f"topology closure exceeded {max_opens} opens")
-    return GradedSpace(universe, canonical_opens(opens))
+    rows = sorted(opens)
+    space = GradedSpace(universe, tuple(FuzzySet(universe, ranks.decode(row)) for row in rows))
+    # every grade of an open is a generator's grade, 0 or 1: the same table
+    vars(space)["ranked"] = ranks, rows
+    return space
 
 
 def check_continuous(f: PointMap, source: GradedSpace, target: GradedSpace) -> Violation | None:

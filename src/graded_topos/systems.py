@@ -10,11 +10,12 @@ singletons and pairs for a frame whose join folds a binary join, since then
 sat(x, join(S + c)) = sat(x, join{join S, c})
 = max(sat(x, join S), sat(x, c)).
 The clauses read the frame's integer view, with satisfaction grades ranked
-in one table with the relation grades.
+in one table with the relation grades (`ranks.Ranks`).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Hashable, Mapping
 
@@ -23,6 +24,7 @@ from .errors import EmptyPoints, MixedStructure, SchemaError
 from .frames import FrameHom, GradedFrame, _show, check_frame_hom, compose_frame_hom, same_frame
 from .fuzzy_sets import PointMap, Universe, compose_point_maps
 from .grades import Grade
+from .ranks import Ranks
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,18 +50,17 @@ def check_system(system: GradedSystem) -> Violation | None:
     items, v = system.frame.carrier, system.frame.view
     n = len(items)
     xs = system.points.elements
-    grades = sorted(set(v.grades) | set(system.sat.values()))
-    rank = {g: r for r, g in enumerate(grades)}
-    lift = [rank[g] for g in v.grades]
+    ranks = Ranks(itertools.chain(v.grades, system.sat.values()))
+    lift = ranks.code(v.grades)
     rel = [[lift[r] for r in row] for row in v.rel]
-    sat = [[rank[system.sat[(x, a)]] for a in items] for x in xs]
-    meet_idx, top, one = v.meet, v.top, len(grades) - 1
+    sat = [ranks.code(system.sat[(x, a)] for a in items) for x in xs]
+    meet_idx, top, one = v.meet, v.top, ranks.top
 
     for xi, x in enumerate(xs):
         row = sat[xi]
         if row[top] != one:
             return Violation("system", "clause 2",
-                             f"satisfaction of the top at {_show(x)} is {grades[row[top]]}, not 1 (empty meet)")
+                             f"satisfaction of the top at {_show(x)} is {ranks.grades[row[top]]}, not 1 (empty meet)")
         for i in range(n):
             for j in range(n):
                 if min(row[i], rel[i][j]) > row[j]:

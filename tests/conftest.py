@@ -13,9 +13,20 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from graded_topos.checks import mask_elements
+from graded_topos.errors import MixedUniverse, Overflow
+from graded_topos.frames import GradedFrame
 from graded_topos.functors import PointHom
-from graded_topos.fuzzy_sets import FuzzySet, Universe, intersection, union
+from graded_topos.fuzzy_sets import (
+    FuzzySet,
+    Universe,
+    empty_set,
+    full_set,
+    graded_inclusion,
+    intersection,
+    union,
+)
 from graded_topos.grades import Grade, ONE, ZERO, godel_arrow
+from graded_topos.spaces import GradedSpace, canonical_opens
 
 
 def small_grades(max_denominator: int = 4):
@@ -62,6 +73,53 @@ def brute_space_closed(space) -> bool:
             if intersection(a, b) not in opens:
                 return False
     return True
+
+
+def brute_generate_topology(universe: Universe, generators, max_opens: int = 4096) -> GradedSpace:
+    """The closure saturated on the fuzzy sets themselves, on `Fraction`
+    grades, with the library's rounds and overflow points."""
+    for t in generators:
+        if t.universe != universe:
+            raise MixedUniverse("generator over a different universe")
+    opens = {empty_set(universe), full_set(universe)}
+    opens.update(generators)
+    frontier = list(opens)
+    while frontier:
+        if len(opens) > max_opens:
+            raise Overflow(f"topology closure exceeded {max_opens} opens")
+        fresh = []
+        current = list(opens)
+        for a in frontier:
+            for b in current:
+                for c in (union([a, b]), intersection(a, b)):
+                    if c not in opens:
+                        opens.add(c)
+                        fresh.append(c)
+        frontier = fresh
+    if len(opens) > max_opens:
+        raise Overflow(f"topology closure exceeded {max_opens} opens")
+    return GradedSpace(universe, canonical_opens(opens))
+
+
+def brute_frame_from_space(space: GradedSpace) -> GradedFrame:
+    """The frame of opens from `Fraction` intersection, union and graded
+    inclusion of every pair; its view is built by `GradedFrame.view` from
+    these tables."""
+    opens = space.opens
+    meet_table = {}
+    relation = {}
+    for a in opens:
+        for b in opens:
+            meet_table[(a, b)] = intersection(a, b)
+            relation[(a, b)] = graded_inclusion(a, b)
+    cache: dict[frozenset, FuzzySet] = {}
+
+    def join_fn(subset: frozenset) -> FuzzySet:
+        if subset not in cache:
+            cache[subset] = union(sorted(subset, key=lambda t: t.grades), space.universe)
+        return cache[subset]
+
+    return GradedFrame(opens, full_set(space.universe), meet_table, relation, join_fn)
 
 
 def brute_frame_violation(frame) -> str | None:

@@ -215,3 +215,13 @@ def test_join_preservation_into_a_table_target_that_does_not_fold():
     bad = check_frame_hom(hom)
     assert not brute_frame_hom_ok(hom)
     assert str(bad) == "frame-hom: clause (ii) violated at join of subset mask 1110 is not preserved"
+
+
+def test_a_source_join_outside_the_carrier_is_a_join_closure_violation():
+    chain = chain_frame([ZERO, F(1, 2), ONE])
+    bad = GradedFrame(chain.carrier, chain.top, chain.meet_table, chain.relation,
+                      lambda s: F(3, 4) if len(s) == 2 else max(s, default=ZERO))
+    assert check_frame(bad).clause == "join closure"
+    found = check_frame_hom(FrameHom(bad, chain, {g: g for g in chain.carrier}))
+    assert found == Violation("frame-hom", "join closure",
+                              "join of subset mask 11 is outside the source carrier")

@@ -792,3 +792,22 @@ def test_frame_hom_sets_match_hom_system_morphisms():
     projected = {tuple(sorted(m.frame_hom.map.items(), key=str)) for m in system_side}
     assert len(projected) == len(system_side)
     assert projected == {tuple(sorted(h.map.items(), key=str)) for h in frame_side}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_j_morphism_builds_one_system_for_a_map_to_the_same_space(seed, monkeypatch):
+    import graded_topos.functors as functors
+    calls = []
+
+    def counted(space):
+        calls.append(space)
+        return frame_from_space(space)
+
+    monkeypatch.setattr(functors, "frame_from_space", counted)
+    space = small_space(seed, max_opens=5)
+    m = j_morphism(PointMap.identity(space.universe), space, space)
+    assert len(calls) == 1
+    assert m.source is m.target and check_system_morphism(m) is None
+    calls.clear()
+    j_morphism(PointMap.identity(space.universe), space, GradedSpace(space.universe, space.opens))
+    assert len(calls) == 2

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from graded_topos import ranks
 from graded_topos.errors import (
     CaptureViolation,
     SchemaError,
@@ -248,14 +249,14 @@ RICH = Interpretation(
 
 def reference_vector(vs, phi):
     """rank(sat_grade) at every assignment, in the vectors' product order."""
-    rank = {g: r for r, g in enumerate(vs.grades)}
-    return [rank[sat_grade(vs.interp, Assignment(dict(zip(vs.variables, combo))), phi)]
-            for combo in itertools.product(vs.interp.domain, repeat=len(vs.variables))]
+    rank = {g: r for r, g in enumerate(vs.ranks.grades)}
+    return tuple(rank[sat_grade(vs.interp, Assignment(dict(zip(vs.variables, combo))), phi)]
+                 for combo in itertools.product(vs.interp.domain, repeat=len(vs.variables)))
 
 
 def check_vectors(interp, variables, formulas):
     vs = _Vectors(interp, variables)
-    assert list(vs.grades) == sorted(set(vs.grades))
+    assert list(vs.ranks.grades) == sorted(set(vs.ranks.grades))
     vectors = [vs.of(f) for f in formulas]
     for f, vector in zip(formulas, vectors):
         assert vector == reference_vector(vs, f), format_formula(f)
@@ -268,9 +269,9 @@ def check_vectors(interp, variables, formulas):
                     continue
                 assert vs.rename(vector, y, x) == reference_vector(vs, replaced)
     for (f, u), (g, v) in itertools.product(zip(formulas, vectors), repeat=2):
-        assert vs.conj(u, v) == reference_vector(vs, And(f, g))
-        assert vs.disj([u, v, u]) == reference_vector(vs, Or((f, g, f)))
-        assert vs.grades[vs.sequent(u, v)] == sequent_grade(interp, f, g)
+        assert ranks.meet(u, v) == reference_vector(vs, And(f, g))
+        assert ranks.join(u, v, u) == reference_vector(vs, Or((f, g, f)))
+        assert vs.ranks.grades[vs.ranks.inclusion(u, v)] == sequent_grade(interp, f, g)
 
 
 @pytest.mark.parametrize("variables, texts", [
