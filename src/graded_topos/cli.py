@@ -172,12 +172,7 @@ def _cmd_spatiality(args) -> int:
 def _cmd_eval(args) -> int:
     interp = load_interpretation(args.interp)
     formula = parse_formula(args.formula, interp.signature())
-    assignment = _parse_assignment(args.assign)
-    for index, element in assignment.values.items():
-        if element not in interp.domain:
-            raise GradedToposError(f"x{index} is assigned {element!r}, "
-                                   "which is not a domain element")
-    value = sat_grade(interp, assignment, formula)
+    value = sat_grade(interp, _parse_assignment(args.assign), formula)
     print(format_grade(value))
     return 0
 

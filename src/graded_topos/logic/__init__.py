@@ -3,8 +3,6 @@ from .semantics import (
     Assignment,
     EMPTY_ASSIGNMENT,
     Interpretation,
-    assignments_over,
-    eval_term,
     sat_grade,
     sequent_grade,
     theorem2_suite,
@@ -36,8 +34,8 @@ from .syntax import (
 __all__ = [
     "And", "Assignment", "BOTTOM", "Bottom", "Const", "EMPTY_ASSIGNMENT",
     "Equality", "Exists", "Formula", "Func", "Interpretation", "Or",
-    "Predicate", "Signature", "TOP", "Term", "Top", "Var", "assignments_over",
-    "big_or", "eval_term", "format_formula", "format_term", "free_variables",
-    "parse_formula", "parse_term", "sat_grade", "sequent_grade", "substitute",
-    "substitute_term", "term_variables", "theorem2_suite",
+    "Predicate", "Signature", "TOP", "Term", "Top", "Var", "big_or",
+    "format_formula", "format_term", "free_variables", "parse_formula",
+    "parse_term", "sat_grade", "sequent_grade", "substitute", "substitute_term",
+    "term_variables", "theorem2_suite",
 ]

@@ -1,10 +1,13 @@
 """Finite interpretations and the graded-satisfiability evaluator.
 
-`sat_grade` and `sequent_grade` are the reference evaluators: they recurse
-over the formula at each assignment. The sequent property suite
-(`theorem2_suite`) compiles each formula once into a vector over every
-assignment to the pool's free variables and one fresh variable, and builds
-the clauses from pointwise operations on those vectors.
+There is one evaluator, `_Vectors`: it compiles a formula once into a
+vector over every assignment to a list of variables, bottom-up with an
+explicit stack, so nesting depth costs no interpreter stack. `sat_grade`
+reads one entry of the vector over the formula's free variables;
+`sequent_grade` is the graded inclusion of the two sides' vectors over
+their joint free variables; the sequent property suite (`theorem2_suite`)
+compiles the pool over its free variables and one fresh variable, and
+builds the clauses from pointwise operations on those vectors.
 
 Vector entries are integer ranks: a grade's rank is its index in the sorted
 set of the interpretation's predicate grades together with 0 and 1
@@ -16,11 +19,17 @@ space-to-frame path runs on the opens. Reports
 carry verdicts and indices, not grades; a grade read off a vector is mapped
 back through the rank table.
 
-The suite cross-checks itself against the reference evaluators in two
-places: the grade of the sequent from the first pool formula to the last
-against `sequent_grade`, and the first renamed vector of clause 8 against
-the compiled vector of the substituted formula. Clause 6 is evaluated by
-`sequent_grade` itself.
+One step is one vector entry. A node of a formula over a list of k
+variables costs |domain|^k, k counting the binders above the node whose
+variable is not in the list; a repeated binder costs nothing extra, a tower
+of distinct binders multiplies the cost by |domain| per level. A formula or
+variable list needing more than `MAX_STEPS` is a SchemaError, refused
+before any vector is built.
+
+The suite cross-checks its index surgery once: the first renamed vector of
+clause 8 against the compiled vector of the substituted formula. A direct
+recursive evaluator is kept in the test suite as the reference the
+compiler is checked against.
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from ..checks import LawReport
 from ..errors import (
@@ -37,7 +46,7 @@ from ..errors import (
     UnboundVariable,
     UndeclaredSymbol,
 )
-from ..grades import Grade, ONE, ZERO, sup
+from ..grades import Grade
 from ..ranks import Ranks, Vector, join, meet
 from .parser import CONST_PATTERN, IDENT_PATTERN, Signature, VAR_PATTERN
 from .syntax import (
@@ -51,7 +60,6 @@ from .syntax import (
     Or,
     Predicate,
     TOP,
-    Term,
     Top,
     Var,
     format_formula,
@@ -134,40 +142,22 @@ class Assignment:
 EMPTY_ASSIGNMENT = Assignment({})
 
 
-def eval_term(interp: Interpretation, assignment: Assignment, t: Term) -> str:
-    if isinstance(t, Const):
-        try:
-            return interp.constants[t.index]
-        except KeyError:
-            raise UndeclaredSymbol(f"c{t.index}") from None
-    if isinstance(t, Var):
-        return assignment.get(t.index)
-    if isinstance(t, Func):
-        try:
-            table = interp.functions[t.symbol]
-        except KeyError:
-            raise UndeclaredSymbol(t.symbol) from None
-        return table[tuple(eval_term(interp, assignment, a) for a in t.args)]
-    raise TypeError(f"not a term: {t!r}")
-
-
-# The most steps the reference evaluators take on, or refuse before evaluating:
-# formula nodes, terms included, a binder's body once per domain element, all
-# once per assignment to a sequent's free variables (|domain|^depth in binders).
+# The most vector entries `_Vectors` builds for one formula or one variable
+# list; a formula or list needing more is refused before anything is built.
 MAX_STEPS = 10 ** 6
 
 
-def evaluation_steps(interp: Interpretation, phi: Formula | Term) -> int:
-    """The nodes `sat_grade` visits at one assignment."""
-    width = len(interp.domain) if isinstance(phi, Exists) else 1
-    return 1 + width * sum(evaluation_steps(interp, part) for part in _parts(phi))
+def _too_many_steps() -> SchemaError:
+    return SchemaError("formula", f"evaluation needs more than {MAX_STEPS} steps")
 
 
-def _within_budget(interp: Interpretation, formulas: list[Formula], free: frozenset[int]) -> None:
-    """Refuse `formulas` at every assignment to the `free` variables above `MAX_STEPS`."""
-    if len(interp.domain) ** len(free) * sum(
-            evaluation_steps(interp, phi) for phi in formulas) > MAX_STEPS:
-        raise SchemaError("formula", f"evaluation needs more than {MAX_STEPS} steps")
+def _free(*formulas: Formula) -> list[int]:
+    """The sorted free variables of the formulas; a formula nested deeper
+    than the interpreter's stack allows is a SchemaError."""
+    try:
+        return sorted(frozenset().union(*map(free_variables, formulas)))
+    except RecursionError:
+        raise SchemaError("formula", "the formula is nested too deeply") from None
 
 
 def sat_grade(interp: Interpretation, assignment: Assignment, phi: Formula) -> Grade:
@@ -175,77 +165,35 @@ def sat_grade(interp: Interpretation, assignment: Assignment, phi: Formula) -> G
     crisp equality, min for conjunction, sup for disjunction and the
     existential quantifier.
 
-    The evaluator recurses once per nesting level; a formula nested deeper
-    than the interpreter allows, or one needing more than `MAX_STEPS`
-    steps, is a SchemaError, not a crash or an endless run.
+    It is the entry at `assignment` of phi's rank vector over its free
+    variables. Every assigned element must be in the domain. Refused with a
+    SchemaError above `MAX_STEPS` vector entries.
     """
-    try:
-        _within_budget(interp, [phi], frozenset())
-        return _sat_grade(interp, assignment, phi)
-    except RecursionError:
-        raise SchemaError("formula", "the formula is nested too deeply") from None
-
-
-def _sat_grade(interp: Interpretation, assignment: Assignment, phi: Formula) -> Grade:
-    if isinstance(phi, Top):
-        return ONE
-    if isinstance(phi, Bottom):
-        return ZERO
-    if isinstance(phi, Predicate):
-        try:
-            table = interp.predicates[phi.symbol]
-        except KeyError:
-            raise UndeclaredSymbol(phi.symbol) from None
-        return table[tuple(eval_term(interp, assignment, t) for t in phi.args)]
-    if isinstance(phi, Equality):
-        lhs = eval_term(interp, assignment, phi.lhs)
-        rhs = eval_term(interp, assignment, phi.rhs)
-        return ONE if lhs == rhs else ZERO
-    if isinstance(phi, And):
-        a = _sat_grade(interp, assignment, phi.lhs)
-        b = _sat_grade(interp, assignment, phi.rhs)
-        return a if a <= b else b
-    if isinstance(phi, Or):
-        return sup(_sat_grade(interp, assignment, f) for f in phi.items)
-    if isinstance(phi, Exists):
-        return sup(_sat_grade(interp, assignment.updated(phi.variable, d), phi.body)
-                   for d in interp.domain)
-    raise TypeError(f"not a formula: {phi!r}")
-
-
-def assignments_over(interp: Interpretation, variables: Sequence[int]) -> Iterator[Assignment]:
-    """All assignments to the given variables (a single empty one if none)."""
-    variables = sorted(variables)
-    for combo in itertools.product(interp.domain, repeat=len(variables)):
-        yield Assignment(dict(zip(variables, combo)))
+    for index, element in assignment.values.items():
+        if element not in interp.domain:
+            raise SchemaError("assignment", f"x{index} is assigned {element!r}, "
+                                            "which is not a domain element")
+    vs = _Vectors(interp, _free(phi))
+    u = vs.of(phi)
+    at = sum(interp.domain.index(assignment.get(v)) * vs._stride(v) for v in vs.variables)
+    return vs.ranks.grades[u[at]]
 
 
 def sequent_grade(interp: Interpretation, lhs: Formula, rhs: Formula) -> Grade:
     """Grade of the sequent: the inf over all assignments to the free
-    variables of both sides of the arrow between the satisfaction grades.
+    variables of both sides of the arrow between the satisfaction grades,
+    the graded inclusion of the two sides' rank vectors.
 
     Restricting to free variables is exact: satisfaction does not depend on
     the other coordinates, so the inf over all infinite sequences collapses
     to this finite one. Refused, as in `sat_grade`, above `MAX_STEPS`.
     """
-    relevant = free_variables(lhs) | free_variables(rhs)
-    try:
-        _within_budget(interp, [lhs, rhs], relevant)
-        result = ONE
-        for s in assignments_over(interp, sorted(relevant)):
-            a = _sat_grade(interp, s, lhs)
-            b = _sat_grade(interp, s, rhs)
-            if a > b and b < result:
-                result = b
-                if result == ZERO:
-                    break
-        return result
-    except RecursionError:
-        raise SchemaError("formula", "the formula is nested too deeply") from None
+    vs = _Vectors(interp, _free(lhs, rhs))
+    return vs.ranks.grades[vs.ranks.inclusion(vs.of(lhs), vs.of(rhs))]
 
 
 # ---------------------------------------------------------------------------
-# the sequent property suite
+# rank vectors
 
 class _Vectors:
     """Satisfaction grades of formulas over every assignment to a fixed
@@ -269,6 +217,8 @@ class _Vectors:
         self.ranks = ranks
         self.ranked = {name: {key: ranks.rank[g] for key, g in table.items()}
                        for name, table in interp.predicates.items()}
+        if len(interp.domain) ** len(self.variables) > MAX_STEPS:
+            raise _too_many_steps()
         tuples = list(itertools.product(interp.domain, repeat=len(self.variables)))
         self.size = len(tuples)
         self.columns = list(zip(*tuples))
@@ -309,6 +259,7 @@ class _Vectors:
         columns of domain elements. A quantifier whose variable is not in
         the list evaluates its body over the list widened by that variable
         and sups it out."""
+        self._check_steps(phi)
         done: list = []
         todo: list = [(phi, self, False)]
         while todo:
@@ -325,6 +276,22 @@ class _Vectors:
             todo.append((node, space, True))
             todo.extend((part, inner, False) for part in reversed(parts))
         return done.pop()
+
+    def _check_steps(self, phi: Formula) -> None:
+        """Refuse `phi` if `of` would build more than `MAX_STEPS` entries: a
+        node's vector or column has |domain|^k entries, k the list's length
+        plus the binders above the node that widen it."""
+        n = len(self.interp.domain)
+        steps = 0
+        todo: list = [(phi, frozenset(self.variables))]
+        while todo:
+            node, scope = todo.pop()
+            steps += n ** len(scope)
+            if steps > MAX_STEPS:
+                raise _too_many_steps()
+            if isinstance(node, Exists) and node.variable not in scope:
+                scope = scope | {node.variable}
+            todo.extend((part, scope) for part in _parts(node))
 
     def _combine(self, node, args: list) -> Vector:
         """The vector of a formula, or the column of a term, from those of
@@ -387,15 +354,17 @@ def _parts(node) -> tuple:
     return ()
 
 
-def theorem2_suite(
-    interp: Interpretation,
-    pool: Sequence[Formula],
-    max_subset: int = 3,
-) -> tuple[LawReport, ...]:
+# ---------------------------------------------------------------------------
+# the sequent property suite
+
+MAX_SUBSET = 3
+
+
+def theorem2_suite(interp: Interpretation, pool: Sequence[Formula]) -> tuple[LawReport, ...]:
     """Evaluate the nine graded-sequent properties over the pool.
 
     Clauses 4 and 5 range over nonempty sub-multisets of the pool up to
-    max_subset; the substitution clauses skip instances the capture check
+    `MAX_SUBSET`; the substitution clauses skip instances the capture check
     rejects; clause 9 is instantiated with the quantified variable not free
     in the left conjunct, the side condition the distributivity law needs.
     """
@@ -409,10 +378,6 @@ def theorem2_suite(
     vector = {i: vs.of(f) for i, f in enumerate(pool)}
     seq = {(i, j): sequent(vector[i], vector[j])
            for i in range(len(pool)) for j in range(len(pool))}
-    # the vector path must agree with the reference evaluator
-    probe = sequent_grade(interp, pool[0], pool[-1])
-    if probe != vs.ranks.grades[seq[(0, len(pool) - 1)]]:
-        raise AssertionError("vectorized sequent disagrees with the evaluator")
 
     reports = []
 
@@ -453,7 +418,7 @@ def theorem2_suite(
     clause("Thm2.3 conjunction", fails)
 
     subsets = [combo
-               for size in range(1, min(max_subset, len(pool)) + 1)
+               for size in range(1, min(MAX_SUBSET, len(pool)) + 1)
                for combo in itertools.combinations(range(len(pool)), size)]
     fails = []
     for combo in subsets:
@@ -477,7 +442,7 @@ def theorem2_suite(
 
     fails = []
     for x in (pool_vars or [fresh]):
-        if sequent_grade(interp, TOP, Equality(Var(x), Var(x))) != ONE:
+        if sequent(top_vec, vs.of(Equality(Var(x), Var(x)))) != top:
             fails.append(f"x{x}")
     clause("Thm2.6 reflexivity of equality", fails)
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from graded_topos.checks import mask_elements
-from graded_topos.errors import MixedUniverse, Overflow
+from graded_topos.errors import MixedUniverse, Overflow, SchemaError, UndeclaredSymbol
 from graded_topos.frames import GradedFrame
 from graded_topos.functors import PointHom
 from graded_topos.fuzzy_sets import (
@@ -25,7 +25,23 @@ from graded_topos.fuzzy_sets import (
     intersection,
     union,
 )
-from graded_topos.grades import Grade, ONE, ZERO, godel_arrow
+from graded_topos.grades import Grade, ONE, ZERO, godel_arrow, sup
+from graded_topos.logic.semantics import Assignment, Interpretation
+from graded_topos.logic.syntax import (
+    And,
+    Bottom,
+    Const,
+    Equality,
+    Exists,
+    Formula,
+    Func,
+    Or,
+    Predicate,
+    Term,
+    Top,
+    Var,
+    free_variables,
+)
 from graded_topos.spaces import GradedSpace, canonical_opens
 
 
@@ -254,3 +270,81 @@ def brute_point_homs(frame, values) -> list[PointHom]:
             found.append(PointHom(items, tuple(v)))
     found.sort(key=lambda p: p.values)
     return found
+
+
+def brute_eval_term(interp: Interpretation, assignment: Assignment, t: Term) -> str:
+    if isinstance(t, Const):
+        try:
+            return interp.constants[t.index]
+        except KeyError:
+            raise UndeclaredSymbol(f"c{t.index}") from None
+    if isinstance(t, Var):
+        return assignment.get(t.index)
+    if isinstance(t, Func):
+        try:
+            table = interp.functions[t.symbol]
+        except KeyError:
+            raise UndeclaredSymbol(t.symbol) from None
+        return table[tuple(brute_eval_term(interp, assignment, a) for a in t.args)]
+    raise TypeError(f"not a term: {t!r}")
+
+
+def brute_sat_grade(interp: Interpretation, assignment: Assignment, phi: Formula) -> Grade:
+    """The satisfaction grade by direct recursion over the formula at one
+    assignment; stack exhaustion is a SchemaError, as in the library."""
+    try:
+        return _brute_sat(interp, assignment, phi)
+    except RecursionError:
+        raise SchemaError("formula", "the formula is nested too deeply") from None
+
+
+def _brute_sat(interp: Interpretation, assignment: Assignment, phi: Formula) -> Grade:
+    if isinstance(phi, Top):
+        return ONE
+    if isinstance(phi, Bottom):
+        return ZERO
+    if isinstance(phi, Predicate):
+        try:
+            table = interp.predicates[phi.symbol]
+        except KeyError:
+            raise UndeclaredSymbol(phi.symbol) from None
+        return table[tuple(brute_eval_term(interp, assignment, t) for t in phi.args)]
+    if isinstance(phi, Equality):
+        lhs = brute_eval_term(interp, assignment, phi.lhs)
+        rhs = brute_eval_term(interp, assignment, phi.rhs)
+        return ONE if lhs == rhs else ZERO
+    if isinstance(phi, And):
+        a = _brute_sat(interp, assignment, phi.lhs)
+        b = _brute_sat(interp, assignment, phi.rhs)
+        return a if a <= b else b
+    if isinstance(phi, Or):
+        return sup(_brute_sat(interp, assignment, f) for f in phi.items)
+    if isinstance(phi, Exists):
+        return sup(_brute_sat(interp, assignment.updated(phi.variable, d), phi.body)
+                   for d in interp.domain)
+    raise TypeError(f"not a formula: {phi!r}")
+
+
+def brute_assignments(interp: Interpretation, variables) -> list[Assignment]:
+    """All assignments to the given variables (a single empty one if none)."""
+    variables = sorted(variables)
+    return [Assignment(dict(zip(variables, combo)))
+            for combo in itertools.product(interp.domain, repeat=len(variables))]
+
+
+def brute_sequent_grade(interp: Interpretation, lhs: Formula, rhs: Formula) -> Grade:
+    """The inf over every assignment to both sides' free variables of the
+    arrow between their satisfaction grades, each by direct recursion."""
+    try:
+        relevant = free_variables(lhs) | free_variables(rhs)
+        result = ONE
+        for s in brute_assignments(interp, relevant):
+            a = _brute_sat(interp, s, lhs)
+            b = _brute_sat(interp, s, rhs)
+            if a > b and b < result:
+                result = b
+                if result == ZERO:
+                    break
+        return result
+    except RecursionError:
+        raise SchemaError("formula", "the formula is nested too deeply") from None

@@ -41,6 +41,19 @@ def test_input_errors_exit_2(tmp_path, capsys):
     assert main(["check", "space", str(bad)]) == 2
     assert main(["check", "frame", str(INVALID / "frame_nontotal_meet.json")]) == 2
     assert "error:" in capsys.readouterr().err
+    # an array where a meet or join value belongs
+    for table in ("meet", "join"):
+        frame = json.loads((FIXTURES / "frame_two_chain.json").read_text())
+        frame[table][next(iter(frame[table]))] = ["0"]
+        bad.write_text(json.dumps(frame))
+        assert main(["check", "frame", str(bad)]) == 2
+        assert "identifiers must be non-empty strings" in capsys.readouterr().err
+    # two join keys naming the same subset
+    frame = json.loads((FIXTURES / "frame_two_chain.json").read_text())
+    frame["join"]["top,bot"] = "bot"
+    bad.write_text(json.dumps(frame))
+    assert main(["check", "frame", str(bad)]) == 2
+    assert "repeats an element or another key" in capsys.readouterr().err
 
 
 def test_functor_pipeline(tmp_path, capsys):
@@ -145,39 +158,79 @@ def test_deeply_nested_formula_is_an_input_error(verb):
     assert done.stderr.count("\n") == 1 and "nested too deeply" in done.stderr
 
 
-def _run_on_binders(verb, deep, interp, tmp_path):
+def _run_on_formula(verb, formula, interp, tmp_path):
     pool = tmp_path / "pool.json"
-    pool.write_text(json.dumps({"formulas": [deep]}))
-    formula_args = {"eval": ["--formula", deep],
-                    "consequence": ["--lhs", "T", "--rhs", deep],
+    pool.write_text(json.dumps({"formulas": [formula]}))
+    formula_args = {"eval": ["--formula", formula],
+                    "consequence": ["--lhs", "T", "--rhs", formula],
                     "theorem2": ["--pool", str(pool)]}[verb]
     return subprocess.run(
         [sys.executable, "-m", "graded_topos.cli", verb, "--interp", str(interp), *formula_args],
         capture_output=True, text=True, timeout=60)
 
 
+def _binders(variables) -> str:
+    return "".join(f"E x{v}. " for v in variables) + "T"
+
+
+ONE_ELEMENT = {"constants": {}, "domain": ["d1"], "functions": {},
+               "predicates": {"p": {"d1": "1/2"}}}
+
+# Hostile formulas for eval, consequence and theorem2: the formula, the
+# interpretation (None: interp_basic.json, two elements), and the answer.
+# A repeated binder costs |domain| vector entries per node, so towers of
+# `E x1.` are answered; each distinct binder multiplies the entries by
+# |domain|, so towers of distinct variables are refused before evaluation.
+HOSTILE = {
+    "repeated-300": (_binders([1] * 300), None, "answered"),
+    "repeated-450": (_binders([1] * 450), ONE_ELEMENT, "answered"),
+    "distinct-20": (_binders(range(1, 21)), None, "steps"),
+    # unbudgeted, theorem2 would build vectors of 2^30 entries here
+    "distinct-30": (_binders(range(1, 31)), None, "steps"),
+    "repeated-600": (_binders([1] * 600), ONE_ELEMENT, "nested too deeply"),
+}
+
+
+def _run_hostile(verb, case, tmp_path):
+    formula, interp, answer = HOSTILE[case]
+    if interp is not None:
+        path = tmp_path / "interp.json"
+        path.write_text(json.dumps(interp))
+        interp = path
+    start = time.perf_counter()
+    done = _run_on_formula(verb, formula, interp or FIXTURES / "interp_basic.json", tmp_path)
+    return done, time.perf_counter() - start, answer
+
+
+@pytest.mark.parametrize("case", ["repeated-300", "repeated-450"])
+@pytest.mark.parametrize("verb", ["eval", "consequence", "theorem2"])
+def test_repeated_binders_are_answered(verb, case, tmp_path):
+    done, _, _ = _run_hostile(verb, case, tmp_path)
+    assert done.returncode == 0
+    if verb == "theorem2":
+        assert done.stderr.splitlines()[-1] == "9/9 subjects passed"
+    else:
+        assert (done.stdout, done.stderr) == ("1/1\n", "")
+
+
 @pytest.mark.parametrize("verb", ["eval", "consequence", "theorem2"])
 def test_deeply_nested_binders_are_an_input_error(verb, tmp_path):
-    # parses (two parser frames per binder), but the reference evaluator
-    # needs three per binder; over one element the step budget allows it
-    interp = tmp_path / "interp.json"
-    interp.write_text(json.dumps({"constants": {}, "domain": ["d1"], "functions": {},
-                                  "predicates": {"p": {"d1": "1/2"}}}))
-    done = _run_on_binders(verb, "E x1. " * 450 + "T", interp, tmp_path)
+    # the parser refuses this depth before anything is evaluated
+    done, _, answer = _run_hostile(verb, "repeated-600", tmp_path)
     assert done.returncode == 2
     assert "Traceback" not in done.stderr
-    assert done.stderr.count("\n") == 1 and "nested too deeply" in done.stderr
+    assert done.stderr.count("\n") == 1 and answer in done.stderr
 
 
 @pytest.mark.parametrize("verb", ["eval", "consequence", "theorem2"])
 def test_binders_beyond_the_step_budget_are_an_input_error(verb, tmp_path):
-    # 2^300 steps over the two-element domain: refused before evaluation
-    start = time.perf_counter()
-    done = _run_on_binders(verb, "E x1. " * 300 + "T", FIXTURES / "interp_basic.json", tmp_path)
-    assert time.perf_counter() - start < 1
-    assert done.returncode == 2
-    assert "Traceback" not in done.stderr
-    assert done.stderr.count("\n") == 1 and "steps" in done.stderr
+    # 2^20 and more vector entries over two elements: refused before evaluation
+    for case in ("distinct-20", "distinct-30"):
+        done, elapsed, answer = _run_hostile(verb, case, tmp_path)
+        assert elapsed < 1, case
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        assert done.stderr.count("\n") == 1 and answer in done.stderr
 
 
 def test_theorem2_runs_a_pool_file(capsys):

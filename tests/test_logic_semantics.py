@@ -1,10 +1,13 @@
 """Evaluator semantics, sequent grades, and the nine sequent laws.
 
-The sequent machinery is dual-routed: `brute_sequent` re-derives grades by
+The library evaluates every formula through its compiled rank vectors; the
+recursive evaluator in conftest (`brute_sat_grade`, `brute_sequent_grade`)
+is the oracle it is checked against. `brute_sequent` re-derives grades by
 enumerating assignments over a strictly larger variable set than the free
 variables, which must not change anything.
 """
 
+import functools
 import itertools
 import random
 from fractions import Fraction as F
@@ -12,9 +15,11 @@ from pathlib import Path
 
 import pytest
 
+from conftest import brute_assignments, brute_sat_grade, brute_sequent_grade
 from graded_topos import ranks
 from graded_topos.errors import (
     CaptureViolation,
+    GradedToposError,
     SchemaError,
     UnboundVariable,
     UndeclaredSymbol,
@@ -30,8 +35,6 @@ from graded_topos.logic.semantics import (
     Assignment,
     EMPTY_ASSIGNMENT,
     Interpretation,
-    assignments_over,
-    eval_term,
     sat_grade,
     _Vectors,
     sequent_grade,
@@ -39,7 +42,10 @@ from graded_topos.logic.semantics import (
 )
 from graded_topos.logic.syntax import (
     And,
+    Const,
+    Equality,
     Exists,
+    Func,
     Or,
     Predicate,
     TOP,
@@ -70,25 +76,35 @@ def phi(text):
 def brute_sequent(interp, lhs, rhs, extra=(9, 8)):
     relevant = sorted(free_variables(lhs) | free_variables(rhs) | set(extra))
     return min(
-        (godel_arrow(sat_grade(interp, s, lhs), sat_grade(interp, s, rhs))
-         for s in assignments_over(interp, relevant)),
+        (godel_arrow(brute_sat_grade(interp, s, lhs), brute_sat_grade(interp, s, rhs))
+         for s in brute_assignments(interp, relevant)),
         default=ONE)
 
 
 def test_eval_term_cases():
-    assert eval_term(INTERP, S, parse_formula("p(c1)", SIG).args[0]) == "d1"
-    assert eval_term(INTERP, S, Var(2)) == "d2"
+    # terms are read through crisp equality and predicate arguments
+    assert sat_grade(INTERP, S, phi("p(c1)")) == F(3, 10)
+    assert sat_grade(INTERP, S, phi("(x2 = c2)")) == ONE
     # nested application: f(f(d1)) = f(d2) = d2
-    assert eval_term(INTERP, S, parse_formula("(f(f(x1)) = c2)", SIG).lhs) == "d2"
+    assert sat_grade(INTERP, S, phi("(f(f(x1)) = c2)")) == ONE
+    assert sat_grade(INTERP, S, phi("(f(f(x1)) = c1)")) == ZERO
 
 
 def test_eval_term_errors():
     with pytest.raises(UnboundVariable):
-        eval_term(INTERP, EMPTY_ASSIGNMENT, Var(7))
+        sat_grade(INTERP, EMPTY_ASSIGNMENT, phi("(x7 = x7)"))
     with pytest.raises(UndeclaredSymbol):
-        eval_term(INTERP, S, parse_formula("(g(x1) = x1)").lhs)
+        sat_grade(INTERP, S, parse_formula("(g(x1) = x1)"))
     with pytest.raises(UndeclaredSymbol):
         sat_grade(INTERP, S, Predicate("z", (Var(1),)))
+
+
+@pytest.mark.parametrize("text", ["p(x1)", "(x1 = x1)", "T"])
+def test_assignments_outside_the_domain_are_schema_errors(text):
+    interp = load_interpretation(FIXTURES / "interp_basic.json")
+    formula = parse_formula(text, interp.signature())
+    with pytest.raises(SchemaError, match="not a domain element"):
+        sat_grade(interp, Assignment({1: "zz"}), formula)
 
 
 def test_sat_grade_spot_values():
@@ -158,15 +174,15 @@ def test_residuation_characterizes_full_sequents(seed):
     for lhs, rhs in itertools.product(pool, repeat=2):
         relevant = sorted(free_variables(lhs) | free_variables(rhs))
         pointwise = all(
-            sat_grade(interp, s, lhs) <= sat_grade(interp, s, rhs)
-            for s in assignments_over(interp, relevant))
+            brute_sat_grade(interp, s, lhs) <= brute_sat_grade(interp, s, rhs)
+            for s in brute_assignments(interp, relevant))
         assert (sequent_grade(interp, lhs, rhs) == ONE) == pointwise
 
 
 def test_substitution_lemma():
     formula = phi("(p(x1) & q(x2))")
     replaced = substitute(formula, [(1, Var(2))])
-    for s in assignments_over(INTERP, [1, 2]):
+    for s in brute_assignments(INTERP, [1, 2]):
         shifted = s.updated(1, s.get(2))
         assert sat_grade(INTERP, s, replaced) == sat_grade(INTERP, shifted, formula)
 
@@ -205,16 +221,15 @@ def test_the_nine_sequent_laws_hold(seed):
 
 
 def test_suite_agrees_with_direct_evaluation():
-    """Clauses 1-3 recomputed with the reference evaluator on a fixed pool."""
+    """Clauses 1-3 recomputed with the recursive oracle on a fixed pool."""
     pool = [phi("p(x1)"), phi("q(x1)"), phi("(p(x1) & q(x2))"), phi("E x2. q(x2)")]
     reports = {r.name: r.ok for r in theorem2_suite(INTERP, pool)}
+    grade = functools.partial(brute_sequent_grade, INTERP)
     for f in pool:
-        assert sequent_grade(INTERP, f, f) == ONE
+        assert grade(f, f) == ONE
     for a, b, c in itertools.product(pool, repeat=3):
-        assert min(sequent_grade(INTERP, a, b), sequent_grade(INTERP, b, c)) \
-            <= sequent_grade(INTERP, a, c)
-        assert min(sequent_grade(INTERP, a, b), sequent_grade(INTERP, a, c)) \
-            == sequent_grade(INTERP, a, And(b, c))
+        assert min(grade(a, b), grade(b, c)) <= grade(a, c)
+        assert min(grade(a, b), grade(a, c)) == grade(a, And(b, c))
     assert all(reports.values())
 
 
@@ -234,7 +249,7 @@ def test_interpretation_validation():
         Interpretation(("d1",), {}, {"x1": {("d1",): "d1"}}, {})
 
 
-# --- the rank-coded vectors of the suite against the reference evaluator ------
+# --- the rank-coded vectors against the recursive oracle ----------------------
 
 RICH = Interpretation(
     ("d1", "d2", "d3"),
@@ -248,10 +263,10 @@ RICH = Interpretation(
 
 
 def reference_vector(vs, phi):
-    """rank(sat_grade) at every assignment, in the vectors' product order."""
+    """rank(brute_sat_grade) at every assignment, in the vectors' product order."""
     rank = {g: r for r, g in enumerate(vs.ranks.grades)}
-    return tuple(rank[sat_grade(vs.interp, Assignment(dict(zip(vs.variables, combo))), phi)]
-                 for combo in itertools.product(vs.interp.domain, repeat=len(vs.variables)))
+    return tuple(rank[brute_sat_grade(vs.interp, s, phi)]
+                 for s in brute_assignments(vs.interp, vs.variables))
 
 
 def check_vectors(interp, variables, formulas):
@@ -271,7 +286,7 @@ def check_vectors(interp, variables, formulas):
     for (f, u), (g, v) in itertools.product(zip(formulas, vectors), repeat=2):
         assert ranks.meet(u, v) == reference_vector(vs, And(f, g))
         assert ranks.join(u, v, u) == reference_vector(vs, Or((f, g, f)))
-        assert vs.ranks.grades[vs.ranks.inclusion(u, v)] == sequent_grade(interp, f, g)
+        assert vs.ranks.grades[vs.ranks.inclusion(u, v)] == brute_sequent_grade(interp, f, g)
 
 
 @pytest.mark.parametrize("variables, texts", [
@@ -303,22 +318,61 @@ def test_vectors_match_the_reference_evaluator_on_generated_pools(seed):
         check_vectors(interp, [7] + pool_vars, pool)
 
 
+def outcome(evaluate, *args):
+    """The value, or the type of the package error raised."""
+    try:
+        return evaluate(*args)
+    except GradedToposError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_library_evaluators_match_the_recursive_oracle(seed):
+    cfg = GeneratorConfig(seed=seed)
+    for index in range(4):
+        interp = generate_random_interpretation(cfg, index)
+        pool = generate_formula_pool(cfg, index, interp, size=4, depth=4)
+        variables = sorted(set().union(*(free_variables(f) for f in pool)))
+        for s in brute_assignments(interp, variables + [9]):
+            for f in pool:
+                assert sat_grade(interp, s, f) == brute_sat_grade(interp, s, f), format_formula(f)
+        for f, g in itertools.product(pool, repeat=2):
+            assert sequent_grade(interp, f, g) == brute_sequent_grade(interp, f, g)
+        # parity: a free variable left unassigned, an undeclared symbol
+        d = interp.domain[0]
+        undeclared = [Predicate("zz", (Const(1),)), Equality(Const(10 ** 6), Const(1)),
+                      Equality(Func("zz", (Const(1),)), Const(1))]
+        for f in pool:
+            for v in free_variables(f):
+                s = Assignment({w: d for w in variables if w != v})
+                assert outcome(sat_grade, interp, s, f) is UnboundVariable
+                assert outcome(brute_sat_grade, interp, s, f) is UnboundVariable
+            s = Assignment({w: d for w in variables})
+            for bad in (And(f, u) for u in undeclared):
+                assert outcome(sat_grade, interp, s, bad) is UndeclaredSymbol
+                assert outcome(brute_sat_grade, interp, s, bad) is UndeclaredSymbol
+                assert outcome(sequent_grade, interp, f, bad) is UndeclaredSymbol
+                assert outcome(brute_sequent_grade, interp, f, bad) is UndeclaredSymbol
+
+
 def test_vectors_reject_what_the_evaluator_rejects():
-    vs = _Vectors(RICH, [1])
-    with pytest.raises(UnboundVariable):
-        vs.of(parse_formula("p(x2)", RICH.signature()))
-    with pytest.raises(UndeclaredSymbol):
-        vs.of(Predicate("z", (Var(1),)))
-    with pytest.raises(UndeclaredSymbol):
-        vs.of(parse_formula("(c9 = x1)"))
+    for formula, error in [(parse_formula("p(x2)", RICH.signature()), UnboundVariable),
+                           (Predicate("z", (Var(1),)), UndeclaredSymbol),
+                           (parse_formula("(c9 = x1)"), UndeclaredSymbol),
+                           (parse_formula("(z(x1) = x1)"), UndeclaredSymbol)]:
+        with pytest.raises(error):
+            _Vectors(RICH, [1]).of(formula)
+        with pytest.raises(error):
+            brute_sat_grade(RICH, Assignment({1: "d1"}), formula)
 
 
 def test_vectors_compile_nesting_the_reference_evaluator_cannot_reach():
     deep = TOP
     for _ in range(5000):
         deep = Exists(2, And(deep, Predicate("p", (Var(1),))))
-    with pytest.raises(SchemaError, match="nested too deeply"):
-        sat_grade(RICH, Assignment({1: "d1"}), deep)
+    for evaluate in (sat_grade, brute_sat_grade):
+        with pytest.raises(SchemaError, match="nested too deeply"):
+            evaluate(RICH, Assignment({1: "d1"}), deep)
     vs = _Vectors(RICH, [1])
     assert vs.of(deep) == vs.of(parse_formula("p(x1)", RICH.signature()))
 

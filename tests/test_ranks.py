@@ -4,7 +4,7 @@
 `Fraction` versions they replaced live on in conftest as oracles. A
 strictly monotone relabelling of grades that fixes 0 and 1 must leave
 every rank table unchanged. The bridge from fuzzy geometric logic to
-topology is checked with the reference evaluator: a formula's extent is a
+topology is checked with the recursive oracle: a formula's extent is a
 fuzzy set over the assignments, and graded consequence is graded inclusion
 of extents.
 """
@@ -14,7 +14,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import brute_frame_from_space, brute_generate_topology, brute_inclusion
+from conftest import (
+    brute_frame_from_space,
+    brute_generate_topology,
+    brute_inclusion,
+    brute_sat_grade,
+)
 from graded_topos.errors import Overflow
 from graded_topos.frames import check_frame, frame_from_space
 from graded_topos.functors import GradeSet
@@ -26,7 +31,7 @@ from graded_topos.generators import (
     generate_random_interpretation,
 )
 from graded_topos.grades import ONE, ZERO
-from graded_topos.logic.semantics import Assignment, sat_grade, sequent_grade
+from graded_topos.logic.semantics import Assignment, sequent_grade
 from graded_topos.logic.syntax import BOTTOM, TOP, free_variables
 from graded_topos.ranks import Ranks, join, meet
 from graded_topos.spaces import GradedSpace, check_space, generate_topology
@@ -130,10 +135,10 @@ def test_relabelling_grades_leaves_the_rank_tables_unchanged(size):
 
 def extent(interp, variables, phi) -> FuzzySet:
     """The grade of phi at every assignment to `variables`, as a fuzzy set
-    over those assignments (reference evaluator)."""
+    over those assignments (recursive oracle)."""
     combos = tuple(itertools.product(interp.domain, repeat=len(variables)))
     return FuzzySet(Universe(combos), tuple(
-        sat_grade(interp, Assignment(dict(zip(variables, combo))), phi) for combo in combos))
+        brute_sat_grade(interp, Assignment(dict(zip(variables, combo))), phi) for combo in combos))
 
 
 @pytest.mark.parametrize("seed", range(8))
