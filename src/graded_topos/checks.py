@@ -1,9 +1,12 @@
 """Shared machinery for the axiom checkers: violation reports and the
 subset recurrences.
 
-Every subset-indexed check is exact. It runs over the masks on which a frame
-gives its join (`FrameView.masks`), and the frame module's docstring
-says why those masks cover every subset.
+Every subset-indexed check is exact. It runs over the masks of a frame's
+view (`FrameView.masks`): the empty set, singletons and pairs for a frame
+whose join folds its binary join, and every subset for a join table that
+fails the lowest-member fold. The frame module's docstring says why those
+masks cover every subset. `FrameView.decide` reruns a check on every subset
+to name a violation that the pairs of a join table show.
 """
 
 from __future__ import annotations

@@ -4,12 +4,15 @@ A graded frame carries a finite set of elements, a top, a binary meet, a
 join defined on every subset, and a grade-valued relation satisfying nine
 axioms. Axioms over pairs and triples are checked on every pair and triple.
 The subset-indexed ones (axioms 7-9, and join preservation by homs) are
-checked on the masks of the frame's view, which is exact at every size: a
-frame read from a join table is checked on every subset, and any other
-frame's join is a fold of its binary join (union of opens, max of grades),
-so its empty, singleton and pair instances decide every subset (the
-induction is in `check_frame`). Every checker reads the frame through
-`GradedFrame.view`, its integer coding (`FrameView`), built once per frame.
+checked on the masks of the frame's view, which is exact at every size. A
+frame built in memory joins by a fold of its binary join (union of opens,
+max of grades), so its empty, singleton and pair instances decide every
+subset (the induction is in `check_frame`). A frame read from a join table
+stores the table once, as carrier positions indexed by subset bitmask. Its
+view checks in one pass that the table folds on the lowest member of each
+subset; if it does, the pairs decide it as well, and if not, it is checked
+on every subset. Every checker reads the frame through `GradedFrame.view`,
+its integer coding (`FrameView`), built once per frame.
 
 `frame_from_space` works on the space's opens as tuples of grade ranks
 (`ranks`): the meet table, the relation and the pair joins are pointwise
@@ -26,7 +29,7 @@ the hom-enumeration targets.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, reduce
 from typing import Any, Callable, Hashable, Iterable, Mapping
 
@@ -51,8 +54,10 @@ class FrameView:
     grades with 0 and 1, so the top rank is 1. The axioms and clauses take
     only min, max, inf, <= and equality with 1 of grades, which ranks keep,
     so verdicts on ranks are exact. `joins[p]` is the join of `masks[p]`, or
-    None outside the carrier. `table`: the join is read from a table, so
-    `masks` is every subset."""
+    None outside the carrier. `table` is a table frame's join of every
+    subset by mask (`GradedFrame.join_table`), None for any other frame;
+    `masks` are the pairs when that table folds on the lowest member of
+    each subset, and every subset when it does not."""
 
     index: Mapping[Hashable, int]
     meet: list[list[int]]
@@ -63,21 +68,41 @@ class FrameView:
     masks: list[int]
     joins: list[int | None]
     steps: list[tuple[int, int]]
-    table: bool
+    table: list[int] | None
 
     @cached_property
     def folds(self) -> bool:
         """join(S + d) = join{join S, d} for all S and d: true without a join
         table, checked with one by an n * 2^n pass on first read."""
-        joins = self.joins
-        return not self.table or all(
-            [joins[m | 1 << d] for m in self.masks] == [joins[1 << j | 1 << d] for j in joins]
+        table = self.table
+        return table is None or all(
+            [table[m | 1 << d] for m in range(len(table))] == [table[1 << j | 1 << d] for j in table]
             for d in range(len(self.index)))
+
+    def decide(self, check: Callable[[FrameView], Violation | None]) -> Violation | None:
+        """`check` run on this view's masks. When a table frame is decided on
+        its pairs and the pair run finds a violation, `check` runs again on
+        every subset to name it, so the witness is the all-mask loop's."""
+        bad = check(self)
+        if bad is None or self.table is None or len(self.masks) == len(self.table):
+            return bad
+        masks = list(range(len(self.table)))
+        return check(replace(self, masks=masks, joins=self.table, steps=mask_steps(masks)))
 
 
 def _pair_masks(n: int) -> list[int]:
     """The empty mask, the singletons and the pairs of n elements, ascending."""
     return sorted({0} | {1 << i | 1 << j for i in range(n) for j in range(i, n)})
+
+
+def label_mask(labels: Iterable[Hashable], bits: Mapping[Hashable, int]) -> int:
+    """The bitmask of a join table key: the sum of its labels' bits in
+    `bits`, which maps each carrier label to 1 << its position. A repeated
+    label carries, so the mask then has fewer bits than the key has labels."""
+    try:
+        return sum(map(bits.__getitem__, labels))
+    except KeyError:
+        raise SchemaError("join", "join table key is not a subset of the carrier") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,14 +113,16 @@ class GradedFrame:
 
     A frame without a `join_table` must compute its subset join as a fold of
     a binary join, join_fn(S | {a}) == join_fn({join_fn(S), a}); the frames
-    `frame_from_space` and `chain_frame` build do so by construction."""
+    `frame_from_space` and `chain_frame` build do so by construction. A
+    table frame's `join_table[mask]` is the carrier position of the join of
+    the subset `mask` (bit i for `carrier[i]`), and its `join_fn` reads it."""
 
     carrier: tuple[Hashable, ...]
     top: Hashable
     meet_table: Mapping[tuple[Hashable, Hashable], Hashable]
     relation: Mapping[tuple[Hashable, Hashable], Grade]
     join_fn: Callable[[frozenset], Hashable] = field(repr=False)
-    join_table: Mapping[frozenset, Hashable] | None = field(default=None, repr=False)
+    join_table: list[int] | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if not self.carrier:
@@ -135,17 +162,34 @@ class GradedFrame:
     def meet(self, a: Hashable, b: Hashable) -> Hashable:
         return self.meet_table[(a, b)]
 
+    def join_at(self, mask: int) -> int | None:
+        """The carrier position of the join of the subset `mask`, None when
+        it is outside the carrier: read from the join table, or computed by
+        `join_fn`."""
+        if self.join_table is not None:
+            return self.join_table[mask]
+        return self._index.get(self.join_fn(frozenset(mask_elements(mask, self.carrier))))  # type: ignore[attr-defined]
+
     @cached_property
     def view(self) -> FrameView:
-        """The frame coded as integers, built on first use."""
+        """The frame coded as integers, built on first use. A join table is
+        read on its pairs when it passes the lowest-member fold, one pass
+        over its subsets: join S = join{join(S - low), low}, where low is
+        the lowest member of S."""
         items, index, n = self.carrier, self._index, len(self.carrier)  # type: ignore[attr-defined]
         ranks = Ranks(self.relation.values())
-        masks = list(range(1 << n)) if self.join_table is not None else _pair_masks(n)
-        joins = [index.get(self.join_fn(frozenset(mask_elements(mask, items)))) for mask in masks]
+        table = self.join_table
+        if table is None:
+            masks = _pair_masks(n)
+            joins = [self.join_at(mask) for mask in masks]
+        elif all(table[m] == table[1 << table[m & m - 1] | m & -m] for m in range(1, 1 << n)):
+            masks = _pair_masks(n)
+            joins = [table[mask] for mask in masks]
+        else:
+            masks, joins = list(range(1 << n)), table
         return FrameView(index, [[index[self.meet_table[(a, b)]] for b in items] for a in items],
                          ranks.grades, [[ranks.rank[self.relation[(a, b)]] for b in items] for a in items],
-                         index[self.top], joins[0], masks, joins, mask_steps(masks),
-                         self.join_table is not None)
+                         index[self.top], joins[0], masks, joins, mask_steps(masks), table)
 
     @classmethod
     def from_tables(
@@ -156,19 +200,42 @@ class GradedFrame:
         join_table: Mapping[frozenset, Hashable],
         relation: Mapping[tuple[Hashable, Hashable], Grade],
     ) -> "GradedFrame":
-        """Frame whose join is given by an explicit total table over subsets;
-        the checkers read it on every subset."""
+        """Frame whose join is given by an explicit total table over subsets,
+        converted once to the bitmask table `from_masks` takes."""
         items = tuple(carrier)
-        if len(join_table) != 1 << len(items):
-            raise SchemaError("join", f"join table must cover all {1 << len(items)} subsets")
-        universe = set(items)
-        for s, v in join_table.items():
-            if not set(s) <= universe:
+        bits = {a: 1 << i for i, a in enumerate(items)}
+        return cls.from_masks(items, top, meet_table,
+                              {label_mask(s, bits): v for s, v in join_table.items()}, relation)
+
+    @classmethod
+    def from_masks(
+        cls,
+        carrier: Iterable[Hashable],
+        top: Hashable,
+        meet_table: Mapping[tuple[Hashable, Hashable], Hashable],
+        join_table: Mapping[int, Hashable],
+        relation: Mapping[tuple[Hashable, Hashable], Grade],
+    ) -> "GradedFrame":
+        """Frame whose join table is keyed by subset bitmask over carrier
+        positions (bit i for the i-th element); it is stored as a list of
+        carrier positions indexed by mask."""
+        items = tuple(carrier)
+        n = len(items)
+        if len(join_table) != 1 << n:
+            raise SchemaError("join", f"join table must cover all {1 << n} subsets")
+        index = {a: i for i, a in enumerate(items)}
+        table = [0] * (1 << n)
+        for mask, v in join_table.items():
+            if mask >> n:
                 raise SchemaError("join", "join table key is not a subset of the carrier")
-            if v not in universe:
+            if v not in index:
                 raise SchemaError("join", f"join value {_show(v)} is outside the carrier")
-        table = {frozenset(s): v for s, v in join_table.items()}
-        return cls(items, top, dict(meet_table), dict(relation), table.__getitem__, table)
+            table[mask] = index[v]
+
+        def join_fn(subset: frozenset) -> Hashable:
+            return items[table[sum(1 << index[a] for a in subset)]]
+
+        return cls(items, top, dict(meet_table), dict(relation), join_fn, table)
 
 
 def frame_from_space(space: GradedSpace) -> GradedFrame:
@@ -208,7 +275,7 @@ def frame_from_space(space: GradedSpace) -> GradedFrame:
     vars(frame)["view"] = FrameView(
         index, [[position[m] for m in row] for row in meet_rows],
         tuple(ranks.grades[r] for r in used), [[rerank[r] for r in row] for row in rel],
-        index[frame.top], joins[0], masks, joins, mask_steps(masks), False)
+        index[frame.top], joins[0], masks, joins, mask_steps(masks), None)
     return frame
 
 
@@ -235,12 +302,12 @@ def check_frame(frame: GradedFrame) -> Violation | None:
 
     Pairs and triples are checked exhaustively. Axioms 7-9 run over
     `frame.view.masks`, each per-subset aggregate built from the one of
-    the mask minus its lowest member. For a frame read from a join table
-    that is every subset. For any other frame it is the empty set, the
-    singletons and the pairs, and that decides every subset, because such a
-    join is a fold of its binary join: join(S + c) = join{join S, c}. Write
-    a <= b for R(a, b) = 1, a preorder by axioms 1 and 3. Once axioms 1-6
-    and these instances pass, induction on |S| gives, for S + c:
+    the mask minus its lowest member. For a frame built in memory that is
+    the empty set, the singletons and the pairs, and that decides every
+    subset, because such a join is a fold of its binary join:
+    join(S + c) = join{join S, c}. Write a <= b for R(a, b) = 1, a preorder
+    by axioms 1 and 3. Once axioms 1-6 and these instances pass, induction
+    on |S| gives, for S + c:
 
     - join closure: join(S + c) is the join of {join S, c}, a pair (or a
       singleton) of carrier elements;
@@ -257,6 +324,18 @@ def check_frame(frame: GradedFrame) -> Violation | None:
 
     So a violation on any subset shows up on a pair, under the same clause;
     only its witness mask may differ.
+
+    A frame read from a join table is checked on every subset unless its
+    table passes the lowest-member fold, join S = join{join(S - c), c} with
+    c the lowest member of S; then its pairs decide it too. The steps above
+    for join closure and axioms 7 and 8 need the fold only at that c. With
+    axioms 1-3 they make join S the least upper bound of S: an upper bound
+    by axiom 7, below every upper bound b since R(join S, b) is the inf of
+    R(a, b) = 1 over S (axiom 8), and unique by axiom 2. Both join(S + c)
+    and join{join S, c} are least upper bounds of S + c, so the table folds
+    on every member c, and the axiom 9 step holds as well. When the pair
+    run of such a table finds a violation, every subset is checked again to
+    name it (`FrameView.decide`), so the witness is the all-mask loop's.
     """
     items, v = frame.carrier, frame.view
     n, one = len(items), len(v.grades) - 1
@@ -299,6 +378,13 @@ def check_frame(frame: GradedFrame) -> Violation | None:
                     return Violation("frame", "axiom 6",
                                      f"meet distribution fails at ({_show(items[i])}, {_show(items[j])}, {_show(items[k])})")
 
+    return v.decide(lambda view: _subset_violation(items, view))
+
+
+def _subset_violation(items: tuple, v: FrameView) -> Violation | None:
+    """Join closure and axioms 7-9 of `check_frame` on the masks of `v`."""
+    n, one = len(items), len(v.grades) - 1
+    meet_idx, rel = v.meet, v.rel
     masks, joins = v.masks, v.joins
     if None in joins:
         return Violation("frame", "join closure",
@@ -372,15 +458,15 @@ class FrameHom:
 
 def same_frame(a: GradedFrame, b: GradedFrame) -> bool:
     """Identity, or equal carriers, tops, meet and relation tables, and
-    joins on the masks where either frame gives its join."""
+    joins on the masks where either frame gives its join: every subset when
+    either has a join table, the pairs otherwise."""
     if a is b:
         return True
     if not (a.carrier == b.carrier and a.top == b.top and a.view.meet == b.view.meet
             and a.view.grades == b.view.grades and a.view.rel == b.view.rel):
         return False
-    masks = max(a.view.masks, b.view.masks, key=len)
-    return all(a.join_fn(subset) == b.join_fn(subset)
-               for subset in (frozenset(mask_elements(mask, a.carrier)) for mask in masks))
+    masks = a.view.masks if a.join_table is None and b.join_table is None else range(1 << len(a))
+    return all(a.join_at(mask) == b.join_at(mask) for mask in masks)
 
 
 def check_frame_hom(h: FrameHom) -> Violation | None:
@@ -389,13 +475,15 @@ def check_frame_hom(h: FrameHom) -> Violation | None:
     can reach 1 in every system the hom induces).
 
     Join preservation runs over the source's masks when the target's join
-    folds, and over every subset of the source otherwise. On a source
-    without a join table the pairs then decide every subset:
-    f(join(S + c)) = f(join{join S, c}) = join'{f(join S), f(c)}
+    folds, and over every subset of the source otherwise. When the source's
+    masks are its pairs (a frame built in memory, or a table that passes
+    the lowest-member fold, with c the lowest member below), they decide
+    every subset: f(join(S + c)) = f(join{join S, c}) = join'{f(join S), f(c)}
     = join'{join' f(S), f(c)} = join' f(S + c), the last step by the
-    target's fold, which its view checks (`FrameView.folds`). A source
-    join outside the source carrier has no image, and is reported as a
-    join closure violation."""
+    target's fold, which its view checks (`FrameView.folds`). A violation
+    that the pairs of a table source show is named by every subset
+    (`FrameView.decide`). A source join outside the source carrier has no
+    image, and is reported as a join closure violation."""
     src, tgt, f = h.source, h.target, h.map
     if f[src.top] != tgt.top:
         return Violation("frame-hom", "top preservation",
@@ -412,17 +500,26 @@ def check_frame_hom(h: FrameHom) -> Violation | None:
             if tv.rel[image[i]][image[j]] < above[sv.rel[i][j]]:
                 return Violation("frame-hom", "clause (iii)",
                                  f"relation shrinks at ({_show(a)}, {_show(b)})")
-    for mask in sv.masks if tv.folds else range(1 << len(src)):
-        subset = mask_elements(mask, src.carrier)
-        joined = src.join_fn(frozenset(subset))
-        if joined not in src:
-            return Violation("frame-hom", "join closure",
-                             f"join of subset mask {mask:b} is outside the source carrier")
-        rhs = tgt.join_fn(frozenset(f[a] for a in subset))
-        if f[joined] != rhs:
-            return Violation("frame-hom", "clause (ii)",
-                             f"join of subset mask {mask:b} is not preserved")
-    return None
+
+    def preserved(masks: Iterable[int], joins: Iterable[int | None]) -> Violation | None:
+        for mask, joined in zip(masks, joins):
+            if joined is None:
+                return Violation("frame-hom", "join closure",
+                                 f"join of subset mask {mask:b} is outside the source carrier")
+            moved, rest = 0, mask
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                moved |= 1 << image[low.bit_length() - 1]
+            if image[joined] != tgt.join_at(moved):
+                return Violation("frame-hom", "clause (ii)",
+                                 f"join of subset mask {mask:b} is not preserved")
+        return None
+
+    if tv.folds:
+        return sv.decide(lambda view: preserved(view.masks, view.joins))
+    every = range(1 << len(src))
+    return preserved(every, map(src.join_at, every))
 
 
 def compose_frame_hom(f: FrameHom, g: FrameHom) -> FrameHom:

@@ -14,12 +14,12 @@ e0, e1, ... (points: p0, p1, ...) in canonical order.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from pathlib import Path
 from typing import Any, Sequence
 
-from .checks import mask_elements, mask_steps
 from .errors import GradeRangeError, ParseError, SchemaError
-from .frames import GradedFrame
+from .frames import GradedFrame, label_mask
 from .fuzzy_sets import FuzzySet, PointMap, Universe
 from .grades import Grade, format_grade, grade
 from .logic.parser import Signature, parse_formula
@@ -32,13 +32,22 @@ def dumps_canonical(payload: Any) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """A JSON object that names each key once; `json` would keep the last."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        key = next(k for k, count in Counter(k for k, _ in pairs).items() if count > 1)
+        raise SchemaError("json", f"key {key!r} appears twice in one object")
+    return obj
+
+
 def _read_json(path: str | Path) -> Any:
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ParseError(str(path), str(exc)) from exc
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(str(path), f"invalid JSON at offset {exc.pos}") from exc
 
@@ -168,32 +177,36 @@ def space_from_json(obj: Any) -> GradedSpace:
 
 def frame_to_json(frame: GradedFrame) -> dict:
     """The frame with its full join table. A frame without one has a folded
-    join, so its table is built one binary join per subset: the join of the
-    subset minus its lowest member, joined with that member."""
+    join, so its table is built from the view's pair joins, one lookup per
+    subset: the join of the subset minus its lowest member, joined with that
+    member."""
     names = _names_for(frame.carrier)
-    items = frame.carrier
-    if frame.join_table is not None:
-        table = frame.join_table.items()
-    else:
-        if len(items) > 16:
+    labels = [names[a] for a in frame.carrier]
+    n = len(labels)
+    table = frame.join_table
+    if table is None:
+        if n > 16:
             raise SchemaError("join", "carrier too large to materialize the join table")
-        joined = [frame.bottom]
-        for q, i in mask_steps(list(range(1 << len(items)))):
-            joined.append(frame.join_fn(frozenset((joined[q], items[i]))))
-        table = ((mask_elements(mask, items), value) for mask, value in enumerate(joined))
-    join = {",".join(sorted(names[a] for a in subset)): names[value] for subset, value in table}
+        view = frame.view
+        pair = dict(zip(view.masks, view.joins))
+        table = [view.bottom]
+        for mask in range(1, 1 << n):
+            table.append(pair[1 << table[mask & mask - 1] | mask & -mask])
+    order = sorted(range(n), key=labels.__getitem__)
     return {
-        "carrier": [names[a] for a in frame.carrier],
+        "carrier": labels,
         "top": names[frame.top],
         "meet": {f"{names[a]},{names[b]}": names[v] for (a, b), v in frame.meet_table.items()},
-        "join": join,
+        "join": {",".join([labels[i] for i in order if mask >> i & 1]): labels[p]
+                 for mask, p in enumerate(table)},
         "relation": {f"{names[a]},{names[b]}": format_grade(g) for (a, b), g in frame.relation.items()},
     }
 
 
 def frame_from_json(obj: Any) -> GradedFrame:
     """Read a frame's JSON shape; `GradedFrame` checks what the tables mean
-    (a distinct carrier holding the top, every meet and join value in it)."""
+    (a distinct carrier holding the top, every meet and join value in it).
+    Each join key becomes a subset bitmask as it is read."""
     body = _expect_object(obj, "frame")
     carrier = _identifier_list(body.get("carrier"), "carrier")
     top = _identifier(body.get("top"), "top")
@@ -208,13 +221,17 @@ def frame_from_json(obj: Any) -> GradedFrame:
     if len(relation) != len(carrier) ** 2:
         raise SchemaError("relation", "table must be total on carrier pairs")
 
+    bits = {a: 1 << i for i, a in enumerate(carrier)}
     join_table = {}
     for key, value in _expect_object(body.get("join"), "join").items():
-        parts = tuple(p for p in key.split(",") if p)
-        if len(set(parts)) != len(parts) or frozenset(parts) in join_table:
+        parts = key.split(",")
+        if "" in parts:
+            parts = [p for p in parts if p]
+        mask = label_mask(parts, bits)
+        if mask.bit_count() != len(parts) or mask in join_table:
             raise SchemaError("join", f"key {key!r} repeats an element or another key")
-        join_table[frozenset(parts)] = _identifier(value, "join")
-    return GradedFrame.from_tables(carrier, top, meet_table, join_table, relation)
+        join_table[mask] = _identifier(value, "join")
+    return GradedFrame.from_masks(carrier, top, meet_table, join_table, relation)
 
 
 # --- systems ----------------------------------------------------------------

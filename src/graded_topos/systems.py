@@ -4,11 +4,14 @@ A system pairs a point set with a graded frame through a grade-valued
 satisfaction table. The three compatibility clauses are checked exactly at
 every size. Clause 2 only needs the empty set, singletons and pairs once the
 meet is a verified semilattice, because larger finite meets are folds of
-binary ones. Clause 3 runs over the masks on which the frame gives its join
-(`FrameView.masks`): every subset for a table frame, and the empty set,
-singletons and pairs for a frame whose join folds a binary join, since then
+binary ones. Clause 3 runs over the masks of the frame's view
+(`FrameView.masks`). They are the empty set, singletons and pairs for a
+frame whose join folds a binary join, and for a table frame that passes
+the lowest-member fold (c below is the lowest member of S + c), since then
 sat(x, join(S + c)) = sat(x, join{join S, c})
 = max(sat(x, join S), sat(x, c)).
+Any other table frame is checked on every subset, and a violation that the
+pairs of a table frame show is named on every subset (`FrameView.decide`).
 The clauses read the frame's integer view, with satisfaction grades ranked
 in one table with the relation grades (`ranks.Ranks`).
 """
@@ -21,7 +24,8 @@ from typing import Hashable, Mapping
 
 from .checks import Violation
 from .errors import EmptyPoints, MixedStructure, SchemaError
-from .frames import FrameHom, GradedFrame, _show, check_frame_hom, compose_frame_hom, same_frame
+from .frames import (FrameHom, FrameView, GradedFrame, _show, check_frame_hom, compose_frame_hom,
+                     same_frame)
 from .fuzzy_sets import PointMap, Universe, compose_point_maps
 from .grades import Grade
 from .ranks import Ranks
@@ -70,21 +74,24 @@ def check_system(system: GradedSystem) -> Violation | None:
                     return Violation("system", "clause 2",
                                      f"({_show(x)}, {_show(items[i])}, {_show(items[j])})")
 
-    masks, joins = v.masks, v.joins
-    if None in joins:
-        return Violation("system", "clause 3",
-                         f"join of mask {masks[joins.index(None)]:b} is outside the carrier")
-    for xi, x in enumerate(xs):
-        row = sat[xi]
-        if row[joins[0]] != 0:
-            return Violation("system", "clause 3", f"({_show(x)}, empty subset)")
-        upper = [0] * len(masks)
-        for p, (q, i) in enumerate(v.steps, 1):
-            upper[p] = max(upper[q], row[i])
-            if upper[p] != row[joins[p]]:
-                return Violation("system", "clause 3",
-                                 f"({_show(x)}, subset mask {masks[p]:b})")
-    return None
+    def clause_3(view: FrameView) -> Violation | None:
+        masks, joins = view.masks, view.joins
+        if None in joins:
+            return Violation("system", "clause 3",
+                             f"join of mask {masks[joins.index(None)]:b} is outside the carrier")
+        for xi, x in enumerate(xs):
+            row = sat[xi]
+            if row[joins[0]] != 0:
+                return Violation("system", "clause 3", f"({_show(x)}, empty subset)")
+            upper = [0] * len(masks)
+            for p, (q, i) in enumerate(view.steps, 1):
+                upper[p] = max(upper[q], row[i])
+                if upper[p] != row[joins[p]]:
+                    return Violation("system", "clause 3",
+                                     f"({_show(x)}, subset mask {masks[p]:b})")
+        return None
+
+    return v.decide(clause_3)
 
 
 def check_spatial(system: GradedSystem) -> tuple[bool, tuple[Hashable, Hashable] | None]:

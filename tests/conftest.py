@@ -42,7 +42,7 @@ from graded_topos.logic.syntax import (
     Var,
     free_variables,
 )
-from graded_topos.spaces import GradedSpace, canonical_opens
+from graded_topos.spaces import GradedSpace, canonical_opens, generate_topology
 
 
 def small_grades(max_denominator: int = 4):
@@ -64,6 +64,20 @@ def fuzzy_sets_over(draw, universe: Universe, max_denominator: int = 4):
 def fuzzy_set_families(draw, count: int, max_points: int = 4):
     universe = draw(universes(max_points))
     return [draw(fuzzy_sets_over(universe)) for _ in range(count)]
+
+
+def space_with_opens(count: int) -> GradedSpace:
+    """The first three-point space over grades {0, 1/2, 1}, generated by two
+    or three fuzzy sets in lexicographic order, with exactly `count` opens."""
+    u = Universe(("x1", "x2", "x3"))
+    grades = (ZERO, Fraction(1, 2), ONE)
+    sets = [FuzzySet(u, (a, b, c)) for a in grades for b in grades for c in grades]
+    for size in (2, 3):
+        for generators in itertools.combinations(sets, size):
+            space = generate_topology(u, list(generators))
+            if len(space) == count:
+                return space
+    raise AssertionError(f"no space with {count} opens")
 
 
 # --- oracles -----------------------------------------------------------------
@@ -136,6 +150,18 @@ def brute_frame_from_space(space: GradedSpace) -> GradedFrame:
         return cache[subset]
 
     return GradedFrame(opens, full_set(space.universe), meet_table, relation, join_fn)
+
+
+def brute_join_table(frame) -> dict[str, str]:
+    """The "join" object of a frame file, by the definition: the join of
+    every subset through `join_fn`, keyed by its members' names in sorted
+    order. Names are the elements themselves when they are strings, and
+    e0, e1, ... in carrier order otherwise."""
+    items = frame.carrier
+    names = ({a: a for a in items} if all(isinstance(a, str) for a in items)
+             else {a: f"e{i}" for i, a in enumerate(items)})
+    return {",".join(sorted(names[a] for a in combo)): names[frame.join_fn(frozenset(combo))]
+            for k in range(len(items) + 1) for combo in itertools.combinations(items, k)}
 
 
 def brute_frame_violation(frame) -> str | None:

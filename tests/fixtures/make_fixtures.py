@@ -12,17 +12,19 @@ manifest.json.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from fractions import Fraction as F
 from itertools import chain, combinations
 from pathlib import Path
 
-from graded_topos.frames import GradedFrame
+from graded_topos.frames import GradedFrame, frame_from_space
 from graded_topos.fuzzy_sets import FuzzySet, PointMap, Universe
 from graded_topos.functors import j_object
 from graded_topos.logic.parser import parse_formula
 from graded_topos.logic.semantics import Interpretation
 from graded_topos.serialization import (
     dumps_canonical,
+    frame_to_json,
     save_formulas,
     save_frame,
     save_fuzzy_set,
@@ -68,6 +70,20 @@ def three_chain(sat=None):
     return frame_from_order(carrier, "g2", meets, joins, relation)
 
 
+def space_with_opens(count):
+    """The first three-point space over grades {0, 1/2, 1}, generated by two
+    or three fuzzy sets in lexicographic order, with exactly `count` opens."""
+    u = Universe.of("x1", "x2", "x3")
+    grades = (F(0), F(1, 2), F(1))
+    sets = [FuzzySet(u, (a, b, c)) for a in grades for b in grades for c in grades]
+    for size in (2, 3):
+        for generators in combinations(sets, size):
+            space = generate_topology(u, list(generators))
+            if len(space) == count:
+                return space
+    raise ValueError(f"no space with {count} opens")
+
+
 def main() -> None:
     INVALID.mkdir(exist_ok=True)
 
@@ -85,6 +101,16 @@ def main() -> None:
     save_frame(three_chain(), HERE / "frame_three_chain.json")
 
     save_system(j_object(space), HERE / "system_membership.json")
+
+    # a table frame of 16384 subsets, and a copy with one wrong join of three
+    # elements (kept out of invalid/, whose files the benchmark lists by name)
+    fourteen = frame_from_space(space_with_opens(14))
+    save_frame(fourteen, HERE / "frame_fourteen_opens.json")
+    payload = frame_to_json(fourteen)
+    if payload["join"]["e4,e7,e9"] == payload["top"]:
+        raise ValueError("the planted join must differ from the true one")
+    payload["join"]["e4,e7,e9"] = payload["top"]
+    (HERE / "frame_fourteen_opens_wrong_join.json").write_text(dumps_canonical(payload))
 
     interp = Interpretation(
         ("d1", "d2"),
@@ -130,8 +156,7 @@ def main() -> None:
     rel = dict(good3.relation)
     rel[("g2", "g0")] = F(1, 2)  # above the arrow, breaks the chain through g0
     rel[("g2", "g1")] = F(0)
-    bad3 = GradedFrame.from_tables(good3.carrier, good3.top, good3.meet_table,
-                                   good3.join_table, rel)
+    bad3 = replace(good3, relation=rel)
     invalid("frame_transitivity.json", "frame", "axiom 3", saver=save_frame, value=bad3)
 
     diamond_carrier = ("bot", "a", "b", "top")

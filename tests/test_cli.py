@@ -274,3 +274,42 @@ def test_planted_join_violation_above_twelve_elements(tmp_path, capsys):
     assert main(["check", "frame", str(path)]) == 1
     line = json.loads(capsys.readouterr().out)
     assert line["witnesses"][0][0] == "axiom 8"
+
+
+# One case per file kind: the fixture, the request that reads it, and a key
+# written twice in one object (the later value would silently win).
+REPEATED_KEYS = {
+    "space": ("space_half.json", ["check", "space"], '"x1": "1/2"', '"x1": "1/2", "x1": "1/1"'),
+    "frame": ("frame_two_chain.json", ["check", "frame"],
+              '"top,top": "top"', '"top,top": "top", "top,top": "bot"'),
+    "system": ("system_membership.json", ["check", "system"], '"e0": "e0"', '"e0": "e0", "e0": "e1"'),
+    "interpretation": ("interp_basic.json", ["eval", "--formula", "T", "--interp"],
+                       '"d1": "3/10"', '"d1": "3/10", "d1": "1/10"'),
+    "pool": ("pool_basic.json",
+             ["theorem2", "--interp", str(FIXTURES / "interp_basic.json"), "--pool"],
+             '"formulas"', '"formulas": ["p(x1)"], "formulas"'),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(REPEATED_KEYS))
+def test_a_repeated_json_key_is_an_input_error(kind, tmp_path, capsys):
+    fixture, argv, once, twice = REPEATED_KEYS[kind]
+    text = (FIXTURES / fixture).read_text()
+    assert text.count(once) >= 1
+    path = tmp_path / fixture
+    path.write_text(text.replace(once, twice, 1))
+    assert main([*argv, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.count("\n") == 1 and "appears twice in one object" in captured.err
+
+
+def test_a_fourteen_open_table_frame_and_a_wrong_join_of_three(capsys):
+    # 16384 join entries: the valid table is decided on its pairs, and one
+    # wrong join of three elements is named as the check over every subset
+    # names it
+    assert main(["check", "frame", str(FIXTURES / "frame_fourteen_opens.json")]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "pass"
+    assert main(["check", "frame", str(FIXTURES / "frame_fourteen_opens_wrong_join.json")]) == 1
+    line = json.loads(capsys.readouterr().out)
+    assert line["witnesses"] == [["axiom 8", "holds", "target 'e11', subset mask 1010010000"]]

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import brute_frame_violation, brute_frame_hom_ok
+from conftest import brute_frame_violation, brute_frame_hom_ok, brute_join_table, space_with_opens
 from graded_topos.checks import Violation
 from graded_topos.errors import MixedCarrier, SchemaError
 from graded_topos.frames import (
@@ -16,7 +16,7 @@ from graded_topos.frames import (
     finite_meet,
     frame_from_space,
 )
-from graded_topos.functors import j_morphism
+from graded_topos.functors import GradeSet, enumerate_point_homs, j_morphism
 from graded_topos.fuzzy_sets import Universe, empty_set, full_set
 from graded_topos.generators import (
     GeneratorConfig,
@@ -24,7 +24,9 @@ from graded_topos.generators import (
     generate_random_space,
 )
 from graded_topos.grades import ONE, ZERO, godel_arrow
+from graded_topos.serialization import dumps_canonical, frame_from_json, frame_to_json
 from graded_topos.spaces import generate_topology
+from graded_topos.systems import GradedSystem, check_system
 
 
 def two_chain(relation_override=None):
@@ -88,6 +90,9 @@ def test_structural_validation_of_tables():
     with pytest.raises(SchemaError):  # join table not total
         GradedFrame.from_tables(("a",), "a", {("a", "a"): "a"},
                                 {frozenset(): "a"}, {("a", "a"): ONE})
+    with pytest.raises(SchemaError, match="not a subset of the carrier"):
+        GradedFrame.from_tables(("a",), "a", {("a", "a"): "a"},
+                                {frozenset(): "a", frozenset("b"): "a"}, {("a", "a"): ONE})
 
 
 def test_chain_frame_is_valid():
@@ -174,8 +179,9 @@ def test_compose_requires_matching_endpoints():
         compose_frame_hom(FrameHom.identity(chain2), FrameHom.identity(chain3))
     # equal tables match; a single differing join entry does not
     compose_frame_hom(FrameHom.identity(chain2), FrameHom.identity(two_chain()))
-    other = GradedFrame.from_tables(chain2.carrier, chain2.top, chain2.meet_table,
-                                    {**chain2.join_table, frozenset(("0", "1")): "0"},
+    joins = {frozenset(): "0", frozenset("0"): "0", frozenset("1"): "1",
+             frozenset(("0", "1")): "0"}
+    other = GradedFrame.from_tables(chain2.carrier, chain2.top, chain2.meet_table, joins,
                                     chain2.relation)
     with pytest.raises(MixedCarrier):
         compose_frame_hom(FrameHom.identity(chain2), FrameHom.identity(other))
@@ -225,3 +231,95 @@ def test_a_source_join_outside_the_carrier_is_a_join_closure_violation():
     found = check_frame_hom(FrameHom(bad, chain, {g: g for g in chain.carrier}))
     assert found == Violation("frame-hom", "join closure",
                               "join of subset mask 11 is outside the source carrier")
+
+
+def pair_masks(n):
+    return sorted({0} | {1 << i | 1 << j for i in range(n) for j in range(n)})
+
+
+@pytest.mark.parametrize("opens", range(2, 15))
+def test_a_frame_file_holds_the_brute_force_join_table_and_is_read_on_its_pairs(opens):
+    # written from the in-memory frame's pair joins, the table equals the
+    # join of every subset; read back, it passes the lowest-member fold
+    frame = frame_from_space(space_with_opens(opens))
+    payload = frame_to_json(frame)
+    assert dumps_canonical(payload) == dumps_canonical({**payload, "join": brute_join_table(frame)})
+    table = frame_from_json(payload)
+    assert table.view.masks == pair_masks(opens)
+    assert check_frame(table) is None
+    assert frame_to_json(table) == payload
+
+
+def _planted(opens, key, value):
+    """The table of the frame of `space_with_opens(opens)`, read from its
+    file, with the join at `key` replaced by `value` (a label, or "top")."""
+    payload = frame_to_json(frame_from_space(space_with_opens(opens)))
+    payload["join"][",".join(sorted(key.split(",")))] = payload["top"] if value == "top" else value
+    return frame_from_json(payload)
+
+
+def _first_row_seeing(frame, key):
+    """The first map into {0, 1/2, 1} that is a hom of the unplanted frame
+    and tells the planted join from the join of `key`'s members."""
+    source = frame_from_space(space_with_opens(len(frame)))
+    for p in enumerate_point_homs(source, GradeSet((ZERO, F(1, 2), ONE))):
+        row = dict(zip(frame.carrier, p.values))
+        if row[frame.join_fn(frozenset(key.split(",")))] != max(row[a] for a in key.split(",")):
+            return row
+    raise AssertionError("no row sees the planted join")
+
+
+# opens, planted key and value; the witnesses of check_frame, of check_system
+# on a one-point system, and of check_frame_hom of that row into the chain
+PLANTED = {
+    8: ("e1,e3,e4", "top", "frame: axiom 8 violated at target 'e3', subset mask 11010",
+        "system: clause 3 violated at ('p', subset mask 11010)",
+        "frame-hom: clause (ii) violated at join of subset mask 11010 is not preserved"),
+    10: ("e2,e5,e6,e8", "e0", "frame: axiom 7 violated at 'e2' is not below the join of its subset",
+         "system: clause 3 violated at ('p', subset mask 101100100)",
+         "frame-hom: clause (ii) violated at join of subset mask 101100100 is not preserved"),
+    12: ("e3,e4,e7", "top", "frame: axiom 8 violated at target 'e8', subset mask 10011000",
+         "system: clause 3 violated at ('p', subset mask 10011000)",
+         "frame-hom: clause (ii) violated at join of subset mask 10011000 is not preserved"),
+    14: ("e5,e6,e9,e11", "top", "frame: axiom 8 violated at target 'e12', subset mask 101001100000",
+         "system: clause 3 violated at ('p', subset mask 101001100000)",
+         "frame-hom: clause (ii) violated at join of subset mask 101001100000 is not preserved"),
+}
+
+
+@pytest.mark.parametrize("opens", sorted(PLANTED))
+def test_planted_joins_of_three_or_more_elements_are_named_on_every_subset(opens):
+    # every pair instance holds; one larger join is wrong, so the table
+    # fails the lowest-member fold and is checked on every subset
+    key, value, frame_witness, system_witness, hom_witness = PLANTED[opens]
+    frame = _planted(opens, key, value)
+    assert frame.view.masks == list(range(1 << opens))
+    assert str(check_frame(frame)) == frame_witness
+    row = _first_row_seeing(frame, key)
+    system = GradedSystem(Universe.of("p"), frame, {("p", a): g for a, g in row.items()})
+    assert str(check_system(system)) == system_witness
+    chain = chain_frame((ZERO, F(1, 2), ONE))
+    assert str(check_frame_hom(FrameHom(frame, chain, row))) == hom_witness
+
+
+def test_a_violation_on_the_pairs_of_a_folding_table_is_named_on_every_subset():
+    # the join of {e1, e6} is e7, and every larger join is refolded on its
+    # lowest member, so the table passes the lowest-member fold and is read
+    # on its pairs; each checker's pair run finds a violation, and the run
+    # over every subset names an earlier one
+    payload = frame_to_json(frame_from_space(space_with_opens(8)))
+    joins = payload["join"]
+    joins["e1,e6"] = "e7"
+    for size in range(3, 9):
+        for combo in itertools.combinations(range(8), size):
+            rest = joins[",".join(f"e{i}" for i in combo[1:])]
+            joins[",".join(f"e{i}" for i in combo)] = joins[",".join(sorted({f"e{combo[0]}", rest}))]
+    frame = frame_from_json(payload)
+    assert frame.view.masks == pair_masks(8)
+    assert str(check_frame(frame)) == "frame: axiom 8 violated at target 'e6', subset mask 101010"
+    row = dict(zip(frame.carrier, (ZERO, ZERO, F(1, 2), F(1, 2), ONE, F(1, 2), F(1, 2), ONE)))
+    system = GradedSystem(Universe.of("p"), frame, {("p", a): g for a, g in row.items()})
+    assert str(check_system(system)) == "system: clause 3 violated at ('p', subset mask 101010)"
+    chain = chain_frame((ZERO, F(1, 2), ONE))
+    assert (str(check_frame_hom(FrameHom(frame, chain, row)))
+            == "frame-hom: clause (ii) violated at join of subset mask 101010 is not preserved")

@@ -10,6 +10,7 @@ from conftest import (
     brute_frame_violation,
     brute_point_homs,
     brute_system_violation,
+    space_with_opens,
 )
 from graded_topos.checks import Violation
 from graded_topos.cli import main
@@ -45,8 +46,8 @@ from graded_topos.generators import (
     generate_random_continuous_map,
     generate_random_space,
 )
-from graded_topos.grades import ONE, ZERO, godel_arrow
-from graded_topos.serialization import save_space
+from graded_topos.grades import ONE, ZERO, format_grade, godel_arrow, grade
+from graded_topos.serialization import frame_from_json, frame_to_json, save_space
 from graded_topos.spaces import GradedSpace, check_continuous, check_space, generate_topology, space_iso_check
 from graded_topos.systems import (
     GradedSystem,
@@ -246,12 +247,34 @@ def _mutated_table_frames(count, seed):
                 {(a, b): rng.choice(QUARTERS.grades) for a in carrier for b in carrier})
             continue
         base = rng.choice(bases)
-        meets, joins, relation = dict(base.meet_table), dict(base.join_table), dict(base.relation)
+        meets, relation = dict(base.meet_table), dict(base.relation)
+        joins = {frozenset(s): base.join_fn(frozenset(s))
+                 for k in range(len(base) + 1) for s in itertools.combinations(base.carrier, k)}
         for _ in range(rng.randint(1, 3)):
             table = rng.choice((meets, joins, relation))
             key = rng.choice(list(table))
             table[key] = rng.choice(QUARTERS.grades if table is relation else base.carrier)
         yield GradedFrame.from_tables(base.carrier, base.top, meets, joins, relation)
+
+
+def _refolded_table_frames(count, seed):
+    """Table frames on three to five labels with one or two joins of pairs
+    without the bottom overwritten at random, and every larger join refolded
+    on its lowest member, join S = join{join(S - low), low}. They pass the
+    lowest-member fold, so the checkers read them on their pairs. Most are
+    invalid."""
+    rng = random.Random(seed)
+    bases = [_tabled(frame) for _, frame in _generated_frames(max_opens=5) if len(frame) >= 3]
+    for _ in range(count):
+        base = rng.choice(bases)
+        items = base.carrier
+        joins = {frozenset(s): base.join_fn(frozenset(s)) for k in range(3) for s in itertools.combinations(items, k)}
+        for _ in range(rng.randint(1, 2)):
+            joins[frozenset(rng.sample([a for a in items if a != base.bottom], 2))] = rng.choice(items)
+        for k in range(3, len(items) + 1):
+            for s in itertools.combinations(items, k):
+                joins[frozenset(s)] = joins[frozenset((joins[frozenset(s[1:])], s[0]))]
+        yield GradedFrame.from_tables(items, base.top, base.meet_table, joins, base.relation)
 
 
 def test_enumeration_matches_the_brute_force_oracle_on_generated_frames():
@@ -299,8 +322,11 @@ def test_checkers_match_the_brute_force_oracles_on_invalid_frames():
     chain = chain_frame(QUARTERS.grades)
     verdicts = collections.Counter()
     for kind, frames in (("memory", _mutated_memory_frames(200, seed=3)),
-                         ("table", _mutated_table_frames(200, seed=5))):
+                         ("table", _mutated_table_frames(200, seed=5)),
+                         ("refolded", _refolded_table_frames(150, seed=7))):
         for frame in frames:
+            if kind == "refolded":
+                assert len(frame.view.masks) < 1 << len(frame)
             bad = check_frame(frame)
             assert (bad is None) == (brute_frame_violation(frame) is None)
             verdicts[kind, "frame", bad and bad.clause] += 1
@@ -323,7 +349,7 @@ def test_checkers_match_the_brute_force_oracles_on_invalid_frames():
             bad = check_frame_hom(endo)
             assert (bad is None) == brute_frame_hom_ok(endo)
             verdicts[kind, "hom", bad and bad.clause] += 1
-    for kind in ("memory", "table"):
+    for kind in ("memory", "table", "refolded"):
         assert all(verdicts[kind, check, None] for check in ("frame", "system", "hom"))
         assert verdicts[kind, "system", "clause 3"] and verdicts[kind, "hom", "clause (ii)"]
 
@@ -432,22 +458,57 @@ def test_checkers_are_invariant_under_grade_relabelling_and_carrier_permutation(
                                     "clause (ii)", "clause (iii)"))
 
 
-def _space_with_opens(count):
-    """The first three-point space over grades {0, 1/2, 1}, generated by two
-    or three fuzzy sets in lexicographic order, with exactly `count` opens."""
-    u = Universe.of("x1", "x2", "x3")
-    grades = (ZERO, HALF, ONE)
-    sets = [FuzzySet(u, (a, b, c)) for a in grades for b in grades for c in grades]
-    for size in (2, 3):
-        for generators in itertools.combinations(sets, size):
-            space = generate_topology(u, list(generators))
-            if len(space) == count:
-                return space
-    raise AssertionError(f"no space with {count} opens")
+def _read_back(frame, order=None, grade_map=lambda g: g):
+    """The frame written to its file and read back, with the carrier listed
+    in `order` (positions) and every relation grade passed through
+    `grade_map`."""
+    payload = frame_to_json(frame)
+    if order is not None:
+        payload["carrier"] = [payload["carrier"][i] for i in order]
+    payload["relation"] = {key: format_grade(grade_map(grade(value)))
+                           for key, value in payload["relation"].items()}
+    return frame_from_json(payload)
+
+
+def test_table_files_keep_verdict_and_fold_decision_under_relabelling_and_permutation():
+    # valid tables fold on the lowest member in every carrier order; a table
+    # with one wrong join of three or more elements fails that fold in every
+    # order; a table refolded in one order is only compared under relabelling
+    rng = random.Random(29)
+    valid = [_tabled(frame) for _, frame in _generated_frames(max_opens=6) if len(frame) >= 3]
+    planted = []
+    for frame in valid:
+        items = frame.carrier
+        large = [s for k in range(3, len(items) + 1) for s in itertools.combinations(items, k)]
+        joins = {frozenset(s): frame.join_fn(frozenset(s))
+                 for k in range(len(items) + 1) for s in itertools.combinations(items, k)}
+        key = frozenset(rng.choice(large))
+        joins[key] = rng.choice([a for a in items if a != joins[key]])
+        planted.append(GradedFrame.from_tables(items, frame.top, frame.meet_table, joins, frame.relation))
+    decisions = collections.Counter()
+    for kind, frames in (("valid", valid), ("planted", planted),
+                         ("refolded", list(_refolded_table_frames(60, seed=31)))):
+        for frame in frames:
+            read = _read_back(frame)
+            on_pairs = len(read.view.masks) < 1 << len(read)
+            verdict = check_frame(read)
+            inner = sorted(set(frame.relation.values()) - {ZERO, ONE})
+            image = sorted(F(k, 100) for k in rng.sample(range(1, 100), len(inner)))
+            relabel = {ZERO: ZERO, ONE: ONE, **dict(zip(inner, image))}
+            moved = _read_back(frame, grade_map=relabel.__getitem__)
+            assert check_frame(moved) == verdict
+            assert (len(moved.view.masks) < 1 << len(moved)) == on_pairs
+            permuted = _read_back(frame, order=rng.sample(range(len(frame)), len(frame)))
+            assert (check_frame(permuted) is None) == (verdict is None)
+            if kind != "refolded":
+                assert (len(permuted.view.masks) < 1 << len(permuted)) == on_pairs
+            decisions[kind, on_pairs, verdict is None] += 1
+    assert set(decisions) == {("valid", True, True), ("planted", False, False),
+                              ("refolded", True, True), ("refolded", True, False)}
 
 
 def test_enumeration_at_eleven_opens():
-    frame = frame_from_space(_space_with_opens(11))
+    frame = frame_from_space(space_with_opens(11))
     three = GradeSet((ZERO, HALF, ONE))
     coarse = [p.values for p in enumerate_point_homs(frame, three)]
     assert coarse and coarse == [p.values for p in brute_point_homs(frame, three)]
@@ -578,7 +639,7 @@ def test_triangle_identities_composite(seed):
 
 
 def test_triangle_identities_j_ext_above_twelve_opens(tmp_path, capsys):
-    space = _space_with_opens(13)
+    space = space_with_opens(13)
     laws = check_triangle_identities("j-ext", space)
     assert len(laws) == 2 and all(law.ok for law in laws)
     path = tmp_path / "space13.json"
