@@ -14,12 +14,14 @@ subset; if it does, the pairs decide it as well, and if not, it is checked
 on every subset. Every checker reads the frame through `GradedFrame.view`,
 its integer coding (`FrameView`), built once per frame.
 
-`frame_from_space` works on the space's opens as tuples of grade ranks
-(`ranks`): the meet table, the relation and the pair joins are pointwise
-min, graded inclusion and pointwise max on those tuples, and the frame's
-view is filled from the same tables. That is exact: the three operations
-only compare grades, and ranking is an order-isomorphism fixing 0 and 1.
-The frame's tables hold the opens and `Fraction` grades, as before.
+`frame_from_space` works on the space's opens as the level cuts of their
+rank vectors (`GradedSpace.ranked`), one bitmask over the points per rank:
+the meet table is AND per level, the pair joins OR per level, and the
+relation, graded inclusion, is the least rank s with U_{s+1} & ~V_{s+1}
+!= 0, else the top (`ranks`). The frame's view is
+filled from the same tables. That is exact: the three operations only
+compare grades, and ranking is an order-isomorphism fixing 0 and 1. The
+frame's tables hold the opens and `Fraction` grades, as before.
 
 Carrier elements are opaque hashables: strings when frames come from files,
 opens (fuzzy sets) for frames built from a space, grades for the chain frame
@@ -37,7 +39,7 @@ from .checks import Violation, mask_elements, mask_steps
 from .errors import MixedCarrier, SchemaError
 from .fuzzy_sets import FuzzySet
 from .grades import Grade, ONE, ZERO, godel_arrow
-from .ranks import Ranks, Vector, join, meet
+from .ranks import Cuts, Ranks, inclusion, join, meet, ranks_of
 from .spaces import GradedSpace
 
 
@@ -250,18 +252,20 @@ def frame_from_space(space: GradedSpace) -> GradedFrame:
     position = {row: i for i, row in enumerate(rows)}
     index = dict(zip(opens, range(n)))
 
-    def member(row: Vector) -> FuzzySet:
+    def member(row: Cuts) -> FuzzySet:
         i = position.get(row)
-        return opens[i] if i is not None else FuzzySet(universe, ranks.decode(row))
+        if i is not None:
+            return opens[i]
+        return FuzzySet(universe, ranks.decode(ranks_of(row, len(universe))))
 
     def join_fn(subset: frozenset) -> FuzzySet:
         return member(join(*[rows[index[t]] for t in subset]) if subset else bottom)
 
-    bottom = (0,) * len(universe)
+    bottom = (0,) * ranks.top
     meet_rows = [[meet(a, b) for b in rows] for a in rows]
-    rel = [[ranks.inclusion(a, b) for b in rows] for a in rows]
+    rel = [[inclusion(a, b) for b in rows] for a in rows]
     frame = GradedFrame(
-        opens, member((ranks.top,) * len(universe)),
+        opens, member(((1 << len(universe)) - 1,) * ranks.top),
         {(a, b): member(m) for a, row in zip(opens, meet_rows) for b, m in zip(opens, row)},
         {(a, b): ranks.grades[r] for a, row in zip(opens, rel) for b, r in zip(opens, row)},
         join_fn)

@@ -11,13 +11,23 @@ builds the clauses from pointwise operations on those vectors.
 
 Vector entries are integer ranks: a grade's rank is its index in the sorted
 set of the interpretation's predicate grades together with 0 and 1
-(`ranks.Ranks`). Ranks are ordered as the grades they code, and every
-clause only compares grades (min, max, the Gödel arrow, inf, sup), so the
-coding is exact. Conjunction, disjunction and the sequent grade are the
-rank kernel's `meet`, `join` and `Ranks.inclusion`, the same operations the
-space-to-frame path runs on the opens. Reports
-carry verdicts and indices, not grades; a grade read off a vector is mapped
-back through the rank table.
+(`Interpretation.ranked`). Ranks are ordered as the grades they code, and
+every clause only compares grades (min, max, the Gödel arrow, inf, sup), so
+the coding is exact. A vector is held as its level cuts (`ranks`), one
+bitmask over the assignments per rank r >= 1, bit i set where entry i is at
+least r. Conjunction and disjunction are AND and OR per level, and the
+sequent grade, the inf of the arrow, is the least rank s with
+U_{s+1} & ~V_{s+1} != 0, else the top: the same kernel the space-to-frame
+path runs on the opens. The existential quantifier over a variable of
+stride p ORs the |domain| shifts of each level by multiples of p at the
+assignments where that variable takes the first element, and broadcasts
+the result back over the other elements.
+Terms compile to value partitions, one mask per domain element: a
+variable's masks are periodic, a function application ORs the preimages of
+each value, and a predicate's cut r ORs, over its keys of rank at least r,
+the AND of the arguments' masks at the key. Reports carry verdicts and
+indices, not grades; a grade read off a vector is mapped back through the
+rank table.
 
 One step is one vector entry. A node of a formula over a list of k
 variables costs |domain|^k, k counting the binders above the node whose
@@ -26,7 +36,7 @@ of distinct binders multiplies the cost by |domain| per level. A formula or
 variable list needing more than `MAX_STEPS` is a SchemaError, refused
 before any vector is built.
 
-The suite cross-checks its index surgery once: the first renamed vector of
+The suite cross-checks its renaming once: the first renamed vector of
 clause 8 against the compiled vector of the substituted formula. A direct
 recursive evaluator is kept in the test suite as the reference the
 compiler is checked against.
@@ -34,20 +44,22 @@ compiler is checked against.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
+from functools import cache, cached_property, reduce
+from operator import and_, or_
 from typing import Mapping, Sequence
 
 from ..checks import LawReport
 from ..errors import (
+    ArityMismatch,
     CaptureViolation,
     SchemaError,
     UnboundVariable,
     UndeclaredSymbol,
 )
 from ..grades import Grade
-from ..ranks import Ranks, Vector, join, meet
+from ..ranks import Cuts, Ranks, digits, exists, inclusion, join, meet, rename, renaming, sup_out
 from .parser import CONST_PATTERN, IDENT_PATTERN, Signature, VAR_PATTERN
 from .syntax import (
     And,
@@ -66,6 +78,10 @@ from .syntax import (
     free_variables,
     substitute,
 )
+
+
+# a symbol's table as its arity and (key, value) pairs over domain positions
+_Table = tuple[int, list[tuple[tuple[int, ...], int]]]
 
 
 @dataclass(frozen=True)
@@ -108,6 +124,26 @@ class Interpretation:
                 raise SchemaError(name, f"key {key} mentions unknown elements")
             if values_in_domain and value not in pool:
                 raise SchemaError(name, f"value {value!r} is outside the domain")
+
+    @cached_property
+    def ranked(self) -> tuple[Ranks, dict[str, _Table], dict[str, _Table]]:
+        """The rank table of the predicate grades, and every predicate and
+        function table as its arity and (key, value) pairs over domain
+        positions: a predicate's value is its rank, and keys of rank 0 are
+        left out; a function's value is the position of its value. Built
+        on first use, so the tables are taken as fixed from then on, as
+        `__post_init__` validated them."""
+        ranks = Ranks(g for table in self.predicates.values() for g in table.values())
+        at = {d: i for i, d in enumerate(self.domain)}.__getitem__
+
+        def coded(table: Mapping, value) -> list[tuple[tuple[int, ...], int]]:
+            return [(tuple(map(at, key)), value(v)) for key, v in table.items()]
+
+        return (ranks,
+                {name: (len(next(iter(t))), [kv for kv in coded(t, ranks.rank.__getitem__)
+                                             if kv[1]])
+                 for name, t in self.predicates.items()},
+                {name: (len(next(iter(t))), coded(t, at)) for name, t in self.functions.items()})
 
     def signature(self) -> Signature:
         return Signature(
@@ -176,7 +212,7 @@ def sat_grade(interp: Interpretation, assignment: Assignment, phi: Formula) -> G
     vs = _Vectors(interp, _free(phi))
     u = vs.of(phi)
     at = sum(interp.domain.index(assignment.get(v)) * vs._stride(v) for v in vs.variables)
-    return vs.ranks.grades[u[at]]
+    return vs.ranks.grades[sum(c >> at & 1 for c in u)]
 
 
 def sequent_grade(interp: Interpretation, lhs: Formula, rhs: Formula) -> Grade:
@@ -189,7 +225,7 @@ def sequent_grade(interp: Interpretation, lhs: Formula, rhs: Formula) -> Grade:
     to this finite one. Refused, as in `sat_grade`, above `MAX_STEPS`.
     """
     vs = _Vectors(interp, _free(lhs, rhs))
-    return vs.ranks.grades[vs.ranks.inclusion(vs.of(lhs), vs.of(rhs))]
+    return vs.ranks.grades[inclusion(vs.of(lhs), vs.of(rhs))]
 
 
 # ---------------------------------------------------------------------------
@@ -197,68 +233,53 @@ def sequent_grade(interp: Interpretation, lhs: Formula, rhs: Formula) -> Grade:
 
 class _Vectors:
     """Satisfaction grades of formulas over every assignment to a fixed
-    variable list, coded as integer ranks, with pointwise combinators
-    mirroring the semantic clauses.
+    variable list, coded as the level cuts of their rank vectors, with the
+    rank kernel's operations mirroring the semantic clauses.
 
     Assignments are listed in `itertools.product` order over the sorted
-    variables, so the last variable varies fastest. Vectors are tuples of
-    ranks in `ranks`, the rank table of the predicate tables' grades; the
-    conjunction, disjunction and sequent clauses are the rank kernel's
-    `meet`, `join` and `Ranks.inclusion`, as for fuzzy sets.
+    variables, so the last variable varies fastest; assignment i is bit i
+    of every cut. A list widened by a bound variable puts that variable
+    first, varying slowest, so its positions are |domain| copies of the
+    list's own and the sup over it is an OR of shifts by the list's size.
+    A term compiles to its value partition, one mask per domain element
+    holding the assignments where the term takes that value. Ranks are
+    those of `Interpretation.ranked`.
     """
 
     def __init__(self, interp: Interpretation, variables: Sequence[int],
-                 ranks: Ranks | None = None):
+                 outer: int | None = None):
         self.interp = interp
-        self.variables = sorted(variables)
+        self.ranks, self._predicates, self._functions = interp.ranked
+        self.variables = sorted(variables) if outer is None else [outer, *variables]
         self.position = {v: i for i, v in enumerate(self.variables)}
-        if ranks is None:
-            ranks = Ranks(g for table in interp.predicates.values() for g in table.values())
-        self.ranks = ranks
-        self.ranked = {name: {key: ranks.rank[g] for key, g in table.items()}
-                       for name, table in interp.predicates.items()}
-        if len(interp.domain) ** len(self.variables) > MAX_STEPS:
+        self.n = len(interp.domain)
+        self.size = self.n ** len(self.variables)
+        if self.size > MAX_STEPS:
             raise _too_many_steps()
-        tuples = list(itertools.product(interp.domain, repeat=len(self.variables)))
-        self.size = len(tuples)
-        self.columns = list(zip(*tuples))
-        self._fibres: dict[int, tuple[list[range], list[int]]] = {}
-        self._renames: dict[tuple[int, int], list[int]] = {}
+        self.full = (1 << self.size) - 1
+        self._digits: dict[int, tuple[int, ...]] = {}
+        self._renames: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
         self._widened: dict[int, _Vectors] = {}
 
     def _stride(self, variable: int) -> int:
-        return len(self.interp.domain) ** (len(self.variables) - 1 - self.position[variable])
+        return self.n ** (len(self.variables) - 1 - self.position[variable])
 
-    def _fibres_of(self, variable: int) -> tuple[list[range], list[int]]:
-        """The fibres of `variable` (assignments differing only there), in
-        product order of the other variables, and each assignment's fibre."""
-        if variable not in self._fibres:
-            stride = self._stride(variable)
-            block = stride * len(self.interp.domain)
-            fibres = [range(base, base + block, stride)
-                      for start in range(0, self.size, block)
-                      for base in range(start, start + stride)]
-            owner = [i // block * stride + i % stride for i in range(self.size)]
-            self._fibres[variable] = fibres, owner
-        return self._fibres[variable]
-
-    def _sup_over(self, u: Vector, variable: int) -> Vector:
-        """sup of u over each fibre of `variable`: the vector of the
-        quantified formula over the list without `variable`."""
-        return tuple([max([u[j] for j in fibre]) for fibre in self._fibres_of(variable)[0]])
+    def _digits_of(self, variable: int) -> tuple[int, ...]:
+        """The value partition of the variable `variable`."""
+        if variable not in self._digits:
+            self._digits[variable] = digits(self.size, self._stride(variable), self.n)
+        return self._digits[variable]
 
     def _widen(self, variable: int) -> "_Vectors":
         if variable not in self._widened:
-            self._widened[variable] = _Vectors(self.interp, self.variables + [variable],
-                                               self.ranks)
+            self._widened[variable] = _Vectors(self.interp, self.variables, variable)
         return self._widened[variable]
 
-    def of(self, phi: Formula) -> Vector:
-        """Rank vector of a formula, compiled bottom-up with an explicit
-        stack, so nesting depth costs no interpreter stack. Terms compile to
-        columns of domain elements. A quantifier whose variable is not in
-        the list evaluates its body over the list widened by that variable
-        and sups it out."""
+    def of(self, phi: Formula) -> Cuts:
+        """Level cuts of a formula's rank vector, compiled bottom-up with an
+        explicit stack, so nesting depth costs no interpreter stack. A
+        quantifier whose variable is not in the list evaluates its body
+        over the list widened by that variable and sups it out."""
         self._check_steps(phi)
         done: list = []
         todo: list = [(phi, self, False)]
@@ -279,9 +300,9 @@ class _Vectors:
 
     def _check_steps(self, phi: Formula) -> None:
         """Refuse `phi` if `of` would build more than `MAX_STEPS` entries: a
-        node's vector or column has |domain|^k entries, k the list's length
-        plus the binders above the node that widen it."""
-        n = len(self.interp.domain)
+        node's vector or partition has |domain|^k entries, k the list's
+        length plus the binders above the node that widen it."""
+        n = self.n
         steps = 0
         todo: list = [(phi, frozenset(self.variables))]
         while todo:
@@ -293,29 +314,42 @@ class _Vectors:
                 scope = scope | {node.variable}
             todo.extend((part, scope) for part in _parts(node))
 
-    def _combine(self, node, args: list) -> Vector:
-        """The vector of a formula, or the column of a term, from those of
-        its parts."""
+    def _combine(self, node, args: list) -> Cuts:
+        """The cuts of a formula, or the value partition of a term, from
+        those of its parts."""
         if isinstance(node, Top):
-            return (self.ranks.top,) * self.size
+            return (self.full,) * self.ranks.top
         if isinstance(node, Bottom):
-            return (0,) * self.size
+            return (0,) * self.ranks.top
         if isinstance(node, Var):
             if node.index not in self.position:
                 raise UnboundVariable(node.index)
-            return self.columns[self.position[node.index]]
+            return self._digits_of(node.index)
         if isinstance(node, Const):
             if node.index not in self.interp.constants:
                 raise UndeclaredSymbol(f"c{node.index}")
-            return (self.interp.constants[node.index],) * self.size
+            value = self.interp.domain.index(self.interp.constants[node.index])
+            return tuple(self.full if d == value else 0 for d in range(self.n))
         if isinstance(node, (Predicate, Func)):
-            tables = self.ranked if isinstance(node, Predicate) else self.interp.functions
+            tables = self._predicates if isinstance(node, Predicate) else self._functions
             if node.symbol not in tables:
                 raise UndeclaredSymbol(node.symbol)
-            table = tables[node.symbol]
-            return tuple([table[key] for key in (zip(*args) if args else [()] * self.size)])
+            arity, pairs = tables[node.symbol]
+            if arity != len(args):
+                raise ArityMismatch(node.symbol, arity, len(args))
+            # one mask per rank (per value for a function): the assignments
+            # where the arguments take a key of that rank
+            masks = [0] * (self.ranks.top + 1 if isinstance(node, Predicate) else self.n)
+            for key, value in pairs:
+                masks[value] |= reduce(and_, map(tuple.__getitem__, args, key), self.full)
+            if isinstance(node, Func):
+                return tuple(masks)
+            for r in range(self.ranks.top - 1, 0, -1):
+                masks[r] |= masks[r + 1]
+            return tuple(masks[1:])
         if isinstance(node, Equality):
-            return tuple([self.ranks.top if a == b else 0 for a, b in zip(*args)])
+            same = reduce(or_, map(and_, *args))
+            return (same,) * self.ranks.top
         if isinstance(node, And):
             return meet(*args)
         if isinstance(node, Or):
@@ -323,22 +357,21 @@ class _Vectors:
         if isinstance(node, Exists):
             if node.variable in self.position:
                 return self.exists(args[0], node.variable)
-            return self._widen(node.variable)._sup_over(args[0], node.variable)
+            return sup_out(args[0], self.size, self.n, self.full)
         raise TypeError(f"not a formula: {node!r}")
 
-    def exists(self, u: Vector, variable: int) -> Vector:
-        sups = self._sup_over(u, variable)
-        return tuple([sups[f] for f in self._fibres_of(variable)[1]])
+    def exists(self, u: Cuts, variable: int) -> Cuts:
+        """Cuts of the formula quantified over `variable`, a variable of the list."""
+        return exists(u, self._stride(variable), self.n, self._digits_of(variable)[0])
 
-    def rename(self, u: Vector, variable: int, replacement: int) -> Vector:
-        """Vector of the formula with `replacement` substituted for the free
-        variable `variable` (the substitution lemma as index surgery)."""
+    def rename(self, u: Cuts, variable: int, replacement: int) -> Cuts:
+        """Cuts of the formula with `replacement` substituted for the free
+        variable `variable` (the substitution lemma as masked shifts)."""
         key = (variable, replacement)
         if key not in self._renames:
-            n = len(self.interp.domain)
-            p, q = self._stride(variable), self._stride(replacement)
-            self._renames[key] = [i + (i // q % n - i // p % n) * p for i in range(self.size)]
-        return tuple([u[j] for j in self._renames[key]])
+            self._renames[key] = renaming(self._digits_of(variable), self._digits_of(replacement),
+                                          self._stride(variable))
+        return rename(u, self._renames[key])
 
 
 def _parts(node) -> tuple:
@@ -374,7 +407,7 @@ def theorem2_suite(interp: Interpretation, pool: Sequence[Formula]) -> tuple[Law
     pool_vars = sorted(set().union(frozenset(), *(free_variables(f) for f in pool)))
     fresh = (max(pool_vars, default=0)) + 1
     vs = _Vectors(interp, pool_vars + [fresh])
-    top, sequent = vs.ranks.top, vs.ranks.inclusion
+    top, sequent = vs.ranks.top, inclusion
     vector = {i: vs.of(f) for i, f in enumerate(pool)}
     seq = {(i, j): sequent(vector[i], vector[j])
            for i in range(len(pool)) for j in range(len(pool))}
@@ -468,13 +501,22 @@ def theorem2_suite(interp: Interpretation, pool: Sequence[Formula]) -> tuple[Law
                 fails.append(f"7 ({i} with {ys})")
     clause("Thm2.7 substitution of equals", fails)
 
-    @functools.cache
+    @cache
     def renamed(k: int, y: int, x: int) -> Formula | None:
         """pool[k] with x for y, or None when the capture check rejects it."""
         try:
             return substitute(pool[k], [(y, Var(x))])
         except CaptureViolation:
             return None
+
+    # clauses 8 and 9 read these for many (i, j); each is computed once
+    @cache
+    def exists_of(k: int, y: int) -> Cuts:
+        return vs.exists(vector[k], y)
+
+    @cache
+    def rename_of(k: int, y: int, x: int) -> Cuts:
+        return vs.rename(vector[k], y, x)
 
     fails = []
     spot_checked = False
@@ -486,19 +528,18 @@ def theorem2_suite(interp: Interpretation, pool: Sequence[Formula]) -> tuple[Law
                     replaced = renamed(j, y, x)
                     if replaced is None:
                         continue
-                    replaced_vec = vs.rename(vector[j], y, x)
+                    replaced_vec = rename_of(j, y, x)
                     if not spot_checked:
                         if replaced_vec != vs.of(replaced):
                             raise AssertionError("rename disagrees with substitution")
                         spot_checked = True
-                    exists_vec = vs.exists(vector[j], y)
-                    if sequent(vector[i], replaced_vec) > sequent(vector[i], exists_vec):
+                    if sequent(vector[i], replaced_vec) > sequent(vector[i], exists_of(j, y)):
                         fails.append(f"8(i) ({i},{j},x{y}:=x{x})")
                     # second half: from an existential premise to the instance
                     if renamed(i, y, x) is None:
                         continue
-                    lhs = sequent(vs.exists(vector[i], y), vector[j])
-                    rhs = sequent(vs.rename(vector[i], y, x), vector[j])
+                    lhs = sequent(exists_of(i, y), vector[j])
+                    rhs = sequent(rename_of(i, y, x), vector[j])
                     if lhs > rhs:
                         fails.append(f"8(ii) ({i},{j},x{y}:=x{x})")
     clause("Thm2.8 existential bounds", fails)
@@ -508,7 +549,7 @@ def theorem2_suite(interp: Interpretation, pool: Sequence[Formula]) -> tuple[Law
         for j in range(len(pool)):
             candidates = sorted((free_variables(pool[j]) | {fresh}) - free_variables(pool[i]))
             for y in candidates:
-                lhs = meet(vector[i], vs.exists(vector[j], y))
+                lhs = meet(vector[i], exists_of(j, y))
                 rhs = vs.exists(meet(vector[i], vector[j]), y)
                 if sequent(lhs, rhs) != top:
                     fails.append(f"9 ({i},{j},x{y})")

@@ -1,22 +1,47 @@
-"""Grades coded as ranks, and the pointwise operations on rank vectors.
+"""Grades coded as ranks, and rank vectors coded as their level cuts.
 
 A finite grade set with 0 and 1, sorted, codes each grade by its position
 in the list, its rank. Ranking is an order-isomorphism that sends 0 to 0
 and 1 to the top rank. Min, max and the Gödel arrow only compare grades,
 so each one commutes with it: the min of two ranks codes the min of their
 grades, and the arrow from rank a to rank b is the top when a <= b and b
-otherwise. A fuzzy set, or a formula's grades over a list of assignments,
-is then a tuple of ints. Its pointwise operations compare ints, not
-`Fraction`s, and a tuple of ranks hashes without hashing a `Fraction`.
+otherwise.
+
+A fuzzy set, or a formula's grades over a list of assignments, is a vector
+of ranks over positions 0..s-1. It is stored as its level cuts (`Cuts`):
+cut_r = {i : u[i] >= r} for r = 1..top, each cut one int whose bit i is
+position i. This is the resolution identity of fuzzy sets (Zadeh 1971):
+the cuts are nested, and u[i] is the number of cuts holding i. Every
+pointwise operation is then a few word operations per level:
+
+- meet (pointwise min) is AND per level, join (pointwise max) is OR;
+- graded inclusion, the inf over i of the arrow from u[i] to v[i], is the
+  least s with U_{s+1} & ~V_{s+1} != 0, else the top. That set holds the
+  positions with v[i] <= s < u[i]: the position where the inf is taken,
+  m = v[i] < u[i], is in it at s = m, and any position in it at s has
+  m <= v[i] <= s. (Its positions with v[i] = s, U_{s+1} & V_s & ~V_{s+1},
+  are nonempty at the same least s.)
+- ∃ over a coordinate of stride p in base n (the sup over each fibre of
+  positions differing only in that coordinate) ORs the n shifts of a
+  level by multiples of p, keeps the fibre bases (coordinate 0), and
+  broadcasts them back over the fibre by one multiplication;
+- renaming one coordinate to another's value reads every position at a
+  fixed offset within each class of positions where the two coordinates
+  differ by the same amount: an OR of at most 2n-1 masked shifts.
+
+The cut coding of a vector is unique, so equal vectors have equal cuts
+and cut tuples serve as dict keys and set members.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import and_, or_
 from typing import Iterable, Sequence
 
 from .grades import Grade, ONE, ZERO
 
-Vector = tuple[int, ...]
+Cuts = tuple[int, ...]
 
 
 class Ranks:
@@ -28,23 +53,96 @@ class Ranks:
         self.rank = {g: r for r, g in enumerate(self.grades)}
         self.top = len(self.grades) - 1
 
-    def code(self, values: Iterable[Grade]) -> Vector:
+    def code(self, values: Iterable[Grade]) -> tuple[int, ...]:
         return tuple(map(self.rank.__getitem__, values))
 
     def decode(self, vector: Iterable[int]) -> tuple[Grade, ...]:
         return tuple(map(self.grades.__getitem__, vector))
 
-    def inclusion(self, u: Sequence[int], v: Sequence[int]) -> int:
-        """Graded inclusion of u in v, the inf of the Gödel arrow over the
-        positions: the least v[i] where u[i] > v[i], else the top."""
-        return min([b for a, b in zip(u, v) if a > b], default=self.top)
+    def cuts(self, values: Iterable[Grade]) -> Cuts:
+        """The level cuts of a grade vector."""
+        return cuts_of(self.code(values), self.top)
 
 
-def meet(u: Sequence[int], v: Sequence[int]) -> Vector:
+def cuts_of(vector: Sequence[int], top: int) -> Cuts:
+    """The level cuts 1..top of a rank vector."""
+    exact = [0] * (top + 1)
+    for i, r in enumerate(vector):
+        exact[r] |= 1 << i
+    cuts = [0] * top
+    below = 0
+    for r in range(top, 0, -1):
+        below |= exact[r]
+        cuts[r - 1] = below
+    return tuple(cuts)
+
+
+def ranks_of(cuts: Cuts, size: int) -> tuple[int, ...]:
+    """The rank vector over `size` positions whose level cuts are `cuts`."""
+    return tuple(sum(c >> i & 1 for c in cuts) for i in range(size))
+
+
+def meet(u: Cuts, v: Cuts) -> Cuts:
     """Pointwise min."""
-    return tuple(map(min, u, v))
+    return tuple(map(and_, u, v))
 
 
-def join(*vectors: Sequence[int]) -> Vector:
+def join(*vectors: Cuts) -> Cuts:
     """Pointwise max of one or more vectors."""
-    return tuple(map(max, *vectors)) if len(vectors) > 1 else tuple(vectors[0])
+    if len(vectors) == 2:
+        return tuple(map(or_, *vectors))
+    return tuple(reduce(or_, level) for level in zip(*vectors))
+
+
+def inclusion(u: Cuts, v: Cuts) -> int:
+    """Graded inclusion of u in v: the least rank s that v takes at a
+    position where u exceeds it, else the top."""
+    for s, (a, b) in enumerate(zip(u, v)):
+        if a & ~b:
+            return s
+    return len(u)
+
+
+def digits(size: int, stride: int, n: int) -> tuple[int, ...]:
+    """The partition of `size` positions by a base-n coordinate of
+    `stride`: mask d holds the positions whose coordinate is d. `size` is
+    a multiple of stride * n."""
+    period = stride * n
+    repeat = ((1 << size) - 1) // ((1 << period) - 1)
+    block = (1 << stride) - 1
+    return tuple((block << d * stride) * repeat for d in range(n))
+
+
+def sup_out(u: Cuts, stride: int, n: int, base: int) -> Cuts:
+    """The sup of u over each fibre of the coordinate of `stride` in base
+    n, at the fibre's base: the positions of the mask `base`."""
+    shifts = range(stride, stride * n, stride)
+    return tuple([reduce(or_, [c >> s for s in shifts], c) & base for c in u])
+
+
+def exists(u: Cuts, stride: int, n: int, base: int) -> Cuts:
+    """The sup of u over each fibre of the coordinate of `stride` in base
+    n, at every position of the fibre; `base` is the coordinate's mask at 0."""
+    spread = sum(1 << s for s in range(0, stride * n, stride))
+    return tuple([c * spread for c in sup_out(u, stride, n, base)])
+
+
+def renaming(old: Sequence[int], new: Sequence[int], stride: int) -> tuple[tuple[int, int], ...]:
+    """The masked shifts that read each position at the coordinate of
+    `stride` set to another coordinate's value: `old` and `new` are the two
+    coordinates' `digits`. Each pair (s, mask) reads the positions in mask
+    at offset s."""
+    n = len(old)
+    moves = []
+    for delta in range(1 - n, n):
+        pairs = range(max(0, -delta), min(n, n - delta))
+        mask = reduce(or_, [old[d] & new[d + delta] for d in pairs], 0)
+        if mask:
+            moves.append((delta * stride, mask))
+    return tuple(moves)
+
+
+def rename(u: Cuts, moves: Sequence[tuple[int, int]]) -> Cuts:
+    """u read through `renaming` moves."""
+    return tuple([reduce(or_, [(c >> s if s >= 0 else c << -s) & m for s, m in moves], 0)
+                  for c in u])

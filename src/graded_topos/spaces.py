@@ -12,7 +12,12 @@ position in the sorted grade set of the generators with 0 and 1
 (`ranks.Ranks`). Union and intersection are pointwise max and min, which
 only compare grades, and ranking is an order-isomorphism fixing 0 and 1,
 so the closure of the rank vectors codes the closure of the fuzzy sets
-exactly.
+exactly. Each vector is held as its level cuts, one bitmask over the
+universe's points per rank r >= 1 (bit i for the i-th point): union is OR
+and intersection AND per level, and the graded inclusion that
+`frame_from_space` takes of two opens is read off the cuts as well
+(`ranks` states the identity). Cut tuples do not sort as the grade tuples
+they code, so the canonical order is taken on the decoded ranks.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from .fuzzy_sets import (
     preimage,
     union,
 )
-from .ranks import Ranks, Vector, join, meet
+from .ranks import Cuts, Ranks, join, meet, ranks_of
 
 DEFAULT_CLOSURE_CAP = 4096
 
@@ -60,11 +65,11 @@ class GradedSpace:
         return len(self.opens)
 
     @cached_property
-    def ranked(self) -> tuple[Ranks, list[Vector]]:
-        """The rank table of the opens' grades and each open as a rank
-        vector, in the order of `opens`; built on first use."""
+    def ranked(self) -> tuple[Ranks, list[Cuts]]:
+        """The rank table of the opens' grades and the level cuts of each
+        open, in the order of `opens`; built on first use."""
         ranks = Ranks(g for t in self.opens for g in t.grades)
-        return ranks, [ranks.code(t.grades) for t in self.opens]
+        return ranks, [ranks.cuts(t.grades) for t in self.opens]
 
 
 def canonical_opens(opens: Iterable[FuzzySet]) -> tuple[FuzzySet, ...]:
@@ -110,16 +115,16 @@ def generate_topology(
     """Smallest topology containing the generators: saturate under pairwise
     unions and intersections starting from {0-set, 1-set} ∪ generators.
 
-    The closure runs on rank vectors (module docstring), which sort as the
-    grade tuples they code; the space keeps them as `ranked`. Raises
-    Overflow once the closure exceeds max_opens.
+    The closure runs on the level cuts of rank vectors (module docstring),
+    sorted by the rank vectors they code; the space keeps them as `ranked`.
+    Raises Overflow once the closure exceeds max_opens.
     """
     for t in generators:
         if t.universe != universe:
             raise MixedUniverse("generator over a different universe")
     ranks = Ranks(g for t in generators for g in t.grades)
-    opens = {(0,) * len(universe), (ranks.top,) * len(universe)}
-    opens.update(ranks.code(t.grades) for t in generators)
+    opens = {(0,) * ranks.top, ((1 << len(universe)) - 1,) * ranks.top}
+    opens.update(ranks.cuts(t.grades) for t in generators)
     frontier = list(opens)
     while frontier:
         if len(opens) > max_opens:
@@ -135,8 +140,10 @@ def generate_topology(
         frontier = fresh
     if len(opens) > max_opens:
         raise Overflow(f"topology closure exceeded {max_opens} opens")
-    rows = sorted(opens)
-    space = GradedSpace(universe, tuple(FuzzySet(universe, ranks.decode(row)) for row in rows))
+    levels = {row: ranks_of(row, len(universe)) for row in opens}
+    rows = sorted(opens, key=levels.__getitem__)
+    space = GradedSpace(universe, tuple(FuzzySet(universe, ranks.decode(levels[row]))
+                                        for row in rows))
     # every grade of an open is a generator's grade, 0 or 1: the same table
     vars(space)["ranked"] = ranks, rows
     return space

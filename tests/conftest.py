@@ -86,6 +86,49 @@ def brute_inclusion(a: FuzzySet, b: FuzzySet) -> Fraction:
     return min((godel_arrow(a(x), b(x)) for x in a.universe.elements), default=ONE)
 
 
+# The tuple rank kernel the level-cut coding replaced: a vector is a tuple
+# of ranks, and `exists` and `rename` read it through index tables.
+
+def tuple_meet(u, v) -> tuple[int, ...]:
+    """Pointwise min."""
+    return tuple(map(min, u, v))
+
+
+def tuple_join(*vectors) -> tuple[int, ...]:
+    """Pointwise max of one or more vectors."""
+    return tuple(map(max, *vectors)) if len(vectors) > 1 else tuple(vectors[0])
+
+
+def tuple_inclusion(u, v, top: int) -> int:
+    """The least v[i] where u[i] > v[i], else the top."""
+    return min([b for a, b in zip(u, v) if a > b], default=top)
+
+
+def tuple_exists(u, stride: int, n: int) -> tuple[int, ...]:
+    """The max of u over each fibre of the base-n coordinate of `stride`
+    (positions differing only there), at every position of the fibre."""
+    block = stride * n
+    fibres = [range(base, base + block, stride)
+              for start in range(0, len(u), block)
+              for base in range(start, start + stride)]
+    owner = [i // block * stride + i % stride for i in range(len(u))]
+    sups = [max(u[j] for j in fibre) for fibre in fibres]
+    return tuple(sups[f] for f in owner)
+
+
+def tuple_rename(u, stride: int, replacement: int, n: int) -> tuple[int, ...]:
+    """u read with the coordinate of `stride` set to the value of the
+    coordinate of stride `replacement`."""
+    p, q = stride, replacement
+    return tuple(u[i + (i // q % n - i // p % n) * p] for i in range(len(u)))
+
+
+def level_cuts(vector, top: int) -> tuple[int, ...]:
+    """The level cuts 1..top of a rank vector, bit by bit."""
+    return tuple(sum(1 << i for i, r in enumerate(vector) if r >= level)
+                 for level in range(1, top + 1))
+
+
 def brute_space_closed(space) -> bool:
     """Clauses 1-3 by literal enumeration of every sublist union."""
     opens = set(space.opens)

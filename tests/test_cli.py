@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from graded_topos.cli import main
 from graded_topos.frames import GradedFrame, check_frame
 from graded_topos.grades import ONE, ZERO
+from graded_topos.logic.semantics import MAX_STEPS
 from graded_topos.serialization import save_frame
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -231,6 +233,33 @@ def test_binders_beyond_the_step_budget_are_an_input_error(verb, tmp_path):
         assert done.returncode == 2
         assert "Traceback" not in done.stderr
         assert done.stderr.count("\n") == 1 and answer in done.stderr
+
+
+def test_eighteen_distinct_binders_are_answered_in_little_memory(capsys):
+    # 2^19 - 1 steps, within the budget; the vectors take 2^18 bits per level
+    formula = _binders(range(1, 19))
+    tracemalloc.start()
+    try:
+        code = main(["eval", "--interp", str(FIXTURES / "interp_basic.json"), "--formula", formula])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and capsys.readouterr().out == "1/1\n"
+    assert peak < 16 * 2 ** 20
+
+
+def test_the_step_budget_is_exact(capsys):
+    # towers of distinct binders cost 2^(k+1) - 1 steps over two elements,
+    # each V[...] node one more: `within` costs MAX_STEPS, `over` one more
+    towers = [18, 17, 16, 15, 13, 8, 5, 1, 0, 0]
+    body = "V[" + ", ".join(_binders(range(1, k + 1)) for k in towers) + "]"
+    within, over = f"V[{body}]", f"V[V[{body}]]"
+    interp = str(FIXTURES / "interp_basic.json")
+    assert main(["eval", "--interp", interp, "--formula", within]) == 0
+    assert capsys.readouterr().out == "1/1\n"
+    assert main(["eval", "--interp", interp, "--formula", over]) == 2
+    assert capsys.readouterr().err == (
+        f"error: formula: evaluation needs more than {MAX_STEPS} steps\n")
 
 
 def test_theorem2_runs_a_pool_file(capsys):

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import brute_assignments, brute_sat_grade, brute_sequent_grade
+from conftest import brute_assignments, brute_sat_grade, brute_sequent_grade, level_cuts
 from graded_topos import ranks
 from graded_topos.errors import (
     CaptureViolation,
@@ -263,10 +263,11 @@ RICH = Interpretation(
 
 
 def reference_vector(vs, phi):
-    """rank(brute_sat_grade) at every assignment, in the vectors' product order."""
+    """The level cuts of rank(brute_sat_grade) at every assignment, in the
+    vectors' product order."""
     rank = {g: r for r, g in enumerate(vs.ranks.grades)}
-    return tuple(rank[brute_sat_grade(vs.interp, s, phi)]
-                 for s in brute_assignments(vs.interp, vs.variables))
+    return level_cuts([rank[brute_sat_grade(vs.interp, s, phi)]
+                       for s in brute_assignments(vs.interp, vs.variables)], vs.ranks.top)
 
 
 def check_vectors(interp, variables, formulas):
@@ -286,7 +287,7 @@ def check_vectors(interp, variables, formulas):
     for (f, u), (g, v) in itertools.product(zip(formulas, vectors), repeat=2):
         assert ranks.meet(u, v) == reference_vector(vs, And(f, g))
         assert ranks.join(u, v, u) == reference_vector(vs, Or((f, g, f)))
-        assert vs.ranks.grades[vs.ranks.inclusion(u, v)] == brute_sequent_grade(interp, f, g)
+        assert vs.ranks.grades[ranks.inclusion(u, v)] == brute_sequent_grade(interp, f, g)
 
 
 @pytest.mark.parametrize("variables, texts", [
@@ -416,6 +417,13 @@ def permuted(interp, rng):
          for name, t in interp.predicates.items()})
 
 
+def reordered(interp, rng):
+    """The same structure with its domain listed in another order, which
+    reorders the assignments and so the bits of every vector."""
+    return Interpretation(tuple(rng.sample(interp.domain, len(interp.domain))),
+                          interp.constants, interp.functions, interp.predicates)
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_suite_is_invariant_under_grade_relabelling_and_domain_permutation(seed):
     rng = random.Random(seed)
@@ -427,6 +435,10 @@ def test_suite_is_invariant_under_grade_relabelling_and_domain_permutation(seed)
         move, moved = relabelled(interp, rng)
         assert theorem2_suite(moved, pool) == reports
         assert theorem2_suite(permuted(interp, rng), pool) == reports
+        listed = reordered(interp, rng)
+        assert theorem2_suite(listed, pool) == reports
+        for lhs, rhs in itertools.product(pool, repeat=2):
+            assert sequent_grade(listed, lhs, rhs) == sequent_grade(interp, lhs, rhs)
         variables = sorted(set().union(*(free_variables(f) for f in pool))) + [9]
         assert ([_Vectors(moved, variables).of(f) for f in pool]
                 == [_Vectors(interp, variables).of(f) for f in pool])

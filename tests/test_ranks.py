@@ -1,15 +1,19 @@
 """The rank kernel and the space-to-frame path that runs on it.
 
-`generate_topology` and `frame_from_space` compute on rank vectors; the
+The kernel holds a rank vector as its level cuts; the tuple kernel it
+replaced lives on in conftest as the oracle it is checked against.
+`generate_topology` and `frame_from_space` compute on level cuts; the
 `Fraction` versions they replaced live on in conftest as oracles. A
 strictly monotone relabelling of grades that fixes 0 and 1 must leave
-every rank table unchanged. The bridge from fuzzy geometric logic to
-topology is checked with the recursive oracle: a formula's extent is a
-fuzzy set over the assignments, and graded consequence is graded inclusion
-of extents.
+every rank table unchanged, and a permutation of the universe's points,
+the carrier's bit order, must permute the opens and nothing else. The
+bridge from fuzzy geometric logic to topology is checked with the
+recursive oracle: a formula's extent is a fuzzy set over the assignments,
+and graded consequence is graded inclusion of extents.
 """
 
 import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -19,7 +23,14 @@ from conftest import (
     brute_generate_topology,
     brute_inclusion,
     brute_sat_grade,
+    level_cuts,
+    tuple_exists,
+    tuple_inclusion,
+    tuple_join,
+    tuple_meet,
+    tuple_rename,
 )
+from graded_topos import ranks as kernel
 from graded_topos.errors import Overflow
 from graded_topos.frames import check_frame, frame_from_space
 from graded_topos.functors import GradeSet
@@ -33,7 +44,7 @@ from graded_topos.generators import (
 from graded_topos.grades import ONE, ZERO
 from graded_topos.logic.semantics import Assignment, sequent_grade
 from graded_topos.logic.syntax import BOTTOM, TOP, free_variables
-from graded_topos.ranks import Ranks, join, meet
+from graded_topos.ranks import Ranks, cuts_of, inclusion, join, meet, ranks_of
 from graded_topos.spaces import GradedSpace, check_space, generate_topology
 
 GRADES = GradeSet((ZERO, F(1, 4), F(1, 2), F(3, 4), ONE))
@@ -44,13 +55,74 @@ def test_rank_table_and_operations():
     assert ranks.grades == (ZERO, F(1, 3), F(1, 2), ONE) and ranks.top == 3
     assert ranks.code([ONE, F(1, 3), ZERO]) == (3, 1, 0)
     assert ranks.decode((2, 0)) == (F(1, 2), ZERO)
-    assert meet((3, 1, 0), (2, 2, 2)) == (2, 1, 0)
-    assert join((3, 1, 0), (2, 2, 2)) == (3, 2, 2)
-    assert join((1, 0, 2), (0, 2, 1), (0, 0, 0)) == (1, 2, 2)
-    assert join((1, 0)) == (1, 0)
-    assert ranks.inclusion((1, 2, 0), (2, 1, 3)) == 1
-    assert ranks.inclusion((0, 1), (0, 1)) == ranks.top
-    assert ranks.inclusion((), ()) == ranks.top
+    # cut r holds the positions of rank >= r, bit i for position i
+    assert ranks.cuts([ONE, F(1, 3), ZERO]) == (0b011, 0b001, 0b001)
+    assert ranks_of((0b011, 0b001, 0b001), 3) == (3, 1, 0)
+
+    def c(*vector):
+        return cuts_of(vector, ranks.top)
+
+    assert meet(c(3, 1, 0), c(2, 2, 2)) == c(2, 1, 0)
+    assert join(c(3, 1, 0), c(2, 2, 2)) == c(3, 2, 2)
+    assert join(c(1, 0, 2), c(0, 2, 1), c(0, 0, 0)) == c(1, 2, 2)
+    assert join(c(1, 0)) == c(1, 0)
+    assert inclusion(c(1, 2, 0), c(2, 1, 3)) == 1
+    assert inclusion(c(0, 1), c(0, 1)) == ranks.top
+    assert inclusion(c(), c()) == ranks.top
+
+
+def random_vector(rng, size: int, top: int) -> tuple[int, ...]:
+    """Ranks 0..top, all of one rank at times, so the inclusion is often
+    the top or 0."""
+    if rng.random() < 0.2:
+        return (rng.randint(0, top),) * size
+    return tuple(rng.randint(0, top) for _ in range(size))
+
+
+def test_the_cut_kernel_matches_the_tuple_kernel():
+    """meet, n-ary join and inclusion on random vectors of 1 to 4096
+    entries and 2 to 6 ranks."""
+    rng = random.Random(11)
+    for trial in range(300):
+        top = rng.randint(1, 5)
+        size = rng.choice([1, 2, 3, 27, rng.randint(1, 4096)])
+        vectors = [random_vector(rng, size, top) for _ in range(rng.randint(1, 4))]
+        u, v = vectors[0], vectors[-1]
+        if trial % 3 == 0:  # u below v at every position but at most one
+            v = tuple(max(a, b) for a, b in zip(u, v))
+            i = rng.randrange(size)
+            v = v[:i] + (rng.randint(0, top),) + v[i + 1:]
+        cu, cv = level_cuts(u, top), level_cuts(v, top)
+        assert cuts_of(u, top) == cu and ranks_of(cu, size) == u
+        assert meet(cu, cv) == level_cuts(tuple_meet(u, v), top)
+        assert join(*(level_cuts(w, top) for w in vectors)) == level_cuts(tuple_join(*vectors), top)
+        assert inclusion(cu, cv) == tuple_inclusion(u, v, top)
+
+
+def test_exists_and_rename_match_the_index_tables():
+    """∃ over each coordinate and renaming each coordinate to each other
+    one, on vectors over n^k assignments of up to 4096 entries."""
+    rng = random.Random(12)
+    for n, k in [(1, 3), (2, 1), (2, 5), (2, 12), (3, 3), (3, 7), (4, 6), (5, 2), (7, 4)]:
+        size = n ** k
+        for _ in range(3):
+            top = rng.randint(1, 5)
+            u = random_vector(rng, size, top)
+            cu = level_cuts(u, top)
+            strides = [n ** j for j in range(k)]
+            digits = {p: kernel.digits(size, p, n) for p in strides}
+            for p in strides:
+                assert digits[p] == tuple(sum(1 << i for i in range(size) if i // p % n == d)
+                                          for d in range(n))
+                assert kernel.exists(cu, p, n, digits[p][0]) == level_cuts(tuple_exists(u, p, n), top)
+                for q in rng.sample(strides, min(k, 3)):
+                    moves = kernel.renaming(digits[p], digits[q], p)
+                    assert len(moves) <= 2 * n - 1
+                    assert kernel.rename(cu, moves) == level_cuts(tuple_rename(u, p, q, n), top)
+            # the sup over the slowest coordinate, onto the list without it
+            inner = size // n
+            assert kernel.sup_out(cu, inner, n, (1 << inner) - 1) == level_cuts(
+                [max(u[d * inner + i] for d in range(n)) for i in range(inner)], top)
 
 
 def random_generators(rng, points: int, count: int):
@@ -107,6 +179,8 @@ def test_generate_topology_matches_the_fraction_oracle(seed):
         # the coding kept from the closure is the one the opens give
         (ranks, rows), (fresh, fresh_rows) = space.ranked, GradedSpace(universe, space.opens).ranked
         assert (ranks.grades, rows) == (fresh.grades, fresh_rows)
+        # the cuts kept are those of the opens, in the canonical order
+        assert [ranks.decode(ranks_of(row, points)) for row in rows] == [t.grades for t in oracle.opens]
         for cap in range(1, len(oracle) + 2):
             try:
                 brute_generate_topology(universe, gens, cap)
@@ -154,3 +228,34 @@ def test_graded_consequence_is_graded_inclusion_of_extents(seed):
         space = generate_topology(extents[0].universe, extents)
         assert check_space(space.universe, list(space.opens)) == space
         assert check_frame(assert_same_frame(space)) is None
+
+
+def permute_points(t: FuzzySet, universe: Universe) -> FuzzySet:
+    """The same membership function over a reordering of its points."""
+    return FuzzySet(universe, tuple(t(x) for x in universe.elements))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_permuting_the_points_permutes_the_opens_and_nothing_else(seed):
+    rng = derived_rng(GeneratorConfig(seed=seed), 17)
+    for points, count in ((2, 2), (3, 3), (4, 2), (5, 3), (5, 2)):
+        universe, gens = random_generators(rng, points, count)
+        try:
+            space = generate_topology(universe, gens, 64)
+        except Overflow:
+            continue
+        moved_universe = Universe(tuple(rng.sample(universe.elements, points)))
+        moved = generate_topology(moved_universe, [permute_points(t, moved_universe) for t in gens])
+        assert set(moved.opens) == {permute_points(t, moved_universe) for t in space.opens}
+        assert list(moved.opens) == sorted(moved.opens, key=lambda t: t.grades)
+        # the induced bijection of opens carries meet, relation and pair joins
+        sigma = [moved.opens.index(permute_points(t, moved_universe)) for t in space.opens]
+        view, moved_view = frame_from_space(space).view, frame_from_space(moved).view
+        assert moved_view.grades == view.grades
+        for a, b in itertools.product(range(len(space)), repeat=2):
+            assert moved_view.meet[sigma[a]][sigma[b]] == sigma[view.meet[a][b]]
+            assert moved_view.rel[sigma[a]][sigma[b]] == view.rel[a][b]
+        moved_joins = dict(zip(moved_view.masks, moved_view.joins))
+        for mask, j in zip(view.masks, view.joins):
+            image = sum(1 << sigma[i] for i in range(len(space)) if mask >> i & 1)
+            assert moved_joins[image] == sigma[j]
