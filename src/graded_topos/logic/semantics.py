@@ -20,21 +20,25 @@ sequent grade, the inf of the arrow, is the least rank s with
 U_{s+1} & ~V_{s+1} != 0, else the top: the same kernel the space-to-frame
 path runs on the opens. The existential quantifier over a variable of
 stride p ORs the |domain| shifts of each level by multiples of p at the
-assignments where that variable takes the first element, and broadcasts
-the result back over the other elements.
-Terms compile to value partitions, one mask per domain element: a
-variable's masks are periodic, a function application ORs the preimages of
-each value, and a predicate's cut r ORs, over its keys of rank at least r,
-the AND of the arguments' masks at the key. Reports carry verdicts and
-indices, not grades; a grade read off a vector is mapped back through the
-rank table.
+assignments where that variable takes the first element, and smears the
+result back over the other elements.
+Terms compile to columns, the position in the domain of the term's value
+at each assignment: a variable's column is periodic, and a function
+application or a predicate reads its table at the arguments' columns. A
+predicate's column of ranks is then coded as its cuts, and renaming a
+variable reads a vector's ranks through an index table; so every vector
+and column costs O(assignments) memory per rank, whatever the size of the
+domain. Reports carry verdicts and indices, not grades; a grade read off a
+vector is mapped back through the rank table.
 
-One step is one vector entry. A node of a formula over a list of k
-variables costs |domain|^k, k counting the binders above the node whose
-variable is not in the list; a repeated binder costs nothing extra, a tower
-of distinct binders multiplies the cost by |domain| per level. A formula or
-variable list needing more than `MAX_STEPS` is a SchemaError, refused
-before any vector is built.
+One step is one entry of a column, or one word of 64 levels of a vector.
+A node over a list of k variables costs |domain|^k * ceil(top / 64), k
+counting the binders above the node whose variable is not in the list, so
+up to 64 ranks cost one step an entry. A repeated binder costs nothing
+extra, a tower of distinct binders multiplies the cost by |domain| per
+level. A formula or variable list
+needing more than `MAX_STEPS` is a SchemaError, refused before any vector
+is built.
 
 The suite cross-checks its renaming once: the first renamed vector of
 clause 8 against the compiled vector of the substituted formula. A direct
@@ -46,8 +50,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cache, cached_property, reduce
-from operator import and_, or_
+from functools import cache, cached_property
+from operator import eq
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from ..checks import LawReport
@@ -59,7 +64,9 @@ from ..errors import (
     UndeclaredSymbol,
 )
 from ..grades import Grade
-from ..ranks import Cuts, Ranks, digits, exists, inclusion, join, meet, rename, renaming, sup_out
+from ..ranks import (
+    Cuts, Ranks, cuts_of, exists, fibre_bases, inclusion, join, meet, ranks_of, sup_out,
+)
 from .parser import CONST_PATTERN, IDENT_PATTERN, Signature, VAR_PATTERN
 from .syntax import (
     And,
@@ -80,14 +87,15 @@ from .syntax import (
 )
 
 
-# a symbol's table as its arity and (key, value) pairs over domain positions
-_Table = tuple[int, list[tuple[tuple[int, ...], int]]]
+# a symbol's table as its arity and a map from keys to values, over domain positions
+_Table = tuple[int, dict[tuple[int, ...], int]]
 
 
 @dataclass(frozen=True)
 class Interpretation:
     """Finite domain with constant denotations, function tables, and
-    grade-valued predicate tables."""
+    grade-valued predicate tables. The tables are copied into read-only
+    mappings, so the coded tables of `ranked` stay those of the structure."""
 
     domain: tuple[str, ...]
     constants: Mapping[int, str]
@@ -99,6 +107,13 @@ class Interpretation:
             raise SchemaError("domain", "must be non-empty")
         if len(set(self.domain)) != len(self.domain):
             raise SchemaError("domain", "elements must be distinct")
+        frozen = MappingProxyType
+        object.__setattr__(self, "domain", tuple(self.domain))
+        object.__setattr__(self, "constants", frozen(dict(self.constants)))
+        for attr in ("functions", "predicates"):
+            tables = getattr(self, attr)
+            object.__setattr__(self, attr, frozen({name: frozen(dict(table))
+                                                    for name, table in tables.items()}))
         pool = set(self.domain)
         for i, d in self.constants.items():
             if d not in pool:
@@ -128,22 +143,19 @@ class Interpretation:
     @cached_property
     def ranked(self) -> tuple[Ranks, dict[str, _Table], dict[str, _Table]]:
         """The rank table of the predicate grades, and every predicate and
-        function table as its arity and (key, value) pairs over domain
-        positions: a predicate's value is its rank, and keys of rank 0 are
-        left out; a function's value is the position of its value. Built
-        on first use, so the tables are taken as fixed from then on, as
-        `__post_init__` validated them."""
+        function table as its arity and a map over domain positions: a
+        predicate's value is its rank, a function's the position of its
+        value. Built once; the tables are read-only."""
         ranks = Ranks(g for table in self.predicates.values() for g in table.values())
         at = {d: i for i, d in enumerate(self.domain)}.__getitem__
 
-        def coded(table: Mapping, value) -> list[tuple[tuple[int, ...], int]]:
-            return [(tuple(map(at, key)), value(v)) for key, v in table.items()]
+        def coded(table: Mapping, value) -> _Table:
+            return len(next(iter(table))), {tuple(map(at, key)): value(v)
+                                            for key, v in table.items()}
 
         return (ranks,
-                {name: (len(next(iter(t))), [kv for kv in coded(t, ranks.rank.__getitem__)
-                                             if kv[1]])
-                 for name, t in self.predicates.items()},
-                {name: (len(next(iter(t))), coded(t, at)) for name, t in self.functions.items()})
+                {name: coded(t, ranks.rank.__getitem__) for name, t in self.predicates.items()},
+                {name: coded(t, at) for name, t in self.functions.items()})
 
     def signature(self) -> Signature:
         return Signature(
@@ -241,9 +253,9 @@ class _Vectors:
     of every cut. A list widened by a bound variable puts that variable
     first, varying slowest, so its positions are |domain| copies of the
     list's own and the sup over it is an OR of shifts by the list's size.
-    A term compiles to its value partition, one mask per domain element
-    holding the assignments where the term takes that value. Ranks are
-    those of `Interpretation.ranked`.
+    A term compiles to its column, a list holding the position in the
+    domain of its value at each assignment. Ranks are those of
+    `Interpretation.ranked`.
     """
 
     def __init__(self, interp: Interpretation, variables: Sequence[int],
@@ -254,21 +266,26 @@ class _Vectors:
         self.position = {v: i for i, v in enumerate(self.variables)}
         self.n = len(interp.domain)
         self.size = self.n ** len(self.variables)
-        if self.size > MAX_STEPS:
+        self.words = -(-self.ranks.top // 64)  # steps per vector entry
+        if self.size * self.words > MAX_STEPS:
             raise _too_many_steps()
         self.full = (1 << self.size) - 1
-        self._digits: dict[int, tuple[int, ...]] = {}
-        self._renames: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
+        self._columns: dict[int, list[int]] = {}
+        self._bases: dict[int, int] = {}
+        self._renames: dict[tuple[int, int], list[int]] = {}
         self._widened: dict[int, _Vectors] = {}
 
     def _stride(self, variable: int) -> int:
         return self.n ** (len(self.variables) - 1 - self.position[variable])
 
-    def _digits_of(self, variable: int) -> tuple[int, ...]:
-        """The value partition of the variable `variable`."""
-        if variable not in self._digits:
-            self._digits[variable] = digits(self.size, self._stride(variable), self.n)
-        return self._digits[variable]
+    def _column(self, variable: int) -> list[int]:
+        """The column of the variable `variable`: assignment i gives it the
+        element at position i // stride % |domain|."""
+        if variable not in self._columns:
+            stride = self._stride(variable)
+            block = [d for d in range(self.n) for _ in range(stride)]
+            self._columns[variable] = block * (self.size // len(block))
+        return self._columns[variable]
 
     def _widen(self, variable: int) -> "_Vectors":
         if variable not in self._widened:
@@ -299,15 +316,16 @@ class _Vectors:
         return done.pop()
 
     def _check_steps(self, phi: Formula) -> None:
-        """Refuse `phi` if `of` would build more than `MAX_STEPS` entries: a
-        node's vector or partition has |domain|^k entries, k the list's
-        length plus the binders above the node that widen it."""
+        """Refuse `phi` if `of` would take more than `MAX_STEPS` steps: a
+        node's column or vector has |domain|^k entries, k the list's length
+        plus the binders above the node that widen it, and an entry costs
+        `words` steps."""
         n = self.n
         steps = 0
         todo: list = [(phi, frozenset(self.variables))]
         while todo:
             node, scope = todo.pop()
-            steps += n ** len(scope)
+            steps += n ** len(scope) * self.words
             if steps > MAX_STEPS:
                 raise _too_many_steps()
             if isinstance(node, Exists) and node.variable not in scope:
@@ -315,8 +333,8 @@ class _Vectors:
             todo.extend((part, scope) for part in _parts(node))
 
     def _combine(self, node, args: list) -> Cuts:
-        """The cuts of a formula, or the value partition of a term, from
-        those of its parts."""
+        """The cuts of a formula, or the column of a term, from those of
+        its parts."""
         if isinstance(node, Top):
             return (self.full,) * self.ranks.top
         if isinstance(node, Bottom):
@@ -324,31 +342,22 @@ class _Vectors:
         if isinstance(node, Var):
             if node.index not in self.position:
                 raise UnboundVariable(node.index)
-            return self._digits_of(node.index)
+            return self._column(node.index)
         if isinstance(node, Const):
             if node.index not in self.interp.constants:
                 raise UndeclaredSymbol(f"c{node.index}")
-            value = self.interp.domain.index(self.interp.constants[node.index])
-            return tuple(self.full if d == value else 0 for d in range(self.n))
+            return [self.interp.domain.index(self.interp.constants[node.index])] * self.size
         if isinstance(node, (Predicate, Func)):
             tables = self._predicates if isinstance(node, Predicate) else self._functions
             if node.symbol not in tables:
                 raise UndeclaredSymbol(node.symbol)
-            arity, pairs = tables[node.symbol]
+            arity, table = tables[node.symbol]
             if arity != len(args):
                 raise ArityMismatch(node.symbol, arity, len(args))
-            # one mask per rank (per value for a function): the assignments
-            # where the arguments take a key of that rank
-            masks = [0] * (self.ranks.top + 1 if isinstance(node, Predicate) else self.n)
-            for key, value in pairs:
-                masks[value] |= reduce(and_, map(tuple.__getitem__, args, key), self.full)
-            if isinstance(node, Func):
-                return tuple(masks)
-            for r in range(self.ranks.top - 1, 0, -1):
-                masks[r] |= masks[r + 1]
-            return tuple(masks[1:])
+            values = list(map(table.__getitem__, zip(*args)))
+            return cuts_of(values, self.ranks.top) if isinstance(node, Predicate) else values
         if isinstance(node, Equality):
-            same = reduce(or_, map(and_, *args))
+            same, = cuts_of(map(eq, *args), 1)
             return (same,) * self.ranks.top
         if isinstance(node, And):
             return meet(*args)
@@ -362,16 +371,22 @@ class _Vectors:
 
     def exists(self, u: Cuts, variable: int) -> Cuts:
         """Cuts of the formula quantified over `variable`, a variable of the list."""
-        return exists(u, self._stride(variable), self.n, self._digits_of(variable)[0])
+        stride = self._stride(variable)
+        if variable not in self._bases:
+            self._bases[variable] = fibre_bases(self.size, stride, self.n)
+        return exists(u, stride, self.n, self._bases[variable])
 
     def rename(self, u: Cuts, variable: int, replacement: int) -> Cuts:
         """Cuts of the formula with `replacement` substituted for the free
-        variable `variable` (the substitution lemma as masked shifts)."""
+        variable `variable` (the substitution lemma as index surgery):
+        assignment i reads the rank at i with the coordinate of `variable`
+        set to that of `replacement`."""
         key = (variable, replacement)
         if key not in self._renames:
-            self._renames[key] = renaming(self._digits_of(variable), self._digits_of(replacement),
-                                          self._stride(variable))
-        return rename(u, self._renames[key])
+            p = self._stride(variable)
+            old, new = self._column(variable), self._column(replacement)
+            self._renames[key] = [i + (b - a) * p for i, (a, b) in enumerate(zip(old, new))]
+        return cuts_of(map(ranks_of(u, self.size).__getitem__, self._renames[key]), self.ranks.top)
 
 
 def _parts(node) -> tuple:

@@ -24,10 +24,14 @@ pointwise operation is then a few word operations per level:
 - ∃ over a coordinate of stride p in base n (the sup over each fibre of
   positions differing only in that coordinate) ORs the n shifts of a
   level by multiples of p, keeps the fibre bases (coordinate 0), and
-  broadcasts them back over the fibre by one multiplication;
-- renaming one coordinate to another's value reads every position at a
-  fixed offset within each class of positions where the two coordinates
-  differ by the same amount: an OR of at most 2n-1 masked shifts.
+  smears them back over the fibre. Shifting by windows that double makes
+  each of the two an OR of about log2(n) shifts.
+
+Coding (`cuts_of`) runs in C over a byte per position while the ranks fit
+in a byte, and otherwise groups the positions by rank; decoding
+(`ranks_of`) finds each rank's positions in a bit string. Every operation
+here takes O(positions) bits of memory per level, and time in proportion,
+with a factor log2(n) for ∃.
 
 The cut coding of a vector is unique, so equal vectors have equal cuts
 and cut tuples serve as dict keys and set members.
@@ -35,9 +39,8 @@ and cut tuples serve as dict keys and set members.
 
 from __future__ import annotations
 
-from functools import reduce
-from operator import and_, or_
-from typing import Iterable, Sequence
+from operator import and_, lshift, or_, rshift
+from typing import Iterable
 
 from .grades import Grade, ONE, ZERO
 
@@ -64,22 +67,47 @@ class Ranks:
         return cuts_of(self.code(values), self.top)
 
 
-def cuts_of(vector: Sequence[int], top: int) -> Cuts:
+# table r turns a rank byte into the digit "1" if it is at least r, else "0"
+_AT_LEAST = [bytes(48 + (v >= r) for v in range(256)) for r in range(256)]
+
+
+def cuts_of(vector: Iterable[int], top: int) -> Cuts:
     """The level cuts 1..top of a rank vector."""
-    exact = [0] * (top + 1)
-    for i, r in enumerate(vector):
-        exact[r] |= 1 << i
-    cuts = [0] * top
+    if top < 256:
+        # byte i is rank i, read from the right: bit i of each cut
+        data = bytes(vector)[::-1]
+        return tuple([int(data.translate(_AT_LEAST[r]) or b"0", 2) for r in range(1, top + 1)])
+    # the positions of each rank, then the cuts from the top down; a level
+    # no position takes shares its cut with the level above
+    where: dict[int, list[int]] = {}
+    size = 0
+    for size, r in enumerate(vector, 1):
+        where.setdefault(r, []).append(size - 1)
+    cuts = []
     below = 0
     for r in range(top, 0, -1):
-        below |= exact[r]
-        cuts[r - 1] = below
-    return tuple(cuts)
+        if r in where:
+            bits = bytearray((size + 7) // 8)
+            for i in where[r]:
+                bits[i >> 3] |= 1 << (i & 7)
+            below |= int.from_bytes(bits, "little")
+        cuts.append(below)
+    return tuple(reversed(cuts))
 
 
 def ranks_of(cuts: Cuts, size: int) -> tuple[int, ...]:
     """The rank vector over `size` positions whose level cuts are `cuts`."""
-    return tuple(sum(c >> i & 1 for c in cuts) for i in range(size))
+    ranks = [0] * size
+    above = 0
+    for r in range(len(cuts), 0, -1):
+        exact, above = cuts[r - 1] & ~above, cuts[r - 1]
+        if exact:
+            bits = format(exact, "b")[::-1]
+            i = bits.find("1")
+            while i >= 0:
+                ranks[i] = r
+                i = bits.find("1", i + 1)
+    return tuple(ranks)
 
 
 def meet(u: Cuts, v: Cuts) -> Cuts:
@@ -87,11 +115,11 @@ def meet(u: Cuts, v: Cuts) -> Cuts:
     return tuple(map(and_, u, v))
 
 
-def join(*vectors: Cuts) -> Cuts:
+def join(first: Cuts, *rest: Cuts) -> Cuts:
     """Pointwise max of one or more vectors."""
-    if len(vectors) == 2:
-        return tuple(map(or_, *vectors))
-    return tuple(reduce(or_, level) for level in zip(*vectors))
+    for v in rest:
+        first = tuple(map(or_, first, v))
+    return first
 
 
 def inclusion(u: Cuts, v: Cuts) -> int:
@@ -103,46 +131,33 @@ def inclusion(u: Cuts, v: Cuts) -> int:
     return len(u)
 
 
-def digits(size: int, stride: int, n: int) -> tuple[int, ...]:
-    """The partition of `size` positions by a base-n coordinate of
-    `stride`: mask d holds the positions whose coordinate is d. `size` is
-    a multiple of stride * n."""
+def _smear(c: int, step: int, n: int, shift) -> int:
+    """c OR its shifts by k * step for k = 1..n-1, `shift` being rshift or
+    lshift: after the loop, c covers the window [0, width) of shifts, and
+    [0, width) and [n - width, n) cover [0, n)."""
+    width = 1
+    while 2 * width <= n:
+        c |= shift(c, width * step)
+        width *= 2
+    if width < n:
+        c |= shift(c, (n - width) * step)
+    return c
+
+
+def fibre_bases(size: int, stride: int, n: int) -> int:
+    """The positions among `size` whose base-n coordinate of `stride` is 0.
+    `size` is a multiple of stride * n."""
     period = stride * n
-    repeat = ((1 << size) - 1) // ((1 << period) - 1)
-    block = (1 << stride) - 1
-    return tuple((block << d * stride) * repeat for d in range(n))
+    return _smear((1 << stride) - 1, period, size // period, lshift)
 
 
 def sup_out(u: Cuts, stride: int, n: int, base: int) -> Cuts:
     """The sup of u over each fibre of the coordinate of `stride` in base
     n, at the fibre's base: the positions of the mask `base`."""
-    shifts = range(stride, stride * n, stride)
-    return tuple([reduce(or_, [c >> s for s in shifts], c) & base for c in u])
+    return tuple([_smear(c, stride, n, rshift) & base for c in u])
 
 
 def exists(u: Cuts, stride: int, n: int, base: int) -> Cuts:
     """The sup of u over each fibre of the coordinate of `stride` in base
-    n, at every position of the fibre; `base` is the coordinate's mask at 0."""
-    spread = sum(1 << s for s in range(0, stride * n, stride))
-    return tuple([c * spread for c in sup_out(u, stride, n, base)])
-
-
-def renaming(old: Sequence[int], new: Sequence[int], stride: int) -> tuple[tuple[int, int], ...]:
-    """The masked shifts that read each position at the coordinate of
-    `stride` set to another coordinate's value: `old` and `new` are the two
-    coordinates' `digits`. Each pair (s, mask) reads the positions in mask
-    at offset s."""
-    n = len(old)
-    moves = []
-    for delta in range(1 - n, n):
-        pairs = range(max(0, -delta), min(n, n - delta))
-        mask = reduce(or_, [old[d] & new[d + delta] for d in pairs], 0)
-        if mask:
-            moves.append((delta * stride, mask))
-    return tuple(moves)
-
-
-def rename(u: Cuts, moves: Sequence[tuple[int, int]]) -> Cuts:
-    """u read through `renaming` moves."""
-    return tuple([reduce(or_, [(c >> s if s >= 0 else c << -s) & m for s, m in moves], 0)
-                  for c in u])
+    n, at every position of the fibre; `base` is `fibre_bases`."""
+    return tuple([_smear(c, stride, n, lshift) for c in sup_out(u, stride, n, base)])

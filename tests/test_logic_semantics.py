@@ -10,6 +10,7 @@ variables, which must not change anything.
 import functools
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -35,6 +36,7 @@ from graded_topos.logic.semantics import (
     Assignment,
     EMPTY_ASSIGNMENT,
     Interpretation,
+    MAX_STEPS,
     sat_grade,
     _Vectors,
     sequent_grade,
@@ -247,6 +249,77 @@ def test_interpretation_validation():
         Interpretation(("d1", "d2"), {}, {}, {"p": {("d1",): F(1, 2)}})
     with pytest.raises(SchemaError):
         Interpretation(("d1",), {}, {"x1": {("d1",): "d1"}}, {})
+
+
+def test_interpretation_tables_are_read_only_copies():
+    tables = {"p": {("d1",): F(1, 2), ("d2",): ONE}}
+    interp = Interpretation(("d1", "d2"), {1: "d1"}, {}, tables)
+    phi = parse_formula("p(x1)", interp.signature())
+    assert sequent_grade(interp, TOP, phi) == F(1, 2)
+    # an edit of the caller's tables after the first evaluation is not seen
+    tables["p"][("d1",)] = ZERO
+    assert sequent_grade(interp, TOP, phi) == F(1, 2)
+    assert interp.predicates == {"p": {("d1",): F(1, 2), ("d2",): ONE}}
+    with pytest.raises(TypeError):
+        interp.predicates["p"][("d1",)] = ZERO
+    with pytest.raises(TypeError):
+        interp.constants[2] = "d2"
+
+
+def traced_peak(evaluate):
+    """The value of evaluate() and the peak of traced memory it took."""
+    tracemalloc.start()
+    try:
+        value = evaluate()
+        return value, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_large_domain_is_answered_in_little_memory():
+    # one variable over 10^5 elements: each column and each level of a
+    # vector takes O(10^5) words or bits, not that much per element
+    size = 10 ** 5
+    domain = tuple(f"d{i}" for i in range(size))
+    grades = (ZERO, F(1, 2), ONE)
+    interp = Interpretation(
+        domain, {1: "d7"},
+        {"f": {(d,): domain[(i + 1) % size] for i, d in enumerate(domain)}},
+        {"p": {(d,): grades[i % 3] for i, d in enumerate(domain)}})
+    interp.ranked  # the coded tables, built once per interpretation
+    sig = interp.signature()
+    for evaluate, expected in [
+        (lambda: sat_grade(interp, Assignment({1: "d4"}), parse_formula("p(x1)", sig)), F(1, 2)),
+        (lambda: sat_grade(interp, EMPTY_ASSIGNMENT,
+                           parse_formula("E x1. (p(x1) & (x1 = c1))", sig)), F(1, 2)),
+        (lambda: sequent_grade(interp, parse_formula("(x1 = c1)", sig),
+                               parse_formula("p(f(x1))", sig)), ONE),
+        (lambda: sequent_grade(interp, parse_formula("p(f(x1))", sig),
+                               parse_formula("p(x1)", sig)), ZERO),
+    ]:
+        value, peak = traced_peak(evaluate)
+        assert value == expected
+        assert peak < 16 * 2 ** 20
+
+
+def test_many_grades_raise_the_cost_of_a_vector_entry():
+    # 64 levels of a vector fill a word: with 10^4 ranks an entry costs 157
+    # steps, so p(x1) over 10^4 elements needs more than MAX_STEPS
+    def interp(size, grade):
+        domain = tuple(f"d{i}" for i in range(size))
+        return Interpretation(domain, {}, {}, {"p": {(d,): grade(i, size)
+                                                     for i, d in enumerate(domain)}})
+
+    phi = parse_formula("p(x1)")
+    few, many = interp(10 ** 4, lambda i, n: F(i % 2, 2)), interp(10 ** 4, F)
+    assert sat_grade(few, Assignment({1: "d1"}), phi) == F(1, 2)
+    with pytest.raises(SchemaError, match=f"more than {MAX_STEPS} steps"):
+        sat_grade(many, Assignment({1: "d1"}), phi)
+    # 2000 ranks: 32 steps an entry, within the budget
+    some = interp(2000, F)
+    assert sat_grade(some, Assignment({1: "d3"}), phi) == F(3, 2000)
+    assert sat_grade(some, EMPTY_ASSIGNMENT, parse_formula("E x1. p(x1)")) == F(1999, 2000)
+    assert sequent_grade(some, parse_formula("E x1. p(x1)"), phi) == ZERO
 
 
 # --- the rank-coded vectors against the recursive oracle ----------------------

@@ -42,7 +42,7 @@ from graded_topos.generators import (
     generate_random_interpretation,
 )
 from graded_topos.grades import ONE, ZERO
-from graded_topos.logic.semantics import Assignment, sequent_grade
+from graded_topos.logic.semantics import Assignment, Interpretation, _Vectors, sequent_grade
 from graded_topos.logic.syntax import BOTTOM, TOP, free_variables
 from graded_topos.ranks import Ranks, cuts_of, inclusion, join, meet, ranks_of
 from graded_topos.spaces import GradedSpace, check_space, generate_topology
@@ -99,30 +99,55 @@ def test_the_cut_kernel_matches_the_tuple_kernel():
         assert inclusion(cu, cv) == tuple_inclusion(u, v, top)
 
 
-def test_exists_and_rename_match_the_index_tables():
-    """∃ over each coordinate and renaming each coordinate to each other
-    one, on vectors over n^k assignments of up to 4096 entries."""
+def test_cuts_of_codes_any_number_of_ranks():
+    """Up to 255 ranks are coded a byte per position, more by grouping the
+    positions; both must give the cuts bit by bit, from any iterable."""
+    rng = random.Random(14)
+    for top in (1, 2, 5, 254, 255, 256, 257, 700):
+        for size in (1, 2, 63, 64, 65, rng.randint(1, 600)):
+            u = random_vector(rng, size, top)
+            cu = level_cuts(u, top)
+            assert cuts_of(u, top) == cuts_of(iter(u), top) == cu
+            assert ranks_of(cu, size) == u
+
+
+def test_exists_matches_the_index_tables():
+    """∃ over each coordinate, on vectors over n^k assignments of up to 4096
+    entries; bases up to 40 take every shape of the doubling windows."""
     rng = random.Random(12)
-    for n, k in [(1, 3), (2, 1), (2, 5), (2, 12), (3, 3), (3, 7), (4, 6), (5, 2), (7, 4)]:
+    cases = [(1, 3), (2, 1), (2, 5), (2, 12), (3, 3), (3, 7), (4, 6), (5, 2), (7, 4),
+             (8, 2), (9, 2), (16, 3), (17, 2), (40, 2)]
+    for n, k in cases:
         size = n ** k
         for _ in range(3):
             top = rng.randint(1, 5)
             u = random_vector(rng, size, top)
             cu = level_cuts(u, top)
-            strides = [n ** j for j in range(k)]
-            digits = {p: kernel.digits(size, p, n) for p in strides}
-            for p in strides:
-                assert digits[p] == tuple(sum(1 << i for i in range(size) if i // p % n == d)
-                                          for d in range(n))
-                assert kernel.exists(cu, p, n, digits[p][0]) == level_cuts(tuple_exists(u, p, n), top)
-                for q in rng.sample(strides, min(k, 3)):
-                    moves = kernel.renaming(digits[p], digits[q], p)
-                    assert len(moves) <= 2 * n - 1
-                    assert kernel.rename(cu, moves) == level_cuts(tuple_rename(u, p, q, n), top)
+            for p in (n ** j for j in range(k)):
+                base = kernel.fibre_bases(size, p, n)
+                assert base == sum(1 << i for i in range(size) if i // p % n == 0)
+                assert kernel.exists(cu, p, n, base) == level_cuts(tuple_exists(u, p, n), top)
             # the sup over the slowest coordinate, onto the list without it
             inner = size // n
             assert kernel.sup_out(cu, inner, n, (1 << inner) - 1) == level_cuts(
                 [max(u[d * inner + i] for d in range(n)) for i in range(inner)], top)
+
+
+def test_rename_matches_the_index_tables():
+    """Renaming each variable to each other one, on random vectors over the
+    assignments to k variables of an n-element domain."""
+    rng = random.Random(13)
+    for n, k in [(1, 3), (2, 1), (2, 6), (3, 3), (4, 3), (5, 2), (11, 2)]:
+        domain = tuple(f"d{i}" for i in range(n))
+        keys = itertools.product(domain, repeat=2)
+        grades = {key: F(rng.randint(0, 4), 4) for key in keys}
+        vs = _Vectors(Interpretation(domain, {}, {}, {"r": grades}), range(1, k + 1))
+        top = vs.ranks.top
+        for _ in range(3):
+            u = random_vector(rng, vs.size, top)
+            for y, x in itertools.product(vs.variables, repeat=2):
+                assert vs.rename(level_cuts(u, top), y, x) == level_cuts(
+                    tuple_rename(u, vs._stride(y), vs._stride(x), n), top)
 
 
 def random_generators(rng, points: int, count: int):
