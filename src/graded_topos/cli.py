@@ -2,14 +2,24 @@
 
 Verbs: check space|frame|system, functor ext|j|fm|s, adjunction-test
 j-ext|fm-s, spatiality, eval, consequence, theorem2, suite. Exit codes:
-0 pass, 1 violation found, 2 input error. Every check is exact at every
-size, so each report names the regime "exhaustive".
+0 pass, 1 violation found, 2 input error, 3 internal error. An input error
+includes an input beyond a budget: a topology closure beyond
+`spaces.DEFAULT_CLOSURE_CAP` opens, a hom enumeration beyond
+`functors.DEFAULT_HOM_CAP` homs, or a formula beyond `MAX_STEPS` steps. An
+internal error is any other exception; it prints one line, and its
+traceback only under `--debug`. Every check is exact at every size, so each
+report names the regime "exhaustive".
+
+The parser is built once per process; each call parses into a fresh
+namespace, so no option value carries over from one call to the next.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
+import traceback
 
 from .checks import Violation
 from .errors import GradedToposError
@@ -25,7 +35,7 @@ from .functors import (
 from .generators import GeneratorConfig
 from .grades import format_grade, grade
 from .logic.semantics import Assignment, sat_grade, sequent_grade, theorem2_suite
-from .logic.parser import parse_formula
+from .logic.parser import parse_formula, symbol_index
 from .reports import FAIL, PASS, Report, emit_reports
 from .serialization import (
     load_formulas,
@@ -42,11 +52,14 @@ from .suites import SUITE_NAMES, run_suite
 from .systems import check_spatial, check_system
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="graded-topos",
                                      description="exact checkers for graded frames, "
                                                  "fuzzy topological spaces/systems and "
                                                  "fuzzy geometric logic")
+    parser.add_argument("--debug", action="store_true",
+                        help="print the traceback of an internal error")
     sub = parser.add_subparsers(dest="command", required=True)
 
     check = sub.add_parser("check", help="validate a structure file against its axioms")
@@ -100,9 +113,10 @@ def _parse_assignment(text: str) -> Assignment:
         for part in text.split(","):
             name, _, element = part.partition("=")
             name = name.strip()
-            if not name.startswith("x") or not name[1:].isdigit() or not element:
+            index = symbol_index(name) if name.startswith("x") else None
+            if index is None or not element:
                 raise GradedToposError(f"bad assignment entry {part!r}")
-            values[int(name[1:])] = element.strip()
+            values[index] = element.strip()
     return Assignment(values)
 
 
@@ -202,23 +216,31 @@ def _cmd_suite(args) -> int:
     return emit_reports(run_suite(args.name, cfg, args.instances))
 
 
+_HANDLERS = {
+    "check": _cmd_check,
+    "functor": _cmd_functor,
+    "adjunction-test": _cmd_adjunction,
+    "spatiality": _cmd_spatiality,
+    "eval": _cmd_eval,
+    "consequence": _cmd_consequence,
+    "theorem2": _cmd_theorem2,
+    "suite": _cmd_suite,
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    handler = {
-        "check": _cmd_check,
-        "functor": _cmd_functor,
-        "adjunction-test": _cmd_adjunction,
-        "spatiality": _cmd_spatiality,
-        "eval": _cmd_eval,
-        "consequence": _cmd_consequence,
-        "theorem2": _cmd_theorem2,
-        "suite": _cmd_suite,
-    }[args.command]
     try:
-        return handler(args)
+        return _HANDLERS[args.command](args)
     except GradedToposError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a fault of the program, never a verdict
+        if args.debug:
+            traceback.print_exc()
+        message = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -45,7 +45,8 @@ class GradeSetTooSmall(GradedToposError):
 
 
 class Overflow(GradedToposError):
-    """Topology closure exceeded the configured size cap."""
+    """A construction exceeded its size cap: a topology closure beyond its
+    opens, or a hom enumeration beyond its homs."""
 
 
 class ParseError(GradedToposError):

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Hashable, Iterable
 
 from .checks import LawReport
-from .errors import GradeSetTooSmall, NoPoints, NotContinuous, SchemaError
+from .errors import GradeSetTooSmall, NoPoints, NotContinuous, Overflow, SchemaError
 from .frames import FrameHom, GradedFrame, compose_frame_hom, frame_from_space
 from .fuzzy_sets import FuzzySet, PointMap, Universe, compose_point_maps, preimage
 from .grades import Grade, ONE, ZERO
@@ -40,6 +40,10 @@ from .systems import (
     compose_system_morphisms,
     system_iso_check,
 )
+
+# The most homs one enumeration returns before it raises Overflow. The
+# benchmark's workloads (seeds 0-49) and the tests find at most 26.
+DEFAULT_HOM_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -146,9 +150,11 @@ def fm_morphism(m: SystemMorphism) -> FrameHom:
     return m.frame_hom
 
 
-def enumerate_point_homs(frame: GradedFrame, values: GradeSet) -> list[PointHom]:
+def enumerate_point_homs(frame: GradedFrame, values: GradeSet,
+                         max_points: int = DEFAULT_HOM_CAP) -> list[PointHom]:
     """All maps carrier -> values satisfying the homomorphism axioms into
-    the grade chain, in canonical (value-lexicographic) order.
+    the grade chain, in canonical (value-lexicographic) order. Raises
+    Overflow once more than max_points are found.
 
     The axioms are the ones a test of every map would check: meet and
     relation preservation at every pair, and join preservation at every mask
@@ -238,6 +244,8 @@ def enumerate_point_homs(frame: GradedFrame, values: GradeSet) -> list[PointHom]
 
     def search(d: int) -> None:
         if d == len(rels):
+            if len(found) == max_points:
+                raise Overflow(f"hom enumeration found more than {max_points} homs")
             found.append(PointHom(items, tuple(grades[r] for r in rank)))
             return
         c = order[d + 1]

@@ -48,6 +48,19 @@ CONST_PATTERN = re.compile(r"c\d+\Z")
 IDENT_PATTERN = re.compile(r"[A-Za-z][A-Za-z0-9]*\Z")
 
 
+def symbol_index(text: str) -> int | None:
+    """N of a symbol written as one letter and the decimal digits of N
+    ("x12", "c3"); None when the rest is not digits that `int` converts
+    (`int` refuses more than `sys.get_int_max_str_digits()` of them)."""
+    digits = text[1:]
+    if not digits.isdecimal():
+        return None
+    try:
+        return int(digits)
+    except ValueError:
+        return None
+
+
 @dataclass(frozen=True)
 class Signature:
     """Declared symbols: constant indices, function and predicate arities."""
@@ -105,14 +118,20 @@ class _Parser:
     def fail(self, message: str):
         raise FormulaSyntaxError(self.peek().position, message)
 
+    def index(self, tok: _Token) -> int:
+        index = symbol_index(tok.text)
+        if index is None:
+            raise FormulaSyntaxError(tok.position, "symbol index has too many digits")
+        return index
+
     # --- terms ---------------------------------------------------------
 
     def term(self) -> Term:
         tok = self.take()
         if tok.kind == "var":
-            return Var(int(tok.text[1:]))
+            return Var(self.index(tok))
         if tok.kind == "const":
-            index = int(tok.text[1:])
+            index = self.index(tok)
             if self.signature is not None and index not in self.signature.constants:
                 raise UndeclaredSymbol(tok.text)
             return Const(index)
@@ -175,7 +194,7 @@ class _Parser:
         self.take()  # E
         var = self.take()
         self.expect(".")
-        return Exists(int(var.text[1:]), self.formula())
+        return Exists(self.index(var), self.formula())
 
     def big_or(self) -> Formula:
         self.take()  # V

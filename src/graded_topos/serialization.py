@@ -15,14 +15,15 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from functools import lru_cache
 from pathlib import Path
 from typing import Any, Sequence
 
 from .errors import GradeRangeError, ParseError, SchemaError
 from .frames import GradedFrame, label_mask
 from .fuzzy_sets import FuzzySet, PointMap, Universe
-from .grades import Grade, format_grade, grade
-from .logic.parser import Signature, parse_formula
+from .grades import MAX_LITERAL, Grade, format_grade, grade
+from .logic.parser import Signature, parse_formula, symbol_index
 from .logic.syntax import Formula, format_formula
 from .spaces import GradedSpace, canonical_opens
 from .systems import GradedSystem
@@ -50,6 +51,8 @@ def _read_json(path: str | Path) -> Any:
         return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(str(path), f"invalid JSON at offset {exc.pos}") from exc
+    except RecursionError as exc:
+        raise ParseError(str(path), "JSON nested too deeply") from exc
 
 
 def _write(path: str | Path, payload: Any) -> None:
@@ -76,11 +79,19 @@ def _identifier_list(obj: Any, field: str) -> tuple[str, ...]:
     return tuple(_identifier(e, field) for e in obj)
 
 
+# A file repeats a few grade literals ("0/1", "1/2", "1/1") thousands of
+# times, so each accepted literal is parsed once. The cache holds at most
+# `_GRADE_CACHE` literals of at most `MAX_LITERAL` characters; a refused
+# literal raises, and `lru_cache` never stores a raise.
+_GRADE_CACHE = 1024
+_cached_grade = lru_cache(maxsize=_GRADE_CACHE)(grade)
+
+
 def _grade(value: Any, field: str) -> Grade:
     if not isinstance(value, str):
         raise SchemaError(field, "grades must be strings like \"1/2\" or \"0.5\"")
     try:
-        return grade(value)
+        return _cached_grade(value) if len(value) <= MAX_LITERAL else grade(value)
     except GradeRangeError as exc:
         raise SchemaError(field, str(exc)) from exc
 
@@ -192,15 +203,31 @@ def frame_to_json(frame: GradedFrame) -> dict:
         table = [view.bottom]
         for mask in range(1, 1 << n):
             table.append(pair[1 << table[mask & mask - 1] | mask & -mask])
-    order = sorted(range(n), key=labels.__getitem__)
     return {
         "carrier": labels,
         "top": names[frame.top],
         "meet": {f"{names[a]},{names[b]}": names[v] for (a, b), v in frame.meet_table.items()},
-        "join": {",".join([labels[i] for i in order if mask >> i & 1]): labels[p]
-                 for mask, p in enumerate(table)},
+        "join": _join_keys(labels, table),
         "relation": {f"{names[a]},{names[b]}": format_grade(g) for (a, b), g in frame.relation.items()},
     }
+
+
+def _join_keys(labels: list[str], table: list[int]) -> dict[str, str]:
+    """The join table keyed by each subset's labels in name order, one step
+    per subset. Subsets are counted by `sub`, a mask over the labels in name
+    order; the key of `sub` is its first label before the key of
+    `sub & sub - 1`, and `masks[sub]` is the same subset in carrier order."""
+    order = sorted(range(len(labels)), key=labels.__getitem__)
+    keys, masks = [""], [0]
+    join = {"": labels[table[0]]}
+    for sub in range(1, len(table)):
+        rest, low = sub & sub - 1, order[(sub & -sub).bit_length() - 1]
+        key = labels[low] + "," + keys[rest] if rest else labels[low]
+        mask = masks[rest] | 1 << low
+        keys.append(key)
+        masks.append(mask)
+        join[key] = labels[table[mask]]
+    return join
 
 
 def frame_from_json(obj: Any) -> GradedFrame:
@@ -292,9 +319,10 @@ def interpretation_from_json(obj: Any):
     domain = _identifier_list(body.get("domain"), "domain")
     constants = {}
     for key, value in _expect_object(body.get("constants", {}), "constants").items():
-        if not key.startswith("c") or not key[1:].isdigit():
+        index = symbol_index(key) if key.startswith("c") else None
+        if index is None:
             raise SchemaError("constants", f"key {key!r} is not of the form cN")
-        constants[int(key[1:])] = _identifier(value, "constants")
+        constants[index] = _identifier(value, "constants")
     functions = {}
     for name, raw in _expect_object(body.get("functions", {}), "functions").items():
         table = {}

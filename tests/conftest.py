@@ -207,6 +207,18 @@ def brute_join_table(frame) -> dict[str, str]:
             for k in range(len(items) + 1) for combo in itertools.combinations(items, k)}
 
 
+def scan_join_keys(frame) -> dict[str, str]:
+    """The "join" object of a frame file built as `frame_to_json` once built
+    it: the join of each subset mask from `join_at`, keyed by scanning all
+    n labels in name order, n steps per subset."""
+    items = frame.carrier
+    labels = (list(items) if all(isinstance(a, str) for a in items)
+              else [f"e{i}" for i in range(len(items))])
+    order = sorted(range(len(labels)), key=labels.__getitem__)
+    return {",".join([labels[i] for i in order if mask >> i & 1]): labels[frame.join_at(mask)]
+            for mask in range(1 << len(labels))}
+
+
 def brute_frame_violation(frame) -> str | None:
     """The nine axioms, restated directly over every subset (small frames only)."""
     items = list(frame.carrier)

@@ -1,3 +1,4 @@
+import argparse
 import itertools
 import json
 import subprocess
@@ -8,11 +9,13 @@ from pathlib import Path
 
 import pytest
 
+import graded_topos.cli as cli
 from graded_topos.cli import main
 from graded_topos.frames import GradedFrame, check_frame
+from graded_topos.functors import DEFAULT_HOM_CAP, GradeSet, s_object
 from graded_topos.grades import ONE, ZERO
 from graded_topos.logic.semantics import MAX_STEPS
-from graded_topos.serialization import save_frame
+from graded_topos.serialization import load_frame, save_frame, save_system
 
 FIXTURES = Path(__file__).parent / "fixtures"
 INVALID = FIXTURES / "invalid"
@@ -342,3 +345,103 @@ def test_a_fourteen_open_table_frame_and_a_wrong_join_of_three(capsys):
     assert main(["check", "frame", str(FIXTURES / "frame_fourteen_opens_wrong_join.json")]) == 1
     line = json.loads(capsys.readouterr().out)
     assert line["witnesses"] == [["axiom 8", "holds", "target 'e11', subset mask 1010010000"]]
+
+
+def _request(argv, capsys) -> tuple[int, str, str]:
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse refuses bad arguments this way
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_an_internal_error_exits_3_with_one_line(monkeypatch, capsys):
+    def broken(frame):
+        raise RuntimeError("the checker\nfell over")
+
+    monkeypatch.setattr(cli, "check_frame", broken)
+    argv = ["check", "frame", str(FIXTURES / "frame_two_chain.json")]
+    line = "internal error: RuntimeError: the checker fell over\n"
+    assert _request(argv, capsys) == (3, "", line)
+    code, out, err = _request(["--debug", *argv], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("Traceback") and "in broken" in err and err.endswith(line)
+    # and --debug holds for its own call only
+    assert _request(argv, capsys) == (3, "", line)
+    # argparse refuses bad arguments itself, with SystemExit(2)
+    with pytest.raises(SystemExit) as refused:
+        main(["check", "frame"])
+    assert refused.value.code == 2
+    capsys.readouterr()
+
+
+# In-process calls in a row, each of which would answer differently if an
+# option value of the call before it carried over. "{out}" is an output path.
+SEQUENCE = [
+    ["functor", "s", "--in", str(FIXTURES / "frame_three_chain.json"), "--grades", "0,1/4,1/2,3/4,1",
+     "--out", "{out}/graded.json"],
+    ["functor", "s", "--in", str(FIXTURES / "frame_three_chain.json"), "--out", "{out}/default.json"],
+    ["eval", "--interp", str(FIXTURES / "interp_basic.json"), "--formula", "p(x1)", "--assign", "x1=d2"],
+    ["eval", "--interp", str(FIXTURES / "interp_basic.json")],  # no --formula: exit 2
+    ["eval", "--interp", str(FIXTURES / "interp_basic.json"), "--formula", "p(x1)"],
+    ["consequence", "--interp", str(FIXTURES / "interp_basic.json"), "--lhs", "q(x1)", "--rhs", "p(x1)"],
+]
+
+
+def test_the_parser_keeps_no_state_between_requests(tmp_path, monkeypatch, capsys):
+    inproc, fresh = tmp_path / "inproc", tmp_path / "fresh"
+    inproc.mkdir()
+    fresh.mkdir()
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    answers = []
+    for k, template in enumerate(SEQUENCE):
+        if k == 1:
+            monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        answers.append(_request([arg.format(out=inproc) for arg in template], capsys))
+    assert built == []
+    monkeypatch.undo()
+    codes = [code for code, _, _ in answers]
+    assert codes == [0, 0, 0, 2, 2, 0]
+    assert answers[4][2] == "error: x1 is not assigned\n"
+    # without --grades, the hom functor reads the frame's own grades
+    frame = load_frame(FIXTURES / "frame_three_chain.json")
+    save_system(s_object(frame, GradeSet.for_frame(frame)), tmp_path / "expected.json")
+    assert (inproc / "default.json").read_bytes() == (tmp_path / "expected.json").read_bytes()
+    assert (inproc / "graded.json").read_bytes() != (inproc / "default.json").read_bytes()
+    for template, answer in zip(SEQUENCE, answers):
+        done = subprocess.run([sys.executable, "-m", "graded_topos.cli",
+                               *[arg.format(out=fresh) for arg in template]],
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == answer, template
+    for name in ("graded.json", "default.json"):
+        assert (inproc / name).read_bytes() == (fresh / name).read_bytes()
+
+
+def _crisp_chain(n: int) -> GradedFrame:
+    carrier = tuple(f"c{i:02d}" for i in range(n))
+    subsets = [s for k in range(n + 1) for s in itertools.combinations(range(n), k)]
+    return GradedFrame.from_tables(
+        carrier, carrier[-1],
+        {(a, b): min(a, b) for a in carrier for b in carrier},
+        {frozenset(carrier[i] for i in s): carrier[max(s, default=0)] for s in subsets},
+        {(a, b): ONE if a <= b else ZERO for a in carrier for b in carrier})
+
+
+def test_hom_enumeration_beyond_its_budget_is_an_input_error(tmp_path, capsys):
+    # the homs of a crisp 10-chain into 8 grades are its monotone maps
+    # fixing both ends: C(15, 7) = 6435 of them
+    path, out = tmp_path / "chain10.json", tmp_path / "homs.json"
+    save_frame(_crisp_chain(10), path)
+    grades = ",".join(f"{k}/7" for k in range(8))
+    line = f"error: hom enumeration found more than {DEFAULT_HOM_CAP} homs\n"
+    for argv in (["functor", "s", "--in", str(path), "--grades", grades, "--out", str(out)],
+                 ["adjunction-test", "fm-s", "--in", str(path), "--grades", grades]):
+        assert _request(argv, capsys) == (2, "", line)
+    assert not out.exists()

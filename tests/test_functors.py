@@ -14,7 +14,7 @@ from conftest import (
 )
 from graded_topos.checks import Violation
 from graded_topos.cli import main
-from graded_topos.errors import GradeSetTooSmall, NoPoints, NotContinuous, SchemaError
+from graded_topos.errors import GradeSetTooSmall, NoPoints, NotContinuous, Overflow, SchemaError
 from graded_topos.frames import FrameHom, GradedFrame, chain_frame, check_frame, check_frame_hom, frame_from_space
 from graded_topos.functors import (
     GradeSet,
@@ -518,6 +518,14 @@ def test_enumeration_at_eleven_opens():
     for p in homs:
         assert check_frame_hom(p.as_frame_hom(frame, chain)) is None
     assert check_system(s_object(frame, QUARTERS)) is None
+
+
+def test_enumeration_raises_overflow_past_its_budget():
+    frame = frame_from_space(space_with_opens(11))
+    homs = enumerate_point_homs(frame, QUARTERS)
+    assert homs == enumerate_point_homs(frame, QUARTERS, max_points=len(homs))
+    with pytest.raises(Overflow, match=f"more than {len(homs) - 1} homs"):
+        enumerate_point_homs(frame, QUARTERS, max_points=len(homs) - 1)
 
 
 def test_hom_system_satisfaction_is_application():

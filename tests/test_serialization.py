@@ -1,11 +1,15 @@
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from conftest import scan_join_keys, space_with_opens
+from graded_topos import serialization
 from graded_topos.checks import Violation
 from graded_topos.errors import ParseError, SchemaError
-from graded_topos.frames import check_frame, frame_from_space, same_frame
+from graded_topos.frames import GradedFrame, check_frame, frame_from_space, same_frame
+from graded_topos.fuzzy_sets import FuzzySet, Universe
 from graded_topos.functors import GradeSet, j_object, s_object
 from graded_topos.generators import GeneratorConfig, generate_random_space
 from graded_topos.serialization import (
@@ -29,7 +33,8 @@ from graded_topos.serialization import (
     system_from_json,
     system_to_json,
 )
-from graded_topos.spaces import check_space
+from graded_topos.grades import ONE
+from graded_topos.spaces import check_space, generate_topology
 from graded_topos.systems import check_system
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -172,3 +177,93 @@ def test_pool_loads_against_a_signature():
     interp = load_interpretation(FIXTURES / "interp_basic.json")
     pool = load_formulas(FIXTURES / "pool_basic.json", interp.signature())
     assert len(pool) == 5
+
+
+# --- join keys ------------------------------------------------------------------
+
+def _renamed(payload: dict, rename: dict) -> dict:
+    def key(text):
+        return ",".join(rename[a] for a in text.split(",") if a)
+
+    return {"carrier": [rename[a] for a in payload["carrier"]], "top": rename[payload["top"]],
+            "meet": {key(k): rename[v] for k, v in payload["meet"].items()},
+            "join": {key(k): rename[v] for k, v in payload["join"].items()},
+            "relation": {key(k): g for k, g in payload["relation"].items()}}
+
+
+def _assert_scan_keys(frame):
+    payload = frame_to_json(frame)
+    assert dumps_canonical(payload) == dumps_canonical({**payload, "join": scan_join_keys(frame)})
+
+
+def test_join_keys_equal_the_label_scan_on_fourteen_opens():
+    fixture = json.loads((FIXTURES / "frame_fourteen_opens.json").read_text())
+    _assert_scan_keys(frame_from_json(fixture))
+    # the same table with names that sort in the reverse of carrier order
+    rename = {a: chr(ord("z") - i) * 2 for i, a in enumerate(fixture["carrier"])}
+    frame = frame_from_json(_renamed(fixture, rename))
+    assert frame.join_table is not None
+    assert sorted(frame.carrier) == list(reversed(frame.carrier))
+    _assert_scan_keys(frame)
+
+
+def _chain_space(opens: int):
+    u = Universe(("x1",))
+    return generate_topology(u, [FuzzySet(u, (Fraction(k, opens - 1),)) for k in range(1, opens)])
+
+
+@pytest.mark.parametrize("opens", range(1, 17))
+def test_join_keys_equal_the_label_scan_on_in_memory_frames(opens):
+    if opens == 1:
+        frames = [GradedFrame.from_tables(("a",), "a", {("a", "a"): "a"},
+                                          {frozenset(): "a", frozenset({"a"}): "a"},
+                                          {("a", "a"): ONE})]
+    else:
+        # positional names e0, e1, ...: from 11 opens on, e10 sorts before e2
+        frames = [frame_from_space(_chain_space(opens))]
+        if opens < 15:
+            frames.append(frame_from_space(space_with_opens(opens)))
+    for frame in frames:
+        assert len(frame.carrier) == opens
+        _assert_scan_keys(frame)
+
+
+# --- grade literals -------------------------------------------------------------
+
+def test_each_grade_literal_is_parsed_once_in_a_bounded_cache(tmp_path):
+    cache = serialization._cached_grade
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps({"universe": ["x1", "x2"],
+                                "opens": [{"x1": "0/1", "x2": "0/1"}, {"x1": "1/3", "x2": "0/1"},
+                                          {"x1": "1/1", "x2": "1/1"}]}))
+    load_space(path)
+    before = cache.cache_info()
+    load_space(path)
+    after = cache.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (6, 0)
+    # distinct literals never hold more than the cache's size
+    for k in range(1, 3 * cache.cache_info().maxsize):
+        assert serialization._grade(f"1/{k}", "grade") == Fraction(1, k)
+    assert cache.cache_info().currsize == cache.cache_info().maxsize
+    # a literal longer than any accepted one (here by padding) bypasses it
+    before = cache.cache_info()
+    assert serialization._grade(" " * 3000 + "1/3", "grade") == Fraction(1, 3)
+    assert cache.cache_info() == before
+
+
+@pytest.mark.parametrize("literal", ["1e-5000", "3/2", "1" * 1001, "nan"])
+def test_a_refused_grade_literal_is_refused_alike_every_time(literal, tmp_path):
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps({"universe": ["x1"], "opens": [{"x1": "0"}, {"x1": literal}, {"x1": "1"}]}))
+    messages = set()
+    for _ in range(3):
+        with pytest.raises(SchemaError) as refused:
+            load_space(path)
+        messages.add(str(refused.value))
+    assert len(messages) == 1
+    # never stored, so never a hit
+    hits = serialization._cached_grade.cache_info().hits
+    for _ in range(2):
+        with pytest.raises(SchemaError):
+            serialization._grade(literal, "grade")
+    assert serialization._cached_grade.cache_info().hits == hits
