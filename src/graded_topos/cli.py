@@ -4,8 +4,9 @@ Verbs: check space|frame|system, functor ext|j|fm|s, adjunction-test
 j-ext|fm-s, spatiality, eval, consequence, theorem2, suite. Exit codes:
 0 pass, 1 violation found, 2 input error, 3 internal error. An input error
 includes an input beyond a budget: a topology closure beyond
-`spaces.DEFAULT_CLOSURE_CAP` opens, a hom enumeration beyond
-`functors.DEFAULT_HOM_CAP` homs, or a formula beyond `MAX_STEPS` steps. An
+`spaces.DEFAULT_CLOSURE_CAP` opens, a hom enumeration that tries more than
+`functors.HOM_SEARCH_CAP` partial maps, or a formula beyond `MAX_STEPS`
+steps. An
 internal error is any other exception; it prints one line, and its
 traceback only under `--debug`. Every check is exact at every size, so each
 report names the regime "exhaustive".

@@ -46,7 +46,7 @@ class GradeSetTooSmall(GradedToposError):
 
 class Overflow(GradedToposError):
     """A construction exceeded its size cap: a topology closure beyond its
-    opens, or a hom enumeration beyond its homs."""
+    opens, or a hom enumeration beyond its search budget."""
 
 
 class ParseError(GradedToposError):

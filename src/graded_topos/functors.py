@@ -41,9 +41,9 @@ from .systems import (
     system_iso_check,
 )
 
-# The most homs one enumeration returns before it raises Overflow. The
-# benchmark's workloads (seeds 0-49) and the tests find at most 26.
-DEFAULT_HOM_CAP = 4096
+# The most partial maps one hom enumeration tries before it raises Overflow.
+# The benchmark's ops (seeds 0-49) try at most 240, the passing tests 665.
+HOM_SEARCH_CAP = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -150,11 +150,11 @@ def fm_morphism(m: SystemMorphism) -> FrameHom:
     return m.frame_hom
 
 
-def enumerate_point_homs(frame: GradedFrame, values: GradeSet,
-                         max_points: int = DEFAULT_HOM_CAP) -> list[PointHom]:
+def enumerate_point_homs(frame: GradedFrame, values: GradeSet) -> list[PointHom]:
     """All maps carrier -> values satisfying the homomorphism axioms into
     the grade chain, in canonical (value-lexicographic) order. Raises
-    Overflow once more than max_points are found.
+    Overflow once the search has tried more than HOM_SEARCH_CAP partial
+    maps, whether or not they extend to homs.
 
     The axioms are the ones a test of every map would check: meet and
     relation preservation at every pair, and join preservation at every mask
@@ -229,6 +229,7 @@ def enumerate_point_homs(frame: GradedFrame, values: GradeSet,
     rank = [0] * n
     rank[top] = len(grades) - 1
     found = []
+    tries = 0
 
     def holds(d: int) -> bool:
         for i, j, b in rels[d]:
@@ -243,11 +244,13 @@ def enumerate_point_homs(frame: GradedFrame, values: GradeSet,
         return True
 
     def search(d: int) -> None:
+        nonlocal tries
         if d == len(rels):
-            if len(found) == max_points:
-                raise Overflow(f"hom enumeration found more than {max_points} homs")
             found.append(PointHom(items, tuple(grades[r] for r in rank)))
             return
+        tries += len(grades)
+        if tries > HOM_SEARCH_CAP:
+            raise Overflow(f"hom enumeration tried more than {HOM_SEARCH_CAP} partial maps")
         c = order[d + 1]
         for r in range(len(grades)):
             rank[c] = r

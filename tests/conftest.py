@@ -66,6 +66,17 @@ def fuzzy_set_families(draw, count: int, max_points: int = 4):
     return [draw(fuzzy_sets_over(universe)) for _ in range(count)]
 
 
+def crisp_chain(n: int) -> GradedFrame:
+    """The crisp n-element chain c00 < c01 < ... as a frame from tables."""
+    carrier = tuple(f"c{i:02d}" for i in range(n))
+    subsets = [s for k in range(n + 1) for s in itertools.combinations(range(n), k)]
+    return GradedFrame.from_tables(
+        carrier, carrier[-1],
+        {(a, b): min(a, b) for a in carrier for b in carrier},
+        {frozenset(carrier[i] for i in s): carrier[max(s, default=0)] for s in subsets},
+        {(a, b): ONE if a <= b else ZERO for a in carrier for b in carrier})
+
+
 def space_with_opens(count: int) -> GradedSpace:
     """The first three-point space over grades {0, 1/2, 1}, generated by two
     or three fuzzy sets in lexicographic order, with exactly `count` opens."""

@@ -10,9 +10,10 @@ from pathlib import Path
 import pytest
 
 import graded_topos.cli as cli
+from conftest import crisp_chain
 from graded_topos.cli import main
 from graded_topos.frames import GradedFrame, check_frame
-from graded_topos.functors import DEFAULT_HOM_CAP, GradeSet, s_object
+from graded_topos.functors import HOM_SEARCH_CAP, GradeSet, s_object
 from graded_topos.grades import ONE, ZERO
 from graded_topos.logic.semantics import MAX_STEPS
 from graded_topos.serialization import load_frame, save_frame, save_system
@@ -424,23 +425,13 @@ def test_the_parser_keeps_no_state_between_requests(tmp_path, monkeypatch, capsy
         assert (inproc / name).read_bytes() == (fresh / name).read_bytes()
 
 
-def _crisp_chain(n: int) -> GradedFrame:
-    carrier = tuple(f"c{i:02d}" for i in range(n))
-    subsets = [s for k in range(n + 1) for s in itertools.combinations(range(n), k)]
-    return GradedFrame.from_tables(
-        carrier, carrier[-1],
-        {(a, b): min(a, b) for a in carrier for b in carrier},
-        {frozenset(carrier[i] for i in s): carrier[max(s, default=0)] for s in subsets},
-        {(a, b): ONE if a <= b else ZERO for a in carrier for b in carrier})
-
-
 def test_hom_enumeration_beyond_its_budget_is_an_input_error(tmp_path, capsys):
     # the homs of a crisp 10-chain into 8 grades are its monotone maps
-    # fixing both ends: C(15, 7) = 6435 of them
+    # fixing both ends, 6435 of them, found in 8 * 6435 tries
     path, out = tmp_path / "chain10.json", tmp_path / "homs.json"
-    save_frame(_crisp_chain(10), path)
+    save_frame(crisp_chain(10), path)
     grades = ",".join(f"{k}/7" for k in range(8))
-    line = f"error: hom enumeration found more than {DEFAULT_HOM_CAP} homs\n"
+    line = f"error: hom enumeration tried more than {HOM_SEARCH_CAP} partial maps\n"
     for argv in (["functor", "s", "--in", str(path), "--grades", grades, "--out", str(out)],
                  ["adjunction-test", "fm-s", "--in", str(path), "--grades", grades]):
         assert _request(argv, capsys) == (2, "", line)

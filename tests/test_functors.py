@@ -1,15 +1,18 @@
 import collections
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
+import graded_topos.functors as functors
 from conftest import (
     brute_frame_hom_ok,
     brute_frame_violation,
     brute_point_homs,
     brute_system_violation,
+    crisp_chain,
     space_with_opens,
 )
 from graded_topos.checks import Violation
@@ -520,12 +523,20 @@ def test_enumeration_at_eleven_opens():
     assert check_system(s_object(frame, QUARTERS)) is None
 
 
-def test_enumeration_raises_overflow_past_its_budget():
-    frame = frame_from_space(space_with_opens(11))
-    homs = enumerate_point_homs(frame, QUARTERS)
-    assert homs == enumerate_point_homs(frame, QUARTERS, max_points=len(homs))
-    with pytest.raises(Overflow, match=f"more than {len(homs) - 1} homs"):
-        enumerate_point_homs(frame, QUARTERS, max_points=len(homs) - 1)
+def test_enumeration_raises_overflow_past_its_budget(monkeypatch):
+    # A crisp n-chain's homs into k grades are its monotone maps fixing both
+    # ends, C(n - 3 + k, n - 2) of them. The search tries k ranks at each
+    # monotone partial map of the first m < n - 2 free elements, and there
+    # are C(n - 3 + k, n - 3) of those. The budget counts those tries, so
+    # (5, 8) stops at a budget of 359 with only 120 homs to find.
+    for n, k in ((3, 2), (5, 8), (7, 4)):
+        frame, values = crisp_chain(n), GradeSet(tuple(F(i, k - 1) for i in range(k)))
+        tries = k * math.comb(n - 3 + k, n - 3)
+        monkeypatch.setattr(functors, "HOM_SEARCH_CAP", tries)
+        assert len(enumerate_point_homs(frame, values)) == math.comb(n - 3 + k, n - 2)
+        monkeypatch.setattr(functors, "HOM_SEARCH_CAP", tries - 1)
+        with pytest.raises(Overflow, match=f"tried more than {tries - 1} partial maps"):
+            enumerate_point_homs(frame, values)
 
 
 def test_hom_system_satisfaction_is_application():
@@ -705,7 +716,6 @@ def test_fm_s_triangles_on_the_two_chain():
 
 @pytest.mark.parametrize("seed", range(4))
 def test_law_checks_enumerate_each_hom_system_once(seed, monkeypatch):
-    import graded_topos.functors as functors
     calls = []
     enumerate_homs = functors.enumerate_point_homs
 
