@@ -1,12 +1,13 @@
 """Shared machinery for the axiom checkers: violation reports and the
 subset recurrences.
 
-Every subset-indexed check is exact. It runs over the masks of a frame's
-view (`FrameView.masks`): the empty set, singletons and pairs for a frame
-whose join folds its binary join, and every subset for a join table that
-fails the lowest-member fold. The frame module's docstring says why those
-masks cover every subset. `FrameView.decide` reruns a check on every subset
-to name a violation that the pairs of a join table show.
+Every subset-indexed check is exact. It runs over the masks of the view a
+frame stores (`FrameView.masks`): the empty set, singletons and pairs for a
+frame built in memory, which holds only those joins, and for a join table
+that folds on the lowest member of each subset; every subset for any other
+table. The frame module's docstring says why those masks cover every
+subset. `FrameView.decide` reruns a check on every subset to name a
+violation that the pairs of a join table show.
 """
 
 from __future__ import annotations

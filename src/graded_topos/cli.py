@@ -5,11 +5,12 @@ j-ext|fm-s, spatiality, eval, consequence, theorem2, suite. Exit codes:
 0 pass, 1 violation found, 2 input error, 3 internal error. An input error
 includes an input beyond a budget: a topology closure beyond
 `spaces.DEFAULT_CLOSURE_CAP` opens, a hom enumeration that tries more than
-`functors.HOM_SEARCH_CAP` partial maps, or a formula beyond `MAX_STEPS`
-steps. An
-internal error is any other exception; it prints one line, and its
-traceback only under `--debug`. Every check is exact at every size, so each
-report names the regime "exhaustive".
+`functors.HOM_SEARCH_CAP` partial maps, a formula beyond `MAX_STEPS` steps,
+or a frame built in memory of more than 16 elements to write (`functor j`),
+whose file would hold the join of every subset. An internal error is any
+other exception; it prints one line, and its traceback only under
+`--debug`. Every check is exact at every size, so each report names the
+regime "exhaustive".
 
 The parser is built once per process; each call parses into a fresh
 namespace, so no option value carries over from one call to the next.

@@ -2,45 +2,41 @@
 
 A graded frame carries a finite set of elements, a top, a binary meet, a
 join defined on every subset, and a grade-valued relation satisfying nine
-axioms. Axioms over pairs and triples are checked on every pair and triple.
-The subset-indexed ones (axioms 7-9, and join preservation by homs) are
-checked on the masks of the frame's view, which is exact at every size. A
-frame built in memory joins by a fold of its binary join (union of opens,
-max of grades), so its empty, singleton and pair instances decide every
-subset (the induction is in `check_frame`). A frame read from a join table
-stores the table once, as carrier positions indexed by subset bitmask. Its
-view checks in one pass that the table folds on the lowest member of each
-subset; if it does, the pairs decide it as well, and if not, it is checked
-on every subset. Every checker reads the frame through `GradedFrame.view`,
-its integer coding (`FrameView`), built once per frame.
+axioms. A `GradedFrame` stores its carrier (opaque hashables: strings from
+files, opens from a space, grades in a chain) and one integer view of the
+rest (`FrameView`), which every checker reads; the element-keyed meet and
+relation tables are decoded from it on first read. Axioms over pairs and
+triples are checked on every pair and triple, and the subset-indexed ones
+(axioms 7-9, join preservation by homs) on the view's masks, exactly at
+every size: the empty set, the singletons and the pairs decide every subset
+of a frame built in memory, whose join folds its pair joins, and of a join
+table that folds on the lowest member of each subset; any other table is
+checked on every subset (the induction is in `check_frame`).
 
-`frame_from_space` works on the space's opens as the level cuts of their
-rank vectors (`GradedSpace.ranked`), one bitmask over the points per rank:
-the meet table is AND per level, the pair joins OR per level, and the
-relation, graded inclusion, is the least rank s with U_{s+1} & ~V_{s+1}
-!= 0, else the top (`ranks`). The frame's view is
-filled from the same tables. That is exact: the three operations only
-compare grades, and ranking is an order-isomorphism fixing 0 and 1. The
-frame's tables hold the opens and `Fraction` grades, as before.
-
-Carrier elements are opaque hashables: strings when frames come from files,
-opens (fuzzy sets) for frames built from a space, grades for the chain frame
-the hom-enumeration targets.
+`frame_from_space` builds the view from the level cuts of the opens' rank
+vectors (`GradedSpace.ranked`): meet is AND per level, pair joins OR per
+level, and graded inclusion the least rank s with U_{s+1} & ~V_{s+1} != 0,
+else the top (`ranks`). That is exact: the three operations only compare
+grades, and ranking is an order-isomorphism fixing 0 and 1.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
+from types import MappingProxyType
 from typing import Any, Callable, Hashable, Iterable, Mapping
 
 from .checks import Violation, mask_elements, mask_steps
 from .errors import MixedCarrier, SchemaError
-from .fuzzy_sets import FuzzySet
-from .grades import Grade, ONE, ZERO, godel_arrow
-from .ranks import Cuts, Ranks, inclusion, join, meet, ranks_of
+from .fuzzy_sets import FuzzySet, full_set
+from .grades import Grade, ONE, ZERO
+from .ranks import Ranks, inclusion, join, meet
 from .spaces import GradedSpace
+
+MeetTable = Mapping[tuple[Hashable, Hashable], Hashable]
+RelationTable = Mapping[tuple[Hashable, Hashable], Grade]
 
 
 def _show(element: Any) -> str:
@@ -51,26 +47,31 @@ def _show(element: Any) -> str:
 
 @dataclass(frozen=True)
 class FrameView:
-    """A frame coded as integers, the one form every checker reads. Elements
-    are carrier positions; grades are ranks in `grades`, the sorted relation
-    grades with 0 and 1, so the top rank is 1. The axioms and clauses take
-    only min, max, inf, <= and equality with 1 of grades, which ranks keep,
-    so verdicts on ranks are exact. `joins[p]` is the join of `masks[p]`, or
-    None outside the carrier. `table` is a table frame's join of every
-    subset by mask (`GradedFrame.join_table`), None for any other frame;
-    `masks` are the pairs when that table folds on the lowest member of
-    each subset, and every subset when it does not."""
+    """A frame coded as integers, the one form a `GradedFrame` stores and
+    every checker reads. Elements are carrier positions; grades are ranks in
+    `grades`, the sorted relation grades with 0 and 1, so the top rank is 1.
+    The axioms and clauses take only min, max, inf, <= and equality with 1
+    of grades, which ranks keep, so verdicts on ranks are exact. `joins[p]`
+    is the join of `masks[p]`, or None outside the carrier. `table` is a
+    table frame's join of every subset by mask, None for any other frame."""
 
     index: Mapping[Hashable, int]
     meet: list[list[int]]
     grades: tuple[Grade, ...]
     rel: list[list[int]]
     top: int
-    bottom: int
-    masks: list[int]
     joins: list[int | None]
-    steps: list[tuple[int, int]]
     table: list[int] | None
+
+    @property
+    def bottom(self) -> int:
+        return self.joins[0]
+
+    @cached_property
+    def masks(self) -> list[int]:
+        """Every subset for 2^n `joins` (a table failing the lowest-member fold), else the pairs."""
+        n = len(self.index)
+        return list(range(1 << n)) if len(self.joins) == 1 << n else list(_pairs(n))
 
     @cached_property
     def folds(self) -> bool:
@@ -86,15 +87,16 @@ class FrameView:
         its pairs and the pair run finds a violation, `check` runs again on
         every subset to name it, so the witness is the all-mask loop's."""
         bad = check(self)
-        if bad is None or self.table is None or len(self.masks) == len(self.table):
+        if bad is None or self.table is None or len(self.joins) == len(self.table):
             return bad
-        masks = list(range(len(self.table)))
-        return check(replace(self, masks=masks, joins=self.table, steps=mask_steps(masks)))
+        return check(replace(self, joins=self.table))
 
 
-def _pair_masks(n: int) -> list[int]:
-    """The empty mask, the singletons and the pairs of n elements, ascending."""
-    return sorted({0} | {1 << i | 1 << j for i in range(n) for j in range(i, n)})
+@cache
+def _pairs(n: int) -> dict[int, int]:
+    """The position of each pair mask of n elements (empty set, singletons, pairs), ascending."""
+    masks = sorted({0} | {1 << i | 1 << j for i in range(n) for j in range(i, n)})
+    return {mask: p for p, mask in enumerate(masks)}
 
 
 def label_mask(labels: Iterable[Hashable], bits: Mapping[Hashable, int]) -> int:
@@ -107,101 +109,103 @@ def label_mask(labels: Iterable[Hashable], bits: Mapping[Hashable, int]) -> int:
         raise SchemaError("join", "join table key is not a subset of the carrier") from None
 
 
+def _tables(items: tuple, top: Hashable, meet_table: MeetTable, relation: RelationTable) -> tuple:
+    """The one validator of element-keyed tables: a non-empty, distinct
+    carrier holding the top, and at every pair a meet in the carrier and a
+    relation entry. Returns the view's index, meet, grades, rel and top."""
+    if not items:
+        raise SchemaError("carrier", "must be non-empty")
+    index: dict[Hashable, int] = {}
+    for i, a in enumerate(items):
+        if index.setdefault(a, i) != i:
+            raise SchemaError("carrier", f"duplicate element {_show(a)}")
+    if top not in index:
+        raise SchemaError("top", f"{_show(top)} is not in the carrier")
+    for a in items:
+        for b in items:
+            if (a, b) not in meet_table:
+                raise SchemaError("meet", f"missing entry for ({_show(a)}, {_show(b)})")
+            if meet_table[(a, b)] not in index:
+                raise SchemaError("meet", f"value at ({_show(a)}, {_show(b)}) is outside the carrier")
+            if (a, b) not in relation:
+                raise SchemaError("relation", f"missing entry for ({_show(a)}, {_show(b)})")
+    # each grade object is ranked once: file grades repeat a few objects, and `Fraction` hashing is slow
+    distinct = {id(g): g for g in (relation[(a, b)] for a in items for b in items)}
+    ranks = Ranks(distinct.values())
+    code = {i: ranks.rank[g] for i, g in distinct.items()}
+    return (index, [[index[meet_table[(a, b)]] for b in items] for a in items], ranks.grades,
+            [[code[id(relation[(a, b)])] for b in items] for a in items], index[top])
+
+
 @dataclass(frozen=True, eq=False)
 class GradedFrame:
-    """Carrier, top, binary meet table, subset-join evaluator, and the
-    grade-valued relation. Compared by identity; use the check functions for
-    semantic questions.
-
-    A frame without a `join_table` must compute its subset join as a fold of
-    a binary join, join_fn(S | {a}) == join_fn({join_fn(S), a}); the frames
-    `frame_from_space` and `chain_frame` build do so by construction. A
-    table frame's `join_table[mask]` is the carrier position of the join of
-    the subset `mask` (bit i for `carrier[i]`), and its `join_fn` reads it."""
+    """A carrier and its integer view (`FrameView`), the one form a frame
+    stores; compared by identity (use the check functions for semantic
+    questions). A table frame's `join_table[mask]` is the carrier position
+    of the join of the subset `mask` (bit i for `carrier[i]`)."""
 
     carrier: tuple[Hashable, ...]
-    top: Hashable
-    meet_table: Mapping[tuple[Hashable, Hashable], Hashable]
-    relation: Mapping[tuple[Hashable, Hashable], Grade]
-    join_fn: Callable[[frozenset], Hashable] = field(repr=False)
-    join_table: list[int] | None = field(default=None, repr=False)
-
-    def __post_init__(self) -> None:
-        if not self.carrier:
-            raise SchemaError("carrier", "must be non-empty")
-        index = {}
-        for i, a in enumerate(self.carrier):
-            if a in index:
-                raise SchemaError("carrier", f"duplicate element {_show(a)}")
-            index[a] = i
-        object.__setattr__(self, "_index", index)
-        if self.top not in index:
-            raise SchemaError("top", f"{_show(self.top)} is not in the carrier")
-        for a in self.carrier:
-            for b in self.carrier:
-                if (a, b) not in self.meet_table:
-                    raise SchemaError("meet", f"missing entry for ({_show(a)}, {_show(b)})")
-                if self.meet_table[(a, b)] not in index:
-                    raise SchemaError("meet", f"value at ({_show(a)}, {_show(b)}) is outside the carrier")
-                if (a, b) not in self.relation:
-                    raise SchemaError("relation", f"missing entry for ({_show(a)}, {_show(b)})")
-        bottom = self.join_fn(frozenset())
-        if bottom not in index:
-            raise SchemaError("join", "join of the empty set is outside the carrier")
-        object.__setattr__(self, "_bottom", bottom)
+    view: FrameView = field(repr=False)
 
     def __len__(self) -> int:
         return len(self.carrier)
 
     def __contains__(self, a: Hashable) -> bool:
-        return a in self._index  # type: ignore[attr-defined]
+        return a in self.view.index
+
+    @property
+    def top(self) -> Hashable:
+        return self.carrier[self.view.top]
 
     @property
     def bottom(self) -> Hashable:
         """The join of the empty subset."""
-        return self._bottom  # type: ignore[attr-defined]
+        return self.carrier[self.view.bottom]
+
+    @property
+    def join_table(self) -> list[int] | None:
+        return self.view.table
+
+    @cached_property
+    def meet_table(self) -> MeetTable:
+        """The meet of every pair, read-only, decoded on first read."""
+        items = self.carrier
+        return MappingProxyType({(a, b): items[m] for a, row in zip(items, self.view.meet)
+                                 for b, m in zip(items, row)})
+
+    @cached_property
+    def relation(self) -> RelationTable:
+        """The grade of every pair, read-only, decoded on first read."""
+        items, grades = self.carrier, self.view.grades
+        return MappingProxyType({(a, b): grades[r] for a, row in zip(items, self.view.rel)
+                                 for b, r in zip(items, row)})
 
     def meet(self, a: Hashable, b: Hashable) -> Hashable:
         return self.meet_table[(a, b)]
 
     def join_at(self, mask: int) -> int | None:
-        """The carrier position of the join of the subset `mask`, None when
-        it is outside the carrier: read from the join table, or computed by
-        `join_fn`."""
-        if self.join_table is not None:
-            return self.join_table[mask]
-        return self._index.get(self.join_fn(frozenset(mask_elements(mask, self.carrier))))  # type: ignore[attr-defined]
+        """The carrier position of the join of the subset `mask`, or None
+        outside the carrier: the table's entry, or the pair joins folded."""
+        v, position = self.view, _pairs(len(self.carrier))
+        if v.table is not None:
+            return v.table[mask]
+        if mask in position:
+            return v.joins[position[mask]]
+        joined = v.bottom
+        while mask and joined is not None:
+            low = mask & -mask
+            mask ^= low
+            joined = v.joins[position[1 << joined | low]]
+        return joined
 
-    @cached_property
-    def view(self) -> FrameView:
-        """The frame coded as integers, built on first use. A join table is
-        read on its pairs when it passes the lowest-member fold, one pass
-        over its subsets: join S = join{join(S - low), low}, where low is
-        the lowest member of S."""
-        items, index, n = self.carrier, self._index, len(self.carrier)  # type: ignore[attr-defined]
-        ranks = Ranks(self.relation.values())
-        table = self.join_table
-        if table is None:
-            masks = _pair_masks(n)
-            joins = [self.join_at(mask) for mask in masks]
-        elif all(table[m] == table[1 << table[m & m - 1] | m & -m] for m in range(1, 1 << n)):
-            masks = _pair_masks(n)
-            joins = [table[mask] for mask in masks]
-        else:
-            masks, joins = list(range(1 << n)), table
-        return FrameView(index, [[index[self.meet_table[(a, b)]] for b in items] for a in items],
-                         ranks.grades, [[ranks.rank[self.relation[(a, b)]] for b in items] for a in items],
-                         index[self.top], joins[0], masks, joins, mask_steps(masks), table)
+    def join_fn(self, subset: frozenset) -> Hashable | None:
+        """The join of a subset of the carrier by `join_at`, or None."""
+        joined = self.join_at(sum(1 << self.view.index[a] for a in subset))
+        return None if joined is None else self.carrier[joined]
 
     @classmethod
-    def from_tables(
-        cls,
-        carrier: Iterable[Hashable],
-        top: Hashable,
-        meet_table: Mapping[tuple[Hashable, Hashable], Hashable],
-        join_table: Mapping[frozenset, Hashable],
-        relation: Mapping[tuple[Hashable, Hashable], Grade],
-    ) -> "GradedFrame":
+    def from_tables(cls, carrier: Iterable[Hashable], top: Hashable, meet_table: MeetTable,
+                    join_table: Mapping[frozenset, Hashable], relation: RelationTable) -> GradedFrame:
         """Frame whose join is given by an explicit total table over subsets,
         converted once to the bitmask table `from_masks` takes."""
         items = tuple(carrier)
@@ -210,17 +214,12 @@ class GradedFrame:
                               {label_mask(s, bits): v for s, v in join_table.items()}, relation)
 
     @classmethod
-    def from_masks(
-        cls,
-        carrier: Iterable[Hashable],
-        top: Hashable,
-        meet_table: Mapping[tuple[Hashable, Hashable], Hashable],
-        join_table: Mapping[int, Hashable],
-        relation: Mapping[tuple[Hashable, Hashable], Grade],
-    ) -> "GradedFrame":
+    def from_masks(cls, carrier: Iterable[Hashable], top: Hashable, meet_table: MeetTable,
+                   join_table: Mapping[int, Hashable], relation: RelationTable) -> GradedFrame:
         """Frame whose join table is keyed by subset bitmask over carrier
-        positions (bit i for the i-th element); it is stored as a list of
-        carrier positions indexed by mask."""
+        positions (bit i for the i-th element), stored as a list indexed by
+        mask and read on its pairs if it passes the lowest-member fold,
+        join S = join{join(S - low), low} with low the lowest member of S."""
         items = tuple(carrier)
         n = len(items)
         if len(join_table) != 1 << n:
@@ -233,66 +232,64 @@ class GradedFrame:
             if v not in index:
                 raise SchemaError("join", f"join value {_show(v)} is outside the carrier")
             table[mask] = index[v]
+        folds = [table[1 << table[m & m - 1] | m & -m] for m in range(1, 1 << n)] == table[1:]
+        joins = [table[mask] for mask in _pairs(n)] if folds else table
+        return cls(items, FrameView(*_tables(items, top, meet_table, relation), joins, table))
 
-        def join_fn(subset: frozenset) -> Hashable:
-            return items[table[sum(1 << index[a] for a in subset)]]
-
-        return cls(items, top, dict(meet_table), dict(relation), join_fn, table)
+    @classmethod
+    def from_join_fn(cls, carrier: Iterable[Hashable], top: Hashable, meet_table: MeetTable,
+                     join_fn: Callable[[frozenset], Hashable], relation: RelationTable) -> GradedFrame:
+        """Frame whose join folds a binary join, read off `join_fn` on the
+        empty set, the singletons and the pairs only. The empty join must lie
+        in the carrier; a pair join outside it fails `check_frame` at join closure."""
+        items = tuple(carrier)
+        fields = _tables(items, top, meet_table, relation)
+        joins = [fields[0].get(join_fn(frozenset(mask_elements(mask, items)))) for mask in _pairs(len(items))]
+        if joins[0] is None:
+            raise SchemaError("join", "join of the empty set is outside the carrier")
+        return cls(items, FrameView(*fields, joins, None))
 
 
 def frame_from_space(space: GradedSpace) -> GradedFrame:
     """The frame of opens: meet is intersection, join is union, the relation
-    is graded inclusion, top is the constant-1 open. Requires a valid space
-    (closure makes every table entry land back in the opens; an entry
-    outside them is decoded into its fuzzy set, which the frame rejects).
-    Everything is computed on `GradedSpace.ranked`, as the module
-    docstring says; `join_fn` takes subsets of the opens."""
-    opens, universe, n = space.opens, space.universe, len(space.opens)
+    is graded inclusion, top is the constant-1 open. A space that lacks the
+    top, a pairwise intersection or the empty open is refused; one that
+    lacks a pairwise union fails `check_frame` at join closure."""
+    opens, n = space.opens, len(space.opens)
     ranks, rows = space.ranked
     position = {row: i for i, row in enumerate(rows)}
-    index = dict(zip(opens, range(n)))
-
-    def member(row: Cuts) -> FuzzySet:
-        i = position.get(row)
-        if i is not None:
-            return opens[i]
-        return FuzzySet(universe, ranks.decode(ranks_of(row, len(universe))))
-
-    def join_fn(subset: frozenset) -> FuzzySet:
-        return member(join(*[rows[index[t]] for t in subset]) if subset else bottom)
-
-    bottom = (0,) * ranks.top
-    meet_rows = [[meet(a, b) for b in rows] for a in rows]
+    top = position.get(((1 << len(space.universe)) - 1,) * ranks.top)
+    if top is None:
+        raise SchemaError("top", f"{_show(full_set(space.universe))} is not in the carrier")
+    meet_idx = [[position.get(meet(a, b)) for b in rows] for a in rows]
+    for a, row in zip(opens, meet_idx):
+        if None in row:
+            raise SchemaError("meet", f"value at ({_show(a)}, {_show(opens[row.index(None)])}) "
+                                      "is outside the carrier")
+    joins = [position.get(join(rows[(m & -m).bit_length() - 1], rows[m.bit_length() - 1])
+                          if m else (0,) * ranks.top) for m in _pairs(n)]
+    if joins[0] is None:
+        raise SchemaError("join", "join of the empty set is outside the carrier")
+    # ranked in the relation's own grades, as `from_masks` ranks a file's
     rel = [[inclusion(a, b) for b in rows] for a in rows]
-    frame = GradedFrame(
-        opens, member(((1 << len(universe)) - 1,) * ranks.top),
-        {(a, b): member(m) for a, row in zip(opens, meet_rows) for b, m in zip(opens, row)},
-        {(a, b): ranks.grades[r] for a, row in zip(opens, rel) for b, r in zip(opens, row)},
-        join_fn)
-    # the view from the same tables: relation ranks re-ranked to the
-    # relation's own grades, as `GradedFrame.view` ranks them
     used = sorted({0, ranks.top}.union(*rel))
     rerank = {r: k for k, r in enumerate(used)}
-    masks = _pair_masks(n)
-    joins = [position.get(join(rows[(m & -m).bit_length() - 1], rows[m.bit_length() - 1])
-                          if m else bottom) for m in masks]
-    vars(frame)["view"] = FrameView(
-        index, [[position[m] for m in row] for row in meet_rows],
-        tuple(ranks.grades[r] for r in used), [[rerank[r] for r in row] for row in rel],
-        index[frame.top], joins[0], masks, joins, mask_steps(masks), None)
-    return frame
+    return GradedFrame(opens, FrameView(
+        dict(zip(opens, range(n))), meet_idx, tuple(ranks.grades[r] for r in used),
+        [list(map(rerank.__getitem__, row)) for row in rel], top, joins, None))
 
 
 def chain_frame(values: Iterable[Grade]) -> GradedFrame:
     """The linear frame on a finite grade set: meet is min, join is max with
-    empty join 0, and the relation is the Gödel arrow."""
+    empty join 0, and the relation is the Gödel arrow, valued in the chain."""
     carrier = tuple(sorted(set(values)))
     if not carrier or carrier[0] != ZERO or carrier[-1] != ONE:
         raise SchemaError("grades", "a grade chain must contain 0 and 1")
-    meet_table = {(a, b): min(a, b) for a in carrier for b in carrier}
-    relation = {(a, b): godel_arrow(a, b) for a in carrier for b in carrier}
-    return GradedFrame(carrier, ONE, meet_table, relation,
-                       lambda s: max(s) if s else ZERO)
+    n = len(carrier)
+    return GradedFrame(carrier, FrameView(
+        dict(zip(carrier, range(n))), [[min(i, j) for j in range(n)] for i in range(n)], carrier,
+        [[n - 1 if i <= j else j for j in range(n)] for i in range(n)], n - 1,
+        [max(m.bit_length() - 1, 0) for m in _pairs(n)], None))
 
 
 def finite_meet(frame: GradedFrame, subset: Iterable[Hashable]) -> Hashable:
@@ -389,7 +386,7 @@ def _subset_violation(items: tuple, v: FrameView) -> Violation | None:
     """Join closure and axioms 7-9 of `check_frame` on the masks of `v`."""
     n, one = len(items), len(v.grades) - 1
     meet_idx, rel = v.meet, v.rel
-    masks, joins = v.masks, v.joins
+    masks, joins, steps = v.masks, v.joins, mask_steps(v.masks)
     if None in joins:
         return Violation("frame", "join closure",
                          f"join of mask {masks[joins.index(None)]:b} is outside the carrier")
@@ -409,7 +406,7 @@ def _subset_violation(items: tuple, v: FrameView) -> Violation | None:
                              f"target {_show(items[b])}, empty subset (bottom not below it)")
         col = [r[b] for r in rel]
         lower = [one] * len(masks)
-        for p, (q, i) in enumerate(v.steps, 1):
+        for p, (q, i) in enumerate(steps, 1):
             lower[p] = min(lower[q], col[i])
             if lower[p] != rel[joins[p]][b]:
                 return Violation("frame", "axiom 8",
@@ -418,7 +415,7 @@ def _subset_violation(items: tuple, v: FrameView) -> Violation | None:
     for a in range(n):
         row = meet_idx[a]
         img = [0] * len(masks)
-        for p, (q, i) in enumerate(v.steps, 1):
+        for p, (q, i) in enumerate(steps, 1):
             img[p] = img[q] | (1 << row[i])
         for p, jm in enumerate(joins):
             if rel[row[jm]][joins[position[img[p]]]] != one:

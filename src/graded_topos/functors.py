@@ -72,7 +72,7 @@ class GradeSet:
 
     @classmethod
     def for_system(cls, system: GradedSystem) -> "GradeSet":
-        return cls.closure(set(system.frame.relation.values()) | set(system.sat.values()))
+        return cls.closure(set(system.frame.view.grades) | set(system.sat.values()))
 
 
 @dataclass(frozen=True)
@@ -497,7 +497,7 @@ def check_naturality(
             return (LawReport("fm-s unit square", system_morphisms_equal(lhs, rhs)),)
         if isinstance(morphism, FrameHom):
             values = values or GradeSet.closure(
-                set(morphism.source.relation.values()) | set(morphism.target.relation.values()))
+                set(morphism.source.view.grades) | set(morphism.target.view.grades))
             roundtrip = fm_morphism(s_morphism(morphism, *_hom_systems(morphism, values)))
             return (LawReport("fm-s counit square", frame_homs_equal(roundtrip, morphism)),)
         raise SchemaError("morphism", "fm-s naturality needs a system morphism or a frame hom")

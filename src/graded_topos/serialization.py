@@ -187,28 +187,29 @@ def space_from_json(obj: Any) -> GradedSpace:
 # --- frames -----------------------------------------------------------------
 
 def frame_to_json(frame: GradedFrame) -> dict:
-    """The frame with its full join table. A frame without one has a folded
-    join, so its table is built from the view's pair joins, one lookup per
-    subset: the join of the subset minus its lowest member, joined with that
-    member."""
-    names = _names_for(frame.carrier)
-    labels = [names[a] for a in frame.carrier]
-    n = len(labels)
-    table = frame.join_table
+    """The frame, read off its view, with its full join table. Without one,
+    the table folds the view's pair joins, one lookup per subset (the join
+    of the subset minus its lowest member, joined with that member), for up
+    to 16 elements and only when every pair join lies in the carrier."""
+    labels = list(_names_for(frame.carrier).values())
+    n, view = len(labels), frame.view
+    table = view.table
     if table is None:
         if n > 16:
             raise SchemaError("join", "carrier too large to materialize the join table")
-        view = frame.view
+        if None in view.joins:
+            raise SchemaError("join", "the join of a pair is outside the carrier")
         pair = dict(zip(view.masks, view.joins))
         table = [view.bottom]
         for mask in range(1, 1 << n):
             table.append(pair[1 << table[mask & mask - 1] | mask & -mask])
+    shown = [format_grade(g) for g in view.grades]
     return {
         "carrier": labels,
-        "top": names[frame.top],
-        "meet": {f"{names[a]},{names[b]}": names[v] for (a, b), v in frame.meet_table.items()},
+        "top": labels[view.top],
+        "meet": {f"{a},{b}": labels[m] for a, row in zip(labels, view.meet) for b, m in zip(labels, row)},
         "join": _join_keys(labels, table),
-        "relation": {f"{names[a]},{names[b]}": format_grade(g) for (a, b), g in frame.relation.items()},
+        "relation": {f"{a},{b}": shown[r] for a, row in zip(labels, view.rel) for b, r in zip(labels, row)},
     }
 
 
@@ -231,9 +232,9 @@ def _join_keys(labels: list[str], table: list[int]) -> dict[str, str]:
 
 
 def frame_from_json(obj: Any) -> GradedFrame:
-    """Read a frame's JSON shape; `GradedFrame` checks what the tables mean
-    (a distinct carrier holding the top, every meet and join value in it).
-    Each join key becomes a subset bitmask as it is read."""
+    """Read a frame's JSON shape; `GradedFrame.from_masks` checks what the
+    tables mean (a distinct carrier holding the top, every meet and join
+    value in it). Each join key becomes a subset bitmask as it is read."""
     body = _expect_object(obj, "frame")
     carrier = _identifier_list(body.get("carrier"), "carrier")
     top = _identifier(body.get("top"), "top")

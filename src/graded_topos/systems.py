@@ -4,16 +4,16 @@ A system pairs a point set with a graded frame through a grade-valued
 satisfaction table. The three compatibility clauses are checked exactly at
 every size. Clause 2 only needs the empty set, singletons and pairs once the
 meet is a verified semilattice, because larger finite meets are folds of
-binary ones. Clause 3 runs over the masks of the frame's view
+binary ones. Clause 3 runs over the masks of the view the frame stores
 (`FrameView.masks`). They are the empty set, singletons and pairs for a
-frame whose join folds a binary join, and for a table frame that passes
-the lowest-member fold (c below is the lowest member of S + c), since then
-sat(x, join(S + c)) = sat(x, join{join S, c})
-= max(sat(x, join S), sat(x, c)).
-Any other table frame is checked on every subset, and a violation that the
-pairs of a table frame show is named on every subset (`FrameView.decide`).
-The clauses read the frame's integer view, with satisfaction grades ranked
-in one table with the relation grades (`ranks.Ranks`).
+frame built in memory, which holds only those joins, and for a table frame
+that passes the lowest-member fold (c below is the lowest member of
+S + c), since then sat(x, join(S + c)) = sat(x, join{join S, c})
+= max(sat(x, join S), sat(x, c)). Any other table frame is checked on
+every subset, and a violation that the pairs of a table frame show is
+named on every subset (`FrameView.decide`). The clauses read the frame's
+view, with satisfaction grades ranked in one table with the relation
+grades (`ranks.Ranks`).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Hashable, Mapping
 
-from .checks import Violation
+from .checks import Violation, mask_steps
 from .errors import EmptyPoints, MixedStructure, SchemaError
 from .frames import (FrameHom, FrameView, GradedFrame, _show, check_frame_hom, compose_frame_hom,
                      same_frame)
@@ -75,7 +75,7 @@ def check_system(system: GradedSystem) -> Violation | None:
                                      f"({_show(x)}, {_show(items[i])}, {_show(items[j])})")
 
     def clause_3(view: FrameView) -> Violation | None:
-        masks, joins = view.masks, view.joins
+        masks, joins, steps = view.masks, view.joins, mask_steps(view.masks)
         if None in joins:
             return Violation("system", "clause 3",
                              f"join of mask {masks[joins.index(None)]:b} is outside the carrier")
@@ -84,7 +84,7 @@ def check_system(system: GradedSystem) -> Violation | None:
             if row[joins[0]] != 0:
                 return Violation("system", "clause 3", f"({_show(x)}, empty subset)")
             upper = [0] * len(masks)
-            for p, (q, i) in enumerate(view.steps, 1):
+            for p, (q, i) in enumerate(steps, 1):
                 upper[p] = max(upper[q], row[i])
                 if upper[p] != row[joins[p]]:
                     return Violation("system", "clause 3",

@@ -91,6 +91,28 @@ def space_with_opens(count: int) -> GradedSpace:
     raise AssertionError(f"no space with {count} opens")
 
 
+# Opens, as grade rows over x1, x2, ..., that each lack one thing a frame of
+# opens needs, and the refusal that names it: `frame_from_space` refuses the
+# first three, and writing the frame of the last (`frame_to_json`) refuses it.
+UNCLOSED = {
+    "top": ([("0", "0"), ("1/2", "0")],
+            "top: {'x1': '1', 'x2': '1'} is not in the carrier"),
+    "intersection": ([("0", "0", "0"), ("1", "1", "0"), ("0", "1", "1"), ("1", "1", "1")],
+                     "meet: value at ({'x1': '0', 'x2': '1', 'x3': '1'}, "
+                     "{'x1': '1', 'x2': '1', 'x3': '0'}) is outside the carrier"),
+    "empty open": ([("1/2", "0"), ("1", "1")],
+                   "join: join of the empty set is outside the carrier"),
+    "union": ([("0", "0", "0"), ("1", "0", "0"), ("0", "1", "0"), ("1", "1", "1")],
+              "join: the join of a pair is outside the carrier"),
+}
+
+
+def unclosed_space(lacking: str) -> GradedSpace:
+    rows = UNCLOSED[lacking][0]
+    u = Universe(tuple(f"x{i + 1}" for i in range(len(rows[0]))))
+    return GradedSpace(u, canonical_opens(FuzzySet(u, tuple(map(Fraction, row))) for row in rows))
+
+
 # --- oracles -----------------------------------------------------------------
 
 def brute_inclusion(a: FuzzySet, b: FuzzySet) -> Fraction:
@@ -187,8 +209,9 @@ def brute_generate_topology(universe: Universe, generators, max_opens: int = 409
 
 def brute_frame_from_space(space: GradedSpace) -> GradedFrame:
     """The frame of opens from `Fraction` intersection, union and graded
-    inclusion of every pair; its view is built by `GradedFrame.view` from
-    these tables."""
+    inclusion of every pair; `GradedFrame.from_join_fn` builds its view from
+    these tables, reading the union on the empty set, the singletons and
+    the pairs."""
     opens = space.opens
     meet_table = {}
     relation = {}
@@ -196,26 +219,20 @@ def brute_frame_from_space(space: GradedSpace) -> GradedFrame:
         for b in opens:
             meet_table[(a, b)] = intersection(a, b)
             relation[(a, b)] = graded_inclusion(a, b)
-    cache: dict[frozenset, FuzzySet] = {}
 
     def join_fn(subset: frozenset) -> FuzzySet:
-        if subset not in cache:
-            cache[subset] = union(sorted(subset, key=lambda t: t.grades), space.universe)
-        return cache[subset]
+        return union(sorted(subset, key=lambda t: t.grades), space.universe)
 
-    return GradedFrame(opens, full_set(space.universe), meet_table, relation, join_fn)
+    return GradedFrame.from_join_fn(opens, full_set(space.universe), meet_table, join_fn, relation)
 
 
-def brute_join_table(frame) -> dict[str, str]:
-    """The "join" object of a frame file, by the definition: the join of
-    every subset through `join_fn`, keyed by its members' names in sorted
-    order. Names are the elements themselves when they are strings, and
-    e0, e1, ... in carrier order otherwise."""
-    items = frame.carrier
-    names = ({a: a for a in items} if all(isinstance(a, str) for a in items)
-             else {a: f"e{i}" for i, a in enumerate(items)})
-    return {",".join(sorted(names[a] for a in combo)): names[frame.join_fn(frozenset(combo))]
-            for k in range(len(items) + 1) for combo in itertools.combinations(items, k)}
+def brute_join_table(space: GradedSpace) -> dict[str, str]:
+    """The "join" object of the file of a space's frame, by the definition:
+    the union of every subset of opens, keyed by its members' names e0, e1,
+    ... (in the order of the opens) in sorted order."""
+    names = {t: f"e{i}" for i, t in enumerate(space.opens)}
+    return {",".join(sorted(names[t] for t in combo)): names[union(list(combo), space.universe)]
+            for k in range(len(names) + 1) for combo in itertools.combinations(space.opens, k)}
 
 
 def scan_join_keys(frame) -> dict[str, str]:

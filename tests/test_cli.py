@@ -10,13 +10,13 @@ from pathlib import Path
 import pytest
 
 import graded_topos.cli as cli
-from conftest import crisp_chain
+from conftest import UNCLOSED, crisp_chain, unclosed_space
 from graded_topos.cli import main
 from graded_topos.frames import GradedFrame, check_frame
 from graded_topos.functors import HOM_SEARCH_CAP, GradeSet, s_object
 from graded_topos.grades import ONE, ZERO
 from graded_topos.logic.semantics import MAX_STEPS
-from graded_topos.serialization import load_frame, save_frame, save_system
+from graded_topos.serialization import load_frame, save_frame, save_space, save_system
 
 FIXTURES = Path(__file__).parent / "fixtures"
 INVALID = FIXTURES / "invalid"
@@ -118,6 +118,30 @@ def test_eval_rejects_bad_input(capsys):
     assert main(["eval", "--interp", interp, "--formula", "p(x1)", "--assign", "x1=zz"]) == 2
     assert main(["eval", "--interp", interp, "--formula", "p(x1)"]) == 2  # x1 unbound
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("lacking", sorted(UNCLOSED))
+def test_functor_j_on_a_space_that_is_not_closed_is_an_input_error(lacking, tmp_path, capsys):
+    space, system = tmp_path / "space.json", tmp_path / "system.json"
+    save_space(unclosed_space(lacking), space)
+    assert main(["functor", "j", "--in", str(space), "--out", str(system)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {UNCLOSED[lacking][1]}\n"
+    assert not system.exists()
+
+
+def test_functor_j_writes_the_join_table_of_at_most_sixteen_opens(tmp_path, capsys):
+    # 17 constant opens on one point: the frame is built, but its file would
+    # hold all 2^17 joins
+    space, system = tmp_path / "space.json", tmp_path / "system.json"
+    space.write_text(json.dumps({"universe": ["x1"], "opens": [{"x1": f"{k}/16"} for k in range(17)]}))
+    assert main(["check", "space", str(space)]) == 0
+    capsys.readouterr()
+    assert main(["functor", "j", "--in", str(space), "--out", str(system)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: join: carrier too large to materialize the join table\n"
+    assert not system.exists()
 
 
 def test_consequence_golden_values(capsys):

@@ -3,7 +3,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import brute_frame_violation, brute_frame_hom_ok, brute_join_table, space_with_opens
+from conftest import (
+    UNCLOSED,
+    brute_frame_violation,
+    brute_frame_hom_ok,
+    brute_join_table,
+    space_with_opens,
+    unclosed_space,
+)
 from graded_topos.checks import Violation
 from graded_topos.errors import MixedCarrier, SchemaError
 from graded_topos.frames import (
@@ -17,7 +24,7 @@ from graded_topos.frames import (
     frame_from_space,
 )
 from graded_topos.functors import GradeSet, enumerate_point_homs, j_morphism
-from graded_topos.fuzzy_sets import Universe, empty_set, full_set
+from graded_topos.fuzzy_sets import FuzzySet, Universe, empty_set, full_set
 from graded_topos.generators import (
     GeneratorConfig,
     generate_continuous_chain,
@@ -25,7 +32,7 @@ from graded_topos.generators import (
 )
 from graded_topos.grades import ONE, ZERO, godel_arrow
 from graded_topos.serialization import dumps_canonical, frame_from_json, frame_to_json
-from graded_topos.spaces import generate_topology
+from graded_topos.spaces import GradedSpace, generate_topology
 from graded_topos.systems import GradedSystem, check_system
 
 
@@ -225,8 +232,9 @@ def test_join_preservation_into_a_table_target_that_does_not_fold():
 
 def test_a_source_join_outside_the_carrier_is_a_join_closure_violation():
     chain = chain_frame([ZERO, F(1, 2), ONE])
-    bad = GradedFrame(chain.carrier, chain.top, chain.meet_table, chain.relation,
-                      lambda s: F(3, 4) if len(s) == 2 else max(s, default=ZERO))
+    bad = GradedFrame.from_join_fn(chain.carrier, chain.top, chain.meet_table,
+                                   lambda s: F(3, 4) if len(s) == 2 else max(s, default=ZERO),
+                                   chain.relation)
     assert check_frame(bad).clause == "join closure"
     found = check_frame_hom(FrameHom(bad, chain, {g: g for g in chain.carrier}))
     assert found == Violation("frame-hom", "join closure",
@@ -241,9 +249,9 @@ def pair_masks(n):
 def test_a_frame_file_holds_the_brute_force_join_table_and_is_read_on_its_pairs(opens):
     # written from the in-memory frame's pair joins, the table equals the
     # join of every subset; read back, it passes the lowest-member fold
-    frame = frame_from_space(space_with_opens(opens))
-    payload = frame_to_json(frame)
-    assert dumps_canonical(payload) == dumps_canonical({**payload, "join": brute_join_table(frame)})
+    space = space_with_opens(opens)
+    payload = frame_to_json(frame_from_space(space))
+    assert dumps_canonical(payload) == dumps_canonical({**payload, "join": brute_join_table(space)})
     table = frame_from_json(payload)
     assert table.view.masks == pair_masks(opens)
     assert check_frame(table) is None
@@ -323,3 +331,46 @@ def test_a_violation_on_the_pairs_of_a_folding_table_is_named_on_every_subset():
     chain = chain_frame((ZERO, F(1, 2), ONE))
     assert (str(check_frame_hom(FrameHom(frame, chain, row)))
             == "frame-hom: clause (ii) violated at join of subset mask 101010 is not preserved")
+
+
+@pytest.mark.parametrize("lacking", ["top", "intersection", "empty open"])
+def test_frame_from_space_refuses_a_space_that_is_not_closed(lacking):
+    with pytest.raises(SchemaError) as refused:
+        frame_from_space(unclosed_space(lacking))
+    assert str(refused.value) == UNCLOSED[lacking][1]
+
+
+def test_a_space_without_a_pairwise_union_fails_join_closure():
+    frame = frame_from_space(unclosed_space("union"))
+    assert str(check_frame(frame)) == "frame: join closure violated at join of mask 110 is outside the carrier"
+
+
+def view_fields(frame):
+    v = frame.view
+    return v.meet, v.grades, v.rel, v.top, v.bottom, v.masks, v.joins
+
+
+def test_a_frame_and_its_file_have_the_same_view():
+    # the second grade of the middle open, 1/2, is no inclusion degree: the
+    # in-memory view must rank the relation in its own grades, as a file's is
+    u = Universe.of("x1", "x2")
+    spaces = [GradedSpace(u, (empty_set(u), FuzzySet(u, (F(1, 4), F(1, 2))), full_set(u)))]
+    spaces += [generate_random_space(GeneratorConfig(seed=seed), i, max_opens=12)
+               for seed in range(6) for i in range(2)]
+    for space in spaces:
+        frame = frame_from_space(space)
+        assert view_fields(frame_from_json(frame_to_json(frame))) == view_fields(frame)
+    assert frame_from_space(spaces[0]).view.grades == (ZERO, F(1, 4), ONE)
+
+
+def test_the_chain_frame_is_the_table_frame_of_its_chain():
+    grades = (ZERO, F(1, 4), F(1, 2), F(3, 4), ONE)
+    subsets = [s for k in range(len(grades) + 1) for s in itertools.combinations(grades, k)]
+    chain = chain_frame(grades)
+    table = GradedFrame.from_tables(grades, ONE, {(a, b): min(a, b) for a in grades for b in grades},
+                                    {frozenset(s): max(s, default=ZERO) for s in subsets},
+                                    {(a, b): godel_arrow(a, b) for a in grades for b in grades})
+    assert view_fields(chain) == view_fields(table) and chain.view.index == table.view.index
+    assert chain.join_table is None and table.join_table is not None
+    for s in subsets:
+        assert chain.join_fn(frozenset(s)) == max(s, default=ZERO)

@@ -314,7 +314,7 @@ def _mutated_memory_frames(count, seed):
             table = rng.choice((meets, relation))
             key = rng.choice(list(table))
             table[key] = rng.choice(QUARTERS.grades if table is relation else base.carrier)
-        yield GradedFrame(base.carrier, base.top, meets, relation, base.join_fn)
+        yield GradedFrame.from_join_fn(base.carrier, base.top, meets, base.join_fn, relation)
 
 
 def test_checkers_match_the_brute_force_oracles_on_invalid_frames():

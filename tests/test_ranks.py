@@ -34,7 +34,7 @@ from graded_topos import ranks as kernel
 from graded_topos.errors import Overflow
 from graded_topos.frames import check_frame, frame_from_space
 from graded_topos.functors import GradeSet
-from graded_topos.fuzzy_sets import FuzzySet, Universe, graded_inclusion
+from graded_topos.fuzzy_sets import FuzzySet, Universe, graded_inclusion, union
 from graded_topos.generators import (
     GeneratorConfig,
     derived_rng,
@@ -180,9 +180,14 @@ def assert_same_frame(space):
     assert frame.carrier == oracle.carrier and frame.top == oracle.top
     assert frame.meet_table == oracle.meet_table
     assert frame.relation == oracle.relation
-    carrier = frame.carrier
-    for subset in itertools.chain([()], itertools.combinations_with_replacement(carrier, 2)):
-        assert frame.join_fn(frozenset(subset)) == oracle.join_fn(frozenset(subset))
+    for table in (frame.meet_table, frame.relation):
+        with pytest.raises(TypeError):
+            table[(frame.top, frame.top)] = frame.top
+    # the join of every subset, up to 10 opens, is the union of its opens
+    if len(frame) <= 10:
+        for k in range(len(frame) + 1):
+            for subset in itertools.combinations(frame.carrier, k):
+                assert frame.join_fn(frozenset(subset)) == union(list(subset), space.universe)
     # the view filled from rank tables equals the one built from the Fraction tables
     assert frame.view == oracle.view
     return frame
