@@ -14,9 +14,9 @@ table that folds on the lowest member of each subset; any other table is
 checked on every subset (the induction is in `check_frame`).
 
 `frame_from_space` builds the view from the level cuts of the opens' rank
-vectors (`GradedSpace.ranked`): meet is AND per level, pair joins OR per
-level, and graded inclusion the least rank s with U_{s+1} & ~V_{s+1} != 0,
-else the top (`ranks`). That is exact: the three operations only compare
+vectors, one int per open (`GradedSpace.ranked`): meet is AND, pair joins
+OR, and graded inclusion the level of the lowest set bit of u & ~v, else
+the top (`ranks`). That is exact: the three operations only compare
 grades, and ranking is an order-isomorphism fixing 0 and 1.
 """
 
@@ -32,7 +32,7 @@ from .checks import Violation, mask_elements, mask_steps
 from .errors import MixedCarrier, SchemaError
 from .fuzzy_sets import FuzzySet, full_set
 from .grades import Grade, ONE, ZERO
-from .ranks import Ranks, inclusion, join, meet
+from .ranks import Ranks, cuts_of, inclusion
 from .spaces import GradedSpace
 
 MeetTable = Mapping[tuple[Hashable, Hashable], Hashable]
@@ -257,22 +257,23 @@ def frame_from_space(space: GradedSpace) -> GradedFrame:
     lacks a pairwise union fails `check_frame` at join closure."""
     opens, n = space.opens, len(space.opens)
     ranks, rows = space.ranked
+    size, most = len(space.universe), ranks.top
     position = {row: i for i, row in enumerate(rows)}
-    top = position.get(((1 << len(space.universe)) - 1,) * ranks.top)
+    top = position.get((1 << size * most) - 1)
     if top is None:
         raise SchemaError("top", f"{_show(full_set(space.universe))} is not in the carrier")
-    meet_idx = [[position.get(meet(a, b)) for b in rows] for a in rows]
+    meet_idx = [[position.get(a & b) for b in rows] for a in rows]
     for a, row in zip(opens, meet_idx):
         if None in row:
             raise SchemaError("meet", f"value at ({_show(a)}, {_show(opens[row.index(None)])}) "
                                       "is outside the carrier")
-    joins = [position.get(join(rows[(m & -m).bit_length() - 1], rows[m.bit_length() - 1])
-                          if m else (0,) * ranks.top) for m in _pairs(n)]
+    joins = [position.get(rows[(m & -m).bit_length() - 1] | rows[m.bit_length() - 1] if m else 0)
+             for m in _pairs(n)]
     if joins[0] is None:
         raise SchemaError("join", "join of the empty set is outside the carrier")
     # ranked in the relation's own grades, as `from_masks` ranks a file's
-    rel = [[inclusion(a, b) for b in rows] for a in rows]
-    used = sorted({0, ranks.top}.union(*rel))
+    rel = [[inclusion(a, b, size, most) for b in rows] for a in rows]
+    used = sorted({0, most}.union(*rel))
     rerank = {r: k for k, r in enumerate(used)}
     return GradedFrame(opens, FrameView(
         dict(zip(opens, range(n))), meet_idx, tuple(ranks.grades[r] for r in used),
@@ -301,14 +302,50 @@ def check_frame(frame: GradedFrame) -> Violation | None:
     """Verify the meet-semilattice laws and then the nine frame axioms;
     returns the first violation found, or None.
 
-    Pairs and triples are checked exhaustively. Axioms 7-9 run over
-    `frame.view.masks`, each per-subset aggregate built from the one of
-    the mask minus its lowest member. For a frame built in memory that is
-    the empty set, the singletons and the pairs, and that decides every
-    subset, because such a join is a fold of its binary join:
-    join(S + c) = join{join S, c}. Write a <= b for R(a, b) = 1, a preorder
-    by axioms 1 and 3. Once axioms 1-6 and these instances pass, induction
-    on |S| gives, for S + c:
+    The laws over pairs and triples are decided in O(n^2) operations on
+    bitmasks. When the bitmask test of a block of laws fails, the loop over
+    every pair and triple of that block runs to name its first failing
+    instance, in the loop's order; the loop is the definition, and the
+    test only says whether the loop would find one. Write R for the
+    relation in ranks 0..one, and code each row R(i, -) and column
+    R(-, j) as one int of level cuts over the carrier (`ranks`): P[i] has
+    bit (r - 1) * n + j set iff R(i, j) >= r, and C[j] bit (r - 1) * n + i.
+
+    - Meet-semilattice. Let the meet be idempotent and commutative, and put
+      x <= y iff x meet y = x, with down(y) the set of such x. The meet is
+      associative iff for all a and b: (a) a meet b <= a, (b) b <= a gives
+      down(b) within down(a), and (c) down(a) & down(b) lies within
+      down(a meet b). An associative meet makes <= the order of a
+      semilattice with a meet b the glb of a and b, so (a)-(c) hold.
+      Conversely, <= is reflexive by idempotence, antisymmetric by
+      commutativity and transitive by (b), so a partial order; a meet b is
+      a lower bound of a and b by (a) and commutativity, and above every
+      lower bound by (c), so it is glb{a, b}, and (a meet b) meet c and
+      a meet (b meet c) are both glb{a, b, c}.
+    - Axiom 3, min(R(i, j), R(j, k)) <= R(i, k), holds iff every level cut
+      of R is transitive (Zadeh 1971, "Similarity relations and fuzzy
+      orderings"): at each level r <= R(i, j), the cut of row j lies
+      within that of row i. So P[j] & ~P[i] has no bit in levels
+      1..R(i, j), the bits below R(i, j) * n.
+    - Axiom 6, min(R(i, j), R(i, k)) = R(i, j meet k) for all i, says at
+      each level r that R(i, j) >= r and R(i, k) >= r iff
+      R(i, j meet k) >= r: C[j meet k] = C[j] & C[k].
+    - Axiom 8, R(join S, b) = inf of R(a, b) over a in S for every b, says
+      P[join S] is the AND of P[a] over S, every bit for the empty S. The
+      masks it runs over are each built from a smaller one by a member c,
+      so it holds on all of them iff P[join 0] is every bit and
+      P[join S] = P[join(S - c)] & P[c] on each: by induction on the
+      masks, either form makes P[join(S - c)] the AND over S - c.
+    - Axioms 1, 2, 4 and 5 are conditions on elements and pairs, checked
+      as they stand.
+
+    Axioms 7-9 run over `frame.view.masks`, each per-subset aggregate
+    built from the one of the mask minus its lowest member. For a frame
+    built in memory that is the empty set, the singletons and the pairs,
+    and that decides every subset, because such a join is a fold of its
+    binary join: join(S + c) = join{join S, c}. Write a <= b for
+    R(a, b) = 1, a preorder by axioms 1 and 3. Once axioms 1-6 and these
+    instances pass, induction on |S| gives, for S + c:
 
     - join closure: join(S + c) is the join of {join S, c}, a pair (or a
       singleton) of carrier elements;
@@ -343,47 +380,91 @@ def check_frame(frame: GradedFrame) -> Violation | None:
     meet_idx, rel = v.meet, v.rel
 
     # structural pre-check: the meet must actually be a semilattice operation
-    for i in range(n):
-        if meet_idx[i][i] != i:
-            return Violation("frame", "meet-semilattice",
-                             f"meet({_show(items[i])}, same) is not idempotent")
-        for j in range(n):
-            if meet_idx[i][j] != meet_idx[j][i]:
+    if not _is_semilattice(meet_idx):
+        for i in range(n):
+            if meet_idx[i][i] != i:
                 return Violation("frame", "meet-semilattice",
-                                 f"meet not commutative at ({_show(items[i])}, {_show(items[j])})")
-            for k in range(n):
-                if meet_idx[meet_idx[i][j]][k] != meet_idx[i][meet_idx[j][k]]:
-                    return Violation(
-                        "frame", "meet-semilattice",
-                        f"meet not associative at ({_show(items[i])}, {_show(items[j])}, {_show(items[k])})")
+                                 f"meet({_show(items[i])}, same) is not idempotent")
+            for j in range(n):
+                if meet_idx[i][j] != meet_idx[j][i]:
+                    return Violation("frame", "meet-semilattice",
+                                     f"meet not commutative at ({_show(items[i])}, {_show(items[j])})")
+                for k in range(n):
+                    if meet_idx[meet_idx[i][j]][k] != meet_idx[i][meet_idx[j][k]]:
+                        return Violation(
+                            "frame", "meet-semilattice",
+                            f"meet not associative at ({_show(items[i])}, {_show(items[j])}, {_show(items[k])})")
 
     for i in range(n):
         if rel[i][i] != one:
             return Violation("frame", "axiom 1", f"relation({_show(items[i])}, same) != 1")
         if rel[i][v.top] != one:
             return Violation("frame", "axiom 5", f"relation({_show(items[i])}, top) != 1")
-    for i in range(n):
-        for j in range(n):
-            if i != j and rel[i][j] == one and rel[j][i] == one:
-                return Violation("frame", "axiom 2",
-                                 f"{_show(items[i])} and {_show(items[j])} are distinct but related by 1 both ways")
-            m = meet_idx[i][j]
-            if rel[m][i] != one or rel[m][j] != one:
-                return Violation("frame", "axiom 4",
-                                 f"meet of ({_show(items[i])}, {_show(items[j])}) is not below both")
-            for k in range(n):
-                if min(rel[i][j], rel[j][k]) > rel[i][k]:
-                    return Violation("frame", "axiom 3",
-                                     f"transitivity fails at ({_show(items[i])}, {_show(items[j])}, {_show(items[k])})")
-                if min(rel[i][j], rel[i][k]) != rel[i][meet_idx[j][k]]:
-                    return Violation("frame", "axiom 6",
-                                     f"meet distribution fails at ({_show(items[i])}, {_show(items[j])}, {_show(items[k])})")
+    rows = [cuts_of(row, one) for row in rel]
+    if not _pair_axioms_hold(meet_idx, rel, rows, one):
+        for i in range(n):
+            for j in range(n):
+                if i != j and rel[i][j] == one and rel[j][i] == one:
+                    return Violation("frame", "axiom 2",
+                                     f"{_show(items[i])} and {_show(items[j])} are distinct but related by 1 both ways")
+                m = meet_idx[i][j]
+                if rel[m][i] != one or rel[m][j] != one:
+                    return Violation("frame", "axiom 4",
+                                     f"meet of ({_show(items[i])}, {_show(items[j])}) is not below both")
+                for k in range(n):
+                    if min(rel[i][j], rel[j][k]) > rel[i][k]:
+                        return Violation("frame", "axiom 3",
+                                         f"transitivity fails at ({_show(items[i])}, {_show(items[j])}, {_show(items[k])})")
+                    if min(rel[i][j], rel[i][k]) != rel[i][meet_idx[j][k]]:
+                        return Violation("frame", "axiom 6",
+                                         f"meet distribution fails at ({_show(items[i])}, {_show(items[j])}, {_show(items[k])})")
 
-    return v.decide(lambda view: _subset_violation(items, view))
+    return v.decide(lambda view: _subset_violation(items, view, rows))
 
 
-def _subset_violation(items: tuple, v: FrameView) -> Violation | None:
-    """Join closure and axioms 7-9 of `check_frame` on the masks of `v`."""
+def _is_semilattice(meet: list[list[int]]) -> bool:
+    """Whether the meet is idempotent, commutative and associative, by
+    tests (a)-(c) of `check_frame` on down-sets coded as bitmasks."""
+    n = len(meet)
+    if any(meet[i][i] != i for i in range(n)) or [list(col) for col in zip(*meet)] != meet:
+        return False
+    # down[a] has bit x for each x with x meet a = x
+    down = [sum(1 << x for x, m in enumerate(row) if m == x) for row in meet]
+    for a, row in enumerate(meet):
+        below = down[a]
+        for b, m in enumerate(row):
+            if (not below >> m & 1 or below >> b & 1 and down[b] & ~below
+                    or below & down[b] & ~down[m]):
+                return False
+    return True
+
+
+def _pair_axioms_hold(meet: list[list[int]], rel: list[list[int]], rows: list[int], one: int) -> bool:
+    """Whether axioms 2, 3, 4 and 6 hold, with axioms 3 and 6 decided on
+    the packed rows and columns of the relation (`check_frame`)."""
+    n = len(rel)
+    levels = [(1 << r * n) - 1 for r in range(one + 1)]  # the bits of levels 1..r
+    for i, (row, packed) in enumerate(zip(rel, rows)):
+        for j, r in enumerate(row):
+            m = meet[i][j]
+            if (r == one and rel[j][i] == one and i != j or rel[m][i] != one or rel[m][j] != one
+                    or rows[j] & ~packed & levels[r]):
+                return False
+    cols = [cuts_of(col, one) for col in zip(*rel)]
+    return all(cols[m] == cj & ck for cj, row in zip(cols, meet) for ck, m in zip(cols, row))
+
+
+def _axiom_8_holds(rows: list[int], joins: list[int], steps: list[tuple[int, int]], full: int) -> bool:
+    """Whether axiom 8 holds on the masks of `steps`: the packed row of the
+    empty join is `full`, every bit, and each other join's row is the AND
+    of the rows of the join of its mask minus a member and of that member."""
+    return rows[joins[0]] == full and all(
+        rows[joins[p]] == rows[joins[q]] & rows[i] for p, (q, i) in enumerate(steps, 1))
+
+
+def _subset_violation(items: tuple, v: FrameView, rows: list[int]) -> Violation | None:
+    """Join closure and axioms 7-9 of `check_frame` on the masks of `v`;
+    `rows` are the packed relation rows."""
     n, one = len(items), len(v.grades) - 1
     meet_idx, rel = v.meet, v.rel
     masks, joins, steps = v.masks, v.joins, mask_steps(v.masks)
@@ -400,17 +481,18 @@ def _subset_violation(items: tuple, v: FrameView) -> Violation | None:
                 return Violation("frame", "axiom 7",
                                  f"{_show(items[low.bit_length() - 1])} is not below the join of its subset")
 
-    for b in range(n):
-        if rel[joins[0]][b] != one:
-            return Violation("frame", "axiom 8",
-                             f"target {_show(items[b])}, empty subset (bottom not below it)")
-        col = [r[b] for r in rel]
-        lower = [one] * len(masks)
-        for p, (q, i) in enumerate(steps, 1):
-            lower[p] = min(lower[q], col[i])
-            if lower[p] != rel[joins[p]][b]:
+    if not _axiom_8_holds(rows, joins, steps, (1 << n * one) - 1):
+        for b in range(n):
+            if rel[joins[0]][b] != one:
                 return Violation("frame", "axiom 8",
-                                 f"target {_show(items[b])}, subset mask {masks[p]:b}")
+                                 f"target {_show(items[b])}, empty subset (bottom not below it)")
+            col = [r[b] for r in rel]
+            lower = [one] * len(masks)
+            for p, (q, i) in enumerate(steps, 1):
+                lower[p] = min(lower[q], col[i])
+                if lower[p] != rel[joins[p]][b]:
+                    return Violation("frame", "axiom 8",
+                                     f"target {_show(items[b])}, subset mask {masks[p]:b}")
     position = {mask: p for p, mask in enumerate(masks)}
     for a in range(n):
         row = meet_idx[a]

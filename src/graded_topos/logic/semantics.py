@@ -13,15 +13,15 @@ Vector entries are integer ranks: a grade's rank is its index in the sorted
 set of the interpretation's predicate grades together with 0 and 1
 (`Interpretation.ranked`). Ranks are ordered as the grades they code, and
 every clause only compares grades (min, max, the Gödel arrow, inf, sup), so
-the coding is exact. A vector is held as its level cuts (`ranks`), one
-bitmask over the assignments per rank r >= 1, bit i set where entry i is at
-least r. Conjunction and disjunction are AND and OR per level, and the
-sequent grade, the inf of the arrow, is the least rank s with
-U_{s+1} & ~V_{s+1} != 0, else the top: the same kernel the space-to-frame
-path runs on the opens. The existential quantifier over a variable of
-stride p ORs the |domain| shifts of each level by multiples of p at the
-assignments where that variable takes the first element, and smears the
-result back over the other elements.
+the coding is exact. A vector is held as one int of level cuts (`ranks`),
+one bitmask over the assignments per rank r >= 1 side by side, bit i of a
+level set where entry i is at least r. Conjunction and disjunction are AND
+and OR of the ints, and the sequent grade, the inf of the arrow, is the
+level of the lowest set bit of u & ~v, else the top: the same kernel the
+space-to-frame path runs on the opens. The existential quantifier over a
+variable of stride p ORs the |domain| shifts of the int by multiples of p,
+keeps the assignments where that variable takes the first element at every
+level, and smears the result back over the other elements.
 Terms compile to columns, the position in the domain of the term's value
 at each assignment: a variable's column is periodic, and a function
 application or a predicate reads its table at the arguments' columns. A
@@ -50,8 +50,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cache, cached_property
-from operator import eq
+from functools import cache, cached_property, reduce
+from operator import eq, or_
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -64,9 +64,7 @@ from ..errors import (
     UndeclaredSymbol,
 )
 from ..grades import Grade
-from ..ranks import (
-    Cuts, Ranks, cuts_of, exists, fibre_bases, inclusion, join, meet, ranks_of, sup_out,
-)
+from ..ranks import Ranks, cuts_of, exists, fibre_bases, inclusion, permute, spread, sup_out
 from .parser import CONST_PATTERN, IDENT_PATTERN, Signature, VAR_PATTERN
 from .syntax import (
     And,
@@ -224,7 +222,7 @@ def sat_grade(interp: Interpretation, assignment: Assignment, phi: Formula) -> G
     vs = _Vectors(interp, _free(phi))
     u = vs.of(phi)
     at = sum(interp.domain.index(assignment.get(v)) * vs._stride(v) for v in vs.variables)
-    return vs.ranks.grades[sum(c >> at & 1 for c in u)]
+    return vs.ranks.grades[sum(u >> r * vs.size + at & 1 for r in range(vs.ranks.top))]
 
 
 def sequent_grade(interp: Interpretation, lhs: Formula, rhs: Formula) -> Grade:
@@ -237,7 +235,7 @@ def sequent_grade(interp: Interpretation, lhs: Formula, rhs: Formula) -> Grade:
     to this finite one. Refused, as in `sat_grade`, above `MAX_STEPS`.
     """
     vs = _Vectors(interp, _free(lhs, rhs))
-    return vs.ranks.grades[inclusion(vs.of(lhs), vs.of(rhs))]
+    return vs.ranks.grades[inclusion(vs.of(lhs), vs.of(rhs), vs.size, vs.ranks.top)]
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +243,8 @@ def sequent_grade(interp: Interpretation, lhs: Formula, rhs: Formula) -> Grade:
 
 class _Vectors:
     """Satisfaction grades of formulas over every assignment to a fixed
-    variable list, coded as the level cuts of their rank vectors, with the
-    rank kernel's operations mirroring the semantic clauses.
+    variable list, coded as the level cuts of their rank vectors in one int,
+    with the rank kernel's operations mirroring the semantic clauses.
 
     Assignments are listed in `itertools.product` order over the sorted
     variables, so the last variable varies fastest; assignment i is bit i
@@ -269,7 +267,7 @@ class _Vectors:
         self.words = -(-self.ranks.top // 64)  # steps per vector entry
         if self.size * self.words > MAX_STEPS:
             raise _too_many_steps()
-        self.full = (1 << self.size) - 1
+        self.full = (1 << self.size * self.ranks.top) - 1
         self._columns: dict[int, list[int]] = {}
         self._bases: dict[int, int] = {}
         self._renames: dict[tuple[int, int], list[int]] = {}
@@ -292,7 +290,7 @@ class _Vectors:
             self._widened[variable] = _Vectors(self.interp, self.variables, variable)
         return self._widened[variable]
 
-    def of(self, phi: Formula) -> Cuts:
+    def of(self, phi: Formula) -> int:
         """Level cuts of a formula's rank vector, compiled bottom-up with an
         explicit stack, so nesting depth costs no interpreter stack. A
         quantifier whose variable is not in the list evaluates its body
@@ -332,13 +330,13 @@ class _Vectors:
                 scope = scope | {node.variable}
             todo.extend((part, scope) for part in _parts(node))
 
-    def _combine(self, node, args: list) -> Cuts:
+    def _combine(self, node, args: list) -> int | list[int]:
         """The cuts of a formula, or the column of a term, from those of
         its parts."""
         if isinstance(node, Top):
-            return (self.full,) * self.ranks.top
+            return self.full
         if isinstance(node, Bottom):
-            return (0,) * self.ranks.top
+            return 0
         if isinstance(node, Var):
             if node.index not in self.position:
                 raise UnboundVariable(node.index)
@@ -357,26 +355,26 @@ class _Vectors:
             values = list(map(table.__getitem__, zip(*args)))
             return cuts_of(values, self.ranks.top) if isinstance(node, Predicate) else values
         if isinstance(node, Equality):
-            same, = cuts_of(map(eq, *args), 1)
-            return (same,) * self.ranks.top
+            return spread(cuts_of(map(eq, *args), 1), self.size, self.ranks.top)
         if isinstance(node, And):
-            return meet(*args)
+            return args[0] & args[1]
         if isinstance(node, Or):
-            return join(*args)
+            return reduce(or_, args)
         if isinstance(node, Exists):
             if node.variable in self.position:
                 return self.exists(args[0], node.variable)
-            return sup_out(args[0], self.size, self.n, self.full)
+            return sup_out(args[0], self.size, self.n, self.ranks.top)
         raise TypeError(f"not a formula: {node!r}")
 
-    def exists(self, u: Cuts, variable: int) -> Cuts:
+    def exists(self, u: int, variable: int) -> int:
         """Cuts of the formula quantified over `variable`, a variable of the list."""
         stride = self._stride(variable)
         if variable not in self._bases:
-            self._bases[variable] = fibre_bases(self.size, stride, self.n)
+            self._bases[variable] = spread(fibre_bases(self.size, stride, self.n),
+                                           self.size, self.ranks.top)
         return exists(u, stride, self.n, self._bases[variable])
 
-    def rename(self, u: Cuts, variable: int, replacement: int) -> Cuts:
+    def rename(self, u: int, variable: int, replacement: int) -> int:
         """Cuts of the formula with `replacement` substituted for the free
         variable `variable` (the substitution lemma as index surgery):
         assignment i reads the rank at i with the coordinate of `variable`
@@ -386,7 +384,7 @@ class _Vectors:
             p = self._stride(variable)
             old, new = self._column(variable), self._column(replacement)
             self._renames[key] = [i + (b - a) * p for i, (a, b) in enumerate(zip(old, new))]
-        return cuts_of(map(ranks_of(u, self.size).__getitem__, self._renames[key]), self.ranks.top)
+        return permute(u, self.size, self.ranks.top, self._renames[key])
 
 
 def _parts(node) -> tuple:
@@ -419,11 +417,20 @@ def theorem2_suite(interp: Interpretation, pool: Sequence[Formula]) -> tuple[Law
     if not pool:
         raise SchemaError("pool", "needs at least one formula")
     pool = list(pool)
-    pool_vars = sorted(set().union(frozenset(), *(free_variables(f) for f in pool)))
+    free = [free_variables(f) for f in pool]
+    pool_vars = sorted(frozenset().union(*free))
     fresh = (max(pool_vars, default=0)) + 1
     vs = _Vectors(interp, pool_vars + [fresh])
-    top, sequent = vs.ranks.top, inclusion
+    size, top = vs.size, vs.ranks.top
+
+    def sequent(u: int, v: int) -> int:
+        return inclusion(u, v, size, top)
+
     vector = {i: vs.of(f) for i, f in enumerate(pool)}
+
+    def join(ks) -> int:
+        return reduce(or_, map(vector.__getitem__, ks))
+
     seq = {(i, j): sequent(vector[i], vector[j])
            for i in range(len(pool)) for j in range(len(pool))}
 
@@ -453,14 +460,14 @@ def theorem2_suite(interp: Interpretation, pool: Sequence[Formula]) -> tuple[Law
             fails.append(f"3(i) {format_formula(f)}")
     for i in range(len(pool)):
         for j in range(len(pool)):
-            both = meet(vector[i], vector[j])
+            both = vector[i] & vector[j]
             if sequent(both, vector[i]) != top:
                 fails.append(f"3(ii) ({i},{j})")
             if sequent(both, vector[j]) != top:
                 fails.append(f"3(iii) ({i},{j})")
             for k in range(len(pool)):
                 lhs = min(seq[(i, j)], seq[(i, k)])
-                rhs = sequent(vector[i], meet(vector[j], vector[k]))
+                rhs = sequent(vector[i], vector[j] & vector[k])
                 if lhs != rhs:
                     fails.append(f"3(iv) ({i},{j},{k})")
     clause("Thm2.3 conjunction", fails)
@@ -470,7 +477,7 @@ def theorem2_suite(interp: Interpretation, pool: Sequence[Formula]) -> tuple[Law
                for combo in itertools.combinations(range(len(pool)), size)]
     fails = []
     for combo in subsets:
-        joined = join(*(vector[i] for i in combo))
+        joined = join(combo)
         for i in combo:
             if sequent(vector[i], joined) != top:
                 fails.append(f"4(i) {combo} member {i}")
@@ -482,8 +489,8 @@ def theorem2_suite(interp: Interpretation, pool: Sequence[Formula]) -> tuple[Law
     fails = []
     for i in range(len(pool)):
         for combo in subsets:
-            lhs = meet(vector[i], join(*(vector[j] for j in combo)))
-            rhs = join(*(meet(vector[i], vector[j]) for j in combo))
+            lhs = vector[i] & join(combo)
+            rhs = reduce(or_, (vector[i] & vector[j] for j in combo))
             if sequent(lhs, rhs) != top:
                 fails.append(f"5 ({i}, {combo})")
     clause("Thm2.5 frame distributivity", fails)
@@ -496,7 +503,7 @@ def theorem2_suite(interp: Interpretation, pool: Sequence[Formula]) -> tuple[Law
 
     fails = []
     for i, f in enumerate(pool):
-        xs = sorted(free_variables(f))[:2]
+        xs = sorted(free[i])[:2]
         if not xs:
             continue
         targets = [[fresh] * len(xs)]
@@ -510,8 +517,8 @@ def theorem2_suite(interp: Interpretation, pool: Sequence[Formula]) -> tuple[Law
             eq = None
             for x, y in zip(xs, ys):
                 pair = vs.of(Equality(Var(x), Var(y)))
-                eq = pair if eq is None else meet(eq, pair)
-            antecedent = meet(eq, vector[i])
+                eq = pair if eq is None else eq & pair
+            antecedent = eq & vector[i]
             if sequent(antecedent, vs.of(replaced)) != top:
                 fails.append(f"7 ({i} with {ys})")
     clause("Thm2.7 substitution of equals", fails)
@@ -526,18 +533,18 @@ def theorem2_suite(interp: Interpretation, pool: Sequence[Formula]) -> tuple[Law
 
     # clauses 8 and 9 read these for many (i, j); each is computed once
     @cache
-    def exists_of(k: int, y: int) -> Cuts:
+    def exists_of(k: int, y: int) -> int:
         return vs.exists(vector[k], y)
 
     @cache
-    def rename_of(k: int, y: int, x: int) -> Cuts:
+    def rename_of(k: int, y: int, x: int) -> int:
         return vs.rename(vector[k], y, x)
 
     fails = []
     spot_checked = False
     for i in range(len(pool)):
         for j in range(len(pool)):
-            ys = sorted(free_variables(pool[j])) or [fresh]
+            ys = sorted(free[j]) or [fresh]
             for y in ys:
                 for x in pool_vars[:2] or [fresh]:
                     replaced = renamed(j, y, x)
@@ -562,10 +569,10 @@ def theorem2_suite(interp: Interpretation, pool: Sequence[Formula]) -> tuple[Law
     fails = []
     for i in range(len(pool)):
         for j in range(len(pool)):
-            candidates = sorted((free_variables(pool[j]) | {fresh}) - free_variables(pool[i]))
+            candidates = sorted((free[j] | {fresh}) - free[i])
             for y in candidates:
-                lhs = meet(vector[i], exists_of(j, y))
-                rhs = vs.exists(meet(vector[i], vector[j]), y)
+                lhs = vector[i] & exists_of(j, y)
+                rhs = vs.exists(vector[i] & vector[j], y)
                 if sequent(lhs, rhs) != top:
                     fails.append(f"9 ({i},{j},x{y})")
     clause("Thm2.9 quantifier distributivity", fails)

@@ -1,4 +1,4 @@
-"""Grades coded as ranks, and rank vectors coded as their level cuts.
+"""Grades coded as ranks, and a rank vector coded as one int of level cuts.
 
 A finite grade set with 0 and 1, sorted, codes each grade by its position
 in the list, its rank. Ranking is an order-isomorphism that sends 0 to 0
@@ -8,43 +8,54 @@ grades, and the arrow from rank a to rank b is the top when a <= b and b
 otherwise.
 
 A fuzzy set, or a formula's grades over a list of assignments, is a vector
-of ranks over positions 0..s-1. It is stored as its level cuts (`Cuts`):
-cut_r = {i : u[i] >= r} for r = 1..top, each cut one int whose bit i is
-position i. This is the resolution identity of fuzzy sets (Zadeh 1971):
-the cuts are nested, and u[i] is the number of cuts holding i. Every
-pointwise operation is then a few word operations per level:
+u of ranks over positions 0..s-1. It is stored as its level cuts,
+cut_r = {i : u[i] >= r} for r = 1..top, side by side in one int: level r
+at bits [(r-1)s, rs), position i of it at bit (r-1)s + i. This is the
+resolution identity of fuzzy sets (Zadeh 1971): the cuts are nested, and
+u[i] is the number of cuts holding i. The coding is unique, so equal
+vectors are equal ints, and ints serve as dict keys and set members. Every
+pointwise operation is then a few operations on the whole int:
 
-- meet (pointwise min) is AND per level, join (pointwise max) is OR;
+- meet (pointwise min) is u & v, join (pointwise max) is u | v, since
+  min(a, b) >= r iff a >= r and b >= r, and max likewise with or;
 - graded inclusion, the inf over i of the arrow from u[i] to v[i], is the
-  least s with U_{s+1} & ~V_{s+1} != 0, else the top. That set holds the
-  positions with v[i] <= s < u[i]: the position where the inf is taken,
-  m = v[i] < u[i], is in it at s = m, and any position in it at s has
-  m <= v[i] <= s. (Its positions with v[i] = s, U_{s+1} & V_s & ~V_{s+1},
-  are nonempty at the same least s.)
+  level of the lowest set bit of u & ~v, counted from 0, else the top
+  (`inclusion`). Level s of u & ~v holds the positions with
+  v[i] <= s < u[i]: the position where the inf is taken, m = v[i] < u[i],
+  is in it at s = m, and any position in it at s has m <= v[i] <= s. So s
+  is the least level that u & ~v meets, and a lower level has lower bits.
 - ∃ over a coordinate of stride p in base n (the sup over each fibre of
-  positions differing only in that coordinate) ORs the n shifts of a
-  level by multiples of p, keeps the fibre bases (coordinate 0), and
-  smears them back over the fibre. Shifting by windows that double makes
-  each of the two an OR of about log2(n) shifts.
+  positions differing only in that coordinate) ORs the shifts of u right
+  by k * p for k < n, keeps the fibre bases (coordinate 0) at every level
+  (`spread(fibre_bases(...))`), and smears them back left. A right shift
+  carries bits of level r+1 into level r, but only where the coordinate is
+  nonzero, so the mask removes them: s is a multiple of p * n, so a bit at
+  position i < k * p of level r+1 lands at position s + i - k * p of level
+  r, whose coordinate is (i // p - k) mod n, in [n - k, n - 1] as
+  0 <= i // p < k <= n - 1. No shift reaches two levels down, since
+  k * p < s. A left shift of a base by k * p <= (n - 1) * p stays in its
+  fibre, so in its level. Shifting by windows that double makes each of
+  the two smears an OR of about log2(n) shifts, and a shift distributes
+  over OR, so the result is the same OR of single shifts.
+- The sup over the slowest coordinate onto the positions without it
+  (`sup_out`) ORs the n blocks of each level and keeps the first block of
+  each; bits carried down from the level above land past it.
+- A renaming of variables is a permutation of positions, applied to each
+  level (`permute`).
 
 Coding (`cuts_of`) runs in C over a byte per position while the ranks fit
 in a byte, and otherwise groups the positions by rank; decoding
 (`ranks_of`) finds each rank's positions in a bit string. Every operation
-here takes O(positions) bits of memory per level, and time in proportion,
-with a factor log2(n) for ∃.
-
-The cut coding of a vector is unique, so equal vectors have equal cuts
-and cut tuples serve as dict keys and set members.
+here takes O(positions * top) bits of memory, and time in proportion, with
+a factor log2(n) for ∃.
 """
 
 from __future__ import annotations
 
-from operator import and_, lshift, or_, rshift
+from operator import lshift, rshift
 from typing import Iterable
 
 from .grades import Grade, ONE, ZERO
-
-Cuts = tuple[int, ...]
 
 
 class Ranks:
@@ -62,7 +73,7 @@ class Ranks:
     def decode(self, vector: Iterable[int]) -> tuple[Grade, ...]:
         return tuple(map(self.grades.__getitem__, vector))
 
-    def cuts(self, values: Iterable[Grade]) -> Cuts:
+    def cuts(self, values: Iterable[Grade]) -> int:
         """The level cuts of a grade vector."""
         return cuts_of(self.code(values), self.top)
 
@@ -71,19 +82,20 @@ class Ranks:
 _AT_LEAST = [bytes(48 + (v >= r) for v in range(256)) for r in range(256)]
 
 
-def cuts_of(vector: Iterable[int], top: int) -> Cuts:
-    """The level cuts 1..top of a rank vector."""
+def cuts_of(vector: Iterable[int], top: int) -> int:
+    """The level cuts 1..top of a rank vector, side by side in one int."""
     if top < 256:
-        # byte i is rank i, read from the right: bit i of each cut
+        # byte i is rank i, read from the right: bit i of each level,
+        # written from the top level down
         data = bytes(vector)[::-1]
-        return tuple([int(data.translate(_AT_LEAST[r]) or b"0", 2) for r in range(1, top + 1)])
+        return int(b"".join([data.translate(_AT_LEAST[r]) for r in range(top, 0, -1)]) or b"0", 2)
     # the positions of each rank, then the cuts from the top down; a level
     # no position takes shares its cut with the level above
     where: dict[int, list[int]] = {}
     size = 0
     for size, r in enumerate(vector, 1):
         where.setdefault(r, []).append(size - 1)
-    cuts = []
+    digits = []
     below = 0
     for r in range(top, 0, -1):
         if r in where:
@@ -91,16 +103,20 @@ def cuts_of(vector: Iterable[int], top: int) -> Cuts:
             for i in where[r]:
                 bits[i >> 3] |= 1 << (i & 7)
             below |= int.from_bytes(bits, "little")
-        cuts.append(below)
-    return tuple(reversed(cuts))
+        digits.append(format(below, f"0{size}b"))
+    return int("".join(digits) or "0", 2)
 
 
-def ranks_of(cuts: Cuts, size: int) -> tuple[int, ...]:
-    """The rank vector over `size` positions whose level cuts are `cuts`."""
+def ranks_of(u: int, size: int) -> tuple[int, ...]:
+    """The rank vector over `size` positions whose level cuts are `u`."""
     ranks = [0] * size
+    if not size:
+        return ()
+    full = (1 << size) - 1
     above = 0
-    for r in range(len(cuts), 0, -1):
-        exact, above = cuts[r - 1] & ~above, cuts[r - 1]
+    for r in range(-(-u.bit_length() // size), 0, -1):
+        cut = u >> (r - 1) * size & full
+        exact, above = cut & ~above, cut
         if exact:
             bits = format(exact, "b")[::-1]
             i = bits.find("1")
@@ -110,25 +126,16 @@ def ranks_of(cuts: Cuts, size: int) -> tuple[int, ...]:
     return tuple(ranks)
 
 
-def meet(u: Cuts, v: Cuts) -> Cuts:
-    """Pointwise min."""
-    return tuple(map(and_, u, v))
+def spread(mask: int, size: int, top: int) -> int:
+    """`mask`, a set of positions below `size`, at every level 1..top."""
+    return mask * (((1 << size * top) - 1) // ((1 << size) - 1))
 
 
-def join(first: Cuts, *rest: Cuts) -> Cuts:
-    """Pointwise max of one or more vectors."""
-    for v in rest:
-        first = tuple(map(or_, first, v))
-    return first
-
-
-def inclusion(u: Cuts, v: Cuts) -> int:
-    """Graded inclusion of u in v: the least rank s that v takes at a
-    position where u exceeds it, else the top."""
-    for s, (a, b) in enumerate(zip(u, v)):
-        if a & ~b:
-            return s
-    return len(u)
+def inclusion(u: int, v: int, size: int, top: int) -> int:
+    """Graded inclusion of u in v over `size` positions: the least rank
+    that v takes at a position where u exceeds it, else the top."""
+    x = u & ~v
+    return ((x & -x).bit_length() - 1) // size if x else top
 
 
 def _smear(c: int, step: int, n: int, shift) -> int:
@@ -151,13 +158,26 @@ def fibre_bases(size: int, stride: int, n: int) -> int:
     return _smear((1 << stride) - 1, period, size // period, lshift)
 
 
-def sup_out(u: Cuts, stride: int, n: int, base: int) -> Cuts:
+def exists(u: int, stride: int, n: int, base: int) -> int:
     """The sup of u over each fibre of the coordinate of `stride` in base
-    n, at the fibre's base: the positions of the mask `base`."""
-    return tuple([_smear(c, stride, n, rshift) & base for c in u])
+    n, at every position of the fibre; `base` is `fibre_bases` at every
+    level (`spread`)."""
+    return _smear(_smear(u, stride, n, rshift) & base, stride, n, lshift)
 
 
-def exists(u: Cuts, stride: int, n: int, base: int) -> Cuts:
-    """The sup of u over each fibre of the coordinate of `stride` in base
-    n, at every position of the fibre; `base` is `fibre_bases`."""
-    return tuple([_smear(c, stride, n, lshift) for c in sup_out(u, stride, n, base)])
+def sup_out(u: int, size: int, n: int, top: int) -> int:
+    """The sup of u, over size * n positions, over its slowest coordinate
+    (n blocks of `size` positions), as a vector over `size` positions."""
+    wide = size * n
+    bits = format(_smear(u, size, n, rshift), f"0{wide * top}b")
+    # the last `size` digits of each level, from the top level down
+    return int("".join([bits[k * wide + wide - size:(k + 1) * wide] for k in range(top)]) or "0", 2)
+
+
+def permute(u: int, size: int, top: int, table: list[int]) -> int:
+    """The vector whose entry i is entry table[i] of u, a permutation of
+    the positions of each level (`table` may repeat positions)."""
+    bits = format(u, f"0{size * top}b")[::-1]  # digit k is bit k
+    moved = "".join(["".join(map(bits[k:k + size].__getitem__, table))
+                     for k in range(0, size * top, size)])
+    return int(moved[::-1] or "0", 2)

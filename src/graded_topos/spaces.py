@@ -12,12 +12,12 @@ position in the sorted grade set of the generators with 0 and 1
 (`ranks.Ranks`). Union and intersection are pointwise max and min, which
 only compare grades, and ranking is an order-isomorphism fixing 0 and 1,
 so the closure of the rank vectors codes the closure of the fuzzy sets
-exactly. Each vector is held as its level cuts, one bitmask over the
-universe's points per rank r >= 1 (bit i for the i-th point): union is OR
-and intersection AND per level, and the graded inclusion that
-`frame_from_space` takes of two opens is read off the cuts as well
-(`ranks` states the identity). Cut tuples do not sort as the grade tuples
-they code, so the canonical order is taken on the decoded ranks.
+exactly. Each vector is held as one int of level cuts, one bitmask over the
+universe's points per rank r >= 1 side by side (`ranks`): union is OR and
+intersection AND of the ints, and the graded inclusion that
+`frame_from_space` takes of two opens is read off them as well. The ints do
+not sort as the grade tuples they code, so the canonical order is taken on
+the decoded ranks.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .fuzzy_sets import (
     preimage,
     union,
 )
-from .ranks import Cuts, Ranks, join, meet, ranks_of
+from .ranks import Ranks, ranks_of
 
 DEFAULT_CLOSURE_CAP = 4096
 
@@ -65,7 +65,7 @@ class GradedSpace:
         return len(self.opens)
 
     @cached_property
-    def ranked(self) -> tuple[Ranks, list[Cuts]]:
+    def ranked(self) -> tuple[Ranks, list[int]]:
         """The rank table of the opens' grades and the level cuts of each
         open, in the order of `opens`; built on first use."""
         ranks = Ranks(g for t in self.opens for g in t.grades)
@@ -116,28 +116,27 @@ def generate_topology(
     unions and intersections starting from {0-set, 1-set} ∪ generators.
 
     The closure runs on the level cuts of rank vectors (module docstring),
-    sorted by the rank vectors they code; the space keeps them as `ranked`.
+    a round at a time: each round adds the unions and intersections of its
+    new opens with every open it starts with. The opens are sorted by the
+    rank vectors they code; the space keeps their cuts as `ranked`.
     Raises Overflow once the closure exceeds max_opens.
     """
     for t in generators:
         if t.universe != universe:
             raise MixedUniverse("generator over a different universe")
     ranks = Ranks(g for t in generators for g in t.grades)
-    opens = {(0,) * ranks.top, ((1 << len(universe)) - 1,) * ranks.top}
+    opens = {0, (1 << len(universe) * ranks.top) - 1}
     opens.update(ranks.cuts(t.grades) for t in generators)
     frontier = list(opens)
     while frontier:
         if len(opens) > max_opens:
             raise Overflow(f"topology closure exceeded {max_opens} opens")
-        fresh = []
         current = list(opens)
-        for a in frontier:
-            for b in current:
-                for c in (join(a, b), meet(a, b)):
-                    if c not in opens:
-                        opens.add(c)
-                        fresh.append(c)
-        frontier = fresh
+        fresh = {a | b for a in frontier for b in current}
+        fresh.update(a & b for a in frontier for b in current)
+        fresh -= opens
+        opens |= fresh
+        frontier = list(fresh)
     if len(opens) > max_opens:
         raise Overflow(f"topology closure exceeded {max_opens} opens")
     levels = {row: ranks_of(row, len(universe)) for row in opens}

@@ -14,6 +14,16 @@ every subset, and a violation that the pairs of a table frame show is
 named on every subset (`FrameView.decide`). The clauses read the frame's
 view, with satisfaction grades ranked in one table with the relation
 grades (`ranks.Ranks`).
+
+Clauses 1 and 2 are decided per point in O(n) operations on bitmasks plus
+one pass over the meet table, and a point that fails runs the loop over
+every pair to name the first failing instance. Code the relation rows and
+the point's satisfaction row as ints of level cuts over the carrier
+(`ranks`): P[i] has bit (r - 1) * n + j set iff R(i, j) >= r, and S bit
+(r - 1) * n + j iff sat(x, j) >= r. Clause 1,
+min(sat(x, i), R(i, j)) <= sat(x, j), says at each level r <= sat(x, i)
+that the cut of row i lies within that of S: P[i] & ~S has no bit in
+levels 1..sat(x, i).
 """
 
 from __future__ import annotations
@@ -28,7 +38,7 @@ from .frames import (FrameHom, FrameView, GradedFrame, _show, check_frame_hom, c
                      same_frame)
 from .fuzzy_sets import PointMap, Universe, compose_point_maps
 from .grades import Grade
-from .ranks import Ranks
+from .ranks import Ranks, cuts_of
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,12 +69,16 @@ def check_system(system: GradedSystem) -> Violation | None:
     rel = [[lift[r] for r in row] for row in v.rel]
     sat = [ranks.code(system.sat[(x, a)] for a in items) for x in xs]
     meet_idx, top, one = v.meet, v.top, ranks.top
+    rows = [cuts_of(row, one) for row in rel]
+    levels = [(1 << r * n) - 1 for r in range(one + 1)]  # the bits of levels 1..r
 
     for xi, x in enumerate(xs):
         row = sat[xi]
         if row[top] != one:
             return Violation("system", "clause 2",
                              f"satisfaction of the top at {_show(x)} is {ranks.grades[row[top]]}, not 1 (empty meet)")
+        if _pair_clauses_hold(row, one, rows, levels, meet_idx):
+            continue
         for i in range(n):
             for j in range(n):
                 if min(row[i], rel[i][j]) > row[j]:
@@ -92,6 +106,18 @@ def check_system(system: GradedSystem) -> Violation | None:
         return None
 
     return v.decide(clause_3)
+
+
+def _pair_clauses_hold(row: list[int], one: int, rows: list[int], levels: list[int],
+                       meet: list[list[int]]) -> bool:
+    """Whether clauses 1 and 2 hold at a point with satisfaction ranks
+    `row`: clause 1 on the packed relation `rows` (module docstring), and
+    clause 2 as sat(x, i meet j) = min(sat(x, i), sat(x, j)), a row of
+    the meet table at a time."""
+    held = cuts_of(row, one)
+    return not any(rows[i] & ~held & levels[r] for i, r in enumerate(row)) and all(
+        list(map(row.__getitem__, meet[i])) == [s if s < r else r for s in row]
+        for i, r in enumerate(row))
 
 
 def check_spatial(system: GradedSystem) -> tuple[bool, tuple[Hashable, Hashable] | None]:

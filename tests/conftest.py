@@ -156,10 +156,11 @@ def tuple_rename(u, stride: int, replacement: int, n: int) -> tuple[int, ...]:
     return tuple(u[i + (i // q % n - i // p % n) * p] for i in range(len(u)))
 
 
-def level_cuts(vector, top: int) -> tuple[int, ...]:
-    """The level cuts 1..top of a rank vector, bit by bit."""
-    return tuple(sum(1 << i for i, r in enumerate(vector) if r >= level)
-                 for level in range(1, top + 1))
+def level_cuts(vector, top: int) -> int:
+    """The level cuts 1..top of a rank vector side by side in one int, bit
+    by bit: position i of level r at bit (r - 1) * len(vector) + i."""
+    digits = ["1" if r >= level else "0" for level in range(top, 0, -1) for r in reversed(vector)]
+    return int("".join(digits) or "0", 2)
 
 
 def brute_space_closed(space) -> bool:

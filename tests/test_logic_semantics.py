@@ -358,9 +358,10 @@ def check_vectors(interp, variables, formulas):
                     continue
                 assert vs.rename(vector, y, x) == reference_vector(vs, replaced)
     for (f, u), (g, v) in itertools.product(zip(formulas, vectors), repeat=2):
-        assert ranks.meet(u, v) == reference_vector(vs, And(f, g))
-        assert ranks.join(u, v, u) == reference_vector(vs, Or((f, g, f)))
-        assert vs.ranks.grades[ranks.inclusion(u, v)] == brute_sequent_grade(interp, f, g)
+        assert u & v == reference_vector(vs, And(f, g))
+        assert u | v | u == reference_vector(vs, Or((f, g, f)))
+        grade = vs.ranks.grades[ranks.inclusion(u, v, vs.size, vs.ranks.top)]
+        assert grade == brute_sequent_grade(interp, f, g)
 
 
 @pytest.mark.parametrize("variables, texts", [

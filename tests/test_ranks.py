@@ -1,7 +1,7 @@
 """The rank kernel and the space-to-frame path that runs on it.
 
-The kernel holds a rank vector as its level cuts; the tuple kernel it
-replaced lives on in conftest as the oracle it is checked against.
+The kernel holds a rank vector as one int of level cuts; the tuple kernel
+it replaced lives on in conftest as the oracle it is checked against.
 `generate_topology` and `frame_from_space` compute on level cuts; the
 `Fraction` versions they replaced live on in conftest as oracles. A
 strictly monotone relabelling of grades that fixes 0 and 1 must leave
@@ -12,7 +12,9 @@ recursive oracle: a formula's extent is a fuzzy set over the assignments,
 and graded consequence is graded inclusion of extents.
 """
 
+import functools
 import itertools
+import operator
 import random
 from fractions import Fraction as F
 
@@ -44,7 +46,7 @@ from graded_topos.generators import (
 from graded_topos.grades import ONE, ZERO
 from graded_topos.logic.semantics import Assignment, Interpretation, _Vectors, sequent_grade
 from graded_topos.logic.syntax import BOTTOM, TOP, free_variables
-from graded_topos.ranks import Ranks, cuts_of, inclusion, join, meet, ranks_of
+from graded_topos.ranks import Ranks, cuts_of, inclusion, ranks_of
 from graded_topos.spaces import GradedSpace, check_space, generate_topology
 
 GRADES = GradeSet((ZERO, F(1, 4), F(1, 2), F(3, 4), ONE))
@@ -55,20 +57,20 @@ def test_rank_table_and_operations():
     assert ranks.grades == (ZERO, F(1, 3), F(1, 2), ONE) and ranks.top == 3
     assert ranks.code([ONE, F(1, 3), ZERO]) == (3, 1, 0)
     assert ranks.decode((2, 0)) == (F(1, 2), ZERO)
-    # cut r holds the positions of rank >= r, bit i for position i
-    assert ranks.cuts([ONE, F(1, 3), ZERO]) == (0b011, 0b001, 0b001)
-    assert ranks_of((0b011, 0b001, 0b001), 3) == (3, 1, 0)
+    # cut r holds the positions of rank >= r, bit i for position i, and
+    # cut r of a vector over s positions is bits (r - 1) * s to r * s - 1
+    assert ranks.cuts([ONE, F(1, 3), ZERO]) == 0b001_001_011
+    assert ranks_of(0b001_001_011, 3) == (3, 1, 0)
 
     def c(*vector):
         return cuts_of(vector, ranks.top)
 
-    assert meet(c(3, 1, 0), c(2, 2, 2)) == c(2, 1, 0)
-    assert join(c(3, 1, 0), c(2, 2, 2)) == c(3, 2, 2)
-    assert join(c(1, 0, 2), c(0, 2, 1), c(0, 0, 0)) == c(1, 2, 2)
-    assert join(c(1, 0)) == c(1, 0)
-    assert inclusion(c(1, 2, 0), c(2, 1, 3)) == 1
-    assert inclusion(c(0, 1), c(0, 1)) == ranks.top
-    assert inclusion(c(), c()) == ranks.top
+    assert c(3, 1, 0) & c(2, 2, 2) == c(2, 1, 0)
+    assert c(3, 1, 0) | c(2, 2, 2) == c(3, 2, 2)
+    assert c(1, 0, 2) | c(0, 2, 1) | c(0, 0, 0) == c(1, 2, 2)
+    assert inclusion(c(1, 2, 0), c(2, 1, 3), 3, ranks.top) == 1
+    assert inclusion(c(0, 1), c(0, 1), 2, ranks.top) == ranks.top
+    assert inclusion(c(), c(), 0, ranks.top) == ranks.top
 
 
 def random_vector(rng, size: int, top: int) -> tuple[int, ...]:
@@ -80,12 +82,15 @@ def random_vector(rng, size: int, top: int) -> tuple[int, ...]:
 
 
 def test_the_cut_kernel_matches_the_tuple_kernel():
-    """meet, n-ary join and inclusion on random vectors of 1 to 4096
-    entries and 2 to 6 ranks."""
+    """meet, n-ary join, inclusion, coding and decoding on random vectors of
+    1 to 4096 entries and 2 to 6 ranks; on sizes n^k, also ∃ over up to
+    two coordinates, the sup over the slowest one, and renaming one
+    coordinate to another."""
     rng = random.Random(11)
     for trial in range(300):
         top = rng.randint(1, 5)
-        size = rng.choice([1, 2, 3, 27, rng.randint(1, 4096)])
+        n, k = rng.choice([(1, 1), (2, 1), (3, 1), (3, 3), (2, 12), (4, 6), (16, 3), (64, 2)])
+        size = n ** k if trial % 2 else rng.choice([1, 2, 27, rng.randint(1, 4096)])
         vectors = [random_vector(rng, size, top) for _ in range(rng.randint(1, 4))]
         u, v = vectors[0], vectors[-1]
         if trial % 3 == 0:  # u below v at every position but at most one
@@ -94,9 +99,48 @@ def test_the_cut_kernel_matches_the_tuple_kernel():
             v = v[:i] + (rng.randint(0, top),) + v[i + 1:]
         cu, cv = level_cuts(u, top), level_cuts(v, top)
         assert cuts_of(u, top) == cu and ranks_of(cu, size) == u
-        assert meet(cu, cv) == level_cuts(tuple_meet(u, v), top)
-        assert join(*(level_cuts(w, top) for w in vectors)) == level_cuts(tuple_join(*vectors), top)
-        assert inclusion(cu, cv) == tuple_inclusion(u, v, top)
+        assert cu & cv == level_cuts(tuple_meet(u, v), top)
+        assert functools.reduce(operator.or_, (level_cuts(w, top) for w in vectors)) == level_cuts(
+            tuple_join(*vectors), top)
+        assert inclusion(cu, cv, size, top) == tuple_inclusion(u, v, top)
+        if size != n ** k:
+            continue
+        strides = [n ** j for j in range(k)]
+        for p in rng.sample(strides, min(k, 2)):
+            base = kernel.spread(kernel.fibre_bases(size, p, n), size, top)
+            assert kernel.exists(cu, p, n, base) == level_cuts(tuple_exists(u, p, n), top)
+        inner = size // n
+        assert kernel.sup_out(cu, inner, n, top) == level_cuts(
+            [max(u[d * inner + i] for d in range(n)) for i in range(inner)], top)
+        p, q = rng.choice(strides), rng.choice(strides)
+        table = [i + (i // q % n - i // p % n) * p for i in range(size)]
+        assert kernel.permute(cu, size, top, table) == level_cuts(tuple_rename(u, p, q, n), top)
+
+
+def test_shifts_never_carry_bits_across_levels():
+    """A right shift carries bits of one level into the one below, but
+    only to positions off the fibre bases: masking the whole int with the
+    bases at every level keeps what masking each level alone keeps. The
+    sup over the slowest coordinate keeps none of them either."""
+    rng = random.Random(15)
+    for n, k in [(2, 1), (2, 5), (3, 3), (5, 2), (7, 2), (9, 2), (40, 2)]:
+        size = n ** k
+        for top in (2, 3, 6):
+            u = level_cuts(random_vector(rng, size, top), top)
+            levels = [u >> r * size & (1 << size) - 1 for r in range(top)]
+            for p in (n ** j for j in range(k)):
+                base = kernel.fibre_bases(size, p, n)
+                whole = kernel._smear(u, p, n, operator.rshift) & kernel.spread(base, size, top)
+                assert whole == sum((kernel._smear(c, p, n, operator.rshift) & base) << r * size
+                                    for r, c in enumerate(levels))
+            # only the top level set: nothing reaches the levels below
+            high = ((1 << size) - 1) << (top - 1) * size
+            for p in (n ** j for j in range(k)):
+                base = kernel.spread(kernel.fibre_bases(size, p, n), size, top)
+                kept = kernel._smear(high, p, n, operator.rshift) & base
+                assert kept and kept & (1 << (top - 1) * size) - 1 == 0
+            inner = size // n
+            assert kernel.sup_out(high, inner, n, top) == ((1 << inner) - 1) << (top - 1) * inner
 
 
 def test_cuts_of_codes_any_number_of_ranks():
@@ -126,10 +170,11 @@ def test_exists_matches_the_index_tables():
             for p in (n ** j for j in range(k)):
                 base = kernel.fibre_bases(size, p, n)
                 assert base == sum(1 << i for i in range(size) if i // p % n == 0)
+                base = kernel.spread(base, size, top)
                 assert kernel.exists(cu, p, n, base) == level_cuts(tuple_exists(u, p, n), top)
             # the sup over the slowest coordinate, onto the list without it
             inner = size // n
-            assert kernel.sup_out(cu, inner, n, (1 << inner) - 1) == level_cuts(
+            assert kernel.sup_out(cu, inner, n, top) == level_cuts(
                 [max(u[d * inner + i] for d in range(n)) for i in range(inner)], top)
 
 
