@@ -16,13 +16,15 @@ SKIPPED = "skipped"
 @dataclass(frozen=True)
 class Report:
     """One check's outcome: the clause it instantiates, pass/fail/skipped,
-    and witnesses for failures. Every check is exact, so the JSON form names
-    the regime "exhaustive"."""
+    witnesses for failures, and the number of instances checked (1 for a
+    single check). Every check is exact, so the JSON form names the regime
+    "exhaustive"."""
 
     subject: str
     status: str
     witnesses: tuple[tuple[str, str, str], ...] = ()
     elapsed_ms: int = 0
+    instances: int = 1
 
     def __post_init__(self) -> None:
         if self.status not in (PASS, FAIL, SKIPPED):
@@ -37,6 +39,7 @@ class Report:
             "regime": "exhaustive",
             "witnesses": [list(w) for w in self.witnesses],
             "elapsed_ms": self.elapsed_ms,
+            "instances": self.instances,
         }
 
 
@@ -63,6 +66,7 @@ class ReportCollector:
                 status=FAIL if bad else PASS,
                 witnesses=bad,
                 elapsed_ms=elapsed_ms,
+                instances=self.seen[subject],
             ))
         return out
 

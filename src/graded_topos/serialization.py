@@ -213,28 +213,34 @@ def frame_to_json(frame: GradedFrame) -> dict:
     }
 
 
-def _join_keys(labels: list[str], table: list[int]) -> dict[str, str]:
-    """The join table keyed by each subset's labels in name order, one step
-    per subset. Subsets are counted by `sub`, a mask over the labels in name
+def _subset_keys(labels: Sequence[str]) -> tuple[list[str], list[int]]:
+    """The key of every subset of the labels, its labels in name order
+    joined by commas, and its bitmask in carrier order, one step per
+    subset. Subsets are counted by `sub`, a mask over the labels in name
     order; the key of `sub` is its first label before the key of
     `sub & sub - 1`, and `masks[sub]` is the same subset in carrier order."""
     order = sorted(range(len(labels)), key=labels.__getitem__)
     keys, masks = [""], [0]
-    join = {"": labels[table[0]]}
-    for sub in range(1, len(table)):
+    for sub in range(1, 1 << len(labels)):
         rest, low = sub & sub - 1, order[(sub & -sub).bit_length() - 1]
-        key = labels[low] + "," + keys[rest] if rest else labels[low]
-        mask = masks[rest] | 1 << low
-        keys.append(key)
-        masks.append(mask)
-        join[key] = labels[table[mask]]
-    return join
+        keys.append(labels[low] + "," + keys[rest] if rest else labels[low])
+        masks.append(masks[rest] | 1 << low)
+    return keys, masks
+
+
+def _join_keys(labels: list[str], table: list[int]) -> dict[str, str]:
+    """The join table keyed by each subset's labels in name order."""
+    keys, masks = _subset_keys(labels)
+    return {key: labels[table[mask]] for key, mask in zip(keys, masks)}
 
 
 def frame_from_json(obj: Any) -> GradedFrame:
     """Read a frame's JSON shape; `GradedFrame.from_masks` checks what the
     tables mean (a distinct carrier holding the top, every meet and join
-    value in it). Each join key becomes a subset bitmask as it is read."""
+    value in it). Each join key becomes a subset bitmask as it is read: a
+    key as `frame_to_json` writes it, by one lookup in the table of those
+    keys (built for a full table over at most 16 distinct labels), and any
+    other key by its labels."""
     body = _expect_object(obj, "frame")
     carrier = _identifier_list(body.get("carrier"), "carrier")
     top = _identifier(body.get("top"), "top")
@@ -250,13 +256,19 @@ def frame_from_json(obj: Any) -> GradedFrame:
         raise SchemaError("relation", "table must be total on carrier pairs")
 
     bits = {a: 1 << i for i, a in enumerate(carrier)}
+    joins = _expect_object(body.get("join"), "join")
+    canonical = {}
+    if len(joins) == 1 << len(carrier) and len(carrier) <= 16 and len(bits) == len(carrier):
+        canonical = dict(zip(*_subset_keys(carrier)))
     join_table = {}
-    for key, value in _expect_object(body.get("join"), "join").items():
-        parts = key.split(",")
-        if "" in parts:
-            parts = [p for p in parts if p]
-        mask = label_mask(parts, bits)
-        if mask.bit_count() != len(parts) or mask in join_table:
+    for key, value in joins.items():
+        mask = canonical.get(key)
+        if mask is None:
+            parts = [p for p in key.split(",") if p]
+            mask = label_mask(parts, bits)
+            if mask.bit_count() != len(parts):
+                raise SchemaError("join", f"key {key!r} repeats an element or another key")
+        if mask in join_table:
             raise SchemaError("join", f"key {key!r} repeats an element or another key")
         join_table[mask] = _identifier(value, "join")
     return GradedFrame.from_masks(carrier, top, meet_table, join_table, relation)

@@ -312,3 +312,42 @@ def test_single_entry_mutations_at_scale_match_the_loops(base, points):
         assert by_loops(check_system, sys_) == check_system(sys_)
         clauses[check_system(sys_) and check_system(sys_).clause] += 1
     assert len(clauses) >= 4
+
+
+def every_small_change():
+    """Every symmetric change of one meet entry of four- and five-element
+    lattices, and every change of two relation entries of the three-chain
+    to grades among 0, 1/3, 1/2, 2/3 and 1."""
+    for base in (chain(4), square(2), chain_plus_diamond(1)):
+        items, _, meet, _, _ = tables(base)
+        for a, b in itertools.combinations_with_replacement(items, 2):
+            for c in items:
+                yield rebuilt(base, meet=with_entry(with_entry(meet, (a, b), c), (b, a), c))
+    grades = (ZERO, F(1, 3), F(1, 2), F(2, 3), ONE)
+    relation = tables(chain(3))[3]
+    for (k1, g1), (k2, g2) in itertools.combinations(itertools.product(relation, grades), 2):
+        yield rebuilt(chain(3), relation=with_entry(with_entry(relation, k1, g1), k2, g2))
+
+
+def test_every_small_change_of_meet_or_relation_is_named_as_the_loops_name_it():
+    clauses = collections.Counter()
+    for frame in every_small_change():
+        bad = check_frame(frame)
+        assert by_loops(check_frame, frame) == bad
+        clauses[bad and bad.clause] += 1
+    assert clauses["meet-semilattice"] > 50 and clauses["axiom 3"] > 50 and clauses[None] > 10
+
+
+def test_every_small_change_of_satisfaction_is_named_as_the_loops_name_it():
+    grades = (ZERO, F(1, 3), F(1, 2), F(2, 3), ONE)
+    clauses = collections.Counter()
+    for base in (chain(3), chain(4), square(2)):
+        values = GradeSet.for_frame(base)
+        for p in enumerate_point_homs(base, values):
+            point = dict(zip(base.carrier, p.values))
+            for (a, g), (b, h) in itertools.combinations(itertools.product(base.carrier, grades), 2):
+                sys_ = system(base, [with_entry(with_entry(point, a, g), b, h)])
+                bad = check_system(sys_)
+                assert by_loops(check_system, sys_) == bad
+                clauses[bad and bad.clause] += 1
+    assert {"clause 1", "clause 2", "clause 3", None} <= set(clauses)

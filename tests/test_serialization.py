@@ -228,6 +228,44 @@ def test_join_keys_equal_the_label_scan_on_in_memory_frames(opens):
         _assert_scan_keys(frame)
 
 
+def _three_chain() -> dict:
+    """The crisp chain a < b < c as a frame file."""
+    carrier = ("a", "b", "c")
+    return frame_to_json(GradedFrame.from_join_fn(
+        carrier, "c", {(x, y): min(x, y) for x in carrier for y in carrier},
+        lambda subset: max(subset, default="a"),
+        {(x, y): ONE if x <= y else Fraction(0) for x in carrier for y in carrier}))
+
+
+def _with_join_key(payload: dict, old: str, new: str) -> dict:
+    """The payload with the join key `old` written as `new`, in its place."""
+    join = {(new if key == old else key): value for key, value in payload["join"].items()}
+    return {**payload, "join": join}
+
+
+@pytest.mark.parametrize("key", ["b,a", "a,,b", ",a,b,", "b,a,"])
+def test_a_join_key_in_any_order_or_with_empty_labels_names_the_same_subset(key):
+    payload = _three_chain()
+    frame = frame_from_json(_with_join_key(payload, "a,b", key))
+    assert frame.join_table == frame_from_json(payload).join_table
+    assert frame_to_json(frame) == payload
+
+
+@pytest.mark.parametrize("old, new, message", [
+    # a key naming the subset of another key, read before or after it
+    ("c", "b,a", "key 'b,a' repeats an element or another key"),
+    ("", "c,b", "key 'b,c' repeats an element or another key"),
+    # a label twice in one key
+    ("a,b", "a,a", "key 'a,a' repeats an element or another key"),
+    ("a,b,c", "c,a,c,b", "key 'c,a,c,b' repeats an element or another key"),
+    ("a,b", "a,d", "join table key is not a subset of the carrier"),
+])
+def test_a_join_key_that_repeats_a_subset_or_a_label_is_refused(old, new, message):
+    payload = _with_join_key(_three_chain(), old, new)
+    with pytest.raises(SchemaError, match=message):
+        frame_from_json(payload)
+
+
 # --- grade literals -------------------------------------------------------------
 
 def test_each_grade_literal_is_parsed_once_in_a_bounded_cache(tmp_path):

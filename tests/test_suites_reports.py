@@ -29,6 +29,8 @@ def test_collector_aggregates_per_subject():
     assert reports["a"].witnesses == (("spot", "want", "got"),)
     assert reports["b"].status == PASS
     assert all(r.elapsed_ms == 5 for r in reports.values())
+    # each subject counts the instances recorded under it
+    assert [reports[s].to_json()["instances"] for s in "ab"] == [2, 1]
 
 
 def test_emit_reports_streams_and_exit_codes():
@@ -38,8 +40,9 @@ def test_emit_reports_streams_and_exit_codes():
     assert emit_reports([good], out, err) == 0
     assert emit_reports([good, bad], out, err) == 1
     lines = [json.loads(line) for line in out.getvalue().splitlines()]
-    assert all(set(line) == {"subject", "status", "regime", "witnesses", "elapsed_ms"}
+    assert all(set(line) == {"subject", "status", "regime", "witnesses", "elapsed_ms", "instances"}
                for line in lines)
+    assert [line["instances"] for line in lines] == [1, 1, 1]
     assert "FAIL broken" in err.getvalue()
 
 
@@ -58,6 +61,7 @@ def test_suites_pass_at_small_scale(name):
     assert reports
     for report in reports:
         assert report.status == PASS, f"{report.subject}: {report.witnesses}"
+        assert report.instances >= 1
 
 
 def test_suites_are_seed_deterministic():
