@@ -302,14 +302,15 @@ def check_frame(frame: GradedFrame) -> Violation | None:
     """Verify the meet-semilattice laws and then the nine frame axioms;
     returns the first violation found, or None.
 
-    The laws over pairs and triples are decided in O(n^2) operations on
-    bitmasks. When the bitmask test of a block of laws fails, the loop over
-    every pair and triple of that block runs to name its first failing
-    instance, in the loop's order; the loop is the definition, and the
-    test only says whether the loop would find one. Write R for the
-    relation in ranks 0..one, and code each row R(i, -) and column
-    R(-, j) as one int of level cuts over the carrier (`ranks`): P[i] has
-    bit (r - 1) * n + j set iff R(i, j) >= r, and C[j] bit (r - 1) * n + i.
+    The laws over pairs and triples, and axioms 8 and 9, are decided in
+    O(n^2) operations on bitmasks, or O(masks) for axiom 8. When the test
+    of a block of laws fails, the loop over every instance of that block
+    runs to name its first failing instance, in the loop's order; the loop
+    is the definition, and the test only says whether the loop would find
+    one. Write R for the relation in ranks 0..one, and code each row
+    R(i, -) and column R(-, j) as one int of level cuts over the carrier
+    (`ranks`): P[i] has bit (r - 1) * n + j set iff R(i, j) >= r, and C[j]
+    bit (r - 1) * n + i.
 
     - Meet-semilattice. Let the meet be idempotent and commutative, and put
       x <= y iff x meet y = x, with down(y) the set of such x. The meet is
@@ -336,6 +337,21 @@ def check_frame(frame: GradedFrame) -> Violation | None:
       so it holds on all of them iff P[join 0] is every bit and
       P[join S] = P[join(S - c)] & P[c] on each: by induction on the
       masks, either form makes P[join(S - c)] the AND over S - c.
+    - Axiom 9 is decided once axioms 1-8 and join closure pass on the
+      masks. Then the carrier is a finite lattice under a <= b iff
+      R(a, b) = 1: a partial order by axioms 1-3, with glb a meet b by
+      axioms 4 and 6, lub join S by axioms 7 and 8, and least element the
+      empty join. On such a lattice, axiom 9 on the masks holds iff the
+      lattice is distributive: the pairs give the distributive law, and
+      in a distributive lattice the meet distributes over every finite
+      join. By Birkhoff's representation theorem (Birkhoff 1937), a finite
+      lattice is distributive iff D(x join y) = D(x) | D(y) for all x and
+      y, where D(x) is the set of join-irreducibles below x: x |-> D(x) is
+      injective and keeps meets, so keeping joins makes it a lattice
+      embedding into a powerset; conversely, in a distributive lattice a
+      join-irreducible below x join y is below x or below y. An element is
+      join-irreducible iff it is not the join of the elements strictly
+      below it (the bottom is the empty join of those).
     - Axioms 1, 2, 4 and 5 are conditions on elements and pairs, checked
       as they stand.
 
@@ -494,16 +510,38 @@ def _subset_violation(items: tuple, v: FrameView, rows: list[int]) -> Violation 
                     return Violation("frame", "axiom 8",
                                      f"target {_show(items[b])}, subset mask {masks[p]:b}")
     position = {mask: p for p, mask in enumerate(masks)}
-    for a in range(n):
-        row = meet_idx[a]
-        img = [0] * len(masks)
-        for p, (q, i) in enumerate(steps, 1):
-            img[p] = img[q] | (1 << row[i])
-        for p, jm in enumerate(joins):
-            if rel[row[jm]][joins[position[img[p]]]] != one:
-                return Violation("frame", "axiom 9",
-                                 f"{_show(items[a])}, subset mask {masks[p]:b}")
+    if not _distributive(rel, joins, position, one):
+        for a in range(n):
+            row = meet_idx[a]
+            img = [0] * len(masks)
+            for p, (q, i) in enumerate(steps, 1):
+                img[p] = img[q] | (1 << row[i])
+            for p, jm in enumerate(joins):
+                if rel[row[jm]][joins[position[img[p]]]] != one:
+                    return Violation("frame", "axiom 9",
+                                     f"{_show(items[a])}, subset mask {masks[p]:b}")
     return None
+
+
+def _distributive(rel: list[list[int]], joins: list[int], position: Mapping[int, int], one: int) -> bool:
+    """Whether the lattice of a frame that passes axioms 1-8 is
+    distributive: the join-irreducibles below a join of two elements are
+    those below either (`check_frame`)."""
+    n = len(rel)
+    below = [sum(1 << y for y, r in enumerate(col) if r == one) for col in zip(*rel)]
+    irreducible = 0
+    for x in range(n):
+        # the join of the elements strictly below x, folded
+        joined, rest = joins[0], below[x] & ~(1 << x)
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            joined = joins[position[1 << joined | low]]
+        if joined != x:
+            irreducible |= 1 << x
+    down = [b & irreducible for b in below]
+    return all(down[joins[position[1 << x | 1 << y]]] == down[x] | down[y]
+               for x in range(n) for y in range(x + 1, n))
 
 
 @dataclass(frozen=True, eq=False)

@@ -64,7 +64,7 @@ from ..errors import (
     UndeclaredSymbol,
 )
 from ..grades import Grade
-from ..ranks import Ranks, cuts_of, exists, fibre_bases, inclusion, permute, spread, sup_out
+from ..ranks import Ranks, cuts_of, exists, fibre_bases, inclusion, reindex, spread, sup_out
 from .parser import CONST_PATTERN, IDENT_PATTERN, Signature, VAR_PATTERN
 from .syntax import (
     And,
@@ -384,7 +384,7 @@ class _Vectors:
             p = self._stride(variable)
             old, new = self._column(variable), self._column(replacement)
             self._renames[key] = [i + (b - a) * p for i, (a, b) in enumerate(zip(old, new))]
-        return permute(u, self.size, self.ranks.top, self._renames[key])
+        return reindex(u, self.size, self.ranks.top, self._renames[key])
 
 
 def _parts(node) -> tuple:

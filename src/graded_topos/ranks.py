@@ -40,8 +40,8 @@ pointwise operation is then a few operations on the whole int:
 - The sup over the slowest coordinate onto the positions without it
   (`sup_out`) ORs the n blocks of each level and keeps the first block of
   each; bits carried down from the level above land past it.
-- A renaming of variables is a permutation of positions, applied to each
-  level (`permute`).
+- A renaming of variables reads each entry at another position, one
+  table of positions applied to every level (`reindex`).
 
 Coding (`cuts_of`) runs in C over a byte per position while the ranks fit
 in a byte, and otherwise groups the positions by rank; decoding
@@ -109,9 +109,9 @@ def cuts_of(vector: Iterable[int], top: int) -> int:
 
 def ranks_of(u: int, size: int) -> tuple[int, ...]:
     """The rank vector over `size` positions whose level cuts are `u`."""
-    ranks = [0] * size
     if not size:
         return ()
+    ranks = [0] * size
     full = (1 << size) - 1
     above = 0
     for r in range(-(-u.bit_length() // size), 0, -1):
@@ -174,9 +174,9 @@ def sup_out(u: int, size: int, n: int, top: int) -> int:
     return int("".join([bits[k * wide + wide - size:(k + 1) * wide] for k in range(top)]) or "0", 2)
 
 
-def permute(u: int, size: int, top: int, table: list[int]) -> int:
-    """The vector whose entry i is entry table[i] of u, a permutation of
-    the positions of each level (`table` may repeat positions)."""
+def reindex(u: int, size: int, top: int, table: list[int]) -> int:
+    """The vector whose entry i is entry table[i] of u: each level read
+    through the table."""
     bits = format(u, f"0{size * top}b")[::-1]  # digit k is bit k
     moved = "".join(["".join(map(bits[k:k + size].__getitem__, table))
                      for k in range(0, size * top, size)])

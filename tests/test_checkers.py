@@ -131,11 +131,12 @@ def join_changed(frame, pair, value):
     return rebuilt(frame, join_fn=lambda subset: value if subset == frozenset(pair) else joins(subset))
 
 
-def chain_plus_diamond(m):
+def chain_plus_diamond(m, pentagon=False):
     """The crisp lattice of the chain c00 < ... < c(m-1) below the diamond
-    p, q, r < t, m + 4 elements: a lattice, but not distributive."""
+    p, q, r < t, or with `pentagon` below the pentagon p < r < t, q < t:
+    m + 4 elements, a lattice, but not distributive."""
     def order(x, y):
-        if x == y or y == "t":
+        if x == y or y == "t" or pentagon and (x, y) == ("p", "r"):
             return True
         if x[0] == "c" == y[0]:
             return x <= y
@@ -175,6 +176,9 @@ PLANTED_FRAMES = {
     "axiom 8": (lambda: join_changed(square(8), ("a1b3", "a2b0"), "a3b3"),
                 "axiom 8", f"target 'a2b3', subset mask {1 << 16 | 1 << 11:b}"),
     "axiom 9": (lambda: chain_plus_diamond(36), "axiom 9", f"'p', subset mask {3 << 37:b}"),
+    # the one pair whose join-irreducibles are not those of its members is p, q
+    "axiom 9 on a pentagon": (lambda: chain_plus_diamond(60, pentagon=True), "axiom 9",
+                              f"'r', subset mask {3 << 60:b}"),
 }
 
 

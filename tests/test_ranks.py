@@ -114,7 +114,7 @@ def test_the_cut_kernel_matches_the_tuple_kernel():
             [max(u[d * inner + i] for d in range(n)) for i in range(inner)], top)
         p, q = rng.choice(strides), rng.choice(strides)
         table = [i + (i // q % n - i // p % n) * p for i in range(size)]
-        assert kernel.permute(cu, size, top, table) == level_cuts(tuple_rename(u, p, q, n), top)
+        assert kernel.reindex(cu, size, top, table) == level_cuts(tuple_rename(u, p, q, n), top)
 
 
 def test_shifts_never_carry_bits_across_levels():
