@@ -6,8 +6,9 @@ axioms. A `GradedFrame` stores its carrier (opaque hashables: strings from
 files, opens from a space, grades in a chain) and one integer view of the
 rest (`FrameView`), which every checker reads; the element-keyed meet and
 relation tables are decoded from it on first read. Axioms over pairs and
-triples are checked on every pair and triple, and the subset-indexed ones
-(axioms 7-9, join preservation by homs) on the view's masks, exactly at
+triples hold on every pair and triple, decided on bitmasks of the view's
+rows and columns, and the subset-indexed ones (axioms 7-9, join
+preservation by homs) on the view's masks, exactly at
 every size: the empty set, the singletons and the pairs decide every subset
 of a frame built in memory, whose join folds its pair joins, and of a join
 table that folds on the lowest member of each subset; any other table is

@@ -83,20 +83,13 @@ def rebuilt(frame, meet=None, relation=None, join_fn=None):
     return GradedFrame.from_join_fn(items, top, meet or meets, join_fn or joins, relation or rel)
 
 
-@pytest.fixture
-def loops_only(monkeypatch):
-    """Every bitmask test fails, so the checkers run the loops over every
-    pair and triple on every frame and point."""
-    for module, name in ((frames, "_is_semilattice"), (frames, "_pair_axioms_hold"),
-                         (frames, "_axiom_8_holds"), (systems, "_pair_clauses_hold")):
-        monkeypatch.setattr(module, name, lambda *args: False)
-
-
 def by_loops(check, *args):
-    """`check` run with every bitmask test failing (`loops_only`)."""
+    """`check` run with every bitmask test failing, so the checkers run
+    the loops over every instance on every frame and point."""
     with pytest.MonkeyPatch.context() as patch:
         for module, name in ((frames, "_is_semilattice"), (frames, "_pair_axioms_hold"),
-                             (frames, "_axiom_8_holds"), (systems, "_pair_clauses_hold")):
+                             (frames, "_axiom_8_holds"), (frames, "_distributive"),
+                             (systems, "_pair_clauses_hold")):
             patch.setattr(module, name, lambda *args: False)
         return check(*args)
 
