@@ -47,7 +47,9 @@ Coding (`cuts_of`) runs in C over a byte per position while the ranks fit
 in a byte, and otherwise groups the positions by rank; decoding
 (`ranks_of`) finds each rank's positions in a bit string. Every operation
 here takes O(positions * top) bits of memory, and time in proportion, with
-a factor log2(n) for ∃.
+a factor log2(n) for ∃, and a factor top for coding, decoding and
+`sup_out`, which shift one level at a time in or out of the int (coding
+past 255 ranks joins the levels in log2(top) rounds instead).
 """
 
 from __future__ import annotations
@@ -85,17 +87,20 @@ _AT_LEAST = [bytes(48 + (v >= r) for v in range(256)) for r in range(256)]
 def cuts_of(vector: Iterable[int], top: int) -> int:
     """The level cuts 1..top of a rank vector, side by side in one int."""
     if top < 256:
-        # byte i is rank i, read from the right: bit i of each level,
-        # written from the top level down
+        # byte i is rank i, read from the right: bit i of each cut; the
+        # cuts are shifted in from the top level down
         data = bytes(vector)[::-1]
-        return int(b"".join([data.translate(_AT_LEAST[r]) for r in range(top, 0, -1)]) or b"0", 2)
+        size, packed = len(data), 0
+        for r in range(top, 0, -1):
+            packed = packed << size | int(data.translate(_AT_LEAST[r]) or b"0", 2)
+        return packed
     # the positions of each rank, then the cuts from the top down; a level
     # no position takes shares its cut with the level above
     where: dict[int, list[int]] = {}
     size = 0
     for size, r in enumerate(vector, 1):
         where.setdefault(r, []).append(size - 1)
-    digits = []
+    cuts = []
     below = 0
     for r in range(top, 0, -1):
         if r in where:
@@ -103,8 +108,17 @@ def cuts_of(vector: Iterable[int], top: int) -> int:
             for i in where[r]:
                 bits[i >> 3] |= 1 << (i & 7)
             below |= int.from_bytes(bits, "little")
-        digits.append(format(below, f"0{size}b"))
-    return int("".join(digits) or "0", 2)
+        cuts.append(below)
+    # neighbouring parts joined in rounds, each round doubling their width:
+    # O(bits * log(top)) work where shifting in one level at a time costs
+    # O(bits * top)
+    cuts.reverse()
+    width = size
+    while len(cuts) > 1:
+        cuts = [cuts[k] | cuts[k + 1] << width if k + 1 < len(cuts) else cuts[k]
+                for k in range(0, len(cuts), 2)]
+        width *= 2
+    return cuts[0]
 
 
 def ranks_of(u: int, size: int) -> tuple[int, ...]:
@@ -128,7 +142,7 @@ def ranks_of(u: int, size: int) -> tuple[int, ...]:
 
 def spread(mask: int, size: int, top: int) -> int:
     """`mask`, a set of positions below `size`, at every level 1..top."""
-    return mask * (((1 << size * top) - 1) // ((1 << size) - 1))
+    return _smear(mask, size, top, lshift)
 
 
 def inclusion(u: int, v: int, size: int, top: int) -> int:
@@ -168,16 +182,13 @@ def exists(u: int, stride: int, n: int, base: int) -> int:
 def sup_out(u: int, size: int, n: int, top: int) -> int:
     """The sup of u, over size * n positions, over its slowest coordinate
     (n blocks of `size` positions), as a vector over `size` positions."""
-    wide = size * n
-    bits = format(_smear(u, size, n, rshift), f"0{wide * top}b")
-    # the last `size` digits of each level, from the top level down
-    return int("".join([bits[k * wide + wide - size:(k + 1) * wide] for k in range(top)]) or "0", 2)
+    wide, full = size * n, (1 << size) - 1
+    smeared, out = _smear(u, size, n, rshift), 0
+    for k in range(top):
+        out |= (smeared >> k * wide & full) << k * size
+    return out
 
 
 def reindex(u: int, size: int, top: int, table: list[int]) -> int:
-    """The vector whose entry i is entry table[i] of u: each level read
-    through the table."""
-    bits = format(u, f"0{size * top}b")[::-1]  # digit k is bit k
-    moved = "".join(["".join(map(bits[k:k + size].__getitem__, table))
-                     for k in range(0, size * top, size)])
-    return int(moved[::-1] or "0", 2)
+    """The vector whose entry i is entry table[i] of u."""
+    return cuts_of(map(ranks_of(u, size).__getitem__, table), top)
