@@ -5,7 +5,6 @@ from .checks import LawReport, Violation
 from .errors import (
     ArityMismatch,
     CaptureViolation,
-    EmptyPoints,
     FormulaSyntaxError,
     GradeRangeError,
     GradeSetTooSmall,

@@ -32,10 +32,6 @@ class NotContinuous(GradedToposError):
     """A map expected to be continuous is not."""
 
 
-class EmptyPoints(GradedToposError):
-    """A system was given an empty point set."""
-
-
 class NoPoints(GradedToposError):
     """Hom enumeration produced no points for a system."""
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain
 from typing import Hashable, Iterable
 
 from .checks import LawReport
@@ -72,7 +73,7 @@ class GradeSet:
 
     @classmethod
     def for_system(cls, system: GradedSystem) -> "GradeSet":
-        return cls.closure(set(system.frame.view.grades) | set(system.sat.values()))
+        return cls.closure(chain(system.frame.view.grades, *system.rows))
 
 
 @dataclass(frozen=True)
@@ -86,14 +87,13 @@ class PointHom:
     def __post_init__(self) -> None:
         if len(self.carrier) != len(self.values):
             raise SchemaError("values", "must be total on the carrier")
-        object.__setattr__(self, "_index", {a: i for i, a in enumerate(self.carrier)})
         object.__setattr__(self, "_hash", hash((self.carrier, self.values)))
 
     def __hash__(self) -> int:
         return self._hash  # type: ignore[attr-defined]
 
     def __call__(self, a: Hashable) -> Grade:
-        return self.values[self._index[a]]  # type: ignore[attr-defined]
+        return self.values[self.carrier.index(a)]
 
     def as_frame_hom(self, frame: GradedFrame, chain: GradedFrame) -> FrameHom:
         return FrameHom(frame, chain, dict(zip(self.carrier, self.values)))
@@ -102,14 +102,14 @@ class PointHom:
 def ext_column(system: GradedSystem, a: Hashable) -> FuzzySet:
     """The extent of a carrier element: its satisfaction column as a fuzzy
     subset of the points."""
-    return FuzzySet(system.points,
-                    tuple(system.sat[(x, a)] for x in system.points.elements))
+    i = system.frame.view.index[a]
+    return FuzzySet(system.points, tuple(row[i] for row in system.rows))
 
 
 def ext_object(system: GradedSystem) -> GradedSpace:
     """Space of extents: one open per distinct satisfaction column."""
     return GradedSpace(system.points,
-                       canonical_opens(ext_column(system, a) for a in system.frame.carrier))
+                       canonical_opens(FuzzySet(system.points, col) for col in zip(*system.rows)))
 
 
 def ext_morphism(m: SystemMorphism) -> PointMap:
@@ -122,8 +122,7 @@ def j_object(space: GradedSpace) -> GradedSystem:
     """The system a space carries: membership read as satisfaction over the
     frame of opens."""
     frame = frame_from_space(space)
-    sat = {(x, t): t(x) for x in space.universe.elements for t in space.opens}
-    return GradedSystem(space.universe, frame, sat)
+    return GradedSystem(space.universe, frame, tuple(zip(*(t.grades for t in space.opens))))
 
 
 def j_morphism(f: PointMap, source: GradedSpace, target: GradedSpace) -> SystemMorphism:
@@ -272,9 +271,7 @@ def s_object(frame: GradedFrame, values: GradeSet) -> GradedSystem:
     points = enumerate_point_homs(frame, values)
     if not points:
         raise NoPoints(f"no homomorphisms into grades {[str(g) for g in values.grades]}")
-    universe = Universe(tuple(points))
-    sat = {(v, a): v(a) for v in points for a in frame.carrier}
-    return GradedSystem(universe, frame, sat)
+    return GradedSystem(Universe(tuple(points)), frame, tuple(p.values for p in points))
 
 
 def s_morphism(h: FrameHom, source: GradedSystem, target: GradedSystem) -> SystemMorphism:
@@ -282,10 +279,10 @@ def s_morphism(h: FrameHom, source: GradedSystem, target: GradedSystem) -> Syste
     of its target, to `target`, that of its source (over one grade set)."""
     if source.frame.carrier != h.target.carrier or target.frame.carrier != h.source.carrier:
         raise SchemaError("hom systems", "must be over the hom's target and source frames")
+    image = [h.target.view.index[h.map[b]] for b in h.source.carrier]
     images = []
-    for v in source.points.elements:
-        composed = PointHom(h.source.carrier,
-                            tuple(v(h.map[b]) for b in h.source.carrier))
+    for row in source.rows:
+        composed = PointHom(h.source.carrier, tuple(map(row.__getitem__, image)))
         if composed not in target.points:
             raise NoPoints("precomposition left the enumerated hom set")
         images.append(composed)
@@ -310,8 +307,7 @@ def unit_space(space: GradedSpace) -> PointMap:
 
 def point_evaluation(system: GradedSystem, x: Hashable) -> PointHom:
     """The satisfaction row of a point, as a grade-valued hom."""
-    return PointHom(system.frame.carrier,
-                    tuple(system.sat[(x, a)] for a in system.frame.carrier))
+    return PointHom(system.frame.carrier, system.rows[system.points.index(x)])
 
 
 def unit_system(system: GradedSystem, hom_system: GradedSystem) -> SystemMorphism:
@@ -322,8 +318,8 @@ def unit_system(system: GradedSystem, hom_system: GradedSystem) -> SystemMorphis
     `hom_system`, as any grade outside its grade set is."""
     if hom_system.frame.carrier != system.frame.carrier:
         raise SchemaError("hom system", "must be over the system's frame")
-    pool = set(hom_system.sat.values())
-    for g in system.sat.values():
+    pool = set(chain(*hom_system.rows))
+    for g in chain(*system.rows):
         if g not in pool:
             raise GradeSetTooSmall(f"satisfaction grade {g} is not in the grade set")
     images = []
@@ -488,7 +484,7 @@ def check_naturality(
     if adjunction == "fm-s":
         if isinstance(morphism, SystemMorphism):
             source, target = morphism.source, morphism.target
-            values = values or GradeSet.closure(set(source.sat.values()) | set(target.sat.values()))
+            values = values or GradeSet.closure(chain(*source.rows, *target.rows))
             source_homs, target_homs = _hom_systems(fm_morphism(morphism), values)
             lhs = compose_system_morphisms(morphism, unit_system(target, target_homs))
             rhs = compose_system_morphisms(

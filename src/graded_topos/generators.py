@@ -143,10 +143,10 @@ def generate_random_system(cfg: GeneratorConfig, index: int = 0, invalid: bool =
     if not invalid:
         return system
     rng = derived_rng(cfg, 5, index)
-    x = rng.choice(space.universe.elements)
-    sat = dict(system.sat)
-    sat[(x, system.frame.top)] = Fraction(1, 2)
-    return GradedSystem(system.points, system.frame, sat)
+    rows = [list(row) for row in system.rows]
+    x = space.universe.index(rng.choice(space.universe.elements))
+    rows[x][system.frame.view.top] = Fraction(1, 2)
+    return GradedSystem(system.points, system.frame, tuple(map(tuple, rows)))
 
 
 def generate_nonspatial_system(cfg: GeneratorConfig, index: int = 0) -> GradedSystem:
@@ -156,19 +156,15 @@ def generate_nonspatial_system(cfg: GeneratorConfig, index: int = 0) -> GradedSy
     for attempt in range(16):
         space = generate_random_space(cfg, index * 16 + attempt, max_opens=12, min_opens=3)
         system = j_object(space)
-        for x in space.universe.elements:
-            values = [t(x) for t in space.opens]
-            if len(set(values)) < len(values):
-                sub = Universe((x,))
-                sat = {(x, a): system.sat[(x, a)] for a in system.frame.carrier}
-                return GradedSystem(sub, system.frame, sat)
+        for x, row in zip(space.universe.elements, system.rows):
+            if len(set(row)) < len(row):
+                return GradedSystem(Universe((x,)), system.frame, (row,))
     # two opens agreeing at x1 by construction
     u = Universe(("x1", "x2"))
     half = Fraction(1, 2)
     space = generate_topology(u, [FuzzySet(u, (half, ZERO)), FuzzySet(u, (half, ONE))])
     system = j_object(space)
-    sat = {("x1", a): system.sat[("x1", a)] for a in system.frame.carrier}
-    return GradedSystem(Universe(("x1",)), system.frame, sat)
+    return GradedSystem(Universe(("x1",)), system.frame, system.rows[:1])
 
 
 def generate_random_interpretation(cfg: GeneratorConfig, index: int = 0) -> Interpretation:

@@ -285,7 +285,8 @@ def system_to_json(system: GradedSystem) -> dict:
         "frame": frame_json,
         "sat": {
             f"{point_names[x]},{carrier_names[a]}": format_grade(g)
-            for (x, a), g in system.sat.items()
+            for x, row in zip(system.points.elements, system.rows)
+            for a, g in zip(system.frame.carrier, row)
         },
     }
 
@@ -305,7 +306,7 @@ def system_from_json(obj: Any) -> GradedSystem:
         sat[(x, a)] = _grade(value, "sat")
     if len(sat) != len(points) * len(frame.carrier):
         raise SchemaError("sat", "table must be total on points x carrier")
-    return GradedSystem(points, frame, sat)
+    return GradedSystem.from_table(points, frame, sat)
 
 
 # --- interpretations and formulas --------------------------------------------

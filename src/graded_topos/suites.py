@@ -7,6 +7,7 @@ instantiates.
 
 from __future__ import annotations
 
+import itertools
 import time
 
 from .errors import SchemaError
@@ -105,10 +106,6 @@ def run_suite(name: str, cfg: GeneratorConfig, instances: int | None = None) -> 
     return collector.reports(elapsed_ms)
 
 
-def _witness(location: str, expected: str, actual: str) -> tuple[str, str, str]:
-    return (location, expected, actual)
-
-
 def _run_props(cfg: GeneratorConfig, count: int, rc: ReportCollector) -> None:
     for i in range(count):
         space = generate_random_space(cfg, i, max_opens=16)
@@ -118,12 +115,12 @@ def _run_props(cfg: GeneratorConfig, count: int, rc: ReportCollector) -> None:
             subject = f"props/{_GT_BY_AXIOM[f'axiom {k}']}"
             if bad is not None and bad.clause == f"axiom {k}":
                 rc.record(subject, False,
-                          _witness(f"space #{i}: {bad.witness}", "law holds", "violated"))
+                          (f"space #{i}: {bad.witness}", "law holds", "violated"))
             else:
                 rc.record(subject, True)
         if bad is not None and bad.clause not in _GT_BY_AXIOM:
             rc.record("props/space-frame structure", False,
-                      _witness(f"space #{i}", "semilattice", bad.clause))
+                      (f"space #{i}", "semilattice", bad.clause))
         ok10 = True
         for a in space.opens:
             for b in space.opens:
@@ -132,7 +129,7 @@ def _run_props(cfg: GeneratorConfig, count: int, rc: ReportCollector) -> None:
                     if min(ga, degree) > b(x):
                         ok10 = False
         rc.record("props/gt10", ok10,
-                  None if ok10 else _witness(f"space #{i}", "pointwise bound", "violated"))
+                  (f"space #{i}", "pointwise bound", "violated"))
 
     for j in range(count * 5 // 2):
         rng = derived_rng(cfg, 11, j)
@@ -144,14 +141,14 @@ def _run_props(cfg: GeneratorConfig, count: int, rc: ReportCollector) -> None:
         t2 = FuzzySet(source, tuple(rng.choice(cfg.grade_pool.grades) for _ in source.elements))
         ok = graded_inclusion(t1, t2) <= graded_inclusion(image(f, t1), image(f, t2))
         rc.record("props/ftres", ok,
-                  None if ok else _witness(f"triple #{j}", "monotone under image", "violated"))
+                  (f"triple #{j}", "monotone under image", "violated"))
         b1 = FuzzySet(target, tuple(rng.choice(cfg.grade_pool.grades) for _ in target.elements))
         b2 = FuzzySet(target, tuple(rng.choice(cfg.grade_pool.grades) for _ in target.elements))
         ok_hom = (preimage(f, union([b1, b2])) == union([preimage(f, b1), preimage(f, b2)])
                   and preimage(f, intersection(b1, b2))
                   == intersection(preimage(f, b1), preimage(f, b2)))
         rc.record("props/preimage-homomorphism", ok_hom,
-                  None if ok_hom else _witness(f"triple #{j}", "preimage commutes", "violated"))
+                  (f"triple #{j}", "preimage commutes", "violated"))
 
 
 def _run_frame_laws(cfg: GeneratorConfig, count: int, rc: ReportCollector) -> None:
@@ -160,21 +157,21 @@ def _run_frame_laws(cfg: GeneratorConfig, count: int, rc: ReportCollector) -> No
         frame = frame_from_space(space)
         bad = check_frame(frame)
         rc.record("frame-laws/Lemma 3.13g (opens form a graded frame)", bad is None,
-                  None if bad is None else _witness(f"space #{i}", "all nine axioms", str(bad)))
+                  (f"space #{i}", "all nine axioms", str(bad)))
         bad = check_frame_hom(FrameHom.identity(frame))
         rc.record("frame-laws/Def. Grfrm identity", bad is None,
-                  None if bad is None else _witness(f"space #{i}", "identity is a hom", str(bad)))
+                  (f"space #{i}", "identity is a hom", str(bad)))
         ok = (finite_meet(frame, []) == frame.top
               and all(finite_meet(frame, [a]) == a for a in frame.carrier)
               and all(finite_meet(frame, [a, b]) == frame.meet(a, b)
                       for a in frame.carrier for b in frame.carrier))
         rc.record("frame-laws/Def. gftsy finite meet fold", ok,
-                  None if ok else _witness(f"space #{i}", "fold of binary meet", "differs"))
+                  (f"space #{i}", "fold of binary meet", "differs"))
 
     chain = chain_frame(cfg.grade_pool.grades)
     bad = check_frame(chain)
     rc.record("frame-laws/Def. 3.16g grade chain", bad is None,
-              None if bad is None else _witness("grade chain", "all nine axioms", str(bad)))
+              ("grade chain", "all nine axioms", str(bad)))
 
     for i in range(max(1, count // 4)):
         f, g, first, middle, last = generate_continuous_chain(cfg, i)
@@ -183,7 +180,7 @@ def _run_frame_laws(cfg: GeneratorConfig, count: int, rc: ReportCollector) -> No
         composite = compose_frame_hom(hg, hf)
         bad = check_frame_hom(composite)
         rc.record("frame-laws/Prop. next (hom composition)", bad is None,
-                  None if bad is None else _witness(f"chain #{i}", "composite is a hom", str(bad)))
+                  (f"chain #{i}", "composite is a hom", str(bad)))
 
 
 def _run_system_laws(cfg: GeneratorConfig, count: int, rc: ReportCollector) -> None:
@@ -192,23 +189,22 @@ def _run_system_laws(cfg: GeneratorConfig, count: int, rc: ReportCollector) -> N
         system = j_object(space)
         bad = check_system(system)
         rc.record("system-laws/Lemma 3.13g (membership system)", bad is None,
-                  None if bad is None else _witness(f"space #{i}", "all three clauses", str(bad)))
+                  (f"space #{i}", "all three clauses", str(bad)))
         extent = ext_object(system)
         result = check_space(extent.universe, list(extent.opens))
         ok = isinstance(result, GradedSpace)
         rc.record("system-laws/Lemma 3.9g (extent space)", ok,
-                  None if ok else _witness(f"space #{i}", "extents form a topology", str(result)))
+                  (f"space #{i}", "extents form a topology", str(result)))
         bad = check_system_morphism(SystemMorphism.identity(system))
         rc.record("system-laws/Def. Grftsy identity", bad is None,
-                  None if bad is None else _witness(f"space #{i}", "identity morphism", str(bad)))
+                  (f"space #{i}", "identity morphism", str(bad)))
         spatial, pair = check_spatial(system)
         rc.record("system-laws/membership systems are spatial", spatial,
-                  None if spatial else _witness(f"space #{i}", "spatial", f"collision {pair}"))
-        ok = all(system.sat[(x, system.frame.top)] == ONE
-                 and system.sat[(x, system.frame.bottom)] == ZERO
-                 for x in system.points.elements)
+                  (f"space #{i}", "spatial", f"collision {pair}"))
+        view = system.frame.view
+        ok = all(row[view.top] == ONE and row[view.bottom] == ZERO for row in system.rows)
         rc.record("system-laws/Def. gftsy empty meet and join", ok,
-                  None if ok else _witness(f"space #{i}", "top 1 / bottom 0", "violated"))
+                  (f"space #{i}", "top 1 / bottom 0", "violated"))
 
     for i in range(max(1, count // 5)):
         nonspatial = generate_nonspatial_system(cfg, i)
@@ -216,11 +212,11 @@ def _run_system_laws(cfg: GeneratorConfig, count: int, rc: ReportCollector) -> N
         spatial, _ = check_spatial(nonspatial)
         ok = bad is None and not spatial
         rc.record("system-laws/point-restricted systems stay valid", ok,
-                  None if ok else _witness(f"restricted #{i}", "valid and non-spatial", str(bad)))
+                  (f"restricted #{i}", "valid and non-spatial", str(bad)))
         extent = ext_object(nonspatial)
         ok = len(extent.opens) < len(nonspatial.frame.carrier)
         rc.record("system-laws/Def. 3.8g extent deduplicates", ok,
-                  None if ok else _witness(f"restricted #{i}", "fewer opens than carrier", "not collapsed"))
+                  (f"restricted #{i}", "fewer opens than carrier", "not collapsed"))
 
     for i in range(max(1, count // 5)):
         space = generate_random_space(cfg, i + 7000, max_opens=min(5, cfg.max_carrier))
@@ -229,7 +225,7 @@ def _run_system_laws(cfg: GeneratorConfig, count: int, rc: ReportCollector) -> N
         hom_system = s_object(frame, values)
         bad = check_system(hom_system)
         rc.record("system-laws/Lemma 3.17g (hom system)", bad is None,
-                  None if bad is None else _witness(f"frame #{i}", "all three clauses", str(bad)))
+                  (f"frame #{i}", "all three clauses", str(bad)))
 
 
 def _run_functor_laws(cfg: GeneratorConfig, count: int, rc: ReportCollector) -> None:
@@ -238,18 +234,18 @@ def _run_functor_laws(cfg: GeneratorConfig, count: int, rc: ReportCollector) -> 
         m = j_morphism(f, source, target)
         bad = check_system_morphism(m)
         rc.record("functor-laws/Lemma 3.14g (lifted morphisms)", bad is None,
-                  None if bad is None else _witness(f"map #{i}", "morphism clauses", str(bad)))
+                  (f"map #{i}", "morphism clauses", str(bad)))
         pm = ext_morphism(m)
         source_extent = ext_object(m.source)
         target_extent = ext_object(m.target)
         cont = check_continuous(pm, source_extent, target_extent)
         rc.record("functor-laws/Lemma 3.10g (extent continuity)", cont is None,
-                  None if cont is None else _witness(f"map #{i}", "continuous", str(cont)))
+                  (f"map #{i}", "continuous", str(cont)))
         ok = all(
             preimage(pm, ext_column(m.target, b)) == ext_column(m.source, m.frame_hom.map[b])
             for b in m.target.frame.carrier)
         rc.record("functor-laws/Lemma 3.10g (preimage identity)", ok,
-                  None if ok else _witness(f"map #{i}", "preimage of extent", "differs"))
+                  (f"map #{i}", "preimage of extent", "differs"))
 
     for i in range(max(1, count // 5)):
         f, g, first, middle, last = generate_continuous_chain(cfg, i + 101)
@@ -260,25 +256,25 @@ def _run_functor_laws(cfg: GeneratorConfig, count: int, rc: ReportCollector) -> 
                                             j_morphism(g, middle, last))
         ok = system_morphisms_equal(direct, composed)
         rc.record("functor-laws/Def. 3.12g composites", ok,
-                  None if ok else _witness(f"chain #{i}", "lift of composite", "differs"))
+                  (f"chain #{i}", "lift of composite", "differs"))
         ok = (fm_morphism(composed).map == compose_frame_hom(
             fm_morphism(j_morphism(g, middle, last)),
             fm_morphism(j_morphism(f, first, middle))).map)
         rc.record("functor-laws/Def. 3.15g composites", ok,
-                  None if ok else _witness(f"chain #{i}", "projected composite", "differs"))
+                  (f"chain #{i}", "projected composite", "differs"))
 
         space = generate_random_space(cfg, i + 501, max_opens=4)
         sys_small = j_object(space)
         ident = j_morphism(PointMap.identity(space.universe), space, space)
         ok = system_morphisms_equal(ident, SystemMorphism.identity(sys_small))
         rc.record("functor-laws/Def. 3.12g identity", ok,
-                  None if ok else _witness(f"space #{i}", "lift of identity", "differs"))
+                  (f"space #{i}", "lift of identity", "differs"))
         values = GradeSet.for_system(sys_small)
         hom_system = s_object(sys_small.frame, values)
         lifted = s_morphism(FrameHom.identity(sys_small.frame), hom_system, hom_system)
         ok = system_morphisms_equal(lifted, SystemMorphism.identity(hom_system))
         rc.record("functor-laws/Def. 3.19g identity", ok,
-                  None if ok else _witness(f"space #{i}", "hom-system identity", "differs"))
+                  (f"space #{i}", "hom-system identity", "differs"))
 
 
 def _run_adjunction(cfg: GeneratorConfig, count: int, rc: ReportCollector) -> None:
@@ -286,33 +282,33 @@ def _run_adjunction(cfg: GeneratorConfig, count: int, rc: ReportCollector) -> No
         space = generate_random_space(cfg, i, max_opens=8)
         for law in check_triangle_identities("j-ext", space):
             rc.record("adjunction/Lemma 3.20g triangles", law.ok,
-                      None if law.ok else _witness(f"space #{i}: {law.name}", "identity", "differs"))
+                      (f"space #{i}: {law.name}", "identity", "differs"))
         extent = ext_object(j_object(space))
         ok = space_iso_check(unit_space(space), space, extent)
         rc.record("adjunction/Observation o2_g (unit iso)", ok,
-                  None if ok else _witness(f"space #{i}", "iso", "not an iso"))
+                  (f"space #{i}", "iso", "not an iso"))
         system = j_object(space)
         ok = check_spatial_equivalence(system)
         rc.record("adjunction/Theorem equigft (spatial instances)", ok,
-                  None if ok else _witness(f"space #{i}", "spatial iff counit iso", "differs"))
+                  (f"space #{i}", "spatial iff counit iso", "differs"))
 
         f, source, target = generate_random_continuous_map(cfg, i + 301, max_opens=8)
         for law in check_naturality("j-ext", (f, source, target)):
             rc.record("adjunction/Lemma 3.20g unit naturality", law.ok,
-                      None if law.ok else _witness(f"map #{i}", "square commutes", "differs"))
+                      (f"map #{i}", "square commutes", "differs"))
         m = j_morphism(f, source, target)
         for law in check_naturality("j-ext", m):
             rc.record("adjunction/Lemma 3.20g counit naturality", law.ok,
-                      None if law.ok else _witness(f"map #{i}", "square commutes", "differs"))
+                      (f"map #{i}", "square commutes", "differs"))
 
     for i in range(max(10, count // 5)):
         nonspatial = generate_nonspatial_system(cfg, i)
         iso = system_iso_check(counit(nonspatial))
         rc.record("adjunction/Observation o1_g (non-spatial counit)", not iso,
-                  None if not iso else _witness(f"system #{i}", "not an iso", "iso"))
+                  (f"system #{i}", "not an iso", "iso"))
         ok = check_spatial_equivalence(nonspatial)
         rc.record("adjunction/Theorem equigft (non-spatial instances)", ok,
-                  None if ok else _witness(f"system #{i}", "spatial iff counit iso", "differs"))
+                  (f"system #{i}", "spatial iff counit iso", "differs"))
 
     for i in range(max(1, count // 2)):
         space = generate_random_space(cfg, i + 900, max_opens=min(5, cfg.max_carrier))
@@ -321,35 +317,35 @@ def _run_adjunction(cfg: GeneratorConfig, count: int, rc: ReportCollector) -> No
         values = GradeSet.for_system(system)
         for law in check_triangle_identities("fm-s", frame, values):
             rc.record("adjunction/Lemma 3.22g triangles", law.ok,
-                      None if law.ok else _witness(f"frame #{i}: {law.name}", "identity", "differs"))
+                      (f"frame #{i}: {law.name}", "identity", "differs"))
         chain = chain_frame(values.grades)
         ok = all(
             check_frame_hom(point_evaluation(system, x).as_frame_hom(frame, chain)) is None
             for x in system.points.elements)
         rc.record("adjunction/Lemma 3.22g unit homs", ok,
-                  None if ok else _witness(f"frame #{i}", "rows are homs", "violated"))
+                  (f"frame #{i}", "rows are homs", "violated"))
 
         f2, src2, tgt2 = generate_random_continuous_map(cfg, i + 1300, max_opens=min(5, cfg.max_carrier))
         m2 = j_morphism(f2, src2, tgt2)
-        values2 = GradeSet.closure(set(m2.source.sat.values()) | set(m2.target.sat.values()))
+        values2 = GradeSet.closure(itertools.chain(*m2.source.rows, *m2.target.rows))
         lifted = s_morphism(fm_morphism(m2), s_object(m2.source.frame, values2),
                             s_object(m2.target.frame, values2))
         bad = check_system_morphism(lifted)
         rc.record("adjunction/Lemma 3.18g (precomposition)", bad is None,
-                  None if bad is None else _witness(f"map #{i}", "morphism clauses", str(bad)))
+                  (f"map #{i}", "morphism clauses", str(bad)))
         for law in check_naturality("fm-s", m2, values2):
             rc.record("adjunction/Lemma 3.22g unit naturality", law.ok,
-                      None if law.ok else _witness(f"map #{i}", "square commutes", "differs"))
+                      (f"map #{i}", "square commutes", "differs"))
         for law in check_naturality("fm-s", fm_morphism(m2), values2):
             rc.record("adjunction/Lemma 3.22g counit naturality", law.ok,
-                      None if law.ok else _witness(f"map #{i}", "square commutes", "differs"))
+                      (f"map #{i}", "square commutes", "differs"))
 
     for i in range(max(1, count // 2)):
         space = generate_random_space(cfg, i + 2100, max_opens=min(5, cfg.max_carrier))
         values = GradeSet.for_system(j_object(space))
         for law in check_triangle_identities("composite", space, values):
             rc.record("adjunction/Theorem 3.25g composite triangles", law.ok,
-                      None if law.ok else _witness(f"space #{i}: {law.name}", "identity", "differs"))
+                      (f"space #{i}: {law.name}", "identity", "differs"))
 
 
 def _run_theorem2(cfg: GeneratorConfig, count: int, rc: ReportCollector) -> None:
@@ -358,4 +354,4 @@ def _run_theorem2(cfg: GeneratorConfig, count: int, rc: ReportCollector) -> None
         pool = generate_formula_pool(cfg, i, interp)
         for law in theorem2_suite(interp, pool):
             rc.record(f"theorem2/{law.name}", law.ok,
-                      None if law.ok else _witness(f"instance #{i}", "clause holds", law.detail))
+                      (f"instance #{i}", "clause holds", law.detail))

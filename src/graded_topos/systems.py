@@ -1,10 +1,10 @@
 """Graded fuzzy topological systems and their morphisms.
 
-A system pairs a point set with a graded frame through a grade-valued
-satisfaction table. The three compatibility clauses are checked exactly at
-every size. Clause 2 only needs the empty set, singletons and pairs once the
-meet is a verified semilattice, because larger finite meets are folds of
-binary ones. Clause 3 runs over the masks of the view the frame stores
+A system pairs a point set with a graded frame through grade-valued
+satisfaction rows, one per point, aligned with the frame carrier. The
+three compatibility clauses are checked exactly at every size. Clause 2
+only needs the empty set, singletons and pairs once the meet is a verified
+semilattice, because larger finite meets are folds of binary ones. Clause 3 runs over the masks of the view the frame stores
 (`FrameView.masks`). They are the empty set, singletons and pairs for a
 frame built in memory, which holds only those joins, and for a table frame
 that passes the lowest-member fold (c below is the lowest member of
@@ -30,10 +30,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 from typing import Hashable, Mapping
 
 from .checks import Violation, mask_steps
-from .errors import EmptyPoints, MixedStructure, SchemaError
+from .errors import MixedStructure, SchemaError
 from .frames import (FrameHom, FrameView, GradedFrame, _show, check_frame_hom, compose_frame_hom,
                      same_frame)
 from .fuzzy_sets import PointMap, Universe, compose_point_maps
@@ -43,37 +45,52 @@ from .ranks import Ranks, cuts_of
 
 @dataclass(frozen=True, eq=False)
 class GradedSystem:
-    """Points, a graded frame, and the satisfaction table point x carrier."""
+    """Points, a graded frame, and one row of satisfaction grades per point,
+    aligned with the frame carrier as `FuzzySet.grades` is with its universe."""
 
     points: Universe
     frame: GradedFrame
-    sat: Mapping[tuple[Hashable, Hashable], Grade]
+    rows: tuple[tuple[Grade, ...], ...]
 
     def __post_init__(self) -> None:
-        if len(self.points) == 0:
-            raise EmptyPoints("a system needs at least one point")
-        for x in self.points.elements:
-            for a in self.frame.carrier:
-                if (x, a) not in self.sat:
-                    raise SchemaError("sat", f"missing entry for ({_show(x)}, {_show(a)})")
+        if len(self.rows) != len(self.points) or any(len(row) != len(self.frame) for row in self.rows):
+            raise SchemaError("rows", "must be one row per point, each total on the carrier")
+
+    @classmethod
+    def from_table(cls, points: Universe, frame: GradedFrame,
+                   sat: Mapping[tuple[Hashable, Hashable], Grade]) -> GradedSystem:
+        """The system of a table keyed by (point, carrier element), which
+        must hold every pair."""
+        try:
+            return cls(points, frame, tuple(tuple(sat[(x, a)] for a in frame.carrier)
+                                            for x in points.elements))
+        except KeyError as exc:
+            x, a = exc.args[0]
+            raise SchemaError("sat", f"missing entry for ({_show(x)}, {_show(a)})") from None
+
+    @cached_property
+    def sat(self) -> Mapping[tuple[Hashable, Hashable], Grade]:
+        """The grade of every (point, carrier element), read-only, decoded on first read."""
+        items = self.frame.carrier
+        return MappingProxyType({(x, a): g for x, row in zip(self.points.elements, self.rows)
+                                 for a, g in zip(items, row)})
 
 
 def check_system(system: GradedSystem) -> Violation | None:
-    """Verify the three system clauses against the (already structural)
-    satisfaction table; returns the first violation, or None."""
+    """Verify the three system clauses against the satisfaction rows;
+    returns the first violation, or None."""
     items, v = system.frame.carrier, system.frame.view
     n = len(items)
     xs = system.points.elements
-    ranks = Ranks(itertools.chain(v.grades, system.sat.values()))
+    ranks = Ranks(itertools.chain(v.grades, *system.rows))
     lift = ranks.code(v.grades)
     rel = [[lift[r] for r in row] for row in v.rel]
-    sat = [ranks.code(system.sat[(x, a)] for a in items) for x in xs]
+    sat = list(map(ranks.code, system.rows))
     meet_idx, top, one = v.meet, v.top, ranks.top
     rows = [cuts_of(row, one) for row in rel]
     levels = [(1 << r * n) - 1 for r in range(one + 1)]  # the bits of levels 1..r
 
-    for xi, x in enumerate(xs):
-        row = sat[xi]
+    for x, row in zip(xs, sat):
         if row[top] != one:
             return Violation("system", "clause 2",
                              f"satisfaction of the top at {_show(x)} is {ranks.grades[row[top]]}, not 1 (empty meet)")
@@ -93,8 +110,7 @@ def check_system(system: GradedSystem) -> Violation | None:
         if None in joins:
             return Violation("system", "clause 3",
                              f"join of mask {masks[joins.index(None)]:b} is outside the carrier")
-        for xi, x in enumerate(xs):
-            row = sat[xi]
+        for x, row in zip(xs, sat):
             if row[joins[0]] != 0:
                 return Violation("system", "clause 3", f"({_show(x)}, empty subset)")
             upper = [0] * len(masks)
@@ -124,8 +140,7 @@ def check_spatial(system: GradedSystem) -> tuple[bool, tuple[Hashable, Hashable]
     """A system is spatial when distinct carrier elements are distinguished
     by some point. Returns (True, None) or (False, indistinguishable pair)."""
     columns: dict[tuple[Grade, ...], Hashable] = {}
-    for a in system.frame.carrier:
-        col = tuple(system.sat[(x, a)] for x in system.points.elements)
+    for a, col in zip(system.frame.carrier, zip(*system.rows)):
         if col in columns:
             return False, (columns[col], a)
         columns[col] = a
@@ -160,12 +175,11 @@ def check_system_morphism(m: SystemMorphism) -> Violation | None:
     bad = check_frame_hom(m.frame_hom)
     if bad is not None:
         return bad
-    for x in m.source.points.elements:
-        fx = m.point_map(x)
-        for b in m.target.frame.carrier:
-            if m.source.sat[(x, m.frame_hom.map[b])] != m.target.sat[(fx, b)]:
-                return Violation("system-morphism", "clause (iii)",
-                                 f"({_show(x)}, {_show(b)})")
+    image = [m.source.frame.view.index[m.frame_hom.map[b]] for b in m.target.frame.carrier]
+    for x, row, fx in zip(m.source.points.elements, m.source.rows, m.point_map.images):
+        for b, i, g in zip(m.target.frame.carrier, image, m.target.rows[m.target.points.index(fx)]):
+            if row[i] != g:
+                return Violation("system-morphism", "clause (iii)", f"({_show(x)}, {_show(b)})")
     return None
 
 
@@ -174,7 +188,7 @@ def compose_system_morphisms(f: SystemMorphism, g: SystemMorphism) -> SystemMorp
     if f.target is not g.source and not (
         f.target.points == g.source.points
         and same_frame(f.target.frame, g.source.frame)
-        and dict(f.target.sat) == dict(g.source.sat)
+        and f.target.rows == g.source.rows
     ):
         raise MixedStructure("composition endpoints do not match")
     return SystemMorphism(

@@ -12,7 +12,6 @@ manifest.json.
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 from fractions import Fraction as F
 from itertools import chain, combinations
 from pathlib import Path
@@ -156,7 +155,8 @@ def main() -> None:
     rel = dict(good3.relation)
     rel[("g2", "g0")] = F(1, 2)  # above the arrow, breaks the chain through g0
     rel[("g2", "g1")] = F(0)
-    bad3 = replace(good3, relation=rel)
+    bad3 = GradedFrame.from_masks(good3.carrier, good3.top, good3.meet_table,
+                                  {m: good3.carrier[j] for m, j in enumerate(good3.join_table)}, rel)
     invalid("frame_transitivity.json", "frame", "axiom 3", saver=save_frame, value=bad3)
 
     diamond_carrier = ("bot", "a", "b", "top")
@@ -197,16 +197,16 @@ def main() -> None:
     points = Universe.of("x1")
     invalid("system_top_grade.json", "system", "clause 2",
             saver=save_system,
-            value=GradedSystem(points, two_chain(),
-                               {("x1", "bot"): F(0), ("x1", "top"): F(1, 2)}))
+            value=GradedSystem.from_table(points, two_chain(),
+                                          {("x1", "bot"): F(0), ("x1", "top"): F(1, 2)}))
     invalid("system_modus_ponens.json", "system", "clause 1",
             saver=save_system,
-            value=GradedSystem(points, three_chain(),
-                               {("x1", "g0"): F(0), ("x1", "g1"): F(0), ("x1", "g2"): F(1)}))
+            value=GradedSystem.from_table(points, three_chain(),
+                                          {("x1", "g0"): F(0), ("x1", "g1"): F(0), ("x1", "g2"): F(1)}))
     invalid("system_empty_join.json", "system", "clause 3",
             saver=save_system,
-            value=GradedSystem(points, two_chain(),
-                               {("x1", "bot"): F(1, 2), ("x1", "top"): F(1)}))
+            value=GradedSystem.from_table(points, two_chain(),
+                                          {("x1", "bot"): F(1, 2), ("x1", "top"): F(1)}))
 
     # --- schema-level rejects (loading raises)
     invalid("fuzzy_set_grade_range.json", "fuzzy_set", "schema",

@@ -97,8 +97,8 @@ def by_loops(check, *args):
 def system(frame, rows):
     """Points p0, p1, ... with the satisfaction rows `rows`, maps from the carrier."""
     points = Universe(tuple(f"p{i}" for i in range(len(rows))))
-    return GradedSystem(points, frame, {(x, a): row[a] for x, row in zip(points.elements, rows)
-                                        for a in frame.carrier})
+    return GradedSystem.from_table(points, frame, {(x, a): row[a] for x, row in zip(points.elements, rows)
+                                                   for a in frame.carrier})
 
 
 def step(n, i):

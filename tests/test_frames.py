@@ -304,7 +304,7 @@ def test_planted_joins_of_three_or_more_elements_are_named_on_every_subset(opens
     assert frame.view.masks == list(range(1 << opens))
     assert str(check_frame(frame)) == frame_witness
     row = _first_row_seeing(frame, key)
-    system = GradedSystem(Universe.of("p"), frame, {("p", a): g for a, g in row.items()})
+    system = GradedSystem.from_table(Universe.of("p"), frame, {("p", a): g for a, g in row.items()})
     assert str(check_system(system)) == system_witness
     chain = chain_frame((ZERO, F(1, 2), ONE))
     assert str(check_frame_hom(FrameHom(frame, chain, row))) == hom_witness
@@ -326,7 +326,7 @@ def test_a_violation_on_the_pairs_of_a_folding_table_is_named_on_every_subset():
     assert frame.view.masks == pair_masks(8)
     assert str(check_frame(frame)) == "frame: axiom 8 violated at target 'e6', subset mask 101010"
     row = dict(zip(frame.carrier, (ZERO, ZERO, F(1, 2), F(1, 2), ONE, F(1, 2), F(1, 2), ONE)))
-    system = GradedSystem(Universe.of("p"), frame, {("p", a): g for a, g in row.items()})
+    system = GradedSystem.from_table(Universe.of("p"), frame, {("p", a): g for a, g in row.items()})
     assert str(check_system(system)) == "system: clause 3 violated at ('p', subset mask 101010)"
     chain = chain_frame((ZERO, F(1, 2), ONE))
     assert (str(check_frame_hom(FrameHom(frame, chain, row)))

@@ -339,8 +339,8 @@ def test_checkers_match_the_brute_force_oracles_on_invalid_frames():
                 rows[-1][rng.randrange(len(frame.carrier))] = rng.choice(QUARTERS.grades)
             rows.append([rng.choice(QUARTERS.grades) for _ in frame.carrier])
             for row in rows:
-                system = GradedSystem(Universe.of("p"), frame,
-                                      {("p", a): g for a, g in zip(frame.carrier, row)})
+                system = GradedSystem.from_table(Universe.of("p"), frame,
+                                                 {("p", a): g for a, g in zip(frame.carrier, row)})
                 bad = check_system(system)
                 assert (bad is None) == (brute_system_violation(system) is None)
                 verdicts[kind, "system", bad and bad.clause] += 1
@@ -426,7 +426,7 @@ def _checker_verdicts(frame, rows, endo, grade_map=lambda g: g):
     label = dict(zip(QUARTERS.grades, chain.carrier))
     verdicts = [check_frame(frame)]
     for row in rows:
-        system = GradedSystem(Universe.of("p"), frame, {("p", a): grade_map(g) for a, g in row.items()})
+        system = GradedSystem.from_table(Universe.of("p"), frame, {("p", a): grade_map(g) for a, g in row.items()})
         bad = check_system(system)
         verdicts.append(bad and Violation(bad.check, bad.clause, bad.witness.replace(
             f" is {grade_map(row[frame.top])}, ", " is <grade>, ")))

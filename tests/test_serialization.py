@@ -165,6 +165,23 @@ def test_hom_system_serializes_and_revalidates():
     assert len(loaded.points) == len(system.points)
 
 
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("system_*.json")) + sorted(INVALID.glob("system_*.json")),
+                         ids=lambda p: p.name)
+def test_system_fixtures_round_trip_byte_identically(path):
+    system = load_system(path)
+    assert dumps_canonical(system_to_json(system)) == path.read_text()
+    assert system_from_json(system_to_json(system)).rows == system.rows
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_computed_systems_round_trip_byte_identically(seed):
+    space = generate_random_space(GeneratorConfig(seed=seed), 0, max_opens=5)
+    membership = j_object(space)
+    for system in (membership, s_object(membership.frame, GradeSet.for_system(membership))):
+        text = dumps_canonical(system_to_json(system))
+        assert dumps_canonical(system_to_json(system_from_json(json.loads(text)))) == text
+
+
 def test_system_sat_totality_is_enforced():
     payload = json.loads((FIXTURES / "system_membership.json").read_text())
     key = sorted(payload["sat"])[0]

@@ -3,7 +3,8 @@ outside: module functions, `GradedFrame.join_fn`, `checks.subset_regime`
 and the CLI's `main` per verb. This runs it over one op of the `frames`
 workload, one of the `homs` workload and one CLI `functor j` request, so a
 rename of a name it wraps fails here and not only in a traced benchmark
-run."""
+run, and a function that stops calling another through its module name
+shows as a missing call."""
 
 import sys
 from fractions import Fraction
@@ -11,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from graded_topos import cli, frames, functors
+from graded_topos import cli, frames, functors, systems
+from graded_topos.fuzzy_sets import PointMap
 from graded_topos.generators import GeneratorConfig, generate_random_space
 from graded_topos.serialization import save_space
 
@@ -23,7 +25,7 @@ from tracer import Tracer  # noqa: E402
 def tracer():
     """An installed tracer; uninstalled after the test, which must leave
     every name it wrapped as it was."""
-    before = {module: dict(vars(module)) for module in (frames, functors, cli)}
+    before = {module: dict(vars(module)) for module in (frames, functors, systems, cli)}
     compare = Fraction.__lt__
     tracer = Tracer()
     tracer.install()
@@ -37,12 +39,24 @@ def tracer():
 
 
 def test_the_tracer_wraps_one_frames_op_and_unwraps_it(tracer):
+    # the body of a valid `frames` op (perfbench/workloads.py), then a frame hom check
     space = generate_random_space(GeneratorConfig(seed=0), 0, max_opens=8)
     frame = frames.frame_from_space(space)
     assert frames.check_frame(frame) is None
+    system = functors.j_object(space)
+    assert systems.check_system(system) is None
+    morphism = functors.j_morphism(PointMap.identity(space.universe), space, space)
+    assert systems.check_system_morphism(morphism) is None
+    assert functors.ext_object(system).opens == space.opens
     assert frames.check_frame_hom(frames.FrameHom.identity(frame)) is None
-    for name in ("frame_from_space", "check_frame", "check_frame_hom"):
-        assert tracer.calls[f"frames.{name}"] == 1
+    # j_object builds a frame, and j_morphism one system of the space; the
+    # morphism check runs check_frame_hom on its frame component
+    assert tracer.calls["frames.frame_from_space"] == 3
+    assert tracer.calls["functors.j_object"] == 2
+    assert tracer.calls["frames.check_frame_hom"] == 2
+    for name in ("frames.check_frame", "systems.check_system", "functors.j_morphism",
+                 "systems.check_system_morphism", "functors.ext_object"):
+        assert tracer.calls[name] == 1, name
     assert tracer.counts["frames.checked"] == 1
     assert frame.join_fn(frozenset()) == frame.bottom
 
@@ -64,7 +78,8 @@ def test_the_tracer_wraps_one_homs_op(tracer):
     assert tracer.counts["functors.fm_s_triangle_checks"] == 1
     assert tracer.counts["functors.homs_found"] >= len(points)
     for name in ("functors.enumerate_point_homs", "functors.j_object", "functors.s_object",
-                 "functors.counit", "functors.unit_system", "frames.check_frame_hom"):
+                 "functors.s_morphism", "functors.counit", "functors.unit_system",
+                 "systems.compose_system_morphisms", "frames.check_frame_hom"):
         assert tracer.calls[name] >= 1, name
 
 
