@@ -23,10 +23,9 @@ morphism still comes from its own builder, so no law holds by construction.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
-from typing import Hashable, Iterable
+from typing import Hashable, Iterable, Sequence
 
 from .checks import LawReport
 from .errors import GradeSetTooSmall, NoPoints, NotContinuous, Overflow, SchemaError
@@ -87,7 +86,24 @@ class PointHom:
     def __post_init__(self) -> None:
         if len(self.carrier) != len(self.values):
             raise SchemaError("values", "must be total on the carrier")
-        object.__setattr__(self, "_hash", hash((self.carrier, self.values)))
+        self._hashed(tuple(map(hash, self.values)))
+
+    def _hashed(self, hashes: tuple[int, ...]) -> "PointHom":
+        # hash((carrier, hashes)) == hash((carrier, values)): a tuple hashes
+        # its items' hashes, and hash(h) == h for a hash value h
+        object.__setattr__(self, "_hashes", hashes)
+        object.__setattr__(self, "_hash", hash((self.carrier, hashes)))
+        return self
+
+    @classmethod
+    def _read(cls, carrier: tuple[Hashable, ...], positions: Sequence[int],
+              values: tuple[Grade, ...], hashes: tuple[int, ...]) -> "PointHom":
+        """The hom on `carrier` whose value at k is values[positions[k]],
+        hashed from hashes[positions[k]]; unchecked, and no grade is hashed."""
+        hom = object.__new__(cls)
+        object.__setattr__(hom, "carrier", carrier)
+        object.__setattr__(hom, "values", tuple(map(values.__getitem__, positions)))
+        return hom._hashed(tuple(map(hashes.__getitem__, positions)))
 
     def __hash__(self) -> int:
         return self._hash  # type: ignore[attr-defined]
@@ -128,11 +144,17 @@ def j_object(space: GradedSpace) -> GradedSystem:
 def j_morphism(f: PointMap, source: GradedSpace, target: GradedSpace) -> SystemMorphism:
     """Pair a continuous map with its preimage homomorphism. A map from a
     space to itself gets the one system of that space at both ends."""
+    source_sys = j_object(source)
+    target_sys = source_sys if target is source else j_object(target)
+    return _lifted(f, source, target, source_sys, target_sys)
+
+
+def _lifted(f: PointMap, source: GradedSpace, target: GradedSpace,
+            source_sys: GradedSystem, target_sys: GradedSystem) -> SystemMorphism:
+    """j_morphism between built systems, j(source) and j(target)."""
     bad = check_continuous(f, source, target)
     if bad is not None:
         raise NotContinuous(str(bad))
-    source_sys = j_object(source)
-    target_sys = source_sys if target is source else j_object(target)
     hom = FrameHom(target_sys.frame, source_sys.frame,
                    {t: preimage(f, t) for t in target.opens})
     return SystemMorphism(source_sys, target_sys, f, hom)
@@ -190,9 +212,14 @@ def enumerate_point_homs(frame: GradedFrame, values: GradeSet) -> list[PointHom]
 
     # bound[(i, j)] = b is violated when rank[i] > rank[j] < b. Relation
     # preservation fails exactly when v_i > v_j and rel(i, j) > v_j, and
-    # rel(i, j) > grades[r] exactly when r < bisect_left(grades, rel(i, j)),
-    # taken once per frame rank; b = len(grades) makes it rank[i] <= rank[j].
-    above = [bisect_left(grades, g) for g in view.grades]
+    # rel(i, j) > grades[r] exactly when r < the number of grades below
+    # rel(i, j), counted once per frame rank by merging the two sorted
+    # lists; b = len(grades) makes it rank[i] <= rank[j].
+    above, below = [], 0
+    for g in view.grades:
+        while below < len(grades) and grades[below] < g:
+            below += 1
+        above.append(below)
     bound = {(i, j): above[view.rel[i][j]] for i in range(n) for j in range(n) if i != j}
 
     def at_most(i: int, j: int) -> None:
@@ -245,7 +272,7 @@ def enumerate_point_homs(frame: GradedFrame, values: GradeSet) -> list[PointHom]
     def search(d: int) -> None:
         nonlocal tries
         if d == len(rels):
-            found.append(PointHom(items, tuple(grades[r] for r in rank)))
+            found.append(tuple(rank))
             return
         tries += len(grades)
         if tries > HOM_SEARCH_CAP:
@@ -258,8 +285,9 @@ def enumerate_point_homs(frame: GradedFrame, values: GradeSet) -> list[PointHom]
 
     if holds(0):
         search(1)
-    found.sort(key=lambda p: p.values)
-    return found
+    found.sort()  # rank order is value order
+    hashes = tuple(map(hash, grades))
+    return [PointHom._read(items, r, grades, hashes) for r in found]
 
 
 def s_object(frame: GradedFrame, values: GradeSet) -> GradedSystem:
@@ -281,8 +309,8 @@ def s_morphism(h: FrameHom, source: GradedSystem, target: GradedSystem) -> Syste
         raise SchemaError("hom systems", "must be over the hom's target and source frames")
     image = [h.target.view.index[h.map[b]] for b in h.source.carrier]
     images = []
-    for row in source.rows:
-        composed = PointHom(h.source.carrier, tuple(map(row.__getitem__, image)))
+    for p in source.points.elements:
+        composed = PointHom._read(h.source.carrier, image, p.values, p._hashes)  # type: ignore[attr-defined]
         if composed not in target.points:
             raise NoPoints("precomposition left the enumerated hom set")
         images.append(composed)
@@ -318,14 +346,16 @@ def unit_system(system: GradedSystem, hom_system: GradedSystem) -> SystemMorphis
     `hom_system`, as any grade outside its grade set is."""
     if hom_system.frame.carrier != system.frame.carrier:
         raise SchemaError("hom system", "must be over the system's frame")
-    pool = set(chain(*hom_system.rows))
-    for g in chain(*system.rows):
-        if g not in pool:
-            raise GradeSetTooSmall(f"satisfaction grade {g} is not in the grade set")
     images = []
     for x in system.points.elements:
         p = point_evaluation(system, x)
         if p not in hom_system.points:
+            # every grade of an enumerated hom is in the pool, so the pool is
+            # read only here, over every row, before the row is blamed
+            pool = set(chain(*hom_system.rows))
+            for g in chain(*system.rows):
+                if g not in pool:
+                    raise GradeSetTooSmall(f"satisfaction grade {g} is not in the grade set")
             raise NoPoints("a satisfaction row is not an enumerated hom")
         images.append(p)
     pm = PointMap(system.points, hom_system.points, tuple(images))
@@ -441,9 +471,12 @@ def _composite_triangles(space: GradedSpace, space_unit: SystemMorphism, space_c
                          extent_unit: SystemMorphism, frame_counit: SystemMorphism) -> tuple[LawReport, ...]:
     """The composite triangles at a space X and a frame F, from the fm-s unit
     at j(X), the j-ext counit at S(O X), the j-ext counit at S(F) and the
-    fm-s unit at that counit's source, j of F's extent space."""
+    fm-s unit at that counit's source, j of F's extent space. The unit is
+    lifted between the systems already built: the fm-s unit's source and
+    the j-ext counit's source."""
     unit = compose_point_maps(unit_space(space), ext_morphism(space_unit))
-    lifted_unit = j_morphism(unit, space, ext_object(space_counit.target))
+    lifted_unit = _lifted(unit, space, ext_object(space_counit.target),
+                          space_unit.source, space_counit.source)
     at_space = compose_frame_hom(space_counit.frame_hom, lifted_unit.frame_hom)
     extent_unit_pm = compose_point_maps(unit_space(ext_object(frame_counit.target)),
                                         ext_morphism(extent_unit))

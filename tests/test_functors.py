@@ -142,6 +142,9 @@ def test_lifting_requires_continuity():
     poor = generate_topology(u, [])
     with pytest.raises(NotContinuous):
         j_morphism(PointMap.identity(u), poor, rich)
+    # the law checks lift maps between systems they have built
+    with pytest.raises(NotContinuous):
+        functors._lifted(PointMap.identity(u), poor, rich, j_object(poor), j_object(rich))
 
 
 def test_lifted_identity_is_the_identity_morphism():
@@ -397,9 +400,11 @@ def test_enumeration_is_invariant_under_carrier_permutation():
         if shuffled == list(frame.carrier):
             shuffled.reverse()
         permuted = _tabled(frame, order=shuffled)
-        as_maps = [{frozenset(zip(p.carrier, p.values)) for p in enumerate_point_homs(f, values)}
-                   for f in (base, permuted)]
+        homs = [enumerate_point_homs(f, values) for f in (base, permuted)]
+        as_maps = [{frozenset(zip(p.carrier, p.values)) for p in found} for found in homs]
         assert as_maps[0] == as_maps[1]
+        # in value order whatever the carrier order; the search's own order is not
+        assert all([p.values for p in found] == sorted(p.values for p in found) for found in homs)
 
 
 def test_enumeration_commutes_with_monotone_grade_relabelling():
@@ -621,6 +626,55 @@ def test_unit_system_rows_and_grade_set_guard():
             unit_system(system, s_object(system.frame, GradeSet.closure([])))
 
 
+def _two_point_frame():
+    """The frame of the discrete two-point space, whose homs into {0, 1}
+    are its two points' rows."""
+    u = Universe.of("x1", "x2")
+    return frame_from_space(generate_topology(u, [FuzzySet(u, (ONE, ZERO)), FuzzySet(u, (ZERO, ONE))]))
+
+
+def test_unit_system_blames_the_grade_set_before_a_row_with_pooled_grades():
+    frame = _two_point_frame()
+    hom_system = s_object(frame, GradeSet.closure([]))
+    pooled = (ZERO,) * len(frame)  # grades of the pool, but the top is not at 1
+    outside = tuple(HALF if a == frame.top else ZERO for a in frame.carrier)
+    for rows in ((pooled, outside), (outside, pooled)):
+        with pytest.raises(GradeSetTooSmall, match="1/2"):
+            unit_system(GradedSystem(Universe.of("p", "q"), frame, rows), hom_system)
+    with pytest.raises(NoPoints):
+        unit_system(GradedSystem(Universe.of("p"), frame, (pooled,)), hom_system)
+
+
+def test_unit_system_outcome_on_random_rows():
+    # GradeSetTooSmall when any grade is taken by no hom, else NoPoints when
+    # any row is not a hom, else each point goes to its row
+    rng = random.Random(3)
+    frame = _two_point_frame()
+    hom_system = s_object(frame, GradeSet.closure([]))
+    homs = {p.values for p in hom_system.points.elements}
+    outcomes = collections.Counter()
+    for _ in range(300):
+        points = Universe(tuple(f"p{i}" for i in range(rng.randint(1, 3))))
+        rows = tuple(tuple(rng.choice((ZERO, ZERO, HALF, ONE, ONE)) for _ in frame.carrier)
+                     if rng.random() < 0.5 else rng.choice(sorted(homs)) for _ in points.elements)
+        if any(g == HALF for row in rows for g in row):
+            expected = GradeSetTooSmall
+        elif any(row not in homs for row in rows):
+            expected = NoPoints
+        else:
+            expected = None
+        try:
+            unit = unit_system(GradedSystem(points, frame, rows), hom_system)
+        except (GradeSetTooSmall, NoPoints) as err:
+            got = type(err)
+        else:
+            got = None
+            assert [p.values for p in unit.point_map.images] == list(rows)
+        assert got is expected
+        outcomes[expected] += 1
+    assert len(outcomes) == 3
+
+
 def test_unit_system_injectivity_depends_on_separation():
     u = Universe.of("x1", "x2")
     # indiscrete: both points have the same satisfaction row
@@ -739,6 +793,34 @@ def test_law_checks_enumerate_each_hom_system_once(seed, monkeypatch):
         assert len(calls) == expected
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_the_composite_triangles_at_a_space_build_two_frames(seed, monkeypatch):
+    """j(X) and j of the extent space of S(O X) are built once each and
+    handed to the lifted unit; lifting through systems built again, as
+    j_morphism builds them, gives the same reports from four frames."""
+    space = small_space(seed, max_opens=5)
+    values = GradeSet.for_system(j_object(space))
+    calls = []
+
+    def counted(space):
+        calls.append(space)
+        return frame_from_space(space)
+
+    monkeypatch.setattr(functors, "frame_from_space", counted)
+    laws = check_triangle_identities("composite", space, values)
+    assert len(laws) == 2 and all(law.ok for law in laws)
+    assert len(calls) == 2
+    lifted = functors._lifted
+
+    def rebuilt(f, source, target, source_sys, target_sys):
+        return lifted(f, source, target, j_object(source), j_object(target))
+
+    monkeypatch.setattr(functors, "_lifted", rebuilt)
+    calls.clear()
+    assert check_triangle_identities("composite", space, values) == laws
+    assert len(calls) == 4
+
+
 def test_a_wrong_unit_row_fails_the_fm_s_and_composite_triangles(monkeypatch):
     """Shared structures must not make a triangle hold by construction: the
     discrete two-point space has exactly two homs into {0, 1}, and a unit
@@ -803,6 +885,37 @@ def test_point_hom_call_and_validation():
     assert hom("a") == ZERO and hom("b") == ONE
     with pytest.raises(SchemaError):
         PointHom(("a",), (ZERO, ONE))
+
+
+def _hash_contract_holds(p):
+    rebuilt = PointHom(p.carrier, p.values)
+    return (p == rebuilt and hash(p) == hash(rebuilt) == hash((p.carrier, p.values))
+            and ZERO in p.values and ONE in p.values)
+
+
+def test_homs_hash_as_their_carrier_and_values():
+    """Enumerated and precomposed homs are built from hashes already known;
+    each equals, and hashes as, the hom the public constructor builds from
+    its carrier and values. So no dict or set of homs changes order."""
+    grade_sets = (GradeSet.closure([]), QUARTERS, GradeSet.closure([F(1, 3), F(2, 3)]))
+    frames = [frame for _, frame in _generated_frames(max_opens=5)]
+    homs = collections.Counter()
+    for kind, some in (("valid", frames[::4]), ("invalid", _mutated_table_frames(40, seed=13))):
+        for frame in some:
+            for values in (GradeSet.for_frame(frame),) + grade_sets:
+                found = enumerate_point_homs(frame, values)
+                assert all(_hash_contract_holds(p) for p in found)
+                homs[kind] += len(found)
+    for seed in range(12):
+        f, source, target = generate_random_continuous_map(GeneratorConfig(seed=seed), seed,
+                                                           max_opens=5)
+        h = j_morphism(f, source, target).frame_hom
+        own = GradeSet.closure(set(h.source.view.grades) | set(h.target.view.grades))
+        for values in (own,) + grade_sets:
+            lifted = s_morphism(h, s_object(h.target, values), s_object(h.source, values))
+            assert all(_hash_contract_holds(p) for p in lifted.point_map.images)
+            homs["precomposed"] += len(lifted.point_map.images)
+    assert min(homs.values()) >= 20, homs
 
 
 # --- brute-force hom-set bijections ------------------------------------------
