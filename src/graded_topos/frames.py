@@ -559,6 +559,10 @@ class FrameHom:
                 raise SchemaError("map", f"missing image for {_show(a)}")
             if self.map[a] not in self.target:
                 raise SchemaError("map", f"image of {_show(a)} is outside the target carrier")
+        # every carrier element is a key, so a longer map has a stray key
+        if len(self.map) > len(self.source.view.index):
+            stray = next(a for a in self.map if a not in self.source)
+            raise SchemaError("map", f"{_show(stray)} is outside the source carrier")
 
     def __call__(self, a: Hashable) -> Hashable:
         return self.map[a]

@@ -53,6 +53,7 @@ class GradeSet:
     grades: tuple[Grade, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "grades", tuple(self.grades))
         if tuple(sorted(set(self.grades))) != self.grades:
             raise SchemaError("grades", "must be sorted and duplicate-free")
         if not self.grades or self.grades[0] != ZERO or self.grades[-1] != ONE:
@@ -432,7 +433,7 @@ def check_triangle_identities(
         if isinstance(instance, GradedSpace):
             return _composite_triangles(instance, unit_system(system, hom_system), frame_counit,
                                         extent_unit, frame_counit)
-        return _composite_triangles(ext_object(hom_system), extent_unit, counit(extent_homs),
+        return _composite_triangles(_extent_space(frame_counit), extent_unit, counit(extent_homs),
                                     extent_unit, frame_counit)
     raise SchemaError("adjunction", f"unknown adjunction {adjunction!r}")
 
@@ -475,15 +476,22 @@ def _composite_triangles(space: GradedSpace, space_unit: SystemMorphism, space_c
     lifted between the systems already built: the fm-s unit's source and
     the j-ext counit's source."""
     unit = compose_point_maps(unit_space(space), ext_morphism(space_unit))
-    lifted_unit = _lifted(unit, space, ext_object(space_counit.target),
+    lifted_unit = _lifted(unit, space, _extent_space(space_counit),
                           space_unit.source, space_counit.source)
     at_space = compose_frame_hom(space_counit.frame_hom, lifted_unit.frame_hom)
-    extent_unit_pm = compose_point_maps(unit_space(ext_object(frame_counit.target)),
+    extent_unit_pm = compose_point_maps(unit_space(_extent_space(frame_counit)),
                                         ext_morphism(extent_unit))
     lifted_counit = s_morphism(frame_counit.frame_hom, extent_unit.target, frame_counit.target)
     at_frame = compose_point_maps(extent_unit_pm, ext_morphism(lifted_counit))
     return (LawReport("composite triangle at the space", is_identity_frame_hom(at_space)),
             LawReport("composite triangle at the frame", is_identity_point_map(at_frame)))
+
+
+def _extent_space(counit_morphism: SystemMorphism) -> GradedSpace:
+    """The extent space of a counit's target, read off the counit's source,
+    j of that space: its points, and its frame's carrier, the opens."""
+    source = counit_morphism.source
+    return GradedSpace(source.points, source.frame.carrier)
 
 
 def _hom_systems(h: FrameHom, values: GradeSet) -> tuple[GradedSystem, GradedSystem]:

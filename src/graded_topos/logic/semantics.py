@@ -25,8 +25,7 @@ level, and smears the result back over the other elements.
 Terms compile to columns, the position in the domain of the term's value
 at each assignment: a variable's column is periodic, and a function
 application or a predicate reads its table at the arguments' columns. A
-predicate's column of ranks is then coded as its cuts, and renaming a
-variable reads a vector's ranks through an index table; so every vector
+predicate's column of ranks is then coded as its cuts; so every vector
 and column costs O(assignments) memory per rank, whatever the size of the
 domain. Reports carry verdicts and indices, not grades; a grade read off a
 vector is mapped back through the rank table.
@@ -36,14 +35,13 @@ A node over a list of k variables costs |domain|^k * ceil(top / 64), k
 counting the binders above the node whose variable is not in the list, so
 up to 64 ranks cost one step an entry. A repeated binder costs nothing
 extra, a tower of distinct binders multiplies the cost by |domain| per
-level. A formula or variable list
-needing more than `MAX_STEPS` is a SchemaError, refused before any vector
-is built.
+level. The walk that lists a formula's nodes for compiling counts their
+steps, and a formula needing more than `MAX_STEPS` is a SchemaError,
+refused before any vector is built.
 
-The suite cross-checks its renaming once: the first renamed vector of
-clause 8 against the compiled vector of the substituted formula. A direct
-recursive evaluator is kept in the test suite as the reference the
-compiler is checked against.
+Every vector the suite reads is compiled here, the substitution instances
+of its clauses included. A direct recursive evaluator is kept in the test
+suite as the reference the compiler is checked against.
 """
 
 from __future__ import annotations
@@ -64,7 +62,7 @@ from ..errors import (
     UndeclaredSymbol,
 )
 from ..grades import Grade
-from ..ranks import Ranks, cuts_of, exists, fibre_bases, inclusion, reindex, spread, sup_out
+from ..ranks import Ranks, cuts_of, exists, fibre_bases, inclusion, spread, sup_out
 from .parser import CONST_PATTERN, IDENT_PATTERN, Signature, VAR_PATTERN
 from .syntax import (
     And,
@@ -188,13 +186,9 @@ class Assignment:
 EMPTY_ASSIGNMENT = Assignment({})
 
 
-# The most vector entries `_Vectors` builds for one formula or one variable
-# list; a formula or list needing more is refused before anything is built.
+# The most steps `_Vectors.of` takes for one formula; a formula needing
+# more is refused before anything is built.
 MAX_STEPS = 10 ** 6
-
-
-def _too_many_steps() -> SchemaError:
-    return SchemaError("formula", f"evaluation needs more than {MAX_STEPS} steps")
 
 
 def _free(*formulas: Formula) -> list[int]:
@@ -265,12 +259,8 @@ class _Vectors:
         self.n = len(interp.domain)
         self.size = self.n ** len(self.variables)
         self.words = -(-self.ranks.top // 64)  # steps per vector entry
-        if self.size * self.words > MAX_STEPS:
-            raise _too_many_steps()
-        self.full = (1 << self.size * self.ranks.top) - 1
         self._columns: dict[int, list[int]] = {}
         self._bases: dict[int, int] = {}
-        self._renames: dict[tuple[int, int], list[int]] = {}
         self._widened: dict[int, _Vectors] = {}
 
     def _stride(self, variable: int) -> int:
@@ -291,50 +281,40 @@ class _Vectors:
         return self._widened[variable]
 
     def of(self, phi: Formula) -> int:
-        """Level cuts of a formula's rank vector, compiled bottom-up with an
-        explicit stack, so nesting depth costs no interpreter stack. A
-        quantifier whose variable is not in the list evaluates its body
-        over the list widened by that variable and sups it out."""
-        self._check_steps(phi)
-        done: list = []
-        todo: list = [(phi, self, False)]
-        while todo:
-            node, space, ready = todo.pop()
-            parts = _parts(node)
-            if ready or not parts:
-                args = done[len(done) - len(parts):]
-                del done[len(done) - len(parts):]
-                done.append(space._combine(node, args))
-                continue
-            inner = space
-            if isinstance(node, Exists) and node.variable not in space.position:
-                inner = space._widen(node.variable)
-            todo.append((node, space, True))
-            todo.extend((part, inner, False) for part in reversed(parts))
-        return done.pop()
-
-    def _check_steps(self, phi: Formula) -> None:
-        """Refuse `phi` if `of` would take more than `MAX_STEPS` steps: a
-        node's column or vector has |domain|^k entries, k the list's length
-        plus the binders above the node that widen it, and an entry costs
-        `words` steps."""
-        n = self.n
+        """Level cuts of a formula's rank vector. One walk lists each node
+        with the list it is evaluated over, the list widened by a quantifier
+        whose variable is not in it, and refuses the formula past
+        `MAX_STEPS` steps; a fold then combines the nodes bottom-up. Both
+        use explicit stacks, so nesting depth costs no interpreter stack.
+        A list is built with nothing vector-sized on it, so the walk builds
+        nothing the budget has not counted."""
         steps = 0
-        todo: list = [(phi, frozenset(self.variables))]
+        listed: list = []
+        todo: list = [(phi, self)]
         while todo:
-            node, scope = todo.pop()
-            steps += n ** len(scope) * self.words
+            node, space = todo.pop()
+            steps += space.size * space.words
             if steps > MAX_STEPS:
-                raise _too_many_steps()
-            if isinstance(node, Exists) and node.variable not in scope:
-                scope = scope | {node.variable}
-            todo.extend((part, scope) for part in _parts(node))
+                raise SchemaError("formula", f"evaluation needs more than {MAX_STEPS} steps")
+            parts = _parts(node)
+            listed.append((node, space, len(parts)))
+            if isinstance(node, Exists) and node.variable not in space.position:
+                space = space._widen(node.variable)
+            todo.extend(zip(parts, itertools.repeat(space)))
+        # the walk lists a node before its parts, the last part first, so
+        # in reverse a node's parts are done, in order, when it is reached
+        done: list = []
+        for node, space, count in reversed(listed):
+            args = done[len(done) - count:]
+            del done[len(done) - count:]
+            done.append(space._combine(node, args))
+        return done.pop()
 
     def _combine(self, node, args: list) -> int | list[int]:
         """The cuts of a formula, or the column of a term, from those of
         its parts."""
         if isinstance(node, Top):
-            return self.full
+            return (1 << self.size * self.ranks.top) - 1
         if isinstance(node, Bottom):
             return 0
         if isinstance(node, Var):
@@ -373,18 +353,6 @@ class _Vectors:
             self._bases[variable] = spread(fibre_bases(self.size, stride, self.n),
                                            self.size, self.ranks.top)
         return exists(u, stride, self.n, self._bases[variable])
-
-    def rename(self, u: int, variable: int, replacement: int) -> int:
-        """Cuts of the formula with `replacement` substituted for the free
-        variable `variable` (the substitution lemma as index surgery):
-        assignment i reads the rank at i with the coordinate of `variable`
-        set to that of `replacement`."""
-        key = (variable, replacement)
-        if key not in self._renames:
-            p = self._stride(variable)
-            old, new = self._column(variable), self._column(replacement)
-            self._renames[key] = [i + (b - a) * p for i, (a, b) in enumerate(zip(old, new))]
-        return reindex(u, self.size, self.ranks.top, self._renames[key])
 
 
 def _parts(node) -> tuple:
@@ -538,24 +506,17 @@ def theorem2_suite(interp: Interpretation, pool: Sequence[Formula]) -> tuple[Law
 
     @cache
     def rename_of(k: int, y: int, x: int) -> int:
-        return vs.rename(vector[k], y, x)
+        return vs.of(renamed(k, y, x))
 
     fails = []
-    spot_checked = False
     for i in range(len(pool)):
         for j in range(len(pool)):
             ys = sorted(free[j]) or [fresh]
             for y in ys:
                 for x in pool_vars[:2] or [fresh]:
-                    replaced = renamed(j, y, x)
-                    if replaced is None:
+                    if renamed(j, y, x) is None:
                         continue
-                    replaced_vec = rename_of(j, y, x)
-                    if not spot_checked:
-                        if replaced_vec != vs.of(replaced):
-                            raise AssertionError("rename disagrees with substitution")
-                        spot_checked = True
-                    if sequent(vector[i], replaced_vec) > sequent(vector[i], exists_of(j, y)):
+                    if sequent(vector[i], rename_of(j, y, x)) > sequent(vector[i], exists_of(j, y)):
                         fails.append(f"8(i) ({i},{j},x{y}:=x{x})")
                     # second half: from an existential premise to the instance
                     if renamed(i, y, x) is None:

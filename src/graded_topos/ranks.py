@@ -40,8 +40,6 @@ pointwise operation is then a few operations on the whole int:
 - The sup over the slowest coordinate onto the positions without it
   (`sup_out`) ORs the n blocks of each level and keeps the first block of
   each; bits carried down from the level above land past it.
-- A renaming of variables reads each entry at another position, one
-  table of positions applied to every level (`reindex`).
 
 Coding (`cuts_of`) runs in C over a byte per position while the ranks fit
 in a byte, and otherwise groups the positions by rank; decoding
@@ -188,7 +186,3 @@ def sup_out(u: int, size: int, n: int, top: int) -> int:
         out |= (smeared >> k * wide & full) << k * size
     return out
 
-
-def reindex(u: int, size: int, top: int, table: list[int]) -> int:
-    """The vector whose entry i is entry table[i] of u."""
-    return cuts_of(map(ranks_of(u, size).__getitem__, table), top)

@@ -26,7 +26,7 @@ from graded_topos.fuzzy_sets import (
     union,
 )
 from graded_topos.grades import Grade, ONE, ZERO, godel_arrow, sup
-from graded_topos.logic.semantics import Assignment, Interpretation
+from graded_topos.logic.semantics import Assignment, Interpretation, _parts
 from graded_topos.logic.syntax import (
     And,
     Bottom,
@@ -120,7 +120,7 @@ def brute_inclusion(a: FuzzySet, b: FuzzySet) -> Fraction:
 
 
 # The tuple rank kernel the level-cut coding replaced: a vector is a tuple
-# of ranks, and `exists` and `rename` read it through index tables.
+# of ranks, and `exists` reads it through index tables.
 
 def tuple_meet(u, v) -> tuple[int, ...]:
     """Pointwise min."""
@@ -147,13 +147,6 @@ def tuple_exists(u, stride: int, n: int) -> tuple[int, ...]:
     owner = [i // block * stride + i % stride for i in range(len(u))]
     sups = [max(u[j] for j in fibre) for fibre in fibres]
     return tuple(sups[f] for f in owner)
-
-
-def tuple_rename(u, stride: int, replacement: int, n: int) -> tuple[int, ...]:
-    """u read with the coordinate of `stride` set to the value of the
-    coordinate of stride `replacement`."""
-    p, q = stride, replacement
-    return tuple(u[i + (i // q % n - i // p % n) * p] for i in range(len(u)))
 
 
 def level_cuts(vector, top: int) -> int:
@@ -433,6 +426,21 @@ def _brute_sat(interp: Interpretation, assignment: Assignment, phi: Formula) -> 
         return sup(_brute_sat(interp, assignment.updated(phi.variable, d), phi.body)
                    for d in interp.domain)
     raise TypeError(f"not a formula: {phi!r}")
+
+
+def brute_steps(vs, phi: Formula) -> int:
+    """The steps compiling `phi` over the list of `vs` takes, in full: each
+    node has |domain|^k entries of `vs.words` steps, k the list's length
+    plus the binders above the node whose variable is not in the list."""
+    steps = 0
+    todo = [(phi, frozenset(vs.variables))]
+    while todo:
+        node, scope = todo.pop()
+        steps += vs.n ** len(scope) * vs.words
+        if isinstance(node, Exists) and node.variable not in scope:
+            scope = scope | {node.variable}
+        todo.extend((part, scope) for part in _parts(node))
+    return steps
 
 
 def brute_assignments(interp: Interpretation, variables) -> list[Assignment]:

@@ -158,6 +158,17 @@ def test_hom_map_must_be_total():
         FrameHom(frame, frame, {"0": "0"})
 
 
+def test_hom_map_keys_must_be_in_the_source_carrier():
+    # the identity on the carrier, with a stray key that the checks never
+    # read but that `is_bijective` and `inverse` would count
+    chain = chain_frame([ZERO, ONE])
+    with pytest.raises(SchemaError, match="map: 'stray' is outside the source carrier"):
+        FrameHom(chain, chain, {ZERO: ZERO, ONE: ONE, "stray": ZERO})
+    exact = FrameHom(chain, chain, {ZERO: ZERO, ONE: ONE})
+    assert check_frame_hom(exact) is None and exact.is_bijective()
+    assert exact.inverse().map == exact.map
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_preimage_homs_pass_both_routes(seed):
     f, g, first, middle, last = generate_continuous_chain(GeneratorConfig(seed=seed), 0, max_opens=6)

@@ -75,6 +75,12 @@ def test_grade_set_invariants():
         GradeSet((HALF, ONE))
     with pytest.raises(SchemaError):
         GradeSet((ONE, ZERO))  # unsorted
+    # a list is stored as a tuple, so it validates and hashes as one
+    listed = GradeSet([ZERO, HALF, ONE])
+    assert listed.grades == (ZERO, HALF, ONE) and listed == values
+    assert hash(listed) == hash(values) and {listed, values} == {values}
+    with pytest.raises(SchemaError, match="sorted"):
+        GradeSet([ONE, ZERO])
 
 
 # --- extent -------------------------------------------------------------------
@@ -819,6 +825,38 @@ def test_the_composite_triangles_at_a_space_build_two_frames(seed, monkeypatch):
     calls.clear()
     assert check_triangle_identities("composite", space, values) == laws
     assert len(calls) == 4
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_the_composite_triangles_read_extent_spaces_off_their_counits(seed, monkeypatch):
+    """A counit's source is j of its target's extent space, so the space is
+    read off it: a composite check builds extent spaces only inside
+    `counit`, once at a space and twice at a frame, and reports what
+    building them again from the counits' targets (3 and 5 builds) does."""
+    space = small_space(seed, max_opens=5)
+    system = j_object(space)
+    frame, values = system.frame, GradeSet.for_system(system)
+    hom_system = s_object(frame, values)
+    assert functors._extent_space(counit(hom_system)) == ext_object(hom_system)
+    calls = []
+
+    def counted(system):
+        calls.append(system)
+        return ext_object(system)
+
+    monkeypatch.setattr(functors, "ext_object", counted)
+    cases = [(space, 1, 3), (frame, 2, 5)]
+    reports = []
+    for instance, built, _ in cases:
+        calls.clear()
+        reports.append(check_triangle_identities("composite", instance, values))
+        assert len(reports[-1]) == 2 and all(law.ok for law in reports[-1])
+        assert len(calls) == built
+    monkeypatch.setattr(functors, "_extent_space", lambda m: counted(m.target))
+    for (instance, _, rebuilt), laws in zip(cases, reports):
+        calls.clear()
+        assert check_triangle_identities("composite", instance, values) == laws
+        assert len(calls) == rebuilt
 
 
 def test_a_wrong_unit_row_fails_the_fm_s_and_composite_triangles(monkeypatch):

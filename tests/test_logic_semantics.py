@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import brute_assignments, brute_sat_grade, brute_sequent_grade, level_cuts
+from conftest import brute_assignments, brute_sat_grade, brute_sequent_grade, brute_steps, level_cuts
 from graded_topos import ranks
 from graded_topos.errors import (
     CaptureViolation,
@@ -31,6 +31,7 @@ from graded_topos.generators import (
     generate_random_interpretation,
 )
 from graded_topos.grades import ONE, ZERO, godel_arrow
+from graded_topos.logic import semantics
 from graded_topos.logic.parser import parse_formula
 from graded_topos.logic.semantics import (
     Assignment,
@@ -235,6 +236,19 @@ def test_suite_agrees_with_direct_evaluation():
     assert all(reports.values())
 
 
+def test_clause_8_reads_each_compiled_substitution_instance(monkeypatch):
+    """With every substitution made T, p(x1) |- (q(x2) & (x2 = c1))[x1/x2]
+    has grade 1 where p(x1) |- E x2. (q(x2) & (x2 = c1)) has grade 0: the
+    existential bounds fail, and only they, so the suite reads the
+    instance's own vector."""
+    pool = [phi("p(x1)"), phi("(q(x2) & (x2 = c1))")]
+    assert all(r.ok for r in theorem2_suite(INTERP, pool))
+    monkeypatch.setattr(semantics, "substitute", lambda f, pairs: TOP)
+    failed = [r for r in theorem2_suite(INTERP, pool) if not r.ok]
+    assert [r.name for r in failed] == ["Thm2.8 existential bounds"]
+    assert "8(i) (0,1,x2:=x1)" in failed[0].detail
+
+
 def test_pool_must_be_nonempty():
     with pytest.raises(SchemaError):
         theorem2_suite(INTERP, [])
@@ -322,6 +336,103 @@ def test_many_grades_raise_the_cost_of_a_vector_entry():
     assert sequent_grade(some, parse_formula("E x1. p(x1)"), phi) == ZERO
 
 
+# --- the step budget against its oracle ----------------------------------------
+
+def counted_combines(monkeypatch) -> list:
+    """The nodes `_Vectors._combine` is called on from now on."""
+    combined = []
+    combine = _Vectors._combine
+
+    def counted(self, node, args):
+        combined.append(node)
+        return combine(self, node, args)
+
+    monkeypatch.setattr(_Vectors, "_combine", counted)
+    return combined
+
+
+def check_budget(monkeypatch, combined, vs, phi):
+    """`vs.of(phi)` is refused, before any node is combined, exactly when
+    `brute_steps` exceeds the budget: the real one, one step fewer than the
+    formula's, and, for a formula within the real one, exactly its steps."""
+    steps = brute_steps(vs, phi)
+    for budget in (MAX_STEPS, steps - 1) + ((steps,) if steps <= MAX_STEPS else ()):
+        monkeypatch.setattr(semantics, "MAX_STEPS", budget)
+        combined.clear()
+        try:
+            vs.of(phi)
+        except SchemaError as exc:
+            assert str(exc) == f"formula: evaluation needs more than {budget} steps"
+            assert steps > budget and not combined
+        else:
+            assert steps <= budget and combined
+
+
+def towers(variables, body):
+    """`E x. ... body`, one binder per variable, the first outermost."""
+    return functools.reduce(lambda inner, v: Exists(v, inner), reversed(variables), body)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_the_budget_refuses_what_the_step_oracle_exceeds_on_generated_pools(seed, monkeypatch):
+    combined = counted_combines(monkeypatch)
+    cfg = GeneratorConfig(seed=seed)
+    for index in range(4):
+        interp = generate_random_interpretation(cfg, index)
+        pool = generate_formula_pool(cfg, index, interp, size=4, depth=4)
+        pool_vars = sorted(set().union(*(free_variables(f) for f in pool)))
+        for variables in (pool_vars + [max(pool_vars, default=0) + 1], [7] + pool_vars):
+            vs = _Vectors(interp, variables)
+            for f in pool:
+                check_budget(monkeypatch, combined, vs, f)
+
+
+def test_the_budget_refuses_what_the_step_oracle_exceeds_on_binder_towers(monkeypatch):
+    """Towers of distinct binders cross the real budget over two elements
+    (2^k entries at depth k); towers of one repeated binder cost |domain|
+    a level and cross only the lowered ones. The bodies apply functions."""
+    combined = counted_combines(monkeypatch)
+    domain = ("a", "b")
+    interp = Interpretation(domain, {1: "a"},
+                            {"f": {("a",): "b", ("b",): "a"},
+                             "g": {(x, y): x for x in domain for y in domain}},
+                            {"p": {("a",): F(1, 3), ("b",): ONE}})
+
+    def body(v):
+        return Predicate("p", (Func("g", (Func("f", (Var(v),)), Const(1))),))
+
+    for variables in ([], [1], [2, 5]):
+        vs = _Vectors(interp, variables)
+        for k in (1, 2, 5, 17, 18, 19, 20, 24):
+            check_budget(monkeypatch, combined, vs, towers(range(1, k + 1), body(k)))
+        for k in (1, 2, 30, 450):
+            check_budget(monkeypatch, combined, vs, towers([1] * k, body(1)))
+        # distinct binders, each repeated below itself
+        mixed = And(body(1), Equality(Var(2), Func("f", (Var(3),))))
+        check_budget(monkeypatch, combined, vs, towers([1, 2, 1, 3, 2, 3] * 3, mixed))
+
+
+def test_a_widened_list_at_the_budget_builds_nothing_vector_sized(monkeypatch):
+    """Six distinct binders widen the empty list over ten elements to 10^6
+    assignments, one step an entry: at a budget of exactly that and of one
+    step less, the walk builds the list but no vector or column on it, and
+    refuses the formula without combining a node."""
+    combined = counted_combines(monkeypatch)
+    domain = tuple(f"d{i}" for i in range(10))
+    interp = Interpretation(domain, {}, {"f": {(d,): d for d in domain}},
+                            {"p": {(d,): F(i % 3, 2) for i, d in enumerate(domain)}})
+    phi = towers(range(1, 7), Predicate("p", (Func("f", (Var(6),)),)))
+    for budget in (MAX_STEPS, MAX_STEPS - 1):
+        monkeypatch.setattr(semantics, "MAX_STEPS", budget)
+        vs = _Vectors(interp, [])
+        with pytest.raises(SchemaError, match=f"more than {budget} steps"):
+            vs.of(phi)
+        widest = functools.reduce(lambda space, v: space._widened[v], range(1, 7), vs)
+        assert widest.size * widest.words == MAX_STEPS
+        assert not widest._columns and not widest._bases and not widest._widened
+        assert not combined and brute_steps(vs, phi) > budget
+
+
 # --- the rank-coded vectors against the recursive oracle ----------------------
 
 RICH = Interpretation(
@@ -356,7 +467,7 @@ def check_vectors(interp, variables, formulas):
                     replaced = substitute(f, [(y, Var(x))])
                 except CaptureViolation:
                     continue
-                assert vs.rename(vector, y, x) == reference_vector(vs, replaced)
+                assert vs.of(replaced) == reference_vector(vs, replaced)
     for (f, u), (g, v) in itertools.product(zip(formulas, vectors), repeat=2):
         assert u & v == reference_vector(vs, And(f, g))
         assert u | v | u == reference_vector(vs, Or((f, g, f)))

@@ -30,7 +30,6 @@ from conftest import (
     tuple_inclusion,
     tuple_join,
     tuple_meet,
-    tuple_rename,
 )
 from graded_topos import ranks as kernel
 from graded_topos.errors import Overflow
@@ -44,7 +43,7 @@ from graded_topos.generators import (
     generate_random_interpretation,
 )
 from graded_topos.grades import ONE, ZERO
-from graded_topos.logic.semantics import Assignment, Interpretation, _Vectors, sequent_grade
+from graded_topos.logic.semantics import Assignment, sequent_grade
 from graded_topos.logic.syntax import BOTTOM, TOP, free_variables
 from graded_topos.ranks import Ranks, cuts_of, inclusion, ranks_of
 from graded_topos.spaces import GradedSpace, check_space, generate_topology
@@ -84,8 +83,7 @@ def random_vector(rng, size: int, top: int) -> tuple[int, ...]:
 def test_the_cut_kernel_matches_the_tuple_kernel():
     """meet, n-ary join, inclusion, coding and decoding on random vectors of
     1 to 4096 entries and 2 to 6 ranks; on sizes n^k, also ∃ over up to
-    two coordinates, the sup over the slowest one, and renaming one
-    coordinate to another."""
+    two coordinates and the sup over the slowest one."""
     rng = random.Random(11)
     for trial in range(300):
         top = rng.randint(1, 5)
@@ -112,9 +110,6 @@ def test_the_cut_kernel_matches_the_tuple_kernel():
         inner = size // n
         assert kernel.sup_out(cu, inner, n, top) == level_cuts(
             [max(u[d * inner + i] for d in range(n)) for i in range(inner)], top)
-        p, q = rng.choice(strides), rng.choice(strides)
-        table = [i + (i // q % n - i // p % n) * p for i in range(size)]
-        assert kernel.reindex(cu, size, top, table) == level_cuts(tuple_rename(u, p, q, n), top)
 
 
 def test_shifts_never_carry_bits_across_levels():
@@ -176,23 +171,6 @@ def test_exists_matches_the_index_tables():
             inner = size // n
             assert kernel.sup_out(cu, inner, n, top) == level_cuts(
                 [max(u[d * inner + i] for d in range(n)) for i in range(inner)], top)
-
-
-def test_rename_matches_the_index_tables():
-    """Renaming each variable to each other one, on random vectors over the
-    assignments to k variables of an n-element domain."""
-    rng = random.Random(13)
-    for n, k in [(1, 3), (2, 1), (2, 6), (3, 3), (4, 3), (5, 2), (11, 2)]:
-        domain = tuple(f"d{i}" for i in range(n))
-        keys = itertools.product(domain, repeat=2)
-        grades = {key: F(rng.randint(0, 4), 4) for key in keys}
-        vs = _Vectors(Interpretation(domain, {}, {}, {"r": grades}), range(1, k + 1))
-        top = vs.ranks.top
-        for _ in range(3):
-            u = random_vector(rng, vs.size, top)
-            for y, x in itertools.product(vs.variables, repeat=2):
-                assert vs.rename(level_cuts(u, top), y, x) == level_cuts(
-                    tuple_rename(u, vs._stride(y), vs._stride(x), n), top)
 
 
 def random_generators(rng, points: int, count: int):
