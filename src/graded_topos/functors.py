@@ -335,8 +335,12 @@ def unit_space(space: GradedSpace) -> PointMap:
 
 
 def point_evaluation(system: GradedSystem, x: Hashable) -> PointHom:
-    """The satisfaction row of a point, as a grade-valued hom."""
-    return PointHom(system.frame.carrier, system.rows[system.points.index(x)])
+    """The satisfaction row of a point, as a grade-valued hom: the point
+    itself when it already is that hom, as each point of a hom-system is."""
+    carrier, row = system.frame.carrier, system.rows[system.points.index(x)]
+    if isinstance(x, PointHom) and x.carrier == carrier and x.values == row:
+        return x
+    return PointHom(carrier, row)
 
 
 def unit_system(system: GradedSystem, hom_system: GradedSystem) -> SystemMorphism:

@@ -39,6 +39,16 @@ level. The walk that lists a formula's nodes for compiling counts their
 steps, and a formula needing more than `MAX_STEPS` is a SchemaError,
 refused before any vector is built.
 
+Each list memoises what it compiles: a node's cuts or column with the
+steps of its subtree, keyed by the node, whose hash is cached when it is
+built. The walk looks up every node, terms included. On a hit it adds the
+stored steps, the subtree's full count as if it were compiled again, and
+does not descend; so a list refuses exactly the formulas a fresh list
+refuses, with the same message. A node repeated within one formula is
+combined once. The memo lives as long as its list: one `sat_grade` or
+`sequent_grade` call, or one suite. The steps it holds across a list and
+the lists widened from it stop growing at `MAX_STEPS`.
+
 Every vector the suite reads is compiled here, the substitution instances
 of its clauses included. A direct recursive evaluator is kept in the test
 suite as the reference the compiler is checked against.
@@ -251,7 +261,7 @@ class _Vectors:
     """
 
     def __init__(self, interp: Interpretation, variables: Sequence[int],
-                 outer: int | None = None):
+                 outer: int | None = None, held: list[int] | None = None):
         self.interp = interp
         self.ranks, self._predicates, self._functions = interp.ranked
         self.variables = sorted(variables) if outer is None else [outer, *variables]
@@ -259,9 +269,14 @@ class _Vectors:
         self.n = len(interp.domain)
         self.size = self.n ** len(self.variables)
         self.words = -(-self.ranks.top // 64)  # steps per vector entry
+        self.cost = self.size * self.words  # steps per node
         self._columns: dict[int, list[int]] = {}
         self._bases: dict[int, int] = {}
         self._widened: dict[int, _Vectors] = {}
+        # node -> (its cuts or column, the steps of its subtree)
+        self._memo: dict = {}
+        # the steps of the nodes memoised here and in the widened lists
+        self._held = [0] if held is None else held
 
     def _stride(self, variable: int) -> int:
         return self.n ** (len(self.variables) - 1 - self.position[variable])
@@ -277,7 +292,7 @@ class _Vectors:
 
     def _widen(self, variable: int) -> "_Vectors":
         if variable not in self._widened:
-            self._widened[variable] = _Vectors(self.interp, self.variables, variable)
+            self._widened[variable] = _Vectors(self.interp, self.variables, variable, self._held)
         return self._widened[variable]
 
     def of(self, phi: Formula) -> int:
@@ -287,28 +302,53 @@ class _Vectors:
         `MAX_STEPS` steps; a fold then combines the nodes bottom-up. Both
         use explicit stacks, so nesting depth costs no interpreter stack.
         A list is built with nothing vector-sized on it, so the walk builds
-        nothing the budget has not counted."""
+        nothing the budget has not counted.
+
+        A node already compiled over its list is read from the list's memo:
+        the walk counts the steps of its whole subtree, as if it compiled
+        it, and does not descend into it."""
+        hit = self._memo.get(phi)
+        if hit is not None and hit[1] <= MAX_STEPS:
+            return hit[0]
         steps = 0
         listed: list = []
         todo: list = [(phi, self)]
         while todo:
             node, space = todo.pop()
-            steps += space.size * space.words
+            hit = space._memo.get(node)
+            if hit is None:
+                steps += space.cost
+                parts = node.parts()
+            else:
+                steps += hit[1]
+                parts = ()
             if steps > MAX_STEPS:
                 raise SchemaError("formula", f"evaluation needs more than {MAX_STEPS} steps")
-            parts = _parts(node)
-            listed.append((node, space, len(parts)))
-            if isinstance(node, Exists) and node.variable not in space.position:
-                space = space._widen(node.variable)
-            todo.extend(zip(parts, itertools.repeat(space)))
+            listed.append((node, space, hit, len(parts)))
+            if parts:
+                if isinstance(node, Exists) and node.variable not in space.position:
+                    space = space._widen(node.variable)
+                todo.extend(zip(parts, itertools.repeat(space)))
         # the walk lists a node before its parts, the last part first, so
-        # in reverse a node's parts are done, in order, when it is reached
-        done: list = []
-        for node, space, count in reversed(listed):
-            args = done[len(done) - count:]
-            del done[len(done) - count:]
-            done.append(space._combine(node, args))
-        return done.pop()
+        # in reverse a node's parts are done, in order, when it is reached;
+        # `values` holds their cuts or columns, `subtrees` their steps
+        values: list = []
+        subtrees: list = []
+        for node, space, hit, count in reversed(listed):
+            if hit is None:
+                first = len(values) - count
+                # a node repeated in the formula is combined once
+                hit = space._memo.get(node)
+                if hit is None:
+                    hit = (space._combine(node, values[first:]),
+                           space.cost + sum(subtrees[first:]))
+                    if space._held[0] + space.cost <= MAX_STEPS:
+                        space._held[0] += space.cost
+                        space._memo[node] = hit
+                del values[first:], subtrees[first:]
+            values.append(hit[0])
+            subtrees.append(hit[1])
+        return values[0]
 
     def _combine(self, node, args: list) -> int | list[int]:
         """The cuts of a formula, or the column of a term, from those of
@@ -353,19 +393,6 @@ class _Vectors:
             self._bases[variable] = spread(fibre_bases(self.size, stride, self.n),
                                            self.size, self.ranks.top)
         return exists(u, stride, self.n, self._bases[variable])
-
-
-def _parts(node) -> tuple:
-    """The sub-formulas and sub-terms a node's value is built from."""
-    if isinstance(node, (Predicate, Func)):
-        return node.args
-    if isinstance(node, (Equality, And)):
-        return node.lhs, node.rhs
-    if isinstance(node, Or):
-        return node.items
-    if isinstance(node, Exists):
-        return (node.body,)
-    return ()
 
 
 # ---------------------------------------------------------------------------

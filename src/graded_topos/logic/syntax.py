@@ -1,75 +1,183 @@
 """Terms and geometric formulas: constants, variables, function applications;
 top, bottom, predicates, crisp equality, binary conjunction, finite
-disjunction, existential quantification."""
+disjunction, existential quantification.
+
+Every node is immutable and computes its hash once, when it is built, from
+its fields' cached hashes; the value is the one a frozen dataclass gives,
+so a node hashes in O(1) however deep it is. Equality is structural: two
+nodes are `==` when they have the same class and equal fields, decided on
+an explicit stack that stops at the first pair of differing cached hashes,
+so deep formulas compare without the interpreter's stack. Variables and
+constants compare their indices directly.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import is_
 from typing import Union
 
 from ..errors import CaptureViolation, SchemaError
 
 
-@dataclass(frozen=True)
-class Const:
+class _Node:
+    """The cached hash and the stack-based equality every node shares."""
+
+    __slots__ = ()
+
+    def __post_init__(self) -> None:
+        # the hash a frozen dataclass gives, from the fields' cached hashes
+        fields = tuple(map(self.__getattribute__, self.__match_args__))
+        object.__setattr__(self, "_hash", hash(fields))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, _Node):
+            return NotImplemented
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            if a is b:
+                continue
+            if a.__class__ is not b.__class__ or a._hash != b._hash:
+                return False
+            parts, other_parts = a.parts(), b.parts()
+            if a._label() != b._label() or len(parts) != len(other_parts):
+                return False
+            todo.extend(zip(parts, other_parts))
+        return True
+
+    def parts(self) -> tuple:
+        """The sub-formulas and sub-terms the node is built from, in order."""
+        return ()
+
+    def _label(self) -> tuple:
+        """The node's fields that are not nodes."""
+        return ()
+
+
+def _cached_hash():
+    """The slot a node's hash is stored in when the node is built."""
+    return field(init=False, repr=False)
+
+
+class _Leaf(_Node):
+    """A variable or a constant: equal to a node of its class with the same index."""
+
+    __slots__ = ()
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self.index == other.index
+        return False if isinstance(other, _Node) else NotImplemented
+
+    __hash__ = _Node.__hash__
+
+    def _label(self) -> tuple:
+        return (self.index,)
+
+
+class _Application(_Node):
+    """A function term or a predicate: a symbol applied to terms."""
+
+    __slots__ = ()
+
+    def parts(self) -> tuple:
+        return self.args
+
+    def _label(self) -> tuple:
+        return (self.symbol,)
+
+
+class _Binary(_Node):
+    __slots__ = ()
+
+    def parts(self) -> tuple:
+        return self.lhs, self.rhs
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class Const(_Leaf):
     index: int
+    _hash: int = _cached_hash()
 
 
-@dataclass(frozen=True)
-class Var:
+@dataclass(frozen=True, eq=False, slots=True)
+class Var(_Leaf):
     index: int
+    _hash: int = _cached_hash()
 
 
-@dataclass(frozen=True)
-class Func:
+@dataclass(frozen=True, eq=False, slots=True)
+class Func(_Application):
     symbol: str
     args: tuple["Term", ...]
+    _hash: int = _cached_hash()
 
 
 Term = Union[Const, Var, Func]
 
 
-@dataclass(frozen=True)
-class Top:
-    pass
+@dataclass(frozen=True, eq=False, slots=True)
+class Top(_Node):
+    _hash: int = _cached_hash()
 
 
-@dataclass(frozen=True)
-class Bottom:
-    pass
+@dataclass(frozen=True, eq=False, slots=True)
+class Bottom(_Node):
+    _hash: int = _cached_hash()
 
 
-@dataclass(frozen=True)
-class Predicate:
+@dataclass(frozen=True, eq=False, slots=True)
+class Predicate(_Application):
     symbol: str
     args: tuple[Term, ...]
+    _hash: int = _cached_hash()
 
 
-@dataclass(frozen=True)
-class Equality:
+@dataclass(frozen=True, eq=False, slots=True)
+class Equality(_Binary):
     lhs: Term
     rhs: Term
+    _hash: int = _cached_hash()
 
 
-@dataclass(frozen=True)
-class And:
+@dataclass(frozen=True, eq=False, slots=True)
+class And(_Binary):
     lhs: "Formula"
     rhs: "Formula"
+    _hash: int = _cached_hash()
 
 
-@dataclass(frozen=True)
-class Or:
+@dataclass(frozen=True, eq=False, slots=True)
+class Or(_Node):
     items: tuple["Formula", ...]
+    _hash: int = _cached_hash()
 
     def __post_init__(self) -> None:
         if not self.items:
             raise SchemaError("or", "disjunction lists must be nonempty")
+        _Node.__post_init__(self)
+
+    def parts(self) -> tuple:
+        return self.items
 
 
-@dataclass(frozen=True)
-class Exists:
+@dataclass(frozen=True, eq=False, slots=True)
+class Exists(_Node):
     variable: int
     body: "Formula"
+    _hash: int = _cached_hash()
+
+    def parts(self) -> tuple:
+        return (self.body,)
+
+    def _label(self) -> tuple:
+        return (self.variable,)
 
 
 Formula = Union[Top, Bottom, Predicate, Equality, And, Or, Exists]
@@ -111,8 +219,13 @@ def substitute_term(t: Term, mapping: dict[int, Term]) -> Term:
     if isinstance(t, Var):
         return mapping.get(t.index, t)
     if isinstance(t, Func):
-        return Func(t.symbol, tuple(substitute_term(a, mapping) for a in t.args))
+        args = tuple(substitute_term(a, mapping) for a in t.args)
+        return t if _unchanged(args, t.args) else Func(t.symbol, args)
     return t
+
+
+def _unchanged(new: tuple, old: tuple) -> bool:
+    return all(map(is_, new, old))
 
 
 def substitute(phi: Formula, pairs) -> Formula:
@@ -121,31 +234,37 @@ def substitute(phi: Formula, pairs) -> Formula:
     Bound occurrences are untouched; if a replacement term would be captured
     by a quantifier (its variables include a binder whose scope the term
     enters), CaptureViolation is raised rather than silently renaming.
+    A pair x := x is dropped, and a subtree in which nothing is replaced is
+    returned as it is, the same object.
     """
     mapping = dict()
     for x, t in pairs:
         mapping[x] = t
-    return _substitute(phi, mapping)
+    return _substitute(phi, {x: t for x, t in mapping.items()
+                             if not (isinstance(t, Var) and t.index == x)})
 
 
 def _substitute(phi: Formula, mapping: dict[int, Term]) -> Formula:
     if not mapping or isinstance(phi, (Top, Bottom)):
         return phi
     if isinstance(phi, Predicate):
-        return Predicate(phi.symbol, tuple(substitute_term(t, mapping) for t in phi.args))
-    if isinstance(phi, Equality):
-        return Equality(substitute_term(phi.lhs, mapping), substitute_term(phi.rhs, mapping))
-    if isinstance(phi, And):
-        return And(_substitute(phi.lhs, mapping), _substitute(phi.rhs, mapping))
+        args = tuple(substitute_term(t, mapping) for t in phi.args)
+        return phi if _unchanged(args, phi.args) else Predicate(phi.symbol, args)
+    if isinstance(phi, (Equality, And)):
+        part = substitute_term if isinstance(phi, Equality) else _substitute
+        lhs, rhs = part(phi.lhs, mapping), part(phi.rhs, mapping)
+        return phi if lhs is phi.lhs and rhs is phi.rhs else type(phi)(lhs, rhs)
     if isinstance(phi, Or):
-        return Or(tuple(_substitute(f, mapping) for f in phi.items))
+        items = tuple(_substitute(f, mapping) for f in phi.items)
+        return phi if _unchanged(items, phi.items) else Or(items)
     if isinstance(phi, Exists):
         inner = {x: t for x, t in mapping.items() if x != phi.variable}
         live = free_variables(phi.body)
         for x, t in inner.items():
             if x in live and phi.variable in term_variables(t):
                 raise CaptureViolation(phi.variable)
-        return Exists(phi.variable, _substitute(phi.body, inner))
+        body = _substitute(phi.body, inner)
+        return phi if body is phi.body else Exists(phi.variable, body)
     raise TypeError(f"not a formula: {phi!r}")
 
 

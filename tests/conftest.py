@@ -13,7 +13,7 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from graded_topos.checks import mask_elements
-from graded_topos.errors import MixedUniverse, Overflow, SchemaError, UndeclaredSymbol
+from graded_topos.errors import CaptureViolation, MixedUniverse, Overflow, SchemaError, UndeclaredSymbol
 from graded_topos.frames import GradedFrame
 from graded_topos.functors import PointHom
 from graded_topos.fuzzy_sets import (
@@ -26,7 +26,7 @@ from graded_topos.fuzzy_sets import (
     union,
 )
 from graded_topos.grades import Grade, ONE, ZERO, godel_arrow, sup
-from graded_topos.logic.semantics import Assignment, Interpretation, _parts
+from graded_topos.logic.semantics import Assignment, Interpretation
 from graded_topos.logic.syntax import (
     And,
     Bottom,
@@ -41,6 +41,7 @@ from graded_topos.logic.syntax import (
     Top,
     Var,
     free_variables,
+    term_variables,
 )
 from graded_topos.spaces import GradedSpace, canonical_opens, generate_topology
 
@@ -439,8 +440,41 @@ def brute_steps(vs, phi: Formula) -> int:
         steps += vs.n ** len(scope) * vs.words
         if isinstance(node, Exists) and node.variable not in scope:
             scope = scope | {node.variable}
-        todo.extend((part, scope) for part in _parts(node))
+        todo.extend((part, scope) for part in node.parts())
     return steps
+
+
+def brute_substitute(phi: Formula, pairs) -> Formula:
+    """Simultaneous substitution by direct recursion, building every node
+    afresh and keeping pairs x := x: the library's `substitute` must give
+    an equal formula and raise CaptureViolation at the same binder."""
+    return _brute_substitute(phi, dict(pairs))
+
+
+def _brute_term(t: Term, mapping: dict) -> Term:
+    if isinstance(t, Var):
+        return mapping.get(t.index, t)
+    if isinstance(t, Func):
+        return Func(t.symbol, tuple(_brute_term(a, mapping) for a in t.args))
+    return t
+
+
+def _brute_substitute(phi: Formula, mapping: dict) -> Formula:
+    if isinstance(phi, (Top, Bottom)):
+        return phi
+    if isinstance(phi, Predicate):
+        return Predicate(phi.symbol, tuple(_brute_term(t, mapping) for t in phi.args))
+    if isinstance(phi, Equality):
+        return Equality(_brute_term(phi.lhs, mapping), _brute_term(phi.rhs, mapping))
+    if isinstance(phi, And):
+        return And(_brute_substitute(phi.lhs, mapping), _brute_substitute(phi.rhs, mapping))
+    if isinstance(phi, Or):
+        return Or(tuple(_brute_substitute(f, mapping) for f in phi.items))
+    inner = {x: t for x, t in mapping.items() if x != phi.variable}
+    for x, t in inner.items():
+        if x in free_variables(phi.body) and phi.variable in term_variables(t):
+            raise CaptureViolation(phi.variable)
+    return Exists(phi.variable, _brute_substitute(phi.body, inner))
 
 
 def brute_assignments(interp: Interpretation, variables) -> list[Assignment]:

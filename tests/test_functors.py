@@ -651,16 +651,18 @@ def test_unit_system_blames_the_grade_set_before_a_row_with_pooled_grades():
         unit_system(GradedSystem(Universe.of("p"), frame, (pooled,)), hom_system)
 
 
-def test_unit_system_outcome_on_random_rows():
-    # GradeSetTooSmall when any grade is taken by no hom, else NoPoints when
-    # any row is not a hom, else each point goes to its row
+def check_unit_system_outcomes(name_points):
+    """GradeSetTooSmall when any grade is taken by no hom, else NoPoints when
+    any row is not a hom, else each point goes to its row, over 300 random
+    systems on the two-point frame whose points `name_points(rng, k)` names.
+    Returns how many points were their own images."""
     rng = random.Random(3)
     frame = _two_point_frame()
     hom_system = s_object(frame, GradeSet.closure([]))
     homs = {p.values for p in hom_system.points.elements}
-    outcomes = collections.Counter()
+    outcomes, reused = collections.Counter(), 0
     for _ in range(300):
-        points = Universe(tuple(f"p{i}" for i in range(rng.randint(1, 3))))
+        points = Universe(name_points(rng, rng.randint(1, 3)))
         rows = tuple(tuple(rng.choice((ZERO, ZERO, HALF, ONE, ONE)) for _ in frame.carrier)
                      if rng.random() < 0.5 else rng.choice(sorted(homs)) for _ in points.elements)
         if any(g == HALF for row in rows for g in row):
@@ -676,9 +678,26 @@ def test_unit_system_outcome_on_random_rows():
         else:
             got = None
             assert [p.values for p in unit.point_map.images] == list(rows)
+            for x, image in zip(points.elements, unit.point_map.images):
+                # a point that already is its row's hom is its own image
+                assert (image is x) == (isinstance(x, PointHom) and x.values == image.values)
+                reused += image is x
         assert got is expected
         outcomes[expected] += 1
     assert len(outcomes) == 3
+    return reused
+
+
+def test_unit_system_outcome_on_random_rows():
+    assert check_unit_system_outcomes(lambda rng, k: tuple(f"p{i}" for i in range(k))) == 0
+
+
+def test_unit_system_outcome_on_random_rows_at_hom_points():
+    """The same oracle where the points are homs over the frame's carrier:
+    a point whose values equal its row is reused, any other is not."""
+    carrier = _two_point_frame().carrier
+    homs = [PointHom(carrier, v) for v in itertools.product((ZERO, ONE), repeat=len(carrier))]
+    assert check_unit_system_outcomes(lambda rng, k: tuple(rng.sample(homs, k))) > 0
 
 
 def test_unit_system_injectivity_depends_on_separation():

@@ -20,6 +20,7 @@ from conftest import brute_assignments, brute_sat_grade, brute_sequent_grade, br
 from graded_topos import ranks
 from graded_topos.errors import (
     CaptureViolation,
+    FormulaSyntaxError,
     GradedToposError,
     SchemaError,
     UnboundVariable,
@@ -352,15 +353,17 @@ def counted_combines(monkeypatch) -> list:
 
 
 def check_budget(monkeypatch, combined, vs, phi):
-    """`vs.of(phi)` is refused, before any node is combined, exactly when
-    `brute_steps` exceeds the budget: the real one, one step fewer than the
-    formula's, and, for a formula within the real one, exactly its steps."""
+    """`of(phi)` on a fresh copy of the list of `vs` is refused, before any
+    node is combined, exactly when `brute_steps` exceeds the budget: the
+    real one, one step fewer than the formula's, and, for a formula within
+    the real one, exactly its steps. A fresh list has nothing memoised, so
+    an accepted formula combines its nodes."""
     steps = brute_steps(vs, phi)
     for budget in (MAX_STEPS, steps - 1) + ((steps,) if steps <= MAX_STEPS else ()):
         monkeypatch.setattr(semantics, "MAX_STEPS", budget)
         combined.clear()
         try:
-            vs.of(phi)
+            _Vectors(vs.interp, vs.variables).of(phi)
         except SchemaError as exc:
             assert str(exc) == f"formula: evaluation needs more than {budget} steps"
             assert steps > budget and not combined
@@ -431,6 +434,99 @@ def test_a_widened_list_at_the_budget_builds_nothing_vector_sized(monkeypatch):
         assert widest.size * widest.words == MAX_STEPS
         assert not widest._columns and not widest._bases and not widest._widened
         assert not combined and brute_steps(vs, phi) > budget
+
+
+def generated_lists(seeds):
+    """(interp, pool, variables) for generated pools: the suite's own list,
+    and one that misses the pool's bound variables."""
+    for seed in seeds:
+        cfg = GeneratorConfig(seed=seed)
+        for index in range(4):
+            interp = generate_random_interpretation(cfg, index)
+            pool = generate_formula_pool(cfg, index, interp, size=4, depth=4)
+            pool_vars = sorted(set().union(*(free_variables(f) for f in pool)))
+            for variables in (pool_vars + [max(pool_vars, default=0) + 1], [7] + pool_vars):
+                yield interp, pool, variables
+
+
+def compiled(vs, phi):
+    """The cuts of `phi` over the list of `vs`, or the refusal's message."""
+    try:
+        return vs.of(phi)
+    except SchemaError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_a_warmed_list_refuses_exactly_where_a_fresh_list_does(seed, monkeypatch):
+    """A list that has compiled every part of a formula reads them from its
+    memo, counting each one's whole subtree: it refuses the formula at
+    exactly the budgets where a fresh list does, with the same message,
+    and combines nothing when it refuses."""
+    combined = counted_combines(monkeypatch)
+    for interp, pool, variables in generated_lists([seed]):
+        monkeypatch.setattr(semantics, "MAX_STEPS", MAX_STEPS)
+        warm = _Vectors(interp, variables)
+        for f in pool:
+            warm.of(f)
+        fresh_variable = max(variables) + 1
+        formulas = pool + [And(f, g) for f, g in itertools.product(pool, repeat=2)]
+        formulas += [Or(tuple(pool)), *(Exists(fresh_variable, f) for f in pool)]
+        for phi in formulas:
+            steps = brute_steps(warm, phi)
+            for budget in (MAX_STEPS, steps - 1, steps):
+                monkeypatch.setattr(semantics, "MAX_STEPS", budget)
+                expected = compiled(_Vectors(interp, variables), phi)
+                combined.clear()
+                assert compiled(warm, phi) == expected
+                assert isinstance(expected, str) == (steps > budget)
+                assert not (isinstance(expected, str) and combined)
+
+
+def test_a_warmed_list_refuses_binder_towers_where_a_fresh_list_does(monkeypatch):
+    """A tower of distinct binders compiled once is memoised on widened
+    lists; read back inside a larger formula it still counts in full, so
+    two of a tower within the budget are refused."""
+    domain = ("a", "b")
+    interp = Interpretation(domain, {}, {"f": {("a",): "b", ("b",): "a"}},
+                            {"p": {("a",): F(1, 3), ("b",): ONE}})
+    tallest = towers(range(1, 19), Predicate("p", (Var(18),)))
+    for variables in ([], [1]):
+        monkeypatch.setattr(semantics, "MAX_STEPS", MAX_STEPS)
+        warm = _Vectors(interp, variables)
+        vector = warm.of(tallest)
+        for phi in (tallest, Or((tallest, tallest)), And(tallest, Exists(20, tallest))):
+            steps = brute_steps(warm, phi)
+            for budget in (MAX_STEPS, steps - 1, steps):
+                monkeypatch.setattr(semantics, "MAX_STEPS", budget)
+                assert (compiled(warm, phi) == compiled(_Vectors(interp, variables), phi)
+                        == (f"formula: evaluation needs more than {budget} steps"
+                            if steps > budget else vector))
+
+
+def memo_words(vs) -> int:
+    """The steps of the nodes held in the memos of `vs` and of every list
+    widened from it, one vector or column each."""
+    total, lists = 0, [vs]
+    while lists:
+        space = lists.pop()
+        total += space.cost * len(space._memo)
+        lists.extend(space._widened.values())
+    return total
+
+
+@pytest.mark.parametrize("budget", [40, 300, 2000])
+def test_the_memo_holds_no_more_words_than_the_budget(budget, monkeypatch):
+    """At a lowered budget the words a list and its widened lists hold stop
+    growing at the budget, however many formulas the list compiles."""
+    monkeypatch.setattr(semantics, "MAX_STEPS", budget)
+    for interp, pool, variables in generated_lists(range(3)):
+        vs = _Vectors(interp, variables)
+        for f, g in itertools.product(pool, repeat=2):
+            for phi in (f, And(f, g), Exists(max(variables) + 1, Or((f, g)))):
+                compiled(vs, phi)
+                assert memo_words(vs) == vs._held[0] <= budget
+        assert vs._memo
 
 
 # --- the rank-coded vectors against the recursive oracle ----------------------
@@ -504,6 +600,27 @@ def test_vectors_match_the_reference_evaluator_on_generated_pools(seed):
         check_vectors(interp, [7] + pool_vars, pool)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_warmed_vectors_match_fresh_lists_and_the_reference_evaluator(seed):
+    """A list that has compiled the pool, its conjunctions and its
+    substitution instances gives every vector a fresh list gives, and the
+    recursive evaluator's."""
+    for interp, pool, variables in generated_lists([seed]):
+        warm = _Vectors(interp, variables)
+        formulas = pool + [And(f, g) for f, g in itertools.product(pool, repeat=2)]
+        for f, y, x in itertools.product(pool, variables, variables):
+            try:
+                formulas.append(substitute(f, [(y, Var(x))]))
+            except CaptureViolation:
+                pass
+        for phi in formulas:
+            warm.of(phi)
+        for phi in formulas:
+            vector = warm.of(phi)
+            assert vector == _Vectors(interp, variables).of(phi), format_formula(phi)
+            assert vector == reference_vector(warm, phi), format_formula(phi)
+
+
 def outcome(evaluate, *args):
     """The value, or the type of the package error raised."""
     try:
@@ -561,6 +678,37 @@ def test_vectors_compile_nesting_the_reference_evaluator_cannot_reach():
             evaluate(RICH, Assignment({1: "d1"}), deep)
     vs = _Vectors(RICH, [1])
     assert vs.of(deep) == vs.of(parse_formula("p(x1)", RICH.signature()))
+
+
+def test_formulas_at_the_parsers_deepest_nesting_compare_without_recursion():
+    """Two separately parsed copies of the deepest `E x2. (... & p(x1))` the
+    parser accepts are equal and hash alike; a copy that differs only at
+    its innermost leaf, with the same hash all the way up, is not equal.
+    The sequent between the copies, and the suite on them, are evaluated."""
+    def text(depth, leaf="p(x1)"):
+        for _ in range(depth):
+            leaf = f"E x2. ({leaf} & p(x1))"
+        return leaf
+
+    def parses(depth):
+        try:
+            parse_formula(text(depth))
+        except FormulaSyntaxError:
+            return False
+        return True
+
+    low, high = 1, 4096
+    assert parses(low) and not parses(high)
+    while high - low > 1:
+        middle = (low + high) // 2
+        low, high = (middle, high) if parses(middle) else (low, middle)
+    a, b = parse_formula(text(low)), parse_formula(text(low))
+    assert a is not b and a == b and hash(a) == hash(b)
+    leaf = parse_formula(text(low, "p(c1)"))
+    assert hash(leaf) == hash(a) and a != leaf and not a == leaf
+    interp = Interpretation(("a", "b"), {1: "a"}, {}, {"p": {("a",): F(1, 2), ("b",): ONE}})
+    assert sequent_grade(interp, a, b) == ONE
+    assert all(law.ok for law in theorem2_suite(interp, [a, b]))
 
 
 def test_suite_reports_match_the_recorded_pool_basic_run():

@@ -1,4 +1,8 @@
+import itertools
+
 import pytest
+
+from conftest import brute_substitute
 
 from graded_topos.errors import (
     ArityMismatch,
@@ -6,6 +10,7 @@ from graded_topos.errors import (
     FormulaSyntaxError,
     UndeclaredSymbol,
 )
+from graded_topos.generators import GeneratorConfig, generate_formula_pool, generate_random_interpretation
 from graded_topos.logic.parser import Signature, parse_formula, parse_term
 from graded_topos.logic.syntax import (
     And,
@@ -136,3 +141,82 @@ def test_or_must_be_nonempty():
     from graded_topos.errors import SchemaError
     with pytest.raises(SchemaError):
         Or(())
+
+
+# --- the node contract: cached hashes, structural equality, shared subtrees ---
+
+def test_equal_formulas_from_the_parser_constructors_and_substitute_are_equal_and_hash_equal():
+    text = "V[E x1. (p(x1) & r(x1,f(c1))), (x2 = f(x2)), T, F]"
+    built = Or((Exists(1, And(Predicate("p", (Var(1),)),
+                              Predicate("r", (Var(1), Func("f", (Const(1),)))))),
+                Equality(Var(2), Func("f", (Var(2),))), TOP, BOTTOM))
+    renamed = substitute(parse_formula(text.replace("x2", "x3")), [(3, Var(2))])
+    copies = [parse_formula(text), parse_formula(text), built, renamed]
+    for a, b in itertools.product(copies, repeat=2):
+        assert a == b and not a != b and hash(a) == hash(b)
+    # the hash is the one a frozen dataclass gives, from the fields
+    assert hash(Var(1)) == hash((1,)) and hash(TOP) == hash(())
+    assert hash(built) == hash((built.items,))
+    assert hash(built.items[0]) == hash((1, built.items[0].body))
+    for seed in range(6):
+        cfg = GeneratorConfig(seed=seed)
+        interp = generate_random_interpretation(cfg, 0)
+        for f in generate_formula_pool(cfg, 0, interp, size=4, depth=4):
+            again = parse_formula(format_formula(f))
+            assert again == f and hash(again) == hash(f)
+
+
+def test_nodes_with_equal_hashes_are_equal_only_when_their_trees_are():
+    # a variable and a constant of the same index hash alike
+    pairs = [(Var(1), Const(1)), (TOP, BOTTOM),
+             (Equality(Var(1), Var(2)), Equality(Const(1), Const(2))),
+             (Exists(1, Predicate("p", (Var(1),))), Exists(1, Predicate("p", (Const(1),)))),
+             (Or((TOP, BOTTOM)), Or((TOP, BOTTOM, BOTTOM)))]
+    for a, b in pairs[:4]:
+        assert hash(a) == hash(b)
+    for a, b in pairs:
+        assert a != b and not a == b
+    assert Var(1) != (1,) and Var(1) != 1 and Predicate("p", ()) != ("p", ())
+
+
+def test_substitute_returns_the_same_object_when_nothing_is_replaced():
+    phi = parse_formula("(E x1. r(x1,x2) & p(f(x2)))")
+    assert substitute(phi, [(2, Var(2))]) is phi  # x := x
+    assert substitute(phi, [(1, Const(1))]) is phi  # x1 is only bound
+    assert substitute(phi, [(3, Var(1))]) is phi  # x3 does not occur
+    assert substitute(phi, [(1, Var(2)), (2, Var(2))]) is phi
+    # x := x under a binder its term would otherwise be captured by
+    bound = parse_formula("E x2. r(x1,x2)")
+    assert substitute(bound, [(1, Var(1))]) is bound
+    # only the subtrees with a replaced occurrence are rebuilt
+    partly = parse_formula("(E x2. r(x2,x2) & V[p(x1), q(c1)])")
+    out = substitute(partly, [(1, Const(1))])
+    assert out == parse_formula("(E x2. r(x2,x2) & V[p(c1), q(c1)])")
+    assert out.lhs is partly.lhs and out.rhs.items[1] is partly.rhs.items[1]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_substitute_matches_the_recursive_oracle_on_generated_pools(seed):
+    """Equal results, CaptureViolation at the same binder, and the very
+    same object whenever no replaced variable is free."""
+    cfg = GeneratorConfig(seed=seed)
+    for index in range(4):
+        interp = generate_random_interpretation(cfg, index)
+        terms = [Var(1), Var(2), Var(3), Const(min(interp.constants, default=1)),
+                 *(Func(name, tuple(Var(2) for _ in next(iter(table))))
+                   for name, table in interp.functions.items())]
+        for f in generate_formula_pool(cfg, index, interp, size=4, depth=4):
+            for pairs in itertools.chain(
+                    ([(y, t)] for y in (1, 2, 3) for t in terms),
+                    ([(1, s), (2, t)] for s, t in itertools.product(terms, repeat=2))):
+                try:
+                    expected = brute_substitute(f, pairs)
+                except CaptureViolation as exc:
+                    with pytest.raises(CaptureViolation) as err:
+                        substitute(f, pairs)
+                    assert err.value.variable == exc.variable
+                    continue
+                out = substitute(f, pairs)
+                assert out == expected and hash(out) == hash(expected)
+                replaced = {x for x, t in dict(pairs).items() if t != Var(x)}
+                assert (out is f) == (not replaced & free_variables(f))
