@@ -3,32 +3,31 @@ top, bottom, predicates, crisp equality, binary conjunction, finite
 disjunction, existential quantification.
 
 Every node is immutable and computes its hash once, when it is built, from
-its fields' cached hashes; the value is the one a frozen dataclass gives,
-so a node hashes in O(1) however deep it is. Equality is structural: two
-nodes are `==` when they have the same class and equal fields, decided on
-an explicit stack that stops at the first pair of differing cached hashes,
-so deep formulas compare without the interpreter's stack. Variables and
-constants compare their indices directly.
+its class and its fields' cached hashes, so a node hashes in O(1) however
+deep it is. Equality is structural: two nodes are `==` when they have the
+same class and equal fields, decided on an explicit stack that stops at
+the first pair of differing cached hashes, so deep formulas compare
+without the interpreter's stack. Variables and constants compare their
+indices directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import is_
 from typing import Union
 
 from ..errors import CaptureViolation, SchemaError
 
+# nodes are frozen; their constructors set the fields and the hash of
+# (class name, fields), which reads the fields' cached hashes
+_set = object.__setattr__
+
 
 class _Node:
     """The cached hash and the stack-based equality every node shares."""
 
-    __slots__ = ()
-
-    def __post_init__(self) -> None:
-        # the hash a frozen dataclass gives, from the fields' cached hashes
-        fields = tuple(map(self.__getattribute__, self.__match_args__))
-        object.__setattr__(self, "_hash", hash(fields))
+    __slots__ = ("_hash",)
 
     def __hash__(self) -> int:
         return self._hash
@@ -60,15 +59,14 @@ class _Node:
         return ()
 
 
-def _cached_hash():
-    """The slot a node's hash is stored in when the node is built."""
-    return field(init=False, repr=False)
-
-
 class _Leaf(_Node):
     """A variable or a constant: equal to a node of its class with the same index."""
 
     __slots__ = ()
+
+    def __init__(self, index: int) -> None:
+        _set(self, "index", index)
+        _set(self, "_hash", hash((self.__class__.__name__, index)))
 
     def __eq__(self, other) -> bool:
         if other.__class__ is self.__class__:
@@ -86,6 +84,11 @@ class _Application(_Node):
 
     __slots__ = ()
 
+    def __init__(self, symbol: str, args: tuple) -> None:
+        _set(self, "symbol", symbol)
+        _set(self, "args", args)
+        _set(self, "_hash", hash((self.__class__.__name__, symbol, args)))
+
     def parts(self) -> tuple:
         return self.args
 
@@ -96,82 +99,92 @@ class _Application(_Node):
 class _Binary(_Node):
     __slots__ = ()
 
+    def __init__(self, lhs, rhs) -> None:
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
+        _set(self, "_hash", hash((self.__class__.__name__, lhs, rhs)))
+
     def parts(self) -> tuple:
         return self.lhs, self.rhs
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+class _Constant(_Node):
+    __slots__ = ()
+
+    def __init__(self) -> None:
+        _set(self, "_hash", hash(self.__class__.__name__))
+
+
+@dataclass(frozen=True, eq=False, slots=True, init=False)
 class Const(_Leaf):
     index: int
-    _hash: int = _cached_hash()
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False, slots=True, init=False)
 class Var(_Leaf):
     index: int
-    _hash: int = _cached_hash()
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False, slots=True, init=False)
 class Func(_Application):
     symbol: str
     args: tuple["Term", ...]
-    _hash: int = _cached_hash()
 
 
 Term = Union[Const, Var, Func]
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class Top(_Node):
-    _hash: int = _cached_hash()
+@dataclass(frozen=True, eq=False, slots=True, init=False)
+class Top(_Constant):
+    pass
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class Bottom(_Node):
-    _hash: int = _cached_hash()
+@dataclass(frozen=True, eq=False, slots=True, init=False)
+class Bottom(_Constant):
+    pass
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False, slots=True, init=False)
 class Predicate(_Application):
     symbol: str
     args: tuple[Term, ...]
-    _hash: int = _cached_hash()
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False, slots=True, init=False)
 class Equality(_Binary):
     lhs: Term
     rhs: Term
-    _hash: int = _cached_hash()
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False, slots=True, init=False)
 class And(_Binary):
     lhs: "Formula"
     rhs: "Formula"
-    _hash: int = _cached_hash()
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False, slots=True, init=False)
 class Or(_Node):
     items: tuple["Formula", ...]
-    _hash: int = _cached_hash()
 
-    def __post_init__(self) -> None:
-        if not self.items:
+    def __init__(self, items: tuple) -> None:
+        if not items:
             raise SchemaError("or", "disjunction lists must be nonempty")
-        _Node.__post_init__(self)
+        _set(self, "items", items)
+        _set(self, "_hash", hash(("Or", items)))
 
     def parts(self) -> tuple:
         return self.items
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False, slots=True, init=False)
 class Exists(_Node):
     variable: int
     body: "Formula"
-    _hash: int = _cached_hash()
+
+    def __init__(self, variable: int, body) -> None:
+        _set(self, "variable", variable)
+        _set(self, "body", body)
+        _set(self, "_hash", hash(("Exists", variable, body)))
 
     def parts(self) -> tuple:
         return (self.body,)

@@ -683,8 +683,9 @@ def test_vectors_compile_nesting_the_reference_evaluator_cannot_reach():
 def test_formulas_at_the_parsers_deepest_nesting_compare_without_recursion():
     """Two separately parsed copies of the deepest `E x2. (... & p(x1))` the
     parser accepts are equal and hash alike; a copy that differs only at
-    its innermost leaf, with the same hash all the way up, is not equal.
-    The sequent between the copies, and the suite on them, are evaluated."""
+    its innermost leaf is not equal, even given the same cached hashes all
+    the way down. The sequent between the copies, and the suite on them,
+    are evaluated."""
     def text(depth, leaf="p(x1)"):
         for _ in range(depth):
             leaf = f"E x2. ({leaf} & p(x1))"
@@ -705,6 +706,12 @@ def test_formulas_at_the_parsers_deepest_nesting_compare_without_recursion():
     a, b = parse_formula(text(low)), parse_formula(text(low))
     assert a is not b and a == b and hash(a) == hash(b)
     leaf = parse_formula(text(low, "p(c1)"))
+    assert a != leaf and not a == leaf
+    nodes = [(a, leaf)]
+    while nodes:
+        node, other = nodes.pop()
+        object.__setattr__(other, "_hash", hash(node))
+        nodes.extend(zip(node.parts(), other.parts()))
     assert hash(leaf) == hash(a) and a != leaf and not a == leaf
     interp = Interpretation(("a", "b"), {1: "a"}, {}, {"p": {("a",): F(1, 2), ("b",): ONE}})
     assert sequent_grade(interp, a, b) == ONE
