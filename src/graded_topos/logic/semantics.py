@@ -307,6 +307,7 @@ class _Vectors:
         A node already compiled over its list is read from the list's memo:
         the walk counts the steps of its whole subtree, as if it compiled
         it, and does not descend into it."""
+        # a formula compiled before, within the budget, is one lookup
         hit = self._memo.get(phi)
         if hit is not None and hit[1] <= MAX_STEPS:
             return hit[0]

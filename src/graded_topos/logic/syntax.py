@@ -50,6 +50,10 @@ class _Node:
             todo.extend(zip(parts, other_parts))
         return True
 
+    def __reduce__(self):
+        # copies and pickles are rebuilt by the constructor, which sets the hash
+        return self.__class__, tuple(map(self.__getattribute__, self.__match_args__))
+
     def parts(self) -> tuple:
         """The sub-formulas and sub-terms the node is built from, in order."""
         return ()

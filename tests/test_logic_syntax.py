@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 
 import pytest
 
@@ -162,16 +164,26 @@ def test_equal_formulas_from_the_parser_constructors_and_substitute_are_equal_an
             assert again == f and hash(again) == hash(f)
 
 
+def test_copied_and_pickled_formulas_keep_equality_and_hash():
+    phi = parse_formula("V[E x1. (p(x1) & (x1 = f(c2))), T, F]")
+    for other in (pickle.loads(pickle.dumps(phi)), copy.deepcopy(phi), copy.copy(phi)):
+        assert other == phi and hash(other) == hash(phi)
+
+
 def test_nodes_are_equal_only_when_their_trees_are():
     pairs = [(Var(1), Const(1)), (TOP, BOTTOM),
              (Equality(Var(1), Var(2)), Equality(Const(1), Const(2))),
              (Exists(1, Predicate("p", (Var(1),))), Exists(1, Predicate("p", (Const(1),)))),
              (Or((TOP, BOTTOM)), Or((TOP, BOTTOM, BOTTOM))),
-             (Predicate("p", (Var(1),)), Func("p", (Var(1),)))]
+             (Predicate("p", (Var(1),)), Func("p", (Var(1),))),
+             (Predicate("p", (Var(1),)), Predicate("q", (Var(1),))),
+             (Exists(1, TOP), Exists(2, TOP)),
+             (Equality(Var(1), Var(2)), Equality(Var(1), Var(3)))]
     for a, b in pairs:
         assert a != b and not a == b
         # equal cached hashes alone do not make nodes equal
-        object.__setattr__(b, "_hash", hash(a))
+        for node, other in [(a, b), *zip(a.parts(), b.parts())]:
+            object.__setattr__(other, "_hash", hash(node))
         assert a != b and not a == b
     assert Var(1) != (1,) and Var(1) != 1 and Predicate("p", ()) != ("p", ())
 
