@@ -27,23 +27,17 @@ from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from functools import cache, cached_property, reduce
 from types import MappingProxyType
-from typing import Any, Callable, Hashable, Iterable, Mapping
+from typing import Callable, Hashable, Iterable, Mapping
 
 from .checks import Violation, mask_elements, mask_steps
 from .errors import MixedCarrier, SchemaError
-from .fuzzy_sets import FuzzySet, full_set
+from .fuzzy_sets import full_set
 from .grades import Grade, ONE, ZERO
 from .ranks import Ranks, cuts_of, inclusion
-from .spaces import GradedSpace
+from .spaces import GradedSpace, _show
 
 MeetTable = Mapping[tuple[Hashable, Hashable], Hashable]
 RelationTable = Mapping[tuple[Hashable, Hashable], Grade]
-
-
-def _show(element: Any) -> str:
-    if isinstance(element, FuzzySet):
-        return str({k: str(v) for k, v in element.as_map().items()})
-    return repr(element)
 
 
 @dataclass(frozen=True)
@@ -98,6 +92,18 @@ def _pairs(n: int) -> dict[int, int]:
     """The position of each pair mask of n elements (empty set, singletons, pairs), ascending."""
     masks = sorted({0} | {1 << i | 1 << j for i in range(n) for j in range(i, n)})
     return {mask: p for p, mask in enumerate(masks)}
+
+
+def _fold(joins: list[int | None], position: Mapping[int, int], mask: int) -> int | None:
+    """The join of the subset `mask` folded from the empty join, lowest
+    member first, by the pair joins `joins` at `position`; None once a
+    step leaves the carrier."""
+    joined = joins[0]
+    while mask and joined is not None:
+        low = mask & -mask
+        mask ^= low
+        joined = joins[position[1 << joined | low]]
+    return joined
 
 
 def label_mask(labels: Iterable[Hashable], bits: Mapping[Hashable, int]) -> int:
@@ -192,12 +198,7 @@ class GradedFrame:
             return v.table[mask]
         if mask in position:
             return v.joins[position[mask]]
-        joined = v.bottom
-        while mask and joined is not None:
-            low = mask & -mask
-            mask ^= low
-            joined = v.joins[position[1 << joined | low]]
-        return joined
+        return _fold(v.joins, position, mask)
 
     def join_fn(self, subset: frozenset) -> Hashable | None:
         """The join of a subset of the carrier by `join_at`, or None."""
@@ -532,13 +533,8 @@ def _distributive(rel: list[list[int]], joins: list[int], position: Mapping[int,
     below = [sum(1 << y for y, r in enumerate(col) if r == one) for col in zip(*rel)]
     irreducible = 0
     for x in range(n):
-        # the join of the elements strictly below x, folded
-        joined, rest = joins[0], below[x] & ~(1 << x)
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            joined = joins[position[1 << joined | low]]
-        if joined != x:
+        # x is join-irreducible unless the join of the elements strictly below it is x
+        if _fold(joins, position, below[x] & ~(1 << x)) != x:
             irreducible |= 1 << x
     down = [b & irreducible for b in below]
     return all(down[joins[position[1 << x | 1 << y]]] == down[x] | down[y]

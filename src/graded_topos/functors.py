@@ -23,6 +23,7 @@ morphism still comes from its own builder, so no law holds by construction.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
 from typing import Hashable, Iterable, Sequence
@@ -214,13 +215,8 @@ def enumerate_point_homs(frame: GradedFrame, values: GradeSet) -> list[PointHom]
     # bound[(i, j)] = b is violated when rank[i] > rank[j] < b. Relation
     # preservation fails exactly when v_i > v_j and rel(i, j) > v_j, and
     # rel(i, j) > grades[r] exactly when r < the number of grades below
-    # rel(i, j), counted once per frame rank by merging the two sorted
-    # lists; b = len(grades) makes it rank[i] <= rank[j].
-    above, below = [], 0
-    for g in view.grades:
-        while below < len(grades) and grades[below] < g:
-            below += 1
-        above.append(below)
+    # rel(i, j); b = len(grades) makes it rank[i] <= rank[j].
+    above = [bisect_left(grades, g) for g in view.grades]
     bound = {(i, j): above[view.rel[i][j]] for i in range(n) for j in range(n) if i != j}
 
     def at_most(i: int, j: int) -> None:

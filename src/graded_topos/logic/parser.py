@@ -136,20 +136,25 @@ class _Parser:
                 raise UndeclaredSymbol(tok.text)
             return Const(index)
         if tok.kind == "ident":
-            self.expect("(")
-            args = [self.term()]
-            while self.peek().text == ",":
-                self.take()
-                args.append(self.term())
-            self.expect(")")
-            if self.signature is not None:
-                if tok.text not in self.signature.functions:
-                    raise UndeclaredSymbol(tok.text)
-                arity = self.signature.functions[tok.text]
-                if arity != len(args):
-                    raise ArityMismatch(tok.text, arity, len(args))
-            return Func(tok.text, tuple(args))
+            return Func(tok.text, self.arguments(tok, self.signature and self.signature.functions))
         raise FormulaSyntaxError(tok.position, "expected a term")
+
+    def arguments(self, tok: _Token, declared: Mapping[str, int] | None) -> tuple[Term, ...]:
+        """The arguments `( term {, term} )` of the symbol `tok`, checked
+        against its `declared` arities (none without a signature): an
+        undeclared symbol before a wrong count."""
+        self.expect("(")
+        args = [self.term()]
+        while self.peek().text == ",":
+            self.take()
+            args.append(self.term())
+        self.expect(")")
+        if declared is not None:
+            if tok.text not in declared:
+                raise UndeclaredSymbol(tok.text)
+            if declared[tok.text] != len(args):
+                raise ArityMismatch(tok.text, declared[tok.text], len(args))
+        return tuple(args)
 
     # --- formulas ------------------------------------------------------
 
@@ -157,7 +162,8 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "ident":
             if self.peek(1).text == "(":
-                return self.predicate()
+                self.take()
+                return Predicate(tok.text, self.arguments(tok, self.signature and self.signature.predicates))
             if tok.text == "T":
                 self.take()
                 return TOP
@@ -173,22 +179,6 @@ class _Parser:
             return self.parenthesized()
         self.fail("expected a formula")
         raise AssertionError  # unreachable
-
-    def predicate(self) -> Formula:
-        tok = self.take()
-        self.expect("(")
-        args = [self.term()]
-        while self.peek().text == ",":
-            self.take()
-            args.append(self.term())
-        self.expect(")")
-        if self.signature is not None:
-            if tok.text not in self.signature.predicates:
-                raise UndeclaredSymbol(tok.text)
-            arity = self.signature.predicates[tok.text]
-            if arity != len(args):
-                raise ArityMismatch(tok.text, arity, len(args))
-        return Predicate(tok.text, tuple(args))
 
     def exists(self) -> Formula:
         self.take()  # E

@@ -61,7 +61,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property, reduce
 from operator import eq, or_
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from ..checks import LawReport
 from ..errors import (
@@ -201,13 +201,18 @@ EMPTY_ASSIGNMENT = Assignment({})
 MAX_STEPS = 10 ** 6
 
 
-def _free(*formulas: Formula) -> list[int]:
-    """The sorted free variables of the formulas; a formula nested deeper
+def _shallow(walk: Callable, *args):
+    """`walk(*args)`, a recursive walk of a formula; a formula nested deeper
     than the interpreter's stack allows is a SchemaError."""
     try:
-        return sorted(frozenset().union(*map(free_variables, formulas)))
+        return walk(*args)
     except RecursionError:
         raise SchemaError("formula", "the formula is nested too deeply") from None
+
+
+def _free(*formulas: Formula) -> list[int]:
+    """The sorted free variables of the formulas."""
+    return sorted(frozenset().union(*(_shallow(free_variables, f) for f in formulas)))
 
 
 def sat_grade(interp: Interpretation, assignment: Assignment, phi: Formula) -> Grade:
@@ -409,11 +414,13 @@ def theorem2_suite(interp: Interpretation, pool: Sequence[Formula]) -> tuple[Law
     `MAX_SUBSET`; the substitution clauses skip instances the capture check
     rejects; clause 9 is instantiated with the quantified variable not free
     in the left conjunct, the side condition the distributivity law needs.
+    A pool formula nested too deeply for the interpreter's stack is a
+    SchemaError, as in `sat_grade`.
     """
     if not pool:
         raise SchemaError("pool", "needs at least one formula")
     pool = list(pool)
-    free = [free_variables(f) for f in pool]
+    free = [_shallow(free_variables, f) for f in pool]
     pool_vars = sorted(frozenset().union(*free))
     fresh = (max(pool_vars, default=0)) + 1
     vs = _Vectors(interp, pool_vars + [fresh])
@@ -507,7 +514,7 @@ def theorem2_suite(interp: Interpretation, pool: Sequence[Formula]) -> tuple[Law
             targets.append([xs[1], xs[0]])
         for ys in targets:
             try:
-                replaced = substitute(f, [(x, Var(y)) for x, y in zip(xs, ys)])
+                replaced = _shallow(substitute, f, [(x, Var(y)) for x, y in zip(xs, ys)])
             except CaptureViolation:
                 continue
             eq = None
@@ -519,39 +526,36 @@ def theorem2_suite(interp: Interpretation, pool: Sequence[Formula]) -> tuple[Law
                 fails.append(f"7 ({i} with {ys})")
     clause("Thm2.7 substitution of equals", fails)
 
+    # clauses 8 and 9 read these for many (i, j); each is computed once
     @cache
-    def renamed(k: int, y: int, x: int) -> Formula | None:
-        """pool[k] with x for y, or None when the capture check rejects it."""
+    def instance(k: int, y: int, x: int) -> int | None:
+        """The vector of pool[k] with x for y, or None when the capture check rejects it."""
         try:
-            return substitute(pool[k], [(y, Var(x))])
+            return vs.of(_shallow(substitute, pool[k], [(y, Var(x))]))
         except CaptureViolation:
             return None
 
-    # clauses 8 and 9 read these for many (i, j); each is computed once
     @cache
     def exists_of(k: int, y: int) -> int:
         return vs.exists(vector[k], y)
-
-    @cache
-    def rename_of(k: int, y: int, x: int) -> int:
-        return vs.of(renamed(k, y, x))
 
     fails = []
     for i in range(len(pool)):
         for j in range(len(pool)):
             ys = sorted(free[j]) or [fresh]
             for y in ys:
+                # the sequents with the existential side do not depend on x
+                into = sequent(vector[i], exists_of(j, y))
+                out_of = sequent(exists_of(i, y), vector[j])
                 for x in pool_vars[:2] or [fresh]:
-                    if renamed(j, y, x) is None:
+                    if instance(j, y, x) is None:
                         continue
-                    if sequent(vector[i], rename_of(j, y, x)) > sequent(vector[i], exists_of(j, y)):
+                    if sequent(vector[i], instance(j, y, x)) > into:
                         fails.append(f"8(i) ({i},{j},x{y}:=x{x})")
                     # second half: from an existential premise to the instance
-                    if renamed(i, y, x) is None:
+                    if instance(i, y, x) is None:
                         continue
-                    lhs = sequent(exists_of(i, y), vector[j])
-                    rhs = sequent(rename_of(i, y, x), vector[j])
-                    if lhs > rhs:
+                    if out_of > sequent(instance(i, y, x), vector[j]):
                         fails.append(f"8(ii) ({i},{j},x{y}:=x{x})")
     clause("Thm2.8 existential bounds", fails)
 

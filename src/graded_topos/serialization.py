@@ -187,10 +187,12 @@ def space_from_json(obj: Any) -> GradedSpace:
 # --- frames -----------------------------------------------------------------
 
 def frame_to_json(frame: GradedFrame) -> dict:
-    """The frame, read off its view, with its full join table. Without one,
-    the table folds the view's pair joins, one lookup per subset (the join
-    of the subset minus its lowest member, joined with that member), for up
-    to 16 elements and only when every pair join lies in the carrier."""
+    """The frame, read off its view, with its full join table, which
+    equals `frame.join_at` at every mask. Without a table, that is the
+    view's joins of the empty set, the singletons and the pairs, and for a
+    larger subset the pair joins folded as `join_at` folds them, one lookup
+    per subset; for up to 16 elements and only when every pair join lies in
+    the carrier."""
     labels = list(_names_for(frame.carrier).values())
     n, view = len(labels), frame.view
     table = view.table
@@ -200,9 +202,13 @@ def frame_to_json(frame: GradedFrame) -> dict:
         if None in view.joins:
             raise SchemaError("join", "the join of a pair is outside the carrier")
         pair = dict(zip(view.masks, view.joins))
+        # the folds of the masks below 2^(h+1) from those below 2^h: the
+        # fold takes the lowest member first, so it joins member h last
         table = [view.bottom]
-        for mask in range(1, 1 << n):
-            table.append(pair[1 << table[mask & mask - 1] | mask & -mask])
+        for h in range(n):
+            table += [pair[1 << joined | 1 << h] for joined in table]
+        for mask, joined in pair.items():
+            table[mask] = joined
     shown = [format_grade(g) for g in view.grades]
     return {
         "carrier": labels,
@@ -245,16 +251,13 @@ def frame_from_json(obj: Any) -> GradedFrame:
     carrier = _identifier_list(body.get("carrier"), "carrier")
     top = _identifier(body.get("top"), "top")
 
-    meet_table = {_pair_key(key, "meet"): _identifier(value, "meet")
-                  for key, value in _expect_object(body.get("meet"), "meet").items()}
-    if len(meet_table) != len(carrier) ** 2:
-        raise SchemaError("meet", "table must be total on carrier pairs")
-
-    relation = {_pair_key(key, "relation"): _grade(value, "relation")
-                for key, value in _expect_object(body.get("relation"), "relation").items()}
-    if len(relation) != len(carrier) ** 2:
-        raise SchemaError("relation", "table must be total on carrier pairs")
-
+    tables = []
+    for field, read in (("meet", _identifier), ("relation", _grade)):
+        tables.append({_pair_key(key, field): read(value, field)
+                       for key, value in _expect_object(body.get(field), field).items()})
+        if len(tables[-1]) != len(carrier) ** 2:
+            raise SchemaError(field, "table must be total on carrier pairs")
+    meet_table, relation = tables
     bits = {a: 1 << i for i, a in enumerate(carrier)}
     joins = _expect_object(body.get("join"), "join")
     canonical = {}
@@ -312,18 +315,12 @@ def system_from_json(obj: Any) -> GradedSystem:
 # --- interpretations and formulas --------------------------------------------
 
 def interpretation_to_json(interp) -> dict:
-    return {
-        "domain": list(interp.domain),
-        "constants": {f"c{i}": d for i, d in interp.constants.items()},
-        "functions": {
-            name: {",".join(k): v for k, v in table.items()}
-            for name, table in interp.functions.items()
-        },
-        "predicates": {
-            name: {",".join(k): format_grade(g) for k, g in table.items()}
-            for name, table in interp.predicates.items()
-        },
-    }
+    payload = {"domain": list(interp.domain),
+               "constants": {f"c{i}": d for i, d in interp.constants.items()}}
+    for field, show in (("functions", str), ("predicates", format_grade)):
+        payload[field] = {name: {",".join(k): show(v) for k, v in table.items()}
+                          for name, table in getattr(interp, field).items()}
+    return payload
 
 
 def interpretation_from_json(obj: Any):
@@ -337,21 +334,14 @@ def interpretation_from_json(obj: Any):
         if index is None:
             raise SchemaError("constants", f"key {key!r} is not of the form cN")
         constants[index] = _identifier(value, "constants")
-    functions = {}
-    for name, raw in _expect_object(body.get("functions", {}), "functions").items():
-        table = {}
-        for key, value in _expect_object(raw, f"functions.{name}").items():
-            args = tuple(key.split(","))
-            table[args] = _identifier(value, f"functions.{name}")
-        functions[name] = table
-    predicates = {}
-    for name, raw in _expect_object(body.get("predicates", {}), "predicates").items():
-        table = {}
-        for key, value in _expect_object(raw, f"predicates.{name}").items():
-            args = tuple(key.split(","))
-            table[args] = _grade(value, f"predicates.{name}")
-        predicates[name] = table
-    return Interpretation(domain, constants, functions, predicates)
+    tables = {}
+    for field, read in (("functions", _identifier), ("predicates", _grade)):
+        tables[field] = {}
+        for name, raw in _expect_object(body.get(field, {}), field).items():
+            where = f"{field}.{name}"
+            tables[field][name] = {tuple(key.split(",")): read(value, where)
+                                   for key, value in _expect_object(raw, where).items()}
+    return Interpretation(domain, constants, tables["functions"], tables["predicates"])
 
 
 def formulas_to_json(formulas: Sequence[Formula]) -> dict:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 from .checks import Violation
 from .errors import MixedUniverse, NotContinuous, Overflow
@@ -44,8 +44,11 @@ from .ranks import Ranks, ranks_of
 DEFAULT_CLOSURE_CAP = 4096
 
 
-def _show_set(t: FuzzySet) -> str:
-    return str({x: str(g) for x, g in zip(t.universe.elements, t.grades)})
+def _show(element: Any) -> str:
+    """A witness's name for an element: a fuzzy set as its map of grades, else its repr."""
+    if isinstance(element, FuzzySet):
+        return str({x: str(g) for x, g in zip(element.universe.elements, element.grades)})
+    return repr(element)
 
 
 @dataclass(frozen=True)
@@ -86,7 +89,7 @@ def check_space(universe: Universe, candidates: Sequence[FuzzySet]) -> GradedSpa
     seen: dict[FuzzySet, FuzzySet] = {}
     for t in candidates:
         if t in seen:
-            return Violation("space", "distinct opens", f"duplicate open {_show_set(t)}")
+            return Violation("space", "distinct opens", f"duplicate open {_show(t)}")
         seen[t] = t
     bottom, top = empty_set(universe), full_set(universe)
     if bottom not in seen:
@@ -99,11 +102,11 @@ def check_space(universe: Universe, candidates: Sequence[FuzzySet]) -> GradedSpa
             if union([a, b]) not in seen:
                 return Violation(
                     "space", "clause 2",
-                    f"union of {_show_set(a)} and {_show_set(b)} is not an open")
+                    f"union of {_show(a)} and {_show(b)} is not an open")
             if intersection(a, b) not in seen:
                 return Violation(
                     "space", "clause 3",
-                    f"intersection of {_show_set(a)} and {_show_set(b)} is not an open")
+                    f"intersection of {_show(a)} and {_show(b)} is not an open")
     return GradedSpace(universe, canonical_opens(items))
 
 
@@ -156,7 +159,7 @@ def check_continuous(f: PointMap, source: GradedSpace, target: GradedSpace) -> V
         if preimage(f, t) not in source:
             return Violation(
                 "continuity", "preimage of an open",
-                f"preimage of {_show_set(t)} is not an open of the source")
+                f"preimage of {_show(t)} is not an open of the source")
     return None
 
 

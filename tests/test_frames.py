@@ -356,6 +356,21 @@ def test_a_space_without_a_pairwise_union_fails_join_closure():
     assert str(check_frame(frame)) == "frame: join closure violated at join of mask 110 is outside the carrier"
 
 
+def test_a_violation_on_opens_names_each_open_by_its_grades():
+    u = Universe.of("x1", "x2")
+    half = FuzzySet(u, (F(1, 2), ZERO))
+    frame = frame_from_space(generate_topology(u, [half]))
+    relation = dict(frame.relation)
+    relation[(half, half)] = F(1, 2)
+    bad = GradedFrame.from_join_fn(frame.carrier, frame.top, frame.meet_table, frame.join_fn, relation)
+    assert str(check_frame(bad)) == "frame: axiom 1 violated at relation({'x1': '1/2', 'x2': '0'}, same) != 1"
+    meet = dict(frame.meet_table)
+    meet[(half, frame.top)] = frame.top
+    bad = GradedFrame.from_join_fn(frame.carrier, frame.top, meet, frame.join_fn, frame.relation)
+    assert str(check_frame(bad)) == ("frame: meet-semilattice violated at meet not commutative at "
+                                     "({'x1': '1/2', 'x2': '0'}, {'x1': '1', 'x2': '1'})")
+
+
 def view_fields(frame):
     v = frame.view
     return v.meet, v.grades, v.rel, v.top, v.bottom, v.masks, v.joins

@@ -250,6 +250,27 @@ def test_clause_8_reads_each_compiled_substitution_instance(monkeypatch):
     assert "8(i) (0,1,x2:=x1)" in failed[0].detail
 
 
+def test_a_broken_kernel_fails_every_clause_with_its_own_detail(monkeypatch):
+    """With the graded inclusion replaced by an arbitrary function of the
+    two vectors, every clause fails; each detail names its first three
+    failures in the clause's own order and format."""
+    pool = [phi("p(x1)"), phi("(q(x2) & (x2 = c1))"), phi("E x2. (p(x2) | q(x1))"), phi("(x1 = f(x2))")]
+    monkeypatch.setattr(semantics, "inclusion", lambda u, v, size, top: (u + v) % 7 % (top + 1))
+    assert [(r.name, r.ok, r.detail) for r in theorem2_suite(INTERP, pool)] == [
+        ("Thm2.1 identity", False, "p(x1); (q(x2) & (x2 = c1)); (x1 = f(x2))"),
+        ("Thm2.2 transitivity", False, "(0,2,0); (0,2,1); (0,2,3)"),
+        ("Thm2.3 conjunction", False,
+         "3(i) p(x1); 3(i) (q(x2) & (x2 = c1)); 3(i) E x2. (p(x2) | q(x1))"),
+        ("Thm2.4 disjunction", False, "4(i) (0,) member 0; 4(i) (1,) member 1; 4(i) (3,) member 3"),
+        ("Thm2.5 frame distributivity", False, "5 (0, (0,)); 5 (0, (1,)); 5 (0, (2,))"),
+        ("Thm2.6 reflexivity of equality", False, "x1; x2"),
+        ("Thm2.7 substitution of equals", False, "7 (0 with [3]); 7 (1 with [3]); 7 (2 with [3])"),
+        ("Thm2.8 existential bounds", False,
+         "8(ii) (0,0,x1:=x2); 8(i) (0,2,x1:=x1); 8(ii) (0,3,x1:=x1)"),
+        ("Thm2.9 quantifier distributivity", False, "9 (0,0,x3); 9 (0,1,x2); 9 (0,1,x3)"),
+    ]
+
+
 def test_pool_must_be_nonempty():
     with pytest.raises(SchemaError):
         theorem2_suite(INTERP, [])
@@ -678,6 +699,19 @@ def test_vectors_compile_nesting_the_reference_evaluator_cannot_reach():
             evaluate(RICH, Assignment({1: "d1"}), deep)
     vs = _Vectors(RICH, [1])
     assert vs.of(deep) == vs.of(parse_formula("p(x1)", RICH.signature()))
+    with pytest.raises(SchemaError, match="nested too deeply"):
+        sequent_grade(RICH, deep, deep)
+    with pytest.raises(SchemaError, match="nested too deeply"):
+        theorem2_suite(RICH, [deep])
+
+
+def test_a_substitution_nested_too_deeply_is_a_schema_error(monkeypatch):
+    """Clauses 7 and 8 substitute into the pool with a recursive walk, guarded as the others are."""
+    def too_deep(phi, pairs):
+        raise RecursionError
+    monkeypatch.setattr(semantics, "substitute", too_deep)
+    with pytest.raises(SchemaError, match="nested too deeply"):
+        theorem2_suite(RICH, [parse_formula("p(x1)", RICH.signature())])
 
 
 def test_formulas_at_the_parsers_deepest_nesting_compare_without_recursion():

@@ -95,6 +95,31 @@ def test_signature_checks():
         parse_term("g(x1)", SIG)
 
 
+@pytest.mark.parametrize("text, error, symbol", [
+    ("f(x1)", UndeclaredSymbol, "f"),  # a function symbol used as a predicate
+    ("p(p(x1))", UndeclaredSymbol, "p"),  # a predicate used as a function
+    ("(p(x1) = x1)", UndeclaredSymbol, "p"),
+    ("f(x1,x2)", UndeclaredSymbol, "f"),  # the symbol is checked before its arity
+    ("p(f(x1,x2))", ArityMismatch, "f"),  # arguments are checked before their symbol
+    ("s(f(x1,x2))", ArityMismatch, "f"),
+    ("r(x1,f(c9))", UndeclaredSymbol, "c9"),
+    ("r(p(x1))", UndeclaredSymbol, "p"),
+    ("r(f(x1))", ArityMismatch, "r"),
+])
+def test_symbols_are_checked_against_their_own_kind_innermost_first(text, error, symbol):
+    with pytest.raises(error) as raised:
+        parse_formula(text, SIG)
+    assert raised.value.symbol == symbol
+
+
+def test_without_a_signature_any_symbol_and_arity_parse():
+    assert parse_formula("f(x1,x2)") == Predicate("f", (Var(1), Var(2)))
+    assert parse_formula("p(p(x1))") == Predicate("p", (Func("p", (Var(1),)),))
+    assert parse_term("p(x1,c9)") == Func("p", (Var(1), Const(9)))
+    with pytest.raises(FormulaSyntaxError):  # a syntax error comes before any symbol check
+        parse_formula("s(x1", SIG)
+
+
 @pytest.mark.parametrize("text", [
     "T", "F", "p(x1)", "(p(x1) & q(x2))", "(p(x1) | q(x2))",
     "V[T, F, p(x1)]", "V[p(x1)]", "E x1. (x1 = c1)",

@@ -1,4 +1,6 @@
+import itertools
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -252,6 +254,38 @@ def _three_chain() -> dict:
         carrier, "c", {(x, y): min(x, y) for x in carrier for y in carrier},
         lambda subset: max(subset, default="a"),
         {(x, y): ONE if x <= y else Fraction(0) for x in carrier for y in carrier}))
+
+
+def _assert_written_joins_are_the_frames(frame) -> None:
+    loaded = frame_from_json(frame_to_json(frame))
+    masks = range(1 << len(frame))
+    assert [loaded.join_at(m) for m in masks] == [frame.join_at(m) for m in masks]
+    found, again = check_frame(frame), check_frame(loaded)
+    assert (found and found.clause) == (again and again.clause)
+
+
+def test_a_written_join_table_holds_the_frames_own_singleton_and_pair_joins():
+    # the chain 0 < 1 whose join of {0, 1} is 0: the join of {1} is still 1
+    carrier = ("0", "1")
+    frame = GradedFrame.from_join_fn(
+        carrier, "1", {(a, b): min(a, b) for a in carrier for b in carrier},
+        lambda subset: "0" if len(subset) == 2 else max(subset, default="0"),
+        {(a, b): ONE if a <= b else Fraction(0) for a in carrier for b in carrier})
+    assert frame_to_json(frame)["join"] == {"": "0", "0": "0", "1": "1", "0,1": "0"}
+    _assert_written_joins_are_the_frames(frame)
+
+
+def test_a_written_join_table_equals_join_at_on_frames_with_planted_pair_joins():
+    # the frame of five opens with some joins of at most two opens replaced
+    base = frame_from_space(space_with_opens(5))
+    rng = random.Random(0)
+    for _ in range(200):
+        pairs = map(frozenset, itertools.combinations(base.carrier, 2))
+        planted = {pair: rng.choice(base.carrier) for pair in pairs if rng.random() < 0.3}
+        frame = GradedFrame.from_join_fn(base.carrier, base.top, base.meet_table,
+                                         lambda subset: planted.get(subset, base.join_fn(subset)),
+                                         base.relation)
+        _assert_written_joins_are_the_frames(frame)
 
 
 def _with_join_key(payload: dict, old: str, new: str) -> dict:

@@ -48,6 +48,7 @@ def test_missing_union_is_clause_2():
     result = check_space(U2, [empty_set(U2), full_set(U2), HALF_LOW, other])
     assert isinstance(result, Violation)
     assert result.clause == "clause 2"
+    assert result.witness == "union of {'x1': '1/2', 'x2': '0'} and {'x1': '0', 'x2': '1/2'} is not an open"
 
 
 def test_missing_intersection_is_clause_3():
@@ -56,12 +57,14 @@ def test_missing_intersection_is_clause_3():
     result = check_space(U2, [empty_set(U2), full_set(U2), a, b])
     assert isinstance(result, Violation)
     assert result.clause == "clause 3"
+    assert result.witness == "intersection of {'x1': '1/2', 'x2': '1'} and {'x1': '1', 'x2': '1/2'} is not an open"
 
 
 def test_duplicates_are_rejected():
     result = check_space(U2, [empty_set(U2), full_set(U2), HALF_LOW, HALF_LOW])
     assert isinstance(result, Violation)
     assert result.clause == "distinct opens"
+    assert result.witness == "duplicate open {'x1': '1/2', 'x2': '0'}"
 
 
 def test_mixed_universe_raises():
@@ -111,6 +114,7 @@ def test_discontinuity_returns_the_offending_open():
     bad = check_continuous(PointMap.identity(U2), poor, rich)
     assert isinstance(bad, Violation)
     assert "1/2" in bad.witness
+    assert bad.witness == "preimage of {'x1': '1/2', 'x2': '0'} is not an open of the source"
 
 
 def test_compose_continuous_identity_laws():
