@@ -136,12 +136,12 @@ class _Parser:
                 raise UndeclaredSymbol(tok.text)
             return Const(index)
         if tok.kind == "ident":
-            return Func(tok.text, self.arguments(tok, self.signature and self.signature.functions))
+            return Func(tok.text, self.arguments(tok.text, self.signature and self.signature.functions))
         raise FormulaSyntaxError(tok.position, "expected a term")
 
-    def arguments(self, tok: _Token, declared: Mapping[str, int] | None) -> tuple[Term, ...]:
-        """The arguments `( term {, term} )` of the symbol `tok`, checked
-        against its `declared` arities (none without a signature): an
+    def arguments(self, symbol: str, declared: Mapping[str, int] | None) -> tuple[Term, ...]:
+        """The arguments `( term {, term} )` of `symbol`, checked against
+        the `declared` arities of its kind (none without a signature): an
         undeclared symbol before a wrong count."""
         self.expect("(")
         args = [self.term()]
@@ -150,10 +150,10 @@ class _Parser:
             args.append(self.term())
         self.expect(")")
         if declared is not None:
-            if tok.text not in declared:
-                raise UndeclaredSymbol(tok.text)
-            if declared[tok.text] != len(args):
-                raise ArityMismatch(tok.text, declared[tok.text], len(args))
+            if symbol not in declared:
+                raise UndeclaredSymbol(symbol)
+            if declared[symbol] != len(args):
+                raise ArityMismatch(symbol, declared[symbol], len(args))
         return tuple(args)
 
     # --- formulas ------------------------------------------------------
@@ -163,7 +163,8 @@ class _Parser:
         if tok.kind == "ident":
             if self.peek(1).text == "(":
                 self.take()
-                return Predicate(tok.text, self.arguments(tok, self.signature and self.signature.predicates))
+                declared = self.signature and self.signature.predicates
+                return Predicate(tok.text, self.arguments(tok.text, declared))
             if tok.text == "T":
                 self.take()
                 return TOP
