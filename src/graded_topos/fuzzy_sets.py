@@ -10,7 +10,7 @@ lexicographic-by-membership sort order canonical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, Sequence
 
 from . import grades
 from .errors import MixedUniverse, SchemaError
@@ -68,9 +68,6 @@ class FuzzySet:
 
     def __call__(self, element: Hashable) -> Grade:
         return self.grades[self.universe.index(element)]
-
-    def as_map(self) -> dict[Any, Grade]:
-        return dict(zip(self.universe.elements, self.grades))
 
 
 @dataclass(frozen=True)

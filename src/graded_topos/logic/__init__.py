@@ -22,7 +22,6 @@ from .syntax import (
     Term,
     Top,
     Var,
-    big_or,
     format_formula,
     format_term,
     free_variables,
@@ -34,7 +33,7 @@ from .syntax import (
 __all__ = [
     "And", "Assignment", "BOTTOM", "Bottom", "Const", "EMPTY_ASSIGNMENT",
     "Equality", "Exists", "Formula", "Func", "Interpretation", "Or",
-    "Predicate", "Signature", "TOP", "Term", "Top", "Var", "big_or",
+    "Predicate", "Signature", "TOP", "Term", "Top", "Var",
     "format_formula", "format_term", "free_variables", "parse_formula",
     "parse_term", "sat_grade", "sequent_grade", "substitute", "substitute_term",
     "term_variables", "theorem2_suite",

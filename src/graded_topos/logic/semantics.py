@@ -188,10 +188,6 @@ class Assignment:
         fresh[index] = element
         return Assignment(fresh)
 
-    @classmethod
-    def of(cls, **kwargs: str) -> "Assignment":
-        return cls({int(k.lstrip("x")): v for k, v in kwargs.items()})
-
 
 EMPTY_ASSIGNMENT = Assignment({})
 

@@ -9,12 +9,15 @@ same class and equal fields, decided on an explicit stack that stops at
 the first pair of differing cached hashes, so deep formulas compare
 without the interpreter's stack. Variables and constants compare their
 indices directly.
+
+The jobs that depend only on structure (equality, free variables,
+substitution) walk `parts()`, terms and formulas alike; formatting, and
+compiling in `semantics`, case on the node's class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import is_
 from typing import Union
 
 from ..errors import CaptureViolation, SchemaError
@@ -96,6 +99,9 @@ class _Application(_Node):
     def parts(self) -> tuple:
         return self.args
 
+    def _rebuilt(self, parts: tuple):
+        return self.__class__(self.symbol, parts)
+
     def _label(self) -> tuple:
         return (self.symbol,)
 
@@ -110,6 +116,9 @@ class _Binary(_Node):
 
     def parts(self) -> tuple:
         return self.lhs, self.rhs
+
+    def _rebuilt(self, parts: tuple):
+        return self.__class__(*parts)
 
 
 class _Constant(_Node):
@@ -179,6 +188,9 @@ class Or(_Node):
     def parts(self) -> tuple:
         return self.items
 
+    def _rebuilt(self, parts: tuple):
+        return Or(parts)
+
 
 @dataclass(frozen=True, eq=False, slots=True, init=False)
 class Exists(_Node):
@@ -203,46 +215,17 @@ TOP = Top()
 BOTTOM = Bottom()
 
 
-def big_or(items) -> Formula:
-    return Or(tuple(items))
+def free_variables(node) -> frozenset[int]:
+    """Variables with a free occurrence in a formula or a term; the
+    quantifier binds its variable."""
+    if isinstance(node, Var):
+        return frozenset((node.index,))
+    if isinstance(node, Exists):
+        return free_variables(node.body) - {node.variable}
+    return frozenset().union(*map(free_variables, node.parts()))
 
 
-def term_variables(t: Term) -> frozenset[int]:
-    if isinstance(t, Var):
-        return frozenset((t.index,))
-    if isinstance(t, Func):
-        return frozenset().union(*(term_variables(a) for a in t.args)) if t.args else frozenset()
-    return frozenset()
-
-
-def free_variables(phi: Formula) -> frozenset[int]:
-    """Variables with a free occurrence; the quantifier binds its variable."""
-    if isinstance(phi, (Top, Bottom)):
-        return frozenset()
-    if isinstance(phi, Predicate):
-        return frozenset().union(frozenset(), *(term_variables(t) for t in phi.args))
-    if isinstance(phi, Equality):
-        return term_variables(phi.lhs) | term_variables(phi.rhs)
-    if isinstance(phi, And):
-        return free_variables(phi.lhs) | free_variables(phi.rhs)
-    if isinstance(phi, Or):
-        return frozenset().union(frozenset(), *(free_variables(f) for f in phi.items))
-    if isinstance(phi, Exists):
-        return free_variables(phi.body) - {phi.variable}
-    raise TypeError(f"not a formula: {phi!r}")
-
-
-def substitute_term(t: Term, mapping: dict[int, Term]) -> Term:
-    if isinstance(t, Var):
-        return mapping.get(t.index, t)
-    if isinstance(t, Func):
-        args = tuple(substitute_term(a, mapping) for a in t.args)
-        return t if _unchanged(args, t.args) else Func(t.symbol, args)
-    return t
-
-
-def _unchanged(new: tuple, old: tuple) -> bool:
-    return all(map(is_, new, old))
+term_variables = free_variables
 
 
 def substitute(phi: Formula, pairs) -> Formula:
@@ -254,35 +237,36 @@ def substitute(phi: Formula, pairs) -> Formula:
     A pair x := x is dropped, and a subtree in which nothing is replaced is
     returned as it is, the same object.
     """
-    mapping = dict()
-    for x, t in pairs:
-        mapping[x] = t
-    return _substitute(phi, {x: t for x, t in mapping.items()
-                             if not (isinstance(t, Var) and t.index == x)})
+    return substitute_term(phi, {x: t for x, t in dict(pairs).items()
+                                 if not (isinstance(t, Var) and t.index == x)})
 
 
-def _substitute(phi: Formula, mapping: dict[int, Term]) -> Formula:
-    if not mapping or isinstance(phi, (Top, Bottom)):
-        return phi
-    if isinstance(phi, Predicate):
-        args = tuple(substitute_term(t, mapping) for t in phi.args)
-        return phi if _unchanged(args, phi.args) else Predicate(phi.symbol, args)
-    if isinstance(phi, (Equality, And)):
-        part = substitute_term if isinstance(phi, Equality) else _substitute
-        lhs, rhs = part(phi.lhs, mapping), part(phi.rhs, mapping)
-        return phi if lhs is phi.lhs and rhs is phi.rhs else type(phi)(lhs, rhs)
-    if isinstance(phi, Or):
-        items = tuple(_substitute(f, mapping) for f in phi.items)
-        return phi if _unchanged(items, phi.items) else Or(items)
-    if isinstance(phi, Exists):
-        inner = {x: t for x, t in mapping.items() if x != phi.variable}
-        live = free_variables(phi.body)
-        for x, t in inner.items():
-            if x in live and phi.variable in term_variables(t):
-                raise CaptureViolation(phi.variable)
-        body = _substitute(phi.body, inner)
-        return phi if body is phi.body else Exists(phi.variable, body)
-    raise TypeError(f"not a formula: {phi!r}")
+def substitute_term(node, mapping: dict[int, Term]):
+    """`substitute` on a formula or a term, with its pairs as a map."""
+    if not mapping:
+        return node
+    if isinstance(node, Var):
+        return mapping.get(node.index, node)
+    if isinstance(node, Exists):
+        v = node.variable
+        inner = {x: t for x, t in mapping.items() if x != v}
+        # the body's free variables are computed only where a term could be
+        # captured, and then raise or drop a pair: linear in the formula
+        if any(v in free_variables(t) for t in inner.values()):
+            live = free_variables(node.body)
+            inner = {x: t for x, t in inner.items() if x in live}
+            if any(v in free_variables(t) for t in inner.values()):
+                raise CaptureViolation(v)
+        body = substitute_term(node.body, inner)
+        return node if body is node.body else Exists(v, body)
+    parts = new = node.parts()
+    for i, part in enumerate(parts):
+        rebuilt = substitute_term(part, mapping)
+        if rebuilt is not part:
+            if new is parts:
+                new = list(parts)
+            new[i] = rebuilt
+    return node if new is parts else node._rebuilt(tuple(new))
 
 
 def format_term(t: Term) -> str:
@@ -290,7 +274,7 @@ def format_term(t: Term) -> str:
         return f"c{t.index}"
     if isinstance(t, Var):
         return f"x{t.index}"
-    return f"{t.symbol}({','.join(format_term(a) for a in t.args)})"
+    return f"{t.symbol}({','.join(map(format_term, t.args))})"
 
 
 def format_formula(phi: Formula) -> str:
@@ -300,7 +284,7 @@ def format_formula(phi: Formula) -> str:
     if isinstance(phi, Bottom):
         return "F"
     if isinstance(phi, Predicate):
-        return f"{phi.symbol}({','.join(format_term(t) for t in phi.args)})"
+        return f"{phi.symbol}({','.join(map(format_term, phi.args))})"
     if isinstance(phi, Equality):
         return f"({format_term(phi.lhs)} = {format_term(phi.rhs)})"
     if isinstance(phi, And):
@@ -308,7 +292,7 @@ def format_formula(phi: Formula) -> str:
     if isinstance(phi, Or):
         if len(phi.items) == 2:
             return f"({format_formula(phi.items[0])} | {format_formula(phi.items[1])})"
-        return f"V[{', '.join(format_formula(f) for f in phi.items)}]"
+        return f"V[{', '.join(map(format_formula, phi.items))}]"
     if isinstance(phi, Exists):
         return f"E x{phi.variable}. {format_formula(phi.body)}"
     raise TypeError(f"not a formula: {phi!r}")

@@ -13,7 +13,10 @@ from graded_topos.errors import (
     UndeclaredSymbol,
 )
 from graded_topos.generators import GeneratorConfig, generate_formula_pool, generate_random_interpretation
+from graded_topos.grades import ONE
+from graded_topos.logic import syntax
 from graded_topos.logic.parser import Signature, parse_formula, parse_term
+from graded_topos.logic.semantics import Interpretation, theorem2_suite
 from graded_topos.logic.syntax import (
     And,
     BOTTOM,
@@ -254,3 +257,124 @@ def test_substitute_matches_the_recursive_oracle_on_generated_pools(seed):
                 assert out == expected and hash(out) == hash(expected)
                 replaced = {x for x, t in dict(pairs).items() if t != Var(x)}
                 assert (out is f) == (not replaced & free_variables(f))
+
+
+def assert_shares_unchanged_subtrees(out, phi, replaced):
+    """Every subtree of `phi` with no free variable in `replaced` is the same
+    object in `out`; every other subtree is rebuilt."""
+    todo = [(out, phi, frozenset(replaced))]
+    while todo:
+        new, old, live = todo.pop()
+        if not live & free_variables(old):
+            assert new is old
+            continue
+        assert new is not old
+        if isinstance(old, Exists):
+            live = live - {old.variable}
+        todo.extend((a, b, live) for a, b in zip(new.parts(), old.parts()))
+
+
+@pytest.mark.parametrize("text, pairs", [
+    # the replacement mentions the binder, whose variable is not free below
+    ("E x2. E x3. r(x2,x3)", [(1, Var(2))]),
+    ("E x2. (p(x3) & E x1. r(x1,x2))", [(1, Var(2)), (3, Const(1))]),
+    ("E x2. (q(c1) & E x3. r(x1,x3))", [(1, Var(2)), (3, Var(2))]),
+    ("E x2. E x1. r(x1,x2)", [(1, Func("f", (Var(2),)))]),
+    # sibling binders: one captures, one does not
+    ("(E x2. p(x2) & E x2. r(x1,x2))", [(1, Var(2))]),
+    ("(E x2. r(x1,x2) & E x3. r(x1,x3))", [(1, Var(3))]),
+    ("(E x3. r(x1,x3) & E x2. r(x1,x2))", [(1, Var(3))]),
+    ("V[E x2. p(x2), E x3. r(x1,x3), E x2. q(x1)]", [(1, Var(2))]),
+    # an Or of three items, a Func inside an Equality, constants
+    ("V[p(x1), E x2. r(x1,x2), q(c1)]", [(1, Func("f", (Var(3),)))]),
+    ("V[p(x2), q(x2), r(x2,x1)]", [(1, Var(2)), (2, Var(1))]),
+    ("(f(x1) = f(f(x2)))", [(1, Var(2)), (2, Const(1))]),
+    ("(f(c1) = x2)", [(1, Var(2))]),
+    ("(c1 = x1)", [(1, Const(2))]),
+    ("(p(c1) & (c2 = c1))", [(1, Var(2))]),
+])
+def test_substitute_matches_the_recursive_oracle_on_binders_and_every_node_kind(text, pairs):
+    """Equal results, CaptureViolation at the same binder, and the same
+    object for every subtree with no replaced free variable."""
+    phi = parse_formula(text, SIG)
+    try:
+        expected = brute_substitute(phi, pairs)
+    except CaptureViolation as exc:
+        with pytest.raises(CaptureViolation) as err:
+            substitute(phi, pairs)
+        assert err.value.variable == exc.variable
+        return
+    out = substitute(phi, pairs)
+    assert out == expected and hash(out) == hash(expected)
+    assert_shares_unchanged_subtrees(out, phi, {x for x, t in pairs if t != Var(x)})
+
+
+@pytest.mark.parametrize("pairs", [[(1, Var(3))], [(5, Var(2))]])
+def test_substitution_is_linear_in_the_binder_depth(monkeypatch, pairs):
+    """Substituting into twice as many binders calls `free_variables` at
+    most twice as often, plus a constant."""
+    calls = []
+    walk = syntax.free_variables
+
+    def counted(node):
+        calls.append(node)
+        return walk(node)
+    monkeypatch.setattr(syntax, "free_variables", counted)
+
+    def count(depth):
+        deep = TOP
+        for _ in range(depth):
+            deep = Exists(2, And(deep, Predicate("p", (Var(1),))))
+        calls.clear()
+        substitute(deep, pairs)
+        return len(calls)
+    assert count(120) <= 2 * count(60) + 4
+
+
+def deepest(text):
+    """The largest depth at which `text(depth)` parses, by bisection."""
+    def parses(depth):
+        try:
+            text(depth)
+        except FormulaSyntaxError:
+            return False
+        return True
+    low, high = 1, 4096
+    assert parses(low) and not parses(high)
+    while high - low > 1:
+        middle = (low + high) // 2
+        low, high = (middle, high) if parses(middle) else (low, middle)
+    return text(low)
+
+
+def nested_term(depth):
+    return "f(" * depth + "x1" + ")" * depth
+
+
+def nested_binders(depth):
+    leaf = "p(x1)"
+    for _ in range(depth):
+        leaf = f"E x2. ({leaf} & p(x1))"
+    return leaf
+
+
+def test_the_parsers_deepest_terms_and_formulas_format_and_walk():
+    """`format_formula` and `format_term` invert the parser at its deepest
+    term and formula, and the structural walks and the suite answer there."""
+    term = deepest(lambda depth: parse_term(nested_term(depth)))
+    assert parse_term(format_term(term)) == term
+    on_term = deepest(lambda depth: parse_formula(f"p({nested_term(depth)})"))
+    on_binders = deepest(lambda depth: parse_formula(nested_binders(depth)))
+    for phi in (on_term, on_binders):
+        text = format_formula(phi)
+        assert parse_formula(text) == phi
+        assert free_variables(phi) == frozenset({1})
+        assert substitute(phi, [(1, Var(3))]) == parse_formula(text.replace("x1", "x3"))
+    with pytest.raises(CaptureViolation) as err:
+        substitute(on_binders, [(1, Var(2))])
+    assert err.value.variable == 2
+    assert free_variables(term) == frozenset({1})
+    assert substitute(term, [(1, Const(1))]) == parse_term(format_term(term).replace("x1", "c1"))
+    interp = Interpretation(("a", "b"), {1: "a"}, {"f": {("a",): "b", ("b",): "a"}},
+                            {"p": {("a",): ONE, ("b",): ONE}})
+    assert all(law.ok for law in theorem2_suite(interp, [on_term, on_binders]))
