@@ -331,11 +331,11 @@ def test_substitution_is_linear_in_the_binder_depth(monkeypatch, pairs):
     assert count(120) <= 2 * count(60) + 4
 
 
-def deepest(text):
-    """The largest depth at which `text(depth)` parses, by bisection."""
+def deepest(parse):
+    """`parse(depth)` at the largest depth the parser accepts, by bisection."""
     def parses(depth):
         try:
-            text(depth)
+            parse(depth)
         except FormulaSyntaxError:
             return False
         return True
@@ -344,7 +344,7 @@ def deepest(text):
     while high - low > 1:
         middle = (low + high) // 2
         low, high = (middle, high) if parses(middle) else (low, middle)
-    return text(low)
+    return parse(low)
 
 
 def nested_term(depth):
