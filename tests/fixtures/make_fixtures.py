@@ -36,7 +36,6 @@ from graded_topos.spaces import generate_topology
 from graded_topos.systems import GradedSystem
 
 HERE = Path(__file__).parent
-INVALID = HERE / "invalid"
 
 
 def subsets(items):
@@ -83,33 +82,35 @@ def space_with_opens(count):
     raise ValueError(f"no space with {count} opens")
 
 
-def main() -> None:
-    INVALID.mkdir(exist_ok=True)
+def main(out: Path = HERE) -> None:
+    """Write the corpus into `out`, the invalid fixtures into `out / "invalid"`."""
+    invalid_dir = out / "invalid"
+    invalid_dir.mkdir(parents=True, exist_ok=True)
 
     u = Universe.of("x1", "x2")
     t1 = FuzzySet(u, (F(1, 2), F(0)))
     t2 = FuzzySet(u, (F(1, 2), F(1)))
     space = generate_topology(u, [t1, t2])
-    save_space(space, HERE / "space_half.json")
-    save_space(generate_topology(u, []), HERE / "space_indiscrete.json")
+    save_space(space, out / "space_half.json")
+    save_space(generate_topology(u, []), out / "space_indiscrete.json")
 
-    save_fuzzy_set(t2, HERE / "fuzzy_set_half.json")
-    save_point_map(PointMap(u, Universe.of("y1"), ("y1", "y1")), HERE / "point_map_collapse.json")
+    save_fuzzy_set(t2, out / "fuzzy_set_half.json")
+    save_point_map(PointMap(u, Universe.of("y1"), ("y1", "y1")), out / "point_map_collapse.json")
 
-    save_frame(two_chain(), HERE / "frame_two_chain.json")
-    save_frame(three_chain(), HERE / "frame_three_chain.json")
+    save_frame(two_chain(), out / "frame_two_chain.json")
+    save_frame(three_chain(), out / "frame_three_chain.json")
 
-    save_system(j_object(space), HERE / "system_membership.json")
+    save_system(j_object(space), out / "system_membership.json")
 
     # a table frame of 16384 subsets, and a copy with one wrong join of three
     # elements (kept out of invalid/, whose files the benchmark lists by name)
     fourteen = frame_from_space(space_with_opens(14))
-    save_frame(fourteen, HERE / "frame_fourteen_opens.json")
+    save_frame(fourteen, out / "frame_fourteen_opens.json")
     payload = frame_to_json(fourteen)
     if payload["join"]["e4,e7,e9"] == payload["top"]:
         raise ValueError("the planted join must differ from the true one")
     payload["join"]["e4,e7,e9"] = payload["top"]
-    (HERE / "frame_fourteen_opens_wrong_join.json").write_text(dumps_canonical(payload))
+    (out / "frame_fourteen_opens_wrong_join.json").write_text(dumps_canonical(payload))
 
     interp = Interpretation(
         ("d1", "d2"),
@@ -118,15 +119,15 @@ def main() -> None:
         {"p": {("d1",): F(3, 10), ("d2",): F(1, 2)},
          "q": {("d1",): F(0), ("d2",): F(1)}},
     )
-    save_interpretation(interp, HERE / "interp_basic.json")
+    save_interpretation(interp, out / "interp_basic.json")
     pool = [parse_formula(text) for text in
             ["p(x1)", "q(x1)", "(p(x1) & q(x2))", "E x2. q(x2)", "(p(x1) | (x1 = c1))"]]
-    save_formulas(pool, HERE / "pool_basic.json")
+    save_formulas(pool, out / "pool_basic.json")
 
     manifest = {}
 
     def invalid(name, kind, clause, payload=None, saver=None, value=None):
-        path = INVALID / name
+        path = invalid_dir / name
         if payload is not None:
             path.write_text(dumps_canonical(payload))
         else:
@@ -211,14 +212,14 @@ def main() -> None:
     # --- schema-level rejects (loading raises)
     invalid("fuzzy_set_grade_range.json", "fuzzy_set", "schema",
             payload={"universe": ["x1"], "membership": {"x1": "3/2"}})
-    chain2 = json.loads(dumps_canonical(json.loads((HERE / "frame_two_chain.json").read_text())))
+    chain2 = json.loads(dumps_canonical(json.loads((out / "frame_two_chain.json").read_text())))
     del chain2["meet"]["bot,top"]
     invalid("frame_nontotal_meet.json", "frame", "schema", payload=chain2)
     invalid("interp_nontotal_predicate.json", "interpretation", "schema",
             payload={"domain": ["d1", "d2"], "constants": {},
                      "functions": {}, "predicates": {"p": {"d1": "1/2"}}})
 
-    (INVALID / "manifest.json").write_text(dumps_canonical(manifest))
+    (invalid_dir / "manifest.json").write_text(dumps_canonical(manifest))
     print(f"wrote {len(manifest)} invalid fixtures and the valid corpus")
 
 

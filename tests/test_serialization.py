@@ -1,3 +1,4 @@
+import importlib.util
 import itertools
 import json
 import random
@@ -5,6 +6,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import scan_join_keys, space_with_opens
 from graded_topos import serialization
@@ -80,6 +83,59 @@ def test_canonical_dump_shape():
     text = dumps_canonical({"b": 1, "a": 2})
     assert text.endswith("\n")
     assert text.index('"a"') < text.index('"b"')
+
+
+# --- the canonical writer and the corpus ------------------------------------------
+
+def _json_dumps(value) -> str:
+    return json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.rglob("*.json")), ids=lambda p: p.name)
+def test_the_writer_emits_the_bytes_of_json_dumps_on_every_fixture(path):
+    value = json.loads(path.read_text())
+    assert dumps_canonical(value) == _json_dumps(value)
+
+
+@pytest.mark.parametrize("value", [
+    'say "hi"', "back\\slash\\", "\x00\x01\b\f\n\r\t\x1f\x7f", "grade ½ – é ü ∧",
+    "astral \U0001F600 \U00010000 \U0010FFFF", "",
+    {'"key"': "\\", "é": "\U0001F600", "": "", "\n": "\x00"},
+    {}, [], {"a": {}, "b": []}, [{}, []],
+    [{"b": "1", "a": "2"}, {"c": [{"d": "e"}]}],
+    [0, -7, 10 ** 30, True, False, None], {"t": True, "f": False, "n": None, "i": 3},
+    0, True, None, "x", ("a", ("b", 1), {"c": ()}),
+])
+def test_the_writer_emits_the_bytes_of_json_dumps_on_edge_values(value):
+    assert dumps_canonical(value) == _json_dumps(value)
+
+
+@pytest.mark.parametrize("value", [{1: "a"}, {None: {}}, [{"a": {2.5: []}}]])
+def test_the_writer_refuses_an_object_key_that_is_not_a_string(value):
+    with pytest.raises(TypeError):
+        dumps_canonical(value)
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=30)
+
+
+@given(_JSON_VALUES)
+def test_the_writer_emits_the_bytes_of_json_dumps_on_any_json_value(value):
+    assert dumps_canonical(value) == _json_dumps(value)
+
+
+def test_the_fixture_corpus_regenerates_byte_for_byte(tmp_path):
+    spec = importlib.util.spec_from_file_location("make_fixtures", FIXTURES / "make_fixtures.py")
+    make_fixtures = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_fixtures)
+    make_fixtures.main(tmp_path)
+    committed = sorted(p.relative_to(FIXTURES) for p in FIXTURES.rglob("*.json"))
+    assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*.json")) == committed
+    for name in committed:
+        assert (tmp_path / name).read_bytes() == (FIXTURES / name).read_bytes(), name
 
 
 def test_loaded_fixtures_pass_their_checkers():
@@ -315,6 +371,75 @@ def test_a_join_key_that_repeats_a_subset_or_a_label_is_refused(old, new, messag
     payload = _with_join_key(_three_chain(), old, new)
     with pytest.raises(SchemaError, match=message):
         frame_from_json(payload)
+
+
+# A full 2^14 join table with one thing changed: a table its writer would
+# not write is read key by key, to the same frame or the same refusal.
+FOURTEEN = FIXTURES / "frame_fourteen_opens.json"
+
+
+@pytest.mark.parametrize("key, new_key", [
+    # e2 comes before e10 in the carrier and after it by name
+    ("e10,e2", "e2,e10"),
+    ("e0,e10,e11,e2,e3", "e3,e2,e11,e10,e0"),
+])
+def test_a_full_join_table_with_a_key_in_another_order_reads_the_same_frame(key, new_key):
+    read = frame_from_json(_with_join_key(json.loads(FOURTEEN.read_text()), key, new_key))
+    written = load_frame(FOURTEEN)
+    masks = range(1 << len(written.carrier))
+    assert [read.join_at(m) for m in masks] == [written.join_at(m) for m in masks]
+
+
+@pytest.mark.parametrize("key, new_key, value, message", [
+    ("e3,e5", "e0,e0", "e5", "key 'e0,e0' repeats an element or another key"),
+    ("e4,e7,e9", "e4,e7,e9", None, "identifiers must be non-empty strings"),
+    ("e4,e7,e9", "e4,e7,e9", 3, "identifiers must be non-empty strings"),
+    ("e4,e7,e9", "e4,e7,e9", "", "identifiers must be non-empty strings"),
+    ("e4,e7,e9", "e4,e7,e9", "zz", "join value 'zz' is outside the carrier"),
+])
+def test_a_full_join_table_with_one_bad_entry_is_refused_as_key_by_key(key, new_key, value, message):
+    payload = _with_join_key(json.loads(FOURTEEN.read_text()), key, new_key)
+    payload["join"][new_key] = value
+    with pytest.raises(SchemaError) as refused:
+        frame_from_json(payload)
+    assert (refused.value.field, str(refused.value)) == ("join", f"join: {message}")
+
+
+def test_a_full_join_table_over_a_carrier_that_repeats_a_label_is_read_by_its_labels():
+    # two subsets share each written key; the meet and relation tables
+    # count n^2 keys, so reading gets as far as the join table
+    pairs = ["a,a", "a,x", "x,a", "x,x"]
+    payload = {"carrier": ["a", "a"], "top": "a", "meet": dict.fromkeys(pairs, "a"),
+               "relation": dict.fromkeys(pairs, "1"), "join": {"": "a", "a": "a", "a,a": "a", "x": "a"}}
+    with pytest.raises(SchemaError) as refused:
+        frame_from_json(payload)
+    assert str(refused.value) == "join: key 'a,a' repeats an element or another key"
+
+
+# --- the key table cache ---------------------------------------------------------
+
+def test_each_carriers_join_keys_are_built_once_in_a_bounded_cache(tmp_path):
+    keys = serialization._subset_keys
+    assert keys.cache_info().maxsize is not None
+    assert isinstance(keys(("b", "a")), tuple)
+    assert keys(("b", "a")) == ("", "b", "a", "a,b")
+    fixture = FOURTEEN
+    payload = json.loads(fixture.read_text())
+    rename = {a: chr(ord("z") - i) * 2 for i, a in enumerate(payload["carrier"])}
+    renamed = tmp_path / "renamed.json"
+    save_frame(frame_from_json(_renamed(payload, rename)), renamed)
+    # each file keeps its bytes with the two carriers' tables read and
+    # written in turn, and the second round builds no table
+    for round_ in range(2):
+        before = keys.cache_info()
+        for path in (fixture, renamed, fixture, renamed):
+            out = tmp_path / f"out-{path.name}"
+            save_frame(load_frame(path), out)
+            assert out.read_bytes() == path.read_bytes()
+        after = keys.cache_info()
+        assert after.hits + after.misses - before.hits - before.misses == 8
+        if round_:
+            assert after.misses == before.misses
 
 
 # --- grade literals -------------------------------------------------------------
