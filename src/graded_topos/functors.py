@@ -74,7 +74,9 @@ class GradeSet:
 
     @classmethod
     def for_system(cls, system: GradedSystem) -> "GradeSet":
-        return cls.closure(chain(system.frame.view.grades, *system.rows))
+        """The relation and satisfaction grades with 0 and 1: the grade
+        table of the system's extents."""
+        return cls(system.extents[0].grades)
 
 
 @dataclass(frozen=True)
@@ -140,7 +142,11 @@ def j_object(space: GradedSpace) -> GradedSystem:
     """The system a space carries: membership read as satisfaction over the
     frame of opens."""
     frame = frame_from_space(space)
-    return GradedSystem(space.universe, frame, tuple(zip(*(t.grades for t in space.opens))))
+    system = GradedSystem(space.universe, frame, tuple(zip(*(t.grades for t in space.opens))))
+    # the extent of an open is the open, and every relation grade, a graded
+    # inclusion of two opens, is a grade of an open or 1: the same table
+    vars(system)["extents"] = space.ranked
+    return system
 
 
 def j_morphism(f: PointMap, source: GradedSpace, target: GradedSpace) -> SystemMorphism:

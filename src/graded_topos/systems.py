@@ -1,29 +1,41 @@
 """Graded fuzzy topological systems and their morphisms.
 
 A system pairs a point set with a graded frame through grade-valued
-satisfaction rows, one per point, aligned with the frame carrier. The
-three compatibility clauses are checked exactly at every size. Clause 2
-only needs the empty set, singletons and pairs once the meet is a verified
-semilattice, because larger finite meets are folds of binary ones. Clause 3 runs over the masks of the view the frame stores
-(`FrameView.masks`). They are the empty set, singletons and pairs for a
-frame built in memory, which holds only those joins, and for a table frame
-that passes the lowest-member fold (c below is the lowest member of
-S + c), since then sat(x, join(S + c)) = sat(x, join{join S, c})
-= max(sat(x, join S), sat(x, c)). Any other table frame is checked on
-every subset, and a violation that the pairs of a table frame show is
-named on every subset (`FrameView.decide`). The clauses read the frame's
-view, with satisfaction grades ranked in one table with the relation
-grades (`ranks.Ranks`).
+satisfaction rows, one per point, aligned with the frame carrier. Read by
+columns, the rows give each carrier element a its extent E_a, the fuzzy
+subset x |-> sat(x, a) of the points. The three compatibility clauses say
+that a |-> E_a is a graded frame map into the fuzzy subsets of the points
+that does not expand the relation, and `check_system` decides them on the
+extents, exactly at every size. Each extent is one int of level cuts over
+the points (`ranks`: bit (r - 1) * m + x set iff sat(x, a) >= r, for m
+points), ranked in one table with the relation grades
+(`GradedSystem.extents`). For a system of a space the extents are the
+opens' own cuts (`GradedSpace.ranked`), so no grade is ranked again. Then:
 
-Clauses 1 and 2 are decided per point in O(n) operations on bitmasks plus
-one pass over the meet table, and a point that fails runs the loop over
-every pair to name the first failing instance. Code the relation rows and
-the point's satisfaction row as ints of level cuts over the carrier
-(`ranks`): P[i] has bit (r - 1) * n + j set iff R(i, j) >= r, and S bit
-(r - 1) * n + j iff sat(x, j) >= r. Clause 1,
-min(sat(x, i), R(i, j)) <= sat(x, j), says at each level r <= sat(x, i)
-that the cut of row i lies within that of S: P[i] & ~S has no bit in
-levels 1..sat(x, i).
+- Clause 1, min(sat(x, a), R(a, b)) <= sat(x, b) for all x, holds iff
+  R(a, b) <= inclusion(E_a, E_b). Proof: min(u, r) <= v iff r <= u -> v
+  (the Gödel arrow is the residual of min), and the inf over x of
+  sat(x, a) -> sat(x, b) is the graded inclusion, read off the ints.
+- Clause 2, sat(x, top) = 1 and sat(x, a meet b) = min(sat(x, a),
+  sat(x, b)), holds iff E_top is full and E_(a meet b) = E_a & E_b, since
+  the cuts of a pointwise min are the ANDs of the cuts and the coding is
+  unique. Only the empty meet and pairs need checking once the meet is a
+  verified semilattice: larger finite meets are folds of binary ones.
+- Clause 3, sat(x, join S) = max over S of sat(x, a), holds iff the join
+  stays in the carrier, E_bottom = 0 and, along the view's masks
+  (`FrameView.masks`, `mask_steps`), the OR of the members' extents is
+  the extent of the join: OR is pointwise max. The masks are the empty
+  set, singletons and pairs for a frame built in memory, which holds only
+  those joins, and for a table frame that passes the lowest-member fold
+  (c below is the lowest member of S + c), since then
+  sat(x, join(S + c)) = sat(x, join{join S, c}) = max(sat(x, join S),
+  sat(x, c)). Any other table frame is checked on every subset, and a
+  violation that the pairs of a table frame show is named on every
+  subset (`FrameView.decide`).
+
+That is O(n^2 + masks) operations on ints per system. When a test fails,
+the loops over every point and instance run, point by point, to name the
+first failing instance, so verdicts and witnesses are those of the loops.
 """
 
 from __future__ import annotations
@@ -40,7 +52,7 @@ from .frames import (FrameHom, FrameView, GradedFrame, _show, check_frame_hom, c
                      same_frame)
 from .fuzzy_sets import PointMap, Universe, compose_point_maps
 from .grades import Grade
-from .ranks import Ranks, cuts_of
+from .ranks import Ranks, inclusion
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,42 +87,51 @@ class GradedSystem:
         return MappingProxyType({(x, a): g for x, row in zip(self.points.elements, self.rows)
                                  for a, g in zip(items, row)})
 
+    @cached_property
+    def extents(self) -> tuple[Ranks, list[int]]:
+        """The rank table of the frame's relation grades and every
+        satisfaction grade, and the extent of each carrier element, its
+        column of grades over the points, as one int of level cuts, in
+        carrier order; built on first read (`j_object` stores its space's
+        `ranked`, the same thing)."""
+        ranks = Ranks(itertools.chain(self.frame.view.grades, *self.rows))
+        return ranks, [ranks.cuts(column) for column in zip(*self.rows)]
+
 
 def check_system(system: GradedSystem) -> Violation | None:
-    """Verify the three system clauses against the satisfaction rows;
+    """Verify the three system clauses on the extents (module docstring);
     returns the first violation, or None."""
     items, v = system.frame.carrier, system.frame.view
     n = len(items)
     xs = system.points.elements
-    ranks = Ranks(itertools.chain(v.grades, *system.rows))
+    ranks, extents = system.extents
     lift = ranks.code(v.grades)
     rel = [[lift[r] for r in row] for row in v.rel]
-    sat = list(map(ranks.code, system.rows))
     meet_idx, top, one = v.meet, v.top, ranks.top
-    rows = [cuts_of(row, one) for row in rel]
-    levels = [(1 << r * n) - 1 for r in range(one + 1)]  # the bits of levels 1..r
 
-    for x, row in zip(xs, sat):
-        if row[top] != one:
-            return Violation("system", "clause 2",
-                             f"satisfaction of the top at {_show(x)} is {ranks.grades[row[top]]}, not 1 (empty meet)")
-        if _pair_clauses_hold(row, one, rows, levels, meet_idx):
-            continue
-        for i in range(n):
-            for j in range(n):
-                if min(row[i], rel[i][j]) > row[j]:
-                    return Violation("system", "clause 1",
-                                     f"({_show(x)}, {_show(items[i])}, {_show(items[j])})")
-                if row[meet_idx[i][j]] != min(row[i], row[j]):
-                    return Violation("system", "clause 2",
-                                     f"({_show(x)}, {_show(items[i])}, {_show(items[j])})")
+    if not _columns_hold(extents, rel, meet_idx, top, len(xs), one):
+        sat = list(map(ranks.code, system.rows))
+        for x, row in zip(xs, sat):
+            if row[top] != one:
+                return Violation("system", "clause 2",
+                                 f"satisfaction of the top at {_show(x)} is {ranks.grades[row[top]]}, not 1 (empty meet)")
+            for i in range(n):
+                for j in range(n):
+                    if min(row[i], rel[i][j]) > row[j]:
+                        return Violation("system", "clause 1",
+                                         f"({_show(x)}, {_show(items[i])}, {_show(items[j])})")
+                    if row[meet_idx[i][j]] != min(row[i], row[j]):
+                        return Violation("system", "clause 2",
+                                         f"({_show(x)}, {_show(items[i])}, {_show(items[j])})")
 
     def clause_3(view: FrameView) -> Violation | None:
         masks, joins, steps = view.masks, view.joins, mask_steps(view.masks)
         if None in joins:
             return Violation("system", "clause 3",
                              f"join of mask {masks[joins.index(None)]:b} is outside the carrier")
-        for x, row in zip(xs, sat):
+        if _joins_hold(extents, joins, steps):
+            return None
+        for x, row in zip(xs, map(ranks.code, system.rows)):
             if row[joins[0]] != 0:
                 return Violation("system", "clause 3", f"({_show(x)}, empty subset)")
             upper = [0] * len(masks)
@@ -124,26 +145,36 @@ def check_system(system: GradedSystem) -> Violation | None:
     return v.decide(clause_3)
 
 
-def _pair_clauses_hold(row: list[int], one: int, rows: list[int], levels: list[int],
-                       meet: list[list[int]]) -> bool:
-    """Whether clauses 1 and 2 hold at a point with satisfaction ranks
-    `row`: clause 1 on the packed relation `rows` (module docstring), and
-    clause 2 as sat(x, i meet j) = min(sat(x, i), sat(x, j)), a row of
-    the meet table at a time."""
-    held = cuts_of(row, one)
-    return not any(rows[i] & ~held & levels[r] for i, r in enumerate(row)) and all(
-        list(map(row.__getitem__, meet[i])) == [s if s < r else r for s in row]
-        for i, r in enumerate(row))
+def _columns_hold(extents: list[int], rel: list[list[int]], meet: list[list[int]], top: int,
+                  size: int, one: int) -> bool:
+    """Whether clauses 1 and 2 hold, on the extents over `size` points
+    with relation ranks `rel` in the extents' table (module docstring)."""
+    return extents[top] == (1 << size * one) - 1 and all(
+        r <= inclusion(e, f, size, one) for e, row in zip(extents, rel) for f, r in zip(extents, row)
+    ) and all([extents[k] for k in row] == [e & f for f in extents] for e, row in zip(extents, meet))
+
+
+def _joins_hold(extents: list[int], joins: list[int], steps: list[tuple[int, int]]) -> bool:
+    """Whether clause 3 holds on the masks of `steps`: the OR of the
+    members' extents, built up one member at a time from the empty mask's
+    0, is the extent of the join at every mask."""
+    upper = [0]
+    for q, i in steps:
+        upper.append(upper[q] | extents[i])
+    return upper == [extents[j] for j in joins]
 
 
 def check_spatial(system: GradedSystem) -> tuple[bool, tuple[Hashable, Hashable] | None]:
     """A system is spatial when distinct carrier elements are distinguished
-    by some point. Returns (True, None) or (False, indistinguishable pair)."""
-    columns: dict[tuple[Grade, ...], Hashable] = {}
-    for a, col in zip(system.frame.carrier, zip(*system.rows)):
-        if col in columns:
-            return False, (columns[col], a)
-        columns[col] = a
+    by some point, that is, have distinct extents: distinct ints, as the
+    coding is unique. Returns (True, None), or (False, (earlier, later))
+    for the first element `later`, in carrier order, whose extent an
+    earlier element has."""
+    seen: dict[int, Hashable] = {}
+    for a, extent in zip(system.frame.carrier, system.extents[1]):
+        if extent in seen:
+            return False, (seen[extent], a)
+        seen[extent] = a
     return True, None
 
 

@@ -89,7 +89,7 @@ def by_loops(check, *args):
     with pytest.MonkeyPatch.context() as patch:
         for module, name in ((frames, "_is_semilattice"), (frames, "_pair_axioms_hold"),
                              (frames, "_axiom_8_holds"), (frames, "_distributive"),
-                             (systems, "_pair_clauses_hold")):
+                             (systems, "_columns_hold"), (systems, "_joins_hold")):
             patch.setattr(module, name, lambda *args: False)
         return check(*args)
 

@@ -1,3 +1,5 @@
+import collections
+import itertools
 import random
 from fractions import Fraction as F
 from pathlib import Path
@@ -5,11 +7,12 @@ from pathlib import Path
 import pytest
 
 from conftest import brute_system_violation
+from graded_topos import systems
 from graded_topos.checks import Violation
 from graded_topos.errors import MixedStructure, SchemaError
 from graded_topos.frames import FrameHom, GradedFrame, chain_frame, check_frame
 from graded_topos.functors import GradeSet, j_morphism, j_object, s_object
-from graded_topos.fuzzy_sets import PointMap, Universe
+from graded_topos.fuzzy_sets import FuzzySet, PointMap, Universe
 from graded_topos.generators import (
     GeneratorConfig,
     generate_continuous_chain,
@@ -18,7 +21,8 @@ from graded_topos.generators import (
     generate_random_system,
 )
 from graded_topos.grades import ONE, ZERO
-from graded_topos.serialization import load_system
+from graded_topos.ranks import ranks_of
+from graded_topos.serialization import load_space, load_system
 from graded_topos.systems import (
     GradedSystem,
     SystemMorphism,
@@ -292,3 +296,197 @@ def test_the_metamorphic_instances_fail_some_clause_of_each_kind():
         "clause 1", "clause 2", "clause 3"}
     assert any(bad is None for bad in clauses.values())
     assert any(not check_spatial(system)[0] for system in INSTANCES.values())
+
+
+# --- extents: one int of level cuts per carrier element ----------------------
+
+OUTSIDE = (F(1, 7), F(5, 7))  # grades no generated frame relates by
+
+
+def point_major(system):
+    """`check_system` with both extent tests failing, so the loops over
+    every point and instance decide and name the violation."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(systems, "_columns_hold", lambda *args: False)
+        patch.setattr(systems, "_joins_hold", lambda *args: False)
+        return check_system(system)
+
+
+def oracle_clause(system):
+    """The clause `check_system` names, from the brute-force oracle run at
+    each point alone. The checker decides clauses 1 and 2 at every point
+    before clause 3, and at a point whose top is not satisfied to 1 it
+    names clause 2 where the oracle may meet a failing pair first."""
+    top, later = system.frame.view.top, None
+    for x, row in zip(system.points.elements, system.rows):
+        clause = brute_system_violation(GradedSystem(Universe((x,)), system.frame, (row,)))
+        if clause in ("clause 1", "clause 2"):
+            return clause if row[top] == ONE else "clause 2"
+        later = later or clause
+    return later
+
+
+def with_entries(system, rng, count):
+    """`system` with `count` satisfaction entries of one random point
+    replaced, each by another grade of the frame's or one outside them."""
+    rows = [list(row) for row in system.rows]
+    row = rng.choice(rows)
+    pool = sorted(set(system.frame.view.grades) | {ZERO, ONE} | set(OUTSIDE))
+    for j in rng.sample(range(len(row)), min(count, len(row))):
+        row[j] = rng.choice([g for g in pool if g != row[j]])
+    return GradedSystem(system.points, system.frame, tuple(map(tuple, rows)))
+
+
+def table_frames(frame, rng):
+    """`frame` rebuilt with its full join table, and, on four or more
+    elements, a copy whose join of one subset of three or more members is
+    another element, so that the table does not fold on its pairs."""
+    items, n = frame.carrier, len(frame)
+    table = [frame.join_at(m) for m in range(1 << n)]
+
+    def built(joins):
+        return GradedFrame.from_masks(items, frame.top, frame.meet_table,
+                                      {m: items[j] for m, j in enumerate(joins)}, frame.relation)
+
+    yield built(table)
+    wide = [m for m in range(1 << n) if bin(m).count("1") >= 3]
+    if wide:
+        m = rng.choice(wide)
+        broken = list(table)
+        broken[m] = rng.choice([j for j in range(n) if j != table[m]])
+        yield built(broken)
+
+
+def _differential_instances():
+    rng = random.Random(22)
+    for seed in range(5):
+        # up to 5 points, 4 generators and grades in quarters: frames of 2 to 10 elements
+        cfg = GeneratorConfig(seed=seed, max_points=5, max_generators=4,
+                              grade_pool=GradeSet(tuple(F(k, 4) for k in range(5))))
+        for i in range(50):
+            valid = generate_random_system(cfg, i, max_opens=3 + i % 8)
+            yield valid
+            yield with_entries(valid, rng, 1)
+            yield with_entries(valid, rng, 2)
+            yield generate_random_system(cfg, i, invalid=True, max_opens=3 + i % 8)
+            if i % 10 == 0:
+                frame = valid.frame
+                hom = s_object(frame, GradeSet.for_frame(frame))
+                yield hom
+                yield with_entries(hom, rng, 1)
+            if i % 5 == 0:
+                for table in table_frames(valid.frame, rng):
+                    on_table = GradedSystem(valid.points, table, valid.rows)
+                    yield on_table
+                    yield with_entries(on_table, rng, 1)
+    for path in sorted((FIXTURES / "invalid").glob("system_*.json")) + [FIXTURES / "system_membership.json"]:
+        yield load_system(path)
+
+
+def test_the_extent_tests_agree_with_the_point_major_loops_and_the_oracle():
+    clauses = collections.Counter()
+    tables = collections.Counter()
+    for system in _differential_instances():
+        bad = check_system(system)
+        assert bad == point_major(system)
+        assert (bad and bad.clause) == oracle_clause(system)
+        clauses[bad and bad.clause] += 1
+        if system.frame.join_table is not None:
+            tables[system.frame.view.folds, bad and bad.clause] += 1
+    assert sum(clauses.values()) >= 1000
+    assert {None, "clause 1", "clause 2", "clause 3"} <= set(clauses)
+    # tables that fold are decided on their pairs, the others on every subset
+    assert {(True, None), (False, "clause 3")} <= set(tables)
+
+
+def test_join_violations_of_a_table_are_named_on_every_subset():
+    frame = generate_random_system(GeneratorConfig(seed=3), 1, max_opens=8).frame
+    rows = j_object(generate_random_space(GeneratorConfig(seed=3), 1, max_opens=8)).rows
+    found = 0
+    for table in table_frames(frame, random.Random(4)):
+        system = GradedSystem(Universe(tuple(f"x{k + 1}" for k in range(len(rows)))), table, rows)
+        bad = check_system(system)
+        assert bad == point_major(system)
+        if not table.view.folds:
+            found += 1
+            assert bad.clause == "clause 3" and "subset mask" in bad.witness
+    assert found == 1
+
+
+def _spaces():
+    for seed in range(8):
+        yield generate_random_space(GeneratorConfig(seed=seed), seed, max_opens=4 + seed)
+    for name in ("space_half.json", "space_indiscrete.json"):
+        yield load_space(FIXTURES / name)
+
+
+@pytest.mark.parametrize("space", list(_spaces()), ids=lambda space: f"{len(space)}-opens")
+def test_the_extents_of_a_space_system_are_the_extents_its_rows_give(space):
+    system = j_object(space)
+    built = GradedSystem(system.points, system.frame, system.rows)
+    size = len(space.universe)
+    columns = list(zip(*system.rows))
+    for ranks, extents in (system.extents, built.extents):
+        assert [ranks.decode(ranks_of(e, size)) for e in extents] == columns
+    assert system.extents[0].grades == built.extents[0].grades
+    assert system.extents[1] == built.extents[1]
+
+
+def test_check_system_ranks_no_grade_of_a_space_system(monkeypatch):
+    def refuse(values):
+        raise AssertionError("a system of a space was ranked again")
+
+    monkeypatch.setattr(systems, "Ranks", refuse)
+    spaces = list(_spaces())
+    for space in spaces:
+        system = j_object(space)
+        assert check_system(system) is None
+        assert check_spatial(system) == (True, None)
+        GradeSet.for_system(system)
+    system = j_object(spaces[0])
+    with pytest.raises(AssertionError, match="ranked again"):
+        check_system(GradedSystem(system.points, system.frame, system.rows))
+
+
+def test_the_grade_set_of_a_system_is_its_extents_table():
+    rng = random.Random(8)
+    cases = [load_system(path) for path in sorted((FIXTURES / "invalid").glob("system_*.json"))]
+    cases.append(load_system(FIXTURES / "system_membership.json"))
+    for seed in range(6):
+        valid = generate_random_system(GeneratorConfig(seed=seed), seed, max_opens=7)
+        cases += [valid, with_entries(valid, rng, 2), s_object(valid.frame, GradeSet.for_frame(valid.frame))]
+    for system in cases:
+        assert GradeSet.for_system(system) == GradeSet.closure(
+            itertools.chain(system.frame.view.grades, *system.rows))
+
+
+def first_equal_columns(system):
+    """The first pair of carrier elements, in carrier order, whose
+    satisfaction columns are equal: the definition."""
+    items, columns = system.frame.carrier, list(zip(*system.rows))
+    for later in range(len(items)):
+        for earlier in range(later):
+            if columns[earlier] == columns[later]:
+                return False, (items[earlier], items[later])
+    return True, None
+
+
+def test_check_spatial_names_the_first_pair_with_equal_extents():
+    membership = load_system(FIXTURES / "system_membership.json")
+    assert check_spatial(membership) == (True, None)
+    x1, x2 = (GradedSystem(Universe((x,)), membership.frame, (row,))
+              for x, row in zip(membership.points.elements, membership.rows))
+    assert check_spatial(x1) == (False, ("e1", "e2"))
+    assert check_spatial(x2) == (False, ("e0", "e1"))
+    spatial, (earlier, later) = check_spatial(generate_nonspatial_system(GeneratorConfig(seed=5), 2))
+    u = Universe(("x1", "x2"))
+    assert not spatial
+    assert (earlier, later) == (FuzzySet(u, (F(1, 2), ZERO)), FuzzySet(u, (F(1, 2), ONE)))
+    rng = random.Random(9)
+    for system in list(INSTANCES.values()) + [x1, x2]:
+        for x, row in zip(system.points.elements, system.rows):
+            single = GradedSystem(Universe((x,)), system.frame, (row,))
+            assert check_spatial(single) == first_equal_columns(single)
+        assert check_spatial(system) == first_equal_columns(system)
+        mutated = with_entries(system, rng, 2)
+        assert check_spatial(mutated) == first_equal_columns(mutated)
