@@ -144,8 +144,11 @@ def j_object(space: GradedSpace) -> GradedSystem:
     frame = frame_from_space(space)
     system = GradedSystem(space.universe, frame, tuple(zip(*(t.grades for t in space.opens))))
     # the extent of an open is the open, and every relation grade, a graded
-    # inclusion of two opens, is a grade of an open or 1: the same table
-    vars(system)["extents"] = space.ranked
+    # inclusion of two opens, is a grade of an open or 1: the same table.
+    # Set as an attribute, not through vars(system), which would turn the
+    # instance's inline attribute values into a dict and slow every later
+    # attribute read on it.
+    object.__setattr__(system, "extents", space.ranked)
     return system
 
 
