@@ -145,9 +145,8 @@ def j_object(space: GradedSpace) -> GradedSystem:
     system = GradedSystem(space.universe, frame, tuple(zip(*(t.grades for t in space.opens))))
     # the extent of an open is the open, and every relation grade, a graded
     # inclusion of two opens, is a grade of an open or 1: the same table.
-    # Set as an attribute, not through vars(system), which would turn the
-    # instance's inline attribute values into a dict and slow every later
-    # attribute read on it.
+    # object.__setattr__ keeps the instance's inline attribute values, which
+    # writing through vars(system) would turn into a dict slower to read
     object.__setattr__(system, "extents", space.ranked)
     return system
 
