@@ -256,7 +256,14 @@ def frame_from_space(space: GradedSpace) -> GradedFrame:
     """The frame of opens: meet is intersection, join is union, the relation
     is graded inclusion, top is the constant-1 open. A space that lacks the
     top, a pairwise intersection or the empty open is refused; one that
-    lacks a pairwise union fails `check_frame` at join closure."""
+    lacks a pairwise union fails `check_frame` at join closure.
+
+    The frame is built once per space: the first call that succeeds keeps
+    it on the space, and every later call returns that one frame, so a
+    space's system and the morphisms lifted to it share it. A refused space
+    keeps nothing and is refused again on the next call."""
+    if space._frame is not None:  # type: ignore[attr-defined]
+        return space._frame  # type: ignore[attr-defined]
     opens, n = space.opens, len(space.opens)
     ranks, rows = space.ranked
     size, most = len(space.universe), ranks.top
@@ -277,9 +284,11 @@ def frame_from_space(space: GradedSpace) -> GradedFrame:
     rel = [[inclusion(a, b, size, most) for b in rows] for a in rows]
     used = sorted({0, most}.union(*rel))
     rerank = {r: k for k, r in enumerate(used)}
-    return GradedFrame(opens, FrameView(
+    frame = GradedFrame(opens, FrameView(
         dict(zip(opens, range(n))), meet_idx, tuple(ranks.grades[r] for r in used),
         [list(map(rerank.__getitem__, row)) for row in rel], top, joins, None))
+    object.__setattr__(space, "_frame", frame)
+    return frame
 
 
 def chain_frame(values: Iterable[Grade]) -> GradedFrame:

@@ -26,14 +26,14 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable
 
-from .checks import LawReport
+from .checks import LawReport, Violation
 from .errors import GradeSetTooSmall, NoPoints, NotContinuous, Overflow, SchemaError
 from .frames import FrameHom, GradedFrame, compose_frame_hom, frame_from_space
-from .fuzzy_sets import FuzzySet, PointMap, Universe, compose_point_maps, preimage
+from .fuzzy_sets import Aligned, FuzzySet, PointMap, Universe, compose_point_maps
 from .grades import Grade, ONE, ZERO
-from .spaces import GradedSpace, canonical_opens, check_continuous
+from .spaces import GradedSpace, canonical_opens, pull_opens
 from .systems import (
     GradedSystem,
     SystemMorphism,
@@ -80,9 +80,10 @@ class GradeSet:
 
 
 @dataclass(frozen=True)
-class PointHom:
+class PointHom(Aligned):
     """A grade-valued homomorphism used as a point: the values are aligned
-    with the frame carrier it was enumerated over."""
+    with the frame carrier it was enumerated over. Hashed from its values'
+    hashes, as a fuzzy set is (`Aligned`)."""
 
     carrier: tuple[Hashable, ...]
     values: tuple[Grade, ...]
@@ -90,24 +91,7 @@ class PointHom:
     def __post_init__(self) -> None:
         if len(self.carrier) != len(self.values):
             raise SchemaError("values", "must be total on the carrier")
-        self._hashed(tuple(map(hash, self.values)))
-
-    def _hashed(self, hashes: tuple[int, ...]) -> "PointHom":
-        # hash((carrier, hashes)) == hash((carrier, values)): a tuple hashes
-        # its items' hashes, and hash(h) == h for a hash value h
-        object.__setattr__(self, "_hashes", hashes)
-        object.__setattr__(self, "_hash", hash((self.carrier, hashes)))
-        return self
-
-    @classmethod
-    def _read(cls, carrier: tuple[Hashable, ...], positions: Sequence[int],
-              values: tuple[Grade, ...], hashes: tuple[int, ...]) -> "PointHom":
-        """The hom on `carrier` whose value at k is values[positions[k]],
-        hashed from hashes[positions[k]]; unchecked, and no grade is hashed."""
-        hom = object.__new__(cls)
-        object.__setattr__(hom, "carrier", carrier)
-        object.__setattr__(hom, "values", tuple(map(values.__getitem__, positions)))
-        return hom._hashed(tuple(map(hashes.__getitem__, positions)))
+        self._hashed(self.carrier, tuple(map(hash, self.values)))
 
     def __hash__(self) -> int:
         return self._hash  # type: ignore[attr-defined]
@@ -162,12 +146,10 @@ def j_morphism(f: PointMap, source: GradedSpace, target: GradedSpace) -> SystemM
 def _lifted(f: PointMap, source: GradedSpace, target: GradedSpace,
             source_sys: GradedSystem, target_sys: GradedSystem) -> SystemMorphism:
     """j_morphism between built systems, j(source) and j(target)."""
-    bad = check_continuous(f, source, target)
-    if bad is not None:
-        raise NotContinuous(str(bad))
-    hom = FrameHom(target_sys.frame, source_sys.frame,
-                   {t: preimage(f, t) for t in target.opens})
-    return SystemMorphism(source_sys, target_sys, f, hom)
+    pulled = pull_opens(f, source, target)
+    if isinstance(pulled, Violation):
+        raise NotContinuous(str(pulled))
+    return SystemMorphism(source_sys, target_sys, f, FrameHom(target_sys.frame, source_sys.frame, pulled))
 
 
 def fm_object(system: GradedSystem) -> GradedFrame:

@@ -3,14 +3,22 @@
 Universes are finite ordered collections of distinct hashable elements
 (strings in files; computed objects such as opens or point-homomorphisms may
 also serve as elements in memory). A FuzzySet stores its grades aligned with
-the universe order, which makes equality extensional, hashing cheap, and the
+the universe order, which makes equality extensional and the
 lexicographic-by-membership sort order canonical.
+
+A FuzzySet is hashed once, when it is made, and keeps its grades' hashes
+beside the grades (`Aligned`): its hash is hash((universe, hashes)), which
+equals hash((universe, grades)). A set that the package builds by picking
+grades of another set, or of a rank table, by position (`Aligned._read`:
+`preimage` along a map, each open `generate_topology` decodes) picks their
+hashes by the same positions, so no grade is hashed again; `Fraction`
+hashing is slow.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Sequence
+from typing import Any, Hashable, Iterable, Sequence
 
 from . import grades
 from .errors import MixedUniverse, SchemaError
@@ -51,8 +59,33 @@ class Universe:
         return cls(tuple(elements))
 
 
+class Aligned:
+    """Base of a frozen dataclass of two fields, a head and a tuple of
+    grades aligned with it (`FuzzySet`, `functors.PointHom`), hashed as the
+    pair of them from the grades' hashes, which it keeps as `_hashes`."""
+
+    def _hashed(self, head: Hashable, hashes: tuple[int, ...]) -> Any:
+        # hash((head, hashes)) == hash((head, grades)): a tuple hashes its
+        # items' hashes, and hash(h) == h for a hash value h
+        object.__setattr__(self, "_hashes", hashes)
+        object.__setattr__(self, "_hash", hash((head, hashes)))
+        return self
+
+    @classmethod
+    def _read(cls, head: Hashable, positions: Sequence[int],
+              values: tuple[Grade, ...], hashes: tuple[int, ...]) -> Any:
+        """The instance on `head` whose grade at k is values[positions[k]],
+        hashed from hashes[positions[k]]; unchecked, and no grade is hashed."""
+        item = object.__new__(cls)
+        # the dataclass's two field names, in order
+        first, second = cls.__match_args__  # type: ignore[attr-defined]
+        object.__setattr__(item, first, head)
+        object.__setattr__(item, second, tuple(map(values.__getitem__, positions)))
+        return item._hashed(head, tuple(map(hashes.__getitem__, positions)))
+
+
 @dataclass(frozen=True)
-class FuzzySet:
+class FuzzySet(Aligned):
     """Total map from a universe to grades, stored in universe order."""
 
     universe: Universe
@@ -61,7 +94,7 @@ class FuzzySet:
     def __post_init__(self) -> None:
         if len(self.grades) != len(self.universe):
             raise SchemaError("membership", "membership must be total on the universe")
-        object.__setattr__(self, "_hash", hash((self.universe, self.grades)))
+        self._hashed(self.universe, tuple(map(hash, self.grades)))
 
     def __hash__(self) -> int:
         return self._hash  # type: ignore[attr-defined]
@@ -72,7 +105,8 @@ class FuzzySet:
 
 @dataclass(frozen=True)
 class PointMap:
-    """Function between two universes, stored aligned with the source order."""
+    """Function between two universes, stored aligned with the source order.
+    `_positions` holds each image's position in the target."""
 
     source: Universe
     target: Universe
@@ -81,9 +115,11 @@ class PointMap:
     def __post_init__(self) -> None:
         if len(self.images) != len(self.source):
             raise SchemaError("map", "map must be total on the source universe")
-        for y in self.images:
-            if y not in self.target:
-                raise SchemaError("map", f"image {y!r} is not in the target universe")
+        positions = tuple(map(self.target._index.get, self.images))  # type: ignore[attr-defined]
+        if None in positions:
+            y = self.images[positions.index(None)]
+            raise SchemaError("map", f"image {y!r} is not in the target universe")
+        object.__setattr__(self, "_positions", positions)
 
     def __call__(self, element: Hashable) -> Hashable:
         return self.images[self.source.index(element)]
@@ -108,7 +144,7 @@ def compose_point_maps(f: PointMap, g: PointMap) -> PointMap:
     """Apply f, then g."""
     if f.target != g.source:
         raise MixedUniverse("composition endpoints do not match")
-    return PointMap(f.source, g.target, tuple(g(y) for y in f.images))
+    return PointMap(f.source, g.target, tuple(map(g.images.__getitem__, f._positions)))  # type: ignore[attr-defined]
 
 
 def _require_same_universe(sets: Iterable[FuzzySet], universe: Universe | None = None) -> Universe:
@@ -174,15 +210,14 @@ def image(f: PointMap, t: FuzzySet) -> FuzzySet:
     if t.universe != f.source:
         raise MixedUniverse("fuzzy set is not over the map's source")
     values = [ZERO] * len(f.target)
-    for y, g in zip(f.images, t.grades):
-        i = f.target.index(y)
+    for i, g in zip(f._positions, t.grades):  # type: ignore[attr-defined]
         if g > values[i]:
             values[i] = g
     return FuzzySet(f.target, tuple(values))
 
 
 def preimage(f: PointMap, t: FuzzySet) -> FuzzySet:
-    """Pullback along f: value at x is t(f(x))."""
+    """Pullback along f: value at x is t(f(x)), read at f's image positions."""
     if t.universe != f.target:
         raise MixedUniverse("fuzzy set is not over the map's target")
-    return FuzzySet(f.source, tuple(t(y) for y in f.images))
+    return FuzzySet._read(f.source, f._positions, t.grades, t._hashes)  # type: ignore[attr-defined]

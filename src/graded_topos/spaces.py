@@ -53,13 +53,16 @@ def _show(element: Any) -> str:
 
 @dataclass(frozen=True)
 class GradedSpace:
-    """Universe plus opens in canonical order (sorted by membership values)."""
+    """Universe plus opens in canonical order (sorted by membership values).
+    Its frame of opens is built once, by the first `frame_from_space` call
+    that succeeds, and kept as `_frame` (None until then)."""
 
     universe: Universe
     opens: tuple[FuzzySet, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_by_value", {t: t for t in self.opens})
+        object.__setattr__(self, "_frame", None)
 
     def __contains__(self, t: FuzzySet) -> bool:
         return t in self._by_value  # type: ignore[attr-defined]
@@ -144,23 +147,39 @@ def generate_topology(
         raise Overflow(f"topology closure exceeded {max_opens} opens")
     levels = {row: ranks_of(row, len(universe)) for row in opens}
     rows = sorted(opens, key=levels.__getitem__)
-    space = GradedSpace(universe, tuple(FuzzySet(universe, ranks.decode(levels[row]))
+    grades, hashes = ranks.grades, tuple(map(hash, ranks.grades))
+    space = GradedSpace(universe, tuple(FuzzySet._read(universe, levels[row], grades, hashes)
                                         for row in rows))
-    # every grade of an open is a generator's grade, 0 or 1: the same table
-    vars(space)["ranked"] = ranks, rows
+    # every grade of an open is a generator's grade, 0 or 1: the same table.
+    # object.__setattr__ keeps the instance's inline attribute values, which
+    # writing through vars(space) would turn into a dict slower to read
+    object.__setattr__(space, "ranked", (ranks, rows))
     return space
+
+
+def pull_opens(f: PointMap, source: GradedSpace,
+               target: GradedSpace) -> dict[FuzzySet, FuzzySet] | Violation:
+    """Each target open mapped to its preimage along f as the source's own
+    open object, or, for the first target open whose preimage is not a
+    source open, the continuity violation that names it."""
+    if f.source != source.universe or f.target != target.universe:
+        raise MixedUniverse("map endpoints do not match the given spaces")
+    opens = source._by_value  # type: ignore[attr-defined]
+    pulled = {}
+    for t in target.opens:
+        back = opens.get(preimage(f, t))
+        if back is None:
+            return Violation(
+                "continuity", "preimage of an open",
+                f"preimage of {_show(t)} is not an open of the source")
+        pulled[t] = back
+    return pulled
 
 
 def check_continuous(f: PointMap, source: GradedSpace, target: GradedSpace) -> Violation | None:
     """Every preimage of a target open must be a source open."""
-    if f.source != source.universe or f.target != target.universe:
-        raise MixedUniverse("map endpoints do not match the given spaces")
-    for t in target.opens:
-        if preimage(f, t) not in source:
-            return Violation(
-                "continuity", "preimage of an open",
-                f"preimage of {_show(t)} is not an open of the source")
-    return None
+    pulled = pull_opens(f, source, target)
+    return pulled if isinstance(pulled, Violation) else None
 
 
 def compose_continuous(
@@ -189,9 +208,8 @@ def space_iso_check(f: PointMap, source: GradedSpace, target: GradedSpace) -> bo
         raise MixedUniverse("map endpoints do not match the given spaces")
     if len(source.universe) != len(target.universe) or not f.is_bijective():
         return False
-    if check_continuous(f, source, target) is not None:
+    pulled = pull_opens(f, source, target)
+    if isinstance(pulled, Violation) or check_continuous(f.inverse(), target, source) is not None:
         return False
-    if check_continuous(f.inverse(), target, source) is not None:
-        return False
-    pulled = {preimage(f, t) for t in target.opens}
-    return len(pulled) == len(target.opens) and pulled == set(source.opens)
+    images = set(pulled.values())
+    return len(images) == len(target.opens) and images == set(source.opens)

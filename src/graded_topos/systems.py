@@ -202,14 +202,21 @@ class SystemMorphism:
 
 def check_system_morphism(m: SystemMorphism) -> Violation | None:
     """The frame component must be a graded frame homomorphism and the two
-    satisfaction readings must agree at every (point, target element)."""
+    satisfaction readings must agree at every (point, target element):
+    each source row read at the images of the target elements must be the
+    target row at the point's image. Those are compared as whole lists
+    first, and the points are walked only to name the first disagreement."""
     bad = check_frame_hom(m.frame_hom)
     if bad is not None:
         return bad
     image = [m.source.frame.view.index[m.frame_hom.map[b]] for b in m.target.frame.carrier]
-    for x, row, fx in zip(m.source.points.elements, m.source.rows, m.point_map.images):
-        for b, i, g in zip(m.target.frame.carrier, image, m.target.rows[m.target.points.index(fx)]):
-            if row[i] != g:
+    pulled = [tuple(map(row.__getitem__, image)) for row in m.source.rows]
+    at_images = list(map(m.target.rows.__getitem__, m.point_map._positions))  # type: ignore[attr-defined]
+    if pulled == at_images:
+        return None
+    for x, row, target_row in zip(m.source.points.elements, pulled, at_images):
+        for b, g, h in zip(m.target.frame.carrier, row, target_row):
+            if g != h:
                 return Violation("system-morphism", "clause (iii)", f"({_show(x)}, {_show(b)})")
     return None
 

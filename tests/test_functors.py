@@ -18,7 +18,8 @@ from conftest import (
 from graded_topos.checks import Violation
 from graded_topos.cli import main
 from graded_topos.errors import GradeSetTooSmall, NoPoints, NotContinuous, Overflow, SchemaError
-from graded_topos.frames import FrameHom, GradedFrame, chain_frame, check_frame, check_frame_hom, frame_from_space
+from graded_topos.frames import (FrameHom, GradedFrame, chain_frame, check_frame, check_frame_hom, frame_from_space,
+                                 same_frame)
 from graded_topos.functors import (
     GradeSet,
     PointHom,
@@ -151,6 +152,39 @@ def test_lifting_requires_continuity():
     # the law checks lift maps between systems they have built
     with pytest.raises(NotContinuous):
         functors._lifted(PointMap.identity(u), poor, rich, j_object(poor), j_object(rich))
+
+
+def test_a_map_that_is_not_continuous_lifts_to_its_continuity_witness():
+    witnesses = 0
+    for seed in range(8):
+        f, source, target = generate_random_continuous_map(GeneratorConfig(seed=seed), 1)
+        for poorer in (generate_topology(f.source, []), generate_topology(f.source, source.opens[1:2])):
+            bad = check_continuous(f, poorer, target)
+            if bad is None:
+                continue
+            witnesses += 1
+            with pytest.raises(NotContinuous) as raised:
+                j_morphism(f, poorer, target)
+            assert str(raised.value) == str(NotContinuous(str(bad)))
+    assert witnesses >= 8
+
+
+def test_a_space_has_one_frame_shared_by_its_system_and_lifted_maps():
+    for seed in range(4):
+        space = small_space(seed)
+        frame = frame_from_space(space)
+        lifted = j_morphism(PointMap.identity(space.universe), space, space)
+        assert frame is frame_from_space(space) is j_object(space).frame is lifted.source.frame
+        assert lifted.target.frame is frame is lifted.frame_hom.source is lifted.frame_hom.target
+        # an equal space built anew builds its own frame, the same frame
+        twin = GradedSpace(space.universe, space.opens)
+        assert frame_from_space(twin) is not frame and same_frame(frame_from_space(twin), frame)
+    u = Universe.of("x1", "x2")
+    no_top = GradedSpace(u, (FuzzySet(u, (ZERO, ZERO)), FuzzySet(u, (HALF, ZERO))))
+    for _ in range(2):  # refused, and refused again: a failed build keeps nothing
+        with pytest.raises(SchemaError, match="top"):
+            frame_from_space(no_top)
+        assert no_top._frame is None
 
 
 def test_lifted_identity_is_the_identity_morphism():

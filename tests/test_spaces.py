@@ -1,18 +1,27 @@
+from contextlib import contextmanager
+from fractions import Fraction
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import brute_space_closed
+from conftest import brute_space_closed, fuzzy_sets_over, universes
 from graded_topos.checks import Violation
 from graded_topos.errors import MixedUniverse, NotContinuous, Overflow
 from graded_topos.fuzzy_sets import FuzzySet, PointMap, Universe, empty_set, full_set, preimage
-from graded_topos.generators import GeneratorConfig, generate_random_space
+from graded_topos.generators import (
+    GeneratorConfig,
+    generate_random_continuous_map,
+    generate_random_space,
+)
 from graded_topos.spaces import (
     GradedSpace,
     check_continuous,
     check_space,
     compose_continuous,
     generate_topology,
+    pull_opens,
     space_iso_check,
 )
 
@@ -166,3 +175,109 @@ def test_iso_respects_open_renaming():
     source = generate_topology(U2, [HALF_LOW])
     target = generate_topology(v, [preimage(swap.inverse(), HALF_LOW)])
     assert space_iso_check(swap, source, target)
+
+
+@st.composite
+def spaces_and_maps(draw):
+    """A generated space on up to 4 points and a random map into it from up
+    to 4 points: injective or not, surjective or not."""
+    target = draw(universes(4, "y"))
+    space = generate_topology(target, draw(st.lists(fuzzy_sets_over(target), max_size=3)))
+    source = draw(universes(4, "x"))
+    images = draw(st.lists(st.sampled_from(target.elements), min_size=len(source),
+                           max_size=len(source)))
+    return space, PointMap(source, target, tuple(images))
+
+
+@given(spaces_and_maps())
+@settings(max_examples=150, deadline=None)
+def test_built_fuzzy_sets_equal_and_hash_as_constructed_ones(case):
+    # preimage and generate_topology read grades and their hashes by
+    # position; the public constructor hashes the grades themselves
+    space, f = case
+    built = [(t, t.grades) for t in space.opens]
+    built += [(preimage(f, t), tuple(t(y) for y in f.images)) for t in space.opens]
+    for t, grades in built:
+        plain = FuzzySet(t.universe, grades)
+        assert t == plain and t.grades == grades
+        assert hash(t) == hash(plain) == hash((t.universe, grades))
+        assert t._hashes == plain._hashes
+
+
+@contextmanager
+def counted_fraction_hashes():
+    """Count the calls of Fraction.__hash__ until exit, then restore it."""
+    original = Fraction.__hash__
+    calls = [0]
+
+    def counted(self):
+        calls[0] += 1
+        return original(self)
+
+    Fraction.__hash__ = counted
+    try:
+        yield calls
+    finally:
+        Fraction.__hash__ = original
+    assert Fraction.__hash__ is original
+
+
+def test_preimage_hashes_no_grade():
+    for seed in range(4):
+        f, source, target = generate_random_continuous_map(GeneratorConfig(seed=seed), 1)
+        with counted_fraction_hashes() as calls:
+            pulled = {preimage(f, t) for t in target.opens}
+            assert check_continuous(f, source, target) is None
+        assert calls[0] == 0
+        assert pulled <= set(source.opens)
+
+
+def test_generate_topology_hashes_grades_only_for_its_rank_table():
+    u4 = Universe.of("x1", "x2", "x3", "x4")
+    quarters = [F(k, 4) for k in range(4)]
+    for order in ((0, 1, 2, 3), (1, 3, 0, 2), (2, 0, 3, 1)):
+        # three rotations of one vector of 0, 1/4, 1/2, 3/4: 20 opens
+        generators = [FuzzySet(u4, tuple(quarters[(r + k) % 4] for r in order)) for k in range(3)]
+        with counted_fraction_hashes() as calls:
+            closed = generate_topology(u4, generators)
+        ranks, _ = closed.ranked
+        # each generator grade is hashed into the table and again when coded,
+        # each table grade into its index and once for the opens' hashes,
+        # and 0 and 1 once: fewer than one per grade of the opens
+        assert calls[0] <= 2 * 12 + 2 * len(ranks.grades) + 2 < len(closed) * len(u4)
+        assert [hash(t) for t in closed.opens] == [hash((u4, t.grades)) for t in closed.opens]
+
+
+def test_pull_opens_maps_each_target_open_to_the_source_open_itself():
+    for seed in range(6):
+        f, source, target = generate_random_continuous_map(GeneratorConfig(seed=seed), 1)
+        pulled = pull_opens(f, source, target)
+        assert list(pulled) == list(target.opens)
+        mine = {id(t) for t in source.opens}
+        assert all(id(back) in mine and back == preimage(f, t) for t, back in pulled.items())
+    poor, rich = indiscrete(), generate_topology(U2, [HALF_LOW])
+    assert pull_opens(PointMap.identity(U2), poor, rich) == check_continuous(
+        PointMap.identity(U2), poor, rich)
+
+
+def brute_space_iso(f, source, target) -> bool:
+    """The definition: a bijection, continuous both ways, whose preimage is
+    a bijection between the open families."""
+    if len(source.universe) != len(target.universe) or not f.is_bijective():
+        return False
+    if (check_continuous(f, source, target) is not None
+            or check_continuous(f.inverse(), target, source) is not None):
+        return False
+    pulled = {preimage(f, t) for t in target.opens}
+    return len(pulled) == len(target.opens) and pulled == set(source.opens)
+
+
+@given(spaces_and_maps(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_space_iso_check_agrees_with_its_definition(case, data):
+    target, f = case
+    source_gens = data.draw(st.lists(fuzzy_sets_over(f.source), max_size=3))
+    pulled = [preimage(f, t) for t in target.opens]
+    for source in (generate_topology(f.source, source_gens), generate_topology(f.source, pulled),
+                   generate_topology(f.source, pulled + source_gens)):
+        assert space_iso_check(f, source, target) == brute_space_iso(f, source, target)

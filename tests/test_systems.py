@@ -17,6 +17,7 @@ from graded_topos.generators import (
     GeneratorConfig,
     generate_continuous_chain,
     generate_nonspatial_system,
+    generate_random_continuous_map,
     generate_random_space,
     generate_random_system,
 )
@@ -490,3 +491,39 @@ def test_check_spatial_names_the_first_pair_with_equal_extents():
         assert check_spatial(system) == first_equal_columns(system)
         mutated = with_entries(system, rng, 2)
         assert check_spatial(mutated) == first_equal_columns(mutated)
+
+
+def point_loop_clause_iii(m: SystemMorphism) -> Violation | None:
+    """Clause (iii) by its definition: at each point x in order and each
+    target element b, sat(x, h(b)) must equal sat(f(x), b)."""
+    image = [m.source.frame.view.index[m.frame_hom.map[b]] for b in m.target.frame.carrier]
+    for x, row in zip(m.source.points.elements, m.source.rows):
+        target_row = m.target.rows[m.target.points.index(m.point_map(x))]
+        for b, i, g in zip(m.target.frame.carrier, image, target_row):
+            if row[i] != g:
+                return Violation("system-morphism", "clause (iii)", f"({systems._show(x)}, {systems._show(b)})")
+    return None
+
+
+def test_clause_iii_names_the_point_loops_first_disagreement():
+    rng = random.Random(3)
+    found = collections.Counter()
+    for seed in range(12):
+        f, source, target = generate_random_continuous_map(GeneratorConfig(seed=seed), 1)
+        lifted = j_morphism(f, source, target)
+        # equal grades held as other objects, and one or two entries changed
+        copied = tuple(tuple(F(g.numerator, g.denominator) for g in row) for row in lifted.target.rows)
+        variants = [copied]
+        for _ in range(3):
+            rows = [list(row) for row in copied]
+            for _ in range(rng.choice((1, 2))):
+                x, a = rng.randrange(len(rows)), rng.randrange(len(rows[0]))
+                rows[x][a] = rng.choice((ZERO, F(1, 3), ONE))
+            variants.append(tuple(map(tuple, rows)))
+        for rows in variants:
+            twisted = GradedSystem(lifted.target.points, lifted.target.frame, rows)
+            m = SystemMorphism(lifted.source, twisted, f, lifted.frame_hom)
+            expected = point_loop_clause_iii(m)
+            assert check_system_morphism(m) == expected
+            found[expected is None] += 1
+    assert found[True] >= 12 and found[False] >= 12

@@ -49,7 +49,8 @@ def test_the_tracer_wraps_one_frames_op_and_unwraps_it(tracer):
     assert systems.check_system_morphism(morphism) is None
     assert functors.ext_object(system).opens == space.opens
     assert frames.check_frame_hom(frames.FrameHom.identity(frame)) is None
-    # j_object builds a frame, and j_morphism one system of the space; the
+    # frame_from_space is called 3 times (directly, by j_object and by
+    # j_morphism's one system of the space) and builds the frame once; the
     # morphism check runs check_frame_hom on its frame component
     assert tracer.calls["frames.frame_from_space"] == 3
     assert tracer.calls["functors.j_object"] == 2
