@@ -1,5 +1,4 @@
 from contextlib import contextmanager
-from fractions import Fraction
 from fractions import Fraction as F
 
 import pytest
@@ -207,19 +206,19 @@ def test_built_fuzzy_sets_equal_and_hash_as_constructed_ones(case):
 @contextmanager
 def counted_fraction_hashes():
     """Count the calls of Fraction.__hash__ until exit, then restore it."""
-    original = Fraction.__hash__
+    original = F.__hash__
     calls = [0]
 
     def counted(self):
         calls[0] += 1
         return original(self)
 
-    Fraction.__hash__ = counted
+    F.__hash__ = counted
     try:
         yield calls
     finally:
-        Fraction.__hash__ = original
-    assert Fraction.__hash__ is original
+        F.__hash__ = original
+    assert F.__hash__ is original
 
 
 def test_preimage_hashes_no_grade():
