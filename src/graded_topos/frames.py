@@ -149,10 +149,13 @@ class GradedFrame:
     """A carrier and its integer view (`FrameView`), the one form a frame
     stores; compared by identity (use the check functions for semantic
     questions). A table frame's `join_table[mask]` is the carrier position
-    of the join of the subset `mask` (bit i for `carrier[i]`)."""
+    of the join of the subset `mask` (bit i for `carrier[i]`). `_homs` is
+    `functors.enumerate_point_homs`'s slot for the frame's homs into the last
+    grade set it searched."""
 
     carrier: tuple[Hashable, ...]
     view: FrameView = field(repr=False)
+    _homs: tuple | None = field(default=None, init=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.carrier)

@@ -16,6 +16,12 @@ ranks, on the frame's integer view, that checks each axiom instance as soon
 as its coordinates are fixed, so its cost follows the partial homomorphisms
 that survive, not |L|^(n-2).
 
+A frame keeps the homs of its last search in one slot, with the grade set
+and the number of partial maps the search tried: a frame is searched once
+per grade set however many hom-systems and law checks read it, and a
+different grade set replaces the slot. A read past a lowered
+HOM_SEARCH_CAP raises the Overflow the search would.
+
 Morphism builders take the objects they map between, so a law check builds
 each hom-system once and hands it on; every unit, counit and lifted
 morphism still comes from its own builder, so no law holds by construction.
@@ -165,9 +171,33 @@ def fm_morphism(m: SystemMorphism) -> FrameHom:
 
 def enumerate_point_homs(frame: GradedFrame, values: GradeSet) -> list[PointHom]:
     """All maps carrier -> values satisfying the homomorphism axioms into
-    the grade chain, in canonical (value-lexicographic) order. Raises
-    Overflow once the search has tried more than HOM_SEARCH_CAP partial
-    maps, whether or not they extend to homs.
+    the grade chain, in canonical (value-lexicographic) order, as a new
+    list. Raises Overflow once the search has tried more than
+    HOM_SEARCH_CAP partial maps, whether or not they extend to homs.
+
+    The frame keeps the grade set, the number of partial maps tried and the
+    homs of the last search that finished (`GradedFrame._homs`), so a call
+    with an equal grade set searches nothing. It raises Overflow if that
+    number is above HOM_SEARCH_CAP as it stands now, as the search would. A
+    search that overflows keeps nothing, and one over another grade set
+    replaces the slot.
+    """
+    kept = frame._homs
+    if kept is None or kept[0] != values:
+        kept = (values, *_search_point_homs(frame, values))
+        object.__setattr__(frame, "_homs", kept)
+    elif kept[1] > HOM_SEARCH_CAP:
+        raise _overflow()
+    return list(kept[2])
+
+
+def _overflow() -> Overflow:
+    return Overflow(f"hom enumeration tried more than {HOM_SEARCH_CAP} partial maps")
+
+
+def _search_point_homs(frame: GradedFrame, values: GradeSet) -> tuple[int, tuple[PointHom, ...]]:
+    """The search of `enumerate_point_homs`: the number of partial maps it
+    tried and the homs it found.
 
     The axioms are the ones a test of every map would check: meet and
     relation preservation at every pair, and join preservation at every mask
@@ -194,7 +224,7 @@ def enumerate_point_homs(frame: GradedFrame, values: GradeSet) -> list[PointHom]
     grades = values.grades
     top, bottom = view.top, view.bottom
     if top == bottom:  # the top would need value 1 and the empty join value 0
-        return []
+        return 0, ()
     crisp_below = [column.count(len(view.grades) - 1) for column in zip(*view.rel)]
     order = [top, bottom] + sorted((i for i in range(n) if i != top and i != bottom),
                                    key=crisp_below.__getitem__)
@@ -263,7 +293,7 @@ def enumerate_point_homs(frame: GradedFrame, values: GradeSet) -> list[PointHom]
             return
         tries += len(grades)
         if tries > HOM_SEARCH_CAP:
-            raise Overflow(f"hom enumeration tried more than {HOM_SEARCH_CAP} partial maps")
+            raise _overflow()
         c = order[d + 1]
         for r in range(len(grades)):
             rank[c] = r
@@ -274,12 +304,14 @@ def enumerate_point_homs(frame: GradedFrame, values: GradeSet) -> list[PointHom]
         search(1)
     found.sort()  # rank order is value order
     hashes = tuple(map(hash, grades))
-    return [PointHom._read(items, r, grades, hashes) for r in found]
+    return tries, tuple(PointHom._read(items, r, grades, hashes) for r in found)
 
 
 def s_object(frame: GradedFrame, values: GradeSet) -> GradedSystem:
     """The system of grade-valued homomorphisms of a frame, relative to the
     grade set: points are the enumerated homs, satisfaction is application.
+    The homs are read through the frame's slot, so hom-systems of one frame
+    over one grade set share one search.
 
     Raises NoPoints when the enumeration is empty (a system needs points).
     """
@@ -451,7 +483,8 @@ def _fm_s_triangles(system: GradedSystem, hom_system: GradedSystem) -> tuple[Law
     unit = unit_system(system, hom_system)
     at_system = compose_frame_hom(FrameHom.identity(fm_object(system)), fm_morphism(unit))
     lifted_counit = s_morphism(FrameHom.identity(hom_system.frame), hom_system, hom_system)
-    at_frame = compose_system_morphisms(unit_system(hom_system, hom_system), lifted_counit)
+    frame_unit = unit if system is hom_system else unit_system(hom_system, hom_system)
+    at_frame = compose_system_morphisms(frame_unit, lifted_counit)
     return (LawReport("fm-s triangle at the system (projected unit after counit)",
                       is_identity_frame_hom(at_system)),
             LawReport("fm-s triangle at the frame (lifted counit after unit)",
@@ -484,12 +517,6 @@ def _extent_space(counit_morphism: SystemMorphism) -> GradedSpace:
     return GradedSpace(source.points, source.frame.carrier)
 
 
-def _hom_systems(h: FrameHom, values: GradeSet) -> tuple[GradedSystem, GradedSystem]:
-    """S(target) and S(source) of a frame hom, built once if they are one frame."""
-    source = s_object(h.target, values)
-    return source, source if h.source is h.target else s_object(h.source, values)
-
-
 def check_naturality(
     adjunction: str,
     morphism: SystemMorphism | tuple[PointMap, GradedSpace, GradedSpace] | FrameHom,
@@ -514,20 +541,23 @@ def check_naturality(
         raise SchemaError("morphism", "j-ext naturality needs a space map or a system morphism")
     if adjunction == "fm-s":
         if isinstance(morphism, SystemMorphism):
-            source, target = morphism.source, morphism.target
-            values = values or GradeSet.closure(chain(*source.rows, *target.rows))
-            source_homs, target_homs = _hom_systems(fm_morphism(morphism), values)
-            lhs = compose_system_morphisms(morphism, unit_system(target, target_homs))
-            rhs = compose_system_morphisms(
-                unit_system(source, source_homs),
-                s_morphism(fm_morphism(morphism), source_homs, target_homs))
-            return (LawReport("fm-s unit square", system_morphisms_equal(lhs, rhs)),)
-        if isinstance(morphism, FrameHom):
-            values = values or GradeSet.closure(
-                set(morphism.source.view.grades) | set(morphism.target.view.grades))
-            roundtrip = fm_morphism(s_morphism(morphism, *_hom_systems(morphism, values)))
-            return (LawReport("fm-s counit square", frame_homs_equal(roundtrip, morphism)),)
-        raise SchemaError("morphism", "fm-s naturality needs a system morphism or a frame hom")
+            h = fm_morphism(morphism)
+            values = values or GradeSet.closure(chain(*morphism.source.rows, *morphism.target.rows))
+        elif isinstance(morphism, FrameHom):
+            h = morphism
+            values = values or GradeSet.closure(set(h.source.view.grades) | set(h.target.view.grades))
+        else:
+            raise SchemaError("morphism", "fm-s naturality needs a system morphism or a frame hom")
+        # S(target) and S(source) of the frame hom, one system if they are one frame
+        source_homs = s_object(h.target, values)
+        target_homs = source_homs if h.source is h.target else s_object(h.source, values)
+        if h is morphism:
+            roundtrip = fm_morphism(s_morphism(h, source_homs, target_homs))
+            return (LawReport("fm-s counit square", frame_homs_equal(roundtrip, h)),)
+        lhs = compose_system_morphisms(morphism, unit_system(morphism.target, target_homs))
+        rhs = compose_system_morphisms(unit_system(morphism.source, source_homs),
+                                       s_morphism(h, source_homs, target_homs))
+        return (LawReport("fm-s unit square", system_morphisms_equal(lhs, rhs)),)
     raise SchemaError("adjunction", f"unknown adjunction {adjunction!r}")
 
 

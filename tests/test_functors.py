@@ -3,8 +3,11 @@ import itertools
 import math
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import graded_topos.functors as functors
 from conftest import (
@@ -51,8 +54,10 @@ from graded_topos.generators import (
     generate_random_space,
 )
 from graded_topos.grades import ONE, ZERO, format_grade, godel_arrow, grade
+from graded_topos.reports import PASS
 from graded_topos.serialization import frame_from_json, frame_to_json, save_space
 from graded_topos.spaces import GradedSpace, check_continuous, check_space, generate_topology, space_iso_check
+from graded_topos.suites import run_suite
 from graded_topos.systems import (
     GradedSystem,
     SystemMorphism,
@@ -63,6 +68,7 @@ from graded_topos.systems import (
 
 CFG = GeneratorConfig(seed=11)
 HALF = F(1, 2)
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def small_space(seed=0, max_opens=6):
@@ -440,11 +446,12 @@ def test_enumeration_is_invariant_under_carrier_permutation():
         if shuffled == list(frame.carrier):
             shuffled.reverse()
         permuted = _tabled(frame, order=shuffled)
-        homs = [enumerate_point_homs(f, values) for f in (base, permuted)]
-        as_maps = [{frozenset(zip(p.carrier, p.values)) for p in found} for found in homs]
-        assert as_maps[0] == as_maps[1]
-        # in value order whatever the carrier order; the search's own order is not
-        assert all([p.values for p in found] == sorted(p.values for p in found) for found in homs)
+        for _ in ("search", "slot"):  # a repeat call reads the frame's slot
+            homs = [enumerate_point_homs(f, values) for f in (base, permuted)]
+            as_maps = [{frozenset(zip(p.carrier, p.values)) for p in found} for found in homs]
+            assert as_maps[0] == as_maps[1]
+            # in value order whatever the carrier order; the search's own order is not
+            assert all([p.values for p in found] == sorted(p.values for p in found) for found in homs)
 
 
 def test_enumeration_commutes_with_monotone_grade_relabelling():
@@ -455,10 +462,12 @@ def test_enumeration_commutes_with_monotone_grade_relabelling():
         # a strictly monotone map fixing 0 and 1, onto random hundredths
         image = sorted(F(k, 100) for k in rng.sample(range(1, 100), len(inner)))
         relabel = {ZERO: ZERO, ONE: ONE, **dict(zip(inner, image))}
-        homs = enumerate_point_homs(_tabled(frame), values)
-        moved = enumerate_point_homs(_tabled(frame, grade_map=relabel.__getitem__),
-                                     GradeSet(tuple(relabel[g] for g in values.grades)))
-        assert [tuple(relabel[g] for g in p.values) for p in homs] == [p.values for p in moved]
+        base, relabelled = _tabled(frame), _tabled(frame, grade_map=relabel.__getitem__)
+        moved_values = GradeSet(tuple(relabel[g] for g in values.grades))
+        for _ in ("search", "slot"):  # a repeat call reads the frame's slot
+            homs = enumerate_point_homs(base, values)
+            moved = enumerate_point_homs(relabelled, moved_values)
+            assert [tuple(relabel[g] for g in p.values) for p in homs] == [p.values for p in moved]
 
 
 def _checker_verdicts(frame, rows, endo, grade_map=lambda g: g):
@@ -582,6 +591,127 @@ def test_enumeration_raises_overflow_past_its_budget(monkeypatch):
         monkeypatch.setattr(functors, "HOM_SEARCH_CAP", tries - 1)
         with pytest.raises(Overflow, match=f"tried more than {tries - 1} partial maps"):
             enumerate_point_homs(frame, values)
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """The (frame, grade set) of every hom search run, slot reads aside."""
+    calls = []
+    search = functors._search_point_homs
+
+    def counted(frame, values):
+        calls.append((frame, values))
+        return search(frame, values)
+
+    monkeypatch.setattr(functors, "_search_point_homs", counted)
+    return calls
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_frame_is_searched_once_per_grade_set(seed, searches):
+    space = small_space(seed, max_opens=5)
+    system = j_object(space)
+    frame, values = system.frame, GradeSet.for_system(system)
+    homs = enumerate_point_homs(frame, values)
+    assert s_object(frame, values).points.elements == tuple(homs)
+    laws = (check_triangle_identities("fm-s", frame, values)
+            + check_triangle_identities("fm-s", system, values)
+            + check_triangle_identities("composite", space, values)
+            + check_triangle_identities("composite", frame, values)
+            + check_naturality("fm-s", FrameHom.identity(frame), values)
+            + check_naturality("fm-s", j_morphism(PointMap.identity(space.universe), space, space), values))
+    assert all(law.ok for law in laws)
+    assert [f for f, _ in searches].count(frame) == 1
+    # the rest are the extent frames the composite checks build, one search each
+    assert len(searches) == 1 + len({id(f) for f, _ in searches if f is not frame}) == 3
+    assert frame._homs == (values, frame._homs[1], tuple(homs))
+
+
+def test_another_grade_set_searches_again_and_replaces_the_slot(searches):
+    frame = frame_from_space(small_space(3, max_opens=5))
+    grade_sets = (GradeSet.for_frame(frame), QUARTERS, GradeSet.for_frame(frame), QUARTERS, QUARTERS)
+    for values in grade_sets:
+        assert enumerate_point_homs(frame, values) == brute_point_homs(frame, values)
+        assert frame._homs[0] == values
+    assert [v for _, v in searches] == list(grade_sets[:4])
+
+
+def test_enumeration_returns_a_new_list_each_call():
+    frame, values = crisp_chain(5), QUARTERS
+    first = enumerate_point_homs(frame, values)
+    kept = list(first)
+    first.clear()
+    second = enumerate_point_homs(frame, values)
+    assert second == kept and second is not first
+    second.append(second[0])
+    assert enumerate_point_homs(frame, values) == kept
+
+
+def test_a_search_that_overflowed_overflows_again(monkeypatch, searches):
+    frame, values = crisp_chain(5), GradeSet(tuple(F(i, 7) for i in range(8)))
+    monkeypatch.setattr(functors, "HOM_SEARCH_CAP", 359)  # the search tries 360
+    for _ in range(2):
+        with pytest.raises(Overflow, match="tried more than 359 partial maps"):
+            enumerate_point_homs(frame, values)
+        assert frame._homs is None
+    assert len(searches) == 2
+    # a finished search keeps its count, which a lowered cap reads without searching
+    monkeypatch.setattr(functors, "HOM_SEARCH_CAP", 360)
+    assert len(enumerate_point_homs(frame, values)) == 120
+    monkeypatch.setattr(functors, "HOM_SEARCH_CAP", 359)
+    with pytest.raises(Overflow, match="tried more than 359 partial maps"):
+        s_object(frame, values)
+    assert len(searches) == 3 and frame._homs[1] == 360
+
+
+GRADE_CHOICES = (F(1, 4), F(1, 3), HALF, F(2, 3), F(3, 4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 5), st.integers(0, 5),
+       st.sets(st.sampled_from(GRADE_CHOICES)), st.sets(st.sampled_from(GRADE_CHOICES)))
+def test_alternating_grade_sets_match_the_brute_force_oracle(seed, index, first, second):
+    cfg = GeneratorConfig(seed=seed, grade_pool=GradeSet.closure([HALF]), max_generators=4)
+    frame = frame_from_space(generate_random_space(cfg, index, max_opens=5))
+    for values in (GradeSet.closure(first), GradeSet.closure(second), GradeSet.closure(first)):
+        assert ([p.values for p in enumerate_point_homs(frame, values)]
+                == [p.values for p in brute_point_homs(frame, values)])
+
+
+def test_the_adjunction_suite_searches_each_frame_and_grade_set_once(searches):
+    reports = run_suite("adjunction", GeneratorConfig())
+    assert reports and all(r.status == PASS for r in reports)
+    pairs = collections.Counter((id(frame), values) for frame, values in searches)
+    assert searches and max(pairs.values()) == 1
+
+
+@pytest.mark.parametrize("name", ["frame_two_chain.json", "frame_three_chain.json", "frame_fourteen_opens.json"])
+def test_hom_cli_outputs_do_not_depend_on_the_slot(name, tmp_path, capsys, monkeypatch):
+    """`functor s` and `adjunction-test fm-s` write the same bytes when
+    every enumeration searches afresh."""
+    path = FIXTURES / name
+
+    def outputs(tag):
+        argvs = [["functor", "s", "--in", str(path), "--out", str(tmp_path / f"{tag}-default.json")],
+                 ["functor", "s", "--in", str(path), "--grades", "1/4,1/2", "--out", str(tmp_path / f"{tag}-quarters.json")],
+                 ["adjunction-test", "fm-s", "--in", str(path)],
+                 ["adjunction-test", "fm-s", "--in", str(path), "--grades", "1/4,1/2"]]
+        streams = []
+        for argv in argvs:
+            code = main(argv)
+            streams.append((code, *capsys.readouterr()))
+        files = [(tmp_path / f"{tag}-{kind}.json").read_bytes() for kind in ("default", "quarters")]
+        return streams, files
+
+    kept = outputs("slot")
+    enumerate_homs = functors.enumerate_point_homs
+
+    def fresh(frame, values):
+        object.__setattr__(frame, "_homs", None)
+        return enumerate_homs(frame, values)
+
+    monkeypatch.setattr(functors, "enumerate_point_homs", fresh)
+    assert outputs("fresh") == kept
 
 
 def test_hom_system_satisfaction_is_application():
