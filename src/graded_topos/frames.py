@@ -150,8 +150,8 @@ class GradedFrame:
     stores; compared by identity (use the check functions for semantic
     questions). A table frame's `join_table[mask]` is the carrier position
     of the join of the subset `mask` (bit i for `carrier[i]`). `_homs` is
-    `functors.enumerate_point_homs`'s slot for the frame's homs into the last
-    grade set it searched."""
+    `functors.enumerate_point_homs`'s slot for the frame's hom-system over
+    the last grade set it searched."""
 
     carrier: tuple[Hashable, ...]
     view: FrameView = field(repr=False)

@@ -16,15 +16,17 @@ ranks, on the frame's integer view, that checks each axiom instance as soon
 as its coordinates are fixed, so its cost follows the partial homomorphisms
 that survive, not |L|^(n-2).
 
-A frame keeps the homs of its last search in one slot, with the grade set
-and the number of partial maps the search tried: a frame is searched once
-per grade set however many hom-systems and law checks read it, and a
-different grade set replaces the slot. A read past a lowered
-HOM_SEARCH_CAP raises the Overflow the search would.
-
-Morphism builders take the objects they map between, so a law check builds
-each hom-system once and hands it on; every unit, counit and lifted
-morphism still comes from its own builder, so no law holds by construction.
+Each object functor builds its object once per input and keeps it on that
+input: a space keeps its frame of opens (`frame_from_space`) and its
+system (`j_object`), a system its extent space (`ext_object`), and a frame
+its hom-system over the last grade set it was searched with, beside that
+grade set and the number of partial maps the search tried (`s_object`).
+So a frame is searched once per grade set however many law checks read
+it, and a different grade set replaces the slot; a read past a lowered
+HOM_SEARCH_CAP raises the Overflow the search would. The law checks call
+the functors and share what they keep; every unit, counit and lifted
+morphism still comes anew from its own builder, so no law holds by
+construction.
 """
 
 from __future__ import annotations
@@ -117,9 +119,12 @@ def ext_column(system: GradedSystem, a: Hashable) -> FuzzySet:
 
 
 def ext_object(system: GradedSystem) -> GradedSpace:
-    """Space of extents: one open per distinct satisfaction column."""
-    return GradedSpace(system.points,
-                       canonical_opens(FuzzySet(system.points, col) for col in zip(*system.rows)))
+    """Space of extents: one open per distinct satisfaction column, built
+    once per system and kept on it (`GradedSystem._space`)."""
+    if system._space is None:  # type: ignore[attr-defined]
+        object.__setattr__(system, "_space", GradedSpace(
+            system.points, canonical_opens(FuzzySet(system.points, col) for col in zip(*system.rows))))
+    return system._space  # type: ignore[attr-defined]
 
 
 def ext_morphism(m: SystemMorphism) -> PointMap:
@@ -130,7 +135,9 @@ def ext_morphism(m: SystemMorphism) -> PointMap:
 
 def j_object(space: GradedSpace) -> GradedSystem:
     """The system a space carries: membership read as satisfaction over the
-    frame of opens."""
+    frame of opens, built once per space and kept on it (`GradedSpace._system`)."""
+    if space._system is not None:  # type: ignore[attr-defined]
+        return space._system  # type: ignore[attr-defined]
     frame = frame_from_space(space)
     system = GradedSystem(space.universe, frame, tuple(zip(*(t.grades for t in space.opens))))
     # the extent of an open is the open, and every relation grade, a graded
@@ -138,20 +145,14 @@ def j_object(space: GradedSpace) -> GradedSystem:
     # object.__setattr__ keeps the instance's inline attribute values, which
     # writing through vars(system) would turn into a dict slower to read
     object.__setattr__(system, "extents", space.ranked)
+    object.__setattr__(space, "_system", system)
     return system
 
 
 def j_morphism(f: PointMap, source: GradedSpace, target: GradedSpace) -> SystemMorphism:
-    """Pair a continuous map with its preimage homomorphism. A map from a
-    space to itself gets the one system of that space at both ends."""
-    source_sys = j_object(source)
-    target_sys = source_sys if target is source else j_object(target)
-    return _lifted(f, source, target, source_sys, target_sys)
-
-
-def _lifted(f: PointMap, source: GradedSpace, target: GradedSpace,
-            source_sys: GradedSystem, target_sys: GradedSystem) -> SystemMorphism:
-    """j_morphism between built systems, j(source) and j(target)."""
+    """Pair a continuous map with its preimage homomorphism, between the one
+    system each space keeps (`j_object`); the morphism is built anew."""
+    source_sys, target_sys = j_object(source), j_object(target)
     pulled = pull_opens(f, source, target)
     if isinstance(pulled, Violation):
         raise NotContinuous(str(pulled))
@@ -176,19 +177,21 @@ def enumerate_point_homs(frame: GradedFrame, values: GradeSet) -> list[PointHom]
     HOM_SEARCH_CAP partial maps, whether or not they extend to homs.
 
     The frame keeps the grade set, the number of partial maps tried and the
-    homs of the last search that finished (`GradedFrame._homs`), so a call
-    with an equal grade set searches nothing. It raises Overflow if that
-    number is above HOM_SEARCH_CAP as it stands now, as the search would. A
-    search that overflows keeps nothing, and one over another grade set
-    replaces the slot.
+    hom-system of the last search that finished, or None if it found no hom
+    (`GradedFrame._homs`), so a call with an equal grade set searches
+    nothing. It raises Overflow if that number is above HOM_SEARCH_CAP as it
+    stands now, as the search would. A search that overflows keeps nothing,
+    and one over another grade set replaces the slot.
     """
     kept = frame._homs
     if kept is None or kept[0] != values:
-        kept = (values, *_search_point_homs(frame, values))
+        tries, homs = _search_point_homs(frame, values)
+        system = GradedSystem(Universe(homs), frame, tuple(p.values for p in homs)) if homs else None
+        kept = (values, tries, system)
         object.__setattr__(frame, "_homs", kept)
     elif kept[1] > HOM_SEARCH_CAP:
         raise _overflow()
-    return list(kept[2])
+    return [] if kept[2] is None else list(kept[2].points.elements)
 
 
 def _overflow() -> Overflow:
@@ -310,15 +313,14 @@ def _search_point_homs(frame: GradedFrame, values: GradeSet) -> tuple[int, tuple
 def s_object(frame: GradedFrame, values: GradeSet) -> GradedSystem:
     """The system of grade-valued homomorphisms of a frame, relative to the
     grade set: points are the enumerated homs, satisfaction is application.
-    The homs are read through the frame's slot, so hom-systems of one frame
-    over one grade set share one search.
+    It is the system `enumerate_point_homs` keeps in the frame's slot, so a
+    frame has one hom-system per grade set.
 
     Raises NoPoints when the enumeration is empty (a system needs points).
     """
-    points = enumerate_point_homs(frame, values)
-    if not points:
+    if not enumerate_point_homs(frame, values):
         raise NoPoints(f"no homomorphisms into grades {[str(g) for g in values.grades]}")
-    return GradedSystem(Universe(tuple(points)), frame, tuple(p.values for p in points))
+    return frame._homs[2]
 
 
 def s_morphism(h: FrameHom, source: GradedSystem, target: GradedSystem) -> SystemMorphism:
@@ -455,7 +457,7 @@ def check_triangle_identities(
         if isinstance(instance, GradedSpace):
             return _composite_triangles(instance, unit_system(system, hom_system), frame_counit,
                                         extent_unit, frame_counit)
-        return _composite_triangles(_extent_space(frame_counit), extent_unit, counit(extent_homs),
+        return _composite_triangles(ext_object(hom_system), extent_unit, counit(extent_homs),
                                     extent_unit, frame_counit)
     raise SchemaError("adjunction", f"unknown adjunction {adjunction!r}")
 
@@ -496,25 +498,17 @@ def _composite_triangles(space: GradedSpace, space_unit: SystemMorphism, space_c
     """The composite triangles at a space X and a frame F, from the fm-s unit
     at j(X), the j-ext counit at S(O X), the j-ext counit at S(F) and the
     fm-s unit at that counit's source, j of F's extent space. The unit is
-    lifted between the systems already built: the fm-s unit's source and
-    the j-ext counit's source."""
+    lifted by `j_morphism` to the systems the spaces keep, which are the
+    fm-s unit's source and the j-ext counit's source."""
     unit = compose_point_maps(unit_space(space), ext_morphism(space_unit))
-    lifted_unit = _lifted(unit, space, _extent_space(space_counit),
-                          space_unit.source, space_counit.source)
+    lifted_unit = j_morphism(unit, space, ext_object(space_counit.target))
     at_space = compose_frame_hom(space_counit.frame_hom, lifted_unit.frame_hom)
-    extent_unit_pm = compose_point_maps(unit_space(_extent_space(frame_counit)),
+    extent_unit_pm = compose_point_maps(unit_space(ext_object(frame_counit.target)),
                                         ext_morphism(extent_unit))
     lifted_counit = s_morphism(frame_counit.frame_hom, extent_unit.target, frame_counit.target)
     at_frame = compose_point_maps(extent_unit_pm, ext_morphism(lifted_counit))
     return (LawReport("composite triangle at the space", is_identity_frame_hom(at_space)),
             LawReport("composite triangle at the frame", is_identity_point_map(at_frame)))
-
-
-def _extent_space(counit_morphism: SystemMorphism) -> GradedSpace:
-    """The extent space of a counit's target, read off the counit's source,
-    j of that space: its points, and its frame's carrier, the opens."""
-    source = counit_morphism.source
-    return GradedSpace(source.points, source.frame.carrier)
 
 
 def check_naturality(
@@ -548,9 +542,7 @@ def check_naturality(
             values = values or GradeSet.closure(set(h.source.view.grades) | set(h.target.view.grades))
         else:
             raise SchemaError("morphism", "fm-s naturality needs a system morphism or a frame hom")
-        # S(target) and S(source) of the frame hom, one system if they are one frame
-        source_homs = s_object(h.target, values)
-        target_homs = source_homs if h.source is h.target else s_object(h.source, values)
+        source_homs, target_homs = s_object(h.target, values), s_object(h.source, values)
         if h is morphism:
             roundtrip = fm_morphism(s_morphism(h, source_homs, target_homs))
             return (LawReport("fm-s counit square", frame_homs_equal(roundtrip, h)),)

@@ -14,9 +14,10 @@ carriers. A carrier's keys take as much memory as the join keys of its file:
 5.4 MB for 16 labels named e0, e1, ..., so the cache holds at most about
 87 MB for such carriers.
 
-Computed structures whose elements are not strings (frames carrying opens,
-systems carrying enumerated homs) are saved by assigning positional names
-e0, e1, ... (points: p0, p1, ...) in canonical order.
+Computed structures whose elements are not all names the reader accepts
+(non-empty strings without a comma), such as frames carrying opens and
+systems and spaces over enumerated homs, are saved by assigning positional
+names e0, e1, ... (points: p0, p1, ...) in canonical order.
 """
 
 from __future__ import annotations
@@ -136,18 +137,19 @@ def _pair_key(key: str, field: str) -> tuple[str, str]:
 
 
 def _names_for(elements: Sequence, prefix: str = "e") -> dict:
-    if all(isinstance(e, str) for e in elements):
-        return {e: e for e in elements}
-    return {e: f"{prefix}{i}" for i, e in enumerate(elements)}
+    """Each element's name in a file: its own if every element passes
+    `_identifier`, else a positional one."""
+    try:
+        return {e: _identifier(e, "name") for e in elements}
+    except SchemaError:
+        return {e: f"{prefix}{i}" for i, e in enumerate(elements)}
 
 
 # --- fuzzy sets and point maps ---------------------------------------------
 
 def fuzzy_set_to_json(t: FuzzySet) -> dict:
-    return {
-        "universe": list(t.universe.elements),
-        "membership": {x: format_grade(g) for x, g in zip(t.universe.elements, t.grades)},
-    }
+    labels = list(_names_for(t.universe.elements, "p").values())
+    return {"universe": labels, "membership": dict(zip(labels, map(format_grade, t.grades)))}
 
 
 def _membership_from_json(obj: Any, universe: Universe, field: str) -> FuzzySet:
@@ -168,10 +170,11 @@ def fuzzy_set_from_json(obj: Any) -> FuzzySet:
 
 
 def point_map_to_json(f: PointMap) -> dict:
+    source, target = _names_for(f.source.elements, "p"), _names_for(f.target.elements, "p")
     return {
-        "source": list(f.source.elements),
-        "target": list(f.target.elements),
-        "map": {x: y for x, y in zip(f.source.elements, f.images)},
+        "source": list(source.values()),
+        "target": list(target.values()),
+        "map": {source[x]: target[y] for x, y in zip(f.source.elements, f.images)},
     }
 
 
@@ -195,13 +198,9 @@ def point_map_from_json(obj: Any) -> PointMap:
 # --- spaces -----------------------------------------------------------------
 
 def space_to_json(space: GradedSpace) -> dict:
-    return {
-        "universe": list(space.universe.elements),
-        "opens": [
-            {x: format_grade(g) for x, g in zip(space.universe.elements, t.grades)}
-            for t in space.opens
-        ],
-    }
+    labels = list(_names_for(space.universe.elements, "p").values())
+    return {"universe": labels,
+            "opens": [dict(zip(labels, map(format_grade, t.grades))) for t in space.opens]}
 
 
 def space_from_json(obj: Any) -> GradedSpace:

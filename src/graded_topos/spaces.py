@@ -54,8 +54,9 @@ def _show(element: Any) -> str:
 @dataclass(frozen=True)
 class GradedSpace:
     """Universe plus opens in canonical order (sorted by membership values).
-    Its frame of opens is built once, by the first `frame_from_space` call
-    that succeeds, and kept as `_frame` (None until then)."""
+    Its frame of opens and its system are built once, by the first
+    `frame_from_space` and `functors.j_object` calls that succeed, and kept
+    as `_frame` and `_system` (None until then)."""
 
     universe: Universe
     opens: tuple[FuzzySet, ...]
@@ -63,6 +64,7 @@ class GradedSpace:
     def __post_init__(self) -> None:
         object.__setattr__(self, "_by_value", {t: t for t in self.opens})
         object.__setattr__(self, "_frame", None)
+        object.__setattr__(self, "_system", None)
 
     def __contains__(self, t: FuzzySet) -> bool:
         return t in self._by_value  # type: ignore[attr-defined]

@@ -58,7 +58,9 @@ from .ranks import Ranks, inclusion
 @dataclass(frozen=True, eq=False)
 class GradedSystem:
     """Points, a graded frame, and one row of satisfaction grades per point,
-    aligned with the frame carrier as `FuzzySet.grades` is with its universe."""
+    aligned with the frame carrier as `FuzzySet.grades` is with its universe.
+    Its extent space is built by the first `functors.ext_object` call and
+    kept as `_space` (None until then)."""
 
     points: Universe
     frame: GradedFrame
@@ -67,6 +69,7 @@ class GradedSystem:
     def __post_init__(self) -> None:
         if len(self.rows) != len(self.points) or any(len(row) != len(self.frame) for row in self.rows):
             raise SchemaError("rows", "must be one row per point, each total on the carrier")
+        object.__setattr__(self, "_space", None)
 
     @classmethod
     def from_table(cls, points: Universe, frame: GradedFrame,

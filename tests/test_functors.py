@@ -155,9 +155,6 @@ def test_lifting_requires_continuity():
     poor = generate_topology(u, [])
     with pytest.raises(NotContinuous):
         j_morphism(PointMap.identity(u), poor, rich)
-    # the law checks lift maps between systems they have built
-    with pytest.raises(NotContinuous):
-        functors._lifted(PointMap.identity(u), poor, rich, j_object(poor), j_object(rich))
 
 
 def test_a_map_that_is_not_continuous_lifts_to_its_continuity_witness():
@@ -622,9 +619,10 @@ def test_a_frame_is_searched_once_per_grade_set(seed, searches):
             + check_naturality("fm-s", j_morphism(PointMap.identity(space.universe), space, space), values))
     assert all(law.ok for law in laws)
     assert [f for f, _ in searches].count(frame) == 1
-    # the rest are the extent frames the composite checks build, one search each
-    assert len(searches) == 1 + len({id(f) for f, _ in searches if f is not frame}) == 3
-    assert frame._homs == (values, frame._homs[1], tuple(homs))
+    # the other is the frame of S(frame)'s extent space, which both
+    # composite checks reach through the objects their functors keep
+    assert len(searches) == 1 + len({id(f) for f, _ in searches if f is not frame}) == 2
+    assert frame._homs[0] == values and frame._homs[2] is s_object(frame, values)
 
 
 def test_another_grade_set_searches_again_and_replaces_the_slot(searches):
@@ -957,38 +955,9 @@ def test_fm_s_triangles_on_the_two_chain():
     assert len(s_object(frame, values).points) == 1
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_law_checks_enumerate_each_hom_system_once(seed, monkeypatch):
-    calls = []
-    enumerate_homs = functors.enumerate_point_homs
-
-    def counted(frame, values):
-        calls.append(frame)
-        return enumerate_homs(frame, values)
-
-    monkeypatch.setattr(functors, "enumerate_point_homs", counted)
-    space = small_space(seed, max_opens=5)
-    system = j_object(space)
-    frame, values = system.frame, GradeSet.for_system(system)
-    for run, expected in (
-        (lambda: check_triangle_identities("fm-s", frame, values), 1),
-        (lambda: check_triangle_identities("fm-s", system, values), 1),
-        (lambda: check_triangle_identities("composite", space, values), 2),
-        (lambda: check_triangle_identities("composite", frame, values), 2),
-        (lambda: check_naturality("fm-s", FrameHom.identity(frame), values), 1),
-    ):
-        calls.clear()
-        assert all(law.ok for law in run())
-        assert len(calls) == expected
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_the_composite_triangles_at_a_space_build_two_frames(seed, monkeypatch):
-    """j(X) and j of the extent space of S(O X) are built once each and
-    handed to the lifted unit; lifting through systems built again, as
-    j_morphism builds them, gives the same reports from four frames."""
-    space = small_space(seed, max_opens=5)
-    values = GradeSet.for_system(j_object(space))
+@pytest.fixture
+def frame_builds(monkeypatch):
+    """The space of every `frame_from_space` call the functors make."""
     calls = []
 
     def counted(space):
@@ -996,50 +965,115 @@ def test_the_composite_triangles_at_a_space_build_two_frames(seed, monkeypatch):
         return frame_from_space(space)
 
     monkeypatch.setattr(functors, "frame_from_space", counted)
-    laws = check_triangle_identities("composite", space, values)
-    assert len(laws) == 2 and all(law.ok for law in laws)
-    assert len(calls) == 2
-    lifted = functors._lifted
-
-    def rebuilt(f, source, target, source_sys, target_sys):
-        return lifted(f, source, target, j_object(source), j_object(target))
-
-    monkeypatch.setattr(functors, "_lifted", rebuilt)
-    calls.clear()
-    assert check_triangle_identities("composite", space, values) == laws
-    assert len(calls) == 4
+    return calls
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_the_composite_triangles_read_extent_spaces_off_their_counits(seed, monkeypatch):
-    """A counit's source is j of its target's extent space, so the space is
-    read off it: a composite check builds extent spaces only inside
-    `counit`, once at a space and twice at a frame, and reports what
-    building them again from the counits' targets (3 and 5 builds) does."""
+def test_each_object_functor_keeps_one_object_per_input(seed):
     space = small_space(seed, max_opens=5)
     system = j_object(space)
     frame, values = system.frame, GradeSet.for_system(system)
     hom_system = s_object(frame, values)
-    assert functors._extent_space(counit(hom_system)) == ext_object(hom_system)
-    calls = []
+    assert j_object(space) is system and ext_object(system) is ext_object(system)
+    assert s_object(frame, values) is hom_system and ext_object(hom_system) is ext_object(hom_system)
+    assert enumerate_point_homs(frame, values) == list(hom_system.points.elements)
+    # a counit's source is j of its target's extent space; the counit is new
+    assert counit(hom_system).source is j_object(ext_object(hom_system))
+    assert counit(hom_system) is not counit(hom_system)
+    # a lifted map is new, between the systems its spaces keep
+    identity = PointMap.identity(space.universe)
+    lifted = j_morphism(identity, space, space)
+    assert lifted is not j_morphism(identity, space, space)
+    assert lifted.source is lifted.target is system and check_system_morphism(lifted) is None
+    # an equal space built anew keeps its own system, equal to this one
+    twin = GradedSpace(space.universe, space.opens)
+    assert j_object(twin) is not system and j_object(twin).rows == system.rows
+    to_twin = j_morphism(identity, space, twin)
+    assert to_twin.source is system and to_twin.target is j_object(twin)
 
-    def counted(system):
-        calls.append(system)
-        return ext_object(system)
 
-    monkeypatch.setattr(functors, "ext_object", counted)
-    cases = [(space, 1, 3), (frame, 2, 5)]
-    reports = []
-    for instance, built, _ in cases:
-        calls.clear()
-        reports.append(check_triangle_identities("composite", instance, values))
-        assert len(reports[-1]) == 2 and all(law.ok for law in reports[-1])
-        assert len(calls) == built
-    monkeypatch.setattr(functors, "_extent_space", lambda m: counted(m.target))
-    for (instance, _, rebuilt), laws in zip(cases, reports):
-        calls.clear()
-        assert check_triangle_identities("composite", instance, values) == laws
-        assert len(calls) == rebuilt
+@pytest.mark.parametrize("seed", range(4))
+def test_a_law_check_run_again_builds_no_frame_and_searches_nothing(seed, searches, frame_builds):
+    space = small_space(seed, max_opens=5)
+    system = j_object(space)
+    frame, values = system.frame, GradeSet.for_system(system)
+    morphism = j_morphism(PointMap.identity(space.universe), space, space)
+    searches.clear()
+    frame_builds.clear()
+    runs = (lambda: check_triangle_identities("composite", space, values),
+            lambda: check_triangle_identities("composite", frame, values),
+            lambda: check_triangle_identities("fm-s", frame, values),
+            lambda: check_triangle_identities("fm-s", system, values),
+            lambda: check_triangle_identities("j-ext", space),
+            lambda: check_naturality("fm-s", FrameHom.identity(frame), values),
+            lambda: check_naturality("fm-s", morphism, values),
+            lambda: check_naturality("j-ext", morphism))
+    for i, run in enumerate(runs):
+        first = run()
+        assert all(law.ok for law in first)
+        if i == 0:  # S(frame) and S of its extent space's frame, built here
+            assert [f for f, _ in searches] == [frame, frame_builds[0]._frame]
+            assert len(frame_builds) == 1
+        searches.clear()
+        frame_builds.clear()
+        assert run() == first
+        assert searches == [] and frame_builds == []
+
+
+# the slot each object functor keeps its object in, on its input; s_object
+# reads enumerate_point_homs's
+SLOTS = {"frame_from_space": "_frame", "j_object": "_system", "ext_object": "_space",
+         "enumerate_point_homs": "_homs"}
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("wrong_unit", [False, True])
+def test_clearing_every_slot_before_each_functor_call_changes_no_report(seed, wrong_unit, monkeypatch, searches):
+    """The adjunction suite's triangle and naturality reports, and its own,
+    are the same when each functor call builds its object anew as when the
+    functors keep what they build; also with units that swap their points'
+    rows, which fail some laws."""
+    import graded_topos.suites as suites
+    if wrong_unit:
+        evaluate = functors.point_evaluation
+
+        def swapped(system, x):
+            points = system.points.elements
+            return evaluate(system, points[(points.index(x) + 1) % len(points)])
+
+        monkeypatch.setattr(functors, "point_evaluation", swapped)
+    laws = []
+    for name in ("check_triangle_identities", "check_naturality"):
+        def recorded(*args, _check=getattr(functors, name)):
+            try:
+                laws.append(_check(*args))
+            except NotContinuous as exc:  # a swapped unit need not lift
+                laws.append(repr(exc))
+                return ()
+            return laws[-1]
+
+        monkeypatch.setattr(suites, name, recorded)
+
+    def reports():
+        laws.clear()
+        suite = run_suite("adjunction", GeneratorConfig(seed=seed))
+        return [(r.subject, r.status, r.witnesses, r.instances) for r in suite], list(laws)
+
+    kept = reports()
+    kept_searches = len(searches)
+    for name, slot in SLOTS.items():
+        def cleared(value, *args, _build=getattr(functors, name), _slot=slot):
+            object.__setattr__(value, _slot, None)
+            return _build(value, *args)
+
+        monkeypatch.setattr(functors, name, cleared)
+        if hasattr(suites, name):
+            monkeypatch.setattr(suites, name, cleared)
+    assert reports() == kept
+    assert len(searches) - kept_searches > kept_searches  # S searches on each call
+    assert len(kept[1]) == 250  # 50 spaces and maps, 25 frames and maps, 25 spaces
+    failed = [laws for laws in kept[1] if isinstance(laws, str) or not all(law.ok for law in laws)]
+    assert bool(failed) == wrong_unit
 
 
 def test_a_wrong_unit_row_fails_the_fm_s_and_composite_triangles(monkeypatch):
@@ -1205,22 +1239,3 @@ def test_frame_hom_sets_match_hom_system_morphisms():
     projected = {tuple(sorted(m.frame_hom.map.items(), key=str)) for m in system_side}
     assert len(projected) == len(system_side)
     assert projected == {tuple(sorted(h.map.items(), key=str)) for h in frame_side}
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_j_morphism_builds_one_system_for_a_map_to_the_same_space(seed, monkeypatch):
-    import graded_topos.functors as functors
-    calls = []
-
-    def counted(space):
-        calls.append(space)
-        return frame_from_space(space)
-
-    monkeypatch.setattr(functors, "frame_from_space", counted)
-    space = small_space(seed, max_opens=5)
-    m = j_morphism(PointMap.identity(space.universe), space, space)
-    assert len(calls) == 1
-    assert m.source is m.target and check_system_morphism(m) is None
-    calls.clear()
-    j_morphism(PointMap.identity(space.universe), space, GradedSpace(space.universe, space.opens))
-    assert len(calls) == 2

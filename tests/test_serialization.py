@@ -6,7 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import scan_join_keys, space_with_opens
@@ -14,8 +14,8 @@ from graded_topos import serialization
 from graded_topos.checks import Violation
 from graded_topos.errors import ParseError, SchemaError
 from graded_topos.frames import GradedFrame, check_frame, frame_from_space, same_frame
-from graded_topos.fuzzy_sets import FuzzySet, Universe
-from graded_topos.functors import GradeSet, j_object, s_object
+from graded_topos.fuzzy_sets import FuzzySet, PointMap, Universe
+from graded_topos.functors import GradeSet, ext_object, j_object, s_object
 from graded_topos.generators import GeneratorConfig, generate_random_space
 from graded_topos.serialization import (
     dumps_canonical,
@@ -238,6 +238,55 @@ def test_computed_systems_round_trip_byte_identically(seed):
     for system in (membership, s_object(membership.frame, GradeSet.for_system(membership))):
         text = dumps_canonical(system_to_json(system))
         assert dumps_canonical(system_to_json(system_from_json(json.loads(text)))) == text
+
+
+def test_a_space_over_enumerated_homs_is_saved_with_positional_point_names(tmp_path):
+    space = generate_random_space(GeneratorConfig(seed=3), 0, max_opens=4)
+    hom_system = s_object(frame_from_space(space), GradeSet.for_system(j_object(space)))
+    extent = ext_object(hom_system)  # its points are the enumerated homs
+    save_space(extent, tmp_path / "extent.json")
+    loaded = load_space(tmp_path / "extent.json")
+    assert loaded.universe.elements == tuple(f"p{i}" for i in range(len(hom_system.points)))
+    assert [t.grades for t in loaded.opens] == [t.grades for t in extent.opens]
+
+
+@pytest.mark.parametrize("names", [("a,b", "c"), ("", "x"), ("x", 2), ("x", ("y",))])
+def test_names_the_reader_refuses_are_written_positionally(names, tmp_path):
+    u = Universe(names)
+    point_map = PointMap(u, u, tuple(reversed(names)))
+    save_point_map(point_map, tmp_path / "map.json")
+    assert load_point_map(tmp_path / "map.json").images == ("p1", "p0")
+    save_fuzzy_set(FuzzySet(u, (ONE, Fraction(1, 2))), tmp_path / "set.json")
+    assert load_fuzzy_set(tmp_path / "set.json").grades == (ONE, Fraction(1, 2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.text(alphabet="ab,", max_size=2), min_size=1, max_size=3, unique=True),
+       st.lists(st.tuples(*[st.sampled_from((0, Fraction(1, 2), 1))] * 3), max_size=2))
+@example(["a,b", "c"], [(Fraction(1, 2), 0, 0)])
+@example(["", "x"], [(1, 0, 0)])
+def test_every_written_structure_reads_back(tmp_path_factory, names, generators):
+    """load(save(x)) succeeds and saves the same bytes again, for spaces,
+    systems, frames, point maps and fuzzy sets over any names, over opens,
+    and over enumerated homs (the extent space of a hom-system); an element
+    keeps its own name when every name in its list is one the reader takes."""
+    u = Universe(tuple(names))
+    space = generate_topology(u, [FuzzySet(u, row[:len(u)]) for row in generators])
+    system = j_object(space)
+    hom_system = s_object(system.frame, GradeSet.for_system(system))
+    extent = ext_object(hom_system)
+    path = tmp_path_factory.mktemp("round-trip") / "x.json"
+    for kind, x in (("space", space), ("space", extent), ("system", system), ("system", hom_system),
+                    ("frame", system.frame), ("frame", j_object(extent).frame),
+                    ("point", PointMap.identity(extent.universe)), ("fuzzy", extent.opens[-1])):
+        SAVERS[kind](x, path)
+        text = path.read_text()
+        SAVERS[kind](LOADERS[kind](path), path)
+        assert path.read_text() == text, kind
+    SAVERS["space"](space, path)
+    kept = all(name and "," not in name for name in names)
+    assert (load_space(path).universe == u) == kept
+    assert [t.grades for t in load_space(path).opens] == [t.grades for t in space.opens]
 
 
 def test_system_sat_totality_is_enforced():
