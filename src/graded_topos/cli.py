@@ -38,7 +38,7 @@ from .generators import GeneratorConfig
 from .grades import format_grade, grade
 from .logic.semantics import Assignment, sat_grade, sequent_grade, theorem2_suite
 from .logic.parser import parse_formula, symbol_index
-from .reports import FAIL, PASS, Report, emit_reports
+from .reports import Report, emit_reports
 from .serialization import (
     load_formulas,
     load_frame,
@@ -133,11 +133,9 @@ def _cmd_check(args) -> int:
         system = load_system(args.file)
         # the system clauses presuppose a valid frame
         violation = check_frame(system.frame) or check_system(system)
-    report = Report(subject=f"check/{args.kind}",
-                    status=PASS if violation is None else FAIL,
-                    witnesses=() if violation is None
-                    else ((violation.clause, "holds", violation.witness),))
-    return emit_reports([report])
+    return emit_reports([Report.verdict(
+        f"check/{args.kind}",
+        None if violation is None else (violation.clause, "holds", violation.witness))])
 
 
 def _cmd_functor(args) -> int:
@@ -162,13 +160,10 @@ def _cmd_adjunction(args) -> int:
     else:
         instance = load_frame(args.infile)
         laws = check_triangle_identities("fm-s", instance, values)
-    reports = [
-        Report(subject=f"adjunction-test/{law.name}",
-               status=PASS if law.ok else FAIL,
-               witnesses=() if law.ok else ((law.name, "identity", law.detail or "differs"),))
-        for law in laws
-    ]
-    return emit_reports(reports)
+    return emit_reports([
+        Report.verdict(f"adjunction-test/{law.name}",
+                       None if law.ok else (law.name, "identity", law.detail or "differs"))
+        for law in laws])
 
 
 def _cmd_spatiality(args) -> int:
@@ -178,11 +173,9 @@ def _cmd_spatiality(args) -> int:
         print(str(bad), file=sys.stderr)
         return 2
     spatial, pair = check_spatial(system)
-    report = Report(subject="spatiality",
-                    status=PASS if spatial else FAIL,
-                    witnesses=() if spatial
-                    else (("indistinguishable pair", "separated", f"{pair[0]!r}, {pair[1]!r}"),))
-    return emit_reports([report])
+    return emit_reports([Report.verdict(
+        "spatiality",
+        None if spatial else ("indistinguishable pair", "separated", f"{pair[0]!r}, {pair[1]!r}"))])
 
 
 def _cmd_eval(args) -> int:
@@ -204,13 +197,10 @@ def _cmd_consequence(args) -> int:
 def _cmd_theorem2(args) -> int:
     interp = load_interpretation(args.interp)
     pool = load_formulas(args.pool, interp.signature())
-    reports = [
-        Report(subject=f"theorem2/{law.name}",
-               status=PASS if law.ok else FAIL,
-               witnesses=() if law.ok else (("pool", "clause holds", law.detail or "violated"),))
-        for law in theorem2_suite(interp, pool)
-    ]
-    return emit_reports(reports)
+    return emit_reports([
+        Report.verdict(f"theorem2/{law.name}",
+                       None if law.ok else ("pool", "clause holds", law.detail or "violated"))
+        for law in theorem2_suite(interp, pool)])
 
 
 def _cmd_suite(args) -> int:

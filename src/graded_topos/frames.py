@@ -555,22 +555,28 @@ def _distributive(rel: list[list[int]], joins: list[int], position: Mapping[int,
 
 @dataclass(frozen=True, eq=False)
 class FrameHom:
-    """Map between frame carriers, packaged with its endpoints."""
+    """Map between frame carriers, packaged with its endpoints. `_image` keeps
+    each image's position in the target, as a point map's `_positions` does."""
 
     source: GradedFrame
     target: GradedFrame
     map: Mapping[Hashable, Hashable]
+    _image: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        index, image = self.target.view.index, []
         for a in self.source.carrier:
             if a not in self.map:
                 raise SchemaError("map", f"missing image for {_show(a)}")
-            if self.map[a] not in self.target:
+            position = index.get(self.map[a])
+            if position is None:
                 raise SchemaError("map", f"image of {_show(a)} is outside the target carrier")
+            image.append(position)
         # every carrier element is a key, so a longer map has a stray key
-        if len(self.map) > len(self.source.view.index):
+        if len(self.map) > len(image):
             stray = next(a for a in self.map if a not in self.source)
             raise SchemaError("map", f"{_show(stray)} is outside the source carrier")
+        object.__setattr__(self, "_image", tuple(image))
 
     def __call__(self, a: Hashable) -> Hashable:
         return self.map[a]
@@ -580,9 +586,7 @@ class FrameHom:
         return cls(frame, frame, {a: a for a in frame.carrier})
 
     def is_bijective(self) -> bool:
-        values = set(self.map.values())
-        return (len(values) == len(self.map)
-                and len(self.map) == len(self.target.carrier))
+        return len(set(self._image)) == len(self._image) == len(self.target)
 
     def inverse(self) -> "FrameHom":
         if not self.is_bijective():
@@ -618,12 +622,11 @@ def check_frame_hom(h: FrameHom) -> Violation | None:
     that the pairs of a table source show is named by every subset
     (`FrameView.decide`). A source join outside the source carrier has no
     image, and is reported as a join closure violation."""
-    src, tgt, f = h.source, h.target, h.map
-    if f[src.top] != tgt.top:
-        return Violation("frame-hom", "top preservation",
-                         f"top maps to {_show(f[src.top])}")
+    src, tgt, image = h.source, h.target, h._image
     sv, tv = src.view, tgt.view
-    image = [tv.index[f[a]] for a in src.carrier]
+    if image[sv.top] != tv.top:
+        return Violation("frame-hom", "top preservation",
+                         f"top maps to {_show(h.map[src.top])}")
     # a source rank r exceeds a target rank s exactly when s < above[r]
     above = [bisect_left(tv.grades, g) for g in sv.grades]
     for i, a in enumerate(src.carrier):

@@ -328,10 +328,9 @@ def s_morphism(h: FrameHom, source: GradedSystem, target: GradedSystem) -> Syste
     of its target, to `target`, that of its source (over one grade set)."""
     if source.frame.carrier != h.target.carrier or target.frame.carrier != h.source.carrier:
         raise SchemaError("hom systems", "must be over the hom's target and source frames")
-    image = [h.target.view.index[h.map[b]] for b in h.source.carrier]
     images = []
     for p in source.points.elements:
-        composed = PointHom._read(h.source.carrier, image, p.values, p._hashes)  # type: ignore[attr-defined]
+        composed = PointHom._read(h.source.carrier, h._image, p.values, p._hashes)  # type: ignore[attr-defined]
         if composed not in target.points:
             raise NoPoints("precomposition left the enumerated hom set")
         images.append(composed)
@@ -395,8 +394,7 @@ def is_identity_point_map(pm: PointMap) -> bool:
 
 
 def is_identity_frame_hom(h: FrameHom) -> bool:
-    return (h.source.carrier == h.target.carrier
-            and all(h.map[a] == a for a in h.source.carrier))
+    return h.source.carrier == h.target.carrier and h._image == tuple(range(len(h.source)))
 
 
 def is_identity_system_morphism(m: SystemMorphism) -> bool:
@@ -409,8 +407,7 @@ def point_maps_equal(f: PointMap, g: PointMap) -> bool:
 
 def frame_homs_equal(f: FrameHom, g: FrameHom) -> bool:
     return (f.source.carrier == g.source.carrier
-            and f.target.carrier == g.target.carrier
-            and all(f.map[a] == g.map[a] for a in f.source.carrier))
+            and f.target.carrier == g.target.carrier and f._image == g._image)
 
 
 def system_morphisms_equal(f: SystemMorphism, g: SystemMorphism) -> bool:

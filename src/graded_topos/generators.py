@@ -66,6 +66,12 @@ def _random_universe(rng: random.Random, max_points: int, prefix: str = "x") -> 
     return Universe(tuple(f"{prefix}{i + 1}" for i in range(size)))
 
 
+def _random_map(rng: random.Random, max_points: int, target: Universe, prefix: str = "x") -> PointMap:
+    """A map from a fresh random universe onto random points of `target`."""
+    source = _random_universe(rng, max_points, prefix)
+    return PointMap(source, target, tuple(rng.choice(target.elements) for _ in source.elements))
+
+
 def _random_fuzzy_set(rng: random.Random, universe: Universe, pool: GradeSet) -> FuzzySet:
     return FuzzySet(universe, tuple(rng.choice(pool.grades) for _ in universe.elements))
 
@@ -101,17 +107,15 @@ def generate_random_continuous_map(
     continuity holds by construction."""
     rng = derived_rng(cfg, 3, index)
     target = generate_random_space(cfg, index * 2 + 1, max_opens=max_opens // 2 or 2)
-    source_universe = _random_universe(rng, cfg.max_points)
-    f = PointMap(source_universe, target.universe,
-                 tuple(rng.choice(target.universe.elements) for _ in source_universe.elements))
+    f = _random_map(rng, cfg.max_points, target.universe)
     generators = [preimage(f, t) for t in target.opens]
     for attempt in range(8):
-        extra = ([_random_fuzzy_set(rng, source_universe, cfg.grade_pool)]
+        extra = ([_random_fuzzy_set(rng, f.source, cfg.grade_pool)]
                  if rng.random() < 0.5 else [])
-        space = generate_topology(source_universe, generators + extra)
+        space = generate_topology(f.source, generators + extra)
         if len(space) <= max_opens:
             return f, space, target
-    return f, generate_topology(source_universe, generators), target
+    return f, generate_topology(f.source, generators), target
 
 
 def generate_continuous_chain(
@@ -123,14 +127,10 @@ def generate_continuous_chain(
     topology."""
     rng = derived_rng(cfg, 4, index)
     last = generate_random_space(cfg, index * 3 + 2, max_opens=max_opens // 2 or 2)
-    mid_universe = _random_universe(rng, cfg.max_points, prefix="y")
-    g = PointMap(mid_universe, last.universe,
-                 tuple(rng.choice(last.universe.elements) for _ in mid_universe.elements))
-    middle = generate_topology(mid_universe, [preimage(g, t) for t in last.opens])
-    first_universe = _random_universe(rng, cfg.max_points, prefix="z")
-    f = PointMap(first_universe, mid_universe,
-                 tuple(rng.choice(mid_universe.elements) for _ in first_universe.elements))
-    first = generate_topology(first_universe, [preimage(f, t) for t in middle.opens])
+    g = _random_map(rng, cfg.max_points, last.universe, prefix="y")
+    middle = generate_topology(g.source, [preimage(g, t) for t in last.opens])
+    f = _random_map(rng, cfg.max_points, g.source, prefix="z")
+    first = generate_topology(f.source, [preimage(f, t) for t in middle.opens])
     return f, g, first, middle, last
 
 

@@ -32,6 +32,11 @@ class Report:
         if self.status == FAIL and not self.witnesses:
             raise SchemaError("witnesses", "fail reports must carry a witness")
 
+    @classmethod
+    def verdict(cls, subject: str, witness: tuple[str, str, str] | None) -> "Report":
+        """One check's report: a pass when `witness` is None, else a fail."""
+        return cls(subject, PASS if witness is None else FAIL, () if witness is None else (witness,))
+
     def to_json(self) -> dict:
         return {
             "subject": self.subject,
@@ -81,7 +86,7 @@ def emit_reports(reports: list[Report], stream=None, summary_stream=None) -> int
         stream.write(json.dumps(report.to_json(), sort_keys=True) + "\n")
         if report.status == FAIL:
             failed += 1
-            witness = report.witnesses[0] if report.witnesses else ("", "", "")
+            witness = report.witnesses[0]
             summary_stream.write(
                 f"FAIL {report.subject} [exhaustive] at {witness[0]}: "
                 f"expected {witness[1]}, got {witness[2]}\n")

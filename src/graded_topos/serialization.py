@@ -186,13 +186,7 @@ def point_map_from_json(obj: Any) -> PointMap:
     missing = [e for e in source.elements if e not in table]
     if missing:
         raise SchemaError("map", f"missing image for {missing[0]!r}")
-    images = []
-    for e in source.elements:
-        y = table[e]
-        if y not in target:
-            raise SchemaError("map", f"image {y!r} is not in the target universe")
-        images.append(y)
-    return PointMap(source, target, tuple(images))
+    return PointMap(source, target, tuple(table[e] for e in source.elements))
 
 
 # --- spaces -----------------------------------------------------------------

@@ -212,8 +212,7 @@ def check_system_morphism(m: SystemMorphism) -> Violation | None:
     bad = check_frame_hom(m.frame_hom)
     if bad is not None:
         return bad
-    image = [m.source.frame.view.index[m.frame_hom.map[b]] for b in m.target.frame.carrier]
-    pulled = [tuple(map(row.__getitem__, image)) for row in m.source.rows]
+    pulled = [tuple(map(row.__getitem__, m.frame_hom._image)) for row in m.source.rows]
     at_images = list(map(m.target.rows.__getitem__, m.point_map._positions))  # type: ignore[attr-defined]
     if pulled == at_images:
         return None

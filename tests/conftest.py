@@ -324,6 +324,23 @@ def brute_frame_hom_ok(hom) -> bool:
     return True
 
 
+def brute_is_bijective(hom) -> bool:
+    """`FrameHom.is_bijective` read off the map's values."""
+    values = set(hom.map.values())
+    return len(values) == len(hom.map) and len(hom.map) == len(hom.target.carrier)
+
+
+def brute_is_identity_frame_hom(hom) -> bool:
+    """`is_identity_frame_hom`, element by element."""
+    return hom.source.carrier == hom.target.carrier and all(hom.map[a] == a for a in hom.source.carrier)
+
+
+def brute_frame_homs_equal(f, g) -> bool:
+    """`frame_homs_equal`, element by element."""
+    return (f.source.carrier == g.source.carrier and f.target.carrier == g.target.carrier
+            and all(f.map[a] == g.map[a] for a in f.source.carrier))
+
+
 def brute_point_homs(frame, values) -> list[PointHom]:
     """Every map carrier -> values, tested one by one against the hom axioms
     (the product over the free coordinates), in canonical order."""

@@ -12,7 +12,10 @@ from hypothesis import strategies as st
 import graded_topos.functors as functors
 from conftest import (
     brute_frame_hom_ok,
+    brute_frame_homs_equal,
     brute_frame_violation,
+    brute_is_bijective,
+    brute_is_identity_frame_hom,
     brute_point_homs,
     brute_system_violation,
     crisp_chain,
@@ -21,8 +24,8 @@ from conftest import (
 from graded_topos.checks import Violation
 from graded_topos.cli import main
 from graded_topos.errors import GradeSetTooSmall, NoPoints, NotContinuous, Overflow, SchemaError
-from graded_topos.frames import (FrameHom, GradedFrame, chain_frame, check_frame, check_frame_hom, frame_from_space,
-                                 same_frame)
+from graded_topos.frames import (FrameHom, GradedFrame, chain_frame, check_frame, check_frame_hom, compose_frame_hom,
+                                 frame_from_space, same_frame)
 from graded_topos.functors import (
     GradeSet,
     PointHom,
@@ -36,6 +39,8 @@ from graded_topos.functors import (
     ext_object,
     fm_morphism,
     fm_object,
+    frame_homs_equal,
+    is_identity_frame_hom,
     is_identity_system_morphism,
     j_morphism,
     j_object,
@@ -49,6 +54,7 @@ from graded_topos.functors import (
 from graded_topos.fuzzy_sets import FuzzySet, PointMap, Universe, preimage
 from graded_topos.generators import (
     GeneratorConfig,
+    generate_continuous_chain,
     generate_nonspatial_system,
     generate_random_continuous_map,
     generate_random_space,
@@ -1098,6 +1104,41 @@ def test_a_wrong_unit_row_fails_the_fm_s_and_composite_triangles(monkeypatch):
         laws = check_triangle_identities(adjunction, instance, values)
         assert [law.ok for law in laws] == ([True, False] if adjunction == "fm-s"
                                             else [False, False])
+
+
+def _frame_homs(seed: int) -> list[FrameHom]:
+    """Frame homs of every kind the package builds: enumerated homs as frame
+    homs, lifted maps, counits, composites, identities and inverses, and two
+    maps of a frame to itself (its carrier reversed, and all to the top)."""
+    cfg = GeneratorConfig(seed=seed)
+    homs = []
+    for index in range(3):
+        f, g, first, middle, last = generate_continuous_chain(cfg, index, max_opens=6)
+        hf, hg = j_morphism(f, first, middle).frame_hom, j_morphism(g, middle, last).frame_hom
+        system = j_object(first)
+        frame, values = system.frame, GradeSet.for_system(system)
+        chain = chain_frame(values.grades)
+        homs += [p.as_frame_hom(frame, chain) for p in enumerate_point_homs(frame, values)]
+        homs += [hf, hg, compose_frame_hom(hg, hf), counit(system).frame_hom]
+        homs += [FrameHom.identity(h.source) for h in (hf, hg)]
+        homs += [FrameHom(frame, frame, dict(zip(frame.carrier, reversed(frame.carrier)))),
+                 FrameHom(frame, frame, dict.fromkeys(frame.carrier, frame.top))]
+    return homs + [h.inverse() for h in homs if h.is_bijective()]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_frame_hom_keeps_its_images_target_positions(seed):
+    homs = _frame_homs(seed)
+    for h in homs:
+        assert list(h._image) == [h.target.view.index[h.map[a]] for a in h.source.carrier]
+        assert h.is_bijective() == brute_is_bijective(h)
+        assert is_identity_frame_hom(h) == brute_is_identity_frame_hom(h)
+    pairs = [(f, g) for f in homs for g in homs]
+    assert all(frame_homs_equal(f, g) == brute_frame_homs_equal(f, g) for f, g in pairs)
+    # both verdicts of each predicate occur
+    assert {h.is_bijective() for h in homs} == {is_identity_frame_hom(h) for h in homs} == {True, False}
+    assert {frame_homs_equal(f, g) for f, g in pairs} == {True, False}
+    assert any(frame_homs_equal(f, g) for f, g in pairs if f is not g)
 
 
 def test_projection_functors_preserve_identity_and_composition():

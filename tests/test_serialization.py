@@ -250,6 +250,19 @@ def test_a_space_over_enumerated_homs_is_saved_with_positional_point_names(tmp_p
     assert [t.grades for t in loaded.opens] == [t.grades for t in extent.opens]
 
 
+@pytest.mark.parametrize("table, message", [
+    ({"a": "x", "b": "zz"}, "image 'zz' is not in the target universe"),
+    ({"a": 7, "b": "zz"}, "image 7 is not in the target universe"),
+    ({"a": "x"}, "missing image for 'b'"),
+])
+def test_a_point_map_file_with_an_image_outside_its_target_is_refused(table, message, tmp_path):
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps({"source": ["a", "b"], "target": ["x", "y"], "map": table}))
+    with pytest.raises(SchemaError) as refused:
+        load_point_map(path)
+    assert (refused.value.field, str(refused.value)) == ("map", f"map: {message}")
+
+
 @pytest.mark.parametrize("names", [("a,b", "c"), ("", "x"), ("x", 2), ("x", ("y",))])
 def test_names_the_reader_refuses_are_written_positionally(names, tmp_path):
     u = Universe(names)
