@@ -23,9 +23,7 @@ import functools
 import sys
 import traceback
 
-from .checks import Violation
 from .errors import GradedToposError
-from .frames import check_frame
 from .functors import (
     GradeSet,
     check_triangle_identities,
@@ -33,6 +31,7 @@ from .functors import (
     fm_object,
     j_object,
     s_object,
+    violation_of,
 )
 from .generators import GeneratorConfig
 from .grades import format_grade, grade
@@ -49,9 +48,8 @@ from .serialization import (
     save_space,
     save_system,
 )
-from .spaces import check_space
 from .suites import SUITE_NAMES, run_suite
-from .systems import check_spatial, check_system
+from .systems import check_spatial
 
 
 @functools.cache
@@ -123,19 +121,9 @@ def _parse_assignment(text: str) -> Assignment:
 
 
 def _cmd_check(args) -> int:
-    if args.kind == "space":
-        space = load_space(args.file)
-        result = check_space(space.universe, list(space.opens))
-        violation = result if isinstance(result, Violation) else None
-    elif args.kind == "frame":
-        violation = check_frame(load_frame(args.file))
-    else:
-        system = load_system(args.file)
-        # the system clauses presuppose a valid frame
-        violation = check_frame(system.frame) or check_system(system)
-    return emit_reports([Report.verdict(
-        f"check/{args.kind}",
-        None if violation is None else (violation.clause, "holds", violation.witness))])
+    load = {"space": load_space, "frame": load_frame, "system": load_system}[args.kind]
+    bad = violation_of(load(args.file))
+    return emit_reports([Report.verdict(f"check/{args.kind}", bad and (bad.clause, "holds", bad.witness))])
 
 
 def _cmd_functor(args) -> int:
@@ -168,7 +156,7 @@ def _cmd_adjunction(args) -> int:
 
 def _cmd_spatiality(args) -> int:
     system = load_system(args.file)
-    bad = check_frame(system.frame) or check_system(system)
+    bad = violation_of(system)
     if bad is not None:
         print(str(bad), file=sys.stderr)
         return 2

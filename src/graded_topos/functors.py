@@ -33,19 +33,22 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cache, partial
 from itertools import chain
-from typing import Hashable, Iterable
+from typing import Callable, Hashable, Iterable
 
 from .checks import LawReport, Violation
 from .errors import GradeSetTooSmall, NoPoints, NotContinuous, Overflow, SchemaError
-from .frames import FrameHom, GradedFrame, compose_frame_hom, frame_from_space
+from .frames import FrameHom, GradedFrame, check_frame, check_frame_hom, compose_frame_hom, frame_from_space
 from .fuzzy_sets import Aligned, FuzzySet, PointMap, Universe, compose_point_maps
 from .grades import Grade, ONE, ZERO
-from .spaces import GradedSpace, canonical_opens, pull_opens
+from .spaces import GradedSpace, canonical_opens, check_continuous, check_space, pull_opens
 from .systems import (
     GradedSystem,
     SystemMorphism,
     check_spatial,
+    check_system,
+    check_system_morphism,
     compose_system_morphisms,
     system_iso_check,
 )
@@ -414,13 +417,41 @@ def system_morphisms_equal(f: SystemMorphism, g: SystemMorphism) -> bool:
     return point_maps_equal(f.point_map, g.point_map) and frame_homs_equal(f.frame_hom, g.frame_hom)
 
 
+def violation_of(structure: object) -> Violation | None:
+    """The first violation that a structure's own checker finds, or None: a
+    space, a frame, a system (its frame first), a frame hom, a system
+    morphism, or a (map, source, target) triple of spaces."""
+    if isinstance(structure, GradedSpace):
+        checked = check_space(structure.universe, list(structure.opens))
+        return checked if isinstance(checked, Violation) else None
+    if isinstance(structure, GradedSystem):
+        return check_frame(structure.frame) or check_system(structure)
+    if isinstance(structure, tuple):
+        return check_continuous(*structure)
+    if isinstance(structure, GradedFrame):
+        return check_frame(structure)
+    return (check_frame_hom if isinstance(structure, FrameHom) else check_system_morphism)(structure)
+
+
+def _law(name: str, holds: Callable[[], bool], instance: object) -> LawReport:
+    """A law that fails when a builder refuses a structure the law built,
+    unless the instance fails its own checker: then the refusal is raised."""
+    try:
+        return LawReport(name, holds())
+    except (NotContinuous, NoPoints) as refusal:
+        if violation_of(instance) is not None:
+            raise
+        return LawReport(name, False, str(refusal))
+
+
 def check_triangle_identities(
     adjunction: str,
     instance: GradedSpace | GradedSystem | GradedFrame,
     values: GradeSet | None = None,
 ) -> tuple[LawReport, ...]:
     """Both triangle identities of the named adjunction ("j-ext", "fm-s" or
-    "composite"), evaluated componentwise at the instance."""
+    "composite") at the instance, each a `_law`; a unit both use is built
+    once, when the first asks. The counit at a frame is its identity."""
     if adjunction == "j-ext":
         if isinstance(instance, GradedSpace):
             space, system = instance, j_object(instance)
@@ -428,8 +459,9 @@ def check_triangle_identities(
             space, system = ext_object(instance), instance
         else:
             raise SchemaError("instance", "j-ext triangles need a space or a system")
-        return (_j_ext_triangle_on_space(space), _j_ext_triangle_on_system(system))
-    if adjunction == "fm-s":
+        laws = {"j-ext triangle at the space (counit after lifted unit)": partial(_j_ext_on_space, space),
+                "j-ext triangle at the system (projected counit after unit)": partial(_j_ext_on_system, system)}
+    elif adjunction == "fm-s":
         if isinstance(instance, GradedFrame):
             values = values or GradeSet.for_frame(instance)
             system = hom_system = s_object(instance, values)
@@ -438,8 +470,14 @@ def check_triangle_identities(
             hom_system = s_object(fm_object(system), values)
         else:
             raise SchemaError("instance", "fm-s triangles need a frame or a system")
-        return _fm_s_triangles(system, hom_system)
-    if adjunction == "composite":
+        unit = cache(partial(unit_system, system, hom_system))
+        frame_unit = unit if system is hom_system else partial(unit_system, hom_system, hom_system)
+        laws = {"fm-s triangle at the system (projected unit after counit)": lambda: is_identity_frame_hom(
+                    compose_frame_hom(FrameHom.identity(fm_object(system)), fm_morphism(unit()))),
+                "fm-s triangle at the frame (lifted counit after unit)": lambda: is_identity_system_morphism(
+                    compose_system_morphisms(frame_unit(), s_morphism(FrameHom.identity(hom_system.frame),
+                                                                      hom_system, hom_system)))}
+    elif adjunction == "composite":
         if isinstance(instance, GradedSpace):
             system = j_object(instance)
             frame, values = system.frame, values or GradeSet.for_system(system)
@@ -450,62 +488,50 @@ def check_triangle_identities(
         hom_system = s_object(frame, values)
         frame_counit = counit(hom_system)
         extent_homs = s_object(frame_counit.source.frame, values)
-        extent_unit = unit_system(frame_counit.source, extent_homs)
+        extent_unit = cache(partial(unit_system, frame_counit.source, extent_homs))
         if isinstance(instance, GradedSpace):
-            return _composite_triangles(instance, unit_system(system, hom_system), frame_counit,
+            laws = _composite_triangles(instance, partial(unit_system, system, hom_system), frame_counit,
                                         extent_unit, frame_counit)
-        return _composite_triangles(ext_object(hom_system), extent_unit, counit(extent_homs),
-                                    extent_unit, frame_counit)
-    raise SchemaError("adjunction", f"unknown adjunction {adjunction!r}")
+        else:
+            laws = _composite_triangles(ext_object(hom_system), extent_unit, counit(extent_homs),
+                                        extent_unit, frame_counit)
+    else:
+        raise SchemaError("adjunction", f"unknown adjunction {adjunction!r}")
+    return tuple(_law(name, holds, instance) for name, holds in laws.items())
 
 
-def _j_ext_triangle_on_space(space: GradedSpace) -> LawReport:
+def _j_ext_on_space(space: GradedSpace) -> bool:
     system = j_object(space)
     extent = ext_object(system)
     lifted_unit = j_morphism(unit_space(space), space, extent)
-    composite = compose_system_morphisms(lifted_unit, counit(system))
-    return LawReport("j-ext triangle at the space (counit after lifted unit)",
-                     is_identity_system_morphism(composite))
+    return is_identity_system_morphism(compose_system_morphisms(lifted_unit, counit(system)))
 
 
-def _j_ext_triangle_on_system(system: GradedSystem) -> LawReport:
+def _j_ext_on_system(system: GradedSystem) -> bool:
     extent = ext_object(system)
     composite = compose_point_maps(unit_space(extent), ext_morphism(counit(system)))
-    same_space = ext_object(j_object(extent)).opens == extent.opens
-    return LawReport("j-ext triangle at the system (projected counit after unit)",
-                     is_identity_point_map(composite) and same_space)
+    return is_identity_point_map(composite) and ext_object(j_object(extent)).opens == extent.opens
 
 
-def _fm_s_triangles(system: GradedSystem, hom_system: GradedSystem) -> tuple[LawReport, ...]:
-    """The fm-s triangles at a system and at its frame, whose hom-system is
-    `hom_system`; the counit at a frame is its identity."""
-    unit = unit_system(system, hom_system)
-    at_system = compose_frame_hom(FrameHom.identity(fm_object(system)), fm_morphism(unit))
-    lifted_counit = s_morphism(FrameHom.identity(hom_system.frame), hom_system, hom_system)
-    frame_unit = unit if system is hom_system else unit_system(hom_system, hom_system)
-    at_frame = compose_system_morphisms(frame_unit, lifted_counit)
-    return (LawReport("fm-s triangle at the system (projected unit after counit)",
-                      is_identity_frame_hom(at_system)),
-            LawReport("fm-s triangle at the frame (lifted counit after unit)",
-                      is_identity_system_morphism(at_frame)))
-
-
-def _composite_triangles(space: GradedSpace, space_unit: SystemMorphism, space_counit: SystemMorphism,
-                         extent_unit: SystemMorphism, frame_counit: SystemMorphism) -> tuple[LawReport, ...]:
+def _composite_triangles(space: GradedSpace, space_unit: Callable[[], SystemMorphism], space_counit: SystemMorphism,
+                         extent_unit: Callable[[], SystemMorphism], frame_counit: SystemMorphism) -> dict:
     """The composite triangles at a space X and a frame F, from the fm-s unit
     at j(X), the j-ext counit at S(O X), the j-ext counit at S(F) and the
-    fm-s unit at that counit's source, j of F's extent space. The unit is
-    lifted by `j_morphism` to the systems the spaces keep, which are the
-    fm-s unit's source and the j-ext counit's source."""
-    unit = compose_point_maps(unit_space(space), ext_morphism(space_unit))
-    lifted_unit = j_morphism(unit, space, ext_object(space_counit.target))
-    at_space = compose_frame_hom(space_counit.frame_hom, lifted_unit.frame_hom)
-    extent_unit_pm = compose_point_maps(unit_space(ext_object(frame_counit.target)),
-                                        ext_morphism(extent_unit))
-    lifted_counit = s_morphism(frame_counit.frame_hom, extent_unit.target, frame_counit.target)
-    at_frame = compose_point_maps(extent_unit_pm, ext_morphism(lifted_counit))
-    return (LawReport("composite triangle at the space", is_identity_frame_hom(at_space)),
-            LawReport("composite triangle at the frame", is_identity_point_map(at_frame)))
+    fm-s unit at that counit's source, j of F's extent space, each unit as
+    its builder. The unit is lifted by `j_morphism` to the systems the
+    spaces keep, which are the fm-s unit's source and the j-ext counit's
+    source."""
+    def at_space() -> bool:
+        unit = compose_point_maps(unit_space(space), ext_morphism(space_unit()))
+        lifted_unit = j_morphism(unit, space, ext_object(space_counit.target))
+        return is_identity_frame_hom(compose_frame_hom(space_counit.frame_hom, lifted_unit.frame_hom))
+
+    def at_frame() -> bool:
+        unit = compose_point_maps(unit_space(ext_object(frame_counit.target)), ext_morphism(extent_unit()))
+        lifted_counit = s_morphism(frame_counit.frame_hom, extent_unit().target, frame_counit.target)
+        return is_identity_point_map(compose_point_maps(unit, ext_morphism(lifted_counit)))
+
+    return {"composite triangle at the space": at_space, "composite triangle at the frame": at_frame}
 
 
 def check_naturality(
@@ -513,24 +539,23 @@ def check_naturality(
     morphism: SystemMorphism | tuple[PointMap, GradedSpace, GradedSpace] | FrameHom,
     values: GradeSet | None = None,
 ) -> tuple[LawReport, ...]:
-    """Unit/counit naturality squares of the named adjunction at a morphism:
-    a (map, source, target) triple of spaces, a system morphism, or a frame
-    homomorphism, whichever category the square lives in."""
+    """The unit or counit naturality square of the named adjunction, a `_law`,
+    at a morphism of the category it lives in: a (map, source, target)
+    triple of spaces, a system morphism, or a frame homomorphism."""
     if adjunction == "j-ext":
         if isinstance(morphism, tuple):
             f, source, target = morphism
-            lhs = compose_point_maps(f, unit_space(target))
-            m = j_morphism(f, source, target)
-            rhs = compose_point_maps(unit_space(source), ext_morphism(m))
-            return (LawReport("j-ext unit square", point_maps_equal(lhs, rhs)),)
-        if isinstance(morphism, SystemMorphism):
-            lifted = j_morphism(ext_morphism(morphism),
-                                ext_object(morphism.source), ext_object(morphism.target))
-            lhs = compose_system_morphisms(lifted, counit(morphism.target))
-            rhs = compose_system_morphisms(counit(morphism.source), morphism)
-            return (LawReport("j-ext counit square", system_morphisms_equal(lhs, rhs)),)
-        raise SchemaError("morphism", "j-ext naturality needs a space map or a system morphism")
-    if adjunction == "fm-s":
+            name, holds = "j-ext unit square", lambda: point_maps_equal(
+                compose_point_maps(f, unit_space(target)),
+                compose_point_maps(unit_space(source), ext_morphism(j_morphism(f, source, target))))
+        elif isinstance(morphism, SystemMorphism):
+            source, target = ext_object(morphism.source), ext_object(morphism.target)
+            name, holds = "j-ext counit square", lambda: system_morphisms_equal(
+                compose_system_morphisms(j_morphism(ext_morphism(morphism), source, target), counit(morphism.target)),
+                compose_system_morphisms(counit(morphism.source), morphism))
+        else:
+            raise SchemaError("morphism", "j-ext naturality needs a space map or a system morphism")
+    elif adjunction == "fm-s":
         if isinstance(morphism, SystemMorphism):
             h = fm_morphism(morphism)
             values = values or GradeSet.closure(chain(*morphism.source.rows, *morphism.target.rows))
@@ -541,13 +566,16 @@ def check_naturality(
             raise SchemaError("morphism", "fm-s naturality needs a system morphism or a frame hom")
         source_homs, target_homs = s_object(h.target, values), s_object(h.source, values)
         if h is morphism:
-            roundtrip = fm_morphism(s_morphism(h, source_homs, target_homs))
-            return (LawReport("fm-s counit square", frame_homs_equal(roundtrip, h)),)
-        lhs = compose_system_morphisms(morphism, unit_system(morphism.target, target_homs))
-        rhs = compose_system_morphisms(unit_system(morphism.source, source_homs),
-                                       s_morphism(h, source_homs, target_homs))
-        return (LawReport("fm-s unit square", system_morphisms_equal(lhs, rhs)),)
-    raise SchemaError("adjunction", f"unknown adjunction {adjunction!r}")
+            name, holds = "fm-s counit square", lambda: frame_homs_equal(
+                fm_morphism(s_morphism(h, source_homs, target_homs)), h)
+        else:
+            name, holds = "fm-s unit square", lambda: system_morphisms_equal(
+                compose_system_morphisms(morphism, unit_system(morphism.target, target_homs)),
+                compose_system_morphisms(unit_system(morphism.source, source_homs),
+                                         s_morphism(h, source_homs, target_homs)))
+    else:
+        raise SchemaError("adjunction", f"unknown adjunction {adjunction!r}")
+    return (_law(name, holds, morphism),)
 
 
 def check_spatial_equivalence(system: GradedSystem) -> bool:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, NoReturn
 
 from ..errors import ArityMismatch, FormulaSyntaxError, UndeclaredSymbol
 from .syntax import (
@@ -115,7 +115,7 @@ class _Parser:
             raise FormulaSyntaxError(tok.position, f"expected {text!r}")
         return tok
 
-    def fail(self, message: str):
+    def fail(self, message: str) -> NoReturn:
         raise FormulaSyntaxError(self.peek().position, message)
 
     def index(self, tok: _Token) -> int:
@@ -179,7 +179,6 @@ class _Parser:
         if tok.text == "(":
             return self.parenthesized()
         self.fail("expected a formula")
-        raise AssertionError  # unreachable
 
     def exists(self) -> Formula:
         self.take()  # E
@@ -209,15 +208,11 @@ class _Parser:
             return Equality(lhs_term, rhs_term)
         lhs = self.formula()
         op = self.take()
-        if op.text == "&":
-            rhs = self.formula()
-            self.expect(")")
-            return And(lhs, rhs)
-        if op.text == "|":
-            rhs = self.formula()
-            self.expect(")")
-            return Or((lhs, rhs))
-        raise FormulaSyntaxError(op.position, "expected '&', '|' or '='")
+        if op.text not in ("&", "|"):
+            raise FormulaSyntaxError(op.position, "expected '&', '|' or '='")
+        rhs = self.formula()
+        self.expect(")")
+        return And(lhs, rhs) if op.text == "&" else Or((lhs, rhs))
 
     def _leading_operator(self) -> str | None:
         depth = 0

@@ -282,7 +282,7 @@ def _run_adjunction(cfg: GeneratorConfig, count: int, rc: ReportCollector) -> No
         space = generate_random_space(cfg, i, max_opens=8)
         for law in check_triangle_identities("j-ext", space):
             rc.record("adjunction/Lemma 3.20g triangles", law.ok,
-                      (f"space #{i}: {law.name}", "identity", "differs"))
+                      (f"space #{i}: {law.name}", "identity", law.detail or "differs"))
         extent = ext_object(j_object(space))
         ok = space_iso_check(unit_space(space), space, extent)
         rc.record("adjunction/Observation o2_g (unit iso)", ok,
@@ -295,11 +295,11 @@ def _run_adjunction(cfg: GeneratorConfig, count: int, rc: ReportCollector) -> No
         f, source, target = generate_random_continuous_map(cfg, i + 301, max_opens=8)
         for law in check_naturality("j-ext", (f, source, target)):
             rc.record("adjunction/Lemma 3.20g unit naturality", law.ok,
-                      (f"map #{i}", "square commutes", "differs"))
+                      (f"map #{i}", "square commutes", law.detail or "differs"))
         m = j_morphism(f, source, target)
         for law in check_naturality("j-ext", m):
             rc.record("adjunction/Lemma 3.20g counit naturality", law.ok,
-                      (f"map #{i}", "square commutes", "differs"))
+                      (f"map #{i}", "square commutes", law.detail or "differs"))
 
     for i in range(max(10, count // 5)):
         nonspatial = generate_nonspatial_system(cfg, i)
@@ -317,7 +317,7 @@ def _run_adjunction(cfg: GeneratorConfig, count: int, rc: ReportCollector) -> No
         values = GradeSet.for_system(system)
         for law in check_triangle_identities("fm-s", frame, values):
             rc.record("adjunction/Lemma 3.22g triangles", law.ok,
-                      (f"frame #{i}: {law.name}", "identity", "differs"))
+                      (f"frame #{i}: {law.name}", "identity", law.detail or "differs"))
         chain = chain_frame(values.grades)
         ok = all(
             check_frame_hom(point_evaluation(system, x).as_frame_hom(frame, chain)) is None
@@ -335,17 +335,17 @@ def _run_adjunction(cfg: GeneratorConfig, count: int, rc: ReportCollector) -> No
                   (f"map #{i}", "morphism clauses", str(bad)))
         for law in check_naturality("fm-s", m2, values2):
             rc.record("adjunction/Lemma 3.22g unit naturality", law.ok,
-                      (f"map #{i}", "square commutes", "differs"))
+                      (f"map #{i}", "square commutes", law.detail or "differs"))
         for law in check_naturality("fm-s", fm_morphism(m2), values2):
             rc.record("adjunction/Lemma 3.22g counit naturality", law.ok,
-                      (f"map #{i}", "square commutes", "differs"))
+                      (f"map #{i}", "square commutes", law.detail or "differs"))
 
     for i in range(max(1, count // 2)):
         space = generate_random_space(cfg, i + 2100, max_opens=min(5, cfg.max_carrier))
         values = GradeSet.for_system(j_object(space))
         for law in check_triangle_identities("composite", space, values):
             rc.record("adjunction/Theorem 3.25g composite triangles", law.ok,
-                      (f"space #{i}: {law.name}", "identity", "differs"))
+                      (f"space #{i}: {law.name}", "identity", law.detail or "differs"))
 
 
 def _run_theorem2(cfg: GeneratorConfig, count: int, rc: ReportCollector) -> None:

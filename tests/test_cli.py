@@ -385,7 +385,7 @@ def test_an_internal_error_exits_3_with_one_line(monkeypatch, capsys):
     def broken(frame):
         raise RuntimeError("the checker\nfell over")
 
-    monkeypatch.setattr(cli, "check_frame", broken)
+    monkeypatch.setattr(cli, "violation_of", broken)
     argv = ["check", "frame", str(FIXTURES / "frame_two_chain.json")]
     line = "internal error: RuntimeError: the checker fell over\n"
     assert _request(argv, capsys) == (3, "", line)

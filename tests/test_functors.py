@@ -1,5 +1,6 @@
 import collections
 import itertools
+import json
 import math
 import random
 from fractions import Fraction as F
@@ -21,7 +22,7 @@ from conftest import (
     crisp_chain,
     space_with_opens,
 )
-from graded_topos.checks import Violation
+from graded_topos.checks import LawReport, Violation
 from graded_topos.cli import main
 from graded_topos.errors import GradeSetTooSmall, NoPoints, NotContinuous, Overflow, SchemaError
 from graded_topos.frames import (FrameHom, GradedFrame, chain_frame, check_frame, check_frame_hom, compose_frame_hom,
@@ -63,7 +64,7 @@ from graded_topos.grades import ONE, ZERO, format_grade, godel_arrow, grade
 from graded_topos.reports import PASS
 from graded_topos.serialization import frame_from_json, frame_to_json, save_space
 from graded_topos.spaces import GradedSpace, check_continuous, check_space, generate_topology, space_iso_check
-from graded_topos.suites import run_suite
+from graded_topos.suites import DEFAULT_INSTANCES, run_suite
 from graded_topos.systems import (
     GradedSystem,
     SystemMorphism,
@@ -1104,6 +1105,114 @@ def test_a_wrong_unit_row_fails_the_fm_s_and_composite_triangles(monkeypatch):
         laws = check_triangle_identities(adjunction, instance, values)
         assert [law.ok for law in laws] == ([True, False] if adjunction == "fm-s"
                                             else [False, False])
+
+
+def _swap_rows(monkeypatch):
+    """Make every unit send a point to the next point's satisfaction row."""
+    evaluate = functors.point_evaluation
+
+    def swapped(system, x):
+        points = system.points.elements
+        return evaluate(system, points[(points.index(x) + 1) % len(points)])
+
+    monkeypatch.setattr(functors, "point_evaluation", swapped)
+
+
+def _composite_instances(seed: int):
+    """The composite-triangle instances of the adjunction suite at its default size."""
+    cfg = GeneratorConfig(seed=seed)
+    for i in range(DEFAULT_INSTANCES["adjunction"] // 2):
+        yield i, generate_random_space(cfg, i + 2100, max_opens=min(5, cfg.max_carrier))
+
+
+_MOVED_ROW = (
+    "continuity: preimage of an open violated at preimage of {"
+    + ", ".join(
+        "PointHom(carrier=(FuzzySet(universe=Universe(elements=('x1', 'x2')), grades=(Fraction(0, 1), "
+        "Fraction(0, 1))), FuzzySet(universe=Universe(elements=('x1', 'x2')), grades=(Fraction(1, 1), "
+        "Fraction(0, 1))), FuzzySet(universe=Universe(elements=('x1', 'x2')), grades=(Fraction(1, 1), "
+        f"Fraction(1, 1)))), values=(Fraction(0, 1), Fraction({middle}, 1), Fraction(1, 1))): '{middle}'"
+        for middle in (0, 1))
+    + "} is not an open of the source")
+
+
+def test_a_wrong_unit_that_moves_a_row_fails_the_composite_triangle_at_the_space(monkeypatch):
+    """`j_morphism` refuses to lift a unit that is not continuous; the check
+    reports that as the failed law instead of raising."""
+    _swap_rows(monkeypatch)
+    failed, moved = [], []
+    for seed in range(3):
+        for i, space in _composite_instances(seed):
+            system = j_object(space)
+            at_space, _ = check_triangle_identities("composite", space, GradeSet.for_system(system))
+            assert at_space.name == "composite triangle at the space"
+            failed += [(seed, i)] if not at_space.ok else []
+            moved += [(seed, i)] if len(set(system.rows)) > 1 else []
+            if (seed, i) == (0, 19):
+                assert at_space.detail == _MOVED_ROW
+    assert failed == moved and len(failed) == 52
+
+
+def _precompose_with_the_top(monkeypatch):
+    """Make `s_morphism` precompose with the map of every element to the
+    top, which takes each hom to the constant 1, no hom."""
+    precompose = functors.s_morphism
+
+    def wrong(h, source, target):
+        return precompose(FrameHom(h.source, h.target, dict.fromkeys(h.source.carrier, h.target.top)),
+                          source, target)
+
+    monkeypatch.setattr(functors, "s_morphism", wrong)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_a_wrong_precomposition_fails_the_fm_s_laws_that_use_it(seed, monkeypatch):
+    cfg = GeneratorConfig(seed=seed)
+    _precompose_with_the_top(monkeypatch)
+    left = "precomposition left the enumerated hom set"
+    for i in range(DEFAULT_INSTANCES["adjunction"] // 2):
+        space = generate_random_space(cfg, i + 900, max_opens=min(5, cfg.max_carrier))
+        frame, values = j_object(space).frame, GradeSet.for_system(j_object(space))
+        at_system, at_frame = check_triangle_identities("fm-s", frame, values)
+        assert at_system.ok and (at_frame.ok, at_frame.detail) == (False, left)
+        assert check_triangle_identities("composite", frame, values)[1] == LawReport(
+            "composite triangle at the frame", False, left)
+        f, source, target = generate_random_continuous_map(cfg, i + 1300, max_opens=min(5, cfg.max_carrier))
+        m = j_morphism(f, source, target)
+        m_values = GradeSet.closure(itertools.chain(*m.source.rows, *m.target.rows))
+        assert check_naturality("fm-s", m, m_values) == (LawReport("fm-s unit square", False, left),)
+        assert check_naturality("fm-s", m.frame_hom, m_values) == (LawReport("fm-s counit square", False, left),)
+
+
+def test_a_refusal_on_an_input_that_fails_its_checker_is_still_raised():
+    u = Universe.of("x1", "x2")
+    discrete = generate_topology(u, [FuzzySet(u, (ONE, ZERO)), FuzzySet(u, (ZERO, ONE))])
+    indiscrete = generate_topology(u, [])
+    swap = PointMap(u, u, ("x2", "x1"))
+    assert check_continuous(PointMap.identity(u), indiscrete, discrete) is not None
+    with pytest.raises(NotContinuous):
+        check_naturality("j-ext", (PointMap.identity(u), indiscrete, discrete))
+    assert check_naturality("j-ext", (swap, discrete, discrete))[0].ok
+    # a map of every element to the top is no hom; precomposing with it leaves the hom set
+    frame = frame_from_space(discrete)
+    to_top = FrameHom(frame, frame, dict.fromkeys(frame.carrier, frame.top))
+    assert check_frame_hom(to_top) is not None
+    with pytest.raises(NoPoints, match="precomposition left the enumerated hom set"):
+        check_naturality("fm-s", to_top, GradeSet.closure([]))
+    with pytest.raises(GradeSetTooSmall):
+        check_triangle_identities("fm-s", j_object(generate_random_space(GeneratorConfig(seed=0), 0)),
+                                  GradeSet.closure([]))
+
+
+def test_the_adjunction_suite_exits_1_on_a_wrong_unit_and_names_the_law(monkeypatch, capsys):
+    _swap_rows(monkeypatch)
+    assert main(["suite", "adjunction", "--seed", "0"]) == 1
+    out, err = capsys.readouterr()
+    composite = next(json.loads(line) for line in out.splitlines()
+                     if json.loads(line)["subject"] == "adjunction/Theorem 3.25g composite triangles")
+    assert composite["status"] == "fail"
+    assert composite["witnesses"][0][0].endswith(": composite triangle at the space")
+    assert "FAIL adjunction/Theorem 3.25g composite triangles" in err
 
 
 def _frame_homs(seed: int) -> list[FrameHom]:
