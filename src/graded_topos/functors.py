@@ -434,8 +434,8 @@ def violation_of(structure: object) -> Violation | None:
 
 
 def _law(name: str, holds: Callable[[], bool], instance: object) -> LawReport:
-    """A law that fails when a builder refuses a structure the law built,
-    unless the instance fails its own checker: then the refusal is raised."""
+    """A law's report. A builder's refusal of a structure the law built fails
+    the law, but is raised when the instance fails its own checker."""
     try:
         return LawReport(name, holds())
     except (NotContinuous, NoPoints) as refusal:
