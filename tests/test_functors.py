@@ -1146,8 +1146,10 @@ def test_a_wrong_unit_that_moves_a_row_fails_the_composite_triangle_at_the_space
             system = j_object(space)
             at_space, _ = check_triangle_identities("composite", space, GradeSet.for_system(system))
             assert at_space.name == "composite triangle at the space"
-            failed += [(seed, i)] if not at_space.ok else []
-            moved += [(seed, i)] if len(set(system.rows)) > 1 else []
+            if not at_space.ok:
+                failed.append((seed, i))
+            if len(set(system.rows)) > 1:
+                moved.append((seed, i))
             if (seed, i) == (0, 19):
                 assert at_space.detail == _MOVED_ROW
     assert failed == moved and len(failed) == 52
