@@ -142,12 +142,12 @@ def _cmd_functor(args) -> int:
 
 def _cmd_adjunction(args) -> int:
     values = _parse_grade_set(args.grades)
-    if args.pair == "j-ext":
-        instance = load_space(args.infile)
-        laws = check_triangle_identities("j-ext", instance)
-    else:
-        instance = load_frame(args.infile)
-        laws = check_triangle_identities("fm-s", instance, values)
+    instance = (load_space if args.pair == "j-ext" else load_frame)(args.infile)
+    bad = violation_of(instance)
+    if bad is not None:
+        print(str(bad), file=sys.stderr)
+        return 2
+    laws = check_triangle_identities(args.pair, instance, values)
     return emit_reports([
         Report.verdict(f"adjunction-test/{law.name}",
                        None if law.ok else (law.name, "identity", law.detail or "differs"))

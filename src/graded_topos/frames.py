@@ -220,23 +220,28 @@ class GradedFrame:
 
     @classmethod
     def from_masks(cls, carrier: Iterable[Hashable], top: Hashable, meet_table: MeetTable,
-                   join_table: Mapping[int, Hashable], relation: RelationTable) -> GradedFrame:
+                   join_table: Mapping[int, Hashable] | list[Hashable], relation: RelationTable) -> GradedFrame:
         """Frame whose join table is keyed by subset bitmask over carrier
-        positions (bit i for the i-th element), stored as a list indexed by
-        mask and read on its pairs if it passes the lowest-member fold,
+        positions (bit i for the i-th element), or is a list indexed by mask
+        of values already checked to be carrier elements (as
+        `serialization.frame_from_json` hands it over), stored as a list of
+        positions and read on its pairs if it passes the lowest-member fold,
         join S = join{join(S - low), low} with low the lowest member of S."""
         items = tuple(carrier)
         n = len(items)
         if len(join_table) != 1 << n:
             raise SchemaError("join", f"join table must cover all {1 << n} subsets")
         index = {a: i for i, a in enumerate(items)}
-        table = [0] * (1 << n)
-        for mask, v in join_table.items():
-            if mask >> n:
-                raise SchemaError("join", "join table key is not a subset of the carrier")
-            if v not in index:
-                raise SchemaError("join", f"join value {_show(v)} is outside the carrier")
-            table[mask] = index[v]
+        if isinstance(join_table, list):
+            table = list(map(index.__getitem__, join_table))
+        else:
+            table = [0] * (1 << n)
+            for mask, v in join_table.items():
+                if mask >> n:
+                    raise SchemaError("join", "join table key is not a subset of the carrier")
+                if v not in index:
+                    raise SchemaError("join", f"join value {_show(v)} is outside the carrier")
+                table[mask] = index[v]
         folds = [table[1 << table[m & m - 1] | m & -m] for m in range(1, 1 << n)] == table[1:]
         joins = [table[mask] for mask in _pairs(n)] if folds else table
         return cls(items, FrameView(*_tables(items, top, meet_table, relation), joins, table))

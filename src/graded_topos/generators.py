@@ -3,9 +3,9 @@
 Everything is a pure function of (config, index): a fresh Random is derived
 from the seed and the salts, so the same inputs always rebuild the same
 instance. Generated structures are valid by construction (topologies by
-closure, systems from spaces, continuous maps by pulling opens back along
-the map); deliberately broken variants exist only behind explicit flags for
-checker self-tests.
+closure, of level cuts of grade-pool positions for a random space, systems
+from spaces, continuous maps by pulling opens back along the map); broken
+variants exist only behind explicit flags for checker self-tests.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from fractions import Fraction
 from .errors import SchemaError
 from .functors import GradeSet, j_object
 from .fuzzy_sets import FuzzySet, PointMap, Universe, preimage
-from .grades import Grade, ONE, ZERO
+from .grades import ONE, ZERO
 from .logic.semantics import Interpretation
 from .logic.syntax import (
     And,
@@ -33,7 +33,8 @@ from .logic.syntax import (
     Term,
     Var,
 )
-from .spaces import GradedSpace, generate_topology
+from .ranks import Ranks, cuts_of
+from .spaces import GradedSpace, close_cuts, generate_topology, space_from_cuts
 from .systems import GradedSystem
 
 
@@ -72,28 +73,25 @@ def _random_map(rng: random.Random, max_points: int, target: Universe, prefix: s
     return PointMap(source, target, tuple(rng.choice(target.elements) for _ in source.elements))
 
 
-def _random_fuzzy_set(rng: random.Random, universe: Universe, pool: GradeSet) -> FuzzySet:
-    return FuzzySet(universe, tuple(rng.choice(pool.grades) for _ in universe.elements))
-
-
-def generate_random_space(
-    cfg: GeneratorConfig,
-    index: int = 0,
-    max_opens: int = 16,
-    min_opens: int = 2,
-) -> GradedSpace:
-    """Random topology: close a few random generators, retrying with fewer
-    until the closure fits under max_opens (the indiscrete space always does)."""
+def generate_random_space(cfg: GeneratorConfig, index: int = 0, max_opens: int = 16,
+                          min_opens: int = 2) -> GradedSpace:
+    """Random topology: close a few random generators, drawn as grade-pool
+    positions, retrying with fewer until the closure fits under max_opens
+    (the indiscrete space always does); only the closure returned is decoded."""
     rng = derived_rng(cfg, 1, index)
     universe = _random_universe(rng, cfg.max_points)
+    positions = range(len(cfg.grade_pool))
     for attempt in range(24):
         # start from the richest closure and shrink only on overflow
         lo = 0 if attempt >= 12 else min(1, cfg.max_generators)
         count = rng.randint(lo, max(lo, cfg.max_generators - attempt // 4))
-        generators = [_random_fuzzy_set(rng, universe, cfg.grade_pool) for _ in range(count)]
-        space = generate_topology(universe, generators)
-        if min_opens <= len(space) <= max_opens:
-            return space
+        drawn = [[rng.choice(positions) for _ in universe.elements] for _ in range(count)]
+        # the pool is sorted and holds 0 and 1: the positions used, in order, rank the grades used
+        used = sorted({0, positions[-1]}.union(*drawn))
+        rank, top = {p: r for r, p in enumerate(used)}, len(used) - 1
+        opens = close_cuts({cuts_of([rank[p] for p in v], top) for v in drawn}, len(universe) * top)
+        if min_opens <= len(opens) <= max_opens:
+            return space_from_cuts(universe, Ranks(map(cfg.grade_pool.grades.__getitem__, used)), opens)
     return generate_topology(universe, [])
 
 
@@ -110,7 +108,7 @@ def generate_random_continuous_map(
     f = _random_map(rng, cfg.max_points, target.universe)
     generators = [preimage(f, t) for t in target.opens]
     for attempt in range(8):
-        extra = ([_random_fuzzy_set(rng, f.source, cfg.grade_pool)]
+        extra = ([FuzzySet(f.source, tuple(rng.choice(cfg.grade_pool.grades) for _ in f.source.elements))]
                  if rng.random() < 0.5 else [])
         space = generate_topology(f.source, generators + extra)
         if len(space) <= max_opens:

@@ -186,7 +186,11 @@ def point_map_from_json(obj: Any) -> PointMap:
     missing = [e for e in source.elements if e not in table]
     if missing:
         raise SchemaError("map", f"missing image for {missing[0]!r}")
-    return PointMap(source, target, tuple(table[e] for e in source.elements))
+    images = tuple(table[e] for e in source.elements)
+    for y in images:  # PointMap cannot look up an array or object image
+        if not isinstance(y, str) or y not in target:
+            raise SchemaError("map", f"image {y!r} is not in the target universe")
+    return PointMap(source, target, images)
 
 
 # --- spaces -----------------------------------------------------------------
@@ -299,7 +303,7 @@ def frame_from_json(obj: Any) -> GradedFrame:
         # a missing key reads None; a value outside the carrier, of any JSON
         # type, leaves the table to the key-by-key path, which names it
         if all(isinstance(v, str) for v in values) and bits.keys() >= set(values):
-            return GradedFrame.from_masks(carrier, top, meet_table, dict(enumerate(values)), relation)
+            return GradedFrame.from_masks(carrier, top, meet_table, values, relation)
     join_table = {}
     for key, value in joins.items():
         parts = [p for p in key.split(",") if p]

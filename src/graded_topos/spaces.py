@@ -9,15 +9,15 @@ anyway.
 
 `generate_topology` saturates on rank vectors: each grade is coded by its
 position in the sorted grade set of the generators with 0 and 1
-(`ranks.Ranks`). Union and intersection are pointwise max and min, which
-only compare grades, and ranking is an order-isomorphism fixing 0 and 1,
-so the closure of the rank vectors codes the closure of the fuzzy sets
-exactly. Each vector is held as one int of level cuts, one bitmask over the
-universe's points per rank r >= 1 side by side (`ranks`): union is OR and
-intersection AND of the ints, and the graded inclusion that
-`frame_from_space` takes of two opens is read off them as well. The ints do
-not sort as the grade tuples they code, so the canonical order is taken on
-the decoded ranks.
+(`ranks.Ranks`). Min and max only compare grades, and ranking is an
+order-isomorphism fixing 0 and 1, so the closure of the rank vectors codes
+the closure of the fuzzy sets. Each vector is one int of level cuts, a
+bitmask over the points per rank r >= 1 side by side (`ranks`): union is
+OR, intersection AND, and `frame_from_space` reads graded inclusion off
+them. Closing (`close_cuts`) and decoding (`space_from_cuts`) are apart:
+`generators.generate_random_space` closes each attempt as ints and decodes
+only the one it keeps. The ints do not sort as the grades they code, so
+the canonical order is taken on the decoded ranks.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .fuzzy_sets import (
     preimage,
     union,
 )
-from .ranks import Ranks, ranks_of
+from .ranks import Ranks, cuts_of, ranks_of
 
 DEFAULT_CLOSURE_CAP = 4096
 
@@ -115,44 +115,45 @@ def check_space(universe: Universe, candidates: Sequence[FuzzySet]) -> GradedSpa
     return GradedSpace(universe, canonical_opens(items))
 
 
-def generate_topology(
-    universe: Universe,
-    generators: Sequence[FuzzySet],
-    max_opens: int = DEFAULT_CLOSURE_CAP,
-) -> GradedSpace:
+def generate_topology(universe: Universe, generators: Sequence[FuzzySet],
+                      max_opens: int = DEFAULT_CLOSURE_CAP) -> GradedSpace:
     """Smallest topology containing the generators: saturate under pairwise
     unions and intersections starting from {0-set, 1-set} ∪ generators.
-
-    The closure runs on the level cuts of rank vectors (module docstring),
-    a round at a time: each round adds the unions and intersections of its
-    new opens with every open it starts with. The opens are sorted by the
-    rank vectors they code; the space keeps their cuts as `ranked`.
-    Raises Overflow once the closure exceeds max_opens.
-    """
+    Ranks each distinct grade object of the generators once, closes their
+    level cuts (`close_cuts`) and decodes the closure (`space_from_cuts`).
+    Raises Overflow once the closure exceeds max_opens."""
     for t in generators:
         if t.universe != universe:
             raise MixedUniverse("generator over a different universe")
-    ranks = Ranks(g for t in generators for g in t.grades)
-    opens = {0, (1 << len(universe) * ranks.top) - 1}
-    opens.update(ranks.cuts(t.grades) for t in generators)
-    frontier = list(opens)
-    while frontier:
-        if len(opens) > max_opens:
-            raise Overflow(f"topology closure exceeded {max_opens} opens")
-        current = list(opens)
-        fresh = {a | b for a in frontier for b in current}
-        fresh.update(a & b for a in frontier for b in current)
+    distinct = {id(g): g for t in generators for g in t.grades}
+    ranks = Ranks(distinct.values())
+    code = {i: ranks.rank[g] for i, g in distinct.items()}
+    cuts = {cuts_of([code[id(g)] for g in t.grades], ranks.top) for t in generators}
+    return space_from_cuts(universe, ranks, close_cuts(cuts, len(universe) * ranks.top, max_opens))
+
+
+def close_cuts(cuts: set[int], width: int, max_opens: int = DEFAULT_CLOSURE_CAP) -> set[int]:
+    """The level cuts `cuts`, 0 and the top (`width` set bits) closed under
+    | and &, in rounds that join and meet each new open with every open.
+    Raises Overflow once the closure exceeds max_opens."""
+    fresh = opens = cuts | {0, (1 << width) - 1}
+    while fresh and len(opens) <= max_opens:
+        fresh = {a | b for a in fresh for b in opens} | {a & b for a in fresh for b in opens}
         fresh -= opens
         opens |= fresh
-        frontier = list(fresh)
     if len(opens) > max_opens:
         raise Overflow(f"topology closure exceeded {max_opens} opens")
+    return opens
+
+
+def space_from_cuts(universe: Universe, ranks: Ranks, opens: set[int]) -> GradedSpace:
+    """The space whose opens the level cuts `opens` code in `ranks`, sorted
+    by the rank vectors they code; the space keeps the cuts as `ranked`."""
     levels = {row: ranks_of(row, len(universe)) for row in opens}
     rows = sorted(opens, key=levels.__getitem__)
     grades, hashes = ranks.grades, tuple(map(hash, ranks.grades))
     space = GradedSpace(universe, tuple(FuzzySet._read(universe, levels[row], grades, hashes)
                                         for row in rows))
-    # every grade of an open is a generator's grade, 0 or 1: the same table.
     # object.__setattr__ keeps the instance's inline attribute values, which
     # writing through vars(space) would turn into a dict slower to read
     object.__setattr__(space, "ranked", (ranks, rows))

@@ -25,6 +25,7 @@ from graded_topos.fuzzy_sets import (
     intersection,
     union,
 )
+from graded_topos.generators import derived_rng
 from graded_topos.grades import Grade, ONE, ZERO, godel_arrow, sup
 from graded_topos.logic.semantics import Assignment, Interpretation
 from graded_topos.logic.syntax import (
@@ -200,6 +201,24 @@ def brute_generate_topology(universe: Universe, generators, max_opens: int = 409
     if len(opens) > max_opens:
         raise Overflow(f"topology closure exceeded {max_opens} opens")
     return GradedSpace(universe, canonical_opens(opens))
+
+
+def brute_generate_random_space(cfg, index: int = 0, max_opens: int = 16,
+                                min_opens: int = 2) -> GradedSpace:
+    """The retry loop on fuzzy sets: every attempt draws its generators'
+    grades from the pool and is closed and decoded by `generate_topology`,
+    with the rng calls of `generate_random_space`."""
+    rng = derived_rng(cfg, 1, index)
+    universe = Universe(tuple(f"x{i + 1}" for i in range(rng.randint(1, cfg.max_points))))
+    for attempt in range(24):
+        lo = 0 if attempt >= 12 else min(1, cfg.max_generators)
+        count = rng.randint(lo, max(lo, cfg.max_generators - attempt // 4))
+        generators = [FuzzySet(universe, tuple(rng.choice(cfg.grade_pool.grades) for _ in universe.elements))
+                      for _ in range(count)]
+        space = generate_topology(universe, generators)
+        if min_opens <= len(space) <= max_opens:
+            return space
+    return generate_topology(universe, [])
 
 
 def brute_frame_from_space(space: GradedSpace) -> GradedFrame:

@@ -93,6 +93,16 @@ def test_spatiality_verdicts(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_adjunction_test_refuses_an_input_that_fails_its_checker(capsys):
+    # the triangles of a structure that is not a space or not a frame are
+    # not reported: the input's violation is, as an input error
+    for pair, name, clause in (("j-ext", "space_missing_union.json", "space: clause 2 violated"),
+                               ("fm-s", "frame_reflexivity.json", "frame: axiom 1 violated")):
+        assert main(["adjunction-test", pair, "--in", str(INVALID / name)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(clause)
+
+
 def test_eval_golden_values(capsys):
     interp = str(FIXTURES / "interp_basic.json")
     cases = [

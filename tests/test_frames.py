@@ -400,3 +400,15 @@ def test_the_chain_frame_is_the_table_frame_of_its_chain():
     assert chain.join_table is None and table.join_table is not None
     for s in subsets:
         assert chain.join_fn(frozenset(s)) == max(s, default=ZERO)
+
+
+def test_a_join_list_builds_the_view_a_join_map_builds():
+    # the list the frame reader hands over, and the same values keyed by mask
+    for seed in range(4):
+        space = generate_random_space(GeneratorConfig(seed=seed, max_points=4), 0, max_opens=10)
+        frame = frame_from_json(frame_to_json(frame_from_space(space)))
+        by_mask = [frame.carrier[j] for j in frame.join_table]
+        views = [GradedFrame.from_masks(frame.carrier, frame.top, frame.meet_table, table,
+                                        frame.relation).view
+                 for table in (by_mask, dict(enumerate(by_mask)))]
+        assert views[0] == views[1] == frame.view

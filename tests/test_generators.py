@@ -1,8 +1,13 @@
-import pytest
+from fractions import Fraction
 
-from conftest import brute_space_closed
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import brute_generate_random_space, brute_space_closed
 from graded_topos.checks import Violation
 from graded_topos.errors import SchemaError
+from graded_topos.functors import GradeSet
 from graded_topos.generators import (
     GeneratorConfig,
     generate_continuous_chain,
@@ -35,6 +40,29 @@ def test_same_seed_means_same_instance():
     assert generate_random_interpretation(CFG, 9) == generate_random_interpretation(CFG, 9)
     assert generate_formula_pool(CFG, 4, generate_random_interpretation(CFG, 4)) == \
         generate_formula_pool(CFG, 4, generate_random_interpretation(CFG, 4))
+
+
+@st.composite
+def generator_configs(draw) -> GeneratorConfig:
+    """Any seed, 1-5 points, 0-4 generators and a pool of 2-6 grades."""
+    inner = draw(st.lists(st.fractions(min_value=0, max_value=1, max_denominator=12)
+                          .filter(lambda g: 0 < g < 1), max_size=4, unique=True))
+    return GeneratorConfig(seed=draw(st.integers(0, 2 ** 64)), max_points=draw(st.integers(1, 5)),
+                           max_generators=draw(st.integers(0, 4)),
+                           grade_pool=GradeSet.closure(map(Fraction, inner)))
+
+
+@given(generator_configs(), st.integers(0, 1000), st.data())
+@settings(max_examples=200, deadline=None)
+def test_random_spaces_are_the_retry_loop_on_fuzzy_sets(cfg, index, data):
+    # windows of one exact size, as the benchmark asks, and ranges
+    lo = data.draw(st.integers(1, 16))
+    hi = data.draw(st.one_of(st.just(lo), st.integers(lo, 24)))
+    space = generate_random_space(cfg, index, max_opens=hi, min_opens=lo)
+    oracle = brute_generate_random_space(cfg, index, max_opens=hi, min_opens=lo)
+    assert (space.universe, space.opens) == (oracle.universe, oracle.opens)
+    (ranks, rows), (oracle_ranks, oracle_rows) = space.ranked, oracle.ranked
+    assert (ranks.grades, rows) == (oracle_ranks.grades, oracle_rows)
 
 
 def test_indices_vary_the_instances():

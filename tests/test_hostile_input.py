@@ -17,6 +17,8 @@ from pathlib import Path
 import pytest
 
 from graded_topos.cli import main
+from graded_topos.errors import SchemaError
+from graded_topos.serialization import load_point_map
 
 FIXTURES = Path(__file__).parent / "fixtures"
 INTERP = str(FIXTURES / "interp_basic.json")
@@ -211,3 +213,19 @@ def test_hostile_arguments_keep_the_exit_code_contract(verb, tmp_path, capsys):
     for template in HOSTILE_ARGUMENTS[verb]:
         argv = [arg.format(out=tmp_path / "out.json") for arg in template]
         _assert_contract(argv, *_request(argv, capsys))
+
+
+@pytest.mark.parametrize("table, image", [
+    ({"a": [1], "b": "x"}, "[1]"),
+    ({"a": "x", "b": {"y": 1}}, "{'y': 1}"),
+    ({"a": "zz", "b": [1]}, "'zz'"),
+    ({"a": None, "b": ["x"]}, "None"),
+])
+def test_a_point_map_file_with_a_non_string_image_is_a_schema_error(table, image, tmp_path):
+    # the first image outside the target is named, whatever the later ones are
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps({"source": ["a", "b"], "target": ["x", "y"], "map": table}))
+    with pytest.raises(SchemaError) as refused:
+        load_point_map(path)
+    assert (refused.value.field, str(refused.value)) == (
+        "map", f"map: image {image} is not in the target universe")

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_space_closed, fuzzy_sets_over, universes
+from conftest import brute_generate_topology, brute_space_closed, fuzzy_sets_over, universes
+from graded_topos import generators, spaces
 from graded_topos.checks import Violation
 from graded_topos.errors import MixedUniverse, NotContinuous, Overflow
+from graded_topos.functors import GradeSet
 from graded_topos.fuzzy_sets import FuzzySet, PointMap, Universe, empty_set, full_set, preimage
 from graded_topos.generators import (
     GeneratorConfig,
@@ -245,6 +247,47 @@ def test_generate_topology_hashes_grades_only_for_its_rank_table():
         # and 0 and 1 once: fewer than one per grade of the opens
         assert calls[0] <= 2 * 12 + 2 * len(ranks.grades) + 2 < len(closed) * len(u4)
         assert [hash(t) for t in closed.opens] == [hash((u4, t.grades)) for t in closed.opens]
+
+
+def test_equal_grades_held_in_distinct_objects_rank_as_one_grade():
+    u3 = Universe.of("x1", "x2", "x3")
+    half, again, quarters = F(1, 2), F(1, 2), F(2, 4)
+    assert len({id(half), id(again), id(quarters)}) == 3
+    generators = [FuzzySet(u3, (half, F(0), F(1, 3))), FuzzySet(u3, (F(1), again, quarters)),
+                  FuzzySet(u3, (quarters, F(1, 3), half))]
+    closed = generate_topology(u3, generators)
+    assert closed == brute_generate_topology(u3, generators)
+    ranks, rows = closed.ranked
+    assert ranks.grades == (0, F(1, 3), F(1, 2), 1)
+    assert rows == [ranks.cuts(t.grades) for t in closed.opens]
+
+
+def test_a_random_space_decodes_only_the_closure_it_returns(monkeypatch):
+    pool = GradeSet(tuple(F(k, 4) for k in range(5)))
+    cfg = GeneratorConfig(seed=0, max_points=5, max_generators=4, grade_pool=pool)
+    closures, decodes = [0], [0]
+
+    def counted(calls, original):
+        def call(*args, **kwargs):
+            calls[0] += 1
+            return original(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(generators, "close_cuts", counted(closures, generators.close_cuts))
+    monkeypatch.setattr(spaces, "ranks_of", counted(decodes, spaces.ranks_of))
+    # index 4 keeps its 7th attempt; index 2 rejects all 24 and falls back
+    # to the indiscrete space, which `generate_topology` closes
+    for index, attempts, kept in ((4, 7, 7), (2, 24, 2)):
+        closures[0] = decodes[0] = 0
+        with counted_fraction_hashes() as calls:
+            space = generate_random_space(cfg, index, max_opens=7, min_opens=7)
+        ranks, _ = space.ranked
+        assert (closures[0], len(space)) == (attempts, kept)
+        # one rank per open of the one closure decoded
+        assert decodes[0] == len(space)
+        # 0 and 1 and each table grade into its set, its index and the opens'
+        # hashes: no grade of a rejected attempt is hashed
+        assert calls[0] <= 3 * len(ranks.grades) + 2
 
 
 def test_pull_opens_maps_each_target_open_to_the_source_open_itself():
