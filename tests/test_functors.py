@@ -61,6 +61,7 @@ from graded_topos.generators import (
     generate_random_space,
 )
 from graded_topos.grades import ONE, ZERO, format_grade, godel_arrow, grade
+from graded_topos.ranks import Ranks
 from graded_topos.reports import PASS
 from graded_topos.serialization import frame_from_json, frame_to_json, save_space
 from graded_topos.spaces import GradedSpace, check_continuous, check_space, generate_topology, space_iso_check
@@ -121,6 +122,30 @@ def test_extent_spaces_are_valid(seed):
     system = j_object(small_space(seed))
     extent = ext_object(system)
     assert isinstance(check_space(extent.universe, list(extent.opens)), GradedSpace)
+
+
+def test_an_extent_space_ranks_its_opens_in_their_own_grades():
+    """The extent space of a hom-system whose frame has a relation grade that
+    no hom takes keeps the rank table of its own opens, not the wider table
+    of the system's extents, and so does the grade set of its system."""
+    thirds = GradeSet.closure([F(1, 3), F(2, 3)])
+    narrower = 0
+    for seed in range(4):
+        cfg = GeneratorConfig(seed=seed, grade_pool=thirds, max_generators=4)
+        for index in range(6):
+            frame = frame_from_space(generate_random_space(cfg, index, max_opens=6))
+            for values in (GradeSet.closure([]), GradeSet.for_frame(frame)):
+                system = s_object(frame, values)
+                extent = ext_object(system)
+                own = Ranks(g for t in extent.opens for g in t.grades)
+                assert extent.ranked[0].grades == own.grades
+                assert extent.ranked[1] == [own.cuts(t.grades) for t in extent.opens]
+                assert GradeSet.for_system(j_object(extent)).grades == own.grades
+                taken = set(itertools.chain(*system.rows))
+                narrower += len(own.grades) < len(system.extents[0].grades)
+                if not set(frame.view.grades) <= taken:
+                    assert len(own.grades) < len(system.extents[0].grades)
+    assert narrower >= 10, narrower
 
 
 @pytest.mark.parametrize("seed", range(6))
