@@ -23,7 +23,6 @@ grades, and ranking is an order-isomorphism fixing 0 and 1.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from functools import cache, cached_property, reduce
 from types import MappingProxyType
@@ -33,7 +32,7 @@ from .checks import Violation, mask_elements, mask_steps
 from .errors import MixedCarrier, SchemaError
 from .fuzzy_sets import full_set
 from .grades import Grade, ONE, ZERO
-from .ranks import Ranks, cuts_of, inclusion
+from .ranks import Ranks, cuts_of, inclusion, rank_objects
 from .spaces import GradedSpace, _show
 
 MeetTable = Mapping[tuple[Hashable, Hashable], Hashable]
@@ -136,12 +135,12 @@ def _tables(items: tuple, top: Hashable, meet_table: MeetTable, relation: Relati
                 raise SchemaError("meet", f"value at ({_show(a)}, {_show(b)}) is outside the carrier")
             if (a, b) not in relation:
                 raise SchemaError("relation", f"missing entry for ({_show(a)}, {_show(b)})")
-    # each grade object is ranked once: file grades repeat a few objects, and `Fraction` hashing is slow
-    distinct = {id(g): g for g in (relation[(a, b)] for a in items for b in items)}
-    ranks = Ranks(distinct.values())
-    code = {i: ranks.rank[g] for i, g in distinct.items()}
+    # file grades repeat a few objects, each ranked once (`rank_objects`)
+    grades = [relation[(a, b)] for a in items for b in items]
+    ranks, n = Ranks(grades), len(items)
+    rel = rank_objects(ranks.grades, grades)
     return (index, [[index[meet_table[(a, b)]] for b in items] for a in items], ranks.grades,
-            [[code[id(relation[(a, b)])] for b in items] for a in items], index[top])
+            [rel[k:k + n] for k in range(0, n * n, n)], index[top])
 
 
 @dataclass(frozen=True, eq=False)
@@ -561,7 +560,11 @@ def _distributive(rel: list[list[int]], joins: list[int], position: Mapping[int,
 @dataclass(frozen=True, eq=False)
 class FrameHom:
     """Map between frame carriers, packaged with its endpoints. `_image` keeps
-    each image's position in the target, as a point map's `_positions` does."""
+    each image's position in the target, as a point map's `_positions` does.
+    The public constructor checks the map; every hom the package derives
+    from maps it has already checked (identities, inverses, composites,
+    counits, enumerated homs into a chain) is built from target positions
+    by `_read`, which checks nothing, as `Aligned._read` does for fuzzy sets."""
 
     source: GradedFrame
     target: GradedFrame
@@ -586,9 +589,28 @@ class FrameHom:
     def __call__(self, a: Hashable) -> Hashable:
         return self.map[a]
 
+    def __getattr__(self, name: str) -> Mapping[Hashable, Hashable]:
+        # only a hom built by `_read` lacks its map, decoded on first read
+        if name != "map":
+            raise AttributeError(name)
+        decoded = dict(zip(self.source.carrier, map(self.target.carrier.__getitem__, self._image)))
+        object.__setattr__(self, "map", decoded)
+        return decoded
+
+    @classmethod
+    def _read(cls, source: GradedFrame, target: GradedFrame, image: Iterable[int]) -> "FrameHom":
+        """The hom sending the source's i-th element to the target's element
+        at image[i]; unchecked, and no image is looked up in the target. Its
+        `map` is decoded from the positions when it is first read."""
+        h = object.__new__(cls)
+        object.__setattr__(h, "source", source)
+        object.__setattr__(h, "target", target)
+        object.__setattr__(h, "_image", tuple(image))
+        return h
+
     @classmethod
     def identity(cls, frame: GradedFrame) -> "FrameHom":
-        return cls(frame, frame, {a: a for a in frame.carrier})
+        return cls._read(frame, frame, range(len(frame)))
 
     def is_bijective(self) -> bool:
         return len(set(self._image)) == len(self._image) == len(self.target)
@@ -596,7 +618,8 @@ class FrameHom:
     def inverse(self) -> "FrameHom":
         if not self.is_bijective():
             raise SchemaError("map", "not a bijection")
-        return FrameHom(self.target, self.source, {v: k for k, v in self.map.items()})
+        # the source positions in the order of their images
+        return FrameHom._read(self.target, self.source, sorted(range(len(self._image)), key=self._image.__getitem__))
 
 
 def same_frame(a: GradedFrame, b: GradedFrame) -> bool:
@@ -633,7 +656,7 @@ def check_frame_hom(h: FrameHom) -> Violation | None:
         return Violation("frame-hom", "top preservation",
                          f"top maps to {_show(h.map[src.top])}")
     # a source rank r exceeds a target rank s exactly when s < above[r]
-    above = [bisect_left(tv.grades, g) for g in sv.grades]
+    above = rank_objects(tv.grades, sv.grades)
     for i, a in enumerate(src.carrier):
         for j, b in enumerate(src.carrier):
             if image[sv.meet[i][j]] != tv.meet[image[i]][image[j]]:
@@ -668,4 +691,5 @@ def compose_frame_hom(f: FrameHom, g: FrameHom) -> FrameHom:
     """Apply f, then g."""
     if not same_frame(f.target, g.source):
         raise MixedCarrier("composition endpoints do not match")
-    return FrameHom(f.source, g.target, {a: g.map[f.map[a]] for a in f.source.carrier})
+    # frames that are the same have one carrier order, so one set of positions
+    return FrameHom._read(f.source, g.target, map(g._image.__getitem__, f._image))

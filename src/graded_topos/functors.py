@@ -31,10 +31,10 @@ construction.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache, partial, reduce
 from itertools import chain
+from operator import or_
 from typing import Callable, Hashable, Iterable
 
 from .checks import LawReport, Violation
@@ -42,7 +42,8 @@ from .errors import GradeSetTooSmall, NoPoints, NotContinuous, Overflow, SchemaE
 from .frames import FrameHom, GradedFrame, check_frame, check_frame_hom, compose_frame_hom, frame_from_space
 from .fuzzy_sets import Aligned, FuzzySet, PointMap, Universe, compose_point_maps
 from .grades import Grade, ONE, ZERO
-from .spaces import GradedSpace, canonical_opens, check_continuous, check_space, pull_opens
+from .ranks import Ranks, rank_objects
+from .spaces import GradedSpace, check_continuous, check_space, pull_opens, space_from_cuts
 from .systems import (
     GradedSystem,
     SystemMorphism,
@@ -111,6 +112,15 @@ class PointHom(Aligned):
         return self.values[self.carrier.index(a)]
 
     def as_frame_hom(self, frame: GradedFrame, chain: GradedFrame) -> FrameHom:
+        """The hom as a frame hom into `chain`. Into a `chain_frame`, whose
+        carrier is its grades, a hom over the frame's carrier is read at its
+        values' positions among them (`rank_objects`); any other pair, and a
+        value outside the chain, goes through `FrameHom`'s checks."""
+        grades = chain.carrier
+        if grades is chain.view.grades and self.carrier == frame.carrier:
+            image = rank_objects(grades, self.values)
+            if len(grades) not in image and tuple(map(grades.__getitem__, image)) == self.values:
+                return FrameHom._read(frame, chain, image)
         return FrameHom(frame, chain, dict(zip(self.carrier, self.values)))
 
 
@@ -121,12 +131,33 @@ def ext_column(system: GradedSystem, a: Hashable) -> FuzzySet:
     return FuzzySet(system.points, tuple(row[i] for row in system.rows))
 
 
+def _open_cuts(system: GradedSystem) -> tuple[list[int], list[int]]:
+    """The ranks of the system's extent table that its extents take, with 0
+    and the top, and each extent's level cuts over those ranks alone: the
+    extents coded in the table of their own grades. A rank that no extent
+    takes cuts every extent as the rank above it does, so its level goes."""
+    ranks, extents = system.extents
+    size = len(system.points)
+    full = (1 << size) - 1
+    # level r of e & ~(e >> size) holds the points where e takes rank r itself
+    exact = reduce(or_, (e & ~(e >> size) for e in extents), 0)
+    kept = [r for r in range(1, ranks.top) if exact >> (r - 1) * size & full] + [ranks.top]
+    if len(kept) < ranks.top:
+        extents = [sum((e >> (r - 1) * size & full) << k * size for k, r in enumerate(kept)) for e in extents]
+    return [0] + kept, extents
+
+
 def ext_object(system: GradedSystem) -> GradedSpace:
     """Space of extents: one open per distinct satisfaction column, built
-    once per system and kept on it (`GradedSystem._space`)."""
+    once per system and kept on it (`GradedSystem._space`). Each distinct
+    extent int is decoded once (`space_from_cuts`), in the rank table of the
+    grades the extents take, which the space keeps as its `ranked`."""
     if system._space is None:  # type: ignore[attr-defined]
-        object.__setattr__(system, "_space", GradedSpace(
-            system.points, canonical_opens(FuzzySet(system.points, col) for col in zip(*system.rows))))
+        ranks = system.extents[0]
+        levels, cuts = _open_cuts(system)
+        if len(levels) < len(ranks.grades):
+            ranks = Ranks(map(ranks.grades.__getitem__, levels))
+        object.__setattr__(system, "_space", space_from_cuts(system.points, ranks, set(cuts)))
     return system._space  # type: ignore[attr-defined]
 
 
@@ -242,7 +273,7 @@ def _search_point_homs(frame: GradedFrame, values: GradeSet) -> tuple[int, tuple
     # preservation fails exactly when v_i > v_j and rel(i, j) > v_j, and
     # rel(i, j) > grades[r] exactly when r < the number of grades below
     # rel(i, j); b = len(grades) makes it rank[i] <= rank[j].
-    above = [bisect_left(grades, g) for g in view.grades]
+    above = rank_objects(grades, view.grades)
     bound = {(i, j): above[view.rel[i][j]] for i in range(n) for j in range(n) if i != j}
 
     def at_most(i: int, j: int) -> None:
@@ -343,10 +374,13 @@ def s_morphism(h: FrameHom, source: GradedSystem, target: GradedSystem) -> Syste
 
 def counit(system: GradedSystem) -> SystemMorphism:
     """From the system of the extent space back to the system: identity on
-    points, extent on the frame."""
-    source = j_object(ext_object(system))
-    hom = FrameHom(system.frame, source.frame,
-                   {a: ext_column(system, a) for a in system.frame.carrier})
+    points, extent on the frame. Each carrier element goes to the open at
+    the position of its extent's int among the extent space's cuts
+    (`_open_cuts`), so no extent is built as a fuzzy set."""
+    space = ext_object(system)
+    source = j_object(space)
+    position = {row: i for i, row in enumerate(space.ranked[1])}
+    hom = FrameHom._read(system.frame, source.frame, map(position.__getitem__, _open_cuts(system)[1]))
     return SystemMorphism(source, system, PointMap.identity(system.points), hom)
 
 
@@ -358,10 +392,18 @@ def unit_space(space: GradedSpace) -> PointMap:
 
 def point_evaluation(system: GradedSystem, x: Hashable) -> PointHom:
     """The satisfaction row of a point, as a grade-valued hom: the point
-    itself when it already is that hom, as each point of a hom-system is."""
-    carrier, row = system.frame.carrier, system.rows[system.points.index(x)]
+    itself when it already is that hom, as each point of a hom-system is.
+    A row that is the point's column of a carrier of opens over the points,
+    as each row of a space's system (`j_object`) is, is hashed from the
+    hashes those opens keep, so no grade is hashed."""
+    i = system.points.index(x)
+    carrier, row = system.frame.carrier, system.rows[i]
     if isinstance(x, PointHom) and x.carrier == carrier and x.values == row:
         return x
+    if (all(isinstance(t, FuzzySet) and t.universe is system.points for t in carrier)
+            and tuple(t.grades[i] for t in carrier) == row):
+        hashes = tuple(t._hashes[i] for t in carrier)  # type: ignore[attr-defined]
+        return PointHom._read(carrier, range(len(row)), row, hashes)
     return PointHom(carrier, row)
 
 

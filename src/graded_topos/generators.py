@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import SchemaError
+from .errors import Overflow, SchemaError
 from .functors import GradeSet, j_object
 from .fuzzy_sets import FuzzySet, PointMap, Universe, preimage
 from .grades import ONE, ZERO
@@ -34,7 +34,7 @@ from .logic.syntax import (
     Var,
 )
 from .ranks import Ranks, cuts_of
-from .spaces import GradedSpace, close_cuts, generate_topology, space_from_cuts
+from .spaces import GradedSpace, close_cuts, close_generators, generate_topology, space_from_cuts
 from .systems import GradedSystem
 
 
@@ -77,7 +77,9 @@ def generate_random_space(cfg: GeneratorConfig, index: int = 0, max_opens: int =
                           min_opens: int = 2) -> GradedSpace:
     """Random topology: close a few random generators, drawn as grade-pool
     positions, retrying with fewer until the closure fits under max_opens
-    (the indiscrete space always does); only the closure returned is decoded."""
+    (the indiscrete space always does); only the closure returned is decoded.
+    A closure stops, and its attempt is rejected, as soon as it passes
+    max_opens, so no attempt raises Overflow."""
     rng = derived_rng(cfg, 1, index)
     universe = _random_universe(rng, cfg.max_points)
     positions = range(len(cfg.grade_pool))
@@ -89,8 +91,11 @@ def generate_random_space(cfg: GeneratorConfig, index: int = 0, max_opens: int =
         # the pool is sorted and holds 0 and 1: the positions used, in order, rank the grades used
         used = sorted({0, positions[-1]}.union(*drawn))
         rank, top = {p: r for r, p in enumerate(used)}, len(used) - 1
-        opens = close_cuts({cuts_of([rank[p] for p in v], top) for v in drawn}, len(universe) * top)
-        if min_opens <= len(opens) <= max_opens:
+        try:
+            opens = close_cuts({cuts_of([rank[p] for p in v], top) for v in drawn}, len(universe) * top, max_opens)
+        except Overflow:
+            continue
+        if min_opens <= len(opens):
             return space_from_cuts(universe, Ranks(map(cfg.grade_pool.grades.__getitem__, used)), opens)
     return generate_topology(universe, [])
 
@@ -102,7 +107,9 @@ def generate_random_continuous_map(
 ) -> tuple[PointMap, GradedSpace, GradedSpace]:
     """A continuous map built backwards: the source topology is the closure
     of the preimages of the target opens (plus sometimes an extra open), so
-    continuity holds by construction."""
+    continuity holds by construction. Each attempt is closed as level cuts,
+    and stopped and rejected as soon as it passes max_opens; only the
+    closure returned is decoded."""
     rng = derived_rng(cfg, 3, index)
     target = generate_random_space(cfg, index * 2 + 1, max_opens=max_opens // 2 or 2)
     f = _random_map(rng, cfg.max_points, target.universe)
@@ -110,9 +117,11 @@ def generate_random_continuous_map(
     for attempt in range(8):
         extra = ([FuzzySet(f.source, tuple(rng.choice(cfg.grade_pool.grades) for _ in f.source.elements))]
                  if rng.random() < 0.5 else [])
-        space = generate_topology(f.source, generators + extra)
-        if len(space) <= max_opens:
-            return f, space, target
+        try:
+            ranks, opens = close_generators(f.source, generators + extra, max_opens)
+        except Overflow:
+            continue
+        return f, space_from_cuts(f.source, ranks, opens), target
     return f, generate_topology(f.source, generators), target
 
 

@@ -61,7 +61,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property, reduce
 from operator import eq, or_
 from types import MappingProxyType
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from ..checks import LawReport
 from ..errors import (
@@ -72,7 +72,7 @@ from ..errors import (
     UndeclaredSymbol,
 )
 from ..grades import Grade
-from ..ranks import Ranks, cuts_of, exists, fibre_bases, inclusion, spread, sup_out
+from ..ranks import Ranks, cuts_of, exists, fibre_bases, inclusion, rank_objects, spread, sup_out
 from .parser import CONST_PATTERN, IDENT_PATTERN, Signature, VAR_PATTERN
 from .syntax import (
     And,
@@ -152,16 +152,16 @@ class Interpretation:
         function table as its arity and a map over domain positions: a
         predicate's value is its rank, a function's the position of its
         value. Built once; the tables are read-only."""
+        # each distinct grade object is hashed once and ranked once (`rank_objects`)
         ranks = Ranks(g for table in self.predicates.values() for g in table.values())
         at = {d: i for i, d in enumerate(self.domain)}.__getitem__
 
-        def coded(table: Mapping, value) -> _Table:
-            return len(next(iter(table))), {tuple(map(at, key)): value(v)
-                                            for key, v in table.items()}
+        def coded(table: Mapping, values: Iterable[int]) -> _Table:
+            return len(next(iter(table))), dict(zip((tuple(map(at, key)) for key in table), values))
 
         return (ranks,
-                {name: coded(t, ranks.rank.__getitem__) for name, t in self.predicates.items()},
-                {name: coded(t, at) for name, t in self.functions.items()})
+                {name: coded(t, rank_objects(ranks.grades, t.values())) for name, t in self.predicates.items()},
+                {name: coded(t, map(at, t.values())) for name, t in self.functions.items()})
 
     def signature(self) -> Signature:
         return Signature(

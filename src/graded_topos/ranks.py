@@ -52,23 +52,25 @@ past 255 ranks joins the levels in log2(top) rounds instead).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from operator import lshift, rshift
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .grades import Grade, ONE, ZERO
 
 
 class Ranks:
     """The rank table of a grade set: `grades` sorted with 0 and 1 added,
-    `rank` the inverse map, `top` the rank of 1."""
+    `top` the rank of 1. Each distinct grade object of the values is hashed
+    once, into the set that sorts them, however often it repeats."""
 
     def __init__(self, values: Iterable[Grade]) -> None:
-        self.grades = tuple(sorted({ZERO, ONE}.union(values)))
-        self.rank = {g: r for r, g in enumerate(self.grades)}
+        self.grades = tuple(sorted({ZERO, ONE}.union({id(g): g for g in values}.values())))
         self.top = len(self.grades) - 1
 
     def code(self, values: Iterable[Grade]) -> tuple[int, ...]:
-        return tuple(map(self.rank.__getitem__, values))
+        """The ranks of grades the table holds (`rank_objects`)."""
+        return tuple(rank_objects(self.grades, values))
 
     def decode(self, vector: Iterable[int]) -> tuple[Grade, ...]:
         return tuple(map(self.grades.__getitem__, vector))
@@ -76,6 +78,26 @@ class Ranks:
     def cuts(self, values: Iterable[Grade]) -> int:
         """The level cuts of a grade vector."""
         return cuts_of(self.code(values), self.top)
+
+
+def rank_objects(grades: Sequence[Grade], values: Iterable[Grade]) -> list[int]:
+    """The number of `grades`, sorted and duplicate-free, below each of
+    `values`, in order: its rank when `grades` hold it. A value is looked up
+    by identity among the objects of `grades`, and placed by value
+    (`bisect_left`, which only compares) only when they do not hold that
+    object, once per call for each such object. So no grade is hashed, and
+    a grade object met again costs one dict lookup: `Fraction` hashing is
+    slow. Identity implies equality, so every rank is exact."""
+    values = list(values)  # held, so no object's id is reused during the call
+    placed = {id(g): r for r, g in enumerate(grades)}
+    ranks = list(map(placed.get, map(id, values)))
+    if None in ranks:
+        for k, g in enumerate(values):
+            if ranks[k] is None:
+                if id(g) not in placed:
+                    placed[id(g)] = bisect_left(grades, g)
+                ranks[k] = placed[id(g)]
+    return ranks
 
 
 # table r turns a rank byte into the digit "1" if it is at least r, else "0"

@@ -14,10 +14,12 @@ order-isomorphism fixing 0 and 1, so the closure of the rank vectors codes
 the closure of the fuzzy sets. Each vector is one int of level cuts, a
 bitmask over the points per rank r >= 1 side by side (`ranks`): union is
 OR, intersection AND, and `frame_from_space` reads graded inclusion off
-them. Closing (`close_cuts`) and decoding (`space_from_cuts`) are apart:
-`generators.generate_random_space` closes each attempt as ints and decodes
-only the one it keeps. The ints do not sort as the grades they code, so
-the canonical order is taken on the decoded ranks.
+them. Closing (`close_cuts`, `close_generators`) and decoding
+(`space_from_cuts`) are apart: `generators.generate_random_space` and
+`generate_random_continuous_map` close each attempt as ints and decode only
+the one they keep, and `functors.ext_object` decodes a system's extents.
+The ints do not sort as the grades they code, so the canonical order is
+taken on the decoded ranks.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .fuzzy_sets import (
     preimage,
     union,
 )
-from .ranks import Ranks, cuts_of, ranks_of
+from .ranks import Ranks, cuts_of, rank_objects, ranks_of
 
 DEFAULT_CLOSURE_CAP = 4096
 
@@ -76,8 +78,10 @@ class GradedSpace:
     def ranked(self) -> tuple[Ranks, list[int]]:
         """The rank table of the opens' grades and the level cuts of each
         open, in the order of `opens`; built on first use."""
-        ranks = Ranks(g for t in self.opens for g in t.grades)
-        return ranks, [ranks.cuts(t.grades) for t in self.opens]
+        grades = [g for t in self.opens for g in t.grades]
+        ranks, size = Ranks(grades), len(self.universe)
+        codes = rank_objects(ranks.grades, grades)
+        return ranks, [cuts_of(codes[k:k + size], ranks.top) for k in range(0, len(codes), size)]
 
 
 def canonical_opens(opens: Iterable[FuzzySet]) -> tuple[FuzzySet, ...]:
@@ -119,17 +123,26 @@ def generate_topology(universe: Universe, generators: Sequence[FuzzySet],
                       max_opens: int = DEFAULT_CLOSURE_CAP) -> GradedSpace:
     """Smallest topology containing the generators: saturate under pairwise
     unions and intersections starting from {0-set, 1-set} ∪ generators.
-    Ranks each distinct grade object of the generators once, closes their
-    level cuts (`close_cuts`) and decodes the closure (`space_from_cuts`).
+    Closes the generators as level cuts (`close_generators`) and decodes the
+    closure (`space_from_cuts`). Raises Overflow once the closure exceeds
+    max_opens."""
+    return space_from_cuts(universe, *close_generators(universe, generators, max_opens))
+
+
+def close_generators(universe: Universe, generators: Sequence[FuzzySet],
+                     max_opens: int = DEFAULT_CLOSURE_CAP) -> tuple[Ranks, set[int]]:
+    """The rank table of the generators' grades, and the level cuts of
+    their closure in it (`close_cuts`). Each distinct grade object is
+    hashed once, into the table, and ranked by identity (`rank_objects`).
     Raises Overflow once the closure exceeds max_opens."""
     for t in generators:
         if t.universe != universe:
             raise MixedUniverse("generator over a different universe")
-    distinct = {id(g): g for t in generators for g in t.grades}
-    ranks = Ranks(distinct.values())
-    code = {i: ranks.rank[g] for i, g in distinct.items()}
-    cuts = {cuts_of([code[id(g)] for g in t.grades], ranks.top) for t in generators}
-    return space_from_cuts(universe, ranks, close_cuts(cuts, len(universe) * ranks.top, max_opens))
+    grades = [g for t in generators for g in t.grades]
+    ranks, size = Ranks(grades), len(universe)
+    codes = rank_objects(ranks.grades, grades)
+    cuts = {cuts_of(codes[k:k + size], ranks.top) for k in range(0, len(codes), size)}
+    return ranks, close_cuts(cuts, size * ranks.top, max_opens)
 
 
 def close_cuts(cuts: set[int], width: int, max_opens: int = DEFAULT_CLOSURE_CAP) -> set[int]:

@@ -52,7 +52,7 @@ from .frames import (FrameHom, FrameView, GradedFrame, _show, check_frame_hom, c
                      same_frame)
 from .fuzzy_sets import PointMap, Universe, compose_point_maps
 from .grades import Grade
-from .ranks import Ranks, inclusion
+from .ranks import Ranks, cuts_of, inclusion, rank_objects
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,8 +97,9 @@ class GradedSystem:
         column of grades over the points, as one int of level cuts, in
         carrier order; built on first read (`j_object` stores its space's
         `ranked`, the same thing)."""
-        ranks = Ranks(itertools.chain(self.frame.view.grades, *self.rows))
-        return ranks, [ranks.cuts(column) for column in zip(*self.rows)]
+        ranks, n = Ranks(itertools.chain(self.frame.view.grades, *self.rows)), len(self.frame)
+        codes = rank_objects(ranks.grades, itertools.chain(*self.rows))
+        return ranks, [cuts_of(codes[a::n], ranks.top) for a in range(n)]
 
 
 def check_system(system: GradedSystem) -> Violation | None:
@@ -108,7 +109,9 @@ def check_system(system: GradedSystem) -> Violation | None:
     n = len(items)
     xs = system.points.elements
     ranks, extents = system.extents
-    lift = ranks.code(v.grades)
+    # the relation grades are objects of the extents' table on a system of a
+    # space (`j_object`), so each is found by identity
+    lift = rank_objects(ranks.grades, v.grades)
     rel = [[lift[r] for r in row] for row in v.rel]
     meet_idx, top, one = v.meet, v.top, ranks.top
 

@@ -8,6 +8,7 @@ against something that cannot share their shortcuts.
 from __future__ import annotations
 
 import itertools
+from contextlib import contextmanager
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -45,6 +46,24 @@ from graded_topos.logic.syntax import (
     term_variables,
 )
 from graded_topos.spaces import GradedSpace, canonical_opens, generate_topology
+
+
+@contextmanager
+def counted_fraction_hashes():
+    """Count the calls of Fraction.__hash__ until exit, then restore it."""
+    original = Fraction.__hash__
+    calls = [0]
+
+    def counted(self):
+        calls[0] += 1
+        return original(self)
+
+    Fraction.__hash__ = counted
+    try:
+        yield calls
+    finally:
+        Fraction.__hash__ = original
+    assert Fraction.__hash__ is original
 
 
 def small_grades(max_denominator: int = 4):

@@ -19,6 +19,7 @@ from conftest import (
     brute_is_identity_frame_hom,
     brute_point_homs,
     brute_system_violation,
+    counted_fraction_hashes,
     crisp_chain,
     space_with_opens,
 )
@@ -57,6 +58,7 @@ from graded_topos.generators import (
     GeneratorConfig,
     generate_continuous_chain,
     generate_nonspatial_system,
+    generate_random_system,
     generate_random_continuous_map,
     generate_random_space,
 )
@@ -146,6 +148,29 @@ def test_an_extent_space_ranks_its_opens_in_their_own_grades():
                 if not set(frame.view.grades) <= taken:
                     assert len(own.grades) < len(system.extents[0].grades)
     assert narrower >= 10, narrower
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_an_extent_space_is_the_distinct_columns_of_its_system(seed):
+    """Decoded from the extents' ints, the extent space holds the system's
+    distinct satisfaction columns as fuzzy sets, sorted: on systems of
+    spaces, broken and non-spatial systems, and hom-systems over grade sets
+    narrower and wider than their frames'."""
+    cfg = GeneratorConfig(seed=seed, grade_pool=QUARTERS, max_generators=4)
+    systems = [generate_random_system(cfg, index, invalid=index % 2 == 1, max_opens=6) for index in range(4)]
+    systems += [generate_nonspatial_system(cfg, index) for index in range(2)]
+    for system in systems[:4]:
+        for values in (GradeSet.closure([]), GradeSet.closure([HALF]), QUARTERS):
+            try:
+                systems.append(s_object(system.frame, values))
+            except NoPoints:
+                pass
+    assert len(systems) > 12
+    for system in systems:
+        columns = {FuzzySet(system.points, column) for column in zip(*system.rows)}
+        extent = ext_object(system)
+        assert extent.opens == tuple(sorted(columns, key=lambda t: t.grades))
+        assert all(t._hashes == FuzzySet(t.universe, t.grades)._hashes for t in extent.opens)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -763,6 +788,22 @@ def test_satisfaction_rows_are_enumerated_points():
         assert point_evaluation(system, x) in hom_system.points
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_a_point_evaluation_is_its_row_hashed_as_its_row(seed):
+    """On systems of spaces, whose rows are the columns of their opens, on
+    broken systems over the same frames, whose rows are not, and on
+    hom-systems, each point's evaluation holds its row and hashes as the
+    hom the public constructor builds from it."""
+    cfg = GeneratorConfig(seed=seed, max_generators=4)
+    systems = [generate_random_system(cfg, index, invalid=invalid, max_opens=6)
+               for index in range(3) for invalid in (False, True)]
+    systems += [s_object(s.frame, GradeSet.for_system(s)) for s in systems[::2]]
+    for system in systems:
+        for x, row in zip(system.points.elements, system.rows):
+            p, plain = point_evaluation(system, x), PointHom(system.frame.carrier, row)
+            assert p.values == row and p == plain and hash(p) == hash(plain)
+
+
 def test_no_points_when_top_meets_bottom():
     solo = GradedFrame.from_tables(("a",), "a", {("a", "a"): "a"},
                                    {frozenset(): "a", frozenset("a"): "a"},
@@ -1275,6 +1316,90 @@ def test_a_frame_hom_keeps_its_images_target_positions(seed):
     assert {h.is_bijective() for h in homs} == {is_identity_frame_hom(h) for h in homs} == {True, False}
     assert {frame_homs_equal(f, g) for f, g in pairs} == {True, False}
     assert any(frame_homs_equal(f, g) for f, g in pairs if f is not g)
+
+
+def _hom_systems_with_narrower_extent_spaces():
+    """Hom-systems into {0, 1} over frames with grades 1/3 and 2/3, whose
+    extent spaces rank in fewer grades than their extents."""
+    cfg = GeneratorConfig(seed=3, grade_pool=GradeSet.closure([F(1, 3), F(2, 3)]), max_generators=4)
+    for index in range(6):
+        frame = frame_from_space(generate_random_space(cfg, index, max_opens=6))
+        yield s_object(frame, GradeSet.closure([]))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_frame_homs_built_from_positions_are_the_checked_maps(seed):
+    """Each frame hom the package builds from target positions (identities,
+    inverses, composites, counits and enumerated homs into a chain) is the
+    hom the public constructor builds, with its checks, from the map's
+    definition; counits also where the extent space ranks in fewer grades."""
+    cfg = GeneratorConfig(seed=seed)
+    built = []
+    for index in range(3):
+        f, g, first, middle, last = generate_continuous_chain(cfg, index, max_opens=6)
+        hf, hg = j_morphism(f, first, middle).frame_hom, j_morphism(g, middle, last).frame_hom
+        system = j_object(first)
+        frame, values = system.frame, GradeSet.for_system(system)
+        chain, hom_system = chain_frame(values.grades), s_object(frame, values)
+        built += [(p.as_frame_hom(frame, chain), dict(zip(p.carrier, p.values)))
+                  for p in hom_system.points.elements]
+        built += [(counit(s).frame_hom, {a: ext_column(s, a) for a in s.frame.carrier})
+                  for s in (system, hom_system)]
+        built += [(compose_frame_hom(hg, hf), {a: hf.map[hg.map[a]] for a in hg.source.carrier}),
+                  (FrameHom.identity(frame), {a: a for a in frame.carrier})]
+        cycle = FrameHom(frame, frame, dict(zip(frame.carrier, frame.carrier[1:] + frame.carrier[:1])))
+        built += [(h.inverse(), {b: a for a, b in h.map.items()})
+                  for h in (hf, hg, counit(system).frame_hom, cycle) if h.is_bijective()]
+    narrower = list(_hom_systems_with_narrower_extent_spaces())
+    assert any(len(ext_object(s).ranked[0].grades) < len(s.extents[0].grades) for s in narrower)
+    built += [(counit(s).frame_hom, {a: ext_column(s, a) for a in s.frame.carrier}) for s in narrower]
+    assert any(not h.is_bijective() for h, _ in built) and any(h.is_bijective() for h, _ in built)
+    for h, definition in built:
+        checked = FrameHom(h.source, h.target, definition)
+        assert h._image == checked._image and h.map == checked.map == definition
+
+
+def test_a_point_hom_outside_its_chain_or_carrier_goes_through_the_checks():
+    space = small_space(1, max_opens=5)
+    frame = frame_from_space(space)
+    values = GradeSet.for_frame(frame)
+    chain = chain_frame(values.grades)
+    p = enumerate_point_homs(frame, values)[0]
+    # equal grades held in other objects, and the carrier in another order
+    twin = PointHom(p.carrier, tuple(F(g.numerator, g.denominator) for g in p.values))
+    flipped = PointHom(p.carrier[::-1], p.values[::-1])
+    for q in (twin, flipped):
+        assert q.as_frame_hom(frame, chain)._image == p.as_frame_hom(frame, chain)._image
+    with pytest.raises(SchemaError, match="outside the target carrier"):
+        PointHom(p.carrier, p.values[:-1] + (F(1, 7),)).as_frame_hom(frame, chain)
+    with pytest.raises(SchemaError, match="outside the target carrier"):
+        PointHom(p.carrier, p.values[:-1] + (F(3, 2),)).as_frame_hom(frame, chain)
+    with pytest.raises(SchemaError, match="missing image"):
+        PointHom(p.carrier[:-1], p.values[:-1]).as_frame_hom(frame, chain)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_law_builders_hash_no_grade_once_their_objects_are_kept(seed):
+    """Once a frame's hom-system and the objects its laws read are kept,
+    counits, units, the fm-s and composite triangles, and enumerated homs
+    checked as frame homs into a chain hash no grade: every frame hom, row
+    and extent they build comes from positions and hashes already held."""
+    space = small_space(seed, max_opens=5)
+    system = j_object(space)
+    frame, values = system.frame, GradeSet.for_system(system)
+    hom_system, chain = s_object(frame, values), chain_frame(values.grades)
+    runs = (lambda: [counit(hom_system), counit(system)],
+            lambda: [unit_system(system, hom_system), unit_system(hom_system, hom_system)],
+            lambda: check_triangle_identities("fm-s", frame, values),
+            lambda: check_triangle_identities("composite", space, values),
+            lambda: check_triangle_identities("composite", frame, values),
+            lambda: [check_frame_hom(p.as_frame_hom(frame, chain)) for p in hom_system.points.elements])
+    first = [run() for run in runs]
+    with counted_fraction_hashes() as calls:
+        again = [run() for run in runs]
+    assert calls[0] == 0
+    assert all(law.ok for laws in first[2:5] + again[2:5] for law in laws)
+    assert first[2:] == again[2:] and set(first[5]) == {None}
 
 
 def test_projection_functors_preserve_identity_and_composition():

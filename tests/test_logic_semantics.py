@@ -302,6 +302,23 @@ def test_interpretation_tables_are_read_only_copies():
         interp.constants[2] = "d2"
 
 
+def test_equal_grades_held_in_distinct_objects_rank_as_one():
+    half, again, quarters, zero, one = F(1, 2), F(1, 2), F(2, 4), F(0), F(1)
+    assert len({id(half), id(again), id(quarters), id(zero), id(ZERO), id(one), id(ONE)}) == 7
+    domain = ("d1", "d2", "d3", "d4", "d5")
+    interp = Interpretation(domain, {}, {}, {
+        "p": dict(zip([(d,) for d in domain], (half, zero, again, one, quarters))),
+        "q": dict(zip([(d,) for d in domain], (quarters, ONE, F(1, 3), ZERO, half)))})
+    table, coded, _ = interp.ranked
+    assert table.grades == (0, F(1, 3), F(1, 2), 1)
+    assert coded == {"p": (1, {(0,): 2, (1,): 0, (2,): 2, (3,): 3, (4,): 2}),
+                     "q": (1, {(0,): 2, (1,): 3, (2,): 1, (3,): 0, (4,): 2})}
+    sig = interp.signature()
+    both = And(parse_formula("p(x1)", sig), parse_formula("q(x1)", sig))
+    for phi, expected in ((both, ZERO), (Exists(1, both), F(1, 2))):
+        assert sequent_grade(interp, TOP, phi) == brute_sequent_grade(interp, TOP, phi) == expected
+
+
 def traced_peak(evaluate):
     """The value of evaluate() and the peak of traced memory it took."""
     tracemalloc.start()

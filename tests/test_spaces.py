@@ -1,11 +1,10 @@
-from contextlib import contextmanager
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_generate_topology, brute_space_closed, fuzzy_sets_over, universes
+from conftest import brute_generate_topology, brute_space_closed, counted_fraction_hashes, fuzzy_sets_over, universes
 from graded_topos import generators, spaces
 from graded_topos.checks import Violation
 from graded_topos.errors import MixedUniverse, NotContinuous, Overflow
@@ -205,24 +204,6 @@ def test_built_fuzzy_sets_equal_and_hash_as_constructed_ones(case):
         assert t._hashes == plain._hashes
 
 
-@contextmanager
-def counted_fraction_hashes():
-    """Count the calls of Fraction.__hash__ until exit, then restore it."""
-    original = F.__hash__
-    calls = [0]
-
-    def counted(self):
-        calls[0] += 1
-        return original(self)
-
-    F.__hash__ = counted
-    try:
-        yield calls
-    finally:
-        F.__hash__ = original
-    assert F.__hash__ is original
-
-
 def test_preimage_hashes_no_grade():
     for seed in range(4):
         f, source, target = generate_random_continuous_map(GeneratorConfig(seed=seed), 1)
@@ -288,6 +269,33 @@ def test_a_random_space_decodes_only_the_closure_it_returns(monkeypatch):
         # 0 and 1 and each table grade into its set, its index and the opens'
         # hashes: no grade of a rejected attempt is hashed
         assert calls[0] <= 3 * len(ranks.grades) + 2
+
+
+def test_random_closures_stop_at_max_opens(monkeypatch):
+    """Each attempt of a random space or continuous map is closed with
+    max_opens as its cap, so a closure past it stops there and is rejected
+    (and a closure past 4,096 opens no longer raises Overflow)."""
+    caps = []
+
+    def capped(close):
+        def call(*args):
+            caps.append(args[-1])
+            return close(*args)
+        return call
+
+    monkeypatch.setattr(generators, "close_cuts", capped(spaces.close_cuts))
+    monkeypatch.setattr(generators, "close_generators", capped(spaces.close_generators))
+    pool = GradeSet(tuple(F(k, 4) for k in range(5)))
+    cfg = GeneratorConfig(seed=0, max_points=5, max_generators=4, grade_pool=pool)
+    # index 2 rejects all 24 attempts (see the test above)
+    generate_random_space(cfg, 2, max_opens=7, min_opens=7)
+    assert caps == [7] * 24
+    caps.clear()
+    for index in range(12):
+        f, source, target = generate_random_continuous_map(cfg, index, max_opens=8)
+        assert len(source) <= 8 and check_continuous(f, source, target) is None
+    # the maps' attempts at 8 opens, one of them rejected, and their targets' at 4
+    assert set(caps) == {8, 4} and caps.count(8) == 13
 
 
 def test_pull_opens_maps_each_target_open_to_the_source_open_itself():
