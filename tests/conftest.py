@@ -14,7 +14,8 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from graded_topos.checks import mask_elements
-from graded_topos.errors import CaptureViolation, MixedUniverse, Overflow, SchemaError, UndeclaredSymbol
+from graded_topos.errors import (CaptureViolation, GradeSetTooSmall, MixedUniverse, NoPoints, Overflow, SchemaError,
+                                 UndeclaredSymbol)
 from graded_topos.frames import GradedFrame
 from graded_topos.functors import PointHom
 from graded_topos.fuzzy_sets import (
@@ -429,6 +430,39 @@ def brute_point_homs(frame, values) -> list[PointHom]:
             found.append(PointHom(items, tuple(v)))
     found.sort(key=lambda p: p.values)
     return found
+
+
+def brute_unit_images(system, hom_system):
+    """The images of the fm-s unit at `system`, into `hom_system`: each point
+    goes to the hom the public constructor builds from its row, or to itself
+    when it already is that hom, and must be a member of the hom-system's
+    points. Returns the images, or the refusal the unit raises."""
+    carrier = system.frame.carrier
+    images = []
+    for x, row in zip(system.points.elements, system.rows):
+        p = x if isinstance(x, PointHom) and x.carrier == carrier and x.values == row else PointHom(carrier, row)
+        if p not in hom_system.points:
+            pool = set(itertools.chain(*hom_system.rows))
+            for g in itertools.chain(*system.rows):
+                if g not in pool:
+                    return GradeSetTooSmall(f"satisfaction grade {g} is not in the grade set")
+            return NoPoints("a satisfaction row is not an enumerated hom")
+        images.append(p)
+    return tuple(images)
+
+
+def brute_precomposition_images(h, source, target):
+    """The images of S(h) from `source` to `target`: each hom precomposed
+    with h's decoded map, built by the public constructor, must be a member
+    of the target's points. Returns the images, or the refusal S raises."""
+    images = []
+    for p in source.points.elements:
+        value = dict(zip(h.target.carrier, p.values))
+        composed = PointHom(h.source.carrier, tuple(value[h.map[a]] for a in h.source.carrier))
+        if composed not in target.points:
+            return NoPoints("precomposition left the enumerated hom set")
+        images.append(composed)
+    return tuple(images)
 
 
 def brute_eval_term(interp: Interpretation, assignment: Assignment, t: Term) -> str:

@@ -18,7 +18,9 @@ from conftest import (
     brute_is_bijective,
     brute_is_identity_frame_hom,
     brute_point_homs,
+    brute_precomposition_images,
     brute_system_violation,
+    brute_unit_images,
     counted_fraction_hashes,
     crisp_chain,
     space_with_opens,
@@ -802,6 +804,111 @@ def test_a_point_evaluation_is_its_row_hashed_as_its_row(seed):
         for x, row in zip(system.points.elements, system.rows):
             p, plain = point_evaluation(system, x), PointHom(system.frame.carrier, row)
             assert p.values == row and p == plain and hash(p) == hash(plain)
+
+
+def _copied(values):
+    """Equal grades, each held in a new object."""
+    return tuple(F(g.numerator, g.denominator) for g in values)
+
+
+def _own_rows(system):
+    """A system over the same frame whose points are homs equal to their
+    rows, built anew from the distinct rows of `system` in new grade objects."""
+    rows = tuple(dict.fromkeys(map(_copied, system.rows)))
+    return GradedSystem(Universe(tuple(PointHom(system.frame.carrier, row) for row in rows)), system.frame, rows)
+
+
+def _targets(hom_system):
+    """Systems over a hom-system's frame to look images up in: the hom-system;
+    its points with rows that are not theirs, and with one row for all; string
+    points beside every other hom; and equal homs held in new objects."""
+    frame, points, rows = hom_system.frame, hom_system.points.elements, hom_system.rows
+    copies = tuple(PointHom(p.carrier, _copied(p.values)) for p in points)
+    return [hom_system,
+            GradedSystem(hom_system.points, frame, rows[1:] + rows[:1]),
+            GradedSystem(hom_system.points, frame, (rows[0],) * len(rows)),
+            GradedSystem(Universe(("s0",) + points[::2]), frame, (rows[-1],) + rows[::2]),
+            GradedSystem(Universe(copies[::-1]), frame, rows[::-1])]
+
+
+def _hom_systems(frame, grade_sets):
+    """The hom-system of the frame over each grade set that has homs."""
+    return [s_object(frame, values) for values in grade_sets if enumerate_point_homs(frame, values)]
+
+
+def _outcome(found, target):
+    """A builder's images with their positions in the target, or its refusal's class and message."""
+    if isinstance(found, Exception):
+        return type(found), str(found)
+    return found, tuple(map(target.points.index, found))
+
+
+def _built(builder, *args):
+    try:
+        found = builder(*args).point_map.images
+    except (GradeSetTooSmall, NoPoints) as refusal:
+        found = refusal
+    return _outcome(found, args[-1])
+
+
+WIDER = (F(1, 5), F(1, 2), F(4, 5))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_units_find_the_images_the_membership_test_finds(seed):
+    """The fm-s unit at a system sends each point where the public
+    constructor's hom of its row is found among the hom-system's points, and
+    a point that already is its row's hom to itself; on systems of spaces,
+    broken systems, hom-systems and systems of own-row homs, into hom-systems
+    over the system's grades, wider ones and {0, 1}, and into targets whose
+    points are not their rows, share a row, are strings or hold equal grades
+    in other objects. A refusal has the oracle's class and message."""
+    cfg = GeneratorConfig(seed=seed, max_generators=4)
+    kinds = collections.Counter()
+    for index in range(3):
+        for invalid in (False, True):
+            system = generate_random_system(cfg, index, invalid=invalid, max_opens=6)
+            values = GradeSet.for_system(system)
+            grade_sets = (values, GradeSet.closure(values.grades + WIDER), GradeSet.closure([]))
+            for hom_system in _hom_systems(system.frame, grade_sets):
+                for source in (system, hom_system, _own_rows(system), _own_rows(hom_system)):
+                    for target in _targets(hom_system):
+                        expected = brute_unit_images(source, target)
+                        assert _built(unit_system, source, target) == _outcome(expected, target)
+                        if not isinstance(expected, Exception):
+                            images = unit_system(source, target).point_map.images
+                            own = [x for x, p in zip(source.points.elements, expected) if x is p]
+                            assert all(x is p for x, p in zip(source.points.elements, images) if x in own)
+                            kinds["own"] += len(own)
+                        kinds[type(expected).__name__] += 1
+    assert min(kinds[k] for k in ("tuple", "GradeSetTooSmall", "NoPoints", "own")) >= 5, kinds
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_precompositions_find_the_images_the_membership_test_finds(seed):
+    """S of a frame hom sends each hom to the public constructor's hom of its
+    precomposition, found among the target's points: at lifted maps,
+    identities and a map of every element to the top, between hom-systems
+    over one grade set and over L and a wider L' both ways, from homs held
+    in new grade objects, and into the targets of the unit test."""
+    cfg = GeneratorConfig(seed=seed)
+    kinds = collections.Counter()
+    for index in range(4):
+        f, source_space, target_space = generate_random_continuous_map(cfg, index, max_opens=5)
+        lifted = j_morphism(f, source_space, target_space).frame_hom
+        frame = lifted.target
+        to_top = FrameHom(frame, frame, dict.fromkeys(frame.carrier, frame.top))
+        for h in (lifted, FrameHom.identity(frame), to_top):
+            values = GradeSet.closure(set(h.source.view.grades) | set(h.target.view.grades))
+            grade_sets = (values, GradeSet.closure(values.grades + WIDER))
+            for source_homs in _hom_systems(h.target, grade_sets):
+                for target_homs in _hom_systems(h.source, grade_sets):
+                    for source in (source_homs, _own_rows(source_homs)):
+                        for target in _targets(target_homs):
+                            expected = brute_precomposition_images(h, source, target)
+                            assert _built(s_morphism, h, source, target) == _outcome(expected, target)
+                            kinds[type(expected).__name__] += 1
+    assert min(kinds[k] for k in ("tuple", "NoPoints")) >= 5, kinds
 
 
 def test_no_points_when_top_meets_bottom():
