@@ -27,6 +27,11 @@ HOM_SEARCH_CAP raises the Overflow the search would. The law checks call
 the functors and share what they keep; every unit, counit and lifted
 morphism still comes anew from its own builder, so no law holds by
 construction.
+
+The unit and the precomposition S(h) build no hom: each image is the
+target system's own point, found by its values as ranks in the target's
+index (`GradedSystem.hom_index`) and confirmed by value, where the
+membership test of the hom the public constructor would build finds it.
 """
 
 from __future__ import annotations
@@ -40,12 +45,13 @@ from typing import Callable, Hashable, Iterable
 from .checks import LawReport, Violation
 from .errors import GradeSetTooSmall, NoPoints, NotContinuous, Overflow, SchemaError
 from .frames import FrameHom, GradedFrame, check_frame, check_frame_hom, compose_frame_hom, frame_from_space
-from .fuzzy_sets import Aligned, FuzzySet, PointMap, Universe, compose_point_maps
+from .fuzzy_sets import FuzzySet, PointMap, Prehashed, Universe, compose_point_maps
 from .grades import Grade, ONE, ZERO
 from .ranks import Ranks, rank_objects
 from .spaces import GradedSpace, check_continuous, check_space, pull_opens, space_from_cuts
 from .systems import (
     GradedSystem,
+    PointHom,
     SystemMorphism,
     check_spatial,
     check_system,
@@ -89,39 +95,6 @@ class GradeSet:
         """The relation and satisfaction grades with 0 and 1: the grade
         table of the system's extents."""
         return cls(system.extents[0].grades)
-
-
-@dataclass(frozen=True)
-class PointHom(Aligned):
-    """A grade-valued homomorphism used as a point: the values are aligned
-    with the frame carrier it was enumerated over. Hashed from its values'
-    hashes, as a fuzzy set is (`Aligned`)."""
-
-    carrier: tuple[Hashable, ...]
-    values: tuple[Grade, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.carrier) != len(self.values):
-            raise SchemaError("values", "must be total on the carrier")
-        self._hashed(self.carrier, tuple(map(hash, self.values)))
-
-    def __hash__(self) -> int:
-        return self._hash  # type: ignore[attr-defined]
-
-    def __call__(self, a: Hashable) -> Grade:
-        return self.values[self.carrier.index(a)]
-
-    def as_frame_hom(self, frame: GradedFrame, chain: GradedFrame) -> FrameHom:
-        """The hom as a frame hom into `chain`. Into a `chain_frame`, whose
-        carrier is its grades, a hom over the frame's carrier is read at its
-        values' positions among them (`rank_objects`); any other pair, and a
-        value outside the chain, goes through `FrameHom`'s checks."""
-        grades = chain.carrier
-        if grades is chain.view.grades and self.carrier == frame.carrier:
-            image = rank_objects(grades, self.values)
-            if len(grades) not in image and tuple(map(grades.__getitem__, image)) == self.values:
-                return FrameHom._read(frame, chain, image)
-        return FrameHom(frame, chain, dict(zip(self.carrier, self.values)))
 
 
 def ext_column(system: GradedSystem, a: Hashable) -> FuzzySet:
@@ -219,8 +192,8 @@ def enumerate_point_homs(frame: GradedFrame, values: GradeSet) -> list[PointHom]
     """
     kept = frame._homs
     if kept is None or kept[0] != values:
-        tries, homs = _search_point_homs(frame, values)
-        system = GradedSystem(Universe(homs), frame, tuple(p.values for p in homs)) if homs else None
+        tries, found = _search_point_homs(frame, values)
+        system = _hom_system(frame, values.grades, found) if found else None
         kept = (values, tries, system)
         object.__setattr__(frame, "_homs", kept)
     elif kept[1] > HOM_SEARCH_CAP:
@@ -232,9 +205,22 @@ def _overflow() -> Overflow:
     return Overflow(f"hom enumeration tried more than {HOM_SEARCH_CAP} partial maps")
 
 
-def _search_point_homs(frame: GradedFrame, values: GradeSet) -> tuple[int, tuple[PointHom, ...]]:
+def _hom_system(frame: GradedFrame, grades: tuple[Grade, ...], found: list[tuple[int, ...]]) -> GradedSystem:
+    """The system of the homs whose values have the ranks `found` in
+    `grades`: each is read from the grades by position (`Aligned._read`),
+    with the carrier hashed once for all of them (`Prehashed`), and the
+    ranks are stored as the system's `hom_index`, which they are."""
+    key, hashes = Prehashed(frame.carrier), tuple(map(hash, grades))
+    homs = tuple(PointHom._read(frame.carrier, key, r, grades, hashes) for r in found)
+    system = GradedSystem(Universe(homs), frame, tuple(p.values for p in homs))
+    object.__setattr__(system, "hom_index", (grades, dict(zip(found, range(len(found))))))
+    return system
+
+
+def _search_point_homs(frame: GradedFrame, values: GradeSet) -> tuple[int, list[tuple[int, ...]]]:
     """The search of `enumerate_point_homs`: the number of partial maps it
-    tried and the homs it found.
+    tried and the homs it found, as their values' ranks in `values`, in
+    order.
 
     The axioms are the ones a test of every map would check: meet and
     relation preservation at every pair, and join preservation at every mask
@@ -256,8 +242,8 @@ def _search_point_homs(frame: GradedFrame, values: GradeSet) -> tuple[int, tuple
     testing every map on every subset, valid frame or not, and the cost
     tracks the partial maps that survive instead of |values|^(n-2).
     """
-    items, view = frame.carrier, frame.view
-    n = len(items)
+    view = frame.view
+    n = len(frame.carrier)
     grades = values.grades
     top, bottom = view.top, view.bottom
     if top == bottom:  # the top would need value 1 and the empty join value 0
@@ -340,8 +326,7 @@ def _search_point_homs(frame: GradedFrame, values: GradeSet) -> tuple[int, tuple
     if holds(0):
         search(1)
     found.sort()  # rank order is value order
-    hashes = tuple(map(hash, grades))
-    return tries, tuple(PointHom._read(items, r, grades, hashes) for r in found)
+    return tries, found
 
 
 def s_object(frame: GradedFrame, values: GradeSet) -> GradedSystem:
@@ -359,16 +344,17 @@ def s_object(frame: GradedFrame, values: GradeSet) -> GradedSystem:
 
 def s_morphism(h: FrameHom, source: GradedSystem, target: GradedSystem) -> SystemMorphism:
     """Precomposition with a frame homomorphism, from `source`, the hom-system
-    of its target, to `target`, that of its source (over one grade set)."""
+    of its target, to `target`, that of its source (over one grade set).
+    Each hom's values are read at the hom's image positions (`_image`), and
+    its image is the target's point of those values (`_find_homs`); no hom
+    is built."""
     if source.frame.carrier != h.target.carrier or target.frame.carrier != h.source.carrier:
         raise SchemaError("hom systems", "must be over the hom's target and source frames")
-    images = []
-    for p in source.points.elements:
-        composed = PointHom._read(h.source.carrier, h._image, p.values, p._hashes)  # type: ignore[attr-defined]
-        if composed not in target.points:
-            raise NoPoints("precomposition left the enumerated hom set")
-        images.append(composed)
-    pm = PointMap(source.points, target.points, tuple(images))
+    rows = [tuple(map(p.values.__getitem__, h._image)) for p in source.points.elements]
+    found = _find_homs(target, rows)
+    if None in found:
+        raise NoPoints("precomposition left the enumerated hom set")
+    pm = PointMap(source.points, target.points, tuple(map(target.points.elements.__getitem__, found)))
     return SystemMorphism(source, target, pm, h)
 
 
@@ -392,42 +378,60 @@ def unit_space(space: GradedSpace) -> PointMap:
 
 def point_evaluation(system: GradedSystem, x: Hashable) -> PointHom:
     """The satisfaction row of a point, as a grade-valued hom: the point
-    itself when it already is that hom, as each point of a hom-system is.
-    A row that is the point's column of a carrier of opens over the points,
-    as each row of a space's system (`j_object`) is, is hashed from the
-    hashes those opens keep, so no grade is hashed."""
-    i = system.points.index(x)
-    carrier, row = system.frame.carrier, system.rows[i]
+    itself when it already is that hom, as each point of a hom-system is."""
+    carrier, row = system.frame.carrier, system.rows[system.points.index(x)]
     if isinstance(x, PointHom) and x.carrier == carrier and x.values == row:
         return x
-    if (all(isinstance(t, FuzzySet) and t.universe is system.points for t in carrier)
-            and tuple(t.grades[i] for t in carrier) == row):
-        hashes = tuple(t._hashes[i] for t in carrier)  # type: ignore[attr-defined]
-        return PointHom._read(carrier, range(len(row)), row, hashes)
     return PointHom(carrier, row)
+
+
+def _find_homs(target: GradedSystem, rows: list[tuple[Grade, ...]]) -> list[int | None]:
+    """The position among the target's points of the hom over its carrier
+    with each row as values, or None where no point is that hom: what the
+    membership test of `PointHom(carrier, row)` finds, with no hom built.
+    Each row is ranked by object in the table of `target.hom_index` and the
+    point of that rank row is kept if its values equal the row, a tuple ==
+    that short-cuts on identity: a grade outside the table takes the rank
+    of a neighbour, so only the values can confirm it."""
+    grades, index = target.hom_index
+    keys = zip(*[iter(rank_objects(grades, chain(*rows)))] * len(target.frame))
+    points = target.points.elements
+    return [k if k is not None and points[k].values == row else None for k, row in zip(map(index.get, keys), rows)]
+
+
+def unit_rows(system: GradedSystem) -> tuple[tuple[Grade, ...], ...]:
+    """The row each point of a system goes to under the fm-s unit, in point
+    order: its own satisfaction row."""
+    return system.rows
 
 
 def unit_system(system: GradedSystem, hom_system: GradedSystem) -> SystemMorphism:
     """From a system to `hom_system`, the hom-system of its frame: each point
-    goes to its satisfaction row, the frame component is the identity.
+    goes to its satisfaction row (`unit_rows`), read as the point of
+    `hom_system` with those values (`_find_homs`), or to itself when it
+    already is that hom; the frame component is the identity. No hom is
+    built.
 
     Raises GradeSetTooSmall when a satisfaction grade is taken by no hom of
     `hom_system`, as any grade outside its grade set is."""
-    if hom_system.frame.carrier != system.frame.carrier:
+    carrier = system.frame.carrier
+    if hom_system.frame.carrier != carrier:
         raise SchemaError("hom system", "must be over the system's frame")
-    images = []
-    for x in system.points.elements:
-        p = point_evaluation(system, x)
-        if p not in hom_system.points:
-            # every grade of an enumerated hom is in the pool, so the pool is
-            # read only here, over every row, before the row is blamed
-            pool = set(chain(*hom_system.rows))
-            for g in chain(*system.rows):
-                if g not in pool:
-                    raise GradeSetTooSmall(f"satisfaction grade {g} is not in the grade set")
-            raise NoPoints("a satisfaction row is not an enumerated hom")
-        images.append(p)
-    pm = PointMap(system.points, hom_system.points, tuple(images))
+    rows = unit_rows(system)
+    found = _find_homs(hom_system, rows)
+    if None in found:
+        # every grade of an enumerated hom is in the pool, so the pool is
+        # read only here, over every row, before the row is blamed
+        pool = set(chain(*hom_system.rows))
+        for g in chain(*system.rows):
+            if g not in pool:
+                raise GradeSetTooSmall(f"satisfaction grade {g} is not in the grade set")
+        raise NoPoints("a satisfaction row is not an enumerated hom")
+    # a point that already is its row's hom is its own image
+    homs = map(hom_system.points.elements.__getitem__, found)
+    images = tuple(x if x is p or isinstance(x, PointHom) and x.values == row and x.carrier == carrier else p
+                   for x, row, p in zip(system.points.elements, rows, homs))
+    pm = PointMap(system.points, hom_system.points, images)
     return SystemMorphism(system, hom_system, pm, FrameHom.identity(system.frame))
 
 

@@ -61,27 +61,44 @@ class Universe:
 
 class Aligned:
     """Base of a frozen dataclass of two fields, a head and a tuple of
-    grades aligned with it (`FuzzySet`, `functors.PointHom`), hashed as the
+    grades aligned with it (`FuzzySet`, `systems.PointHom`), hashed as the
     pair of them from the grades' hashes, which it keeps as `_hashes`."""
 
-    def _hashed(self, head: Hashable, hashes: tuple[int, ...]) -> Any:
-        # hash((head, hashes)) == hash((head, grades)): a tuple hashes its
-        # items' hashes, and hash(h) == h for a hash value h
+    def _hashed(self, key: Hashable, hashes: tuple[int, ...]) -> Any:
+        # hash((key, hashes)) == hash((head, grades)) for the head or a
+        # `Prehashed` head as key: a tuple hashes its items' hashes, and
+        # hash(h) == h for a grade's hash h, which is below 2**61 - 1
         object.__setattr__(self, "_hashes", hashes)
-        object.__setattr__(self, "_hash", hash((head, hashes)))
+        object.__setattr__(self, "_hash", hash((key, hashes)))
         return self
 
     @classmethod
-    def _read(cls, head: Hashable, positions: Sequence[int],
+    def _read(cls, head: Hashable, key: Hashable, positions: Sequence[int],
               values: tuple[Grade, ...], hashes: tuple[int, ...]) -> Any:
         """The instance on `head` whose grade at k is values[positions[k]],
-        hashed from hashes[positions[k]]; unchecked, and no grade is hashed."""
+        hashed from hashes[positions[k]] and `key`, the head or its
+        `Prehashed`; unchecked, and no grade is hashed."""
         item = object.__new__(cls)
         # the dataclass's two field names, in order
         first, second = cls.__match_args__  # type: ignore[attr-defined]
         object.__setattr__(item, first, head)
         object.__setattr__(item, second, tuple(map(values.__getitem__, positions)))
-        return item._hashed(head, tuple(map(hashes.__getitem__, positions)))
+        return item._hashed(key, tuple(map(hashes.__getitem__, positions)))
+
+
+class Prehashed:
+    """A head hashed once, for building many `Aligned` items on it: it hashes
+    as the head did, so a tuple holding it hashes as one holding the head.
+    The hash value itself would not do, as an int of 2**61 - 1 or more
+    hashes to its residue, and a tuple's hash often is one."""
+
+    __slots__ = ("_hash",)
+
+    def __init__(self, head: Hashable) -> None:
+        self._hash = hash(head)
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 @dataclass(frozen=True)
@@ -220,4 +237,4 @@ def preimage(f: PointMap, t: FuzzySet) -> FuzzySet:
     """Pullback along f: value at x is t(f(x)), read at f's image positions."""
     if t.universe != f.target:
         raise MixedUniverse("fuzzy set is not over the map's target")
-    return FuzzySet._read(f.source, f._positions, t.grades, t._hashes)  # type: ignore[attr-defined]
+    return FuzzySet._read(f.source, f.source, f._positions, t.grades, t._hashes)  # type: ignore[attr-defined]

@@ -165,7 +165,7 @@ def space_from_cuts(universe: Universe, ranks: Ranks, opens: set[int]) -> Graded
     levels = {row: ranks_of(row, len(universe)) for row in opens}
     rows = sorted(opens, key=levels.__getitem__)
     grades, hashes = ranks.grades, tuple(map(hash, ranks.grades))
-    space = GradedSpace(universe, tuple(FuzzySet._read(universe, levels[row], grades, hashes)
+    space = GradedSpace(universe, tuple(FuzzySet._read(universe, universe, levels[row], grades, hashes)
                                         for row in rows))
     # object.__setattr__ keeps the instance's inline attribute values, which
     # writing through vars(space) would turn into a dict slower to read

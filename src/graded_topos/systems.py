@@ -50,9 +50,43 @@ from .checks import Violation, mask_steps
 from .errors import MixedStructure, SchemaError
 from .frames import (FrameHom, FrameView, GradedFrame, _show, check_frame_hom, compose_frame_hom,
                      same_frame)
-from .fuzzy_sets import PointMap, Universe, compose_point_maps
+from .fuzzy_sets import Aligned, PointMap, Universe, compose_point_maps
 from .grades import Grade
 from .ranks import Ranks, cuts_of, inclusion, rank_objects
+
+
+@dataclass(frozen=True)
+class PointHom(Aligned):
+    """A grade-valued homomorphism used as a point, as each point of a
+    hom-system (`functors.s_object`) is: the values are aligned with the
+    frame carrier it was enumerated over. Hashed from its values' hashes, as
+    a fuzzy set is (`Aligned`)."""
+
+    carrier: tuple[Hashable, ...]
+    values: tuple[Grade, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.carrier) != len(self.values):
+            raise SchemaError("values", "must be total on the carrier")
+        self._hashed(self.carrier, tuple(map(hash, self.values)))
+
+    def __hash__(self) -> int:
+        return self._hash  # type: ignore[attr-defined]
+
+    def __call__(self, a: Hashable) -> Grade:
+        return self.values[self.carrier.index(a)]
+
+    def as_frame_hom(self, frame: GradedFrame, chain: GradedFrame) -> FrameHom:
+        """The hom as a frame hom into `chain`. Into a `chain_frame`, whose
+        carrier is its grades, a hom over the frame's carrier is read at its
+        values' positions among them (`rank_objects`); any other pair, and a
+        value outside the chain, goes through `FrameHom`'s checks."""
+        grades = chain.carrier
+        if grades is chain.view.grades and self.carrier == frame.carrier:
+            image = rank_objects(grades, self.values)
+            if len(grades) not in image and tuple(map(grades.__getitem__, image)) == self.values:
+                return FrameHom._read(frame, chain, image)
+        return FrameHom(frame, chain, dict(zip(self.carrier, self.values)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,6 +134,21 @@ class GradedSystem:
         ranks, n = Ranks(itertools.chain(self.frame.view.grades, *self.rows)), len(self.frame)
         codes = rank_objects(ranks.grades, itertools.chain(*self.rows))
         return ranks, [cuts_of(codes[a::n], ranks.top) for a in range(n)]
+
+    @cached_property
+    def hom_index(self) -> tuple[tuple[Grade, ...], dict[tuple[int, ...], int]]:
+        """The points that are `PointHom`s over the frame's carrier, keyed by
+        their values as ranks: the sorted grade table of those values, and a
+        dict from each such point's rank row in it (`rank_objects`) to the
+        point's position; built on first read. Equal rank rows are equal
+        values, so no two such points share one. The fm-s unit and S of a
+        frame hom find their images here (`functors._find_homs`)."""
+        carrier = self.frame.carrier
+        homs = {k: p.values for k, p in enumerate(self.points.elements)
+                if type(p) is PointHom and p.carrier == carrier}
+        grades = Ranks(itertools.chain(*homs.values())).grades
+        ranks = rank_objects(grades, itertools.chain(*homs.values()))
+        return grades, dict(zip(zip(*[iter(ranks)] * len(carrier)), homs))
 
 
 def check_system(system: GradedSystem) -> Violation | None:
@@ -194,7 +243,10 @@ class SystemMorphism:
     frame_hom: FrameHom
 
     def __post_init__(self) -> None:
-        if self.point_map.source != self.source.points or self.point_map.target != self.target.points:
+        # identity first: universes of homs compare their homs on ==
+        source, target = self.point_map.source, self.point_map.target
+        if not ((source is self.source.points or source == self.source.points)
+                and (target is self.target.points or target == self.target.points)):
             raise MixedStructure("point map endpoints do not match the systems")
         if not (same_frame(self.frame_hom.source, self.target.frame)
                 and same_frame(self.frame_hom.target, self.source.frame)):

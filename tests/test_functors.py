@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import itertools
 import json
 import math
@@ -10,7 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import graded_topos.checks
+import graded_topos.frames
 import graded_topos.functors as functors
+import graded_topos.fuzzy_sets
+import graded_topos.spaces
+import graded_topos.systems
 from conftest import (
     brute_frame_hom_ok,
     brute_frame_homs_equal,
@@ -911,6 +917,46 @@ def test_precompositions_find_the_images_the_membership_test_finds(seed):
     assert min(kinds[k] for k in ("tuple", "NoPoints")) >= 5, kinds
 
 
+def _count_calls(monkeypatch, cls, name, calls):
+    original = getattr(cls, name)
+
+    def counted(self, *args):
+        calls[f"{cls.__name__}.{name}"] += 1
+        return original(self, *args)
+
+    monkeypatch.setattr(cls, name, counted)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_units_and_precompositions_build_no_hom_and_compare_no_dataclass(seed, monkeypatch):
+    """Once a frame's hom-system is kept, the fm-s unit at a system of a space
+    and at the hom-system, and S at an identity and at a lifted map, build
+    no PointHom (each is hashed as it is built) and call no dataclass
+    __eq__: each image is found as the stored point itself."""
+    f, source, target = generate_random_continuous_map(GeneratorConfig(seed=seed), seed, max_opens=5)
+    m = j_morphism(f, source, target)
+    values = GradeSet.closure(itertools.chain(*m.source.rows, *m.target.rows))
+    system, h = m.source, m.frame_hom
+    hom_system, target_homs = s_object(h.target, values), s_object(h.source, values)
+    runs = (lambda: unit_system(system, hom_system), lambda: unit_system(hom_system, hom_system),
+            lambda: s_morphism(FrameHom.identity(hom_system.frame), hom_system, hom_system),
+            lambda: s_morphism(h, hom_system, target_homs))
+    first = [run() for run in runs]
+    assert not is_identity_frame_hom(h) and check_system_morphism(first[3]) is None
+    calls = collections.Counter()
+    modules = (functors, graded_topos.checks, graded_topos.frames, graded_topos.fuzzy_sets,
+               graded_topos.spaces, graded_topos.systems)
+    classes = {cls for module in modules for cls in vars(module).values()
+               if isinstance(cls, type) and dataclasses.is_dataclass(cls) and cls.__dataclass_params__.eq}
+    assert {Universe, FuzzySet, PointMap, PointHom} <= classes
+    for cls in classes:
+        _count_calls(monkeypatch, cls, "__eq__", calls)
+    _count_calls(monkeypatch, PointHom, "_hashed", calls)
+    again = [run() for run in runs]
+    assert calls == {}
+    assert [m.point_map.images for m in again] == [m.point_map.images for m in first]
+
+
 def test_no_points_when_top_meets_bottom():
     solo = GradedFrame.from_tables(("a",), "a", {("a", "a"): "a"},
                                    {frozenset(): "a", frozenset("a"): "a"},
@@ -1215,13 +1261,7 @@ def test_clearing_every_slot_before_each_functor_call_changes_no_report(seed, wr
     rows, which fail some laws."""
     import graded_topos.suites as suites
     if wrong_unit:
-        evaluate = functors.point_evaluation
-
-        def swapped(system, x):
-            points = system.points.elements
-            return evaluate(system, points[(points.index(x) + 1) % len(points)])
-
-        monkeypatch.setattr(functors, "point_evaluation", swapped)
+        _swap_rows(monkeypatch)
     laws = []
     for name in ("check_triangle_identities", "check_naturality"):
         def recorded(*args, _check=getattr(functors, name)):
@@ -1267,13 +1307,7 @@ def test_a_wrong_unit_row_fails_the_fm_s_and_composite_triangles(monkeypatch):
     instances = (("fm-s", frame), ("composite", space), ("composite", frame))
     for adjunction, instance in instances:
         assert all(law.ok for law in check_triangle_identities(adjunction, instance, values))
-    evaluate = functors.point_evaluation
-
-    def swapped(system, x):
-        points = system.points.elements
-        return evaluate(system, points[(points.index(x) + 1) % len(points)])
-
-    monkeypatch.setattr(functors, "point_evaluation", swapped)
+    _swap_rows(monkeypatch)
     for adjunction, instance in instances:
         laws = check_triangle_identities(adjunction, instance, values)
         assert [law.ok for law in laws] == ([True, False] if adjunction == "fm-s"
@@ -1282,13 +1316,13 @@ def test_a_wrong_unit_row_fails_the_fm_s_and_composite_triangles(monkeypatch):
 
 def _swap_rows(monkeypatch):
     """Make every unit send a point to the next point's satisfaction row."""
-    evaluate = functors.point_evaluation
+    rows = functors.unit_rows
 
-    def swapped(system, x):
-        points = system.points.elements
-        return evaluate(system, points[(points.index(x) + 1) % len(points)])
+    def swapped(system):
+        own = rows(system)
+        return own[1:] + own[:1]
 
-    monkeypatch.setattr(functors, "point_evaluation", swapped)
+    monkeypatch.setattr(functors, "unit_rows", swapped)
 
 
 def _composite_instances(seed: int):
@@ -1580,6 +1614,24 @@ def test_homs_hash_as_their_carrier_and_values():
             assert all(_hash_contract_holds(p) for p in lifted.point_map.images)
             homs["precomposed"] += len(lifted.point_map.images)
     assert min(homs.values()) >= 20, homs
+
+
+def test_a_search_hashes_its_carrier_once_and_its_homs_as_their_carrier_and_values(monkeypatch):
+    """A search over a frame of opens hashes each open once, however many
+    homs it finds, and each hom hashes as hash((carrier, values)) and as the
+    public constructor's hom; also where the carrier's hash h has
+    hash(h) != h, so pairing h itself with the values would hash otherwise."""
+    calls = collections.Counter()
+    _count_calls(monkeypatch, FuzzySet, "__hash__", calls)
+    unreduced = found = 0
+    for _, frame in itertools.islice(_generated_frames(max_opens=6), 0, None, 3):
+        calls.clear()
+        homs = enumerate_point_homs(frame, GradeSet.for_frame(frame))
+        assert calls["FuzzySet.__hash__"] == len(frame.carrier)
+        assert all(_hash_contract_holds(p) for p in homs)
+        unreduced += hash(hash(frame.carrier)) != hash(frame.carrier)
+        found += len(homs)
+    assert unreduced >= 3 and found >= 50, (unreduced, found)
 
 
 # --- brute-force hom-set bijections ------------------------------------------
