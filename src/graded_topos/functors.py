@@ -427,9 +427,12 @@ def unit_system(system: GradedSystem, hom_system: GradedSystem) -> SystemMorphis
             if g not in pool:
                 raise GradeSetTooSmall(f"satisfaction grade {g} is not in the grade set")
         raise NoPoints("a satisfaction row is not an enumerated hom")
-    # a point that already is its row's hom is its own image
+    # a point that already is its row's hom is its own image; such a point
+    # hashes as its image does, so the kept hashes part most others from it
+    # with no carrier compared
     homs = map(hom_system.points.elements.__getitem__, found)
-    images = tuple(x if x is p or isinstance(x, PointHom) and x.values == row and x.carrier == carrier else p
+    images = tuple(x if x is p or (isinstance(x, PointHom) and x._hash == p._hash  # type: ignore[attr-defined]
+                                   and x.values == row and x.carrier == carrier) else p
                    for x, row, p in zip(system.points.elements, rows, homs))
     pm = PointMap(system.points, hom_system.points, images)
     return SystemMorphism(system, hom_system, pm, FrameHom.identity(system.frame))

@@ -827,14 +827,17 @@ def _own_rows(system):
 def _targets(hom_system):
     """Systems over a hom-system's frame to look images up in: the hom-system;
     its points with rows that are not theirs, and with one row for all; string
-    points beside every other hom; and equal homs held in new objects."""
+    points beside every other hom; equal homs held in new objects; and homs
+    with the same values over another carrier, which are no member."""
     frame, points, rows = hom_system.frame, hom_system.points.elements, hom_system.rows
     copies = tuple(PointHom(p.carrier, _copied(p.values)) for p in points)
+    labels = tuple(map(str, range(len(frame))))
     return [hom_system,
             GradedSystem(hom_system.points, frame, rows[1:] + rows[:1]),
             GradedSystem(hom_system.points, frame, (rows[0],) * len(rows)),
             GradedSystem(Universe(("s0",) + points[::2]), frame, (rows[-1],) + rows[::2]),
-            GradedSystem(Universe(copies[::-1]), frame, rows[::-1])]
+            GradedSystem(Universe(copies[::-1]), frame, rows[::-1]),
+            GradedSystem(Universe(tuple(PointHom(labels, p.values) for p in points)), frame, rows)]
 
 
 def _hom_systems(frame, grade_sets):
@@ -929,20 +932,24 @@ def _count_calls(monkeypatch, cls, name, calls):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_units_and_precompositions_build_no_hom_and_compare_no_dataclass(seed, monkeypatch):
-    """Once a frame's hom-system is kept, the fm-s unit at a system of a space
-    and at the hom-system, and S at an identity and at a lifted map, build
-    no PointHom (each is hashed as it is built) and call no dataclass
+    """Once a frame's hom-system is kept, the fm-s unit at a system of a space,
+    at the hom-system and at the system of its extent space (whose points are
+    homs over another carrier), and S at an identity and at a lifted map,
+    build no PointHom (each is hashed as it is built) and call no dataclass
     __eq__: each image is found as the stored point itself."""
     f, source, target = generate_random_continuous_map(GeneratorConfig(seed=seed), seed, max_opens=5)
     m = j_morphism(f, source, target)
     values = GradeSet.closure(itertools.chain(*m.source.rows, *m.target.rows))
     system, h = m.source, m.frame_hom
     hom_system, target_homs = s_object(h.target, values), s_object(h.source, values)
+    extents = counit(hom_system).source
+    extent_homs = s_object(extents.frame, values)
     runs = (lambda: unit_system(system, hom_system), lambda: unit_system(hom_system, hom_system),
+            lambda: unit_system(extents, extent_homs),
             lambda: s_morphism(FrameHom.identity(hom_system.frame), hom_system, hom_system),
             lambda: s_morphism(h, hom_system, target_homs))
     first = [run() for run in runs]
-    assert not is_identity_frame_hom(h) and check_system_morphism(first[3]) is None
+    assert not is_identity_frame_hom(h) and check_system_morphism(first[4]) is None
     calls = collections.Counter()
     modules = (functors, graded_topos.checks, graded_topos.frames, graded_topos.fuzzy_sets,
                graded_topos.spaces, graded_topos.systems)

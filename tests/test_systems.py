@@ -146,6 +146,21 @@ def test_morphism_endpoints_are_validated():
             SystemMorphism(s1, s2, PointMap.identity(s1.points), FrameHom.identity(s1.frame))
 
 
+def test_a_morphism_needs_its_point_map_between_the_systems_points():
+    """The point map's universes must equal the systems' points, held in the
+    same object or not."""
+    system = j_object(generate_random_space(CFG, 2, max_opens=6))
+    points, ident = system.points, FrameHom.identity(system.frame)
+    twin = Universe(tuple(points.elements))
+    other = Universe(tuple(points.elements) + ("extra",))
+    assert twin is not points
+    SystemMorphism(system, system, PointMap(twin, twin, twin.elements), ident)
+    for pm in (PointMap(other, points, points.elements + points.elements[:1]),
+               PointMap(points, other, points.elements)):
+        with pytest.raises(MixedStructure, match="point map endpoints"):
+            SystemMorphism(system, system, pm, ident)
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_composition_and_associativity(seed):
     f, g, first, middle, last = generate_continuous_chain(GeneratorConfig(seed=seed), 0,
