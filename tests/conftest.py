@@ -10,10 +10,12 @@ from __future__ import annotations
 import itertools
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import cache, reduce
+from operator import or_
 
 from hypothesis import strategies as st
 
-from graded_topos.checks import mask_elements
+from graded_topos.checks import LawReport, mask_elements
 from graded_topos.errors import (CaptureViolation, GradeSetTooSmall, MixedUniverse, NoPoints, Overflow, SchemaError,
                                  UndeclaredSymbol)
 from graded_topos.frames import GradedFrame
@@ -29,7 +31,8 @@ from graded_topos.fuzzy_sets import (
 )
 from graded_topos.generators import derived_rng
 from graded_topos.grades import Grade, ONE, ZERO, godel_arrow, sup
-from graded_topos.logic.semantics import Assignment, Interpretation
+from graded_topos.logic import semantics
+from graded_topos.logic.semantics import Assignment, Interpretation, _shallow, _Vectors
 from graded_topos.logic.syntax import (
     And,
     Bottom,
@@ -40,9 +43,11 @@ from graded_topos.logic.syntax import (
     Func,
     Or,
     Predicate,
+    TOP,
     Term,
     Top,
     Var,
+    format_formula,
     free_variables,
     term_variables,
 )
@@ -589,3 +594,165 @@ def brute_sequent_grade(interp: Interpretation, lhs: Formula, rhs: Formula) -> G
         return result
     except RecursionError:
         raise SchemaError("formula", "the formula is nested too deeply") from None
+
+
+def loop_theorem2_suite(interp: Interpretation, pool) -> tuple[LawReport, ...]:
+    """The Theorem 2 suite as nine clause loops over the compiled vectors,
+    each sequent grade a call of the graded inclusion: the reference the
+    package's suite is checked against. The kernels are looked up at call
+    time (`semantics.inclusion`, `semantics.substitute`, `_Vectors.exists`),
+    so a test that patches one reaches both suites."""
+    if not pool:
+        raise SchemaError("pool", "needs at least one formula")
+    pool = list(pool)
+    free = [_shallow(free_variables, f) for f in pool]
+    pool_vars = sorted(frozenset().union(*free))
+    fresh = (max(pool_vars, default=0)) + 1
+    vs = _Vectors(interp, pool_vars + [fresh])
+    size, top = vs.size, vs.ranks.top
+
+    def sequent(u: int, v: int) -> int:
+        return semantics.inclusion(u, v, size, top)
+
+    vector = {i: vs.of(f) for i, f in enumerate(pool)}
+
+    def join(ks) -> int:
+        return reduce(or_, map(vector.__getitem__, ks))
+
+    seq = {(i, j): sequent(vector[i], vector[j])
+           for i in range(len(pool)) for j in range(len(pool))}
+
+    reports = []
+
+    def clause(name: str, failures: list[str]) -> None:
+        reports.append(LawReport(name, not failures, "; ".join(failures[:3])))
+
+    fails: list[str] = []
+    for i, f in enumerate(pool):
+        if seq[(i, i)] != top:
+            fails.append(format_formula(f))
+    clause("Thm2.1 identity", fails)
+
+    fails = []
+    for i in range(len(pool)):
+        for j in range(len(pool)):
+            for k in range(len(pool)):
+                if min(seq[(i, j)], seq[(j, k)]) > seq[(i, k)]:
+                    fails.append(f"({i},{j},{k})")
+    clause("Thm2.2 transitivity", fails)
+
+    fails = []
+    top_vec = vs.of(TOP)
+    for i, f in enumerate(pool):
+        if sequent(vector[i], top_vec) != top:
+            fails.append(f"3(i) {format_formula(f)}")
+    for i in range(len(pool)):
+        for j in range(len(pool)):
+            both = vector[i] & vector[j]
+            if sequent(both, vector[i]) != top:
+                fails.append(f"3(ii) ({i},{j})")
+            if sequent(both, vector[j]) != top:
+                fails.append(f"3(iii) ({i},{j})")
+            for k in range(len(pool)):
+                lhs = min(seq[(i, j)], seq[(i, k)])
+                rhs = sequent(vector[i], vector[j] & vector[k])
+                if lhs != rhs:
+                    fails.append(f"3(iv) ({i},{j},{k})")
+    clause("Thm2.3 conjunction", fails)
+
+    subsets = [combo
+               for size in range(1, min(semantics.MAX_SUBSET, len(pool)) + 1)
+               for combo in itertools.combinations(range(len(pool)), size)]
+    fails = []
+    for combo in subsets:
+        joined = join(combo)
+        for i in combo:
+            if sequent(vector[i], joined) != top:
+                fails.append(f"4(i) {combo} member {i}")
+        for j in range(len(pool)):
+            if min(seq[(i, j)] for i in combo) > sequent(joined, vector[j]):
+                fails.append(f"4(ii) {combo} to {j}")
+    clause("Thm2.4 disjunction", fails)
+
+    fails = []
+    for i in range(len(pool)):
+        for combo in subsets:
+            lhs = vector[i] & join(combo)
+            rhs = reduce(or_, (vector[i] & vector[j] for j in combo))
+            if sequent(lhs, rhs) != top:
+                fails.append(f"5 ({i}, {combo})")
+    clause("Thm2.5 frame distributivity", fails)
+
+    fails = []
+    for x in (pool_vars or [fresh]):
+        if sequent(top_vec, vs.of(Equality(Var(x), Var(x)))) != top:
+            fails.append(f"x{x}")
+    clause("Thm2.6 reflexivity of equality", fails)
+
+    fails = []
+    for i, f in enumerate(pool):
+        xs = sorted(free[i])[:2]
+        if not xs:
+            continue
+        targets = [[fresh] * len(xs)]
+        if len(xs) == 2:
+            targets.append([xs[1], xs[0]])
+        for ys in targets:
+            try:
+                replaced = _shallow(semantics.substitute, f, [(x, Var(y)) for x, y in zip(xs, ys)])
+            except CaptureViolation:
+                continue
+            eq = None
+            for x, y in zip(xs, ys):
+                pair = vs.of(Equality(Var(x), Var(y)))
+                eq = pair if eq is None else eq & pair
+            antecedent = eq & vector[i]
+            if sequent(antecedent, vs.of(replaced)) != top:
+                fails.append(f"7 ({i} with {ys})")
+    clause("Thm2.7 substitution of equals", fails)
+
+    # clauses 8 and 9 read these for many (i, j); each is computed once
+    @cache
+    def instance(k: int, y: int, x: int) -> int | None:
+        """The vector of pool[k] with x for y, or None when the capture check rejects it."""
+        try:
+            return vs.of(_shallow(semantics.substitute, pool[k], [(y, Var(x))]))
+        except CaptureViolation:
+            return None
+
+    @cache
+    def exists_of(k: int, y: int) -> int:
+        return vs.exists(vector[k], y)
+
+    fails = []
+    for i in range(len(pool)):
+        for j in range(len(pool)):
+            ys = sorted(free[j]) or [fresh]
+            for y in ys:
+                # the sequents with the existential side do not depend on x
+                into = sequent(vector[i], exists_of(j, y))
+                out_of = sequent(exists_of(i, y), vector[j])
+                for x in pool_vars[:2] or [fresh]:
+                    if instance(j, y, x) is None:
+                        continue
+                    if sequent(vector[i], instance(j, y, x)) > into:
+                        fails.append(f"8(i) ({i},{j},x{y}:=x{x})")
+                    # second half: from an existential premise to the instance
+                    if instance(i, y, x) is None:
+                        continue
+                    if out_of > sequent(instance(i, y, x), vector[j]):
+                        fails.append(f"8(ii) ({i},{j},x{y}:=x{x})")
+    clause("Thm2.8 existential bounds", fails)
+
+    fails = []
+    for i in range(len(pool)):
+        for j in range(len(pool)):
+            candidates = sorted((free[j] | {fresh}) - free[i])
+            for y in candidates:
+                lhs = vector[i] & exists_of(j, y)
+                rhs = vs.exists(vector[i] & vector[j], y)
+                if sequent(lhs, rhs) != top:
+                    fails.append(f"9 ({i},{j},x{y})")
+    clause("Thm2.9 quantifier distributivity", fails)
+
+    return tuple(reports)

@@ -16,7 +16,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import brute_assignments, brute_sat_grade, brute_sequent_grade, brute_steps, level_cuts
+from conftest import (brute_assignments, brute_sat_grade, brute_sequent_grade, brute_steps, level_cuts,
+                      loop_theorem2_suite)
 from graded_topos import ranks
 from graded_topos.errors import (
     CaptureViolation,
@@ -835,3 +836,105 @@ def test_suite_is_invariant_under_grade_relabelling_and_domain_permutation(seed)
                 == [_Vectors(interp, variables).of(f) for f in pool])
         for lhs, rhs in itertools.product(pool, repeat=2):
             assert sequent_grade(moved, lhs, rhs) == move[sequent_grade(interp, lhs, rhs)]
+
+
+# --- the suite against its clause loops (`loop_theorem2_suite`), kernel by kernel
+
+FIXED_POOLS = {
+    # no pool formula has a free variable: every clause reads the fresh one alone
+    "closed": ["p(c1)", "E x1. q(x1)", "(c1 = f(c2))", "E x2. (p(x2) & q(c2))"],
+    # x1 := x3 is captured under E x3 (clause 7), x1 := x2 under E x2 (clause 8)
+    "captured": ["(q(x2) & E x3. (p(x1) & q(x3)))", "(p(x1) & E x2. (q(x2) & p(x1)))", "q(x2)"],
+    # the same formula twice, so rows, meets and joins repeat
+    "repeated": ["p(x1)", "q(x2)", "p(x1)", "(p(x1) | q(x2))", "E x1. (x1 = f(x2))"],
+}
+
+
+def generated_pools():
+    for seed in range(10):
+        cfg = GeneratorConfig(seed=seed)
+        for size in range(1, 7):
+            interp = generate_random_interpretation(cfg, size)
+            yield interp, generate_formula_pool(cfg, size, interp, size=size, depth=3)
+
+
+def fixed_pools():
+    for texts in FIXED_POOLS.values():
+        yield INTERP, [phi(text) for text in texts]
+
+
+def traffic(monkeypatch, suite, interp, pool) -> set:
+    """The (u, v) argument pairs `suite` passes to the graded inclusion."""
+    real, seen = ranks.inclusion, set()
+
+    def recorded(u, v, size, top):
+        seen.add((u, v))
+        return real(u, v, size, top)
+    monkeypatch.setattr(semantics, "inclusion", recorded)
+    suite(interp, pool)
+    monkeypatch.setattr(semantics, "inclusion", real)
+    return seen
+
+
+def broken_kernels(monkeypatch, interp, pool):
+    """Patches, each a broken kernel under which both suites run: graded
+    inclusions that are arbitrary functions of the vectors, or the true one
+    with one argument pair sent to rank 0; every substitution made T; and
+    existential quantifiers that forget their sup or drop an assignment."""
+    real_inclusion, real_exists = ranks.inclusion, _Vectors.exists
+    yield "inclusion", lambda u, v, size, top: (u + v) % 7 % (top + 1)
+    yield "inclusion", lambda u, v, size, top: (u ^ v) % (top + 1)
+    pairs = sorted(traffic(monkeypatch, loop_theorem2_suite, interp, pool))
+    for chosen in {pairs[0], pairs[len(pairs) // 2], pairs[-1]}:
+        yield "inclusion", (lambda u, v, size, top, chosen=chosen:
+                            0 if (u, v) == chosen else real_inclusion(u, v, size, top))
+    yield "substitute", lambda f, pairs: TOP
+    yield "exists", lambda self, u, variable: u
+    yield "exists", lambda self, u, variable: real_exists(self, u, variable) & ~1
+
+
+def same_reports(interp, pool):
+    expected = [(r.name, r.ok, r.detail) for r in loop_theorem2_suite(interp, pool)]
+    assert [(r.name, r.ok, r.detail) for r in theorem2_suite(interp, pool)] == expected
+    return expected
+
+
+@pytest.mark.parametrize("pools", [generated_pools, fixed_pools])
+def test_the_suite_reports_what_the_clause_loops_report(pools, monkeypatch):
+    """On generated pools of 1-6 formulas (seeds 0-9) and the fixed pools,
+    the suite's reports equal the clause loops' under the real kernels and
+    under every broken one, clause by clause and detail by detail."""
+    broken_runs = 0
+    for interp, pool in pools():
+        assert all(ok for _, ok, _ in same_reports(interp, pool))
+        for name, kernel in list(broken_kernels(monkeypatch, interp, pool)):
+            with monkeypatch.context() as patch:
+                patch.setattr(_Vectors if name == "exists" else semantics, name, kernel)
+                broken_runs += not all(ok for _, ok, _ in same_reports(interp, pool))
+    assert broken_runs
+
+
+def test_the_suite_refuses_hostile_pools_as_the_clause_loops_do():
+    deep = TOP
+    for _ in range(5000):
+        deep = Exists(2, And(deep, Predicate("p", (Var(1),))))
+    hostile = [[phi("p(x1)"), Predicate("z", (Var(1),))],
+               [phi("q(x2)"), Predicate("p", (Var(1), Var(2)))],
+               [],
+               [phi("p(x1)"), deep]]
+    for pool in hostile:
+        refusals = []
+        for suite in (theorem2_suite, loop_theorem2_suite):
+            with pytest.raises(GradedToposError) as refused:
+                suite(INTERP, pool)
+            refusals.append((type(refused.value), str(refused.value)))
+        assert refusals[0] == refusals[1]
+
+
+@pytest.mark.parametrize("name", list(FIXED_POOLS))
+def test_the_suite_asks_the_kernel_what_the_clause_loops_ask(name, monkeypatch):
+    """The suite passes the graded inclusion the same set of argument
+    pairs as the clause loops: every sequent grade is the kernel's."""
+    pool = [phi(text) for text in FIXED_POOLS[name]]
+    assert (traffic(monkeypatch, theorem2_suite, INTERP, pool)
+            == traffic(monkeypatch, loop_theorem2_suite, INTERP, pool))
