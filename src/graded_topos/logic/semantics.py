@@ -6,8 +6,10 @@ explicit stack, so nesting depth costs no interpreter stack. `sat_grade`
 reads one entry of the vector over the formula's free variables;
 `sequent_grade` is the graded inclusion of the two sides' vectors over
 their joint free variables; the sequent property suite (`theorem2_suite`)
-compiles the pool over its free variables and one fresh variable, and
-builds the clauses from pointwise operations on those vectors.
+compiles the pool over its free variables and one fresh variable, builds
+position-indexed tables of those vectors once per call (the sequent grade
+and the meet of every pair, the join of every subset, the ∃-sups and the
+substitution instances) and reads every clause off them.
 
 Vector entries are integer ranks: a grade's rank is its index in the sorted
 set of the interpretation's predicate grades together with 0 and 1
@@ -58,8 +60,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cache, cached_property, reduce
-from operator import eq, or_
+from functools import cached_property, reduce
+from operator import and_, eq, or_
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -412,6 +414,15 @@ def theorem2_suite(interp: Interpretation, pool: Sequence[Formula]) -> tuple[Law
     in the left conjunct, the side condition the distributivity law needs.
     A pool formula nested too deeply for the interpreter's stack is a
     SchemaError, as in `sat_grade`.
+
+    The clauses read tables built once per call, indexed by pool position:
+    the vectors, the sequent grades `seq[i][j]` and meets `meet[i][j]` of
+    every pair, one join per subset for clauses 4 and 5, and the ∃-sups
+    and substitution instances of clauses 8 and 9. Every vector, instances
+    included, is compiled by `_Vectors.of`, and every sequent grade is a
+    call of the graded inclusion (`inclusion`); clause 3 computes the
+    sequent from the meet of i and j to i once, for (ii) at (i, j) and
+    for (iii) at (j, i).
     """
     if not pool:
         raise SchemaError("pool", "needs at least one formula")
@@ -421,84 +432,64 @@ def theorem2_suite(interp: Interpretation, pool: Sequence[Formula]) -> tuple[Law
     fresh = (max(pool_vars, default=0)) + 1
     vs = _Vectors(interp, pool_vars + [fresh])
     size, top = vs.size, vs.ranks.top
-
-    def sequent(u: int, v: int) -> int:
-        return inclusion(u, v, size, top)
-
-    vector = {i: vs.of(f) for i, f in enumerate(pool)}
-
-    def join(ks) -> int:
-        return reduce(or_, map(vector.__getitem__, ks))
-
-    seq = {(i, j): sequent(vector[i], vector[j])
-           for i in range(len(pool)) for j in range(len(pool))}
+    p = range(len(pool))
+    vector = [vs.of(f) for f in pool]
+    seq = [[inclusion(u, v, size, top) for v in vector] for u in vector]
+    meet = [[u & v for v in vector] for u in vector]
 
     reports = []
 
     def clause(name: str, failures: list[str]) -> None:
         reports.append(LawReport(name, not failures, "; ".join(failures[:3])))
 
-    fails: list[str] = []
-    for i, f in enumerate(pool):
-        if seq[(i, i)] != top:
-            fails.append(format_formula(f))
-    clause("Thm2.1 identity", fails)
+    clause("Thm2.1 identity", [format_formula(f) for i, f in enumerate(pool) if seq[i][i] != top])
 
-    fails = []
-    for i in range(len(pool)):
-        for j in range(len(pool)):
-            for k in range(len(pool)):
-                if min(seq[(i, j)], seq[(j, k)]) > seq[(i, k)]:
-                    fails.append(f"({i},{j},{k})")
-    clause("Thm2.2 transitivity", fails)
+    clause("Thm2.2 transitivity", [f"({i},{j},{k})" for i in p for j in p for k in p
+                                   if min(seq[i][j], seq[j][k]) > seq[i][k]])
 
-    fails = []
     top_vec = vs.of(TOP)
-    for i, f in enumerate(pool):
-        if sequent(vector[i], top_vec) != top:
-            fails.append(f"3(i) {format_formula(f)}")
-    for i in range(len(pool)):
-        for j in range(len(pool)):
-            both = vector[i] & vector[j]
-            if sequent(both, vector[i]) != top:
+    fails = [f"3(i) {format_formula(f)}" for u, f in zip(vector, pool)
+             if inclusion(u, top_vec, size, top) != top]
+    # below[i][j]: the sequent from the meet of i and j to i; meets commute,
+    # so the one to j is below[j][i]
+    below = [[inclusion(both, u, size, top) for both in row] for u, row in zip(vector, meet)]
+    for i in p:
+        for j in p:
+            if below[i][j] != top:
                 fails.append(f"3(ii) ({i},{j})")
-            if sequent(both, vector[j]) != top:
+            if below[j][i] != top:
                 fails.append(f"3(iii) ({i},{j})")
-            for k in range(len(pool)):
-                lhs = min(seq[(i, j)], seq[(i, k)])
-                rhs = sequent(vector[i], vector[j] & vector[k])
-                if lhs != rhs:
+            for k in p:
+                if min(seq[i][j], seq[i][k]) != inclusion(vector[i], meet[j][k], size, top):
                     fails.append(f"3(iv) ({i},{j},{k})")
     clause("Thm2.3 conjunction", fails)
 
     subsets = [combo
-               for size in range(1, min(MAX_SUBSET, len(pool)) + 1)
-               for combo in itertools.combinations(range(len(pool)), size)]
+               for count in range(1, min(MAX_SUBSET, len(pool)) + 1)
+               for combo in itertools.combinations(p, count)]
+    joins = [reduce(or_, map(vector.__getitem__, combo)) for combo in subsets]
     fails = []
-    for combo in subsets:
-        joined = join(combo)
+    for combo, joined in zip(subsets, joins):
         for i in combo:
-            if sequent(vector[i], joined) != top:
+            if inclusion(vector[i], joined, size, top) != top:
                 fails.append(f"4(i) {combo} member {i}")
-        for j in range(len(pool)):
-            if min(seq[(i, j)] for i in combo) > sequent(joined, vector[j]):
+        for j in p:
+            if min(seq[i][j] for i in combo) > inclusion(joined, vector[j], size, top):
                 fails.append(f"4(ii) {combo} to {j}")
     clause("Thm2.4 disjunction", fails)
 
     fails = []
-    for i in range(len(pool)):
-        for combo in subsets:
-            lhs = vector[i] & join(combo)
-            rhs = reduce(or_, (vector[i] & vector[j] for j in combo))
-            if sequent(lhs, rhs) != top:
+    for i in p:
+        for combo, joined in zip(subsets, joins):
+            lhs = vector[i] & joined
+            rhs = reduce(or_, map(meet[i].__getitem__, combo))
+            if inclusion(lhs, rhs, size, top) != top:
                 fails.append(f"5 ({i}, {combo})")
     clause("Thm2.5 frame distributivity", fails)
 
-    fails = []
-    for x in (pool_vars or [fresh]):
-        if sequent(top_vec, vs.of(Equality(Var(x), Var(x)))) != top:
-            fails.append(f"x{x}")
-    clause("Thm2.6 reflexivity of equality", fails)
+    clause("Thm2.6 reflexivity of equality",
+           [f"x{x}" for x in (pool_vars or [fresh])
+            if inclusion(top_vec, vs.of(Equality(Var(x), Var(x))), size, top) != top])
 
     fails = []
     for i, f in enumerate(pool):
@@ -513,56 +504,51 @@ def theorem2_suite(interp: Interpretation, pool: Sequence[Formula]) -> tuple[Law
                 replaced = _shallow(substitute, f, [(x, Var(y)) for x, y in zip(xs, ys)])
             except CaptureViolation:
                 continue
-            eq = None
-            for x, y in zip(xs, ys):
-                pair = vs.of(Equality(Var(x), Var(y)))
-                eq = pair if eq is None else eq & pair
-            antecedent = eq & vector[i]
-            if sequent(antecedent, vs.of(replaced)) != top:
+            antecedent = reduce(and_, (vs.of(Equality(Var(x), Var(y))) for x, y in zip(xs, ys)), vector[i])
+            if inclusion(antecedent, vs.of(replaced), size, top) != top:
                 fails.append(f"7 ({i} with {ys})")
     clause("Thm2.7 substitution of equals", fails)
 
-    # clauses 8 and 9 read these for many (i, j); each is computed once
-    @cache
-    def instance(k: int, y: int, x: int) -> int | None:
-        """The vector of pool[k] with x for y, or None when the capture check rejects it."""
-        try:
-            return vs.of(_shallow(substitute, pool[k], [(y, Var(x))]))
-        except CaptureViolation:
-            return None
-
-    @cache
-    def exists_of(k: int, y: int) -> int:
-        return vs.exists(vector[k], y)
+    # clause 8 quantifies each formula's free variables, or the fresh one,
+    # and puts a variable of `witnesses` for them; `sups` holds the ∃-sups
+    # of every vector over every variable, `instances` pool[k] with x for y,
+    # or None where the capture check rejects it
+    quantified = [sorted(free_k) or [fresh] for free_k in free]
+    witnesses = pool_vars[:2] or [fresh]
+    sups = [{y: vs.exists(u, y) for y in vs.variables} for u in vector]
+    instances = {}
+    for y in sorted(frozenset().union(*quantified)):
+        for x in witnesses:
+            for k, f in enumerate(pool):
+                try:
+                    instances[k, y, x] = vs.of(_shallow(substitute, f, [(y, Var(x))]))
+                except CaptureViolation:
+                    instances[k, y, x] = None
 
     fails = []
-    for i in range(len(pool)):
-        for j in range(len(pool)):
-            ys = sorted(free[j]) or [fresh]
-            for y in ys:
+    for i in p:
+        for j in p:
+            for y in quantified[j]:
                 # the sequents with the existential side do not depend on x
-                into = sequent(vector[i], exists_of(j, y))
-                out_of = sequent(exists_of(i, y), vector[j])
-                for x in pool_vars[:2] or [fresh]:
-                    if instance(j, y, x) is None:
+                into = inclusion(vector[i], sups[j][y], size, top)
+                out_of = inclusion(sups[i][y], vector[j], size, top)
+                for x in witnesses:
+                    if instances[j, y, x] is None:
                         continue
-                    if sequent(vector[i], instance(j, y, x)) > into:
+                    if inclusion(vector[i], instances[j, y, x], size, top) > into:
                         fails.append(f"8(i) ({i},{j},x{y}:=x{x})")
                     # second half: from an existential premise to the instance
-                    if instance(i, y, x) is None:
+                    if instances[i, y, x] is None:
                         continue
-                    if out_of > sequent(instance(i, y, x), vector[j]):
+                    if out_of > inclusion(instances[i, y, x], vector[j], size, top):
                         fails.append(f"8(ii) ({i},{j},x{y}:=x{x})")
     clause("Thm2.8 existential bounds", fails)
 
     fails = []
-    for i in range(len(pool)):
-        for j in range(len(pool)):
-            candidates = sorted((free[j] | {fresh}) - free[i])
-            for y in candidates:
-                lhs = vector[i] & exists_of(j, y)
-                rhs = vs.exists(vector[i] & vector[j], y)
-                if sequent(lhs, rhs) != top:
+    for i in p:
+        for j in p:
+            for y in sorted((free[j] | {fresh}) - free[i]):
+                if inclusion(vector[i] & sups[j][y], vs.exists(meet[i][j], y), size, top) != top:
                     fails.append(f"9 ({i},{j},x{y})")
     clause("Thm2.9 quantifier distributivity", fails)
 
