@@ -47,7 +47,7 @@ from .errors import GradeSetTooSmall, NoPoints, NotContinuous, Overflow, SchemaE
 from .frames import FrameHom, GradedFrame, check_frame, check_frame_hom, compose_frame_hom, frame_from_space
 from .fuzzy_sets import FuzzySet, PointMap, Prehashed, Universe, compose_point_maps
 from .grades import Grade, ONE, ZERO
-from .ranks import Ranks, rank_objects
+from .ranks import Ranks, rank_by_id, rank_objects
 from .spaces import GradedSpace, check_continuous, check_space, pull_opens, space_from_cuts
 from .systems import (
     GradedSystem,
@@ -185,13 +185,14 @@ def enumerate_point_homs(frame: GradedFrame, values: GradeSet) -> list[PointHom]
 
     The frame keeps the grade set, the number of partial maps tried and the
     hom-system of the last search that finished, or None if it found no hom
-    (`GradedFrame._homs`), so a call with an equal grade set searches
-    nothing. It raises Overflow if that number is above HOM_SEARCH_CAP as it
-    stands now, as the search would. A search that overflows keeps nothing,
-    and one over another grade set replaces the slot.
+    (`GradedFrame._homs`), so a call with the kept grade set, or an equal
+    one, searches nothing. It raises Overflow if that number is above
+    HOM_SEARCH_CAP as it stands now, as the search would. A search that
+    overflows keeps nothing, and one over another grade set replaces the
+    slot.
     """
     kept = frame._homs
-    if kept is None or kept[0] != values:
+    if kept is None or (kept[0] is not values and kept[0] != values):
         tries, found = _search_point_homs(frame, values)
         system = _hom_system(frame, values.grades, found) if found else None
         kept = (values, tries, system)
@@ -213,7 +214,8 @@ def _hom_system(frame: GradedFrame, grades: tuple[Grade, ...], found: list[tuple
     key, hashes = Prehashed(frame.carrier), tuple(map(hash, grades))
     homs = tuple(PointHom._read(frame.carrier, key, r, grades, hashes) for r in found)
     system = GradedSystem(Universe(homs), frame, tuple(p.values for p in homs))
-    object.__setattr__(system, "hom_index", (grades, dict(zip(found, range(len(found))))))
+    placed = {id(g): r for r, g in enumerate(grades)}
+    object.__setattr__(system, "hom_index", (grades, placed, dict(zip(found, range(len(found))))))
     return system
 
 
@@ -389,12 +391,13 @@ def _find_homs(target: GradedSystem, rows: list[tuple[Grade, ...]]) -> list[int 
     """The position among the target's points of the hom over its carrier
     with each row as values, or None where no point is that hom: what the
     membership test of `PointHom(carrier, row)` finds, with no hom built.
-    Each row is ranked by object in the table of `target.hom_index` and the
-    point of that rank row is kept if its values equal the row, a tuple ==
-    that short-cuts on identity: a grade outside the table takes the rank
-    of a neighbour, so only the values can confirm it."""
-    grades, index = target.hom_index
-    keys = zip(*[iter(rank_objects(grades, chain(*rows)))] * len(target.frame))
+    Each row is ranked by object in the table of `target.hom_index`, through
+    the id table kept beside it (`rank_by_id`), and the point of that rank
+    row is kept if its values equal the row, a tuple == that short-cuts on
+    identity: a grade outside the table takes the rank of a neighbour, so
+    only the values can confirm it."""
+    grades, placed, index = target.hom_index
+    keys = zip(*[iter(rank_by_id(grades, placed, chain(*rows)))] * len(target.frame))
     points = target.points.elements
     return [k if k is not None and points[k].values == row else None for k, row in zip(map(index.get, keys), rows)]
 

@@ -88,15 +88,22 @@ def rank_objects(grades: Sequence[Grade], values: Iterable[Grade]) -> list[int]:
     object, once per call for each such object. So no grade is hashed, and
     a grade object met again costs one dict lookup: `Fraction` hashing is
     slow. Identity implies equality, so every rank is exact."""
+    return rank_by_id(grades, {id(g): r for r, g in enumerate(grades)}, values)
+
+
+def rank_by_id(grades: Sequence[Grade], placed: dict[int, int], values: Iterable[Grade]) -> list[int]:
+    """`rank_objects` given `placed`, the rank of each object of `grades` by
+    its id, which a caller holding `grades` may keep. It is only read: an id
+    of another object could be reused once that object is freed."""
     values = list(values)  # held, so no object's id is reused during the call
-    placed = {id(g): r for r, g in enumerate(grades)}
     ranks = list(map(placed.get, map(id, values)))
     if None in ranks:
+        others: dict[int, int] = {}
         for k, g in enumerate(values):
             if ranks[k] is None:
-                if id(g) not in placed:
-                    placed[id(g)] = bisect_left(grades, g)
-                ranks[k] = placed[id(g)]
+                if id(g) not in others:
+                    others[id(g)] = bisect_left(grades, g)
+                ranks[k] = others[id(g)]
     return ranks
 
 

@@ -52,7 +52,7 @@ from .frames import (FrameHom, FrameView, GradedFrame, _show, check_frame_hom, c
                      same_frame)
 from .fuzzy_sets import Aligned, PointMap, Universe, compose_point_maps
 from .grades import Grade
-from .ranks import Ranks, cuts_of, inclusion, rank_objects
+from .ranks import Ranks, cuts_of, inclusion, rank_by_id, rank_objects
 
 
 @dataclass(frozen=True)
@@ -136,19 +136,21 @@ class GradedSystem:
         return ranks, [cuts_of(codes[a::n], ranks.top) for a in range(n)]
 
     @cached_property
-    def hom_index(self) -> tuple[tuple[Grade, ...], dict[tuple[int, ...], int]]:
+    def hom_index(self) -> tuple[tuple[Grade, ...], dict[int, int], dict[tuple[int, ...], int]]:
         """The points that are `PointHom`s over the frame's carrier, keyed by
-        their values as ranks: the sorted grade table of those values, and a
-        dict from each such point's rank row in it (`rank_objects`) to the
-        point's position; built on first read. Equal rank rows are equal
-        values, so no two such points share one. The fm-s unit and S of a
-        frame hom find their images here (`functors._find_homs`)."""
+        their values as ranks: the sorted grade table of those values, the
+        rank of each of its objects by id, and a dict from each such point's
+        rank row in the table (`rank_by_id`) to the point's position; built
+        on first read. Equal rank rows are equal values, so
+        no two such points share one. The fm-s unit and S of a frame hom
+        find their images here (`functors._find_homs`)."""
         carrier = self.frame.carrier
         homs = {k: p.values for k, p in enumerate(self.points.elements)
                 if type(p) is PointHom and p.carrier == carrier}
         grades = Ranks(itertools.chain(*homs.values())).grades
-        ranks = rank_objects(grades, itertools.chain(*homs.values()))
-        return grades, dict(zip(zip(*[iter(ranks)] * len(carrier)), homs))
+        placed = {id(g): r for r, g in enumerate(grades)}
+        ranks = rank_by_id(grades, placed, itertools.chain(*homs.values()))
+        return grades, placed, dict(zip(zip(*[iter(ranks)] * len(carrier)), homs))
 
 
 def check_system(system: GradedSystem) -> Violation | None:

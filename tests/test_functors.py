@@ -920,6 +920,28 @@ def test_precompositions_find_the_images_the_membership_test_finds(seed):
     assert min(kinds[k] for k in ("tuple", "NoPoints")) >= 5, kinds
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_a_hom_index_keeps_the_id_table_of_its_own_grades_only(seed):
+    """The id table kept beside a hom-system's index names the objects of
+    the index's grade table and nothing else, whether the search stored the
+    index or it was built on first read. A unit from a system whose rows
+    hold equal grades in new objects finds the images the membership test
+    finds, by value, and leaves the table as it was."""
+    f, source, target = generate_random_continuous_map(GeneratorConfig(seed=seed), seed, max_opens=5)
+    system = j_morphism(f, source, target).source
+    copied = GradedSystem(system.points, system.frame, tuple(map(_copied, system.rows)))
+    hom_system = s_object(system.frame, GradeSet.closure(itertools.chain(*system.rows)))
+    # the search's own index, and one built on first read over equal homs in new objects
+    for homs in (hom_system, _targets(hom_system)[4]):
+        grades, placed, _ = homs.hom_index
+        assert placed == {id(g): r for r, g in enumerate(grades)}
+        kept = dict(placed)
+        expected = brute_unit_images(copied, homs)
+        assert isinstance(expected, tuple)
+        assert _built(unit_system, copied, homs) == _outcome(expected, homs)
+        assert homs.hom_index[1] is placed and placed == kept
+
+
 def _count_calls(monkeypatch, cls, name, calls):
     original = getattr(cls, name)
 
