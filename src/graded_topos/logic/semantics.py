@@ -417,12 +417,12 @@ def theorem2_suite(interp: Interpretation, pool: Sequence[Formula]) -> tuple[Law
 
     The clauses read tables built once per call, indexed by pool position:
     the vectors, the sequent grades `seq[i][j]` and meets `meet[i][j]` of
-    every pair, one join per subset for clauses 4 and 5, and the ∃-sups
-    and substitution instances of clauses 8 and 9. Every vector, instances
-    included, is compiled by `_Vectors.of`, and every sequent grade is a
-    call of the graded inclusion (`inclusion`); clause 3 computes the
-    sequent from the meet of i and j to i once, for (ii) at (i, j) and
-    for (iii) at (j, i).
+    every pair, one join per subset for clauses 4 and 5, the ∃-sups of
+    clauses 8 and 9 and the substitution instances of 8. Every vector,
+    instances included, is compiled by `_Vectors.of`, and every sequent
+    grade is a call of the graded inclusion (`inclusion`); clause 3
+    computes the sequent from the meet of i and j to i once, for (ii) at
+    (i, j) and for (iii) at (j, i).
     """
     if not pool:
         raise SchemaError("pool", "needs at least one formula")
