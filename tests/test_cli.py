@@ -103,6 +103,48 @@ def test_adjunction_test_refuses_an_input_that_fails_its_checker(capsys):
         assert out == "" and err.startswith(clause)
 
 
+# Two chains that pass `check frame` but have no point (a hom into any
+# grade set would need R(1, 0) <= (1 -> 0) = 0): the relation is 1 except at
+# the pairs listed, where it is 1/2. They are written per test, not kept
+# under fixtures/, whose files the CLI digest gate runs.
+POINTLESS = {
+    "two-chain": (["g0", "g1"], {("g1", "g0")}),
+    "three-chain": (["g0", "g1", "g2"], {("g1", "g0"), ("g2", "g0"), ("g2", "g1")}),
+}
+
+
+def write_chain(path, carrier, halves):
+    """A chain frame file: meet and join are min and max in carrier order."""
+    at = carrier.index
+    subsets = [c for r in range(len(carrier) + 1) for c in itertools.combinations(carrier, r)]
+    path.write_text(json.dumps({
+        "carrier": carrier,
+        "join": {",".join(c): carrier[max(map(at, c), default=0)] for c in subsets},
+        "meet": {f"{a},{b}": min(a, b, key=at) for a in carrier for b in carrier},
+        "relation": {f"{a},{b}": "1/2" if (a, b) in halves else "1/1" for a in carrier for b in carrier},
+        "top": carrier[-1],
+    }))
+    return str(path)
+
+
+@pytest.mark.parametrize("name", list(POINTLESS))
+def test_s_of_a_valid_frame_without_points_exits_2(name, tmp_path, capsys):
+    """What the CLI does today on a frame that passes its checker but has
+    no point: `functor s` and `adjunction-test fm-s` refuse it as an input
+    error, naming the grades searched."""
+    frame = write_chain(tmp_path / "frame.json", *POINTLESS[name])
+    assert main(["check", "frame", frame]) == 0
+    assert "PASS check/frame" in capsys.readouterr().err
+    out = str(tmp_path / "homs.json")
+    for argv, grades in ((["functor", "s", "--in", frame, "--out", out], "['0', '1/2', '1']"),
+                         (["functor", "s", "--in", frame, "--grades", "0,1", "--out", out], "['0', '1']"),
+                         (["adjunction-test", "fm-s", "--in", frame], "['0', '1/2', '1']"),
+                         (["adjunction-test", "fm-s", "--in", frame, "--grades", "0,1"], "['0', '1']")):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: no homomorphisms into grades {grades}\n")
+    assert not (tmp_path / "homs.json").exists()
+
+
 def test_eval_golden_values(capsys):
     interp = str(FIXTURES / "interp_basic.json")
     cases = [

@@ -144,6 +144,15 @@ def test_identity_hom_is_valid():
     assert brute_frame_hom_ok(hom)
 
 
+def test_a_frame_hom_applies_as_its_map():
+    """h(a) is h.map[a], for a hom built from a map and for one built from
+    target positions, whose map is decoded on its first read."""
+    chain = chain_frame([ZERO, F(1, 2), ONE])
+    for hom in (FrameHom(chain, chain, {ZERO: ZERO, F(1, 2): ONE, ONE: ONE}), FrameHom.identity(chain)):
+        assert [hom(a) for a in chain.carrier] == [hom.map[a] for a in chain.carrier]
+    assert [hom(a) for a in chain.carrier] == list(chain.carrier)
+
+
 def test_top_preservation_is_required():
     frame = two_chain()
     hom = FrameHom(frame, frame, {"0": "0", "1": "0"})

@@ -938,3 +938,28 @@ def test_the_suite_asks_the_kernel_what_the_clause_loops_ask(name, monkeypatch):
     pool = [phi(text) for text in FIXED_POOLS[name]]
     assert (traffic(monkeypatch, theorem2_suite, INTERP, pool)
             == traffic(monkeypatch, loop_theorem2_suite, INTERP, pool))
+
+
+@pytest.mark.parametrize("pools", [generated_pools, fixed_pools])
+def test_the_suite_asks_each_kernel_what_the_clause_loops_ask(pools, monkeypatch):
+    """Under the real kernels and every broken one, the suite passes the
+    graded inclusion the same set of argument pairs as the clause loops:
+    a clause decided on its tables computes every entry the loop reads."""
+    for interp, pool in pools():
+        kernels = [("inclusion", ranks.inclusion), *broken_kernels(monkeypatch, interp, pool)]
+        for name, kernel in kernels:
+            asked = []
+            for suite in (theorem2_suite, loop_theorem2_suite):
+                seen = set()
+                with monkeypatch.context() as patch:
+                    if name != "inclusion":
+                        patch.setattr(_Vectors if name == "exists" else semantics, name, kernel)
+                        kernel_now = ranks.inclusion
+                    else:
+                        kernel_now = kernel
+                    patch.setattr(semantics, "inclusion", lambda u, v, size, top, kernel_now=kernel_now:
+                                  seen.add((u, v)) or kernel_now(u, v, size, top))
+                    suite(interp, pool)
+                asked.append(seen)
+            assert asked[0] == asked[1], name
+

@@ -52,6 +52,12 @@ def test_missing_bottom_is_clause_1():
     assert result.clause == "clause 1"
 
 
+def test_missing_top_is_clause_1():
+    result = check_space(U2, [empty_set(U2), HALF_LOW])
+    assert isinstance(result, Violation)
+    assert (result.clause, result.witness) == ("clause 1", "the constant-1 open is missing")
+
+
 def test_missing_union_is_clause_2():
     other = FuzzySet(U2, (F(0), F(1, 2)))
     result = check_space(U2, [empty_set(U2), full_set(U2), HALF_LOW, other])

@@ -6,11 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from conftest import brute_system_violation
+from conftest import brute_system_violation, crisp_chain
 from graded_topos import systems
 from graded_topos.checks import Violation
 from graded_topos.errors import MixedStructure, SchemaError
-from graded_topos.frames import FrameHom, GradedFrame, chain_frame, check_frame
+from graded_topos.frames import FrameHom, GradedFrame, chain_frame, check_frame, check_frame_hom
 from graded_topos.functors import GradeSet, j_morphism, j_object, s_object
 from graded_topos.fuzzy_sets import FuzzySet, PointMap, Universe
 from graded_topos.generators import (
@@ -86,6 +86,20 @@ def test_bottom_grade_above_zero_is_clause_3():
 def test_valid_chain_row_passes():
     assert check_system(chain_system(ZERO, F(1, 2), ONE)) is None
     assert brute_system_violation(chain_system(ZERO, F(1, 2), ONE)) is None
+
+
+def test_a_pair_join_outside_the_carrier_is_clause_3():
+    """A frame read off a join function whose pair join leaves the carrier
+    (`check_frame` would refuse it at join closure): `check_system` on it
+    names that join, before any point's row."""
+    carrier = ("bot", "top")
+    frame = GradedFrame.from_join_fn(
+        carrier, "top", {(a, b): min(a, b) for a in carrier for b in carrier},
+        lambda subset: max(subset, default="bot") if len(subset) < 2 else "elsewhere",
+        {(a, b): ZERO if (a, b) == ("top", "bot") else ONE for a in carrier for b in carrier})
+    system = GradedSystem.from_table(Universe.of("x1"), frame, {("x1", "bot"): ZERO, ("x1", "top"): ONE})
+    bad = check_system(system)
+    assert bad == Violation("system", "clause 3", "join of mask 11 is outside the carrier")
 
 
 def test_generator_invalid_flag_breaks_clause_2():
@@ -182,6 +196,25 @@ def test_iso_check_accepts_identity_and_rejects_collapses():
     assert check_system(nonspatial) is None
     from graded_topos.functors import counit
     assert not system_iso_check(counit(nonspatial))
+
+
+def test_iso_check_rejects_a_bijection_whose_inverse_is_no_morphism():
+    """The crisp 3-chain maps onto the Goedel chain on {0, 1/2, 1} by a
+    bijective frame hom; with one point of row (0, 1/2, 1) on each side,
+    both components of the morphism are bijective and it passes its
+    checker. Its inverse pair is no morphism: the chain's relation 1/2 at
+    (1, 1/2) would have to shrink to the crisp 0."""
+    godel, crisp = chain_frame([ZERO, F(1, 2), ONE]), crisp_chain(3)
+    source = GradedSystem.from_table(Universe.of("x1"), godel, {("x1", g): g for g in godel.carrier})
+    target = GradedSystem.from_table(Universe.of("x1"), crisp,
+                                     {("x1", c): g for c, g in zip(crisp.carrier, godel.carrier)})
+    m = SystemMorphism(source, target, PointMap(source.points, target.points, ("x1",)),
+                       FrameHom(crisp, godel, dict(zip(crisp.carrier, godel.carrier))))
+    assert check_system(source) is None and check_system(target) is None
+    assert check_system_morphism(m) is None
+    assert m.point_map.is_bijective() and m.frame_hom.is_bijective()
+    assert check_frame_hom(m.frame_hom.inverse()).clause == "clause (iii)"
+    assert not system_iso_check(m)
 
 
 # --- the stored form: rows aligned with the frame carrier ---------------------
