@@ -9,7 +9,9 @@ their joint free variables; the sequent property suite (`theorem2_suite`)
 compiles the pool over its free variables and one fresh variable, builds
 position-indexed tables of those vectors once per call (the sequent grade
 and the meet of every pair, the join of every subset, the ∃-sups and the
-substitution instances) and reads every clause off them.
+substitution instances) and reads every clause off them. Clauses 2, 3 and
+4 are decided on their tables (transitivity on the level cuts of the
+sequent grades), and their clause loops run only to name a failure.
 
 Vector entries are integer ranks: a grade's rank is its index in the sorted
 set of the interpretation's predicate grades together with 0 and 1
@@ -61,7 +63,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from operator import and_, eq, or_
+from operator import eq, gt, or_
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -405,6 +407,24 @@ class _Vectors:
 MAX_SUBSET = 3
 
 
+def _transitive(rel: Sequence[Sequence[int]], top: int) -> bool:
+    """Whether min(rel[i][j], rel[j][k]) <= rel[i][k] for all i, j and k,
+    the entries being ranks 0..top. That holds iff every level cut of rel
+    is transitive (Zadeh 1971, "Similarity relations and fuzzy
+    orderings"): at each level r <= rel[i][j], the cut of row j lies within
+    that of row i. With the rows coded as their level cuts (`cuts_of`),
+    rows[j] & ~rows[i] then has no bit in levels 1..rel[i][j], the bits
+    below rel[i][j] * n: one AND a pair where the definition compares
+    every triple."""
+    n = len(rel)
+    rows = [cuts_of(row, top) for row in rel]
+    for packed, row in zip(rows, rel):
+        for j, r in enumerate(row):
+            if rows[j] & ~packed & ((1 << r * n) - 1):
+                return False
+    return True
+
+
 def theorem2_suite(interp: Interpretation, pool: Sequence[Formula]) -> tuple[LawReport, ...]:
     """Evaluate the nine graded-sequent properties over the pool.
 
@@ -420,9 +440,27 @@ def theorem2_suite(interp: Interpretation, pool: Sequence[Formula]) -> tuple[Law
     every pair, one join per subset for clauses 4 and 5, the ∃-sups of
     clauses 8 and 9 and the substitution instances of 8. Every vector,
     instances included, is compiled by `_Vectors.of`, and every sequent
-    grade is a call of the graded inclusion (`inclusion`); clause 3
-    computes the sequent from the meet of i and j to i once, for (ii) at
-    (i, j) and for (iii) at (j, i).
+    grade is a call of the graded inclusion (`inclusion`).
+
+    Each input that commutes or repeats is computed once; the kernels are
+    functions of their arguments, so a grade read again is the grade asked
+    again. Meets commute,
+    and the meet of a formula with itself is the formula: so 3(iv) asks
+    for the sequent from i to the meet of j and k once per pair j < k,
+    and reads `seq[i][j]` at j = k; and clause 3 computes the sequent from
+    the meet of i and j to i once, for (ii) at (i, j) and for (iii) at
+    (j, i). A singleton's join is its formula, so its sequents of clause 4
+    are its row of `seq`; a larger subset's join, its row of 4(ii)'s
+    minima and clause 5's join of meets are built from those of the subset
+    without its last member. Clauses 6 and 7 compile the vector of x = y
+    once per pair of variables, and clause 8 builds one replacement list
+    per pair of variables.
+
+    Clauses 2, 3 and 4 are decided on their tables: clause 2 on the level
+    cuts of `seq` (`_transitive`), clause 3 on the pairs j < k, clause 4 on
+    one row of minima per subset. Only when a decision finds a failure does
+    the clause's loop run over the same tables to name its failures, so the
+    reports and the argument pairs given to `inclusion` are the loops'.
     """
     if not pool:
         raise SchemaError("pool", "needs at least one formula")
@@ -444,52 +482,80 @@ def theorem2_suite(interp: Interpretation, pool: Sequence[Formula]) -> tuple[Law
 
     clause("Thm2.1 identity", [format_formula(f) for i, f in enumerate(pool) if seq[i][i] != top])
 
-    clause("Thm2.2 transitivity", [f"({i},{j},{k})" for i in p for j in p for k in p
-                                   if min(seq[i][j], seq[j][k]) > seq[i][k]])
+    clause("Thm2.2 transitivity", [] if _transitive(seq, top) else
+           [f"({i},{j},{k})" for i in p for j in p for k in p if min(seq[i][j], seq[j][k]) > seq[i][k]])
 
     top_vec = vs.of(TOP)
-    fails = [f"3(i) {format_formula(f)}" for u, f in zip(vector, pool)
-             if inclusion(u, top_vec, size, top) != top]
+    first = [inclusion(u, top_vec, size, top) for u in vector]
     # below[i][j]: the sequent from the meet of i and j to i; meets commute,
     # so the one to j is below[j][i]
     below = [[inclusion(both, u, size, top) for both in row] for u, row in zip(vector, meet)]
-    for i in p:
-        for j in p:
-            if below[i][j] != top:
-                fails.append(f"3(ii) ({i},{j})")
-            if below[j][i] != top:
-                fails.append(f"3(iii) ({i},{j})")
-            for k in p:
-                if min(seq[i][j], seq[i][k]) != inclusion(vector[i], meet[j][k], size, top):
-                    fails.append(f"3(iv) ({i},{j},{k})")
+    # to_meet[i]: the sequents from i to the meets of the pairs j < k; 3(iv)
+    # is symmetric in j and k, and holds at j = k, the meet being j
+    pairs = list(itertools.combinations(p, 2))
+    to_meet = [[inclusion(u, meet[j][k], size, top) for j, k in pairs] for u in vector]
+    fails = []
+    if (first.count(top) < len(pool) or any(row.count(top) < len(pool) for row in below)
+            or any(min(row[j], row[k]) != g for row, grades in zip(seq, to_meet)
+                   for (j, k), g in zip(pairs, grades))):
+        fails = [f"3(i) {format_formula(f)}" for g, f in zip(first, pool) if g != top]
+        for i in p:
+            at_pair = dict(zip(pairs, to_meet[i]))
+            for j in p:
+                if below[i][j] != top:
+                    fails.append(f"3(ii) ({i},{j})")
+                if below[j][i] != top:
+                    fails.append(f"3(iii) ({i},{j})")
+                for k in p:
+                    to_jk = seq[i][j] if j == k else at_pair[min(j, k), max(j, k)]
+                    if min(seq[i][j], seq[i][k]) != to_jk:
+                        fails.append(f"3(iv) ({i},{j},{k})")
     clause("Thm2.3 conjunction", fails)
 
+    # every subset but a singleton extends the subset without its last
+    # member, listed before it; `steps` holds each subset with those two
     subsets = [combo
                for count in range(1, min(MAX_SUBSET, len(pool)) + 1)
                for combo in itertools.combinations(p, count)]
-    joins = [reduce(or_, map(vector.__getitem__, combo)) for combo in subsets]
+    steps = [(combo, combo[:-1], combo[-1]) for combo in subsets]
+    # per subset: its join, the sequents from each member to it (4(i)) and
+    # from it to each formula (4(ii)), and the minima of its members' rows
+    # of `seq`; a singleton's sequents are its row of `seq`
+    joins, members, outs, lows = {}, {}, {}, {}
+    for combo, head, last in steps:
+        if head:
+            joined = joins[combo] = joins[head] | vector[last]
+            members[combo] = [inclusion(vector[i], joined, size, top) for i in combo]
+            outs[combo] = [inclusion(joined, v, size, top) for v in vector]
+            lows[combo] = list(map(min, lows[head], seq[last]))
+        else:
+            joins[combo] = vector[last]
+            members[combo] = [seq[last][last]]
+            outs[combo] = lows[combo] = seq[last]
     fails = []
-    for combo, joined in zip(subsets, joins):
-        for i in combo:
-            if inclusion(vector[i], joined, size, top) != top:
-                fails.append(f"4(i) {combo} member {i}")
-        for j in p:
-            if min(seq[i][j] for i in combo) > inclusion(joined, vector[j], size, top):
-                fails.append(f"4(ii) {combo} to {j}")
+    if (any(g != top for grades in members.values() for g in grades)
+            or any(map(gt, itertools.chain.from_iterable(lows.values()),
+                       itertools.chain.from_iterable(outs.values())))):
+        for combo in subsets:
+            fails.extend(f"4(i) {combo} member {i}" for i, g in zip(combo, members[combo]) if g != top)
+            fails.extend(f"4(ii) {combo} to {j}" for j in p if lows[combo][j] > outs[combo][j])
     clause("Thm2.4 disjunction", fails)
 
     fails = []
-    for i in p:
-        for combo, joined in zip(subsets, joins):
-            lhs = vector[i] & joined
-            rhs = reduce(or_, map(meet[i].__getitem__, combo))
-            if inclusion(lhs, rhs, size, top) != top:
+    for i, u, row in zip(p, vector, meet):
+        # the join of the meets of i with a subset's members, extended as
+        # the subset's join is
+        meet_joins = {}
+        for combo, head, last in steps:
+            rhs = meet_joins[combo] = meet_joins[head] | row[last] if head else row[last]
+            if inclusion(u & joins[combo], rhs, size, top) != top:
                 fails.append(f"5 ({i}, {combo})")
     clause("Thm2.5 frame distributivity", fails)
 
+    # equal[x, y]: the vector of x = y, compiled once per pair of variables
+    equal = {(x, x): vs.of(Equality(Var(x), Var(x))) for x in (pool_vars or [fresh])}
     clause("Thm2.6 reflexivity of equality",
-           [f"x{x}" for x in (pool_vars or [fresh])
-            if inclusion(top_vec, vs.of(Equality(Var(x), Var(x))), size, top) != top])
+           [f"x{x}" for (x, _), u in equal.items() if inclusion(top_vec, u, size, top) != top])
 
     fails = []
     for i, f in enumerate(pool):
@@ -504,7 +570,11 @@ def theorem2_suite(interp: Interpretation, pool: Sequence[Formula]) -> tuple[Law
                 replaced = _shallow(substitute, f, [(x, Var(y)) for x, y in zip(xs, ys)])
             except CaptureViolation:
                 continue
-            antecedent = reduce(and_, (vs.of(Equality(Var(x), Var(y))) for x, y in zip(xs, ys)), vector[i])
+            antecedent = vector[i]
+            for x, y in zip(xs, ys):
+                if (x, y) not in equal:
+                    equal[x, y] = vs.of(Equality(Var(x), Var(y)))
+                antecedent &= equal[x, y]
             if inclusion(antecedent, vs.of(replaced), size, top) != top:
                 fails.append(f"7 ({i} with {ys})")
     clause("Thm2.7 substitution of equals", fails)
@@ -519,9 +589,10 @@ def theorem2_suite(interp: Interpretation, pool: Sequence[Formula]) -> tuple[Law
     instances = {}
     for y in sorted(frozenset().union(*quantified)):
         for x in witnesses:
+            replacement = [(y, Var(x))]
             for k, f in enumerate(pool):
                 try:
-                    instances[k, y, x] = vs.of(_shallow(substitute, f, [(y, Var(x))]))
+                    instances[k, y, x] = vs.of(_shallow(substitute, f, replacement))
                 except CaptureViolation:
                     instances[k, y, x] = None
 

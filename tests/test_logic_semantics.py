@@ -15,6 +15,8 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (brute_assignments, brute_sat_grade, brute_sequent_grade, brute_steps, level_cuts,
                       loop_theorem2_suite)
@@ -44,6 +46,7 @@ from graded_topos.logic.semantics import (
     _Vectors,
     sequent_grade,
     theorem2_suite,
+    _transitive,
 )
 from graded_topos.logic.syntax import (
     And,
@@ -963,3 +966,57 @@ def test_the_suite_asks_each_kernel_what_the_clause_loops_ask(pools, monkeypatch
                 asked.append(seen)
             assert asked[0] == asked[1], name
 
+
+# --- clause 2 decided on level cuts (`_transitive`)
+
+TOPS = [1, 2, 3, 64, 65, 256, 257]
+
+
+def closed_under_max_min(rel: list[list[int]]) -> list[list[int]]:
+    """The least transitive relation above rel: Floyd-Warshall over (max, min)."""
+    rel = [list(row) for row in rel]
+    n = len(rel)
+    for j in range(n):
+        for i in range(n):
+            for k in range(n):
+                rel[i][k] = max(rel[i][k], min(rel[i][j], rel[j][k]))
+    return rel
+
+
+@st.composite
+def rank_matrices(draw):
+    top = draw(st.sampled_from(TOPS))
+    n = draw(st.integers(1, 8))
+    entry = st.integers(0, top) if draw(st.booleans()) else st.sampled_from([0, top // 2, top - 1, top])
+    rel = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    return (closed_under_max_min(rel) if draw(st.booleans()) else rel), top
+
+
+@settings(max_examples=300, deadline=None)
+@given(rank_matrices())
+def test_transitivity_on_level_cuts_is_the_triple_loop(case):
+    """On rank matrices of 1 to 8 rows with tops on both sides of a 64-bit
+    word and of `cuts_of`'s byte table, the level-cut test says what the
+    loop over every triple says."""
+    rel, top = case
+    p = range(len(rel))
+    assert _transitive(rel, top) == all(min(rel[i][j], rel[j][k]) <= rel[i][k]
+                                        for i in p for j in p for k in p)
+
+
+@pytest.mark.parametrize("top", TOPS)
+def test_transitivity_on_level_cuts_finds_a_single_failing_triple(top):
+    """A max-min closed matrix passes, and lowering any one entry that a
+    triple forces makes it fail, at every top: the cut test misses no
+    level."""
+    rng = random.Random(top)
+    for _ in range(20):
+        n = rng.randint(2, 6)
+        rel = closed_under_max_min([[rng.randint(0, top) for _ in range(n)] for _ in range(n)])
+        assert _transitive(rel, top)
+        forced = [(i, k, min(rel[i][j], rel[j][k])) for i in range(n) for j in range(n) for k in range(n)
+                  if j not in (i, k) and min(rel[i][j], rel[j][k]) > 0]
+        if forced:
+            i, k, low = rng.choice(forced)
+            rel[i][k] = low - 1
+            assert not _transitive(rel, top)
