@@ -440,27 +440,15 @@ def theorem2_suite(interp: Interpretation, pool: Sequence[Formula]) -> tuple[Law
     every pair, one join per subset for clauses 4 and 5, the ∃-sups of
     clauses 8 and 9 and the substitution instances of 8. Every vector,
     instances included, is compiled by `_Vectors.of`, and every sequent
-    grade is a call of the graded inclusion (`inclusion`).
-
-    Each input that commutes or repeats is computed once; the kernels are
+    grade is a call of the graded inclusion (`inclusion`), asked once where
+    an input commutes or repeats: meets commute, and the meet of a formula
+    with itself, like a singleton's join, is the formula. The kernels are
     functions of their arguments, so a grade read again is the grade asked
-    again. Meets commute,
-    and the meet of a formula with itself is the formula: so 3(iv) asks
-    for the sequent from i to the meet of j and k once per pair j < k,
-    and reads `seq[i][j]` at j = k; and clause 3 computes the sequent from
-    the meet of i and j to i once, for (ii) at (i, j) and for (iii) at
-    (j, i). A singleton's join is its formula, so its sequents of clause 4
-    are its row of `seq`; a larger subset's join, its row of 4(ii)'s
-    minima and clause 5's join of meets are built from those of the subset
-    without its last member. Clauses 6 and 7 compile the vector of x = y
-    once per pair of variables, and clause 8 builds one replacement list
-    per pair of variables.
-
-    Clauses 2, 3 and 4 are decided on their tables: clause 2 on the level
-    cuts of `seq` (`_transitive`), clause 3 on the pairs j < k, clause 4 on
-    one row of minima per subset. Only when a decision finds a failure does
-    the clause's loop run over the same tables to name its failures, so the
-    reports and the argument pairs given to `inclusion` are the loops'.
+    again. Clauses 2, 3 and 4 are decided on their tables, clause 2 on the
+    level cuts of `seq` (`_transitive`); only when a decision finds a
+    failure does the clause's loop run, over the same tables, to name it.
+    So the reports and the argument pairs given to `inclusion` are the
+    loops'.
     """
     if not pool:
         raise SchemaError("pool", "needs at least one formula")

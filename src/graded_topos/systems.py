@@ -273,7 +273,6 @@ def check_system_morphism(m: SystemMorphism) -> Violation | None:
     at_images = list(map(m.target.rows.__getitem__, m.point_map._positions))  # type: ignore[attr-defined]
     if pulled == at_images:
         return None
-    # the lists differ, so the walk meets a differing entry and returns
     for x, row, target_row in zip(m.source.points.elements, pulled, at_images):
         for b, g, h in zip(m.target.frame.carrier, row, target_row):
             if g != h:
