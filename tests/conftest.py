@@ -146,6 +146,36 @@ def brute_inclusion(a: FuzzySet, b: FuzzySet) -> Fraction:
     return min((godel_arrow(a(x), b(x)) for x in a.universe.elements), default=ONE)
 
 
+# The two grade-table closures that one `GradeSet` replaced: the checked one
+# over a set of values, and the unchecked rank table that dedupes objects
+# before it hashes them, with its coding by position and by level cuts.
+
+def value_set_closure(values) -> tuple:
+    """The sorted grades of `values` with 0 and 1, as `GradeSet.closure`
+    built them: a set of every value, checked to start at 0 and end at 1
+    (SchemaError otherwise)."""
+    grades = tuple(sorted(set(values) | {ZERO, ONE}))
+    if tuple(sorted(set(grades))) != grades:
+        raise SchemaError("grades", "must be sorted and duplicate-free")
+    if not grades or grades[0] != ZERO or grades[-1] != ONE:
+        raise SchemaError("grades", "must contain 0 and 1")
+    return grades
+
+
+def object_rank_table(values) -> tuple[tuple, int]:
+    """The sorted grades of `values` with 0 and 1, and the top rank, as the
+    rank table of the kernels built them, unchecked: each distinct object
+    is hashed once."""
+    grades = tuple(sorted({ZERO, ONE}.union({id(g): g for g in values}.values())))
+    return grades, len(grades) - 1
+
+
+def position_ranks(grades, values) -> list[int]:
+    """The number of `grades` below each value: its rank when `grades`
+    hold it."""
+    return [sum(g < v for g in grades) for v in values]
+
+
 # The tuple rank kernel the level-cut coding replaced: a vector is a tuple
 # of ranks, and `exists` reads it through index tables.
 
