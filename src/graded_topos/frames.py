@@ -32,7 +32,7 @@ from .checks import Violation, mask_elements, mask_steps
 from .errors import MixedCarrier, SchemaError
 from .fuzzy_sets import full_set
 from .grades import Grade, ONE, ZERO
-from .ranks import Ranks, cuts_of, inclusion, rank_objects
+from .ranks import GradeSet, cuts_of, inclusion, rank_objects
 from .spaces import GradedSpace, _show
 
 MeetTable = Mapping[tuple[Hashable, Hashable], Hashable]
@@ -135,10 +135,10 @@ def _tables(items: tuple, top: Hashable, meet_table: MeetTable, relation: Relati
                 raise SchemaError("meet", f"value at ({_show(a)}, {_show(b)}) is outside the carrier")
             if (a, b) not in relation:
                 raise SchemaError("relation", f"missing entry for ({_show(a)}, {_show(b)})")
-    # file grades repeat a few objects, each ranked once (`rank_objects`)
+    # file grades repeat a few objects, each ranked once (`GradeSet.code`)
     grades = [relation[(a, b)] for a in items for b in items]
-    ranks, n = Ranks(grades), len(items)
-    rel = rank_objects(ranks.grades, grades)
+    ranks, n = GradeSet.of(grades), len(items)
+    rel = ranks.code(grades)
     return (index, [[index[meet_table[(a, b)]] for b in items] for a in items], ranks.grades,
             [rel[k:k + n] for k in range(0, n * n, n)], index[top])
 

@@ -7,14 +7,14 @@ frame induces has the enumerated grade-valued homomorphisms themselves as
 points. That keeps every unit/counit/triangle/naturality equation a literal
 equality of finite structures, checkable with ==.
 
-Hom enumeration is finitized by an explicit GradeSet L: points of the
-frame-induced system are the maps carrier -> L passing the homomorphism
-axioms, so every S-side statement is relative to L. The adjunction units
-only need L to contain the grades that actually occur, so the triangle
-identities are exact. The maps are found by a depth-first search over grade
-ranks, on the frame's integer view, that checks each axiom instance as soon
-as its coordinates are fixed, so its cost follows the partial homomorphisms
-that survive, not |L|^(n-2).
+Hom enumeration is finitized by an explicit GradeSet L (`ranks`, the one
+grade table): points of the frame-induced system are the maps carrier ->
+L passing the homomorphism axioms, so every S-side statement is relative
+to L. The adjunction units only need L to contain the grades that
+actually occur, so the triangle identities are exact. The maps are found
+by a depth-first search over grade ranks, on the frame's integer view,
+that checks each axiom instance as soon as its coordinates are fixed, so
+its cost follows the partial homomorphisms that survive, not |L|^(n-2).
 
 Each object functor builds its object once per input and keeps it on that
 input: a space keeps its frame of opens (`frame_from_space`) and its
@@ -28,26 +28,26 @@ the functors and share what they keep; every unit, counit and lifted
 morphism still comes anew from its own builder, so no law holds by
 construction.
 
-The unit and the precomposition S(h) build no hom: each image is the
-target system's own point, found by its values as ranks in the target's
-index (`GradedSystem.hom_index`) and confirmed by value, where the
-membership test of the hom the public constructor would build finds it.
+The unit and the precomposition S(h) build no hom: each image is the target
+system's own point, found by its values as ranks in the target's index
+(`GradedSystem.hom_index`, keyed in L on a hom-system) and confirmed by
+value, where the membership test of the hom the public constructor would
+build finds it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, partial, reduce
 from itertools import chain
 from operator import or_
-from typing import Callable, Hashable, Iterable
+from typing import Callable, Hashable
 
 from .checks import LawReport, Violation
 from .errors import GradeSetTooSmall, NoPoints, NotContinuous, Overflow, SchemaError
 from .frames import FrameHom, GradedFrame, check_frame, check_frame_hom, compose_frame_hom, frame_from_space
 from .fuzzy_sets import FuzzySet, PointMap, Prehashed, Universe, compose_point_maps
-from .grades import Grade, ONE, ZERO
-from .ranks import Ranks, rank_by_id, rank_objects
+from .grades import Grade
+from .ranks import GradeSet
 from .spaces import GradedSpace, check_continuous, check_space, pull_opens, space_from_cuts
 from .systems import (
     GradedSystem,
@@ -65,38 +65,6 @@ from .systems import (
 HOM_SEARCH_CAP = 2 ** 14
 
 
-@dataclass(frozen=True)
-class GradeSet:
-    """Finite set of grades containing 0 and 1, kept sorted."""
-
-    grades: tuple[Grade, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "grades", tuple(self.grades))
-        if tuple(sorted(set(self.grades))) != self.grades:
-            raise SchemaError("grades", "must be sorted and duplicate-free")
-        if not self.grades or self.grades[0] != ZERO or self.grades[-1] != ONE:
-            raise SchemaError("grades", "must contain 0 and 1")
-
-    def __len__(self) -> int:
-        return len(self.grades)
-
-    @classmethod
-    def closure(cls, values: Iterable[Grade]) -> "GradeSet":
-        """The given grades together with 0 and 1."""
-        return cls(tuple(sorted(set(values) | {ZERO, ONE})))
-
-    @classmethod
-    def for_frame(cls, frame: GradedFrame) -> "GradeSet":
-        return cls(frame.view.grades)
-
-    @classmethod
-    def for_system(cls, system: GradedSystem) -> "GradeSet":
-        """The relation and satisfaction grades with 0 and 1: the grade
-        table of the system's extents."""
-        return cls(system.extents[0].grades)
-
-
 def ext_column(system: GradedSystem, a: Hashable) -> FuzzySet:
     """The extent of a carrier element: its satisfaction column as a fuzzy
     subset of the points."""
@@ -104,11 +72,11 @@ def ext_column(system: GradedSystem, a: Hashable) -> FuzzySet:
     return FuzzySet(system.points, tuple(row[i] for row in system.rows))
 
 
-def _open_cuts(system: GradedSystem) -> tuple[list[int], list[int]]:
-    """The ranks of the system's extent table that its extents take, with 0
-    and the top, and each extent's level cuts over those ranks alone: the
-    extents coded in the table of their own grades. A rank that no extent
-    takes cuts every extent as the rank above it does, so its level goes."""
+def _open_cuts(system: GradedSystem) -> tuple[GradeSet, list[int]]:
+    """The table of the grades the system's extents take, with 0 and 1, and
+    each extent's level cuts in it: the extents coded in the table of their
+    own grades. A rank of the extent table that no extent takes cuts every
+    extent as the rank above it does, so its level goes."""
     ranks, extents = system.extents
     size = len(system.points)
     full = (1 << size) - 1
@@ -117,7 +85,8 @@ def _open_cuts(system: GradedSystem) -> tuple[list[int], list[int]]:
     kept = [r for r in range(1, ranks.top) if exact >> (r - 1) * size & full] + [ranks.top]
     if len(kept) < ranks.top:
         extents = [sum((e >> (r - 1) * size & full) << k * size for k, r in enumerate(kept)) for e in extents]
-    return [0] + kept, extents
+        ranks = GradeSet.of(map(ranks.grades.__getitem__, [0] + kept))
+    return ranks, extents
 
 
 def ext_object(system: GradedSystem) -> GradedSpace:
@@ -126,10 +95,7 @@ def ext_object(system: GradedSystem) -> GradedSpace:
     extent int is decoded once (`space_from_cuts`), in the rank table of the
     grades the extents take, which the space keeps as its `ranked`."""
     if system._space is None:  # type: ignore[attr-defined]
-        ranks = system.extents[0]
-        levels, cuts = _open_cuts(system)
-        if len(levels) < len(ranks.grades):
-            ranks = Ranks(map(ranks.grades.__getitem__, levels))
+        ranks, cuts = _open_cuts(system)
         object.__setattr__(system, "_space", space_from_cuts(system.points, ranks, set(cuts)))
     return system._space  # type: ignore[attr-defined]
 
@@ -194,7 +160,7 @@ def enumerate_point_homs(frame: GradedFrame, values: GradeSet) -> list[PointHom]
     kept = frame._homs
     if kept is None or (kept[0] is not values and kept[0] != values):
         tries, found = _search_point_homs(frame, values)
-        system = _hom_system(frame, values.grades, found) if found else None
+        system = _hom_system(frame, values, found) if found else None
         kept = (values, tries, system)
         object.__setattr__(frame, "_homs", kept)
     elif kept[1] > HOM_SEARCH_CAP:
@@ -206,16 +172,15 @@ def _overflow() -> Overflow:
     return Overflow(f"hom enumeration tried more than {HOM_SEARCH_CAP} partial maps")
 
 
-def _hom_system(frame: GradedFrame, grades: tuple[Grade, ...], found: list[tuple[int, ...]]) -> GradedSystem:
+def _hom_system(frame: GradedFrame, values: GradeSet, found: list[tuple[int, ...]]) -> GradedSystem:
     """The system of the homs whose values have the ranks `found` in
-    `grades`: each is read from the grades by position (`Aligned._read`),
-    with the carrier hashed once for all of them (`Prehashed`), and the
-    ranks are stored as the system's `hom_index`, which they are."""
-    key, hashes = Prehashed(frame.carrier), tuple(map(hash, grades))
-    homs = tuple(PointHom._read(frame.carrier, key, r, grades, hashes) for r in found)
+    `values`: each is read from the grades by position (`Aligned._read`),
+    with the carrier hashed once for all of them (`Prehashed`), and `values`
+    with the ranks are stored as the system's `hom_index`, which they are."""
+    key, hashes = Prehashed(frame.carrier), tuple(map(hash, values.grades))
+    homs = tuple(PointHom._read(frame.carrier, key, r, values.grades, hashes) for r in found)
     system = GradedSystem(Universe(homs), frame, tuple(p.values for p in homs))
-    placed = {id(g): r for r, g in enumerate(grades)}
-    object.__setattr__(system, "hom_index", (grades, placed, dict(zip(found, range(len(found))))))
+    object.__setattr__(system, "hom_index", (values, dict(zip(found, range(len(found))))))
     return system
 
 
@@ -245,8 +210,7 @@ def _search_point_homs(frame: GradedFrame, values: GradeSet) -> tuple[int, list[
     tracks the partial maps that survive instead of |values|^(n-2).
     """
     view = frame.view
-    n = len(frame.carrier)
-    grades = values.grades
+    n, count = len(frame.carrier), len(values)
     top, bottom = view.top, view.bottom
     if top == bottom:  # the top would need value 1 and the empty join value 0
         return 0, ()
@@ -260,13 +224,13 @@ def _search_point_homs(frame: GradedFrame, values: GradeSet) -> tuple[int, list[
     # bound[(i, j)] = b is violated when rank[i] > rank[j] < b. Relation
     # preservation fails exactly when v_i > v_j and rel(i, j) > v_j, and
     # rel(i, j) > grades[r] exactly when r < the number of grades below
-    # rel(i, j); b = len(grades) makes it rank[i] <= rank[j].
-    above = rank_objects(grades, view.grades)
+    # rel(i, j); b = count, the number of grades, makes it rank[i] <= rank[j].
+    above = values.code(view.grades)
     bound = {(i, j): above[view.rel[i][j]] for i in range(n) for j in range(n) if i != j}
 
     def at_most(i: int, j: int) -> None:
         if i != j:
-            bound[(i, j)] = len(grades)
+            bound[(i, j)] = count
 
     attained = set()
     for i in range(n):
@@ -295,7 +259,7 @@ def _search_point_homs(frame: GradedFrame, values: GradeSet) -> tuple[int, list[
             rels[max(depth[i], depth[j])].append((i, j, b))
 
     rank = [0] * n
-    rank[top] = len(grades) - 1
+    rank[top] = values.top
     found = []
     tries = 0
 
@@ -316,11 +280,11 @@ def _search_point_homs(frame: GradedFrame, values: GradeSet) -> tuple[int, list[
         if d == len(rels):
             found.append(tuple(rank))
             return
-        tries += len(grades)
+        tries += count
         if tries > HOM_SEARCH_CAP:
             raise _overflow()
         c = order[d + 1]
-        for r in range(len(grades)):
+        for r in range(count):
             rank[c] = r
             if holds(d):
                 search(d + 1)
@@ -391,13 +355,13 @@ def _find_homs(target: GradedSystem, rows: list[tuple[Grade, ...]]) -> list[int 
     """The position among the target's points of the hom over its carrier
     with each row as values, or None where no point is that hom: what the
     membership test of `PointHom(carrier, row)` finds, with no hom built.
-    Each row is ranked by object in the table of `target.hom_index`, through
-    the id table kept beside it (`rank_by_id`), and the point of that rank
-    row is kept if its values equal the row, a tuple == that short-cuts on
-    identity: a grade outside the table takes the rank of a neighbour, so
-    only the values can confirm it."""
-    grades, placed, index = target.hom_index
-    keys = zip(*[iter(rank_by_id(grades, placed, chain(*rows)))] * len(target.frame))
+    Each row is ranked by object in the table of `target.hom_index`
+    (`GradeSet.code`), and the point of that rank row is kept if its values
+    equal the row, a tuple == that short-cuts on identity: a grade outside
+    the table takes the rank of a neighbour, so only the values can confirm
+    it."""
+    grades, index = target.hom_index
+    keys = zip(*[iter(grades.code(chain(*rows)))] * len(target.frame))
     points = target.points.elements
     return [k if k is not None and points[k].values == row else None for k, row in zip(map(index.get, keys), rows)]
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import Overflow, SchemaError
-from .functors import GradeSet, j_object
+from .functors import j_object
 from .fuzzy_sets import FuzzySet, PointMap, Universe, preimage
 from .grades import ONE, ZERO
 from .logic.semantics import Interpretation
@@ -33,7 +33,7 @@ from .logic.syntax import (
     Term,
     Var,
 )
-from .ranks import Ranks, cuts_of
+from .ranks import GradeSet, cuts_of
 from .spaces import GradedSpace, close_cuts, close_generators, generate_topology, space_from_cuts
 from .systems import GradedSystem
 
@@ -96,7 +96,7 @@ def generate_random_space(cfg: GeneratorConfig, index: int = 0, max_opens: int =
         except Overflow:
             continue
         if min_opens <= len(opens):
-            return space_from_cuts(universe, Ranks(map(cfg.grade_pool.grades.__getitem__, used)), opens)
+            return space_from_cuts(universe, GradeSet.of(map(cfg.grade_pool.grades.__getitem__, used)), opens)
     return generate_topology(universe, [])
 
 

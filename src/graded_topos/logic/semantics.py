@@ -13,8 +13,8 @@ substitution instances) and reads every clause off them. Clauses 2, 3 and
 4 are decided on their tables (transitivity on the level cuts of the
 sequent grades), and their clause loops run only to name a failure.
 
-Vector entries are integer ranks: a grade's rank is its index in the sorted
-set of the interpretation's predicate grades together with 0 and 1
+Vector entries are integer ranks: a grade's rank is its index in the
+`GradeSet` of the interpretation's predicate grades
 (`Interpretation.ranked`). Ranks are ordered as the grades they code, and
 every clause only compares grades (min, max, the Gödel arrow, inf, sup), so
 the coding is exact. A vector is held as one int of level cuts (`ranks`),
@@ -76,7 +76,7 @@ from ..errors import (
     UndeclaredSymbol,
 )
 from ..grades import Grade
-from ..ranks import Ranks, cuts_of, exists, fibre_bases, inclusion, rank_objects, spread, sup_out
+from ..ranks import GradeSet, cuts_of, exists, fibre_bases, inclusion, spread, sup_out
 from .parser import CONST_PATTERN, IDENT_PATTERN, Signature, VAR_PATTERN
 from .syntax import (
     And,
@@ -151,20 +151,20 @@ class Interpretation:
                 raise SchemaError(name, f"value {value!r} is outside the domain")
 
     @cached_property
-    def ranked(self) -> tuple[Ranks, dict[str, _Table], dict[str, _Table]]:
+    def ranked(self) -> tuple[GradeSet, dict[str, _Table], dict[str, _Table]]:
         """The rank table of the predicate grades, and every predicate and
         function table as its arity and a map over domain positions: a
         predicate's value is its rank, a function's the position of its
         value. Built once; the tables are read-only."""
-        # each distinct grade object is hashed once and ranked once (`rank_objects`)
-        ranks = Ranks(g for table in self.predicates.values() for g in table.values())
+        # each distinct grade object is hashed once and ranked once (`GradeSet.code`)
+        ranks = GradeSet.of(g for table in self.predicates.values() for g in table.values())
         at = {d: i for i, d in enumerate(self.domain)}.__getitem__
 
         def coded(table: Mapping, values: Iterable[int]) -> _Table:
             return len(next(iter(table))), dict(zip((tuple(map(at, key)) for key in table), values))
 
         return (ranks,
-                {name: coded(t, rank_objects(ranks.grades, t.values())) for name, t in self.predicates.items()},
+                {name: coded(t, ranks.code(t.values())) for name, t in self.predicates.items()},
                 {name: coded(t, map(at, t.values())) for name, t in self.functions.items()})
 
     def signature(self) -> Signature:

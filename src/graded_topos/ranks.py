@@ -1,11 +1,13 @@
-"""Grades coded as ranks, and a rank vector coded as one int of level cuts.
+"""Grades coded as ranks in one table, and a rank vector as one int of level cuts.
 
 A finite grade set with 0 and 1, sorted, codes each grade by its position
 in the list, its rank. Ranking is an order-isomorphism that sends 0 to 0
 and 1 to the top rank. Min, max and the Gödel arrow only compare grades,
 so each one commutes with it: the min of two ranks codes the min of their
 grades, and the arrow from rank a to rank b is the top when a <= b and b
-otherwise.
+otherwise. `GradeSet` is the one such table: the set L of a hom search
+(`functors`) and the table of every kernel, which ranks grades by object
+(`GradeSet.code`) and grade vectors as level cuts (`GradeSet.cuts`).
 
 A fuzzy set, or a formula's grades over a list of assignments, is a vector
 u of ranks over positions 0..s-1. It is stored as its level cuts,
@@ -53,58 +55,98 @@ past 255 ranks joins the levels in log2(top) rounds instead).
 from __future__ import annotations
 
 from bisect import bisect_left
+from dataclasses import dataclass
 from operator import lshift, rshift
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable
 
+from .errors import SchemaError
 from .grades import Grade, ONE, ZERO
 
-
-class Ranks:
-    """The rank table of a grade set: `grades` sorted with 0 and 1 added,
-    `top` the rank of 1. Each distinct grade object of the values is hashed
-    once, into the set that sorts them, however often it repeats."""
-
-    def __init__(self, values: Iterable[Grade]) -> None:
-        self.grades = tuple(sorted({ZERO, ONE}.union({id(g): g for g in values}.values())))
-        self.top = len(self.grades) - 1
-
-    def code(self, values: Iterable[Grade]) -> tuple[int, ...]:
-        """The ranks of grades the table holds (`rank_objects`)."""
-        return tuple(rank_objects(self.grades, values))
-
-    def decode(self, vector: Iterable[int]) -> tuple[Grade, ...]:
-        return tuple(map(self.grades.__getitem__, vector))
-
-    def cuts(self, values: Iterable[Grade]) -> int:
-        """The level cuts of a grade vector."""
-        return cuts_of(self.code(values), self.top)
+if TYPE_CHECKING:
+    from .frames import GradedFrame
+    from .systems import GradedSystem
 
 
-def rank_objects(grades: Sequence[Grade], values: Iterable[Grade]) -> list[int]:
-    """The number of `grades`, sorted and duplicate-free, below each of
-    `values`, in order: its rank when `grades` hold it. A value is looked up
-    by identity among the objects of `grades`, and placed by value
-    (`bisect_left`, which only compares) only when they do not hold that
-    object, once per call for each such object. So no grade is hashed, and
-    a grade object met again costs one dict lookup: `Fraction` hashing is
-    slow. Identity implies equality, so every rank is exact."""
-    return rank_by_id(grades, {id(g): r for r, g in enumerate(grades)}, values)
+@dataclass(frozen=True)
+class GradeSet:
+    """A finite set of grades with 0 and 1, sorted and duplicate-free, and
+    `top`, the rank of 1; the constructor and `closure` check it, and `of`
+    does not. It keeps the rank of each of its own objects by id (`code`):
+    equality, hashing and repr read `grades` alone, and a copy or an
+    unpickled table, whose objects are new, indexes its own."""
+
+    grades: tuple[Grade, ...]
+
+    def __post_init__(self) -> None:
+        grades = tuple(self.grades)
+        if tuple(sorted(set(grades))) != grades:
+            raise SchemaError("grades", "must be sorted and duplicate-free")
+        if not grades or grades[0] != ZERO or grades[-1] != ONE:
+            raise SchemaError("grades", "must contain 0 and 1")
+        self.__setstate__(grades)
+
+    def __getstate__(self) -> tuple[Grade, ...]:
+        return self.grades
+
+    def __setstate__(self, grades: tuple[Grade, ...]) -> None:
+        object.__setattr__(self, "grades", grades)
+        object.__setattr__(self, "top", len(grades) - 1)
+        object.__setattr__(self, "_placed", {id(g): r for r, g in enumerate(grades)})
+
+    def __len__(self) -> int:
+        return len(self.grades)
+
+    @classmethod
+    def of(cls, values: Iterable[Grade]) -> GradeSet:
+        """The table of `values` with 0 and 1, unchecked: each distinct object
+        of `values` is hashed once, into the set that sorts them."""
+        table = cls.__new__(cls)
+        table.__setstate__(tuple(sorted({ZERO, ONE}.union({id(g): g for g in values}.values()))))
+        return table
+
+    @classmethod
+    def closure(cls, values: Iterable[Grade]) -> GradeSet:
+        """The given grades together with 0 and 1 (`of`), checked."""
+        return cls(cls.of(values).grades)
+
+    @classmethod
+    def for_frame(cls, frame: GradedFrame) -> GradeSet:
+        return cls(frame.view.grades)
+
+    @classmethod
+    def for_system(cls, system: GradedSystem) -> GradeSet:
+        """The table of the system's extents itself (`GradedSystem.extents`)."""
+        return system.extents[0]
+
+    def code(self, values: Iterable[Grade]) -> list[int]:
+        """The number of grades below each of `values`, its rank when the
+        table holds it: found by object in the id table, else placed by
+        value (`bisect_left`, which only compares) once per call for each
+        other object. No grade is hashed (`Fraction` hashing is slow), and
+        identity implies equality, so every rank is exact."""
+        values = list(values)  # held, so no object's id is reused during the call
+        ranks = list(map(self._placed.get, map(id, values)))
+        if None in ranks:
+            others: dict[int, int] = {}
+            for k, g in enumerate(values):
+                if ranks[k] is None:
+                    if id(g) not in others:
+                        others[id(g)] = bisect_left(self.grades, g)
+                    ranks[k] = others[id(g)]
+        return ranks
+
+    def cuts(self, values: Iterable[Grade], size: int) -> list[int]:
+        """The level cuts of each `size` grades of `values` in turn, grade
+        vectors over `size` positions end to end, ranked in one pass."""
+        codes = self.code(values)
+        return [cuts_of(codes[k:k + size], self.top) for k in range(0, len(codes), size)]
 
 
-def rank_by_id(grades: Sequence[Grade], placed: dict[int, int], values: Iterable[Grade]) -> list[int]:
-    """`rank_objects` given `placed`, the rank of each object of `grades` by
-    its id, which a caller holding `grades` may keep. It is only read: an id
-    of another object could be reused once that object is freed."""
-    values = list(values)  # held, so no object's id is reused during the call
-    ranks = list(map(placed.get, map(id, values)))
-    if None in ranks:
-        others: dict[int, int] = {}
-        for k, g in enumerate(values):
-            if ranks[k] is None:
-                if id(g) not in others:
-                    others[id(g)] = bisect_left(grades, g)
-                ranks[k] = others[id(g)]
-    return ranks
+def rank_objects(grades: tuple[Grade, ...], values: Iterable[Grade]) -> list[int]:
+    """`GradeSet.code` in the grades of a `FrameView`, indexed for the call."""
+    table = GradeSet.__new__(GradeSet)
+    table.__setstate__(grades)
+    return table.code(values)
 
 
 # table r turns a rank byte into the digit "1" if it is at least r, else "0"

@@ -9,7 +9,7 @@ anyway.
 
 `generate_topology` saturates on rank vectors: each grade is coded by its
 position in the sorted grade set of the generators with 0 and 1
-(`ranks.Ranks`). Min and max only compare grades, and ranking is an
+(`ranks.GradeSet`). Min and max only compare grades, and ranking is an
 order-isomorphism fixing 0 and 1, so the closure of the rank vectors codes
 the closure of the fuzzy sets. Each vector is one int of level cuts, a
 bitmask over the points per rank r >= 1 side by side (`ranks`): union is
@@ -41,7 +41,7 @@ from .fuzzy_sets import (
     preimage,
     union,
 )
-from .ranks import Ranks, cuts_of, rank_objects, ranks_of
+from .ranks import GradeSet, ranks_of
 
 DEFAULT_CLOSURE_CAP = 4096
 
@@ -75,13 +75,12 @@ class GradedSpace:
         return len(self.opens)
 
     @cached_property
-    def ranked(self) -> tuple[Ranks, list[int]]:
-        """The rank table of the opens' grades and the level cuts of each
+    def ranked(self) -> tuple[GradeSet, list[int]]:
+        """The grade table of the opens' grades and the level cuts of each
         open, in the order of `opens`; built on first use."""
         grades = [g for t in self.opens for g in t.grades]
-        ranks, size = Ranks(grades), len(self.universe)
-        codes = rank_objects(ranks.grades, grades)
-        return ranks, [cuts_of(codes[k:k + size], ranks.top) for k in range(0, len(codes), size)]
+        ranks = GradeSet.of(grades)
+        return ranks, ranks.cuts(grades, len(self.universe))
 
 
 def canonical_opens(opens: Iterable[FuzzySet]) -> tuple[FuzzySet, ...]:
@@ -130,19 +129,17 @@ def generate_topology(universe: Universe, generators: Sequence[FuzzySet],
 
 
 def close_generators(universe: Universe, generators: Sequence[FuzzySet],
-                     max_opens: int = DEFAULT_CLOSURE_CAP) -> tuple[Ranks, set[int]]:
-    """The rank table of the generators' grades, and the level cuts of
+                     max_opens: int = DEFAULT_CLOSURE_CAP) -> tuple[GradeSet, set[int]]:
+    """The grade table of the generators' grades, and the level cuts of
     their closure in it (`close_cuts`). Each distinct grade object is
-    hashed once, into the table, and ranked by identity (`rank_objects`).
+    hashed once, into the table, and ranked by identity (`GradeSet.code`).
     Raises Overflow once the closure exceeds max_opens."""
     for t in generators:
         if t.universe != universe:
             raise MixedUniverse("generator over a different universe")
-    grades = [g for t in generators for g in t.grades]
-    ranks, size = Ranks(grades), len(universe)
-    codes = rank_objects(ranks.grades, grades)
-    cuts = {cuts_of(codes[k:k + size], ranks.top) for k in range(0, len(codes), size)}
-    return ranks, close_cuts(cuts, size * ranks.top, max_opens)
+    grades, size = [g for t in generators for g in t.grades], len(universe)
+    ranks = GradeSet.of(grades)
+    return ranks, close_cuts(set(ranks.cuts(grades, size)), size * ranks.top, max_opens)
 
 
 def close_cuts(cuts: set[int], width: int, max_opens: int = DEFAULT_CLOSURE_CAP) -> set[int]:
@@ -159,7 +156,7 @@ def close_cuts(cuts: set[int], width: int, max_opens: int = DEFAULT_CLOSURE_CAP)
     return opens
 
 
-def space_from_cuts(universe: Universe, ranks: Ranks, opens: set[int]) -> GradedSpace:
+def space_from_cuts(universe: Universe, ranks: GradeSet, opens: set[int]) -> GradedSpace:
     """The space whose opens the level cuts `opens` code in `ranks`, sorted
     by the rank vectors they code; the space keeps the cuts as `ranked`."""
     levels = {row: ranks_of(row, len(universe)) for row in opens}

@@ -8,9 +8,9 @@ that a |-> E_a is a graded frame map into the fuzzy subsets of the points
 that does not expand the relation, and `check_system` decides them on the
 extents, exactly at every size. Each extent is one int of level cuts over
 the points (`ranks`: bit (r - 1) * m + x set iff sat(x, a) >= r, for m
-points), ranked in one table with the relation grades
-(`GradedSystem.extents`). For a system of a space the extents are the
-opens' own cuts (`GradedSpace.ranked`), so no grade is ranked again. Then:
+points), ranked with the relation grades in the system's `GradeSet`
+(`GradedSystem.extents`). For a system of a space the extents are the opens'
+own cuts (`GradedSpace.ranked`), so no grade is ranked again. Then:
 
 - Clause 1, min(sat(x, a), R(a, b)) <= sat(x, b) for all x, holds iff
   R(a, b) <= inclusion(E_a, E_b). Proof: min(u, r) <= v iff r <= u -> v
@@ -52,7 +52,7 @@ from .frames import (FrameHom, FrameView, GradedFrame, _show, check_frame_hom, c
                      same_frame)
 from .fuzzy_sets import Aligned, PointMap, Universe, compose_point_maps
 from .grades import Grade
-from .ranks import Ranks, cuts_of, inclusion, rank_by_id, rank_objects
+from .ranks import GradeSet, inclusion, rank_objects
 
 
 @dataclass(frozen=True)
@@ -125,32 +125,30 @@ class GradedSystem:
                                  for a, g in zip(items, row)})
 
     @cached_property
-    def extents(self) -> tuple[Ranks, list[int]]:
-        """The rank table of the frame's relation grades and every
+    def extents(self) -> tuple[GradeSet, list[int]]:
+        """The grade table of the frame's relation grades and every
         satisfaction grade, and the extent of each carrier element, its
         column of grades over the points, as one int of level cuts, in
         carrier order; built on first read (`j_object` stores its space's
         `ranked`, the same thing)."""
-        ranks, n = Ranks(itertools.chain(self.frame.view.grades, *self.rows)), len(self.frame)
-        codes = rank_objects(ranks.grades, itertools.chain(*self.rows))
-        return ranks, [cuts_of(codes[a::n], ranks.top) for a in range(n)]
+        ranks = GradeSet.of(itertools.chain(self.frame.view.grades, *self.rows))
+        return ranks, ranks.cuts(itertools.chain(*zip(*self.rows)), len(self.points))
 
     @cached_property
-    def hom_index(self) -> tuple[tuple[Grade, ...], dict[int, int], dict[tuple[int, ...], int]]:
+    def hom_index(self) -> tuple[GradeSet, dict[tuple[int, ...], int]]:
         """The points that are `PointHom`s over the frame's carrier, keyed by
-        their values as ranks: the sorted grade table of those values, the
-        rank of each of its objects by id, and a dict from each such point's
-        rank row in the table (`rank_by_id`) to the point's position; built
-        on first read. Equal rank rows are equal values, so
-        no two such points share one. The fm-s unit and S of a frame hom
-        find their images here (`functors._find_homs`)."""
+        their values as ranks: a grade table of those values, and a dict from
+        each such point's rank row in it (`GradeSet.code`) to its position;
+        built on first read, or stored with its grade set by the hom search
+        (`functors._hom_system`). Equal rank rows are equal values, so no two
+        such points share one. The fm-s unit and S of a frame hom find their
+        images here (`functors._find_homs`)."""
         carrier = self.frame.carrier
         homs = {k: p.values for k, p in enumerate(self.points.elements)
                 if type(p) is PointHom and p.carrier == carrier}
-        grades = Ranks(itertools.chain(*homs.values())).grades
-        placed = {id(g): r for r, g in enumerate(grades)}
-        ranks = rank_by_id(grades, placed, itertools.chain(*homs.values()))
-        return grades, placed, dict(zip(zip(*[iter(ranks)] * len(carrier)), homs))
+        grades = GradeSet.of(itertools.chain(*homs.values()))
+        ranks = grades.code(itertools.chain(*homs.values()))
+        return grades, dict(zip(zip(*[iter(ranks)] * len(carrier)), homs))
 
 
 def check_system(system: GradedSystem) -> Violation | None:
@@ -162,7 +160,7 @@ def check_system(system: GradedSystem) -> Violation | None:
     ranks, extents = system.extents
     # the relation grades are objects of the extents' table on a system of a
     # space (`j_object`), so each is found by identity
-    lift = rank_objects(ranks.grades, v.grades)
+    lift = ranks.code(v.grades)
     rel = [[lift[r] for r in row] for row in v.rel]
     meet_idx, top, one = v.meet, v.top, ranks.top
 

@@ -71,7 +71,7 @@ from graded_topos.generators import (
     generate_random_space,
 )
 from graded_topos.grades import ONE, ZERO, format_grade, godel_arrow, grade
-from graded_topos.ranks import Ranks
+from graded_topos.ranks import cuts_of
 from graded_topos.reports import PASS
 from graded_topos.serialization import frame_from_json, frame_to_json, save_space
 from graded_topos.spaces import GradedSpace, check_continuous, check_space, generate_topology, space_iso_check
@@ -147,9 +147,9 @@ def test_an_extent_space_ranks_its_opens_in_their_own_grades():
             for values in (GradeSet.closure([]), GradeSet.for_frame(frame)):
                 system = s_object(frame, values)
                 extent = ext_object(system)
-                own = Ranks(g for t in extent.opens for g in t.grades)
+                own = GradeSet.of(g for t in extent.opens for g in t.grades)
                 assert extent.ranked[0].grades == own.grades
-                assert extent.ranked[1] == [own.cuts(t.grades) for t in extent.opens]
+                assert extent.ranked[1] == [cuts_of(own.code(t.grades), own.top) for t in extent.opens]
                 assert GradeSet.for_system(j_object(extent)).grades == own.grades
                 taken = set(itertools.chain(*system.rows))
                 narrower += len(own.grades) < len(system.extents[0].grades)
@@ -933,13 +933,14 @@ def test_a_hom_index_keeps_the_id_table_of_its_own_grades_only(seed):
     hom_system = s_object(system.frame, GradeSet.closure(itertools.chain(*system.rows)))
     # the search's own index, and one built on first read over equal homs in new objects
     for homs in (hom_system, _targets(hom_system)[4]):
-        grades, placed, _ = homs.hom_index
-        assert placed == {id(g): r for r, g in enumerate(grades)}
+        grades, _ = homs.hom_index
+        placed = grades._placed
+        assert placed == {id(g): r for r, g in enumerate(grades.grades)}
         kept = dict(placed)
         expected = brute_unit_images(copied, homs)
         assert isinstance(expected, tuple)
         assert _built(unit_system, copied, homs) == _outcome(expected, homs)
-        assert homs.hom_index[1] is placed and placed == kept
+        assert homs.hom_index[0]._placed is placed and placed == kept
 
 
 def _count_calls(monkeypatch, cls, name, calls):

@@ -45,20 +45,20 @@ from graded_topos.generators import (
 from graded_topos.grades import ONE, ZERO
 from graded_topos.logic.semantics import Assignment, sequent_grade
 from graded_topos.logic.syntax import BOTTOM, TOP, free_variables
-from graded_topos.ranks import Ranks, cuts_of, inclusion, ranks_of
+from graded_topos.ranks import cuts_of, inclusion, ranks_of
 from graded_topos.spaces import GradedSpace, check_space, generate_topology
 
 GRADES = GradeSet((ZERO, F(1, 4), F(1, 2), F(3, 4), ONE))
 
 
 def test_rank_table_and_operations():
-    ranks = Ranks([F(1, 2), F(1, 3), F(1, 2)])
+    ranks = GradeSet.of([F(1, 2), F(1, 3), F(1, 2)])
     assert ranks.grades == (ZERO, F(1, 3), F(1, 2), ONE) and ranks.top == 3
-    assert ranks.code([ONE, F(1, 3), ZERO]) == (3, 1, 0)
-    assert ranks.decode((2, 0)) == (F(1, 2), ZERO)
+    assert ranks.code([ONE, F(1, 3), ZERO]) == [3, 1, 0]
+    assert tuple(map(ranks.grades.__getitem__, (2, 0))) == (F(1, 2), ZERO)
     # cut r holds the positions of rank >= r, bit i for position i, and
     # cut r of a vector over s positions is bits (r - 1) * s to r * s - 1
-    assert ranks.cuts([ONE, F(1, 3), ZERO]) == 0b001_001_011
+    assert ranks.cuts([ONE, F(1, 3), ZERO], 3) == [0b001_001_011]
     assert ranks_of(0b001_001_011, 3) == (3, 1, 0)
 
     def c(*vector):
@@ -233,7 +233,8 @@ def test_generate_topology_matches_the_fraction_oracle(seed):
         (ranks, rows), (fresh, fresh_rows) = space.ranked, GradedSpace(universe, space.opens).ranked
         assert (ranks.grades, rows) == (fresh.grades, fresh_rows)
         # the cuts kept are those of the opens, in the canonical order
-        assert [ranks.decode(ranks_of(row, points)) for row in rows] == [t.grades for t in oracle.opens]
+        assert [tuple(map(ranks.grades.__getitem__, ranks_of(row, points))) for row in rows] == [
+            t.grades for t in oracle.opens]
         for cap in range(1, len(oracle) + 2):
             try:
                 brute_generate_topology(universe, gens, cap)

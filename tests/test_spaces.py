@@ -10,6 +10,7 @@ from graded_topos.checks import Violation
 from graded_topos.errors import MixedUniverse, NotContinuous, Overflow
 from graded_topos.functors import GradeSet
 from graded_topos.fuzzy_sets import FuzzySet, PointMap, Universe, empty_set, full_set, preimage
+from graded_topos.ranks import cuts_of
 from graded_topos.generators import (
     GeneratorConfig,
     generate_random_continuous_map,
@@ -246,7 +247,7 @@ def test_equal_grades_held_in_distinct_objects_rank_as_one_grade():
     assert closed == brute_generate_topology(u3, generators)
     ranks, rows = closed.ranked
     assert ranks.grades == (0, F(1, 3), F(1, 2), 1)
-    assert rows == [ranks.cuts(t.grades) for t in closed.opens]
+    assert rows == [cuts_of(ranks.code(t.grades), ranks.top) for t in closed.opens]
 
 
 def test_a_random_space_decodes_only_the_closure_it_returns(monkeypatch):

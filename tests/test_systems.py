@@ -3,6 +3,7 @@ import itertools
 import random
 from fractions import Fraction as F
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -476,7 +477,7 @@ def test_the_extents_of_a_space_system_are_the_extents_its_rows_give(space):
     size = len(space.universe)
     columns = list(zip(*system.rows))
     for ranks, extents in (system.extents, built.extents):
-        assert [ranks.decode(ranks_of(e, size)) for e in extents] == columns
+        assert [tuple(map(ranks.grades.__getitem__, ranks_of(e, size))) for e in extents] == columns
     assert system.extents[0].grades == built.extents[0].grades
     assert system.extents[1] == built.extents[1]
 
@@ -485,7 +486,7 @@ def test_check_system_ranks_no_grade_of_a_space_system(monkeypatch):
     def refuse(values):
         raise AssertionError("a system of a space was ranked again")
 
-    monkeypatch.setattr(systems, "Ranks", refuse)
+    monkeypatch.setattr(systems, "GradeSet", SimpleNamespace(of=refuse))
     spaces = list(_spaces())
     for space in spaces:
         system = j_object(space)
