@@ -99,6 +99,18 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.signature = signature
         self.at = 0
+        # at each '(' or '[', the first '=', '&' or '|' at its depth before it
+        # closes, else None: one pass with a stack of the open brackets
+        self.leading: list[str | None] = [None] * len(self.tokens)
+        leading, opened = self.leading, []
+        for k, tok in enumerate(self.tokens):
+            if tok.text in "([":
+                opened.append(k)
+            elif tok.text in ")]":
+                if opened:
+                    opened.pop()
+            elif opened and tok.text in ("=", "&", "|") and leading[opened[-1]] is None:
+                leading[opened[-1]] = tok.text
 
     def peek(self, ahead: int = 0) -> _Token:
         return self.tokens[min(self.at + ahead, len(self.tokens) - 1)]
@@ -199,8 +211,7 @@ class _Parser:
     def parenthesized(self) -> Formula:
         self.expect("(")
         # the first operator at this nesting depth decides the production
-        operator = self._leading_operator()
-        if operator == "=":
+        if self.leading[self.at - 1] == "=":
             lhs_term = self.term()
             self.expect("=")
             rhs_term = self.term()
@@ -213,19 +224,6 @@ class _Parser:
         rhs = self.formula()
         self.expect(")")
         return And(lhs, rhs) if op.text == "&" else Or((lhs, rhs))
-
-    def _leading_operator(self) -> str | None:
-        depth = 0
-        for tok in self.tokens[self.at:]:
-            if tok.text in "([":
-                depth += 1
-            elif tok.text in ")]":
-                if depth == 0:
-                    return None
-                depth -= 1
-            elif depth == 0 and tok.text in ("=", "&", "|"):
-                return tok.text
-        return None
 
 
 def _parse_whole(parser: _Parser, production: Callable[[], Any], name: str):
