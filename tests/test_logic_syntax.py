@@ -3,6 +3,8 @@ import itertools
 import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import brute_substitute
 
@@ -15,7 +17,7 @@ from graded_topos.errors import (
 from graded_topos.generators import GeneratorConfig, generate_formula_pool, generate_random_interpretation
 from graded_topos.grades import ONE
 from graded_topos.logic import syntax
-from graded_topos.logic.parser import Signature, parse_formula, parse_term
+from graded_topos.logic.parser import Signature, _Parser, parse_formula, parse_term
 from graded_topos.logic.semantics import Interpretation, theorem2_suite
 from graded_topos.logic.syntax import (
     And,
@@ -329,6 +331,33 @@ def test_substitution_is_linear_in_the_binder_depth(monkeypatch, pairs):
         substitute(deep, pairs)
         return len(calls)
     assert count(120) <= 2 * count(60) + 4
+
+
+def scanned_leading_operator(tokens, at):
+    """The first '=', '&' or '|' at depth 0 from `at`, just past a bracket,
+    before that bracket closes, else None: the scan the parser once ran
+    from each '(' it met, where '(' and '[' open and ')' and ']' close."""
+    depth = 0
+    for tok in tokens[at:]:
+        if tok.text in "([":
+            depth += 1
+        elif tok.text in ")]":
+            if depth == 0:
+                return None
+            depth -= 1
+        elif depth == 0 and tok.text in ("=", "&", "|"):
+            return tok.text
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(["(", ")", "[", "]", "=", "&", "|", ",", ".", "x1", "c2", "p", "E", "V"]),
+                max_size=40))
+def test_each_brackets_leading_operator_is_the_one_a_scan_finds(texts):
+    parser = _Parser(" ".join(texts), None)
+    for k, tok in enumerate(parser.tokens):
+        if tok.text in ("(", "["):
+            assert parser.leading[k] == scanned_leading_operator(parser.tokens, k + 1)
 
 
 def deepest(parse):

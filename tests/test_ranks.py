@@ -12,13 +12,18 @@ recursive oracle: a formula's extent is a fuzzy set over the assignments,
 and graded consequence is graded inclusion of extents.
 """
 
+import copy
 import functools
 import itertools
 import operator
+import pickle
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     brute_frame_from_space,
@@ -26,29 +31,37 @@ from conftest import (
     brute_inclusion,
     brute_sat_grade,
     level_cuts,
+    object_rank_table,
+    position_ranks,
+    small_grades,
     tuple_exists,
     tuple_inclusion,
     tuple_join,
     tuple_meet,
+    value_set_closure,
 )
 from graded_topos import ranks as kernel
-from graded_topos.errors import Overflow
+from graded_topos.errors import Overflow, SchemaError
 from graded_topos.frames import check_frame, frame_from_space
-from graded_topos.functors import GradeSet
+from graded_topos.functors import GradeSet, j_object, s_object
 from graded_topos.fuzzy_sets import FuzzySet, Universe, graded_inclusion, union
 from graded_topos.generators import (
     GeneratorConfig,
     derived_rng,
     generate_formula_pool,
     generate_random_interpretation,
+    generate_random_space,
+    generate_random_system,
 )
 from graded_topos.grades import ONE, ZERO
 from graded_topos.logic.semantics import Assignment, sequent_grade
 from graded_topos.logic.syntax import BOTTOM, TOP, free_variables
-from graded_topos.ranks import cuts_of, inclusion, ranks_of
+from graded_topos.ranks import cuts_of, inclusion, rank_objects, ranks_of
+from graded_topos.serialization import load_system
 from graded_topos.spaces import GradedSpace, check_space, generate_topology
 
 GRADES = GradeSet((ZERO, F(1, 4), F(1, 2), F(3, 4), ONE))
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def test_rank_table_and_operations():
@@ -70,6 +83,108 @@ def test_rank_table_and_operations():
     assert inclusion(c(1, 2, 0), c(2, 1, 3), 3, ranks.top) == 1
     assert inclusion(c(0, 1), c(0, 1), 2, ranks.top) == ranks.top
     assert inclusion(c(), c(), 0, ranks.top) == ranks.top
+
+
+def _twin(g: F) -> F:
+    """An equal grade in a distinct object."""
+    return F(g.numerator, g.denominator)
+
+
+@st.composite
+def grade_draws(draw, low: int = 0, high: int = 1) -> list:
+    """Grades between `low` and `high`, some repeated as one object and some
+    as equal grades in distinct objects; one draw in four holds more than
+    256 distinct grades, so the level cuts take the second path of
+    `cuts_of`."""
+    if draw(st.integers(0, 3)) == 0:
+        n = draw(st.integers(256, 300))
+        pool = [F(k, n) for k in range(1, n)]
+    else:
+        pool = draw(st.lists(st.fractions(low, high, max_denominator=8), min_size=1, max_size=10))
+    picks = draw(st.lists(st.tuples(st.sampled_from(pool), st.booleans()), max_size=30))
+    values = pool + [_twin(g) if twin else g for g, twin in picks]
+    return draw(st.permutations(values))
+
+
+@settings(max_examples=60, deadline=None)
+@given(grade_draws(), st.integers(1, 7))
+def test_one_table_is_both_closures_it_replaced_and_codes_as_they_did(values, size):
+    """`GradeSet.of` is the object-deduping rank table and `closure` the
+    value-set closure; `code` ranks by position, as `rank_objects` does,
+    in and out of the table, and `cuts` codes each vector of `size`
+    grades as its own level cuts."""
+    table = GradeSet.of(values)
+    grades, top = object_rank_table(values)
+    assert table.grades == grades and table.top == top == len(table) - 1
+    assert GradeSet.closure(values) == table and table.grades == value_set_closure(values)
+    assert table._placed == {id(g): r for r, g in enumerate(table.grades)}
+    others = [F(1, 997), _twin(table.grades[top // 2]), F(996, 997)] + values[:3]
+    codes = position_ranks(grades, values + others)
+    assert table.code(values + others) == codes == rank_objects(table.grades, values + others)
+    codes = codes[:len(values)]
+    vectors = [codes[k:k + size] for k in range(0, len(codes), size)]
+    assert table.cuts(values, size) == [level_cuts(v, top) for v in vectors] == [cuts_of(v, top) for v in vectors]
+
+
+@given(grade_draws(-1, 2))
+def test_the_unchecked_table_takes_any_grades_as_the_rank_table_did(values):
+    table = GradeSet.of(values)
+    assert (table.grades, table.top) == object_rank_table(values)
+    assert table.code(values) == position_ranks(table.grades, values)
+
+
+def _refusal(build, values):
+    try:
+        return build(values)
+    except (SchemaError, TypeError) as refusal:
+        return type(refusal), str(refusal) if isinstance(refusal, SchemaError) else None
+
+
+@given(st.lists(st.one_of(small_grades(4), st.fractions(-1, 2, max_denominator=4), st.integers(-1, 2),
+                          st.sampled_from(["1/2", None, [ONE]])), max_size=6))
+def test_the_grade_set_refuses_what_it_refused(values):
+    """`closure` refuses, with the same message, what the value-set closure
+    refused, and the constructor what its two checks refused."""
+    assert _refusal(lambda v: GradeSet.closure(v).grades, values) == _refusal(value_set_closure, values)
+    grades = tuple(values)
+    try:
+        expected = GradeSet(grades).grades
+    except (SchemaError, TypeError) as refusal:
+        expected = type(refusal), str(refusal) if isinstance(refusal, SchemaError) else None
+    try:
+        if tuple(sorted(set(grades))) != grades:
+            assert expected == (SchemaError, "grades: must be sorted and duplicate-free")
+        elif not grades or grades[0] != ZERO or grades[-1] != ONE:
+            assert expected == (SchemaError, "grades: must contain 0 and 1")
+        else:
+            assert expected == grades
+    except TypeError:
+        assert expected == (TypeError, None)
+
+
+@given(grade_draws())
+def test_a_copied_or_unpickled_table_indexes_its_own_objects(values):
+    table = GradeSet.of(values)
+    for other in (copy.copy(table), copy.deepcopy(table), pickle.loads(pickle.dumps(table)),
+                  GradeSet.closure(values), GradeSet(table.grades)):
+        assert other == table and hash(other) == hash(table) and repr(other) == repr(table)
+        assert other.top == table.top
+        assert other._placed == {id(g): r for r, g in enumerate(other.grades)}
+        assert other.code(other.grades) == list(range(len(other)))
+    assert repr(table) == f"GradeSet(grades={table.grades!r})"
+
+
+def test_a_system_s_grade_set_is_its_extents_table_and_a_hom_system_keeps_its_own():
+    systems = [load_system(path) for path in sorted(FIXTURES.glob("system_*.json"))]
+    for seed in range(4):
+        systems.append(generate_random_system(GeneratorConfig(seed=seed), seed, max_opens=6))
+        systems.append(j_object(generate_random_space(GeneratorConfig(seed=seed), seed, max_opens=6)))
+    for system in systems:
+        values = GradeSet.for_system(system)
+        assert values is system.extents[0]
+        hom_system = s_object(system.frame, values)
+        assert hom_system.hom_index[0] is values
+        assert GradeSet.for_system(hom_system) is hom_system.extents[0]
 
 
 def random_vector(rng, size: int, top: int) -> tuple[int, ...]:
