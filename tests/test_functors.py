@@ -930,7 +930,9 @@ def test_a_hom_index_keeps_the_id_table_of_its_own_grades_only(seed):
     f, source, target = generate_random_continuous_map(GeneratorConfig(seed=seed), seed, max_opens=5)
     system = j_morphism(f, source, target).source
     copied = GradedSystem(system.points, system.frame, tuple(map(_copied, system.rows)))
-    hom_system = s_object(system.frame, GradeSet.closure(itertools.chain(*system.rows)))
+    values = GradeSet.closure(itertools.chain(*system.rows))
+    hom_system = s_object(system.frame, values)
+    assert hom_system.hom_index[0] is values
     # the search's own index, and one built on first read over equal homs in new objects
     for homs in (hom_system, _targets(hom_system)[4]):
         grades, _ = homs.hom_index

@@ -19,7 +19,6 @@ import operator
 import pickle
 import random
 from fractions import Fraction as F
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -43,25 +42,21 @@ from conftest import (
 from graded_topos import ranks as kernel
 from graded_topos.errors import Overflow, SchemaError
 from graded_topos.frames import check_frame, frame_from_space
-from graded_topos.functors import GradeSet, j_object, s_object
+from graded_topos.functors import GradeSet
 from graded_topos.fuzzy_sets import FuzzySet, Universe, graded_inclusion, union
 from graded_topos.generators import (
     GeneratorConfig,
     derived_rng,
     generate_formula_pool,
     generate_random_interpretation,
-    generate_random_space,
-    generate_random_system,
 )
 from graded_topos.grades import ONE, ZERO
 from graded_topos.logic.semantics import Assignment, sequent_grade
 from graded_topos.logic.syntax import BOTTOM, TOP, free_variables
 from graded_topos.ranks import cuts_of, inclusion, rank_objects, ranks_of
-from graded_topos.serialization import load_system
 from graded_topos.spaces import GradedSpace, check_space, generate_topology
 
 GRADES = GradeSet((ZERO, F(1, 4), F(1, 2), F(3, 4), ONE))
-FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def test_rank_table_and_operations():
@@ -172,19 +167,6 @@ def test_a_copied_or_unpickled_table_indexes_its_own_objects(values):
         assert other._placed == {id(g): r for r, g in enumerate(other.grades)}
         assert other.code(other.grades) == list(range(len(other)))
     assert repr(table) == f"GradeSet(grades={table.grades!r})"
-
-
-def test_a_system_s_grade_set_is_its_extents_table_and_a_hom_system_keeps_its_own():
-    systems = [load_system(path) for path in sorted(FIXTURES.glob("system_*.json"))]
-    for seed in range(4):
-        systems.append(generate_random_system(GeneratorConfig(seed=seed), seed, max_opens=6))
-        systems.append(j_object(generate_random_space(GeneratorConfig(seed=seed), seed, max_opens=6)))
-    for system in systems:
-        values = GradeSet.for_system(system)
-        assert values is system.extents[0]
-        hom_system = s_object(system.frame, values)
-        assert hom_system.hom_index[0] is values
-        assert GradeSet.for_system(hom_system) is hom_system.extents[0]
 
 
 def random_vector(rng, size: int, top: int) -> tuple[int, ...]:

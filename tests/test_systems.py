@@ -506,6 +506,7 @@ def test_the_grade_set_of_a_system_is_its_extents_table():
         valid = generate_random_system(GeneratorConfig(seed=seed), seed, max_opens=7)
         cases += [valid, with_entries(valid, rng, 2), s_object(valid.frame, GradeSet.for_frame(valid.frame))]
     for system in cases:
+        assert GradeSet.for_system(system) is system.extents[0]
         assert GradeSet.for_system(system) == GradeSet.closure(
             itertools.chain(system.frame.view.grades, *system.rows))
 
