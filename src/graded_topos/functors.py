@@ -73,10 +73,9 @@ def ext_column(system: GradedSystem, a: Hashable) -> FuzzySet:
 
 
 def _open_cuts(system: GradedSystem) -> tuple[GradeSet, list[int]]:
-    """The table of the grades the system's extents take, with 0 and 1, and
-    each extent's level cuts in it: the extents coded in the table of their
-    own grades. A rank of the extent table that no extent takes cuts every
-    extent as the rank above it does, so its level goes."""
+    """The table of the grades the extents take, with 0 and 1, and each
+    extent's level cuts in it: a rank of the extents' table that no extent
+    takes cuts every extent as the rank above does, so its level goes."""
     ranks, extents = system.extents
     size = len(system.points)
     full = (1 << size) - 1

@@ -72,8 +72,8 @@ class GradeSet:
     """A finite set of grades with 0 and 1, sorted and duplicate-free, and
     `top`, the rank of 1; the constructor and `closure` check it, and `of`
     does not. It keeps the rank of each of its own objects by id (`code`):
-    equality, hashing and repr read `grades` alone, and a copy or an
-    unpickled table, whose objects are new, indexes its own."""
+    equality, hashing and repr read `grades` alone, and a copied or
+    unpickled table indexes its own new objects."""
 
     grades: tuple[Grade, ...]
 
@@ -119,34 +119,36 @@ class GradeSet:
         return system.extents[0]
 
     def code(self, values: Iterable[Grade]) -> list[int]:
-        """The number of grades below each of `values`, its rank when the
-        table holds it: found by object in the id table, else placed by
-        value (`bisect_left`, which only compares) once per call for each
-        other object. No grade is hashed (`Fraction` hashing is slow), and
-        identity implies equality, so every rank is exact."""
-        values = list(values)  # held, so no object's id is reused during the call
-        ranks = list(map(self._placed.get, map(id, values)))
-        if None in ranks:
-            others: dict[int, int] = {}
-            for k, g in enumerate(values):
-                if ranks[k] is None:
-                    if id(g) not in others:
-                        others[id(g)] = bisect_left(self.grades, g)
-                    ranks[k] = others[id(g)]
-        return ranks
+        """`rank_objects` through the table's own id table."""
+        return _rank_by_id(self.grades, self._placed, values)
 
     def cuts(self, values: Iterable[Grade], size: int) -> list[int]:
-        """The level cuts of each `size` grades of `values` in turn, grade
-        vectors over `size` positions end to end, ranked in one pass."""
+        """Each `size` grades of `values` as level cuts, ranked in one pass."""
         codes = self.code(values)
         return [cuts_of(codes[k:k + size], self.top) for k in range(0, len(codes), size)]
 
 
 def rank_objects(grades: tuple[Grade, ...], values: Iterable[Grade]) -> list[int]:
-    """`GradeSet.code` in the grades of a `FrameView`, indexed for the call."""
-    table = GradeSet.__new__(GradeSet)
-    table.__setstate__(grades)
-    return table.code(values)
+    """The number of `grades`, sorted and duplicate-free, below each of
+    `values`, its rank when `grades` hold it: found by object in an id table
+    of `grades`, else placed by value (`bisect_left`, which only compares)
+    once per call for each other object. No grade is hashed (`Fraction`
+    hashing is slow), and identity implies equality, so every rank is
+    exact."""
+    return _rank_by_id(grades, {id(g): r for r, g in enumerate(grades)}, values)
+
+
+def _rank_by_id(grades: tuple[Grade, ...], placed: dict[int, int], values: Iterable[Grade]) -> list[int]:
+    values = list(values)  # held, so no object's id is reused during the call
+    ranks = list(map(placed.get, map(id, values)))
+    if None in ranks:
+        others: dict[int, int] = {}
+        for k, g in enumerate(values):
+            if ranks[k] is None:
+                if id(g) not in others:
+                    others[id(g)] = bisect_left(grades, g)
+                ranks[k] = others[id(g)]
+    return ranks
 
 
 # table r turns a rank byte into the digit "1" if it is at least r, else "0"

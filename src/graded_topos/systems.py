@@ -136,13 +136,12 @@ class GradedSystem:
 
     @cached_property
     def hom_index(self) -> tuple[GradeSet, dict[tuple[int, ...], int]]:
-        """The points that are `PointHom`s over the frame's carrier, keyed by
-        their values as ranks: a grade table of those values, and a dict from
-        each such point's rank row in it (`GradeSet.code`) to its position;
-        built on first read, or stored with its grade set by the hom search
-        (`functors._hom_system`). Equal rank rows are equal values, so no two
-        such points share one. The fm-s unit and S of a frame hom find their
-        images here (`functors._find_homs`)."""
+        """A grade table of the values of the points that are `PointHom`s
+        over the frame's carrier, the one searched if the hom search stored
+        it (`functors._hom_system`), and a dict from each such point's rank
+        row in it (`GradeSet.code`) to its position. Equal rank rows are
+        equal values, so no two such points share one. The fm-s unit and S
+        of a frame hom find their images here (`functors._find_homs`)."""
         carrier = self.frame.carrier
         homs = {k: p.values for k, p in enumerate(self.points.elements)
                 if type(p) is PointHom and p.carrier == carrier}
