@@ -1,4 +1,4 @@
-"""Grades coded as ranks in one table, and a rank vector as one int of level cuts.
+"""Grades coded as ranks in one table, and rank vectors as ints of level cuts.
 
 A finite grade set with 0 and 1, sorted, codes each grade by its position
 in the list, its rank. Ranking is an order-isomorphism that sends 0 to 0
