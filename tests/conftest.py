@@ -15,7 +15,7 @@ from operator import or_
 
 from hypothesis import strategies as st
 
-from graded_topos.checks import LawReport, mask_elements
+from graded_topos.checks import LawReport, Violation, mask_elements
 from graded_topos.errors import (CaptureViolation, GradeSetTooSmall, MixedUniverse, NoPoints, Overflow, SchemaError,
                                  UndeclaredSymbol)
 from graded_topos.frames import GradedFrame
@@ -51,7 +51,7 @@ from graded_topos.logic.syntax import (
     free_variables,
     term_variables,
 )
-from graded_topos.spaces import GradedSpace, canonical_opens, generate_topology
+from graded_topos.spaces import GradedSpace, _show, canonical_opens, generate_topology
 
 
 @contextmanager
@@ -396,6 +396,180 @@ def brute_frame_hom_ok(hom) -> bool:
             if f[src.join_fn(frozenset(combo))] != tgt.join_fn(frozenset(f[a] for a in combo)):
                 return False
     return True
+
+
+# The subset loops of the three checkers as they stood before one mask walk
+# replaced them: `checks.mask_steps`, the member loop of axiom 7 and the bit
+# loop of join preservation, with every other loop of each checker, run
+# whether or not a bitmask test fails. The checkers run a loop only to name
+# what their test found, so each must return the `Violation` these return.
+
+def mask_steps(masks: list[int]) -> list[tuple[int, int]]:
+    """For each non-empty mask of an ascending list that also holds every
+    mask minus its lowest member (so masks[0] is the empty mask): the
+    position of that smaller mask and the index of the member. A subset
+    aggregate then builds up one member at a time, indexed by position."""
+    position = {mask: p for p, mask in enumerate(masks)}
+    return [(position[mask & (mask - 1)], (mask & -mask).bit_length() - 1) for mask in masks[1:]]
+
+
+def oracle_pair_masks(n: int) -> list[int]:
+    """The empty set, the singletons and the pairs of n elements, ascending."""
+    return sorted({0} | {1 << i | 1 << j for i in range(n) for j in range(i, n)})
+
+
+def loop_decide(view, check):
+    """`check(masks, joins)` as `FrameView.decide` ran it: over every subset
+    for a view holding 2^n joins, else over the pairs; a violation on the
+    pairs of a table frame is named again over every subset."""
+    n = len(view.index)
+    every = list(range(1 << n))
+    bad = check(every if len(view.joins) == 1 << n else oracle_pair_masks(n), view.joins)
+    if bad is None or view.table is None or len(view.joins) == len(view.table):
+        return bad
+    return check(every, view.table)
+
+
+def loop_frame_violation(frame) -> Violation | None:
+    """`check_frame` by its loops alone, in its order."""
+    items, v = frame.carrier, frame.view
+    n, one = len(items), len(v.grades) - 1
+    meet, rel = v.meet, v.rel
+    for i in range(n):
+        if meet[i][i] != i:
+            return Violation("frame", "meet-semilattice", f"meet({_show(items[i])}, same) is not idempotent")
+        for j in range(n):
+            if meet[i][j] != meet[j][i]:
+                return Violation("frame", "meet-semilattice",
+                                 f"meet not commutative at ({_show(items[i])}, {_show(items[j])})")
+            for k in range(n):
+                if meet[meet[i][j]][k] != meet[i][meet[j][k]]:
+                    return Violation("frame", "meet-semilattice", f"meet not associative at "
+                                     f"({_show(items[i])}, {_show(items[j])}, {_show(items[k])})")
+    for i in range(n):
+        if rel[i][i] != one:
+            return Violation("frame", "axiom 1", f"relation({_show(items[i])}, same) != 1")
+        if rel[i][v.top] != one:
+            return Violation("frame", "axiom 5", f"relation({_show(items[i])}, top) != 1")
+    for i in range(n):
+        for j in range(n):
+            if i != j and rel[i][j] == one and rel[j][i] == one:
+                return Violation("frame", "axiom 2",
+                                 f"{_show(items[i])} and {_show(items[j])} are distinct but related by 1 both ways")
+            m = meet[i][j]
+            if rel[m][i] != one or rel[m][j] != one:
+                return Violation("frame", "axiom 4", f"meet of ({_show(items[i])}, {_show(items[j])}) is not below both")
+            for k in range(n):
+                if min(rel[i][j], rel[j][k]) > rel[i][k]:
+                    return Violation("frame", "axiom 3", f"transitivity fails at "
+                                     f"({_show(items[i])}, {_show(items[j])}, {_show(items[k])})")
+                if min(rel[i][j], rel[i][k]) != rel[i][meet[j][k]]:
+                    return Violation("frame", "axiom 6", f"meet distribution fails at "
+                                     f"({_show(items[i])}, {_show(items[j])}, {_show(items[k])})")
+
+    def subsets(masks, joins):
+        steps = mask_steps(masks)
+        if None in joins:
+            return Violation("frame", "join closure", f"join of mask {masks[joins.index(None)]:b} is outside the carrier")
+        for mask, jm in zip(masks, joins):
+            rest = mask
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                if rel[low.bit_length() - 1][jm] != one:
+                    return Violation("frame", "axiom 7",
+                                     f"{_show(items[low.bit_length() - 1])} is not below the join of its subset")
+        for b in range(n):
+            if rel[joins[0]][b] != one:
+                return Violation("frame", "axiom 8", f"target {_show(items[b])}, empty subset (bottom not below it)")
+            col = [r[b] for r in rel]
+            lower = [one] * len(masks)
+            for p, (q, i) in enumerate(steps, 1):
+                lower[p] = min(lower[q], col[i])
+                if lower[p] != rel[joins[p]][b]:
+                    return Violation("frame", "axiom 8", f"target {_show(items[b])}, subset mask {masks[p]:b}")
+        position = {mask: p for p, mask in enumerate(masks)}
+        for a in range(n):
+            row = meet[a]
+            img = [0] * len(masks)
+            for p, (q, i) in enumerate(steps, 1):
+                img[p] = img[q] | (1 << row[i])
+            for p, jm in enumerate(joins):
+                if rel[row[jm]][joins[position[img[p]]]] != one:
+                    return Violation("frame", "axiom 9", f"{_show(items[a])}, subset mask {masks[p]:b}")
+        return None
+
+    return loop_decide(v, subsets)
+
+
+def loop_system_violation(system) -> Violation | None:
+    """`check_system` by its loops alone, in its order, on the grades
+    themselves."""
+    items, v = system.frame.carrier, system.frame.view
+    n, xs = len(items), system.points.elements
+    rel = [[v.grades[r] for r in row] for row in v.rel]
+    for x, row in zip(xs, system.rows):
+        if row[v.top] != ONE:
+            return Violation("system", "clause 2",
+                             f"satisfaction of the top at {_show(x)} is {row[v.top]}, not 1 (empty meet)")
+        for i in range(n):
+            for j in range(n):
+                if min(row[i], rel[i][j]) > row[j]:
+                    return Violation("system", "clause 1", f"({_show(x)}, {_show(items[i])}, {_show(items[j])})")
+                if row[v.meet[i][j]] != min(row[i], row[j]):
+                    return Violation("system", "clause 2", f"({_show(x)}, {_show(items[i])}, {_show(items[j])})")
+
+    def clause_3(masks, joins):
+        if None in joins:
+            return Violation("system", "clause 3", f"join of mask {masks[joins.index(None)]:b} is outside the carrier")
+        steps = mask_steps(masks)
+        for x, row in zip(xs, system.rows):
+            if row[joins[0]] != ZERO:
+                return Violation("system", "clause 3", f"({_show(x)}, empty subset)")
+            upper = [ZERO] * len(masks)
+            for p, (q, i) in enumerate(steps, 1):
+                upper[p] = max(upper[q], row[i])
+                if upper[p] != row[joins[p]]:
+                    return Violation("system", "clause 3", f"({_show(x)}, subset mask {masks[p]:b})")
+        return None
+
+    return loop_decide(v, clause_3)
+
+
+def loop_frame_hom_violation(h) -> Violation | None:
+    """`check_frame_hom` by its loops alone, in its order, on the grades
+    themselves; each subset's image set is built by a loop over its bits."""
+    src, tgt, image = h.source, h.target, h._image
+    sv, tv = src.view, tgt.view
+    if image[sv.top] != tv.top:
+        return Violation("frame-hom", "top preservation", f"top maps to {_show(h.map[src.top])}")
+    for i, a in enumerate(src.carrier):
+        for j, b in enumerate(src.carrier):
+            if image[sv.meet[i][j]] != tv.meet[image[i]][image[j]]:
+                return Violation("frame-hom", "clause (i)", f"meet of ({_show(a)}, {_show(b)}) is not preserved")
+            if tv.grades[tv.rel[image[i]][image[j]]] < sv.grades[sv.rel[i][j]]:
+                return Violation("frame-hom", "clause (iii)", f"relation shrinks at ({_show(a)}, {_show(b)})")
+
+    def preserved(masks, joins):
+        for mask, joined in zip(masks, joins):
+            if joined is None:
+                return Violation("frame-hom", "join closure",
+                                 f"join of subset mask {mask:b} is outside the source carrier")
+            moved, rest = 0, mask
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                moved |= 1 << image[low.bit_length() - 1]
+            if image[joined] != tgt.join_at(moved):
+                return Violation("frame-hom", "clause (ii)", f"join of subset mask {mask:b} is not preserved")
+        return None
+
+    table = tv.table
+    if table is None or all([table[m | 1 << d] for m in range(len(table))] == [table[1 << j | 1 << d] for j in table]
+                            for d in range(len(tgt))):
+        return loop_decide(sv, preserved)
+    every = range(1 << len(src))
+    return preserved(every, [src.join_at(mask) for mask in every])
 
 
 def brute_is_bijective(hom) -> bool:
