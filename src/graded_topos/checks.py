@@ -45,12 +45,3 @@ def subset_regime(n: int) -> str:
 
 def mask_elements(mask: int, items: tuple) -> list:
     return [items[i] for i in range(len(items)) if mask >> i & 1]
-
-
-def mask_steps(masks: list[int]) -> list[tuple[int, int]]:
-    """For each non-empty mask of an ascending list that also holds every
-    mask minus its lowest member (so masks[0] is the empty mask): the
-    position of that smaller mask and the index of the member. A subset
-    aggregate then builds up one member at a time, indexed by position."""
-    position = {mask: p for p, mask in enumerate(masks)}
-    return [(position[mask & (mask - 1)], (mask & -mask).bit_length() - 1) for mask in masks[1:]]

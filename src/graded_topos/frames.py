@@ -26,17 +26,47 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from functools import cache, cached_property, reduce
 from types import MappingProxyType
-from typing import Callable, Hashable, Iterable, Mapping
+from typing import Callable, Hashable, Iterable, Mapping, NamedTuple
 
-from .checks import Violation, mask_elements, mask_steps
+from .checks import Violation, mask_elements
 from .errors import MixedCarrier, SchemaError
 from .fuzzy_sets import full_set
 from .grades import Grade, ONE, ZERO
-from .ranks import GradeSet, cuts_of, inclusion, rank_objects
+from .ranks import GradeSet, cuts_of, inclusion
 from .spaces import GradedSpace, _show
 
 MeetTable = Mapping[tuple[Hashable, Hashable], Hashable]
 RelationTable = Mapping[tuple[Hashable, Hashable], Grade]
+
+
+class MaskWalk(NamedTuple):
+    """Subset masks in ascending order from the empty one, each non-empty
+    mask less its lowest member again among them: `position[mask]` is a
+    mask's place, and `steps[p - 1] = (q, i)` says masks[p] is masks[q]
+    plus member i. A subset aggregate is built along the steps, one member
+    at a time, indexed by position."""
+
+    masks: list[int]
+    position: Mapping[int, int] | range
+    steps: list[tuple[int, int]]
+
+
+def _walk(masks: list[int], position: Mapping[int, int] | range) -> MaskWalk:
+    return MaskWalk(masks, position, [(position[m & m - 1], (m & -m).bit_length() - 1) for m in masks[1:]])
+
+
+@cache
+def _pairs(n: int) -> MaskWalk:
+    """The walk of the empty set, the singletons and the pairs of n
+    elements, built once per carrier size."""
+    masks = sorted({0} | {1 << i | 1 << j for i in range(n) for j in range(i, n)})
+    return _walk(masks, {mask: p for p, mask in enumerate(masks)})
+
+
+def _subsets(n: int) -> MaskWalk:
+    """The walk of every subset of n elements, each mask its own position;
+    kept by no cache, as it has 2^n steps."""
+    return _walk(list(range(1 << n)), range(1 << n))
 
 
 @dataclass(frozen=True)
@@ -46,8 +76,9 @@ class FrameView:
     `grades`, the sorted relation grades with 0 and 1, so the top rank is 1.
     The axioms and clauses take only min, max, inf, <= and equality with 1
     of grades, which ranks keep, so verdicts on ranks are exact. `joins[p]`
-    is the join of `masks[p]`, or None outside the carrier. `table` is a
-    table frame's join of every subset by mask, None for any other frame."""
+    is the join of the mask at position p of `walk`, or None outside the
+    carrier. `table` is a table frame's join of every subset by mask, None
+    for any other frame."""
 
     index: Mapping[Hashable, int]
     meet: list[list[int]]
@@ -62,10 +93,17 @@ class FrameView:
         return self.joins[0]
 
     @cached_property
-    def masks(self) -> list[int]:
-        """Every subset for 2^n `joins` (a table failing the lowest-member fold), else the pairs."""
+    def walk(self) -> MaskWalk:
+        """The masks of `joins`: every subset for 2^n joins on more than two
+        elements (a table failing the lowest-member fold), built for this
+        view alone, else the pairs (`_pairs`), every subset of up to two."""
         n = len(self.index)
-        return list(range(1 << n)) if len(self.joins) == 1 << n else list(_pairs(n))
+        return _subsets(n) if n > 2 and len(self.joins) == 1 << n else _pairs(n)
+
+    @cached_property
+    def grade_set(self) -> GradeSet:
+        """`grades` as a `GradeSet`, adopted as they stand on first read."""
+        return GradeSet._adopt(self.grades)
 
     @cached_property
     def folds(self) -> bool:
@@ -86,14 +124,7 @@ class FrameView:
         return check(replace(self, joins=self.table))
 
 
-@cache
-def _pairs(n: int) -> dict[int, int]:
-    """The position of each pair mask of n elements (empty set, singletons, pairs), ascending."""
-    masks = sorted({0} | {1 << i | 1 << j for i in range(n) for j in range(i, n)})
-    return {mask: p for p, mask in enumerate(masks)}
-
-
-def _fold(joins: list[int | None], position: Mapping[int, int], mask: int) -> int | None:
+def _fold(joins: list[int | None], position: Mapping[int, int] | range, mask: int) -> int | None:
     """The join of the subset `mask` folded from the empty join, lowest
     member first, by the pair joins `joins` at `position`; None once a
     step leaves the carrier."""
@@ -195,9 +226,10 @@ class GradedFrame:
     def join_at(self, mask: int) -> int | None:
         """The carrier position of the join of the subset `mask`, or None
         outside the carrier: the table's entry, or the pair joins folded."""
-        v, position = self.view, _pairs(len(self.carrier))
+        v = self.view
         if v.table is not None:
             return v.table[mask]
+        position = v.walk.position
         if mask in position:
             return v.joins[position[mask]]
         return _fold(v.joins, position, mask)
@@ -242,7 +274,7 @@ class GradedFrame:
                     raise SchemaError("join", f"join value {_show(v)} is outside the carrier")
                 table[mask] = index[v]
         folds = [table[1 << table[m & m - 1] | m & -m] for m in range(1, 1 << n)] == table[1:]
-        joins = [table[mask] for mask in _pairs(n)] if folds else table
+        joins = [table[mask] for mask in _pairs(n).masks] if folds else table
         return cls(items, FrameView(*_tables(items, top, meet_table, relation), joins, table))
 
     @classmethod
@@ -253,7 +285,7 @@ class GradedFrame:
         in the carrier; a pair join outside it fails `check_frame` at join closure."""
         items = tuple(carrier)
         fields = _tables(items, top, meet_table, relation)
-        joins = [fields[0].get(join_fn(frozenset(mask_elements(mask, items)))) for mask in _pairs(len(items))]
+        joins = [fields[0].get(join_fn(frozenset(mask_elements(mask, items)))) for mask in _pairs(len(items)).masks]
         if joins[0] is None:
             raise SchemaError("join", "join of the empty set is outside the carrier")
         return cls(items, FrameView(*fields, joins, None))
@@ -284,7 +316,7 @@ def frame_from_space(space: GradedSpace) -> GradedFrame:
             raise SchemaError("meet", f"value at ({_show(a)}, {_show(opens[row.index(None)])}) "
                                       "is outside the carrier")
     joins = [position.get(rows[(m & -m).bit_length() - 1] | rows[m.bit_length() - 1] if m else 0)
-             for m in _pairs(n)]
+             for m in _pairs(n).masks]
     if joins[0] is None:
         raise SchemaError("join", "join of the empty set is outside the carrier")
     # ranked in the relation's own grades, as `from_masks` ranks a file's
@@ -300,15 +332,20 @@ def frame_from_space(space: GradedSpace) -> GradedFrame:
 
 def chain_frame(values: Iterable[Grade]) -> GradedFrame:
     """The linear frame on a finite grade set: meet is min, join is max with
-    empty join 0, and the relation is the Gödel arrow, valued in the chain."""
-    carrier = tuple(sorted(set(values)))
+    empty join 0, and the relation is the Gödel arrow, valued in the chain.
+    Values that already increase strictly, as a `GradeSet`'s grades do, are
+    the carrier as they stand; any others are sorted and deduplicated."""
+    carrier = tuple(values)
+    if any(a >= b for a, b in zip(carrier, carrier[1:])):
+        carrier = tuple(sorted(set(carrier)))
     if not carrier or carrier[0] != ZERO or carrier[-1] != ONE:
         raise SchemaError("grades", "a grade chain must contain 0 and 1")
     n = len(carrier)
+    ranks = list(range(n))
     return GradedFrame(carrier, FrameView(
-        dict(zip(carrier, range(n))), [[min(i, j) for j in range(n)] for i in range(n)], carrier,
-        [[n - 1 if i <= j else j for j in range(n)] for i in range(n)], n - 1,
-        [max(m.bit_length() - 1, 0) for m in _pairs(n)], None))
+        dict(zip(carrier, ranks)), [ranks[:i] + [i] * (n - i) for i in ranks], carrier,
+        [ranks[:i] + [n - 1] * (n - i) for i in ranks], n - 1,
+        [max(m.bit_length() - 1, 0) for m in _pairs(n).masks], None))
 
 
 def finite_meet(frame: GradedFrame, subset: Iterable[Hashable]) -> Hashable:
@@ -435,7 +472,8 @@ def check_frame(frame: GradedFrame) -> Violation | None:
         if rel[i][v.top] != one:
             return Violation("frame", "axiom 5", f"relation({_show(items[i])}, top) != 1")
     rows = [cuts_of(row, one) for row in rel]
-    if not _pair_axioms_hold(meet_idx, rel, rows, one):
+    cols = [cuts_of(col, one) for col in zip(*rel)]
+    if not _pair_axioms_hold(meet_idx, rel, rows, cols, one):
         for i in range(n):
             for j in range(n):
                 if i != j and rel[i][j] == one and rel[j][i] == one:
@@ -453,7 +491,9 @@ def check_frame(frame: GradedFrame) -> Violation | None:
                         return Violation("frame", "axiom 6",
                                          f"meet distribution fails at ({_show(items[i])}, {_show(items[j])}, {_show(items[k])})")
 
-    return v.decide(lambda view: _subset_violation(items, view, rows))
+    # the top level of C[x] is the crisp down-set of x: bit y iff R(y, x) = 1
+    below = [col >> (one - 1) * n for col in cols]
+    return v.decide(lambda view: _subset_violation(items, view, rows, below))
 
 
 def _is_semilattice(meet: list[list[int]]) -> bool:
@@ -473,7 +513,8 @@ def _is_semilattice(meet: list[list[int]]) -> bool:
     return True
 
 
-def _pair_axioms_hold(meet: list[list[int]], rel: list[list[int]], rows: list[int], one: int) -> bool:
+def _pair_axioms_hold(meet: list[list[int]], rel: list[list[int]], rows: list[int], cols: list[int],
+                      one: int) -> bool:
     """Whether axioms 2, 3, 4 and 6 hold, with axioms 3 and 6 decided on
     the packed rows and columns of the relation (`check_frame`)."""
     n = len(rel)
@@ -484,7 +525,6 @@ def _pair_axioms_hold(meet: list[list[int]], rel: list[list[int]], rows: list[in
             if (r == one and rel[j][i] == one and i != j or rel[m][i] != one or rel[m][j] != one
                     or rows[j] & ~packed & levels[r]):
                 return False
-    cols = [cuts_of(col, one) for col in zip(*rel)]
     return all(cols[m] == cj & ck for cj, row in zip(cols, meet) for ck, m in zip(cols, row))
 
 
@@ -496,24 +536,22 @@ def _axiom_8_holds(rows: list[int], joins: list[int], steps: list[tuple[int, int
         rows[joins[p]] == rows[joins[q]] & rows[i] for p, (q, i) in enumerate(steps, 1))
 
 
-def _subset_violation(items: tuple, v: FrameView, rows: list[int]) -> Violation | None:
-    """Join closure and axioms 7-9 of `check_frame` on the masks of `v`;
-    `rows` are the packed relation rows."""
+def _subset_violation(items: tuple, v: FrameView, rows: list[int], below: list[int]) -> Violation | None:
+    """Join closure and axioms 7-9 of `check_frame` along the walk of `v`;
+    `rows` are the packed relation rows and `below` the crisp down-sets."""
     n, one = len(items), len(v.grades) - 1
     meet_idx, rel = v.meet, v.rel
-    masks, joins, steps = v.masks, v.joins, mask_steps(v.masks)
+    (masks, position, steps), joins = v.walk, v.joins
     if None in joins:
         return Violation("frame", "join closure",
                          f"join of mask {masks[joins.index(None)]:b} is outside the carrier")
 
+    # axiom 7 holds on a mask iff the mask lies within the down-set of its join
     for mask, jm in zip(masks, joins):
-        rest = mask
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            if rel[low.bit_length() - 1][jm] != one:
-                return Violation("frame", "axiom 7",
-                                 f"{_show(items[low.bit_length() - 1])} is not below the join of its subset")
+        outside = mask & ~below[jm]
+        if outside:
+            return Violation("frame", "axiom 7", f"{_show(items[(outside & -outside).bit_length() - 1])} "
+                                                 "is not below the join of its subset")
 
     if not _axiom_8_holds(rows, joins, steps, (1 << n * one) - 1):
         for b in range(n):
@@ -527,8 +565,7 @@ def _subset_violation(items: tuple, v: FrameView, rows: list[int]) -> Violation 
                 if lower[p] != rel[joins[p]][b]:
                     return Violation("frame", "axiom 8",
                                      f"target {_show(items[b])}, subset mask {masks[p]:b}")
-    position = {mask: p for p, mask in enumerate(masks)}
-    if not _distributive(rel, joins, position, one):
+    if not _distributive(below, v.walk, joins):
         for a in range(n):
             row = meet_idx[a]
             img = [0] * len(masks)
@@ -541,20 +578,20 @@ def _subset_violation(items: tuple, v: FrameView, rows: list[int]) -> Violation 
     return None
 
 
-def _distributive(rel: list[list[int]], joins: list[int], position: Mapping[int, int], one: int) -> bool:
-    """Whether the lattice of a frame that passes axioms 1-8 is
-    distributive: the join-irreducibles below a join of two elements are
-    those below either (`check_frame`)."""
-    n = len(rel)
-    below = [sum(1 << y for y, r in enumerate(col) if r == one) for col in zip(*rel)]
-    irreducible = 0
-    for x in range(n):
-        # x is join-irreducible unless the join of the elements strictly below it is x
-        if _fold(joins, position, below[x] & ~(1 << x)) != x:
-            irreducible |= 1 << x
-    down = [b & irreducible for b in below]
-    return all(down[joins[position[1 << x | 1 << y]]] == down[x] | down[y]
-               for x in range(n) for y in range(x + 1, n))
+def _distributive(below: list[int], walk: MaskWalk, joins: list[int]) -> bool:
+    """Whether the lattice of a frame that passes axioms 1-8 on `walk`,
+    with crisp down-sets `below`, is distributive: the join-irreducibles
+    below the join of each mask are those below its members (`check_frame`)."""
+    masks, _, steps = walk
+    reducible = 0
+    for mask, j in zip(masks, joins):
+        if not mask >> j & 1:
+            reducible |= 1 << j
+    down = [b & ~reducible for b in below]
+    union = [0] * len(masks)
+    for p, (q, i) in enumerate(steps, 1):
+        union[p] = union[q] | down[i]
+    return union == [down[j] for j in joins]
 
 
 @dataclass(frozen=True, eq=False)
@@ -631,7 +668,7 @@ def same_frame(a: GradedFrame, b: GradedFrame) -> bool:
     if not (a.carrier == b.carrier and a.top == b.top and a.view.meet == b.view.meet
             and a.view.grades == b.view.grades and a.view.rel == b.view.rel):
         return False
-    masks = a.view.masks if a.join_table is None and b.join_table is None else range(1 << len(a))
+    masks = a.view.walk.masks if a.join_table is None and b.join_table is None else range(1 << len(a))
     return all(a.join_at(mask) == b.join_at(mask) for mask in masks)
 
 
@@ -656,7 +693,7 @@ def check_frame_hom(h: FrameHom) -> Violation | None:
         return Violation("frame-hom", "top preservation",
                          f"top maps to {_show(h.map[src.top])}")
     # a source rank r exceeds a target rank s exactly when s < above[r]
-    above = rank_objects(tv.grades, sv.grades)
+    above = tv.grade_set.code(sv.grades)
     for i, a in enumerate(src.carrier):
         for j, b in enumerate(src.carrier):
             if image[sv.meet[i][j]] != tv.meet[image[i]][image[j]]:
@@ -666,25 +703,25 @@ def check_frame_hom(h: FrameHom) -> Violation | None:
                 return Violation("frame-hom", "clause (iii)",
                                  f"relation shrinks at ({_show(a)}, {_show(b)})")
 
-    def preserved(masks: Iterable[int], joins: Iterable[int | None]) -> Violation | None:
-        for mask, joined in zip(masks, joins):
+    def preserved(walk: MaskWalk, joins: list[int | None]) -> Violation | None:
+        masks, _, steps = walk
+        # the image set of each mask, built up one member at a time
+        moved = [0] * len(masks)
+        for p, (q, i) in enumerate(steps, 1):
+            moved[p] = moved[q] | 1 << image[i]
+        for mask, joined, m in zip(masks, joins, moved):
             if joined is None:
                 return Violation("frame-hom", "join closure",
                                  f"join of subset mask {mask:b} is outside the source carrier")
-            moved, rest = 0, mask
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                moved |= 1 << image[low.bit_length() - 1]
-            if image[joined] != tgt.join_at(moved):
+            if image[joined] != tgt.join_at(m):
                 return Violation("frame-hom", "clause (ii)",
                                  f"join of subset mask {mask:b} is not preserved")
         return None
 
     if tv.folds:
-        return sv.decide(lambda view: preserved(view.masks, view.joins))
-    every = range(1 << len(src))
-    return preserved(every, map(src.join_at, every))
+        return sv.decide(lambda view: preserved(view.walk, view.joins))
+    n = len(src)
+    return preserved(_subsets(n), list(map(src.join_at, range(1 << n))))
 
 
 def compose_frame_hom(f: FrameHom, g: FrameHom) -> FrameHom:

@@ -190,7 +190,7 @@ def _search_point_homs(frame: GradedFrame, values: GradeSet) -> tuple[int, list[
 
     The axioms are the ones a test of every map would check: meet and
     relation preservation at every pair, and join preservation at every mask
-    of `frame.view.masks`, which decides every subset as in
+    of `frame.view.walk`, which decides every subset as in
     `check_frame_hom` (the chain's join is max, which folds). The top must
     land on 1 and the empty join on 0, so those two coordinates are pinned;
     the others get grade ranks in a depth-first search, in order of how many
@@ -244,7 +244,7 @@ def _search_point_homs(frame: GradedFrame, values: GradeSet) -> tuple[int, list[
         meets[max(depth[i], depth[j], depth[m])].append((m, i, j))
     minimal: dict[int, list[int]] = {}
     # smaller masks first, so every sub-mask is seen before its supersets
-    for mask, j in sorted(zip(view.masks, view.joins), key=lambda pair: pair[0].bit_count()):
+    for mask, j in sorted(zip(view.walk.masks, view.joins), key=lambda pair: pair[0].bit_count()):
         members = [i for i in range(n) if mask >> i & 1]
         for k in members:
             at_most(k, j)
@@ -319,8 +319,7 @@ def s_morphism(h: FrameHom, source: GradedSystem, target: GradedSystem) -> Syste
     found = _find_homs(target, rows)
     if None in found:
         raise NoPoints("precomposition left the enumerated hom set")
-    pm = PointMap(source.points, target.points, tuple(map(target.points.elements.__getitem__, found)))
-    return SystemMorphism(source, target, pm, h)
+    return SystemMorphism(source, target, PointMap._read(source.points, target.points, found), h)
 
 
 def counit(system: GradedSystem) -> SystemMorphism:
@@ -400,7 +399,7 @@ def unit_system(system: GradedSystem, hom_system: GradedSystem) -> SystemMorphis
     images = tuple(x if x is p or (isinstance(x, PointHom) and x._hash == p._hash  # type: ignore[attr-defined]
                                    and x.values == row and x.carrier == carrier) else p
                    for x, row, p in zip(system.points.elements, rows, homs))
-    pm = PointMap(system.points, hom_system.points, images)
+    pm = PointMap._read(system.points, hom_system.points, found, images)
     return SystemMorphism(system, hom_system, pm, FrameHom.identity(system.frame))
 
 

@@ -123,7 +123,10 @@ class FuzzySet(Aligned):
 @dataclass(frozen=True)
 class PointMap:
     """Function between two universes, stored aligned with the source order.
-    `_positions` holds each image's position in the target."""
+    `_positions` holds each image's position in the target. The public
+    constructor looks each image up there; every map the package derives
+    from positions it already knows (identities, inverses, composites, the
+    fm-s unit, S of a frame hom) is built by `_read`, which checks nothing."""
 
     source: Universe
     target: Universe
@@ -142,8 +145,23 @@ class PointMap:
         return self.images[self.source.index(element)]
 
     @classmethod
+    def _read(cls, source: Universe, target: Universe, positions: Iterable[int],
+              images: tuple[Hashable, ...] | None = None) -> "PointMap":
+        """The map sending the source's i-th point to the target's point at
+        positions[i], or to images[i], an equal object, when given;
+        unchecked, and no image is looked up in the target, as
+        `FrameHom._read` builds homs."""
+        f = object.__new__(cls)
+        positions = tuple(positions)
+        object.__setattr__(f, "source", source)
+        object.__setattr__(f, "target", target)
+        object.__setattr__(f, "images", images or tuple(map(target.elements.__getitem__, positions)))
+        object.__setattr__(f, "_positions", positions)
+        return f
+
+    @classmethod
     def identity(cls, universe: Universe) -> "PointMap":
-        return cls(universe, universe, universe.elements)
+        return cls._read(universe, universe, range(len(universe)), universe.elements)
 
     def is_bijective(self) -> bool:
         return (len(set(self.images)) == len(self.images)
@@ -153,15 +171,16 @@ class PointMap:
         """Inverse of a bijective map; raises SchemaError otherwise."""
         if not self.is_bijective():
             raise SchemaError("map", "not a bijection")
-        back = {y: x for x, y in zip(self.source.elements, self.images)}
-        return PointMap(self.target, self.source, tuple(back[y] for y in self.target.elements))
+        positions = self._positions  # type: ignore[attr-defined]
+        # the source positions in the order of their images
+        return PointMap._read(self.target, self.source, sorted(range(len(positions)), key=positions.__getitem__))
 
 
 def compose_point_maps(f: PointMap, g: PointMap) -> PointMap:
     """Apply f, then g."""
     if f.target != g.source:
         raise MixedUniverse("composition endpoints do not match")
-    return PointMap(f.source, g.target, tuple(map(g.images.__getitem__, f._positions)))  # type: ignore[attr-defined]
+    return PointMap._read(f.source, g.target, map(g._positions.__getitem__, f._positions))  # type: ignore[attr-defined]
 
 
 def _require_same_universe(sets: Iterable[FuzzySet], universe: Universe | None = None) -> Universe:

@@ -71,7 +71,7 @@ if TYPE_CHECKING:
 class GradeSet:
     """A finite set of grades with 0 and 1, sorted and duplicate-free, and
     `top`, the rank of 1; the constructor and `closure` check it, and `of`
-    does not. It keeps the rank of each of its own objects by id (`code`):
+    and `_adopt` do not. It keeps the rank of each of its own objects by id (`code`):
     equality, hashing and repr read `grades` alone, and a copied or
     unpickled table indexes its own new objects."""
 
@@ -97,12 +97,18 @@ class GradeSet:
         return len(self.grades)
 
     @classmethod
+    def _adopt(cls, grades: tuple[Grade, ...]) -> GradeSet:
+        """The table of `grades`, sorted and duplicate-free, as they stand:
+        unchecked, and nothing is sorted or hashed."""
+        table = cls.__new__(cls)
+        table.__setstate__(grades)
+        return table
+
+    @classmethod
     def of(cls, values: Iterable[Grade]) -> GradeSet:
         """The table of `values` with 0 and 1, unchecked: each distinct object
         of `values` is hashed once, into the set that sorts them."""
-        table = cls.__new__(cls)
-        table.__setstate__(tuple(sorted({ZERO, ONE}.union({id(g): g for g in values}.values()))))
-        return table
+        return cls._adopt(tuple(sorted({ZERO, ONE}.union({id(g): g for g in values}.values()))))
 
     @classmethod
     def closure(cls, values: Iterable[Grade]) -> GradeSet:
@@ -119,36 +125,26 @@ class GradeSet:
         return system.extents[0]
 
     def code(self, values: Iterable[Grade]) -> list[int]:
-        """`rank_objects` through the table's own id table."""
-        return _rank_by_id(self.grades, self._placed, values)
+        """The number of grades below each of `values`, its rank when the
+        table holds it: found by object in the table's id table, else placed
+        by value (`bisect_left`, which only compares) once per call for each
+        other object. No grade is hashed (`Fraction` hashing is slow), and
+        identity implies equality, so every rank is exact."""
+        values = list(values)  # held, so no object's id is reused during the call
+        ranks = list(map(self._placed.get, map(id, values)))
+        if None in ranks:
+            others: dict[int, int] = {}
+            for k, g in enumerate(values):
+                if ranks[k] is None:
+                    if id(g) not in others:
+                        others[id(g)] = bisect_left(self.grades, g)
+                    ranks[k] = others[id(g)]
+        return ranks
 
     def cuts(self, values: Iterable[Grade], size: int) -> list[int]:
         """Each `size` grades of `values` as level cuts, ranked in one pass."""
         codes = self.code(values)
         return [cuts_of(codes[k:k + size], self.top) for k in range(0, len(codes), size)]
-
-
-def rank_objects(grades: tuple[Grade, ...], values: Iterable[Grade]) -> list[int]:
-    """The number of `grades`, sorted and duplicate-free, below each of
-    `values`, its rank when `grades` hold it: found by object in an id table
-    of `grades`, else placed by value (`bisect_left`, which only compares)
-    once per call for each other object. No grade is hashed (`Fraction`
-    hashing is slow), and identity implies equality, so every rank is
-    exact."""
-    return _rank_by_id(grades, {id(g): r for r, g in enumerate(grades)}, values)
-
-
-def _rank_by_id(grades: tuple[Grade, ...], placed: dict[int, int], values: Iterable[Grade]) -> list[int]:
-    values = list(values)  # held, so no object's id is reused during the call
-    ranks = list(map(placed.get, map(id, values)))
-    if None in ranks:
-        others: dict[int, int] = {}
-        for k, g in enumerate(values):
-            if ranks[k] is None:
-                if id(g) not in others:
-                    others[id(g)] = bisect_left(grades, g)
-                ranks[k] = others[id(g)]
-    return ranks
 
 
 # table r turns a rank byte into the digit "1" if it is at least r, else "0"

@@ -230,7 +230,7 @@ def frame_to_json(frame: GradedFrame) -> dict:
             raise SchemaError("join", "carrier too large to materialize the join table")
         if None in view.joins:
             raise SchemaError("join", "the join of a pair is outside the carrier")
-        pair = dict(zip(view.masks, view.joins))
+        pair = dict(zip(view.walk.masks, view.joins))
         # the folds of the masks below 2^(h+1) from those below 2^h: the
         # fold takes the lowest member first, so it joins member h last
         table = [view.bottom]

@@ -46,13 +46,13 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Hashable, Mapping
 
-from .checks import Violation, mask_steps
+from .checks import Violation
 from .errors import MixedStructure, SchemaError
 from .frames import (FrameHom, FrameView, GradedFrame, _show, check_frame_hom, compose_frame_hom,
                      same_frame)
 from .fuzzy_sets import Aligned, PointMap, Universe, compose_point_maps
 from .grades import Grade
-from .ranks import GradeSet, inclusion, rank_objects
+from .ranks import GradeSet, inclusion
 
 
 @dataclass(frozen=True)
@@ -79,11 +79,12 @@ class PointHom(Aligned):
     def as_frame_hom(self, frame: GradedFrame, chain: GradedFrame) -> FrameHom:
         """The hom as a frame hom into `chain`. Into a `chain_frame`, whose
         carrier is its grades, a hom over the frame's carrier is read at its
-        values' positions among them (`rank_objects`); any other pair, and a
-        value outside the chain, goes through `FrameHom`'s checks."""
+        values' positions among them (`GradeSet.code` of the chain's view);
+        any other pair, and a value outside the chain, goes through
+        `FrameHom`'s checks."""
         grades = chain.carrier
         if grades is chain.view.grades and self.carrier == frame.carrier:
-            image = rank_objects(grades, self.values)
+            image = chain.view.grade_set.code(self.values)
             if len(grades) not in image and tuple(map(grades.__getitem__, image)) == self.values:
                 return FrameHom._read(frame, chain, image)
         return FrameHom(frame, chain, dict(zip(self.carrier, self.values)))
@@ -179,7 +180,7 @@ def check_system(system: GradedSystem) -> Violation | None:
                                          f"({_show(x)}, {_show(items[i])}, {_show(items[j])})")
 
     def clause_3(view: FrameView) -> Violation | None:
-        masks, joins, steps = view.masks, view.joins, mask_steps(view.masks)
+        (masks, _, steps), joins = view.walk, view.joins
         if None in joins:
             return Violation("system", "clause 3",
                              f"join of mask {masks[joins.index(None)]:b} is outside the carrier")

@@ -458,7 +458,8 @@ def loop_frame_violation(frame) -> Violation | None:
                                  f"{_show(items[i])} and {_show(items[j])} are distinct but related by 1 both ways")
             m = meet[i][j]
             if rel[m][i] != one or rel[m][j] != one:
-                return Violation("frame", "axiom 4", f"meet of ({_show(items[i])}, {_show(items[j])}) is not below both")
+                return Violation("frame", "axiom 4",
+                                 f"meet of ({_show(items[i])}, {_show(items[j])}) is not below both")
             for k in range(n):
                 if min(rel[i][j], rel[j][k]) > rel[i][k]:
                     return Violation("frame", "axiom 3", f"transitivity fails at "
@@ -470,7 +471,8 @@ def loop_frame_violation(frame) -> Violation | None:
     def subsets(masks, joins):
         steps = mask_steps(masks)
         if None in joins:
-            return Violation("frame", "join closure", f"join of mask {masks[joins.index(None)]:b} is outside the carrier")
+            return Violation("frame", "join closure",
+                             f"join of mask {masks[joins.index(None)]:b} is outside the carrier")
         for mask, jm in zip(masks, joins):
             rest = mask
             while rest:

@@ -1,5 +1,7 @@
 import itertools
+import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +10,7 @@ from conftest import (
     brute_frame_violation,
     brute_frame_hom_ok,
     brute_join_table,
+    loop_frame_hom_violation,
     space_with_opens,
     unclosed_space,
 )
@@ -22,8 +25,9 @@ from graded_topos.frames import (
     compose_frame_hom,
     finite_meet,
     frame_from_space,
+    same_frame,
 )
-from graded_topos.functors import GradeSet, enumerate_point_homs, j_morphism
+from graded_topos.functors import GradeSet, PointHom, enumerate_point_homs, j_morphism
 from graded_topos.fuzzy_sets import FuzzySet, Universe, empty_set, full_set
 from graded_topos.generators import (
     GeneratorConfig,
@@ -31,7 +35,7 @@ from graded_topos.generators import (
     generate_random_space,
 )
 from graded_topos.grades import ONE, ZERO, godel_arrow
-from graded_topos.serialization import dumps_canonical, frame_from_json, frame_to_json
+from graded_topos.serialization import dumps_canonical, frame_from_json, frame_to_json, load_frame
 from graded_topos.spaces import GradedSpace, generate_topology
 from graded_topos.systems import GradedSystem, check_system
 
@@ -273,7 +277,7 @@ def test_a_frame_file_holds_the_brute_force_join_table_and_is_read_on_its_pairs(
     payload = frame_to_json(frame_from_space(space))
     assert dumps_canonical(payload) == dumps_canonical({**payload, "join": brute_join_table(space)})
     table = frame_from_json(payload)
-    assert table.view.masks == pair_masks(opens)
+    assert table.view.walk.masks == pair_masks(opens)
     assert check_frame(table) is None
     assert frame_to_json(table) == payload
 
@@ -321,7 +325,7 @@ def test_planted_joins_of_three_or_more_elements_are_named_on_every_subset(opens
     # fails the lowest-member fold and is checked on every subset
     key, value, frame_witness, system_witness, hom_witness = PLANTED[opens]
     frame = _planted(opens, key, value)
-    assert frame.view.masks == list(range(1 << opens))
+    assert frame.view.walk.masks == list(range(1 << opens))
     assert str(check_frame(frame)) == frame_witness
     row = _first_row_seeing(frame, key)
     system = GradedSystem.from_table(Universe.of("p"), frame, {("p", a): g for a, g in row.items()})
@@ -343,7 +347,7 @@ def test_a_violation_on_the_pairs_of_a_folding_table_is_named_on_every_subset():
             rest = joins[",".join(f"e{i}" for i in combo[1:])]
             joins[",".join(f"e{i}" for i in combo)] = joins[",".join(sorted({f"e{combo[0]}", rest}))]
     frame = frame_from_json(payload)
-    assert frame.view.masks == pair_masks(8)
+    assert frame.view.walk.masks == pair_masks(8)
     assert str(check_frame(frame)) == "frame: axiom 8 violated at target 'e6', subset mask 101010"
     row = dict(zip(frame.carrier, (ZERO, ZERO, F(1, 2), F(1, 2), ONE, F(1, 2), F(1, 2), ONE)))
     system = GradedSystem.from_table(Universe.of("p"), frame, {("p", a): g for a, g in row.items()})
@@ -382,7 +386,7 @@ def test_a_violation_on_opens_names_each_open_by_its_grades():
 
 def view_fields(frame):
     v = frame.view
-    return v.meet, v.grades, v.rel, v.top, v.bottom, v.masks, v.joins
+    return v.meet, v.grades, v.rel, v.top, v.bottom, v.walk.masks, v.joins
 
 
 def test_a_frame_and_its_file_have_the_same_view():
@@ -421,3 +425,58 @@ def test_a_join_list_builds_the_view_a_join_map_builds():
                                         frame.relation).view
                  for table in (by_mask, dict(enumerate(by_mask)))]
         assert views[0] == views[1] == frame.view
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def test_a_view_keeps_its_grades_as_one_table():
+    # adopted as they stand: the view's own tuple, each grade coded to its
+    # index by identity, built once
+    for frame in (load_frame(FIXTURES / "frame_three_chain.json"), frame_from_space(space_with_opens(6)),
+                  chain_frame((ZERO, F(1, 3), ONE))):
+        view = frame.view
+        table = view.grade_set
+        assert table == GradeSet(view.grades) and table.grades is view.grades and view.grade_set is table
+        assert table._placed == {id(g): r for r, g in enumerate(view.grades)}
+        assert table.code(view.grades) == list(range(len(view.grades)))
+
+
+def test_hom_checks_rank_equal_grades_held_in_other_objects():
+    """Every map of a file's three-chain into a chain whose equal grades
+    are other objects: `check_frame_hom` ranks the file's relation grades
+    in the chain's table, and `as_frame_hom` ranks the map's values there,
+    both by value (`GradeSet.code` past its id table). The verdicts and
+    images are those of the public constructor's hom."""
+    frame = load_frame(FIXTURES / "frame_three_chain.json")
+    chain = chain_frame((F(0), F(1, 2), F(1)))
+    file_grades = GradeSet.for_frame(frame).grades
+    assert file_grades == chain.carrier
+    assert not {id(g) for g in chain.carrier} & {id(g) for g in file_grades + frame.view.grades}
+    verdicts = set()
+    for values in itertools.product(file_grades, repeat=len(frame)):
+        read = PointHom(frame.carrier, values).as_frame_hom(frame, chain)
+        public = FrameHom(frame, chain, dict(zip(frame.carrier, values)))
+        assert read._image == public._image
+        assert check_frame_hom(read) == check_frame_hom(public) == loop_frame_hom_violation(public)
+        verdicts.add(check_frame_hom(read) and check_frame_hom(read).clause)
+    assert {None, "top preservation", "clause (i)"} <= verdicts, verdicts
+
+
+def test_a_chain_keeps_increasing_values_and_sorts_any_others():
+    values = (ZERO, F(1, 3), F(1, 2), ONE)
+    chain = chain_frame(values)
+    n = len(values)
+    assert all(a is b for a, b in zip(chain.carrier, values)) and chain.view.grades is chain.carrier
+    assert chain.view.meet == [[min(i, j) for j in range(n)] for i in range(n)]
+    assert chain.view.rel == [[n - 1 if i <= j else j for j in range(n)] for i in range(n)]
+    assert check_frame(chain) is None
+    rng = random.Random(0)
+    for _ in range(20):
+        drawn = list(values) + rng.choices(values, k=rng.randint(0, 4)) + [F(1, 3)]
+        rng.shuffle(drawn)
+        again = chain_frame(drawn)
+        assert again.carrier == values and same_frame(again, chain)
+    for missing in ((F(1, 2), ONE), (ZERO, F(1, 2)), ()):
+        with pytest.raises(SchemaError, match="a grade chain must contain 0 and 1"):
+            chain_frame(missing)

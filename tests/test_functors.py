@@ -61,7 +61,7 @@ from graded_topos.functors import (
     unit_space,
     unit_system,
 )
-from graded_topos.fuzzy_sets import FuzzySet, PointMap, Universe, preimage
+from graded_topos.fuzzy_sets import FuzzySet, PointMap, Universe, compose_point_maps, preimage
 from graded_topos.generators import (
     GeneratorConfig,
     generate_continuous_chain,
@@ -440,7 +440,7 @@ def test_checkers_match_the_brute_force_oracles_on_invalid_frames():
                          ("refolded", _refolded_table_frames(150, seed=7))):
         for frame in frames:
             if kind == "refolded":
-                assert len(frame.view.masks) < 1 << len(frame)
+                assert len(frame.view.walk.masks) < 1 << len(frame)
             bad = check_frame(frame)
             assert (bad is None) == (brute_frame_violation(frame) is None)
             verdicts[kind, "frame", bad and bad.clause] += 1
@@ -609,18 +609,18 @@ def test_table_files_keep_verdict_and_fold_decision_under_relabelling_and_permut
                          ("refolded", list(_refolded_table_frames(60, seed=31)))):
         for frame in frames:
             read = _read_back(frame)
-            on_pairs = len(read.view.masks) < 1 << len(read)
+            on_pairs = len(read.view.walk.masks) < 1 << len(read)
             verdict = check_frame(read)
             inner = sorted(set(frame.relation.values()) - {ZERO, ONE})
             image = sorted(F(k, 100) for k in rng.sample(range(1, 100), len(inner)))
             relabel = {ZERO: ZERO, ONE: ONE, **dict(zip(inner, image))}
             moved = _read_back(frame, grade_map=relabel.__getitem__)
             assert check_frame(moved) == verdict
-            assert (len(moved.view.masks) < 1 << len(moved)) == on_pairs
+            assert (len(moved.view.walk.masks) < 1 << len(moved)) == on_pairs
             permuted = _read_back(frame, order=rng.sample(range(len(frame)), len(frame)))
             assert (check_frame(permuted) is None) == (verdict is None)
             if kind != "refolded":
-                assert (len(permuted.view.masks) < 1 << len(permuted)) == on_pairs
+                assert (len(permuted.view.walk.masks) < 1 << len(permuted)) == on_pairs
             decisions[kind, on_pairs, verdict is None] += 1
     assert set(decisions) == {("valid", True, True), ("planted", False, False),
                               ("refolded", True, True), ("refolded", True, False)}
@@ -1732,3 +1732,43 @@ def test_frame_hom_sets_match_hom_system_morphisms():
     projected = {tuple(sorted(m.frame_hom.map.items(), key=str)) for m in system_side}
     assert len(projected) == len(system_side)
     assert projected == {tuple(sorted(h.map.items(), key=str)) for h in frame_side}
+
+
+def _as_the_public_map(pm):
+    """`pm` against the public constructor's map of its images: the same
+    target positions, equal, and hashed alike."""
+    public = PointMap(pm.source, pm.target, pm.images)
+    assert pm._positions == public._positions
+    assert pm == public and hash(pm) == hash(public)
+    return type(pm.images[0]).__name__ if pm.images else "empty"
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_derived_point_maps_are_the_maps_the_public_constructor_builds(seed):
+    """Identities, composites, inverses, S of frame homs and fm-s units are
+    built from target positions (`PointMap._read`), on generated spaces,
+    maps and systems."""
+    cfg, rng = GeneratorConfig(seed=seed, max_generators=4), random.Random(seed)
+    kinds = collections.Counter()
+    for index in range(4):
+        f, g, first, middle, last = generate_continuous_chain(cfg, index)
+        for universe in (first.universe, middle.universe, last.universe):
+            kinds["identity", _as_the_public_map(PointMap.identity(universe))] += 1
+        kinds["composite", _as_the_public_map(compose_point_maps(f, g))] += 1
+        shuffled = list(first.universe.elements)
+        rng.shuffle(shuffled)
+        bijection = PointMap(first.universe, first.universe, tuple(shuffled))
+        kinds["inverse", _as_the_public_map(bijection.inverse())] += 1
+        kinds["composite", _as_the_public_map(compose_point_maps(bijection, bijection.inverse()))] += 1
+        system = generate_random_system(cfg, index, max_opens=6)
+        values = GradeSet.for_system(system)
+        hom_system = s_object(system.frame, values)
+        for source in (system, hom_system):
+            kinds["unit", _as_the_public_map(unit_system(source, hom_system).point_map)] += 1
+        kinds["S", _as_the_public_map(s_morphism(FrameHom.identity(system.frame), hom_system,
+                                                 hom_system).point_map)] += 1
+        h = counit(hom_system).frame_hom
+        kinds["S", _as_the_public_map(s_morphism(h, s_object(h.target, values),
+                                                 s_object(h.source, values)).point_map)] += 1
+    assert {kind for kind, _ in kinds} == {"identity", "composite", "inverse", "unit", "S"}, kinds
+    assert kinds["unit", "PointHom"] and kinds["S", "PointHom"], kinds

@@ -1,4 +1,8 @@
-"""The subset checks against the loops they replaced.
+"""The mask walks, and the subset checks against the loops they replaced.
+
+A frame's view holds one walk of its masks (`FrameView.walk`): the pairs,
+built once per carrier size, or every subset, built for that view alone.
+Each must be what `conftest.mask_steps` builds from its masks.
 
 `check_frame` (join closure, axioms 7-9), `check_system` (clause 3) and
 `check_frame_hom` (join preservation) decide on ints over a frame's masks
@@ -13,18 +17,73 @@ table does not fold.
 """
 
 import collections
+import gc
 import itertools
 import random
+import types
+import weakref
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
-from conftest import crisp_chain, loop_frame_hom_violation, loop_frame_violation, loop_system_violation
+from conftest import (crisp_chain, loop_frame_hom_violation, loop_frame_violation, loop_system_violation, mask_steps,
+                      oracle_pair_masks)
+from graded_topos import frames
 from graded_topos.frames import FrameHom, GradedFrame, chain_frame, check_frame, check_frame_hom, frame_from_space
 from graded_topos.functors import GradeSet, enumerate_point_homs
 from graded_topos.generators import GeneratorConfig, generate_random_space, generate_random_system
 from graded_topos.grades import ONE, ZERO
+from graded_topos.serialization import load_frame
 from graded_topos.systems import GradedSystem, check_system
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_each_walk_is_the_one_mask_steps_builds(n):
+    pairs, every = frames._pairs(n), frames._subsets(n)
+    assert pairs.masks == oracle_pair_masks(n) and every.masks == list(range(1 << n))
+    for walk in (pairs, every):
+        assert walk.steps == mask_steps(walk.masks)
+        assert [walk.position[mask] for mask in walk.masks] == list(range(len(walk.masks)))
+    assert frames._pairs(n) is pairs  # one pair walk per carrier size
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_each_view_reads_the_walk_of_its_joins(n):
+    # a chain in memory and as a table that folds are read on their pairs,
+    # the one walk of their size; a table that does not fold, on every
+    # subset, in a walk its view keeps
+    table = crisp_chain(n)
+    for frame in (chain_frame(F(i, n - 1) for i in range(n)), table):
+        assert frame.view.walk is frames._pairs(n)
+        assert frame.view.walk.masks == oracle_pair_masks(n)
+    if n > 2:
+        broken = table_of(table, [((1 << n) - 1, 0)])
+        assert not broken.view.folds
+        walk = broken.view.walk
+        assert walk.masks == list(range(1 << n)) and walk.steps == mask_steps(walk.masks)
+        assert broken.view.walk is walk
+
+
+def test_an_all_subset_walk_goes_with_its_view():
+    """Checking a 14-element table that fails the lowest-member fold
+    builds its walk of 2^14 masks on its view alone: the per-size cache
+    keeps the size it had, and the walk goes when the view goes."""
+    cached = frames._pairs.cache_info().currsize
+    frame = load_frame(FIXTURES / "frame_fourteen_opens_wrong_join.json")
+    assert not frame.view.folds and len(frame.view.joins) == 1 << 14
+    assert check_frame(frame).clause == "axiom 8"
+    assert frames._pairs.cache_info().currsize == cached
+    view = frame.view
+    assert len(view.walk.steps) == (1 << 14) - 1
+    holders = [r for r in gc.get_referrers(view.walk) if not isinstance(r, types.FrameType)]
+    assert len(holders) == 1 and holders[0] is vars(view)
+    gone = weakref.ref(view)
+    del frame, view, holders
+    gc.collect()
+    assert gone() is None
 
 
 def table_of(frame, changes=()):
@@ -61,14 +120,19 @@ def wide_masks(n, rng, count):
     return rng.sample(masks, min(count, len(masks)))
 
 
+def some_pairs(frame, rng, count):
+    """Up to `count` two-element subsets of the carrier."""
+    pairs = list(itertools.combinations(frame.carrier, 2))
+    return rng.sample(pairs, min(count, len(pairs)))
+
+
 def planted_frames(frame, rng):
     """`frame`, its table, and frames with one pair join or one wider table
     join changed."""
     n, items = len(frame), frame.carrier
     yield frame
     yield table_of(frame)
-    pairs = list(itertools.combinations(items, 2))
-    for pair in rng.sample(pairs, min(3, len(pairs))):
+    for pair in some_pairs(frame, rng, 3):
         yield pair_join_changed(frame, pair, rng.choice(items))
         yield pair_join_changed(frame, pair, "nowhere")
     for mask in wide_masks(n, rng, 4):
@@ -136,7 +200,7 @@ def systems(seed):
             yield GradedSystem(system.points, frame, tuple(map(tuple, rows)))
         for mask in wide_masks(len(frame), rng, 3):
             yield GradedSystem(system.points, table_of(frame, [(mask, rng.randrange(len(frame)))]), system.rows)
-        for pair in rng.sample(list(itertools.combinations(frame.carrier, 2)), min(2, len(frame) * (len(frame) - 1) // 2)):
+        for pair in some_pairs(frame, rng, 2):
             yield GradedSystem(system.points, pair_join_changed(frame, pair, "nowhere"), system.rows)
 
 
@@ -180,7 +244,7 @@ def test_check_frame_hom_names_what_its_loops_name(seed):
             homs.append(FrameHom(folding_fails, frame, same))
             homs.append(FrameHom(frame, folding_fails, same))
             homs.extend(maps_of(folding_fails, rng))
-        for pair in rng.sample(list(itertools.combinations(frame.carrier, 2)), min(2, n * (n - 1) // 2)):
+        for pair in some_pairs(frame, rng, 2):
             homs.append(FrameHom(pair_join_changed(frame, pair, "nowhere"), frame, same))
         for h in homs:
             expected = loop_frame_hom_violation(h)

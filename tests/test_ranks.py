@@ -53,7 +53,7 @@ from graded_topos.generators import (
 from graded_topos.grades import ONE, ZERO
 from graded_topos.logic.semantics import Assignment, sequent_grade
 from graded_topos.logic.syntax import BOTTOM, TOP, free_variables
-from graded_topos.ranks import cuts_of, inclusion, rank_objects, ranks_of
+from graded_topos.ranks import cuts_of, inclusion, ranks_of
 from graded_topos.spaces import GradedSpace, check_space, generate_topology
 
 GRADES = GradeSet((ZERO, F(1, 4), F(1, 2), F(3, 4), ONE))
@@ -105,9 +105,9 @@ def grade_draws(draw, low: int = 0, high: int = 1) -> list:
 @given(grade_draws(), st.integers(1, 7))
 def test_one_table_is_both_closures_it_replaced_and_codes_as_they_did(values, size):
     """`GradeSet.of` is the object-deduping rank table and `closure` the
-    value-set closure; `code` ranks by position, as `rank_objects` does,
-    in and out of the table, and `cuts` codes each vector of `size`
-    grades as its own level cuts."""
+    value-set closure; `code` ranks by position, as a new table of the
+    same grades does, in and out of the table, and `cuts` codes each
+    vector of `size` grades as its own level cuts."""
     table = GradeSet.of(values)
     grades, top = object_rank_table(values)
     assert table.grades == grades and table.top == top == len(table) - 1
@@ -115,7 +115,7 @@ def test_one_table_is_both_closures_it_replaced_and_codes_as_they_did(values, si
     assert table._placed == {id(g): r for r, g in enumerate(table.grades)}
     others = [F(1, 997), _twin(table.grades[top // 2]), F(996, 997)] + values[:3]
     codes = position_ranks(grades, values + others)
-    assert table.code(values + others) == codes == rank_objects(table.grades, values + others)
+    assert table.code(values + others) == codes == GradeSet(table.grades).code(values + others)
     codes = codes[:len(values)]
     vectors = [codes[k:k + size] for k in range(0, len(codes), size)]
     assert table.cuts(values, size) == [level_cuts(v, top) for v in vectors] == [cuts_of(v, top) for v in vectors]
@@ -403,7 +403,7 @@ def test_permuting_the_points_permutes_the_opens_and_nothing_else(seed):
         for a, b in itertools.product(range(len(space)), repeat=2):
             assert moved_view.meet[sigma[a]][sigma[b]] == sigma[view.meet[a][b]]
             assert moved_view.rel[sigma[a]][sigma[b]] == view.rel[a][b]
-        moved_joins = dict(zip(moved_view.masks, moved_view.joins))
-        for mask, j in zip(view.masks, view.joins):
+        moved_joins = dict(zip(moved_view.walk.masks, moved_view.joins))
+        for mask, j in zip(view.walk.masks, view.joins):
             image = sum(1 << sigma[i] for i in range(len(space)) if mask >> i & 1)
             assert moved_joins[image] == sigma[j]
