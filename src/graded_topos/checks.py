@@ -1,13 +1,15 @@
-"""Shared machinery for the axiom checkers: violation reports and the
-subset recurrences.
+"""Shared machinery for the axiom checkers: violation reports and laws.
 
-Every subset-indexed check is exact. It runs over the masks of the view a
-frame stores (`FrameView.masks`): the empty set, singletons and pairs for a
-frame built in memory, which holds only those joins, and for a join table
-that folds on the lowest member of each subset; every subset for any other
-table. The frame module's docstring says why those masks cover every
-subset. `FrameView.decide` reruns a check on every subset to name a
-violation that the pairs of a join table show.
+Every subset-indexed check is exact. It runs along the one walk of masks
+that the view a frame stores keeps (`frames.FrameView.walk`): the empty
+set, singletons and pairs for a frame built in memory, which holds only
+those joins, and for a join table that folds on the lowest member of each
+subset, built once per carrier size; every subset for any other table,
+built for its view alone. Each mask's step names the mask without its
+lowest member, so a subset aggregate is built one member at a time. The
+frame module's docstring says why those masks cover every subset.
+`FrameView.decide` reruns a check on every subset to name a violation that
+the pairs of a join table show.
 """
 
 from __future__ import annotations

@@ -8,11 +8,13 @@ rest (`FrameView`), which every checker reads; the element-keyed meet and
 relation tables are decoded from it on first read. Axioms over pairs and
 triples hold on every pair and triple, decided on bitmasks of the view's
 rows and columns, and the subset-indexed ones (axioms 7-9, join
-preservation by homs) on the view's masks, exactly at
-every size: the empty set, the singletons and the pairs decide every subset
-of a frame built in memory, whose join folds its pair joins, and of a join
-table that folds on the lowest member of each subset; any other table is
-checked on every subset (the induction is in `check_frame`).
+preservation by homs) along the view's one walk of its masks
+(`FrameView.walk`), exactly at every size: the empty set, the singletons
+and the pairs decide every subset of a frame built in memory, whose join
+folds its pair joins, and of a join table that folds on the lowest member
+of each subset; any other table is checked on every subset (the induction
+is in `check_frame`). The walk of the pairs is built once per carrier size
+and shared; a walk of every subset belongs to its view and goes with it.
 
 `frame_from_space` builds the view from the level cuts of the opens' rank
 vectors, one int per open (`GradedSpace.ranked`): meet is AND, pair joins
@@ -40,19 +42,14 @@ RelationTable = Mapping[tuple[Hashable, Hashable], Grade]
 
 
 class MaskWalk(NamedTuple):
-    """Subset masks in ascending order from the empty one, each non-empty
-    mask less its lowest member again among them: `position[mask]` is a
-    mask's place, and `steps[p - 1] = (q, i)` says masks[p] is masks[q]
-    plus member i. A subset aggregate is built along the steps, one member
-    at a time, indexed by position."""
+    """Masks in ascending order from the empty one, each non-empty mask less
+    its lowest member again among them: `position[mask]` is a mask's place,
+    and `steps[p - 1] = (q, i)` says masks[p] is masks[q] plus member i, its
+    lowest. A subset aggregate is built along the steps, one member at a time."""
 
     masks: list[int]
     position: Mapping[int, int] | range
     steps: list[tuple[int, int]]
-
-
-def _walk(masks: list[int], position: Mapping[int, int] | range) -> MaskWalk:
-    return MaskWalk(masks, position, [(position[m & m - 1], (m & -m).bit_length() - 1) for m in masks[1:]])
 
 
 @cache
@@ -60,13 +57,15 @@ def _pairs(n: int) -> MaskWalk:
     """The walk of the empty set, the singletons and the pairs of n
     elements, built once per carrier size."""
     masks = sorted({0} | {1 << i | 1 << j for i in range(n) for j in range(i, n)})
-    return _walk(masks, {mask: p for p, mask in enumerate(masks)})
+    position = {mask: p for p, mask in enumerate(masks)}
+    return MaskWalk(masks, position, [(position[m & m - 1], (m & -m).bit_length() - 1) for m in masks[1:]])
 
 
 def _subsets(n: int) -> MaskWalk:
     """The walk of every subset of n elements, each mask its own position;
     kept by no cache, as it has 2^n steps."""
-    return _walk(list(range(1 << n)), range(1 << n))
+    every = range(1 << n)
+    return MaskWalk(list(every), every, [(m & m - 1, (m & -m).bit_length() - 1) for m in every[1:]])
 
 
 @dataclass(frozen=True)
@@ -122,18 +121,6 @@ class FrameView:
         if bad is None or self.table is None or len(self.joins) == len(self.table):
             return bad
         return check(replace(self, joins=self.table))
-
-
-def _fold(joins: list[int | None], position: Mapping[int, int] | range, mask: int) -> int | None:
-    """The join of the subset `mask` folded from the empty join, lowest
-    member first, by the pair joins `joins` at `position`; None once a
-    step leaves the carrier."""
-    joined = joins[0]
-    while mask and joined is not None:
-        low = mask & -mask
-        mask ^= low
-        joined = joins[position[1 << joined | low]]
-    return joined
 
 
 def label_mask(labels: Iterable[Hashable], bits: Mapping[Hashable, int]) -> int:
@@ -225,14 +212,21 @@ class GradedFrame:
 
     def join_at(self, mask: int) -> int | None:
         """The carrier position of the join of the subset `mask`, or None
-        outside the carrier: the table's entry, or the pair joins folded."""
+        outside the carrier: the table's entry, or the pair joins folded
+        from the empty join, lowest member first, until a step leaves the
+        carrier."""
         v = self.view
         if v.table is not None:
             return v.table[mask]
-        position = v.walk.position
+        joins, position = v.joins, v.walk.position
         if mask in position:
-            return v.joins[position[mask]]
-        return _fold(v.joins, position, mask)
+            return joins[position[mask]]
+        joined = joins[0]
+        while mask and joined is not None:
+            low = mask & -mask
+            mask ^= low
+            joined = joins[position[1 << joined | low]]
+        return joined
 
     def join_fn(self, subset: frozenset) -> Hashable | None:
         """The join of a subset of the carrier by `join_at`, or None."""
@@ -392,6 +386,8 @@ def check_frame(frame: GradedFrame) -> Violation | None:
       so it holds on all of them iff P[join 0] is every bit and
       P[join S] = P[join(S - c)] & P[c] on each: by induction on the
       masks, either form makes P[join(S - c)] the AND over S - c.
+    - Axiom 7, a <= join S for a in S, says S lies within the crisp
+      down-set of join S, the top level of C[join S]: one AND a mask.
     - Axiom 9 is decided once axioms 1-8 and join closure pass on the
       masks. Then the carrier is a finite lattice under a <= b iff
       R(a, b) = 1: a partial order by axioms 1-3, with glb a meet b by
@@ -406,11 +402,18 @@ def check_frame(frame: GradedFrame) -> Violation | None:
       embedding into a powerset; conversely, in a distributive lattice a
       join-irreducible below x join y is below x or below y. An element is
       join-irreducible iff it is not the join of the elements strictly
-      below it (the bottom is the empty join of those).
+      below it (the bottom is the empty join of those), that is, iff it is
+      the join of no mask that does not hold it. The join of such a mask
+      is above its members (axiom 7), so strictly; and a join of elements
+      strictly below x, folded one at a time, reaches x at a step that
+      joins two elements strictly below x, a pair mask, or at the empty
+      mask for the bottom. Then D(join S) = the union of D(a) over S is
+      checked along the walk: on the pairs that is the law above, and on
+      every subset it holds in a distributive lattice by induction.
     - Axioms 1, 2, 4 and 5 are conditions on elements and pairs, checked
       as they stand.
 
-    Axioms 7-9 run over `frame.view.masks`, each per-subset aggregate
+    Axioms 7-9 run along `frame.view.walk`, each per-subset aggregate
     built from the one of the mask minus its lowest member. For a frame
     built in memory that is the empty set, the singletons and the pairs,
     and that decides every subset, because such a join is a fold of its
@@ -686,7 +689,9 @@ def check_frame_hom(h: FrameHom) -> Violation | None:
     target's fold, which its view checks (`FrameView.folds`). A violation
     that the pairs of a table source show is named by every subset
     (`FrameView.decide`). A source join outside the source carrier has no
-    image, and is reported as a join closure violation."""
+    image, and is reported as a join closure violation. Each mask's image
+    set is built along the walk's steps, and source grades are ranked in
+    the target view's `grade_set`."""
     src, tgt, image = h.source, h.target, h._image
     sv, tv = src.view, tgt.view
     if image[sv.top] != tv.top:

@@ -148,9 +148,8 @@ class PointMap:
     def _read(cls, source: Universe, target: Universe, positions: Iterable[int],
               images: tuple[Hashable, ...] | None = None) -> "PointMap":
         """The map sending the source's i-th point to the target's point at
-        positions[i], or to images[i], an equal object, when given;
-        unchecked, and no image is looked up in the target, as
-        `FrameHom._read` builds homs."""
+        positions[i], or to images[i], an equal object, when given; nothing
+        is checked or looked up."""
         f = object.__new__(cls)
         positions = tuple(positions)
         object.__setattr__(f, "source", source)

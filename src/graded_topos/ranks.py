@@ -71,9 +71,9 @@ if TYPE_CHECKING:
 class GradeSet:
     """A finite set of grades with 0 and 1, sorted and duplicate-free, and
     `top`, the rank of 1; the constructor and `closure` check it, and `of`
-    and `_adopt` do not. It keeps the rank of each of its own objects by id (`code`):
-    equality, hashing and repr read `grades` alone, and a copied or
-    unpickled table indexes its own new objects."""
+    and `_adopt` do not. It keeps the rank of each of its own objects by id
+    (`code`): equality, hashing and repr read `grades` alone, and a copied
+    or unpickled table indexes its own new objects."""
 
     grades: tuple[Grade, ...]
 
@@ -98,8 +98,7 @@ class GradeSet:
 
     @classmethod
     def _adopt(cls, grades: tuple[Grade, ...]) -> GradeSet:
-        """The table of `grades`, sorted and duplicate-free, as they stand:
-        unchecked, and nothing is sorted or hashed."""
+        """The table of `grades` as they stand: unchecked, nothing sorted or hashed."""
         table = cls.__new__(cls)
         table.__setstate__(grades)
         return table

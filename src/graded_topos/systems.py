@@ -22,9 +22,9 @@ own cuts (`GradedSpace.ranked`), so no grade is ranked again. Then:
   unique. Only the empty meet and pairs need checking once the meet is a
   verified semilattice: larger finite meets are folds of binary ones.
 - Clause 3, sat(x, join S) = max over S of sat(x, a), holds iff the join
-  stays in the carrier, E_bottom = 0 and, along the view's masks
-  (`FrameView.masks`, `mask_steps`), the OR of the members' extents is
-  the extent of the join: OR is pointwise max. The masks are the empty
+  stays in the carrier, E_bottom = 0 and, along the view's walk of its
+  masks (`FrameView.walk`), the OR of the members' extents, one member at
+  a time, is the extent of the join: OR is pointwise max. The masks are the empty
   set, singletons and pairs for a frame built in memory, which holds only
   those joins, and for a table frame that passes the lowest-member fold
   (c below is the lowest member of S + c), since then

@@ -477,6 +477,8 @@ def test_a_chain_keeps_increasing_values_and_sorts_any_others():
         rng.shuffle(drawn)
         again = chain_frame(drawn)
         assert again.carrier == values and same_frame(again, chain)
+    for repeated in ((ZERO, ZERO, F(1, 3), F(1, 2), ONE), (ZERO, F(1, 3), F(1, 2), F(1, 2), ONE, ONE)):
+        assert chain_frame(repeated).carrier == values
     for missing in ((F(1, 2), ONE), (ZERO, F(1, 2)), ()):
         with pytest.raises(SchemaError, match="a grade chain must contain 0 and 1"):
             chain_frame(missing)

@@ -1758,8 +1758,12 @@ def test_derived_point_maps_are_the_maps_the_public_constructor_builds(seed):
         shuffled = list(first.universe.elements)
         rng.shuffle(shuffled)
         bijection = PointMap(first.universe, first.universe, tuple(shuffled))
+        back = {y: x for x, y in zip(first.universe.elements, shuffled)}
+        assert bijection.inverse().images == tuple(map(back.__getitem__, first.universe.elements))
         kinds["inverse", _as_the_public_map(bijection.inverse())] += 1
-        kinds["composite", _as_the_public_map(compose_point_maps(bijection, bijection.inverse()))] += 1
+        round_trip = compose_point_maps(bijection, bijection.inverse())
+        assert round_trip.images == first.universe.elements
+        kinds["composite", _as_the_public_map(round_trip)] += 1
         system = generate_random_system(cfg, index, max_opens=6)
         values = GradeSet.for_system(system)
         hom_system = s_object(system.frame, values)
